@@ -227,25 +227,45 @@ def apply_sequential(
             matrix[j, c] = combined
 
 
-def _first_distinct_batch(candidates: np.ndarray, view_size: int) -> np.ndarray:
+def _first_distinct_batch(
+    candidates: np.ndarray, view_size: int, capacity: int
+) -> np.ndarray:
     """Per row: the first ``view_size`` distinct entries in candidate
     order, padded with the remaining duplicates (in order) when fewer
-    distinct values exist. Vectorized as two argsorts: one by value to
-    flag repeat occurrences, one by the flag to stably partition first
-    occurrences ahead of repeats. The value sort composes (value,
-    column) into one int64 key so a plain quicksort yields the stable
-    order — numpy's stable radix path is ~4x slower at this row width.
+    distinct values exist. Entries must lie in ``[0, capacity)``.
+
+    Two in-place value sorts of bit-packed keys, no index bookkeeping
+    (a plain row sort is ~5x cheaper than an argsort at this width, and
+    the take/put passes that follow an argsort cost as much again).
+    With ``s`` bits for the column and ``capbits`` for the id:
+
+    * sort 1 orders ``(id << s) | col`` — equal ids become adjacent,
+      earliest column first, so ``id[k] == id[k-1]`` flags every
+      repeat occurrence;
+    * sort 2 orders ``((dup << s | col) << capbits) | id`` — first
+      occurrences in column order, then repeats in column order; the
+      answer is the low ``capbits`` bits of the leading columns.
+
+    Keys are int32 while ``s + 1 + capbits`` fits 31 bits (capacity up
+    to 16.7M at ``view_size`` 20), int64 above that.
     """
     width = candidates.shape[1]
-    keys = candidates.astype(np.int64) * width + np.arange(width)
-    order = np.argsort(keys, axis=1)
-    ranked = np.take_along_axis(candidates, order, axis=1)
-    dup_ranked = np.zeros(candidates.shape, dtype=bool)
-    dup_ranked[:, 1:] = ranked[:, 1:] == ranked[:, :-1]
-    dup = np.empty_like(dup_ranked)
-    np.put_along_axis(dup, order, dup_ranked, axis=1)
-    keep = np.argsort(dup, axis=1, kind="stable")[:, :view_size]
-    return np.take_along_axis(candidates, keep, axis=1)
+    s = (width - 1).bit_length()
+    capbits = max(capacity - 1, 1).bit_length()
+    dtype = np.int32 if s + 1 + capbits <= 31 else np.int64
+    keys = np.left_shift(candidates, s, dtype=dtype)
+    keys |= np.arange(width, dtype=dtype)
+    keys.sort(axis=1)
+    ids = keys >> s
+    keys &= (1 << s) - 1
+    keys <<= capbits
+    keys |= ids
+    keys[:, 1:] |= np.left_shift(
+        ids[:, 1:] == ids[:, :-1], s + capbits, dtype=dtype
+    )
+    keys.sort(axis=1)
+    firsts = keys[:, :view_size] & ((1 << capbits) - 1)
+    return firsts.astype(candidates.dtype, copy=False)
 
 
 def _first_distinct_row(candidates: list, view_size: int) -> list:
@@ -283,26 +303,21 @@ def merge_views_batch(
     :func:`apply_disjoint_batch` — so batching versus one-at-a-time
     application is trivially bitwise-identical.
     """
-    if len(batch_a) == 0:
-        return
-    view_size = views.shape[1]
     m = len(batch_a)
-    rows_a = views[batch_a]
-    rows_b = views[batch_b]
-    cand_a = np.empty((m, 2 * view_size + 1), dtype=views.dtype)
-    cand_b = np.empty((m, 2 * view_size + 1), dtype=views.dtype)
-    cand_a[:, 0] = batch_b
-    cand_b[:, 0] = batch_a
-    cand_a[:, 1::2] = rows_a
-    cand_a[:, 2::2] = rows_b
-    cand_b[:, 1::2] = rows_b
-    cand_b[:, 2::2] = rows_a
-    col_a = np.asarray(batch_a, dtype=views.dtype)[:, None]
-    col_b = np.asarray(batch_b, dtype=views.dtype)[:, None]
-    np.copyto(cand_a, col_b, where=cand_a == col_a)
-    np.copyto(cand_b, col_a, where=cand_b == col_b)
-    views[batch_a] = _first_distinct_batch(cand_a, view_size)
-    views[batch_b] = _first_distinct_batch(cand_b, view_size)
+    if m == 0:
+        return
+    capacity, view_size = views.shape
+    # both sides as one block: rows [:m] rebuild a's views, [m:] b's
+    own = np.concatenate((batch_a, batch_b)).astype(views.dtype, copy=False)
+    partner = np.concatenate((own[m:], own[:m]))
+    rows = views[own]
+    cand = np.empty((2 * m, 2 * view_size + 1), dtype=views.dtype)
+    cand[:, 0] = partner
+    cand[:, 1::2] = rows
+    cand[:m, 2::2] = rows[m:]
+    cand[m:, 2::2] = rows[:m]
+    np.copyto(cand, partner[:, None], where=cand == own[:, None])
+    views[own] = _first_distinct_batch(cand, view_size, capacity)
 
 
 def merge_views_sequential(
@@ -321,22 +336,19 @@ def merge_views_sequential(
     no IEEE caveat.
     """
     view_size = views.shape[1]
+    cand = [0] * (2 * view_size + 1)
     for a, b in zip(steps_a.tolist(), steps_b.tolist()):
         row_a = views[a].tolist()
         row_b = views[b].tolist()
-        cand_a = [b]
-        cand_b = [a]
-        for src in range(view_size):
-            cand_a.append(row_a[src])
-            cand_a.append(row_b[src])
-            cand_b.append(row_b[src])
-            cand_b.append(row_a[src])
-        views[a] = _first_distinct_row(
-            [b if x == a else x for x in cand_a], view_size
-        )
-        views[b] = _first_distinct_row(
-            [a if x == b else x for x in cand_b], view_size
-        )
+        for own, partner, row_own, row_partner in (
+            (a, b, row_a, row_b), (b, a, row_b, row_a)
+        ):
+            cand[0] = partner
+            cand[1::2] = row_own
+            cand[2::2] = row_partner
+            if own in cand:
+                cand = [partner if x == own else x for x in cand]
+            views[own] = _first_distinct_row(cand, view_size)
 
 
 class ExecutionBackend(ABC):

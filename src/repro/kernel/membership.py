@@ -157,7 +157,8 @@ class NewscastViews:
     def grow(self, capacity: int) -> None:
         """Extend the matrix to ``capacity`` rows. Fresh rows hold -1
         (never read: a slot's row is seeded by :meth:`seed_rows`
-        before the slot can ever initiate)."""
+        before the slot can ever initiate — the merge kernel relies on
+        it, ``test_alive_rows_hold_only_slot_ids`` asserts it)."""
         if capacity <= self.capacity:
             return
         grown = np.full((capacity, self.view_size), -1, dtype=np.int32)
@@ -242,8 +243,15 @@ class NewscastViews:
                 f"checkpointed view matrix has shape {views.shape}, "
                 f"expected (capacity, {self.view_size})"
             )
-        self.views = views.copy()
         capacity = views.shape[0]
+        # the merge kernel packs ids into sort keys: -1 marks a never
+        # seeded row (see grow), anything else must be a slot number
+        if views.size and (views.min() < -1 or views.max() >= capacity):
+            raise ConfigurationError(
+                f"checkpointed view matrix holds entries outside "
+                f"[-1, {capacity})"
+            )
+        self.views = views.copy()
         self._peers = np.empty(capacity, dtype=np.int32)
         self._ok = np.empty(capacity, dtype=bool)
 

@@ -13,6 +13,8 @@ tests (in-degree tails, oracle-vs-newscast Figure-4 parity) are marked
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SizeEstimationConfig, SizeEstimationExperiment
 from repro.errors import ConfigurationError, TopologyError
@@ -27,6 +29,8 @@ from repro.kernel import (
 from repro.kernel.adversary import AdversarySpec
 from repro.kernel.backends import VectorizedBackend
 from repro.kernel.backends.base import (
+    _first_distinct_batch,
+    _first_distinct_row,
     merge_views_batch,
     merge_views_sequential,
 )
@@ -215,6 +219,17 @@ class TestNewscastViews:
             for node in range(40):
                 assert out[node] in views.views[node]
 
+    def test_load_checks_entry_range(self):
+        views = NewscastViews(30, 4, make_rng(8))
+        grown = np.full((45, 4), -1, dtype=np.int32)
+        grown[:30] = views.views
+        views.load(grown)  # -1 rows of never-seeded slots are legal
+        assert views.capacity == 45
+        for bad in (-2, 45):
+            grown[3, 1] = bad
+            with pytest.raises(ConfigurationError, match="outside"):
+                views.load(grown)
+
 
 class TestMergePrimitives:
     def test_batch_matches_sequential(self):
@@ -249,6 +264,52 @@ class TestMergePrimitives:
             assert len(set(row)) == v
 
 
+class TestFirstDistinctKernel:
+    """The packed-key batch kernel against its scalar oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        view_size=st.sampled_from([1, 3, 7, 20, 31]),
+        # int32 keys up to 2**24 (the last int32 capacity at view_size
+        # 20); 2**28 needs int64 keys from view_size 3 up, 2**31 - 1 at
+        # every view size
+        capacity=st.sampled_from([2, 50, 5000, 2**24, 2**28, 2**31 - 1]),
+        data=st.data(),
+    )
+    def test_batch_matches_row_oracle(self, view_size, capacity, data):
+        width = 2 * view_size + 1
+        # a pool smaller than view_size forces duplicate padding, a
+        # pool of one gives all-equal rows
+        pool = data.draw(st.integers(1, min(2 * width, capacity)))
+        base = data.draw(st.sampled_from([0, capacity - pool]))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(base, base + pool - 1),
+                     min_size=width, max_size=width),
+            min_size=1, max_size=5,
+        ))
+        candidates = np.array(rows, dtype=np.int32)
+        merged = _first_distinct_batch(candidates, view_size, capacity)
+        assert merged.dtype == np.int32
+        assert merged.tolist() == [
+            _first_distinct_row(row, view_size) for row in rows
+        ]
+
+    @pytest.mark.parametrize("capacity", [2**24, 2**24 + 1])
+    def test_key_width_boundary(self, capacity):
+        """view_size 20 packs 6 + 1 + 24 bits into int32 keys up to
+        capacity 2**24 and switches to int64 one past it; the largest
+        id in the last column fills every key bit either way."""
+        view_size = 20
+        top = capacity - 1
+        row = [top, 0] * view_size + [top]
+        row[-2] = top - 1
+        merged = _first_distinct_batch(
+            np.array([row], dtype=np.int32), view_size, capacity
+        )
+        assert merged[0].tolist() == _first_distinct_row(row, view_size)
+        assert merged[0, :3].tolist() == [top, 0, top - 1]
+
+
 class TestEngineIntegration:
     def test_views_stay_self_loop_free(self):
         spec = NewscastSpec(view_size=10)
@@ -263,6 +324,31 @@ class TestEngineIntegration:
                 alive = engine.alive_mask
                 rows = np.flatnonzero(alive)
                 assert not np.any(views[rows] == rows[:, None])
+
+    def test_alive_rows_hold_only_slot_ids(self):
+        """The merge kernel's precondition: growth fills fresh rows
+        with -1, but every alive slot's row is seeded before it can be
+        merged — through two capacity growths and slot recycling."""
+        n = 300
+        joins = np.array([20] * 12 + [0] * 12 + [15] * 12)
+        leaves = np.array([2] * 12 + [18] * 12 + [3] * 12)
+        scenario = scenario_with(
+            n=n,
+            membership=NewscastSpec(view_size=10),
+            churn=ChurnTrace(joins, leaves),
+        )
+        with GossipEngine(scenario) as engine:
+            for _ in range(len(joins)):
+                engine.run_cycle()
+                rows = engine.membership_views[engine.alive_mask]
+                assert rows.min() >= 0 and rows.max() < engine.capacity
+            # capacity grew past every slot the first wave can have
+            # used, the rows beyond were never seeded, and the second
+            # join wave recycled departed slots instead of taking them
+            first_wave = n + joins[:12].sum()
+            assert engine.capacity > first_wave
+            assert np.all(engine.membership_views[first_wave:] == -1)
+            assert not engine.alive_mask[first_wave:].any()
 
     def test_dead_entries_age_off_after_churn_settles(self):
         joins = np.zeros(45, dtype=np.int64)
