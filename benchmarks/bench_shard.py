@@ -10,11 +10,10 @@ at N = 1 000 000, sweeping the worker count (1/2/4/8 by default), and
 asserts three things:
 
 * **Correctness at every scale.** The sharded matrix is bitwise-equal
-  to the vectorized one at N (all worker counts, pipelined *and*
-  barrier execution), and bitwise-equal to the *sequential reference*
-  execution at the paper's N = 100 000 across the full scenario
-  surface: plain exchange cycles, pair mode (GETPAIR_PM), churn, and
-  the 20-regular CSR overlay.
+  to the vectorized one at N (all worker counts), and bitwise-equal
+  to the *sequential reference* execution at the paper's N = 100 000
+  across the full scenario surface: plain exchange cycles, pair mode
+  (GETPAIR_PM), churn, and the 20-regular CSR overlay.
 * **Speedup on multi-core hosts.** Where the host has ≥ 4 cores and the
   run is at million-node scale, the best sharded configuration must be
   ≥ 2× faster than single-process vectorized (2× is the theoretical
@@ -28,14 +27,11 @@ asserts three things:
   can only add IPC on top of the same serial work). Both sides are
   best-of-:data:`REPS` so the gate measures code, not scheduler noise.
 
-Each worker count also records the **pipelined-vs-barrier ablation**
-(``sharded_w{w}_barrier_seconds`` re-runs the identical workload with
-the per-segment W+1 barrier instead of the two-bank handoff) and the
-parent-side **phase breakdown**: ``plan`` (partner staging + greedy
-segmentation CPU), ``apply`` (parent-side segment application: inline
-mode, or barrier-mode sequential tails), and ``sync`` (time blocked on
-worker acknowledgements — the worker-apply latency the pipeline failed
-to hide).
+Each worker count also records the parent-side **phase breakdown**:
+``plan`` (partner staging + greedy segmentation CPU), ``apply``
+(parent-side segment application: inline mode), and ``sync`` (time
+blocked on worker acknowledgements — the worker-apply latency the
+pipeline failed to hide).
 
 ``--tenm`` runs the scale-up experiment instead: Figure 3(a)'s
 one-execution variance reduction and a Figure 4-style one-epoch size
@@ -52,7 +48,6 @@ Run directly (``python benchmarks/bench_shard.py [--n N] [--workers
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 import time
@@ -91,22 +86,6 @@ TENM_EPOCH = 30  # one Figure 4 epoch at 10M
 #: 1.5 GiB budget leaves allocator headroom while still catching a
 #: reintroduced O(N)-sized copy regression on the growth/adopt path.
 TENM_RSS_BUDGET_BYTES = int(1.5 * 1024**3)
-
-
-@contextlib.contextmanager
-def pipeline_mode(enabled: bool):
-    """Force pipelined or barrier execution for backends built inside
-    the block (the backend reads ``REPRO_SHARD_PIPELINE`` once, at
-    construction)."""
-    previous = os.environ.get("REPRO_SHARD_PIPELINE")
-    os.environ["REPRO_SHARD_PIPELINE"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SHARD_PIPELINE", None)
-        else:
-            os.environ["REPRO_SHARD_PIPELINE"] = previous
 
 
 def timed_engine_run(scenario, cycles):
@@ -210,18 +189,6 @@ def compute_shard(n=N, cycles=CYCLES, workers=WORKER_SWEEP, equiv_n=EQUIV_N,
         equal = bool(np.array_equal(vec_matrix, sh_matrix))
         series[f"sharded_w{w}_bitwise_equal"] = equal
         all_bitwise = all_bitwise and equal
-        # ablation: identical workload, per-segment W+1 barrier instead
-        # of the two-bank pipelined handoff
-        with pipeline_mode(False):
-            barrier_seconds, barrier_matrix, _ = best_of(
-                reps,
-                lambda: service_scenario(n, f"sharded:{w}", cycles=cycles),
-                cycles,
-            )
-        series[f"sharded_w{w}_barrier_seconds"] = barrier_seconds
-        barrier_equal = bool(np.array_equal(vec_matrix, barrier_matrix))
-        series[f"sharded_w{w}_barrier_bitwise_equal"] = barrier_equal
-        all_bitwise = all_bitwise and barrier_equal
         if best_seconds is None or sh_seconds < best_seconds:
             best_seconds, best_workers = sh_seconds, w
     series["best_workers"] = best_workers
@@ -274,11 +241,6 @@ def render(series):
         table.add_row(
             f"sharded:{w}", seconds, vec / seconds,
             series[f"sharded_w{w}_bitwise_equal"],
-        )
-        barrier = series[f"sharded_w{w}_barrier_seconds"]
-        table.add_row(
-            f"sharded:{w} (barrier)", barrier, vec / barrier,
-            series[f"sharded_w{w}_barrier_bitwise_equal"],
         )
     mode = "inline" if series["sharded_auto_inline"] else "pool"
     table.add_row(

@@ -25,6 +25,12 @@ Usage::
 
     python benchmarks/diff_bench.py --baseline prev/BENCH_scale.json \
         --current BENCH_scale.json [--tolerance 0.25]
+    python benchmarks/diff_bench.py --baseline-dir .bench-baseline \
+        --current-dir benchmarks/out
+
+The directory form diffs every ``BENCH_*.json`` of ``--current-dir``
+against its namesake in ``--baseline-dir`` under the same rules (an
+archive with no baseline is a first run) and fails if any regressed.
 """
 
 from __future__ import annotations
@@ -95,30 +101,15 @@ def diff(baseline: dict, current: dict, tolerance: float,
     return True, regressions, lines
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", type=Path, required=True,
-                        help="previous run's BENCH_*.json")
-    parser.add_argument("--current", type=Path, required=True,
-                        help="this run's BENCH_*.json")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed slowdown fraction (default 0.25)")
-    parser.add_argument("--min-seconds", type=float, default=0.0,
-                        help="ignore timings whose baseline is below "
-                             "this (noise floor for smoke runs)")
-    args = parser.parse_args(argv)
-    if args.tolerance <= 0:
-        print("tolerance must be positive", file=sys.stderr)
-        return 2
-    if not args.current.exists():
-        print(f"current archive {args.current} missing", file=sys.stderr)
-        return 2
-    if not args.baseline.exists():
-        print(f"no baseline at {args.baseline}; first run, nothing to diff")
+def diff_files(baseline: Path, current: Path, tolerance: float,
+               min_seconds: float) -> int:
+    """Diff one archive pair and print the report; returns the exit
+    code (0 = ok, not comparable or no baseline; 1 = regression)."""
+    if not baseline.exists():
+        print(f"no baseline at {baseline}; first run, nothing to diff")
         return 0
     comparable, regressions, lines = diff(
-        load(args.baseline), load(args.current), args.tolerance,
-        args.min_seconds,
+        load(baseline), load(current), tolerance, min_seconds
     )
     for line in lines:
         print(line)
@@ -130,6 +121,54 @@ def main(argv=None) -> int:
         return 1
     print("no timing regressions")
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--baseline", type=Path,
+                        help="previous run's BENCH_*.json")
+    parser.add_argument("--current", type=Path,
+                        help="this run's BENCH_*.json")
+    parser.add_argument("--baseline-dir", type=Path,
+                        help="directory of the previous run's archives")
+    parser.add_argument("--current-dir", type=Path,
+                        help="directory of this run's archives")
+    parser.add_argument("--tolerance", type=float, default=0.25,
+                        help="allowed slowdown fraction (default 0.25)")
+    parser.add_argument("--min-seconds", type=float, default=0.0,
+                        help="ignore timings whose baseline is below "
+                             "this (noise floor for smoke runs)")
+    args = parser.parse_args(argv)
+    if args.tolerance <= 0:
+        print("tolerance must be positive", file=sys.stderr)
+        return 2
+    if args.baseline_dir is not None and args.current_dir is not None:
+        pairs = [
+            (args.baseline_dir / current.name, current)
+            for current in sorted(args.current_dir.glob("BENCH_*.json"))
+        ]
+        if not pairs:
+            print(f"no BENCH_*.json archives in {args.current_dir}",
+                  file=sys.stderr)
+            return 2
+    elif args.baseline is not None and args.current is not None:
+        if not args.current.exists():
+            print(f"current archive {args.current} missing",
+                  file=sys.stderr)
+            return 2
+        pairs = [(args.baseline, args.current)]
+    else:
+        print("need --baseline and --current, or --baseline-dir and "
+              "--current-dir", file=sys.stderr)
+        return 2
+    worst = 0
+    for baseline, current in pairs:
+        if len(pairs) > 1:
+            print(f"== {current.name}")
+        worst = max(worst, diff_files(
+            baseline, current, args.tolerance, args.min_seconds
+        ))
+    return worst
 
 
 if __name__ == "__main__":

@@ -16,40 +16,42 @@ Run:  python examples/membership_stack.py
 
 import numpy as np
 
-from repro import NewscastMembership, MeanAggregate, RATE_SEQ
+from repro import RATE_SEQ, CompleteTopology, GossipEngine, Scenario
+from repro.kernel import NewscastSpec
 
 
 def main():
     n = 2000
     cycles = 20
-    rng = np.random.default_rng(5)
-    membership = NewscastMembership(n, view_size=20, seed=6)
-
-    values = rng.normal(50.0, 15.0, n).tolist()
+    values = np.random.default_rng(5).normal(50.0, 15.0, n)
     truth = float(np.mean(values))
-    aggregate = MeanAggregate()
+    scenario = Scenario(
+        CompleteTopology(n), values,
+        membership=NewscastSpec(view_size=20), seed=6,
+    )
 
     print(f"{n} nodes, Newscast views of 20, {cycles} cycles\n")
     print("cycle  variance        in-degree min/max")
-    variances = [float(np.var(values, ddof=1))]
-    for cycle in range(1, cycles + 1):
-        membership.advance_cycle(rng)  # membership gossip round
-        for node in range(n):  # aggregation round over live views
-            partner = membership.random_partner(node, rng)
-            combined = aggregate.combine(values[node], values[partner])
-            values[node] = combined
-            values[partner] = combined
-        variances.append(float(np.var(values, ddof=1)))
-        if cycle <= 10 or cycle == cycles:
-            in_degrees = membership.in_degree_distribution()
-            print(f"{cycle:>5}  {variances[-1]:.6e}  "
-                  f"{in_degrees.min():>3} / {in_degrees.max():<3}")
+    with GossipEngine(scenario) as engine:
+        variances = [engine.variance()]
+        for cycle in range(1, cycles + 1):
+            # one membership gossip round, then one aggregation round
+            # whose partners come from the refreshed views
+            engine.run_cycle()
+            variances.append(engine.variance())
+            if cycle <= 10 or cycle == cycles:
+                in_degrees = np.bincount(
+                    engine.membership_views.ravel(), minlength=n
+                )
+                print(f"{cycle:>5}  {variances[-1]:.6e}  "
+                      f"{in_degrees.min():>3} / {in_degrees.max():<3}")
+        mean = engine.mean()
 
     ratios = np.array(variances[1:]) / np.array(variances[:-1])
     rate = float(np.exp(np.log(ratios[:12]).mean()))
     print(f"\nempirical per-cycle reduction : {rate:.4f}")
     print(f"theory for random overlays    : {RATE_SEQ:.4f}  (1/(2*sqrt(e)))")
-    print(f"final network mean            : {np.mean(values):.6f}")
+    print(f"final network mean            : {mean:.6f}")
     print(f"ground truth                  : {truth:.6f}")
 
 

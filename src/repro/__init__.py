@@ -91,7 +91,6 @@ from .kernel import (
 )
 from .simulator import EventDrivenSimulator
 from .simulator.cycle_sim import CycleSimulator
-from .membership import StaticMembership, NewscastMembership
 from .failures import (
     OscillatingChurn,
     ConstantRateChurn,
@@ -169,8 +168,6 @@ __all__ = [
     "VectorizedBackend",
     "EventDrivenSimulator",
     "CycleSimulator",
-    "StaticMembership",
-    "NewscastMembership",
     "OscillatingChurn",
     "ConstantRateChurn",
     "NoChurn",

@@ -1,6 +1,6 @@
-"""Fault models: message loss, crash-stop failures and churn traces."""
+"""Fault models: crash-stop failures, churn traces and partitions
+(loss schedules live in :mod:`repro.kernel.messages`)."""
 
-from .message_loss import LossSchedule, constant_loss
 from .crash import CrashPlan, random_crash_plan
 from .churn import (
     ChurnModel,
@@ -13,8 +13,6 @@ from .partition import PartitionSchedule
 
 __all__ = [
     "PartitionSchedule",
-    "LossSchedule",
-    "constant_loss",
     "CrashPlan",
     "random_crash_plan",
     "ChurnModel",

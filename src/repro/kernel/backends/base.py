@@ -28,7 +28,6 @@ mix of the two appliers over an order-preserving segmentation is
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from typing import Optional, Sequence, Tuple
 
@@ -42,8 +41,7 @@ from ...errors import ConfigurationError
 #: the next trivially preserves global step order, and within a few
 #: thousand steps node collisions are rare (1–3 batches instead of
 #: ~max φ), so the first-occurrence scans touch far fewer elements and
-#: stay cache-resident. Tunable per machine via the ``REPRO_PAIR_CHUNK``
-#: environment variable or per run via
+#: stay cache-resident. Tunable per backend (``chunk=``) or per run via
 #: :attr:`~repro.kernel.pairs.PairProtocolSpec.chunk`.
 PAIR_CHUNK = 4096
 
@@ -61,30 +59,17 @@ SEGMENT_SEQUENTIAL = 1
 
 
 def resolve_chunk(
-    chunk: Optional[int] = None,
-    *,
-    env_var: str = "REPRO_PAIR_CHUNK",
-    default: int = PAIR_CHUNK,
+    chunk: Optional[int] = None, *, default: int = PAIR_CHUNK
 ) -> int:
-    """The effective greedy-segmentation window size.
-
-    Precedence: an explicit ``chunk`` (e.g. from
-    :attr:`PairProtocolSpec.chunk`), then the ``env_var`` environment
-    variable, then ``default``. The sharded backend resolves its own,
-    larger window through the same rules (``REPRO_SHARD_CHUNK``).
+    """The effective greedy-segmentation window size: an explicit
+    ``chunk`` (a backend constructor argument or
+    :attr:`PairProtocolSpec.chunk`), else ``default`` — the sharded
+    backend passes its own, larger :data:`~.sharded.SHARD_CHUNK`.
     Raises :class:`ConfigurationError` on non-positive or non-integer
     values.
     """
     if chunk is None:
-        env = os.environ.get(env_var, "").strip()
-        if not env:
-            return default
-        try:
-            chunk = int(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"{env_var} must be a positive integer, got {env!r}"
-            ) from None
+        return default
     if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)):
         raise ConfigurationError(
             f"pair chunk must be a positive integer, got {chunk!r}"

@@ -31,31 +31,26 @@ worker processes:
   Segmentation depends only on indices, never on values, which is what
   makes plan-then-execute — and plan-*ahead* — possible.
 
-* **Pipelined execution (the default).** ``apply_*`` publishes the
-  schedule to the workers and **returns immediately**: batch segments
-  are applied by the workers in equal contiguous slices, conflicted
-  sequential tails by worker 0, a workers-only barrier ordering the
-  segments, and each worker posts one ``applied`` acknowledgement per
-  schedule. The two banks turn that into a pipeline: while the workers
-  apply cycle ``t`` from bank A, the parent is already drawing cycle
-  ``t+1``'s randomness, running its mask pass and planning its
-  segmentation into bank B. The handoff is two-phase — before planning
-  into a bank the parent drains that bank's outstanding
-  acknowledgement, so a schedule is never overwritten while in flight,
-  and the engine calls :meth:`sync` before every matrix read or
-  engine-side write (observers, churn admissions, epoch reseeds) so no
-  consumer sees a half-applied cycle. Setting
-  ``REPRO_SHARD_PIPELINE=0`` (or ``pipelined=False``) falls back to
-  the synchronous mode — a ``workers + 1`` barrier per segment, the
-  parent applying sequential tails itself — which is what
-  ``bench_shard.py``'s ablation measures the pipeline against.
+* **Execution.** ``apply_*`` publishes the schedule to the workers and
+  **returns immediately**: batch segments are applied by the workers in
+  equal contiguous slices, conflicted sequential tails by worker 0, a
+  workers-only barrier ordering the segments, and each worker posts
+  one ``applied`` acknowledgement per schedule. The two banks turn
+  that into a pipeline: while the workers apply cycle ``t`` from bank
+  A, the parent is already drawing cycle ``t+1``'s randomness, running
+  its mask pass and planning its segmentation into bank B. The handoff
+  is two-phase — before planning into a bank the parent drains that
+  bank's outstanding acknowledgement, so a schedule is never
+  overwritten while in flight, and the engine calls :meth:`sync`
+  before every matrix read or engine-side write (observers, churn
+  admissions, epoch reseeds) so no consumer sees a half-applied cycle.
 
 * **Bitwise equality.** The schedule preserves per-node step order,
   disjoint steps commute exactly, and ``combine_array`` matches scalar
   ``combine`` bit for bit, so the result is identical to the
-  sequential reference execution for any worker count in either mode;
-  pipelining changes *when* a planned segment is applied, never *what*
-  is applied. Slicing each batch — rather than assigning steps by the
+  sequential reference execution for any worker count; pipelining
+  changes *when* a planned segment is applied, never *what* is
+  applied. Slicing each batch — rather than assigning steps by the
   row-shard of their initiator — is deliberate: exchange-mode
   initiators arrive sorted, so a greedy window's initiators span one
   narrow row range and row-ownership would hand the whole window to a
@@ -66,15 +61,21 @@ Workers never draw randomness and never see the overlay (CSR partner
 draws stay engine-side), so backend swaps keep the engine's RNG stream
 untouched. ``workers="auto"`` resolves one worker per schedulable core
 (``os.sched_getaffinity``, capped at 8) and falls back to *inline*
-in-process execution below :data:`SHARD_INLINE` rows — at degenerate
-sizes the pool's spawn and IPC costs cannot be amortized, so ``auto``
-is never slower than the vectorized backend there. The pool is spawned
+in-process execution below ``inline_below`` rows (default
+:data:`SHARD_INLINE`) — at degenerate sizes the pool's spawn and IPC
+costs cannot be amortized, so ``auto`` is never slower than the
+vectorized backend there. The pool is spawned
 lazily on first use — fork where the platform has it, spawn otherwise
 — and torn down by :meth:`ShardedBackend.close` (also hooked to
 garbage collection, and workers are daemonic as a last resort). Pool
-failures — a worker killed mid-segment, a barrier timeout, a missing
-acknowledgement — surface as :class:`repro.errors.ShardPoolError`
-naming the stalled worker and protocol phase.
+failures — a worker killed mid-segment, a broken command pipe, a
+missing acknowledgement — surface as :class:`repro.errors.ShardPoolError`
+naming the dead or stalled worker and protocol phase.
+
+Configuration is the five constructor arguments plus the two
+environment variables whose setters sit outside the code that builds
+the backend: ``REPRO_SHARD_TIMEOUT`` (fault harnesses) and
+``REPRO_SHARD_ON_FAILURE`` (the CLI's ``--on-pool-failure``).
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ from ...errors import ConfigurationError, ShardPoolError, SimulationError
 from ..faults import BACKEND_FAULT_KINDS, FaultSpec
 from .base import (
     SEGMENT_BATCH,
-    SEGMENT_SEQUENTIAL,
     ExecutionBackend,
     apply_disjoint_batch,
     apply_sequential,
@@ -112,7 +112,7 @@ from .vectorized import VectorizedBackend
 #: than the in-process :data:`~.base.PAIR_CHUNK`: every peeled batch
 #: costs one pool barrier, so the window is sized for few, fat batches
 #: (at N = 10⁶ a 64k window peels in 2–3 batches) rather than
-#: cache-resident scans. Tunable via ``REPRO_SHARD_CHUNK``.
+#: cache-resident scans. Override per backend with ``chunk=``.
 SHARD_CHUNK = 65536
 
 #: sequential-tail threshold for the sharded planner — larger than the
@@ -124,7 +124,7 @@ SHARD_TAIL = 192
 #: entirely and applies in-process (the vectorized path): a worker
 #: pool cannot amortize its spawn/IPC costs on sub-cache matrices, so
 #: ``sharded:auto`` is never slower than ``vectorized`` at degenerate
-#: sizes. Tunable via ``REPRO_SHARD_INLINE``.
+#: sizes. Override per backend with ``inline_below=``.
 SHARD_INLINE = 65536
 
 #: default seconds a barrier/acknowledgement wait may block before the
@@ -165,54 +165,16 @@ def _barrier_timeout() -> float:
     return value
 
 
-def _pipelined_default() -> bool:
-    """The pipeline mode flag from ``REPRO_SHARD_PIPELINE`` (default
-    on; ``0``/``false``/``no`` select the synchronous barrier mode the
-    ablation benchmark measures against)."""
-    env = os.environ.get("REPRO_SHARD_PIPELINE", "").strip().lower()
-    if not env:
-        return True
-    if env in ("1", "true", "yes", "on"):
-        return True
-    if env in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(
-        f"REPRO_SHARD_PIPELINE must be a boolean flag (0/1), got {env!r}"
-    )
-
-
-def _on_failure_default() -> str:
-    """The pool failure policy from ``REPRO_SHARD_ON_FAILURE``
-    (default ``"raise"``; see :data:`POOL_FAILURE_MODES`)."""
-    env = os.environ.get("REPRO_SHARD_ON_FAILURE", "").strip().lower()
-    if not env:
-        return "raise"
-    if env in POOL_FAILURE_MODES:
-        return env
-    raise ConfigurationError(
-        f"REPRO_SHARD_ON_FAILURE must be one of {POOL_FAILURE_MODES}, "
-        f"got {env!r}"
-    )
-
-
-def _max_respawns_default() -> int:
-    """The respawn budget from ``REPRO_SHARD_MAX_RESPAWNS`` (default
-    :data:`_DEFAULT_MAX_RESPAWNS`)."""
-    env = os.environ.get("REPRO_SHARD_MAX_RESPAWNS", "").strip()
-    if not env:
-        return _DEFAULT_MAX_RESPAWNS
-    try:
-        value = int(env)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_SHARD_MAX_RESPAWNS must be a non-negative integer, "
-            f"got {env!r}"
-        ) from None
+def _non_negative_int(name: str, value: Optional[int], default: int) -> int:
+    """A constructor argument that counts something: ``None`` selects
+    ``default``, anything but a non-negative integer is rejected."""
+    if value is None:
+        return default
     if value < 0:
         raise ConfigurationError(
-            f"REPRO_SHARD_MAX_RESPAWNS must be non-negative, got {value}"
+            f"{name} must be non-negative, got {value}"
         )
-    return value
+    return int(value)
 
 
 class _PoolFailure(Exception):
@@ -251,29 +213,9 @@ class PoolHealthReport:
         return float(sum(e.get("seconds", 0.0) for e in self.events))
 
 
-def _inline_threshold() -> int:
-    """The ``workers='auto'`` inline-fallback row threshold
-    (``REPRO_SHARD_INLINE``, default :data:`SHARD_INLINE`)."""
-    env = os.environ.get("REPRO_SHARD_INLINE", "").strip()
-    if not env:
-        return SHARD_INLINE
-    try:
-        value = int(env)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_SHARD_INLINE must be a non-negative integer, "
-            f"got {env!r}"
-        ) from None
-    if value < 0:
-        raise ConfigurationError(
-            f"REPRO_SHARD_INLINE must be non-negative, got {value}"
-        )
-    return value
-
-
-#: segment kinds in a schedule (shared with the greedy planner)
+#: the batch segment kind in a schedule (shared with the greedy
+#: planner); every other segment is a sequential tail
 _BATCH = SEGMENT_BATCH
-_SEQUENTIAL = SEGMENT_SEQUENTIAL
 
 Segment = Tuple[int, int, int]
 
@@ -325,15 +267,13 @@ def _worker_slice(start: int, end: int, index: int, workers: int) -> slice:
 
 def _worker_main(
     conn, barrier, index: int, workers: int, timeout: float,
-    pipelined: bool,
 ) -> None:
     """Worker loop: remap / functions / apply / quit commands.
 
-    In pipelined mode the barrier has ``workers`` parties (the parent
-    is off planning the next schedule), worker 0 applies the
-    conflicted sequential tails, and each worker acknowledges every
-    completed schedule with ``("applied", bank)``. In barrier mode the
-    parent is the extra barrier party and applies the tails itself.
+    The barrier has ``workers`` parties (the parent is off planning
+    the next schedule), worker 0 applies the conflicted sequential
+    tails, and each worker acknowledges every completed schedule with
+    ``("applied", bank)``.
     """
     shm: Optional[shared_memory.SharedMemory] = None
     view = None
@@ -377,17 +317,16 @@ def _worker_main(
                         apply_disjoint_batch(
                             view, functions, step_i[sl], step_j[sl]
                         )
-                    elif pipelined and index == 0:
+                    elif index == 0:
                         # conflicted tails run in step order on one
-                        # applier; in pipelined mode that is worker 0
-                        # (the parent is busy planning the next cycle)
+                        # applier: worker 0 (the parent is busy
+                        # planning the next cycle)
                         apply_sequential(
                             view, functions,
                             step_i[start:end], step_j[start:end],
                         )
                     barrier.wait(timeout)
-                if pipelined:
-                    conn.send(("applied", bank))
+                conn.send(("applied", bank))
     except (EOFError, KeyboardInterrupt):
         # the parent closed the command pipe (shutdown) — exit quietly
         pass
@@ -460,7 +399,6 @@ class ShardedBackend(ExecutionBackend):
         workers: Optional[Union[int, str]] = None,
         *,
         chunk: Optional[int] = None,
-        pipelined: Optional[bool] = None,
         inline_below: Optional[int] = None,
         on_failure: Optional[str] = None,
         max_respawns: Optional[int] = None,
@@ -478,31 +416,23 @@ class ShardedBackend(ExecutionBackend):
                 f"'auto', got {workers!r}"
             )
         self.workers = int(workers)
-        self._chunk = resolve_chunk(
-            chunk, env_var="REPRO_SHARD_CHUNK", default=SHARD_CHUNK
-        )
+        self._chunk = resolve_chunk(chunk, default=SHARD_CHUNK)
         self._timeout = _barrier_timeout()
-        self._pipelined = (
-            _pipelined_default() if pipelined is None else bool(pipelined)
-        )
-        self._inline_below = (
-            _inline_threshold() if inline_below is None else int(inline_below)
+        self._inline_below = _non_negative_int(
+            "inline_below", inline_below, SHARD_INLINE
         )
         if on_failure is None:
-            on_failure = _on_failure_default()
+            env = os.environ.get("REPRO_SHARD_ON_FAILURE", "")
+            on_failure = env.strip().lower() or "raise"
         if on_failure not in POOL_FAILURE_MODES:
             raise ConfigurationError(
-                f"on_failure must be one of {POOL_FAILURE_MODES}, "
-                f"got {on_failure!r}"
+                f"on_failure (REPRO_SHARD_ON_FAILURE) must be one of "
+                f"{POOL_FAILURE_MODES}, got {on_failure!r}"
             )
         self._on_failure = on_failure
-        if max_respawns is None:
-            max_respawns = _max_respawns_default()
-        if max_respawns < 0:
-            raise ConfigurationError(
-                f"max_respawns must be non-negative, got {max_respawns}"
-            )
-        self._max_respawns = int(max_respawns)
+        self._max_respawns = _non_negative_int(
+            "max_respawns", max_respawns, _DEFAULT_MAX_RESPAWNS
+        )
         # self-healing state: respawn budget spent, degraded-to-inline
         # flag (sticky — it records that the pool was lost), the
         # failure event log behind health_report(), and the armed
@@ -520,9 +450,9 @@ class ShardedBackend(ExecutionBackend):
         self._journal_pending = False
         #: parent-side wall-clock breakdown, accumulated across calls:
         #: ``plan`` = segmentation + bank writes + publish, ``apply`` =
-        #: parent-applied work (sequential tails in barrier mode,
-        #: inline fallback), ``sync`` = time blocked on worker barriers
-        #: and acknowledgements. ``bench_shard.py`` archives these.
+        #: parent-applied work (the inline / degraded fallback),
+        #: ``sync`` = time blocked on worker acknowledgements.
+        #: ``bench_shard.py`` archives these.
         self.phase_seconds = {"plan": 0.0, "apply": 0.0, "sync": 0.0}
         #: full value-matrix copies performed by adopt/grow hand-offs —
         #: the churn-growth regression test pins this to exactly one
@@ -563,7 +493,7 @@ class ShardedBackend(ExecutionBackend):
         self._inline = False
         self._vector: Optional[VectorizedBackend] = None
         self._sent_functions: Optional[Tuple] = None
-        # pipelined-mode state: which bank the next schedule plans
+        # pipeline state: which bank the next schedule plans
         # into, and the banks of schedules still in flight (FIFO; at
         # most two — one per bank)
         self._next_bank = 0
@@ -584,12 +514,6 @@ class ShardedBackend(ExecutionBackend):
         """Live worker processes (0 before first use / after close,
         and always 0 in the ``auto`` inline fallback)."""
         return sum(1 for proc in self._procs if proc.is_alive())
-
-    @property
-    def pipelined(self) -> bool:
-        """Whether apply calls overlap worker execution with parent
-        planning (the default) or barrier every segment."""
-        return self._pipelined
 
     @property
     def inline(self) -> bool:
@@ -765,17 +689,15 @@ class ShardedBackend(ExecutionBackend):
             resource_tracker.ensure_running()
         except Exception:
             pass
-        # pipelined: the workers order segments among themselves and
-        # the parent stays out of the execution path entirely; barrier
-        # mode: the parent is the extra party and applies the tails
-        parties = self.workers + (0 if self._pipelined else 1)
-        self._barrier = self._ctx.Barrier(parties)
+        # the workers order segments among themselves; the parent
+        # stays out of the execution path entirely
+        self._barrier = self._ctx.Barrier(self.workers)
         for index in range(self.workers):
             parent_conn, child_conn = self._ctx.Pipe()
             proc = self._ctx.Process(
                 target=_worker_main,
                 args=(child_conn, self._barrier, index, self.workers,
-                      self._timeout, self._pipelined),
+                      self._timeout),
                 daemon=True,
                 name=f"repro-shard-{index}",
             )
@@ -817,23 +739,15 @@ class ShardedBackend(ExecutionBackend):
                 reports.append(f"worker {index}: exited")
         return "\n".join(reports) or "no worker diagnostics available"
 
-    def _wait(self) -> None:
-        """Barrier-mode segment wait (the parent is a barrier party)."""
-        started = time.perf_counter()
-        try:
-            self._barrier.wait(self._timeout)
-        except Exception:
-            self.phase_seconds["sync"] += time.perf_counter() - started
-            self._fail("barrier", self._first_dead_worker(),
-                       "barrier broken")
-        self.phase_seconds["sync"] += time.perf_counter() - started
-
     def _poll_with_liveness(self, index: int, pipe) -> bool:
-        """Poll a worker's pipe in growing slices, checking process
-        liveness between slices: a SIGKILLed worker is detected in
-        tens of milliseconds instead of blocking the full pool
-        timeout (recovery latency is a benchmarked metric, and the
-        fail-fast ``raise`` mode reports just as quickly)."""
+        """Poll worker ``index``'s pipe in growing slices, checking
+        the liveness of the *whole pool* between slices: a SIGKILLed
+        worker is detected in tens of milliseconds instead of blocking
+        the full pool timeout (recovery latency is a benchmarked
+        metric, and the fail-fast ``raise`` mode reports just as
+        quickly). Every worker matters, not just the polled one — a
+        survivor of a dead peer never replies either, it sits in the
+        segment barrier waiting for the peer."""
         deadline = time.perf_counter() + self._timeout
         slice_seconds = 0.01
         while True:
@@ -842,10 +756,12 @@ class ShardedBackend(ExecutionBackend):
                 return pipe.poll(0)
             if pipe.poll(min(slice_seconds, remaining)):
                 return True
-            if not self._procs[index].is_alive():
-                # one grace poll: the worker may have sent its reply
-                # (or an error report) in its dying moments
-                return pipe.poll(0.25)
+            dead = self._first_dead_worker()
+            if dead is not None:
+                # one grace poll when the polled worker itself died:
+                # it may have sent its reply (or an error report) in
+                # its dying moments
+                return pipe.poll(0.25 if dead == index else 0)
             slice_seconds = min(slice_seconds * 2, 0.5)
 
     def _await_acks(self, expected: str, phase: str,
@@ -866,10 +782,15 @@ class ShardedBackend(ExecutionBackend):
                         message[1] if message and message[0] == "error"
                         else f"unexpected reply {message!r}"
                     )
-                elif not self._procs[index].is_alive():
-                    failure = f"died before its {expected!r} reply"
                 else:
-                    failure = f"no {expected!r} reply within timeout"
+                    dead = self._first_dead_worker()
+                    if dead is None:
+                        failure = f"no {expected!r} reply within timeout"
+                    else:
+                        # blame the worker that died, not the survivor
+                        # whose pipe happened to be polled first
+                        index = dead
+                        failure = f"died before its {expected!r} reply"
             except (EOFError, OSError):
                 failure = "exited"
             self._fail(phase, index, failure)
@@ -895,7 +816,7 @@ class ShardedBackend(ExecutionBackend):
     def sync(self) -> None:
         """Block until every published schedule has been applied (the
         engine calls this before matrix reads and engine-side writes;
-        a no-op for barrier mode, inline mode and idle pools). Under a
+        a no-op for inline mode and idle pools). Under a
         self-healing failure policy a pool death detected here is
         recovered in place: the journaled schedule is replayed inline,
         so the matrix the caller is about to read is exactly the state
@@ -1223,25 +1144,8 @@ class ShardedBackend(ExecutionBackend):
         cycle: int = 0,
         trace=None,
     ) -> None:
-        if trace is not None:
-            raise SimulationError(
-                "the sharded backend does not support exchange tracing; "
-                "use backend='reference'"
-            )
-        def fallback() -> None:
-            started = time.perf_counter()
-            self._ensure_vector().apply_exchanges(
-                matrix, functions, exch_i, exch_j, cycle=cycle
-            )
-            self.phase_seconds["apply"] += time.perf_counter() - started
-
-        if self._inline or self._degraded or (
-            not self._adopted and self._inline_eligible(matrix.shape[0])
-        ):
-            fallback()
-            return
-        self._apply(matrix, functions, exch_i, exch_j, None, self._chunk,
-                    fallback)
+        self._apply(matrix, functions, exch_i, exch_j, None, None, cycle,
+                    trace)
 
     def apply_pairs(
         self,
@@ -1255,15 +1159,23 @@ class ShardedBackend(ExecutionBackend):
         cycle: int = 0,
         trace=None,
     ) -> None:
+        self._apply(matrix, functions, pairs_i, pairs_j, plan, chunk, cycle,
+                    trace)
+
+    def _apply(self, matrix, functions, raw_i, raw_j, plan, chunk, cycle,
+               trace) -> None:
+        """The one entry both step kinds share: an exchange sequence
+        is a pair sequence with no plan and the backend's own window."""
         if trace is not None:
             raise SimulationError(
                 "the sharded backend does not support exchange tracing; "
                 "use backend='reference'"
             )
+
         def fallback() -> None:
             started = time.perf_counter()
             self._ensure_vector().apply_pairs(
-                matrix, functions, pairs_i, pairs_j,
+                matrix, functions, raw_i, raw_j,
                 plan=plan, chunk=chunk, cycle=cycle,
             )
             self.phase_seconds["apply"] += time.perf_counter() - started
@@ -1274,11 +1186,6 @@ class ShardedBackend(ExecutionBackend):
             fallback()
             return
         window = self._chunk if chunk is None else resolve_chunk(chunk)
-        self._apply(matrix, functions, pairs_i, pairs_j, plan, window,
-                    fallback)
-
-    def _apply(self, matrix, functions, raw_i, raw_j, plan, window,
-               fallback) -> None:
         planned = time.perf_counter()
         pending_i = np.ascontiguousarray(raw_i, dtype=np.int32)
         pending_j = np.ascontiguousarray(raw_j, dtype=np.int32)
@@ -1354,30 +1261,13 @@ class ShardedBackend(ExecutionBackend):
                                            tuple(functions))
                 self._fire_faults(bank, call_index)
                 self._broadcast(("apply", bank, segments))
-                if self._pipelined:
-                    self._inflight.append(bank)
-                    self._next_bank = bank ^ 1
-                    if borrowed:
-                        # direct use has no engine to call sync()
-                        # before its reads — drain in-call and hand
-                        # the result back
-                        self.sync()
-                        np.copyto(matrix, self._view)
-                    return
-                step_i, step_j = self._banks[bank]
-                for start, end, kind in segments:
-                    if kind == _SEQUENTIAL:
-                        applied = time.perf_counter()
-                        apply_sequential(
-                            self._view, functions,
-                            step_i[start:end], step_j[start:end],
-                        )
-                        self.phase_seconds["apply"] += (
-                            time.perf_counter() - applied
-                        )
-                    self._wait()
-                self._journal_pending = False
+                self._inflight.append(bank)
+                self._next_bank = bank ^ 1
                 if borrowed:
+                    # direct use has no engine to call sync() before
+                    # its reads — drain in-call and hand the result
+                    # back
+                    self.sync()
                     np.copyto(matrix, self._view)
                 return
             except _PoolFailure as failure:
@@ -1420,7 +1310,7 @@ class ShardedBackend(ExecutionBackend):
         The order is exactly the one the in-process greedy execution
         applies (:func:`~.base.iter_greedy_segments`), so the result is
         bitwise-equal to the sequential oracle; only *who* applies each
-        stretch — and, pipelined, *when* — differs.
+        stretch, and *when*, differs.
         """
         out_i, out_j = self._banks[bank]
         position, flat, slots = self._planner_scratch(
@@ -1452,5 +1342,4 @@ class ShardedBackend(ExecutionBackend):
         return segments
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        mode = "pipelined" if self._pipelined else "barrier"
-        return f"ShardedBackend(workers={self.workers}, {mode})"
+        return f"ShardedBackend(workers={self.workers})"

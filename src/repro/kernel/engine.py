@@ -385,6 +385,7 @@ class GossipEngine:
         self._closed = True
         self._matrix = self._backend.release_matrix(self._matrix)
         self._backend.close()
+        self._provider.unbind()
 
     def __enter__(self) -> "GossipEngine":
         return self
@@ -1445,8 +1446,9 @@ class GossipEngine:
         combined = sent = None
         if partial_count:
             self._backend.sync()
-            combined, sent = self._apply_partial_exchanges(
-                initiators[partial], partners[partial]
+            combined, sent = self._apply_retry_exchanges(
+                initiators[partial], partners[partial],
+                np.zeros(partial_count, dtype=bool),
             )
         if payload is not None:
             self._backend.sync()
@@ -1484,46 +1486,6 @@ class GossipEngine:
             )
         return out
 
-    def _apply_partial_exchanges(
-        self, pi: np.ndarray, pj: np.ndarray
-    ) -> np.ndarray:
-        """The one-sided exchange: each partner ``j`` adopts
-        ``AGGREGATE(x_i, x_j)``, the initiator ``i`` is left untouched.
-        Applied in list order (an exchange sees every earlier write,
-        the same sequential semantics the backends implement); the
-        conflict-free case runs as one vectorized block, which is
-        bitwise-identical. Returns ``(combined, sent)``: the combined
-        rows and the initiator rows they answered — the retry protocol
-        caches both as the partner's pending reply."""
-        matrix = self._matrix
-        n = len(pi)
-        touched = np.concatenate([pi, pj])
-        if len(np.unique(touched)) == len(touched):
-            old = matrix[pj]
-            sent = matrix[pi]
-            combined = self._combine_rows(sent, old)
-            matrix[pj] = combined
-            delta = (combined - old).sum(axis=0)
-        else:
-            combined = np.empty((n, matrix.shape[1]), dtype=np.float64)
-            sent = np.empty((n, matrix.shape[1]), dtype=np.float64)
-            delta = np.zeros(matrix.shape[1], dtype=np.float64)
-            for t in range(n):
-                i = int(pi[t])
-                j = int(pj[t])
-                for column, function in enumerate(self._functions):
-                    value = function.combine(
-                        matrix[i, column], matrix[j, column]
-                    )
-                    delta[column] += value - matrix[j, column]
-                    combined[t, column] = value
-                    sent[t, column] = matrix[i, column]
-                    matrix[j, column] = value
-        if self._monitor_entries:
-            self._ledger_add("partial", delta)
-        self._mf_stats["partials"] += n
-        return combined, sent
-
     def _apply_duplicates(
         self, dj: np.ndarray, payload: np.ndarray
     ) -> None:
@@ -1555,11 +1517,17 @@ class GossipEngine:
     def _apply_retry_exchanges(
         self, fi: np.ndarray, fj: np.ndarray, adopt_i: np.ndarray
     ) -> np.ndarray:
-        """Fresh exchanges started by retrying initiators: the partner
-        ``j`` always adopts the combined value (it serviced the
-        request); the initiator adopts it only where the reply survived
-        (``adopt_i``) — elsewhere the episode went partial again.
-        Returns ``(combined, sent)``."""
+        """The one-sided exchange kernel: the partner ``j`` always
+        adopts ``AGGREGATE(x_i, x_j)`` (it serviced the request); the
+        initiator adopts it only where the reply survived (``adopt_i``)
+        — nowhere for a cycle's reply-lost exchanges, on some rows for
+        the fresh exchanges of retrying initiators. Applied in list
+        order (an exchange sees every earlier write, the same
+        sequential semantics the backends implement); the conflict-free
+        case runs as one vectorized block, which is bitwise-identical.
+        Returns ``(combined, sent)``: the combined rows and the
+        initiator rows they answered — the retry protocol caches both
+        as the partner's pending reply."""
         matrix = self._matrix
         n = len(fi)
         touched = np.concatenate([fi, fj])

@@ -108,8 +108,7 @@ def resolve_membership(membership) -> Optional[NewscastSpec]:
 
 class NewscastViews:
     """The int32 ``(capacity, view_size)`` partial-view matrix and its
-    batched maintenance — shared between :class:`NewscastProvider` and
-    the deprecated :class:`repro.membership.NewscastMembership` shell.
+    batched maintenance, the state behind :class:`NewscastProvider`.
 
     Rows are recency-ordered: column 0 is the youngest entry. The merge
     rule for an exchange between ``a`` and ``b`` builds each side's new
@@ -291,6 +290,13 @@ class PartnerProvider:
         """Attach to ``engine`` (called once, at engine construction;
         may consume engine RNG — e.g. the Newscast bootstrap)."""
         self._engine = engine
+
+    def unbind(self) -> None:
+        """Drop the back-reference (called by ``GossipEngine.close``):
+        engine and provider refer to each other, and a closed engine's
+        matrices should go with its last reference instead of waiting
+        for the cyclic collector. Provider state stays readable."""
+        self._engine = None
 
     def begin_cycle(
         self,

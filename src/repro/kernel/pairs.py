@@ -208,8 +208,7 @@ class PairProtocolSpec:
         preconditions and get no conflict-free segmentation plan.
     chunk:
         Optional greedy-segmentation window size for the vectorized
-        backend (default: the ``REPRO_PAIR_CHUNK`` environment variable,
-        falling back to :data:`~repro.kernel.backends.PAIR_CHUNK`).
+        backend (default: :data:`~repro.kernel.backends.PAIR_CHUNK`).
         Purely a performance knob — it never changes results, only how
         the sequence is cut into batches.
     """

@@ -1,21 +1,43 @@
-"""Tests for pair-selector generic fallback paths (non-adjacency,
-non-complete topologies such as the live membership adapter)."""
+"""Tests for pair-selector generic fallback paths (topologies that are
+neither adjacency-backed nor complete)."""
 
 import numpy as np
 import pytest
 
 from repro.avg import GetPairRand, GetPairSeq, ValueVector, run_avg
-from repro.membership import (
-    MembershipTopologyAdapter,
-    NewscastMembership,
-    StaticMembership,
-)
 from repro.topology import RingTopology
+from repro.topology.base import Topology
+
+
+class ListTopology(Topology):
+    """Plain neighbour lists: none of the stored-adjacency or
+    closed-form fast paths apply, so selectors take the generic route."""
+
+    def __init__(self, lists):
+        super().__init__(len(lists))
+        self.lists = lists
+
+    def neighbors(self, node):
+        return np.asarray(self.lists[node], dtype=np.int64)
+
+    def degree(self, node):
+        return len(self.lists[node])
+
+    def random_neighbor(self, node, rng):
+        return int(rng.choice(self.lists[node]))
+
+    def random_edge(self, rng):
+        node = int(rng.integers(0, self.n))
+        return node, self.random_neighbor(node, rng)
+
+    def edge_count(self):
+        return sum(map(len, self.lists))
 
 
 @pytest.fixture
 def adapter():
-    return MembershipTopologyAdapter(StaticMembership(RingTopology(30, 4)))
+    ring = RingTopology(30, 4)
+    return ListTopology([list(ring.neighbors(i)) for i in range(30)])
 
 
 class TestRandFallback:
@@ -38,11 +60,18 @@ class TestRandFallback:
 
 class TestSeqOverLiveViews:
     def test_partners_from_current_views(self, rng):
-        membership = NewscastMembership(40, view_size=6, seed=3)
-        adapter = MembershipTopologyAdapter(membership)
-        selector = GetPairSeq(adapter)
+        def fresh_views():
+            # six distinct non-self peers per node
+            return [
+                ((node + 1 + rng.choice(39, size=6, replace=False)) % 40)
+                .tolist()
+                for node in range(40)
+            ]
+
+        topology = ListTopology(fresh_views())
+        selector = GetPairSeq(topology)
         for _ in range(3):
             pairs = selector.cycle_pairs(rng)
             for i, j in pairs.tolist():
-                assert j in membership.view(i)
-            adapter.advance_cycle(rng)  # views change between cycles
+                assert j in topology.lists[i]
+            topology.lists = fresh_views()  # views change between cycles

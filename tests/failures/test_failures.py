@@ -9,10 +9,9 @@ from repro.failures import (
     CrashPlan,
     NoChurn,
     OscillatingChurn,
-    constant_loss,
     random_crash_plan,
 )
-from repro.failures.message_loss import burst_loss
+from repro.kernel import burst_loss, constant_loss
 
 
 class TestLossSchedules:

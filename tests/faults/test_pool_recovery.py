@@ -14,6 +14,7 @@ via :class:`FaultSpec` through ``ShardedBackend.inject_faults``.
 
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -113,6 +114,24 @@ class TestRecovery:
         )
         assert report.respawns >= 1
         assert not report.degraded
+
+    def test_dead_peer_does_not_cost_the_timeout(self, reference_run,
+                                                 monkeypatch):
+        """Worker 1 is SIGKILLed mid-schedule; worker 0 finishes its
+        slice and blocks in the segment barrier, alive. The parent
+        polls worker 0's pipe first, so it must notice the dead *peer*
+        between poll slices — not wait out the liveness timeout and
+        then blame the survivor."""
+        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "30")
+        for trial in range(10):
+            started = time.perf_counter()
+            report = _run_with_faults(
+                "respawn",
+                [FaultSpec("kill_worker", worker=1, at_call=2 + trial)],
+                reference_run,
+            )
+            assert time.perf_counter() - started < 5.0
+            assert [event["worker"] for event in report.events] == [1]
 
     def test_kill_worker_inline_degrade(self, reference_run):
         report = _run_with_faults(

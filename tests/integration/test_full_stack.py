@@ -1,59 +1,11 @@
-"""Integration: the complete deployment stack the paper sketches.
-
-Failure detection ([15]) + membership + anti-entropy aggregation, and
-event-driven epoch counting — the pieces §1.2/§4 describe, composed.
-"""
+"""Integration: event-driven epoch counting — §4's size estimation on
+the asynchronous stack."""
 
 import numpy as np
 import pytest
 
 from repro.core.epoch_protocol import EpochGossipNetwork
-from repro.core import MeanAggregate, estimate_network_size
-from repro.membership import GossipFailureDetector
-
-
-class TestDetectorFedAggregation:
-    def test_aggregation_over_trusted_peers(self):
-        """Nodes gossip only with peers their failure detector trusts;
-        after a crash the survivors' aggregation keeps converging and
-        never blocks on dead peers."""
-        n = 120
-        rng = np.random.default_rng(1)
-        detector = GossipFailureDetector(n, suspicion_cycles=10, seed=2)
-        detector.run(15)  # warm up heartbeats
-        crashed = list(range(0, n, 6))  # ~17 %
-        detector.crash(crashed)
-        detector.run(30)  # let everyone suspect the crashed set
-        assert detector.detection_complete(crashed)
-
-        crashed_set = set(crashed)
-        values = {k: float(rng.normal(10, 3)) for k in range(n)
-                  if k not in crashed_set}
-        truth = float(np.mean(list(values.values())))
-        aggregate = MeanAggregate()
-        for _ in range(25):
-            for node in list(values):
-                trusted = [
-                    p for p in detector.trusted_peers(node)
-                    if p not in crashed_set
-                ]
-                partner = trusted[int(rng.integers(0, len(trusted)))]
-                combined = aggregate.combine(values[node], values[partner])
-                values[node] = combined
-                values[partner] = combined
-        survivors = np.asarray(list(values.values()))
-        assert survivors.mean() == pytest.approx(truth, abs=1e-9)
-        assert survivors.std() < 1e-6
-
-    def test_detector_never_starves_survivors(self):
-        n = 60
-        detector = GossipFailureDetector(n, suspicion_cycles=10, seed=3)
-        detector.run(15)
-        detector.crash(list(range(30)))
-        detector.run(40)
-        for node in range(30, n):
-            trusted = detector.trusted_peers(node)
-            assert len(trusted) >= 25  # the other survivors
+from repro.core import estimate_network_size
 
 
 class TestEventDrivenCounting:

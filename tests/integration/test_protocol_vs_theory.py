@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from repro.avg import RATE_SEQ, fit_geometric_rate
-from repro.core import GossipNetwork, MeanAggregate
-from repro.membership import NewscastMembership
+from repro.core import GossipNetwork
+from repro.kernel import GossipEngine, NewscastSpec, Scenario
 from repro.simulator.cycle_sim import CycleSimulator
 from repro.topology import CompleteTopology, RandomRegularTopology
 
@@ -56,19 +56,15 @@ class TestAggregationOverNewscast:
         """The full stack the paper sketches: a peer-sampling service
         supplies partners, aggregation converges on top of it."""
         n = 300
-        membership = NewscastMembership(n, view_size=15, seed=7)
-        rng = np.random.default_rng(8)
-        values = rng.normal(50.0, 10.0, n).tolist()
+        values = np.random.default_rng(8).normal(50.0, 10.0, n)
         true_mean = float(np.mean(values))
-        aggregate = MeanAggregate()
-        for _ in range(30):
-            membership.advance_cycle(rng)
-            for node in range(n):
-                partner = membership.random_partner(node, rng)
-                combined = aggregate.combine(values[node], values[partner])
-                values[node] = combined
-                values[partner] = combined
-        values = np.asarray(values)
-        assert values.mean() == pytest.approx(true_mean, abs=1e-9)
-        assert values.var(ddof=1) < 1e-8
-        assert np.abs(values - true_mean).max() < 1e-3
+        scenario = Scenario(
+            CompleteTopology(n), values,
+            membership=NewscastSpec(view_size=15), seed=7,
+        )
+        with GossipEngine(scenario) as engine:
+            engine.run(30)
+            final = engine.matrix[:, 0]
+        assert final.mean() == pytest.approx(true_mean, abs=1e-9)
+        assert final.var(ddof=1) < 1e-8
+        assert np.abs(final - true_mean).max() < 1e-3

@@ -11,8 +11,7 @@ from repro.core import (
 )
 from repro.errors import ConfigurationError, SimulationError
 from repro.failures import CrashPlan
-from repro.failures.message_loss import burst_loss
-from repro.kernel import GossipEngine, Scenario, run_scenario
+from repro.kernel import GossipEngine, Scenario, burst_loss, run_scenario
 from repro.simulator.trace import ExchangeTrace
 from repro.topology import CompleteTopology
 

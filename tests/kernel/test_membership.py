@@ -11,6 +11,9 @@ tests (in-degree tails, oracle-vs-newscast Figure-4 parity) are marked
 ``membership`` and deselected from tier-1.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +133,23 @@ class TestProviderProtocol:
             state = engine.partner_provider.state()
             assert state["name"] == "newscast"
             assert state["view_size"] == 8
+
+    @pytest.mark.parametrize("membership", [None, "newscast"])
+    def test_closed_engine_is_freed_without_the_collector(self, membership):
+        """``close()`` unbinds the provider's back-reference, so a
+        closed engine and its matrices go the moment the last reference
+        does — peak memory of back-to-back runs must not depend on when
+        the cyclic collector last ran."""
+        engine = GossipEngine(scenario_with(membership=membership))
+        engine.run(2)
+        engine.close()
+        alive = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestOracleRngIdentity:

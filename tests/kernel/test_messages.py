@@ -8,13 +8,10 @@ must hold under any :class:`MessageFaultSpec` × :class:`RetrySpec` ×
 partner-provider combination — that sweep is the core of this module.
 Alongside it: the asymmetric loss semantics (request loss cancels
 cleanly, reply loss leaks mass), exact delta repair, budget exhaustion
-and both fallbacks, checkpoint round trips with pending exchanges, and
-the deprecation shells over ``repro.failures.message_loss``. The
-closed-form drift distribution lives in the ``slow_statistical``
+and both fallbacks, and checkpoint round trips with pending exchanges.
+The closed-form drift distribution lives in the ``slow_statistical``
 acceptance test at the bottom.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -393,27 +390,7 @@ class TestRetry:
             resumed.close()
 
 
-class TestDeprecationShells:
-    def test_failures_module_warns_once_and_works(self):
-        import repro.failures.message_loss as shell
-
-        shell._warned.discard("constant_loss")
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            schedule = shell.constant_loss(0.3)
-        assert schedule(7) == 0.3
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            shell.constant_loss(0.1)  # second use: no warning
-
-    def test_burst_loss_shell_delegates(self):
-        import repro.failures.message_loss as shell
-
-        shell._warned.discard("burst_loss")
-        with pytest.warns(DeprecationWarning, match="kernel.messages"):
-            schedule = shell.burst_loss(0.05, 0.5, 2, 4)
-        assert schedule(0) == 0.05
-        assert schedule(3) == 0.5
-
+class TestLossScheduleHome:
     def test_kernel_is_the_canonical_home(self):
         from repro.kernel import burst_loss as kernel_burst
         from repro.kernel.messages import burst_loss as module_burst

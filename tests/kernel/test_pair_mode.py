@@ -305,28 +305,24 @@ class TestChunkTunable:
         with pytest.raises(ConfigurationError):
             PairProtocolSpec(selector="seq", chunk=chunk)
 
-    def test_env_var_overrides_default(self, monkeypatch):
+    def test_backend_argument_overrides_default(self):
         from repro.kernel import PAIR_CHUNK, VectorizedBackend, resolve_chunk
 
-        monkeypatch.setenv("REPRO_PAIR_CHUNK", "512")
-        assert resolve_chunk() == 512
-        assert VectorizedBackend()._chunk == 512
-        monkeypatch.delenv("REPRO_PAIR_CHUNK")
+        assert VectorizedBackend(chunk=512)._chunk == 512
+        assert VectorizedBackend()._chunk == PAIR_CHUNK
         assert resolve_chunk() == PAIR_CHUNK
 
-    def test_explicit_chunk_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PAIR_CHUNK", "512")
+    def test_explicit_chunk_beats_default(self):
         from repro.kernel import resolve_chunk
 
-        assert resolve_chunk(64) == 64
+        assert resolve_chunk(64, default=512) == 64
 
-    @pytest.mark.parametrize("env", ["0", "-3", "many"])
-    def test_invalid_env_rejected(self, monkeypatch, env):
-        from repro.kernel import resolve_chunk
+    @pytest.mark.parametrize("chunk", [0, -3, "many"])
+    def test_invalid_backend_chunk_rejected(self, chunk):
+        from repro.kernel import VectorizedBackend
 
-        monkeypatch.setenv("REPRO_PAIR_CHUNK", env)
         with pytest.raises(ConfigurationError):
-            resolve_chunk()
+            VectorizedBackend(chunk=chunk)
 
 
 class TestCustomSelectors:

@@ -5,8 +5,7 @@ import pytest
 
 from repro.core import MaxAggregate, MeanAggregate, moment_values
 from repro.errors import ConfigurationError
-from repro.failures.message_loss import burst_loss
-from repro.kernel import AUTO_VECTORIZE_THRESHOLD, Scenario
+from repro.kernel import AUTO_VECTORIZE_THRESHOLD, Scenario, burst_loss
 from repro.topology import CompleteTopology
 
 

@@ -264,14 +264,18 @@ class TestShardedLifecycle:
         with pytest.raises(Exception, match="closed"):
             engine.run(1)
 
-    def test_shard_chunk_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_CHUNK", "123")
-        backend = ShardedBackend(workers=1)
+    def test_shard_chunk_argument(self):
+        from repro.kernel.backends.sharded import SHARD_CHUNK
+
+        default = ShardedBackend(workers=1)
+        assert default._chunk == SHARD_CHUNK
+        default.close()
+        backend = ShardedBackend(workers=1, chunk=123)
         assert backend._chunk == 123
         backend.close()
-        monkeypatch.setenv("REPRO_SHARD_CHUNK", "nope")
-        with pytest.raises(ConfigurationError):
-            ShardedBackend(workers=1)
+        for bad in (0, -4, "nope", 2.5, True):
+            with pytest.raises(ConfigurationError):
+                ShardedBackend(workers=1, chunk=bad)
 
     def test_parked_segments_stay_bounded_across_epoch_rebuilds(self):
         """Epoch restarts that change the instance count re-adopt the
@@ -383,51 +387,22 @@ def _families():
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("family", sorted(_families()))
 class TestPipelineModes:
-    """Pipelined vs barrier execution: both modes must be bitwise-equal
-    to the reference oracle for every worker count and family — the
-    pipeline changes *when* a planned segment is applied, never *what*
-    is applied."""
+    """Pipelined execution must be bitwise-equal to the reference
+    oracle for every worker count and family — the pipeline changes
+    *when* a planned segment is applied, never *what* is applied."""
 
-    def test_pipelined_sweep(self, family, workers, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_PIPELINE", "1")
-        assert_sharded_matches_reference(
-            _families()[family], workers, cycles=12
-        )
-
-    def test_barrier_mode_sweep(self, family, workers, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_PIPELINE", "0")
+    def test_pipelined_sweep(self, family, workers):
         assert_sharded_matches_reference(
             _families()[family], workers, cycles=12
         )
 
 
 class TestPipelineMechanics:
-    def test_pipeline_env_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_PIPELINE", "0")
-        barrier = ShardedBackend(workers=1)
-        assert barrier.pipelined is False
-        barrier.close()
-        monkeypatch.setenv("REPRO_SHARD_PIPELINE", "1")
-        piped = ShardedBackend(workers=1)
-        assert piped.pipelined is True
-        piped.close()
-        monkeypatch.setenv("REPRO_SHARD_PIPELINE", "maybe")
-        with pytest.raises(ConfigurationError):
-            ShardedBackend(workers=1)
-
-    def test_pipelined_kwarg_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_PIPELINE", "0")
-        backend = ShardedBackend(workers=1, pipelined=True)
-        assert backend.pipelined is True
-        backend.close()
-
-    def test_tiny_chunk_forces_bank_wraparound(self, monkeypatch):
+    def test_tiny_chunk_forces_bank_wraparound(self):
         """A pathological 7-step window makes every cycle publish many
         segments, and 16 cycles alternate the two step-buffer banks
         through many reuse generations; the handoff must never
         overwrite a bank that is still in flight."""
-        monkeypatch.setenv("REPRO_SHARD_CHUNK", "7")
-        monkeypatch.setenv("REPRO_SHARD_PIPELINE", "1")
         topology = CompleteTopology(96)
         values = np.random.default_rng(23).normal(5.0, 2.0, topology.n)
         kwargs = dict(topology=topology, values=values, seed=75)
@@ -435,7 +410,7 @@ class TestPipelineMechanics:
             "reference", kwargs, cycles=16
         )
         sh_matrix, _, sh_result = run_engine(
-            "sharded:2", kwargs, cycles=16
+            ShardedBackend(2, chunk=7), kwargs, cycles=16
         )
         assert np.array_equal(ref_matrix, sh_matrix)
         assert ref_result.exchange_counts == sh_result.exchange_counts
@@ -477,7 +452,7 @@ class TestPipelineMechanics:
                 engine.run(4, record="end")
             error = excinfo.value
             assert "sharded worker pool failed during" in str(error)
-            assert error.phase in ("command", "apply", "barrier", "remap")
+            assert error.phase in ("command", "apply", "remap")
             assert error.worker is not None
         finally:
             # close() stays orderly after the failure: the segments
@@ -548,7 +523,6 @@ class TestAutoWorkers:
         has two cores to exercise the promotion machinery."""
         import repro.kernel.backends.sharded as sharded_module
         monkeypatch.setattr(sharded_module, "default_workers", lambda: 2)
-        monkeypatch.setenv("REPRO_SHARD_INLINE", "100")
         topology = CompleteTopology(48)
         values = np.random.default_rng(29).normal(5.0, 2.0, topology.n)
         kwargs = dict(
@@ -560,8 +534,11 @@ class TestAutoWorkers:
             seed=80,
         )
         ref_matrix, ref_alive, _ = run_engine("reference", kwargs, cycles=10)
-        engine = GossipEngine(Scenario(backend="sharded:auto", **kwargs))
+        engine = GossipEngine(Scenario(
+            backend=ShardedBackend("auto", inline_below=100), **kwargs
+        ))
         try:
+            assert engine._backend.inline is True
             engine.run(10)
             assert engine._backend.inline is False
             assert engine._backend.active_workers >= 1
@@ -576,8 +553,7 @@ class TestAutoWorkers:
         stays in-process at *any* size, even past the threshold."""
         import repro.kernel.backends.sharded as sharded_module
         monkeypatch.setattr(sharded_module, "default_workers", lambda: 1)
-        monkeypatch.setenv("REPRO_SHARD_INLINE", "100")
-        backend = ShardedBackend(workers="auto")
+        backend = ShardedBackend(workers="auto", inline_below=100)
         try:
             matrix = backend.adopt_matrix(
                 np.random.default_rng(31).normal(0.0, 1.0, (4096, 1))
@@ -591,13 +567,11 @@ class TestAutoWorkers:
         finally:
             backend.close()
 
-    def test_inline_env_validated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_INLINE", "many")
+    def test_count_arguments_validated(self):
         with pytest.raises(ConfigurationError):
-            ShardedBackend(workers="auto")
-        monkeypatch.setenv("REPRO_SHARD_INLINE", "-5")
+            ShardedBackend(workers="auto", inline_below=-5)
         with pytest.raises(ConfigurationError):
-            ShardedBackend(workers="auto")
+            ShardedBackend(workers=2, max_respawns=-1)
 
 
 class TestSingleCopyGrowth:
