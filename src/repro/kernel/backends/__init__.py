@@ -23,7 +23,9 @@ from .base import (
     SEGMENT_BATCH,
     SEGMENT_SEQUENTIAL,
     ExecutionBackend,
+    GreedyScratch,
     apply_disjoint_batch,
+    apply_one_sided,
     apply_sequential,
     first_occurrence_ready,
     iter_greedy_segments,
@@ -52,6 +54,7 @@ __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
     "GREEDY_TAIL",
+    "GreedyScratch",
     "PAIR_CHUNK",
     "POOL_FAILURE_MODES",
     "PoolHealthReport",
@@ -64,6 +67,7 @@ __all__ = [
     "ShardedBackend",
     "VectorizedBackend",
     "apply_disjoint_batch",
+    "apply_one_sided",
     "apply_sequential",
     "default_workers",
     "first_occurrence_ready",

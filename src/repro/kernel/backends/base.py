@@ -18,7 +18,11 @@ batched backend builds on:
 * :func:`apply_disjoint_batch` — one node-disjoint batch applied through
   the ``combine_array`` IEEE path,
 * :func:`apply_sequential` — a short run of (possibly conflicting)
-  steps applied in step order through the scalar ``combine`` path.
+  steps applied in step order through the scalar ``combine`` path,
+* :func:`apply_one_sided` — the same plan for the engine's *one-sided*
+  exchanges (message faults: the partner adopts the combined value,
+  the initiator only where its reply survived), built from
+  :func:`apply_one_sided_batch` / :func:`apply_one_sided_sequential`.
 
 ``combine_array`` is IEEE-identical to the scalar ``combine`` (the
 :class:`~repro.core.aggregates.AggregateFunction` contract), so any
@@ -105,6 +109,32 @@ def first_occurrence_ready(
     position[flat[::-1]] = slots[::-1]
     first = position[flat] == slots
     return first[0::2] & first[1::2]
+
+
+class GreedyScratch:
+    """The reusable scratch arrays of :func:`first_occurrence_ready`
+    for :data:`PAIR_CHUNK`-step windows: an int32 ``position`` array
+    with one entry per matrix row (grown on demand), the interleave
+    buffer and the ``0, 1, 2, …`` slot numbers. Nothing is allocated
+    before the first use."""
+
+    __slots__ = ("_position", "_window")
+
+    def __init__(self):
+        self._position: Optional[np.ndarray] = None
+        self._window: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def arrays(self, rows: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(position, flat_buffer, slot_numbers)`` for a matrix of
+        ``rows`` rows."""
+        if self._window is None:
+            self._window = (
+                np.empty(2 * PAIR_CHUNK, dtype=np.int32),
+                np.arange(2 * PAIR_CHUNK, dtype=np.int32),
+            )
+        if self._position is None or len(self._position) < rows:
+            self._position = np.empty(rows, dtype=np.int32)
+        return (self._position, *self._window)
 
 
 def iter_greedy_segments(
@@ -210,6 +240,136 @@ def apply_sequential(
             combined = function.combine(matrix[i, c], matrix[j, c])
             matrix[i, c] = combined
             matrix[j, c] = combined
+
+
+def apply_one_sided_batch(
+    matrix: np.ndarray,
+    functions: Sequence[AggregateFunction],
+    batch_i: np.ndarray,
+    batch_j: np.ndarray,
+    adopt_i: Optional[np.ndarray] = None,
+    payload: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply one node-disjoint batch of *one-sided* exchanges via
+    ``combine_array``: every partner ``j`` adopts ``AGGREGATE(sent,
+    x_j)``, an initiator ``i`` only where ``adopt_i`` is set (``None``:
+    nowhere). ``sent`` is the initiator's row, or the matching row of
+    ``payload`` when one is given — the initiator is then neither read
+    nor written. Returns ``(combined, sent, delta)``: the ``(m, k)``
+    combined rows, the rows they answered, and the per-column mass the
+    non-adopting steps moved (``combined - x_j`` summed over them)."""
+    k = matrix.shape[1]
+    state = matrix[:, 0] if k == 1 else matrix
+    old = state[batch_j]
+    sent = state[batch_i] if payload is None else payload.reshape(old.shape)
+    if k == 1:
+        combined = functions[0].combine_array(sent, old)
+    else:
+        combined = np.empty_like(old)
+        for c, function in enumerate(functions):
+            combined[:, c] = function.combine_array(sent[:, c], old[:, c])
+    state[batch_j] = combined
+    moved = combined - old
+    if adopt_i is not None:
+        state[batch_i[adopt_i]] = combined[adopt_i]
+        moved = moved[~adopt_i]
+    return combined.reshape(-1, k), sent.reshape(-1, k), moved.sum(axis=0)
+
+
+def apply_one_sided_sequential(
+    matrix: np.ndarray,
+    functions: Sequence[AggregateFunction],
+    steps_i: np.ndarray,
+    steps_j: np.ndarray,
+    adopt_i: Optional[np.ndarray] = None,
+    payload: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scalar counterpart of :func:`apply_one_sided_batch` for
+    conflicted window tails: one step at a time, in step order, each
+    seeing every earlier write. Same arguments, same return value."""
+    m, k = len(steps_i), matrix.shape[1]
+    combined = np.empty((m, k), dtype=np.float64)
+    sent = np.empty((m, k), dtype=np.float64)
+    delta = np.zeros(k, dtype=np.float64)
+    takes = [False] * m if adopt_i is None else adopt_i.tolist()
+    steps = zip(steps_i.tolist(), steps_j.tolist(), takes)
+    for t, (i, j, take) in enumerate(steps):
+        for c, function in enumerate(functions):
+            asked = matrix[i, c] if payload is None else payload[t, c]
+            old = matrix[j, c]
+            value = function.combine(asked, old)
+            matrix[j, c] = value
+            if take:
+                matrix[i, c] = value
+            else:
+                delta[c] += value - old
+            combined[t, c] = value
+            sent[t, c] = asked
+    return combined, sent, delta
+
+
+def apply_one_sided(
+    matrix: np.ndarray,
+    functions: Sequence[AggregateFunction],
+    steps_i: np.ndarray,
+    steps_j: np.ndarray,
+    scratch: GreedyScratch,
+    *,
+    adopt_i: Optional[np.ndarray] = None,
+    payload: Optional[np.ndarray] = None,
+    collect: bool = False,
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Apply a list of one-sided exchanges in list order.
+
+    The execution plan is the two-sided one of
+    :func:`iter_greedy_segments`, with each pending step's list
+    position carried along: :data:`PAIR_CHUNK`-step windows run to
+    completion in order, node-disjoint first-occurrence batches through
+    :func:`apply_one_sided_batch`, each window's last
+    :data:`GREEDY_TAIL` conflicted steps through
+    :func:`apply_one_sided_sequential` — bitwise-identical to applying
+    the whole list one step at a time. A ``payload`` step conflicts on
+    its initiator as well, although it never touches it: that only
+    cuts a batch earlier than strictly needed.
+
+    Returns ``(delta, combined, sent)``. ``delta`` adds the segments'
+    deltas up in execution order. With ``collect`` the other two are
+    the ``(len(steps_i), k)`` per-step rows in list order, else
+    ``None`` and never built.
+    """
+    m, k = len(steps_i), matrix.shape[1]
+    delta = np.zeros(k, dtype=np.float64)
+    combined = sent = None
+    if collect:
+        combined = np.empty((m, k), dtype=np.float64)
+        sent = np.empty((m, k), dtype=np.float64)
+    position, flat_buffer, slot_numbers = scratch.arrays(matrix.shape[0])
+
+    def apply(applier, chunk_i, chunk_j, at):
+        rows, asked, moved = applier(
+            matrix, functions, chunk_i, chunk_j,
+            None if adopt_i is None else adopt_i[at],
+            None if payload is None else payload[at],
+        )
+        delta[:] += moved
+        if collect:
+            combined[at] = rows
+            sent[at] = asked
+
+    for lo in range(0, m, PAIR_CHUNK):
+        chunk_i = steps_i[lo:lo + PAIR_CHUNK]
+        chunk_j = steps_j[lo:lo + PAIR_CHUNK]
+        at = np.arange(lo, lo + len(chunk_i))
+        while len(at) > GREEDY_TAIL:
+            ready = first_occurrence_ready(
+                chunk_i, chunk_j, position, flat_buffer, slot_numbers
+            )
+            apply(apply_one_sided_batch,
+                  chunk_i[ready], chunk_j[ready], at[ready])
+            keep = ~ready
+            chunk_i, chunk_j, at = chunk_i[keep], chunk_j[keep], at[keep]
+        apply(apply_one_sided_sequential, chunk_i, chunk_j, at)
+    return delta, combined, sent
 
 
 def _first_distinct_batch(

@@ -74,7 +74,12 @@ from ..errors import (
     SimulationError,
 )
 from ..rng import make_rng
-from .backends import ExecutionBackend, make_backend
+from .backends import (
+    ExecutionBackend,
+    GreedyScratch,
+    apply_one_sided,
+    make_backend,
+)
 from .checkpoint import (
     CheckpointSpec,
     pickle_payload,
@@ -286,8 +291,13 @@ class GossipEngine:
         self._mf_cache: Optional[np.ndarray] = None
         self._mf_sent: Optional[np.ndarray] = None
         self._mf_push_only: Optional[np.ndarray] = None
+        # backoff delays by attempt number (attempts never pass budget)
+        self._mf_delays: Optional[np.ndarray] = None
         if self._retry is not None:
             self._alloc_retry_state(scenario.n, len(self._names))
+            self._mf_delays = self._retry.delay_table()
+        # segmentation scratch of the engine-side one-sided writes
+        self._mf_scratch = GreedyScratch()
         self._mf_stats: Dict[str, int] = {
             "partials": 0, "duplicates": 0, "repairs": 0,
             "retries": 0, "giveups": 0,
@@ -1431,7 +1441,7 @@ class GossipEngine:
         if dup.any():
             # the duplicate carries the payload the initiator *sent* —
             # its row before any of this cycle's exchanges applied
-            payload = self._matrix[initiators[dup]].copy()
+            payload = self._matrix[initiators[dup]]
         exch_i, exch_j = self._plan.compact(initiators, partners, full)
         full_count = len(exch_i)
         self._backend.apply_exchanges(
@@ -1446,13 +1456,14 @@ class GossipEngine:
         combined = sent = None
         if partial_count:
             self._backend.sync()
-            combined, sent = self._apply_retry_exchanges(
-                initiators[partial], partners[partial],
-                np.zeros(partial_count, dtype=bool),
+            combined, sent = self._apply_one_sided(
+                "partial", initiators[partial], partners[partial]
             )
         if payload is not None:
             self._backend.sync()
-            self._apply_duplicates(partners[dup], payload)
+            self._apply_one_sided(
+                "duplicate", initiators[dup], partners[dup], payload=payload
+            )
         if retry is not None:
             unanswered = ok & ~full & ~nacked
             if unanswered.any():
@@ -1460,7 +1471,7 @@ class GossipEngine:
                 self._mf_partner[slots] = partners[unanswered]
                 self._mf_kind[slots] = 1
                 self._mf_attempt[slots] = 0
-                self._mf_due[slots] = cycle + retry.delay(0)
+                self._mf_due[slots] = cycle + self._mf_delays[0]
                 if partial_count:
                     # the partner serviced these and holds (for the
                     # engine: we cache) the combined reply plus the
@@ -1473,96 +1484,43 @@ class GossipEngine:
         self.cycle += 1
         return full_count + partial_count
 
-    def _combine_rows(
-        self, rows_i: np.ndarray, rows_j: np.ndarray
-    ) -> np.ndarray:
-        """Column-wise AGGREGATE over aligned row blocks (the
-        ``combine_array`` contract keeps this bitwise-equal to the
-        scalar ``combine`` path)."""
-        out = np.empty_like(rows_i)
-        for column, function in enumerate(self._functions):
-            out[:, column] = function.combine_array(
-                rows_i[:, column], rows_j[:, column]
-            )
-        return out
-
-    def _apply_duplicates(
-        self, dj: np.ndarray, payload: np.ndarray
-    ) -> None:
-        """Service duplicated requests: one more one-sided combine at
-        each partner, against the stale ``payload`` the duplicate
-        carried. Runs after the cycle's regular exchanges (the network
-        redelivered the datagram late)."""
-        matrix = self._matrix
-        n = len(dj)
-        if len(np.unique(dj)) == n:
-            old = matrix[dj]
-            combined = self._combine_rows(payload, old)
-            matrix[dj] = combined
-            delta = (combined - old).sum(axis=0)
-        else:
-            delta = np.zeros(matrix.shape[1], dtype=np.float64)
-            for t in range(n):
-                j = int(dj[t])
-                for column, function in enumerate(self._functions):
-                    value = function.combine(
-                        payload[t, column], matrix[j, column]
-                    )
-                    delta[column] += value - matrix[j, column]
-                    matrix[j, column] = value
-        if self._monitor_entries:
-            self._ledger_add("duplicate", delta)
-        self._mf_stats["duplicates"] += n
-
-    def _apply_retry_exchanges(
-        self, fi: np.ndarray, fj: np.ndarray, adopt_i: np.ndarray
-    ) -> np.ndarray:
-        """The one-sided exchange kernel: the partner ``j`` always
-        adopts ``AGGREGATE(x_i, x_j)`` (it serviced the request); the
+    def _apply_one_sided(
+        self,
+        kind: str,
+        fi: np.ndarray,
+        fj: np.ndarray,
+        adopt_i: Optional[np.ndarray] = None,
+        payload: Optional[np.ndarray] = None,
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """The one-sided exchange kernel: the partner ``fj`` always
+        adopts ``AGGREGATE(sent, x_j)`` (it serviced the request); the
         initiator adopts it only where the reply survived (``adopt_i``)
-        — nowhere for a cycle's reply-lost exchanges, on some rows for
-        the fresh exchanges of retrying initiators. Applied in list
-        order (an exchange sees every earlier write, the same
-        sequential semantics the backends implement); the conflict-free
-        case runs as one vectorized block, which is bitwise-identical.
-        Returns ``(combined, sent)``: the combined rows and the
-        initiator rows they answered — the retry protocol caches both
-        as the partner's pending reply."""
-        matrix = self._matrix
-        n = len(fi)
-        touched = np.concatenate([fi, fj])
-        if len(np.unique(touched)) == len(touched):
-            old = matrix[fj]
-            sent = matrix[fi]
-            combined = self._combine_rows(sent, old)
-            matrix[fj] = combined
-            matrix[fi[adopt_i]] = combined[adopt_i]
-            stranded = ~adopt_i
-            delta = (combined[stranded] - old[stranded]).sum(axis=0)
-        else:
-            combined = np.empty((n, matrix.shape[1]), dtype=np.float64)
-            sent = np.empty((n, matrix.shape[1]), dtype=np.float64)
-            delta = np.zeros(matrix.shape[1], dtype=np.float64)
-            for t in range(n):
-                i = int(fi[t])
-                j = int(fj[t])
-                take = bool(adopt_i[t])
-                for column, function in enumerate(self._functions):
-                    value = function.combine(
-                        matrix[i, column], matrix[j, column]
-                    )
-                    if not take:
-                        delta[column] += value - matrix[j, column]
-                    combined[t, column] = value
-                    sent[t, column] = matrix[i, column]
-                    matrix[j, column] = value
-                    if take:
-                        matrix[i, column] = value
+        — nowhere (``None``) for a cycle's reply-lost exchanges, on
+        some rows for the fresh exchanges of retrying initiators.
+        ``sent`` is the initiator's row, or the stale ``payload`` row a
+        duplicated request carried (serviced after the cycle's regular
+        exchanges: the network redelivered the datagram late). Applied
+        in list order, an exchange seeing every earlier write, through
+        the backends' own execution plan
+        (:func:`~repro.kernel.backends.base.apply_one_sided`).
+
+        ``kind`` (``"partial"`` or ``"duplicate"``) names the ledger
+        entry that takes the mass the non-adopting steps moved — the
+        atomic subset conserves it — and the counter that takes their
+        number. Returns ``(combined, sent)``: the combined rows and the
+        initiator rows they answered, which the retry protocol caches
+        as the partner's pending reply (``None`` when nothing will)."""
+        delta, combined, sent = apply_one_sided(
+            self._matrix, self._functions, fi, fj, self._mf_scratch,
+            adopt_i=adopt_i, payload=payload,
+            collect=self._retry is not None and payload is None,
+        )
         if self._monitor_entries:
-            # the atomic subset conserves mass; only the stranded
-            # partials drift
-            self._ledger_add("partial", delta)
-        self._mf_stats["partials"] += int(np.count_nonzero(~adopt_i))
+            self._ledger_add(kind, delta)
+        stranded = len(fi)
+        if adopt_i is not None:
+            stranded -= int(np.count_nonzero(adopt_i))
+        self._mf_stats[kind + "s"] += stranded
         return combined, sent
 
     def _apply_repairs(self, slots: np.ndarray) -> None:
@@ -1626,7 +1584,7 @@ class GossipEngine:
            original request (kind 2, retransmit mode) answers from its
            cached combined value: the initiator adopting it repairs the
            partial's mass drift *exactly*. Otherwise a fresh exchange
-           runs (:meth:`_apply_retry_exchanges`). Unresolved episodes
+           runs (:meth:`_apply_one_sided`). Unresolved episodes
            back off exponentially and burn one attempt.
         """
         retry = self._retry
@@ -1683,7 +1641,7 @@ class GossipEngine:
             fi = due[fresh]
             fj = targets[fresh]
             adopt = rep_ok[fresh]
-            combined, sent = self._apply_retry_exchanges(fi, fj, adopt)
+            combined, sent = self._apply_one_sided("partial", fi, fj, adopt)
             resolved |= fresh & rep_ok
             stranded = fresh & ~rep_ok
             if stranded.any():
@@ -1702,9 +1660,7 @@ class GossipEngine:
             slots = due[unresolved]
             attempts = self._mf_attempt[slots] + 1
             self._mf_attempt[slots] = attempts
-            self._mf_due[slots] = cycle + np.array(
-                [retry.delay(int(a)) for a in attempts], dtype=np.int64
-            )
+            self._mf_due[slots] = cycle + self._mf_delays[attempts]
         return n
 
     def run(

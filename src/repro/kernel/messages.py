@@ -50,6 +50,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from ..errors import ConfigurationError
 
 #: a schedule maps a cycle number to that cycle's loss probability
@@ -60,6 +62,11 @@ RETRY_MODES = ("retransmit", "redraw")
 
 #: accepted :attr:`RetrySpec.fallback` values
 RETRY_FALLBACKS = ("accept", "push_only")
+
+#: longest backoff :meth:`RetrySpec.delay` reports: a retry this far
+#: away never fires, and ``cycle + delay`` still fits the engine's
+#: int64 timers
+RETRY_NEVER = 2 ** 62
 
 
 def constant_loss(p: float) -> LossSchedule:
@@ -280,5 +287,19 @@ class RetrySpec:
             )
 
     def delay(self, attempt: int) -> int:
-        """Cycles until the next retry after ``attempt`` failures."""
-        return max(1, int(math.ceil(self.timeout * self.backoff ** attempt)))
+        """Cycles until the next retry after ``attempt`` failures
+        (at most :data:`RETRY_NEVER`)."""
+        try:
+            cycles = math.ceil(self.timeout * self.backoff ** attempt)
+        except OverflowError:
+            return RETRY_NEVER
+        return max(1, min(cycles, RETRY_NEVER))
+
+    def delay_table(self) -> np.ndarray:
+        """:meth:`delay` for ``attempt`` in ``0 .. budget + 1`` — every
+        attempt number an episode can reach, so the engine's per-slot
+        backoff is one array lookup."""
+        return np.array(
+            [self.delay(attempt) for attempt in range(self.budget + 2)],
+            dtype=np.int64,
+        )

@@ -1,0 +1,69 @@
+"""The plain scalar oracle of the one-sided exchange, kept out of
+``src/`` on purpose: one Python step per exchange, per column, in list
+order — the semantics :func:`repro.kernel.backends.apply_one_sided`
+must reproduce bitwise however it segments the list."""
+
+import numpy as np
+
+from repro.core import MaxAggregate, MeanAggregate, MinAggregate
+from repro.kernel.backends import GreedyScratch, apply_one_sided
+
+#: the five-column mix the one-sided tests run besides k = 1
+MIXED_FUNCTIONS = (
+    MeanAggregate(), MeanAggregate(), MaxAggregate(), MinAggregate(),
+    MeanAggregate(),
+)
+
+
+def scalar_one_sided(matrix, functions, steps_i, steps_j,
+                     adopt_i=None, payload=None):
+    """Apply the steps to ``matrix`` in place. Returns ``(moved,
+    combined, sent)``, all ``(m, k)``: per step the mass a non-adopting
+    step moved (zero where the initiator adopted), the combined row and
+    the row it answered."""
+    m, k = len(steps_i), matrix.shape[1]
+    moved = np.zeros((m, k))
+    combined = np.empty((m, k))
+    sent = np.empty((m, k))
+    for t in range(m):
+        i, j = int(steps_i[t]), int(steps_j[t])
+        take = adopt_i is not None and bool(adopt_i[t])
+        for c, function in enumerate(functions):
+            asked = matrix[i, c] if payload is None else payload[t, c]
+            old = matrix[j, c]
+            value = function.combine(asked, old)
+            matrix[j, c] = value
+            if take:
+                matrix[i, c] = value
+            else:
+                moved[t, c] = value - old
+            combined[t, c] = value
+            sent[t, c] = asked
+    return moved, combined, sent
+
+
+def check_against_oracle(functions, nodes, steps_i, steps_j,
+                         adopt_i=None, payload=None, collect=True, seed=11):
+    """Run ``apply_one_sided`` and the oracle on copies of one random
+    ``(nodes, k)`` matrix: matrix and collected rows must agree
+    bitwise, the delta to 1e-12 of the mass moved (it is summed per
+    segment, the oracle's per step)."""
+    actual = np.random.default_rng(seed).normal(
+        10.0, 4.0, (nodes, len(functions))
+    )
+    expected = actual.copy()
+    delta, combined, sent = apply_one_sided(
+        actual, functions, steps_i, steps_j, GreedyScratch(),
+        adopt_i=adopt_i, payload=payload, collect=collect,
+    )
+    moved, expected_combined, expected_sent = scalar_one_sided(
+        expected, functions, steps_i, steps_j, adopt_i, payload
+    )
+    assert np.array_equal(actual, expected)
+    if collect:
+        assert np.array_equal(combined, expected_combined)
+        assert np.array_equal(sent, expected_sent)
+    else:
+        assert combined is None and sent is None
+    gross = np.abs(moved).sum(axis=0)
+    assert np.all(np.abs(delta - moved.sum(axis=0)) <= 1e-12 * gross)

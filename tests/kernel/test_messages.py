@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import retry_for_policy
+from repro.core import MaxAggregate, MeanAggregate, MinAggregate
 from repro.errors import ConfigurationError
 from repro.kernel import (
     GossipEngine,
@@ -162,6 +163,22 @@ class TestSpecValidation:
         spec = RetrySpec(timeout=2, backoff=2.0)
         assert [spec.delay(a) for a in range(3)] == [2, 4, 8]
 
+    @pytest.mark.parametrize("backoff", [1.0, 1.5, 2.0])
+    def test_delay_table_is_the_scalar_delay(self, backoff):
+        retry = RetrySpec(timeout=2, budget=5, backoff=backoff)
+        table = retry.delay_table()
+        assert table.dtype == np.int64
+        assert table.tolist() == [
+            retry.delay(a) for a in range(retry.budget + 2)
+        ]
+
+    def test_delay_saturates_where_the_timers_would_overflow(self):
+        # 2.0 ** 62 cycles no longer fits cycle + delay in int64 and
+        # 2.0 ** 1024 is no float: both mean "never", not a crash
+        table = RetrySpec(budget=1100).delay_table()
+        assert table[61] == 2 ** 61
+        assert np.all(table[62:] == 2 ** 62)
+
     def test_scenario_rejects_non_spec_faults(self):
         with pytest.raises(ConfigurationError, match="MessageFaultSpec"):
             make_scenario(message_faults={"reply_loss": 0.1})
@@ -206,6 +223,88 @@ class TestBitwiseEquivalence:
         assert np.array_equal(reference[0], sharded[0])
         assert reference[1] == sharded[1]
         assert reference[3] == sharded[3]
+
+
+class TestCollidingOneSidedLists:
+    """Five columns (mixed mean / max / min) at a size where every
+    cycle's one-sided lists — partials, duplicates, retried exchanges —
+    are longer than the sequential tail and full of repeated nodes, so
+    the engine-side writes really run as batches plus tails."""
+
+    N = 3000
+    RETRY_STATE = ("_mf_partner", "_mf_kind", "_mf_attempt", "_mf_due",
+                   "_mf_cache", "_mf_sent", "_mf_push_only")
+
+    def scenario(self, backend):
+        values = np.random.default_rng(SEED).normal(10.0, 4.0, self.N)
+        return Scenario(
+            CompleteTopology(self.N), values,
+            aggregates={
+                "mean": MeanAggregate(), "second": MeanAggregate(),
+                "max": MaxAggregate(), "min": MinAggregate(),
+                "count": MeanAggregate(),
+            },
+            initial={
+                "second": values ** 2,
+                "count": (np.arange(self.N) == 0).astype(float),
+            },
+            message_faults=MessageFaultSpec(
+                request_loss=0.1, reply_loss=0.25, duplication=0.1
+            ),
+            retry=RetrySpec(budget=4),
+            seed=SEED, backend=backend,
+        )
+
+    def snapshot(self, engine):
+        """``(counters, arrays)``: the matrix plus every retry table."""
+        return dict(engine.message_fault_stats), [engine.matrix.copy()] + [
+            getattr(engine, name).copy() for name in self.RETRY_STATE
+        ]
+
+    def run(self, backend, cycles=12):
+        engine = GossipEngine(self.scenario(backend))
+        engine.arm_standard_monitors()
+        try:
+            engine.run(cycles)
+            assert engine.invariant_report().ok
+            return self.snapshot(engine)
+        finally:
+            engine.close()
+
+    @staticmethod
+    def assert_same(left, right):
+        assert left[0] == right[0]
+        for a, b in zip(left[1], right[1]):
+            assert np.array_equal(a, b)
+
+    def test_lists_collide(self):
+        engine = GossipEngine(self.scenario("reference"))
+        try:
+            engine.run(3)
+            assert engine.message_fault_stats["partials"] > 3 * 4 * 48
+            assert engine.message_fault_stats["duplicates"] > 3 * 48
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("backend", ["vectorized", "sharded:2"])
+    def test_backends_match_reference(self, backend):
+        self.assert_same(self.run("reference"), self.run(backend))
+
+    def test_resume_on_another_backend(self, tmp_path):
+        part = GossipEngine(self.scenario("vectorized"))
+        part.arm_standard_monitors()
+        try:
+            part.run(5)
+            assert part.pending_retry_count > 48  # mid-episode
+            manifest = part.checkpoint(tmp_path)
+        finally:
+            part.close()
+        resumed = GossipEngine.restore(self.scenario("reference"), manifest)
+        try:
+            resumed.run(7)
+            self.assert_same(self.run("vectorized"), self.snapshot(resumed))
+        finally:
+            resumed.close()
 
 
 class TestFaultSemantics:
