@@ -15,11 +15,13 @@ batched backend builds on:
 * :func:`first_occurrence_ready` — the O(m) conflict scan: which of the
   pending steps touch only nodes not seen earlier in the window (and so
   commute bitwise with each other),
+* :func:`iter_greedy_segments` — the plan: a pending set of at most one
+  window slid over the step stream, one scan and one batch per round,
 * :func:`apply_disjoint_batch` — one node-disjoint batch applied through
   the ``combine_array`` IEEE path,
 * :func:`apply_sequential` — a short run of (possibly conflicting)
   steps applied in step order through the scalar ``combine`` path,
-* :func:`apply_one_sided` — the same plan for the engine's *one-sided*
+* :func:`apply_one_sided` — the same scan for the engine's *one-sided*
   exchanges (message faults: the partner adopts the combined value,
   the initiator only where its reply survived), built from
   :func:`apply_one_sided_batch` / :func:`apply_one_sided_sequential`.
@@ -40,26 +42,29 @@ import numpy as np
 from ...core.aggregates import AggregateFunction
 from ...errors import ConfigurationError
 
-#: default number of contiguous steps per greedy-segmentation window in
-#: the vectorized backend. Executing each window to completion before
-#: the next trivially preserves global step order, and within a few
-#: thousand steps node collisions are rare (1–3 batches instead of
-#: ~max φ), so the first-occurrence scans touch far fewer elements and
-#: stay cache-resident. Tunable per backend (``chunk=``) or per run via
+#: default bound on the planner's pending set in the vectorized
+#: backend — the most steps one first-occurrence scan ever sees, and
+#: so the size of its scratch. Within a few thousand steps node
+#: collisions are rare (≈ 85 % of a full pending set is ready at once),
+#: so the scans stay cache-resident and the batches fat. Tunable per
+#: backend (``chunk=``) or per run via
 #: :attr:`~repro.kernel.pairs.PairProtocolSpec.chunk`.
 PAIR_CHUNK = 4096
 
-#: once a greedy window has this few pending steps left, finish it
-#: sequentially: batch sizes decay geometrically, so the tail of the
-#: peel loop pays a full first-occurrence scan (a dozen numpy calls)
-#: per handful of steps. Purely a constant-factor knob — results stay
-#: bitwise-identical.
+#: the planner's scalar threshold. A drained stream's last this-many
+#: pending steps run sequentially (batch sizes decay geometrically, so
+#: peeling them would pay a full first-occurrence scan per handful of
+#: steps), and a scan that finds fewer ready steps than this hands the
+#: oldest this-many to the sequential applier instead — a hub. Purely
+#: a constant-factor knob — results stay bitwise-identical.
 GREEDY_TAIL = 48
 
 #: segment kinds yielded by :func:`iter_greedy_segments` (and used in
 #: the sharded backend's published schedules)
 SEGMENT_BATCH = 0
 SEGMENT_SEQUENTIAL = 1
+
+_NO_STEPS = np.empty(0, dtype=np.intp)
 
 
 def resolve_chunk(
@@ -95,93 +100,120 @@ def first_occurrence_ready(
     """Which pending steps are first occurrences of *both* endpoints.
 
     The test is O(m) with no sorting: a scatter of slot numbers into an
-    ``n``-sized ``position`` scratch (last write wins, so writing the
-    interleaved endpoints in reverse leaves the *first* occurrence)
-    followed by one gather. ``flat_buffer`` and ``slot_numbers`` are
-    caller-owned reusable arrays of at least ``2 * len(chunk_i)``
-    entries; ``slot_numbers`` must hold ``0, 1, 2, …`` (an arange).
+    ``n``-sized ``position`` scratch (last write wins, so the endpoints
+    are interleaved back to front — the last write to a node is then
+    its *first* occurrence) followed by one gather. ``position``,
+    ``flat_buffer`` and ``slot_numbers`` are a :class:`GreedyScratch`'s
+    arrays, the last two at least ``2 * len(chunk_i)`` long. The
+    endpoints may be of any integer dtype: writing them into the
+    ``intp`` interleave is the one cast the scan needs.
     """
     m = len(chunk_i)
     flat = flat_buffer[:2 * m]
-    flat[0::2] = chunk_i
-    flat[1::2] = chunk_j
+    flat[-1::-2] = chunk_i
+    flat[-2::-2] = chunk_j
     slots = slot_numbers[:2 * m]
-    position[flat[::-1]] = slots[::-1]
-    first = position[flat] == slots
-    return first[0::2] & first[1::2]
+    position[flat] = slots
+    first = position.take(flat) == slots
+    return (first[0::2] & first[1::2])[::-1]
 
 
 class GreedyScratch:
-    """The reusable scratch arrays of :func:`first_occurrence_ready`
-    for :data:`PAIR_CHUNK`-step windows: an int32 ``position`` array
-    with one entry per matrix row (grown on demand), the interleave
-    buffer and the ``0, 1, 2, …`` slot numbers. Nothing is allocated
-    before the first use."""
+    """The reusable scratch arrays of :func:`first_occurrence_ready`:
+    an int32 ``position`` array with one entry per matrix row, the
+    ``intp`` interleave buffer (numpy's native index dtype — a scatter
+    or gather through int32 indices runs 2–3x slower) and the int32
+    ``0, 1, 2, …`` slot numbers, both ``2 * window`` long. Nothing is
+    allocated before the first use; every array grows on demand."""
 
-    __slots__ = ("_position", "_window")
+    __slots__ = ("_position", "_flat", "_slots")
 
     def __init__(self):
         self._position: Optional[np.ndarray] = None
-        self._window: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._flat: Optional[np.ndarray] = None
+        self._slots: Optional[np.ndarray] = None
 
-    def arrays(self, rows: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def arrays(
+        self, rows: int, window: int = PAIR_CHUNK
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(position, flat_buffer, slot_numbers)`` for a matrix of
-        ``rows`` rows."""
-        if self._window is None:
-            self._window = (
-                np.empty(2 * PAIR_CHUNK, dtype=np.int32),
-                np.arange(2 * PAIR_CHUNK, dtype=np.int32),
-            )
+        ``rows`` rows and scans of at most ``window`` steps."""
+        if self._flat is None or len(self._flat) < 2 * window:
+            self._flat = np.empty(2 * window, dtype=np.intp)
+            self._slots = np.arange(2 * window, dtype=np.int32)
         if self._position is None or len(self._position) < rows:
             self._position = np.empty(rows, dtype=np.int32)
-        return (self._position, *self._window)
+        return self._position, self._flat, self._slots
 
 
 def iter_greedy_segments(
     pending_i: np.ndarray,
     pending_j: np.ndarray,
-    position: np.ndarray,
-    flat_buffer: np.ndarray,
-    slot_numbers: np.ndarray,
+    scratch: GreedyScratch,
+    rows: int,
     window: int,
     tail: int,
 ):
-    """The chunked order-preserving greedy segmentation as a pure plan.
+    """The order-preserving greedy segmentation as a pure plan.
 
     Yields ``(kind, chunk_i, chunk_j)`` in execution order, where
     ``kind`` is :data:`SEGMENT_BATCH` (the steps are node-disjoint and
     may be applied through ``combine_array`` in any partition) or
-    :data:`SEGMENT_SEQUENTIAL` (a conflicted window tail that must run
-    one step at a time, in order). Executing the yielded segments in
-    order through :func:`apply_disjoint_batch` /
-    :func:`apply_sequential` is bitwise-identical to the sequential
-    reference execution — segmentation depends only on indices, never
-    on values, which is what lets the sharded backend *plan* a call
-    completely before (or while) the workers apply it.
+    :data:`SEGMENT_SEQUENTIAL` (conflicted steps that must run one at a
+    time, in order). Executing the yielded segments in order through
+    :func:`apply_disjoint_batch` / :func:`apply_sequential` is
+    bitwise-identical to the sequential reference execution —
+    segmentation depends only on indices, never on values, which is
+    what lets the sharded backend *plan* a call completely before (or
+    while) the workers apply it.
 
-    ``position``, ``flat_buffer`` and ``slot_numbers`` are the
-    caller-owned scratch arrays of :func:`first_occurrence_ready`
-    (``flat_buffer``/``slot_numbers`` at least ``2 * window`` long).
+    The plan slides a pending set over the step stream: every round
+    tops the set up, in order, to at most ``window`` steps, scans it
+    once (:func:`first_occurrence_ready`) and yields the ready steps as
+    one batch; the others are carried into the next round ahead of the
+    new steps, so the pending set always holds every unexecuted step
+    that precedes any of its members and a first occurrence in it is a
+    first occurrence overall. A round that finds fewer than ``tail``
+    steps ready — every step touches one hub — hands the oldest
+    ``tail`` pending steps to the sequential applier instead (a prefix
+    of the pending set is always order-preserving), and once the stream
+    is drained the last ``tail`` steps go the same way.
+
+    The chunks are ``intp`` arrays whatever the integer dtype of
+    ``pending_i`` / ``pending_j``, cast one window at a time.
+    ``scratch`` serves a matrix of ``rows`` rows.
     """
-    for lo in range(0, len(pending_i), window):
-        chunk_i = pending_i[lo:lo + window]
-        chunk_j = pending_j[lo:lo + window]
-        while True:
-            size = len(chunk_i)
-            if size <= tail:
-                if size:
-                    yield SEGMENT_SEQUENTIAL, chunk_i, chunk_j
-                break
-            ready = first_occurrence_ready(
-                chunk_i, chunk_j, position, flat_buffer, slot_numbers
-            )
-            if ready.all():
-                yield SEGMENT_BATCH, chunk_i, chunk_j
-                break
-            yield SEGMENT_BATCH, chunk_i[ready], chunk_j[ready]
-            keep = ~ready
-            chunk_i = chunk_i[keep]
-            chunk_j = chunk_j[keep]
+    total = len(pending_i)
+    arrays = scratch.arrays(rows, window)
+    scalar = max(tail, 1)
+    carry_i = carry_j = _NO_STEPS
+    cursor = 0
+    while True:
+        stop = min(cursor + window - len(carry_i), total)
+        chunk_i = np.concatenate(
+            (carry_i, pending_i[cursor:stop]), dtype=np.intp
+        )
+        chunk_j = np.concatenate(
+            (carry_j, pending_j[cursor:stop]), dtype=np.intp
+        )
+        cursor = stop
+        size = len(chunk_i)
+        if cursor == total and size <= tail:
+            if size:
+                yield SEGMENT_SEQUENTIAL, chunk_i, chunk_j
+            return
+        ready = first_occurrence_ready(chunk_i, chunk_j, *arrays)
+        peeled = np.flatnonzero(ready)
+        if len(peeled) == size:
+            yield SEGMENT_BATCH, chunk_i, chunk_j
+            carry_i = carry_j = _NO_STEPS
+        elif len(peeled) < scalar:
+            yield SEGMENT_SEQUENTIAL, chunk_i[:scalar], chunk_j[:scalar]
+            carry_i, carry_j = chunk_i[scalar:], chunk_j[scalar:]
+        else:
+            yield SEGMENT_BATCH, chunk_i.take(peeled), chunk_j.take(peeled)
+            kept = np.flatnonzero(~ready)
+            carry_i, carry_j = chunk_i.take(kept), chunk_j.take(kept)
 
 
 def apply_disjoint_batch(
@@ -193,16 +225,20 @@ def apply_disjoint_batch(
     """Apply one node-disjoint batch of exchanges via ``combine_array``."""
     if len(batch_i) == 0:
         return
+    # the planner's chunks are intp already; the sharded workers'
+    # int32 bank slices pay one cheap pass here
+    batch_i = batch_i.astype(np.intp, copy=False)
+    batch_j = batch_j.astype(np.intp, copy=False)
     if matrix.shape[1] == 1:
         column = matrix[:, 0]
         combined = functions[0].combine_array(
-            column[batch_i], column[batch_j]
+            column.take(batch_i), column.take(batch_j)
         )
         column[batch_i] = combined
         column[batch_j] = combined
         return
-    rows_i = matrix[batch_i]
-    rows_j = matrix[batch_j]
+    rows_i = matrix.take(batch_i, axis=0)
+    rows_j = matrix.take(batch_j, axis=0)
     combined_rows = np.empty_like(rows_i)
     for c, function in enumerate(functions):
         combined_rows[:, c] = function.combine_array(
@@ -260,8 +296,13 @@ def apply_one_sided_batch(
     non-adopting steps moved (``combined - x_j`` summed over them)."""
     k = matrix.shape[1]
     state = matrix[:, 0] if k == 1 else matrix
-    old = state[batch_j]
-    sent = state[batch_i] if payload is None else payload.reshape(old.shape)
+    batch_i = batch_i.astype(np.intp, copy=False)
+    batch_j = batch_j.astype(np.intp, copy=False)
+    old = state.take(batch_j, axis=0)
+    sent = (
+        state.take(batch_i, axis=0) if payload is None
+        else payload.reshape(old.shape)
+    )
     if k == 1:
         combined = functions[0].combine_array(sent, old)
     else:
@@ -321,15 +362,17 @@ def apply_one_sided(
 ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """Apply a list of one-sided exchanges in list order.
 
-    The execution plan is the two-sided one of
-    :func:`iter_greedy_segments`, with each pending step's list
-    position carried along: :data:`PAIR_CHUNK`-step windows run to
+    The execution plan peels one window at a time, each pending step's
+    list position carried along: :data:`PAIR_CHUNK`-step windows run to
     completion in order, node-disjoint first-occurrence batches through
     :func:`apply_one_sided_batch`, each window's last
     :data:`GREEDY_TAIL` conflicted steps through
     :func:`apply_one_sided_sequential` — bitwise-identical to applying
-    the whole list one step at a time. A ``payload`` step conflicts on
-    its initiator as well, although it never touches it: that only
+    the whole list one step at a time. It shares the scan of
+    :func:`iter_greedy_segments` but not its sliding pending set: the
+    ledger delta is summed per segment and so depends, in its last
+    digits, on where the segments are cut. A ``payload`` step conflicts
+    on its initiator as well, although it never touches it: that only
     cuts a batch earlier than strictly needed.
 
     Returns ``(delta, combined, sent)``. ``delta`` adds the segments'
@@ -453,16 +496,17 @@ def merge_views_batch(
         return
     capacity, view_size = views.shape
     # both sides as one block: rows [:m] rebuild a's views, [m:] b's
-    own = np.concatenate((batch_a, batch_b)).astype(views.dtype, copy=False)
+    index = np.concatenate((batch_a, batch_b), dtype=np.intp)
+    own = index.astype(views.dtype)
     partner = np.concatenate((own[m:], own[:m]))
-    rows = views[own]
+    rows = views.take(index, axis=0)
     cand = np.empty((2 * m, 2 * view_size + 1), dtype=views.dtype)
     cand[:, 0] = partner
     cand[:, 1::2] = rows
     cand[:m, 2::2] = rows[m:]
     cand[m:, 2::2] = rows[:m]
     np.copyto(cand, partner[:, None], where=cand == own[:, None])
-    views[own] = _first_distinct_batch(cand, view_size, capacity)
+    views[index] = _first_distinct_batch(cand, view_size, capacity)
 
 
 def merge_views_sequential(

@@ -22,7 +22,7 @@ worker processes:
   (:meth:`~.base.ExecutionBackend.allocate_matrix`, no copy at all).
 
 * **Scheduling.** The parent computes the *schedule* for each call up
-  front — the same chunked first-occurrence greedy segmentation the
+  front — the same sliding-window greedy segmentation the
   vectorized backend uses (:func:`~.base.iter_greedy_segments`), but
   as a pure plan: steps are rewritten into execution order in one
   bank's step buffers and described as a list of ``(start, end,
@@ -101,6 +101,7 @@ from ..faults import BACKEND_FAULT_KINDS, FaultSpec
 from .base import (
     SEGMENT_BATCH,
     ExecutionBackend,
+    GreedyScratch,
     apply_disjoint_batch,
     apply_sequential,
     iter_greedy_segments,
@@ -111,8 +112,9 @@ from .vectorized import VectorizedBackend
 #: default greedy-segmentation window for the sharded backend. Larger
 #: than the in-process :data:`~.base.PAIR_CHUNK`: every peeled batch
 #: costs one pool barrier, so the window is sized for few, fat batches
-#: (at N = 10⁶ a 64k window peels in 2–3 batches) rather than
-#: cache-resident scans. Override per backend with ``chunk=``.
+#: (at N = 10⁶ a 64k pending set yields one ≈ 59k-step batch per scan,
+#: 19 barriers a cycle) rather than cache-resident scans. Override per
+#: backend with ``chunk=``.
 SHARD_CHUNK = 65536
 
 #: sequential-tail threshold for the sharded planner — larger than the
@@ -499,9 +501,7 @@ class ShardedBackend(ExecutionBackend):
         self._next_bank = 0
         self._inflight: Deque[int] = deque()
         # planner scratch (parent-side greedy segmentation)
-        self._position: Optional[np.ndarray] = None
-        self._flat: Optional[np.ndarray] = None
-        self._slots: Optional[np.ndarray] = None
+        self._scratch = GreedyScratch()
         self._finalizer = weakref.finalize(
             self, _shutdown,
             self._procs, self._pipes, self._shm_holder, self._parked,
@@ -1287,14 +1287,6 @@ class ShardedBackend(ExecutionBackend):
 
     # -- the planner ------------------------------------------------------
 
-    def _planner_scratch(self, rows: int, window: int):
-        if self._position is None or len(self._position) < rows:
-            self._position = np.empty(rows, dtype=np.int32)
-        if self._flat is None or len(self._flat) < 2 * window:
-            self._flat = np.empty(2 * window, dtype=np.int32)
-            self._slots = np.arange(2 * window, dtype=np.int32)
-        return self._position, self._flat, self._slots
-
     def _schedule(
         self,
         pending_i: np.ndarray,
@@ -1313,9 +1305,6 @@ class ShardedBackend(ExecutionBackend):
         stretch, and *when*, differs.
         """
         out_i, out_j = self._banks[bank]
-        position, flat, slots = self._planner_scratch(
-            self._view.shape[0], window
-        )
         segments: List[Segment] = []
         cursor = 0
         if plan is None:
@@ -1332,7 +1321,7 @@ class ShardedBackend(ExecutionBackend):
                 continue
             for kind, chunk_i, chunk_j in iter_greedy_segments(
                 pending_i[start:end], pending_j[start:end],
-                position, flat, slots, window, SHARD_TAIL,
+                self._scratch, self._view.shape[0], window, SHARD_TAIL,
             ):
                 size = len(chunk_i)
                 out_i[cursor:cursor + size] = chunk_i

@@ -12,6 +12,7 @@ from .base import (
     GREEDY_TAIL,
     SEGMENT_SEQUENTIAL,
     ExecutionBackend,
+    GreedyScratch,
     apply_disjoint_batch,
     apply_sequential,
     iter_greedy_segments,
@@ -35,22 +36,8 @@ class VectorizedBackend(ExecutionBackend):
     name = "vectorized"
 
     def __init__(self, *, chunk: Optional[int] = None):
-        self._scratch: Optional[np.ndarray] = None
-        self._flat: Optional[np.ndarray] = None
-        self._slots: Optional[np.ndarray] = None
+        self._scratch = GreedyScratch()
         self._chunk = resolve_chunk(chunk)
-
-    def _position_scratch(self, n: int) -> np.ndarray:
-        if self._scratch is None or len(self._scratch) < n:
-            self._scratch = np.empty(n, dtype=np.int32)
-        return self._scratch
-
-    def _chunk_buffers(self, size: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Reused interleave/slot-number buffers for one greedy window."""
-        if self._flat is None or len(self._flat) < size:
-            self._flat = np.empty(size, dtype=np.int32)
-            self._slots = np.arange(size, dtype=np.int32)
-        return self._flat, self._slots
 
     def apply_exchanges(
         self,
@@ -67,16 +54,9 @@ class VectorizedBackend(ExecutionBackend):
                 "the vectorized backend does not support exchange tracing; "
                 "use backend='reference'"
             )
-        pending_i = np.ascontiguousarray(exch_i, dtype=np.int32)
-        pending_j = np.ascontiguousarray(exch_j, dtype=np.int32)
-        if len(pending_i) == 0:
-            return
-        # same chunked order-preserving greedy segmentation as the pair
-        # path, with the interleave/slot buffers reused across windows
-        # and cycles (this loop used to allocate fresh flat/slots
-        # arrays on every batch iteration)
         self._apply_greedy(
-            matrix, functions, pending_i, pending_j, self._chunk,
+            matrix, functions, np.asarray(exch_i), np.asarray(exch_j),
+            self._chunk,
         )
 
     # -- pair mode --------------------------------------------------------
@@ -97,7 +77,7 @@ class VectorizedBackend(ExecutionBackend):
 
         Conflict-free segments of the plan (PM's matching halves) are
         applied as single scatter batches with no segmentation scan;
-        everything else goes through :meth:`_apply_greedy`, the chunked
+        everything else goes through :meth:`_apply_greedy`, the
         order-preserving greedy segmentation. Bitwise-identical to the
         sequential reference execution either way.
         """
@@ -106,8 +86,8 @@ class VectorizedBackend(ExecutionBackend):
                 "the vectorized backend does not support exchange tracing; "
                 "use backend='reference'"
             )
-        pi = np.ascontiguousarray(pairs_i, dtype=np.int32)
-        pj = np.ascontiguousarray(pairs_j, dtype=np.int32)
+        pi = np.asarray(pairs_i)
+        pj = np.asarray(pairs_j)
         window = self._chunk if chunk is None else resolve_chunk(chunk)
         if plan is None:
             plan = ((0, len(pi), False),)
@@ -127,21 +107,15 @@ class VectorizedBackend(ExecutionBackend):
         exch_i: np.ndarray,
         exch_j: np.ndarray,
     ) -> None:
-        """Newscast view merges through the same chunked greedy
-        segmentation as value exchanges — node-disjoint batches via
-        :func:`~.base.merge_views_batch`, conflicted window tails via
+        """Newscast view merges through the same greedy segmentation
+        as value exchanges — node-disjoint batches via
+        :func:`~.base.merge_views_batch`, conflicted steps via
         :func:`~.base.merge_views_sequential` — which is what keeps the
         view matrix bitwise-identical to the sequential reference
         execution."""
-        pending_i = np.ascontiguousarray(exch_i, dtype=np.int32)
-        pending_j = np.ascontiguousarray(exch_j, dtype=np.int32)
-        if len(pending_i) == 0:
-            return
-        position = self._position_scratch(views.shape[0])
-        flat_buffer, slot_numbers = self._chunk_buffers(2 * self._chunk)
         for kind, chunk_i, chunk_j in iter_greedy_segments(
-            pending_i, pending_j, position, flat_buffer, slot_numbers,
-            self._chunk, GREEDY_TAIL,
+            np.asarray(exch_i), np.asarray(exch_j), self._scratch,
+            views.shape[0], self._chunk, GREEDY_TAIL,
         ):
             if kind == SEGMENT_SEQUENTIAL:
                 merge_views_sequential(views, chunk_i, chunk_j)
@@ -151,26 +125,23 @@ class VectorizedBackend(ExecutionBackend):
     def _apply_greedy(
         self, matrix, functions, pending_i, pending_j, window
     ) -> None:
-        """Chunked greedy segmentation over an arbitrary exchange/pair
+        """Greedy segmentation over an arbitrary exchange/pair
         sequence.
 
         The segmentation itself lives in
         :func:`~.base.iter_greedy_segments` — a pure plan the sharded
         backend's parent also consumes (writing segments out instead
         of applying them). Here each segment is applied the moment it
-        is planned, which keeps the scans cache-resident: contiguous
-        ``window``-step stretches executed to completion in order
-        (preserving global step order for free), first-occurrence
-        batches peeled with the scatter/gather trick, the interleave
-        and slot-number buffers reused across iterations, and each
-        window's last few conflicted steps (:data:`GREEDY_TAIL`) run
-        sequentially — batch sizes decay geometrically, so the tail
-        would otherwise burn one full scan per handful of steps.
+        is planned, which keeps the scans cache-resident: one
+        first-occurrence scan and one fat batch per ``window`` steps of
+        input, the steps that were not ready carried into the next
+        scan, and the last few conflicted steps
+        (:data:`GREEDY_TAIL`) run sequentially — batch sizes decay
+        geometrically, so the tail would otherwise burn one full scan
+        per handful of steps.
         """
-        position = self._position_scratch(matrix.shape[0])
-        flat_buffer, slot_numbers = self._chunk_buffers(2 * window)
         for kind, chunk_i, chunk_j in iter_greedy_segments(
-            pending_i, pending_j, position, flat_buffer, slot_numbers,
+            pending_i, pending_j, self._scratch, matrix.shape[0],
             window, GREEDY_TAIL,
         ):
             if kind == SEGMENT_SEQUENTIAL:

@@ -136,8 +136,9 @@ class CyclePlan:
     The engine's per-cycle setup used to allocate fresh initiator,
     partner, coin-mask and compacted-exchange arrays every cycle; at
     paper scale that constant dominates the vectorized backend's
-    runtime. A ``CyclePlan`` owns int32 buffers (the backends' native
-    index dtype, so the handoff is copy-free) that are reallocated only
+    runtime. A ``CyclePlan`` owns int32 buffers (half the bytes of
+    numpy's native ``intp``; the backends' planner casts one window at
+    a time at the point of fancy indexing) that are reallocated only
     when engine capacity grows, plus a cached compacted initiator set
     keyed on a mask *version stamp* — any alive/participant mutation
     (crash, churn, epoch restart) bumps the stamp and invalidates it.

@@ -138,12 +138,14 @@ class NewscastViews:
         self.view_size = min(int(view_size), capacity - 1)
         # bootstrap: each node knows `view_size` random other nodes
         # (self-collisions shift to the next slot, keeping the no-self
-        # invariant with a single vectorized draw)
+        # invariant with a single vectorized draw; only the clashing
+        # entries are rewritten — two matrix-sized temporaries here
+        # were most of the page faults of a small run's set-up)
         views = rng.integers(
             0, capacity, size=(capacity, self.view_size), dtype=np.int32
         )
-        rows = np.arange(capacity, dtype=np.int32)[:, None]
-        np.copyto(views, (views + 1) % capacity, where=views == rows)
+        clash = views == np.arange(capacity, dtype=np.int32)[:, None]
+        views[clash] = (views[clash] + 1) % capacity
         self.views = views
         # reusable per-cycle scratch (peer picks and their liveness)
         self._peers = np.empty(capacity, dtype=np.int32)

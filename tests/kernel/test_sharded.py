@@ -39,6 +39,7 @@ from repro.topology import (
     CompleteTopology,
     ErdosRenyiTopology,
     RandomRegularTopology,
+    StarTopology,
 )
 
 WORKER_COUNTS = (1, 2, 4)
@@ -402,18 +403,20 @@ class TestPipelineMechanics:
         """A pathological 7-step window makes every cycle publish many
         segments, and 16 cycles alternate the two step-buffer banks
         through many reuse generations; the handoff must never
-        overwrite a bank that is still in flight."""
-        topology = CompleteTopology(96)
-        values = np.random.default_rng(23).normal(5.0, 2.0, topology.n)
-        kwargs = dict(topology=topology, values=values, seed=75)
-        ref_matrix, _, ref_result = run_engine(
-            "reference", kwargs, cycles=16
-        )
-        sh_matrix, _, sh_result = run_engine(
-            ShardedBackend(2, chunk=7), kwargs, cycles=16
-        )
-        assert np.array_equal(ref_matrix, sh_matrix)
-        assert ref_result.exchange_counts == sh_result.exchange_counts
+        overwrite a bank that is still in flight. On the star every
+        step touches the hub, so every window goes to the sequential
+        applier."""
+        for topology in (CompleteTopology(96), StarTopology(96)):
+            values = np.random.default_rng(23).normal(5.0, 2.0, topology.n)
+            kwargs = dict(topology=topology, values=values, seed=75)
+            ref_matrix, _, ref_result = run_engine(
+                "reference", kwargs, cycles=16
+            )
+            sh_matrix, _, sh_result = run_engine(
+                ShardedBackend(2, chunk=7), kwargs, cycles=16
+            )
+            assert np.array_equal(ref_matrix, sh_matrix)
+            assert ref_result.exchange_counts == sh_result.exchange_counts
 
     def test_phase_seconds_accumulate(self):
         topology = CompleteTopology(200)
