@@ -30,8 +30,15 @@ asserts three things:
 Each worker count also records the parent-side **phase breakdown**:
 ``plan`` (partner staging + greedy segmentation CPU), ``apply``
 (parent-side segment application: inline mode), and ``sync`` (time
-blocked on worker acknowledgements — the worker-apply latency the
-pipeline failed to hide).
+blocked on worker replies — the worker latency the pipeline failed to
+hide) — and ``worker_apply``, the busy seconds the slowest worker
+reported back.
+
+The sweep runs ``record="end"``; one more leg runs the same workload
+with ``record="cycle"`` — the per-cycle variance and mean every figure
+is read from — on vectorized and ``sharded:2``, and archives seconds,
+the parent's ``sync`` seconds, the workers' ``apply`` / ``moments``
+seconds and whether the two recorded trajectories are bitwise equal.
 
 ``--tenm`` runs the scale-up experiment instead: Figure 3(a)'s
 one-execution variance reduction and a Figure 4-style one-epoch size
@@ -88,33 +95,74 @@ TENM_EPOCH = 30  # one Figure 4 epoch at 10M
 TENM_RSS_BUDGET_BYTES = int(1.5 * 1024**3)
 
 
-def timed_engine_run(scenario, cycles):
+def timed_engine_run(scenario, cycles, record="end"):
     """Wall-clock one engine run; returns (seconds, final matrix,
     backend probe). The probe carries the sharded backend's parent-side
-    phase breakdown and whether ``auto`` stayed inline (empty/None for
-    other backends)."""
+    phase breakdown, the slowest worker's busy seconds per kind of
+    work, whether ``auto`` stayed inline (empty/None for other
+    backends), and the recorded variance / mean trajectories."""
     with GossipEngine(scenario) as engine:
         start = time.perf_counter()
-        engine.run(cycles, record="end")
+        result = engine.run(cycles, record=record)
         elapsed = time.perf_counter() - start
         backend = engine._backend
         probe = {
             "phase_seconds": dict(getattr(backend, "phase_seconds", {})),
+            "worker_seconds": {
+                kind: max(per_worker)
+                for kind, per_worker in getattr(
+                    backend, "worker_seconds", {}
+                ).items()
+            },
             "inline": getattr(backend, "inline", None),
+            "trajectories": (result.variances, result.means),
         }
         return elapsed, engine.matrix, probe
 
 
-def best_of(reps, build_scenario, cycles):
+def best_of(reps, build_scenario, cycles, record="end"):
     """Fastest of ``reps`` fresh engine runs — the gated comparisons
     use best-of so one scheduler hiccup on a shared box cannot fail an
     overhead gate that the code actually meets."""
     best = None
     for _ in range(reps):
-        seconds, matrix, probe = timed_engine_run(build_scenario(), cycles)
+        seconds, matrix, probe = timed_engine_run(
+            build_scenario(), cycles, record
+        )
         if best is None or seconds < best[0]:
             best = (seconds, matrix, probe)
     return best
+
+
+def record_cycle_leg(n, cycles, reps, workers=2):
+    """The product path — variance and mean recorded after every cycle
+    — on vectorized and ``sharded:<workers>``: wall-clock, the parent's
+    blocked seconds, what the workers were busy with, and whether the
+    two recorded trajectories (and final matrices) agree bitwise."""
+    vec_seconds, vec_matrix, vec_probe = best_of(
+        reps, lambda: service_scenario(n, "vectorized", cycles=cycles),
+        cycles, "cycle",
+    )
+    sh_seconds, sh_matrix, sh_probe = best_of(
+        reps,
+        lambda: service_scenario(n, f"sharded:{workers}", cycles=cycles),
+        cycles, "cycle",
+    )
+    prefix = f"record_cycle_sharded_w{workers}"
+    leg = {
+        "record_cycle_vectorized_seconds": vec_seconds,
+        f"{prefix}_seconds": sh_seconds,
+        f"{prefix}_sync_seconds": sh_probe["phase_seconds"].get("sync", 0.0),
+        "record_cycle_bitwise_equal": bool(
+            np.array_equal(vec_matrix, sh_matrix)
+            and vec_probe["trajectories"] == sh_probe["trajectories"]
+        ),
+    }
+    for kind in ("apply", "moments"):
+        leg[f"{prefix}_worker_{kind}_seconds"] = (
+            sh_probe["worker_seconds"].get(kind, 0.0)
+        )
+    return leg
 
 
 def equivalence_scenarios(n, seed=SEED):
@@ -186,6 +234,9 @@ def compute_shard(n=N, cycles=CYCLES, workers=WORKER_SWEEP, equiv_n=EQUIV_N,
             series[f"sharded_w{w}_{phase}_seconds"] = (
                 probe["phase_seconds"].get(phase, 0.0)
             )
+        series[f"sharded_w{w}_worker_apply_seconds"] = (
+            probe["worker_seconds"].get("apply", 0.0)
+        )
         equal = bool(np.array_equal(vec_matrix, sh_matrix))
         series[f"sharded_w{w}_bitwise_equal"] = equal
         all_bitwise = all_bitwise and equal
@@ -209,6 +260,8 @@ def compute_shard(n=N, cycles=CYCLES, workers=WORKER_SWEEP, equiv_n=EQUIV_N,
     series["auto_overhead_pct"] = (
         (auto_seconds - vec_seconds) / vec_seconds * 100.0
     )
+    series.update(record_cycle_leg(n, cycles, reps))
+    all_bitwise = all_bitwise and series["record_cycle_bitwise_equal"]
     series["bitwise_equal"] = all_bitwise
     # the ≥2x acceptance claim only makes sense where the workers have
     # core headroom over the floor (2x IS a 2-core host's ceiling), at
@@ -258,6 +311,25 @@ def render(series):
             f"{series[f'sharded_w{w}_sync_seconds']:.3f}"
             for w in series["worker_sweep"].split(",")
         )
+    )
+    lines.append(
+        "slowest worker's apply seconds: "
+        + "; ".join(
+            f"w={w} {series[f'sharded_w{w}_worker_apply_seconds']:.3f}"
+            for w in series["worker_sweep"].split(",")
+        )
+    )
+    lines.append(
+        f"record=\"cycle\": vectorized "
+        f"{series['record_cycle_vectorized_seconds']:.3f}s, sharded:2 "
+        f"{series['record_cycle_sharded_w2_seconds']:.3f}s (parent sync "
+        f"{series['record_cycle_sharded_w2_sync_seconds']:.3f}s; slowest "
+        f"worker apply "
+        f"{series['record_cycle_sharded_w2_worker_apply_seconds']:.3f}s, "
+        f"moments "
+        f"{series['record_cycle_sharded_w2_worker_moments_seconds']:.3f}s), "
+        f"trajectories bitwise equal: "
+        f"{series['record_cycle_bitwise_equal']}"
     )
     lines.append(
         f"sharded:auto overhead vs vectorized: "

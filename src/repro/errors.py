@@ -67,10 +67,10 @@ class ShardPoolError(SimulationError):
     worker, a :class:`threading.BrokenBarrierError` from a barrier
     timeout, a missing acknowledgement) in one typed error naming the
     ``phase`` of the shard protocol that failed (``"command"``,
-    ``"remap"``, ``"apply"``, ``"barrier"``) and, where it is known,
-    the index of the ``worker`` that stalled or exited. The full
-    worker diagnostics (tracebacks drained from the command pipes)
-    ride in ``detail``.
+    ``"remap"``, ``"apply"``, ``"moments"``, ``"barrier"``) and, where
+    it is known, the index of the ``worker`` that stalled or exited.
+    The full worker diagnostics (tracebacks drained from the command
+    pipes) ride in ``detail``.
     """
 
     def __init__(self, phase, *, worker=None, detail=""):

@@ -24,9 +24,12 @@ from .base import (
     SEGMENT_SEQUENTIAL,
     ExecutionBackend,
     GreedyScratch,
+    Moments,
+    MomentScratch,
     apply_disjoint_batch,
     apply_one_sided,
     apply_sequential,
+    column_moments,
     first_occurrence_ready,
     iter_greedy_segments,
     resolve_chunk,
@@ -55,6 +58,8 @@ __all__ = [
     "ExecutionBackend",
     "GREEDY_TAIL",
     "GreedyScratch",
+    "MomentScratch",
+    "Moments",
     "PAIR_CHUNK",
     "POOL_FAILURE_MODES",
     "PoolHealthReport",
@@ -69,6 +74,7 @@ __all__ = [
     "apply_disjoint_batch",
     "apply_one_sided",
     "apply_sequential",
+    "column_moments",
     "default_workers",
     "first_occurrence_ready",
     "iter_greedy_segments",

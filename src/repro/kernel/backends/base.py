@@ -24,7 +24,9 @@ batched backend builds on:
 * :func:`apply_one_sided` — the same scan for the engine's *one-sided*
   exchanges (message faults: the partner adopts the combined value,
   the initiator only where its reply survived), built from
-  :func:`apply_one_sided_batch` / :func:`apply_one_sided_sequential`.
+  :func:`apply_one_sided_batch` / :func:`apply_one_sided_sequential`,
+* :func:`column_moments` — the one reduction behind every reported
+  variance and mean, run by whichever process has the rows mapped.
 
 ``combine_array`` is IEEE-identical to the scalar ``combine`` (the
 :class:`~repro.core.aggregates.AggregateFunction` contract), so any
@@ -35,7 +37,7 @@ mix of the two appliers over an order-preserving segmentation is
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -415,6 +417,71 @@ def apply_one_sided(
     return delta, combined, sent
 
 
+class MomentScratch:
+    """The one ``(rows,)`` float64 buffer :func:`column_moments`
+    reduces every column through. Nothing is allocated before the
+    first use; the buffer is regrown only when the matrix outgrows it,
+    so a process pays for it once however many readings it takes."""
+
+    __slots__ = ("_buffer",)
+
+    def __init__(self):
+        self._buffer: Optional[np.ndarray] = None
+
+    def rows(self, count: int) -> np.ndarray:
+        """The leading ``count`` entries of the buffer."""
+        if self._buffer is None or len(self._buffer) < count:
+            self._buffer = np.empty(count, dtype=np.float64)
+        return self._buffer[:count]
+
+
+#: one column's ``(variance, mean)``, as :func:`column_moments` reports it
+Moments = Tuple[float, float]
+
+
+def column_moments(
+    matrix: np.ndarray,
+    columns: Sequence[int],
+    mask: Optional[np.ndarray] = None,
+    scratch: Optional[MomentScratch] = None,
+) -> List[Moments]:
+    """``(variance, mean)`` of each of ``columns`` over the rows
+    ``mask`` selects (``None``: every row) — the unbiased variance of
+    eq. 3 and the plain mean.
+
+    Per column the selected rows are copied into ``scratch`` and
+    reduced in place: ``add.reduce / n``, subtract, square,
+    ``add.reduce / (n - 1)`` — numpy's own operation sequence for
+    ``var(ddof=1)`` and ``mean()`` of a contiguous copy, so the result
+    equals ``matrix[:, c][mask].var(ddof=1)`` / ``.mean()`` bit for bit
+    with no per-call temporaries. Each column is reduced whole, by one
+    caller: splitting the *columns* between processes moves no bit,
+    splitting the rows would. ``matrix`` is only read. No rows:
+    ``(0.0, nan)``, silently; one row: ``(0.0, value)``.
+    """
+    selected = None if mask is None else np.flatnonzero(mask)
+    n = matrix.shape[0] if selected is None else len(selected)
+    if n == 0:
+        return [(0.0, float("nan"))] * len(columns)
+    values = (MomentScratch() if scratch is None else scratch).rows(n)
+    moments = []
+    for c in columns:
+        if selected is None:
+            np.copyto(values, matrix[:, c])
+        else:
+            # the indices are in range by construction, and every mode
+            # but "raise" writes straight into ``out``
+            np.take(matrix[:, c], selected, out=values, mode="clip")
+        mean = np.add.reduce(values) / n
+        variance = 0.0
+        if n > 1:
+            np.subtract(values, mean, out=values)
+            np.multiply(values, values, out=values)
+            variance = float(np.add.reduce(values) / (n - 1))
+        moments.append((variance, float(mean)))
+    return moments
+
+
 def _first_distinct_batch(
     candidates: np.ndarray, view_size: int, capacity: int
 ) -> np.ndarray:
@@ -688,8 +755,28 @@ class ExecutionBackend(ABC):
         point); the engine calls :meth:`sync` before every matrix
         *read* (variance/mean observers, epoch finalize) and every
         engine-side matrix *write* (churn admissions, epoch reseeds) so
-        no consumer ever sees a half-applied cycle.
+        no consumer ever sees a half-applied cycle. Deferred readings
+        (:meth:`defer_moments`) are waited for as well: after
+        :meth:`sync` nothing but the caller touches the matrix.
         """
+
+    def defer_moments(
+        self, matrix: np.ndarray, columns: Sequence[int]
+    ) -> Optional[Callable[[], List[Moments]]]:
+        """Take :func:`column_moments` of ``columns`` over every row of
+        the adopted ``matrix`` *behind whatever is in flight*, without
+        the caller waiting for it.
+
+        Returns ``None`` when the backend cannot (the default: there is
+        nothing in flight to read behind, so the caller calls
+        :meth:`sync` and reduces the matrix itself), else a
+        zero-argument callable that blocks until the reading is in and
+        returns it. The reading is of the matrix as every apply call
+        submitted so far leaves it; the caller may go on submitting
+        apply calls, and must call :meth:`sync` before writing the
+        matrix itself, as ever.
+        """
+        return None
 
     def release_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Counterpart of :meth:`adopt_matrix` at shutdown: return a

@@ -45,6 +45,17 @@ worker processes:
   before every matrix read or engine-side write (observers, churn
   admissions, epoch reseeds) so no consumer sees a half-applied cycle.
 
+* **Readings.** The per-cycle variance and mean of a recorded run do
+  not need the parent: :meth:`ShardedBackend.defer_moments` queues a
+  ``moments`` command behind the published schedules, each worker
+  reduces its share of the *columns* (:func:`~.base.column_moments` —
+  whole columns, so the bits do not depend on the worker count) once
+  the last schedule's closing barrier has passed, and the parent
+  collects the replies when the engine asks for them — after the run,
+  not once per cycle. Acknowledgements and readings come back in
+  publish order on every pipe, so the parent keeps one queue of what
+  it is owed and :meth:`sync` waits for all of it.
+
 * **Bitwise equality.** The schedule preserves per-node step order,
   disjoint steps commute exactly, and ``combine_array`` matches scalar
   ``combine`` bit for bit, so the result is identical to the
@@ -91,7 +102,16 @@ import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Deque, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -102,8 +122,11 @@ from .base import (
     SEGMENT_BATCH,
     ExecutionBackend,
     GreedyScratch,
+    Moments,
+    MomentScratch,
     apply_disjoint_batch,
     apply_sequential,
+    column_moments,
     iter_greedy_segments,
     resolve_chunk,
 )
@@ -182,7 +205,8 @@ def _non_negative_int(name: str, value: Optional[int], default: int) -> int:
 class _PoolFailure(Exception):
     """Internal signal a detection site raises under a self-healing
     failure policy instead of aborting the pool: the recovery
-    boundaries (:meth:`ShardedBackend.sync`, ``_apply``, ``_map``)
+    boundaries (:meth:`ShardedBackend.sync` and the ticket of a
+    deferred reading, ``_apply``, ``_map``, ``defer_moments``)
     catch it and decide between replay-and-respawn and degrading.
     Never escapes the backend."""
 
@@ -220,6 +244,33 @@ class PoolHealthReport:
 _BATCH = SEGMENT_BATCH
 
 Segment = Tuple[int, int, int]
+
+#: replies the parent lets pile up in the command pipes ahead of a new
+#: reading; past that, the reading first collects the oldest. Cycles
+#: that publish a schedule drain their bank and stay within it (the
+#: last reading but one, two schedules and the reading between them);
+#: a run of cycles with no exchanges would otherwise queue one unread
+#: reply per cycle until the pipe is full and parent and workers block
+#: on each other's sends.
+_MAX_UNCOLLECTED = 4
+
+
+class _Reading:
+    """One deferred :func:`~.base.column_moments` reading: the columns
+    asked for and, once every worker has replied, their moments. The
+    engine's ticket and the in-flight queue share it, so a reply met
+    while draining for another reason lands where the ticket looks."""
+
+    __slots__ = ("columns", "moments")
+
+    def __init__(self, columns: Tuple[int, ...]):
+        self.columns = columns
+        self.moments: Optional[List[Moments]] = None
+
+
+#: an operation the workers owe a reply for, in publish order:
+#: ``("applied", bank, None)`` or ``("moments", serial, reading)``
+_InFlight = Tuple[str, int, Optional[_Reading]]
 
 
 def default_workers() -> int:
@@ -270,17 +321,22 @@ def _worker_slice(start: int, end: int, index: int, workers: int) -> slice:
 def _worker_main(
     conn, barrier, index: int, workers: int, timeout: float,
 ) -> None:
-    """Worker loop: remap / functions / apply / quit commands.
+    """Worker loop: remap / functions / apply / moments / quit
+    commands.
 
     The barrier has ``workers`` parties (the parent is off planning
     the next schedule), worker 0 applies the conflicted sequential
     tails, and each worker acknowledges every completed schedule with
-    ``("applied", bank)``.
+    ``("applied", bank, seconds)`` and every reading with
+    ``("moments", serial, moments, seconds)`` — ``seconds`` is the time
+    the worker was busy with it, barrier waits excluded.
     """
     shm: Optional[shared_memory.SharedMemory] = None
     view = None
     banks: Tuple = ()
     functions: Tuple[AggregateFunction, ...] = ()
+    scratch = MomentScratch()
+    clock = time.perf_counter
     try:
         while True:
             message = conn.recv()
@@ -313,7 +369,9 @@ def _worker_main(
             elif command == "apply":
                 _, bank, segments = message
                 step_i, step_j = banks[bank]
+                busy = 0.0
                 for start, end, kind in segments:
+                    started = clock()
                     if kind == _BATCH:
                         sl = _worker_slice(start, end, index, workers)
                         apply_disjoint_batch(
@@ -327,8 +385,23 @@ def _worker_main(
                             view, functions,
                             step_i[start:end], step_j[start:end],
                         )
+                    busy += clock() - started
                     barrier.wait(timeout)
-                conn.send(("applied", bank))
+                conn.send(("applied", bank, busy))
+            elif command == "moments":
+                # the barrier that ended the last schedule is the
+                # consistent cut: every peer is past its last write.
+                # Each column is reduced whole by exactly one worker,
+                # so the bits do not depend on the worker count
+                _, serial, columns = message
+                started = clock()
+                moments = column_moments(
+                    view, columns[index::workers], scratch=scratch
+                )
+                busy = clock() - started
+                # nobody starts the next schedule while a peer reads
+                barrier.wait(timeout)
+                conn.send(("moments", serial, moments, busy))
     except (EOFError, KeyboardInterrupt):
         # the parent closed the command pipe (shutdown) — exit quietly
         pass
@@ -453,9 +526,16 @@ class ShardedBackend(ExecutionBackend):
         #: parent-side wall-clock breakdown, accumulated across calls:
         #: ``plan`` = segmentation + bank writes + publish, ``apply`` =
         #: parent-applied work (the inline / degraded fallback),
-        #: ``sync`` = time blocked on worker acknowledgements.
-        #: ``bench_shard.py`` archives these.
+        #: ``sync`` = time blocked on worker replies (acknowledgements
+        #: and readings). ``bench_shard.py`` archives these.
         self.phase_seconds = {"plan": 0.0, "apply": 0.0, "sync": 0.0}
+        #: worker-side busy seconds, one total per worker, as the
+        #: workers report them with each reply: ``apply`` = applying
+        #: schedules, ``moments`` = deferred readings
+        self.worker_seconds: Dict[str, List[float]] = {
+            "apply": [0.0] * self.workers,
+            "moments": [0.0] * self.workers,
+        }
         #: full value-matrix copies performed by adopt/grow hand-offs —
         #: the churn-growth regression test pins this to exactly one
         #: copy per growth (it used to be two: engine vstack + adopt)
@@ -495,11 +575,14 @@ class ShardedBackend(ExecutionBackend):
         self._inline = False
         self._vector: Optional[VectorizedBackend] = None
         self._sent_functions: Optional[Tuple] = None
-        # pipeline state: which bank the next schedule plans
-        # into, and the banks of schedules still in flight (FIFO; at
-        # most two — one per bank)
+        # pipeline state: which bank the next schedule plans into,
+        # and what the workers still owe a reply for, in publish order
+        # (at most one schedule per bank, plus the readings queued
+        # behind them) — every worker replies in that order, so the
+        # head of the queue is always the next message on every pipe
         self._next_bank = 0
-        self._inflight: Deque[int] = deque()
+        self._inflight: Deque[_InFlight] = deque()
+        self._readings_taken = 0
         # planner scratch (parent-side greedy segmentation)
         self._scratch = GreedyScratch()
         self._finalizer = weakref.finalize(
@@ -765,8 +848,10 @@ class ShardedBackend(ExecutionBackend):
             slice_seconds = min(slice_seconds * 2, 0.5)
 
     def _await_acks(self, expected: str, phase: str,
-                    payload=None) -> None:
-        """One confirmation message from every worker, in pool order."""
+                    payload=None) -> List[Tuple]:
+        """One confirmation message from every worker, in pool order;
+        returns them."""
+        replies = []
         for index, pipe in enumerate(self._pipes):
             failure = None
             try:
@@ -777,6 +862,7 @@ class ShardedBackend(ExecutionBackend):
                         and message[0] == expected
                         and (payload is None or message[1] == payload)
                     ):
+                        replies.append(message)
                         continue
                     failure = (
                         message[1] if message and message[0] == "error"
@@ -794,14 +880,26 @@ class ShardedBackend(ExecutionBackend):
             except (EOFError, OSError):
                 failure = "exited"
             self._fail(phase, index, failure)
+        return replies
 
     def _drain_oldest(self) -> None:
-        """Receive the ``applied`` acknowledgement set for the oldest
-        in-flight schedule."""
-        bank = self._inflight[0]
-        self._await_acks("applied", "apply", payload=bank)
+        """Receive every worker's reply to the oldest in-flight
+        operation: the ``applied`` acknowledgements of a schedule, or
+        the per-worker parts of a reading, which are put together in
+        the :class:`_Reading` its ticket holds."""
+        expected, key, reading = self._inflight[0]
+        phase = "apply" if reading is None else "moments"
+        replies = self._await_acks(expected, phase, payload=key)
         self._inflight.popleft()
-        if not self._inflight:
+        seconds = self.worker_seconds[phase]
+        for index, reply in enumerate(replies):
+            seconds[index] += reply[-1]
+        if reading is not None:
+            moments: List = [None] * len(reading.columns)
+            for index, reply in enumerate(replies):
+                moments[index::self.workers] = reply[2]
+            reading.moments = moments
+        elif not any(entry[2] is None for entry in self._inflight):
             # everything published is applied: the healing journal has
             # nothing left to replay (healing mode keeps at most one
             # schedule in flight, so this fires after every drain)
@@ -810,28 +908,74 @@ class ShardedBackend(ExecutionBackend):
     def _drain_bank(self, bank: int) -> None:
         """Phase one of the bank handoff: the parent may only plan
         into a bank whose previous schedule has been acknowledged."""
-        while bank in self._inflight:
+        while ("applied", bank, None) in self._inflight:
             self._drain_oldest()
 
-    def sync(self) -> None:
-        """Block until every published schedule has been applied (the
-        engine calls this before matrix reads and engine-side writes;
-        a no-op for inline mode and idle pools). Under a
-        self-healing failure policy a pool death detected here is
-        recovered in place: the journaled schedule is replayed inline,
-        so the matrix the caller is about to read is exactly the state
-        the dead pool was asked to produce."""
-        if not self._inflight:
-            return
+    def _drain_while(self, waiting: Callable[[], bool]) -> None:
+        """Collect replies, oldest first, while ``waiting()`` — timed
+        as ``sync``. Under a self-healing failure policy a pool death
+        detected here is recovered in place (:meth:`_recover`), which
+        leaves nothing in flight."""
         started = time.perf_counter()
         try:
-            while self._inflight:
+            while self._inflight and waiting():
                 try:
                     self._drain_oldest()
                 except _PoolFailure as failure:
                     self._recover(failure)
         finally:
             self.phase_seconds["sync"] += time.perf_counter() - started
+
+    def sync(self) -> None:
+        """Block until every published schedule has been applied and
+        every deferred reading taken — the pool is idle and the matrix
+        is the caller's (the engine calls this before matrix reads and
+        engine-side writes; a no-op for inline mode and idle pools).
+        Under a self-healing failure policy a pool death detected here
+        is recovered in place: the journaled schedule is replayed
+        inline, so the matrix the caller is about to read is exactly
+        the state the dead pool was asked to produce."""
+        if self._inflight:
+            self._drain_while(lambda: True)
+
+    def defer_moments(
+        self, matrix: np.ndarray, columns: Sequence[int]
+    ) -> Optional[Callable[[], List[Moments]]]:
+        """Queue a ``moments`` command behind the published schedules:
+        worker ``w`` reduces ``columns[w::workers]`` of the shared
+        matrix once the last schedule's closing barrier has passed,
+        the workers meet at the barrier again so that none starts the
+        next schedule while a peer still reads, and each replies on its
+        pipe. Offered only for the engine's adopted matrix on a live
+        pool; the inline and degraded paths have nothing in flight to
+        read behind."""
+        if matrix is not self._view:
+            return None
+        self._drain_while(lambda: len(self._inflight) > _MAX_UNCOLLECTED)
+        if self._degraded or not self._procs:
+            return None
+        reading = _Reading(tuple(columns))
+        serial = self._readings_taken
+        try:
+            self._broadcast(("moments", serial, reading.columns))
+        except _PoolFailure as failure:
+            # recovery leaves the matrix as the lost pool was asked to
+            # leave it and nothing in flight: the caller reads it
+            self._recover(failure)
+            return None
+        self._readings_taken = serial + 1
+        self._inflight.append(("moments", serial, reading))
+        return lambda: self._collect(reading)
+
+    def _collect(self, reading: _Reading) -> List[Moments]:
+        """Resolve a ticket: block until the reading is in."""
+        self._drain_while(lambda: reading.moments is None)
+        if reading.moments is None:
+            raise ShardPoolError(
+                "moments",
+                detail="the pool was lost before this reading was taken",
+            )
+        return reading.moments
 
     # -- self-healing -----------------------------------------------------
 
@@ -890,7 +1034,8 @@ class ShardedBackend(ExecutionBackend):
 
     def _recover(self, failure: _PoolFailure) -> bool:
         """The self-healing boundary: tear the dead pool down, replay
-        any journaled in-flight schedule inline, then respawn (within
+        any journaled in-flight schedule inline, take the readings that
+        were lost with the pool, then respawn (within
         the ``max_respawns`` budget) or degrade to in-process
         vectorized execution for the rest of the run. Returns whether
         a journaled schedule was replayed — ``True`` means the failed
@@ -907,11 +1052,18 @@ class ShardedBackend(ExecutionBackend):
         _stop_pool(self._procs, self._pipes)
         self._barrier = None
         self._sent_functions = None
+        lost = [entry[2] for entry in self._inflight if entry[2] is not None]
         self._inflight.clear()
         replayed = False
         if self._journal_pending:
             self._replay_journal()
             replayed = True
+        for reading in lost:
+            # a healing pool publishes no schedule past an unresolved
+            # reading (_apply syncs first) and the engine writes nothing
+            # before a sync, so after the replay the matrix is the
+            # state every lost reading was asked of
+            reading.moments = column_moments(self._view, reading.columns)
         event = {
             "phase": failure.phase,
             "worker": failure.worker,
@@ -1261,7 +1413,7 @@ class ShardedBackend(ExecutionBackend):
                                            tuple(functions))
                 self._fire_faults(bank, call_index)
                 self._broadcast(("apply", bank, segments))
-                self._inflight.append(bank)
+                self._inflight.append(("applied", bank, None))
                 self._next_bank = bank ^ 1
                 if borrowed:
                     # direct use has no engine to call sync() before

@@ -62,7 +62,17 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -77,7 +87,10 @@ from ..rng import make_rng
 from .backends import (
     ExecutionBackend,
     GreedyScratch,
+    Moments,
+    MomentScratch,
     apply_one_sided,
+    column_moments,
     make_backend,
 )
 from .checkpoint import (
@@ -93,6 +106,12 @@ from .lifecycle import EpochRestart, EpochView
 from .membership import PartnerProvider, build_provider
 from .pairs import PairDraw
 from .scenario import Scenario
+
+
+#: one record point of :meth:`GossipEngine.run`: every instance's
+#: ``(variance, mean)`` in column order, or the backend's ticket for
+#: them (:meth:`ExecutionBackend.defer_moments`)
+RecordPoint = Union[List[Moments], Callable[[], List[Moments]]]
 
 
 @dataclass
@@ -367,6 +386,12 @@ class GossipEngine:
         self._invariant_findings: List[InvariantFinding] = []
         if os.environ.get("REPRO_STRICT_INVARIANTS") == "1":
             self.arm_standard_monitors(strict=True)
+        # every column's (variance, mean) over the participants at the
+        # current state, or None: filled by one column_moments call,
+        # dropped by the only three things that write the matrix or the
+        # participant mask — run_cycle(), crash(), _load_state()
+        self._moments: Optional[List[Moments]] = None
+        self._moment_scratch = MomentScratch()
         self.cycle = 0
 
     def _alloc_retry_state(self, capacity: int, k: int) -> None:
@@ -532,16 +557,30 @@ class GossipEngine:
         column = self._matrix[:, self._column_index(name)]
         return column[self.honest_mask]
 
+    def _column_moments(self, name: Optional[Hashable]) -> Moments:
+        """One instance's ``(variance, mean)`` over the participants.
+        The first read of a state reduces every column in one kernel
+        call; the others, until the state changes, are lookups."""
+        index = self._column_index(name)
+        if self._moments is None:
+            self._backend.sync()
+            everyone = self._participant.all()
+            self._moments = column_moments(
+                self._matrix,
+                range(self._matrix.shape[1]),
+                None if everyone else self._participant,
+                self._moment_scratch,
+            )
+        return self._moments[index]
+
     def variance(self, name: Optional[Hashable] = None) -> float:
-        """Unbiased variance of participants' approximations (eq. 3)."""
-        alive = self.alive_column(name)
-        if len(alive) < 2:
-            return 0.0
-        return float(alive.var(ddof=1))
+        """Unbiased variance of participants' approximations (eq. 3);
+        0.0 with fewer than two participants."""
+        return self._column_moments(name)[0]
 
     def mean(self, name: Optional[Hashable] = None) -> float:
-        """Mean of participants' approximations."""
-        return float(self.alive_column(name).mean())
+        """Mean of participants' approximations; ``nan`` with none."""
+        return self._column_moments(name)[1]
 
     @property
     def aggregate_functions(self) -> Tuple:
@@ -648,6 +687,7 @@ class GossipEngine:
         """Crash-stop nodes; their approximations leave the system and
         (under churn) their slots become recyclable."""
         version = self._mask_version
+        self._moments = None
         for node_id in node_ids:
             if not 0 <= node_id < self.capacity:
                 raise ConfigurationError(f"node id {node_id} out of range")
@@ -1074,6 +1114,7 @@ class GossipEngine:
                 f"not match the scenario's "
                 f"{[str(n) for n in scenario.instance_names]}"
             )
+        self._moments = None
         self._matrix = self._backend.restore_matrix(
             self._matrix, saved_matrix
         )
@@ -1215,6 +1256,7 @@ class GossipEngine:
         state; a strict monitor's violation raises
         :class:`~repro.errors.InvariantViolation`."""
         executed = self.cycle
+        self._moments = None
         count = self._run_cycle_inner()
         if self._monitor_entries:
             self._observe_invariants(executed)
@@ -1664,6 +1706,20 @@ class GossipEngine:
             self._mf_due[slots] = cycle + self._mf_delays[attempts]
         return n
 
+    def _record_point(self) -> RecordPoint:
+        """Every instance's ``(variance, mean)`` at the current state,
+        in column order — or, when every slot participates and the
+        backend can take the reading behind the cycle it is still
+        applying, its ticket for them. Anything else reads now, through
+        :meth:`variance` and :meth:`mean`."""
+        if self._moments is None and self._participant.all():
+            ticket = self._backend.defer_moments(
+                self._matrix, range(self._matrix.shape[1])
+            )
+            if ticket is not None:
+                return ticket
+        return [(self.variance(name), self.mean(name)) for name in self._names]
+
     def run(
         self,
         cycles: Optional[int] = None,
@@ -1676,7 +1732,11 @@ class GossipEngine:
         ``record="cycle"`` captures per-instance variance and mean after
         every cycle (the figures' trajectories); ``record="end"``
         captures only the initial and final snapshot, keeping scale runs
-        free of per-cycle reduction passes. Epoch-restarted runs skip
+        free of per-cycle reduction passes. Where the backend can take
+        a reading behind the cycle it is still applying
+        (:meth:`~repro.kernel.backends.ExecutionBackend.defer_moments`)
+        the records are collected once, before returning, instead of
+        draining the pipeline at every cycle. Epoch-restarted runs skip
         the per-instance records (the instance count may change every
         epoch) but always record the per-cycle ``alive_counts`` size
         trace and collect ``epoch_results``; an epoch that ends exactly
@@ -1713,19 +1773,19 @@ class GossipEngine:
         epochs_already_reported = len(self._epoch_results)
         phi_already_reported = len(self._phi_log)
         result = KernelRunResult(instance_names=self._names)
+        # one entry per record point: the moments, or the backend's
+        # ticket for them — collected only once the run is over, so
+        # the pipeline is not drained at every point
+        points: List[RecordPoint] = []
         if not epoch_mode:
-            for name in self._names:
-                result.variances[name] = [self.variance(name)]
-                result.means[name] = [self.mean(name)]
+            points.append(self._record_point())
         result.alive_counts.append(self.alive_count)
         per_cycle = record == "cycle"
         for _ in range(cycles):
             exchanges = self.run_cycle()
             if per_cycle:
                 if not epoch_mode:
-                    for name in self._names:
-                        result.variances[name].append(self.variance(name))
-                        result.means[name].append(self.mean(name))
+                    points.append(self._record_point())
                 result.alive_counts.append(self.alive_count)
             result.exchange_counts.append(exchanges)
             if (
@@ -1737,9 +1797,7 @@ class GossipEngine:
                     prune_checkpoints(checkpoint.directory, checkpoint.keep)
         if not per_cycle and cycles > 0:
             if not epoch_mode:
-                for name in self._names:
-                    result.variances[name].append(self.variance(name))
-                    result.means[name].append(self.mean(name))
+                points.append(self._record_point())
             result.alive_counts.append(self.alive_count)
         if (
             epoch_mode
@@ -1749,6 +1807,15 @@ class GossipEngine:
             # a run ending exactly on an epoch boundary publishes that
             # epoch's converged estimates
             self._finalize_epoch(self.cycle - 1)
+        if not epoch_mode:
+            for name in self._names:
+                result.variances[name] = []
+                result.means[name] = []
+            for point in points:
+                moments = point() if callable(point) else point
+                for name, (variance, mean) in zip(self._names, moments):
+                    result.variances[name].append(variance)
+                    result.means[name].append(mean)
         result.epoch_results = self._epoch_results[epochs_already_reported:]
         result.phi_counts = self._phi_log[phi_already_reported:]
         return result

@@ -14,6 +14,7 @@ via :class:`FaultSpec` through ``ShardedBackend.inject_faults``.
 
 import os
 import pickle
+import signal
 import time
 
 import numpy as np
@@ -169,6 +170,76 @@ class TestRecovery:
         try:
             with pytest.raises(ShardPoolError):
                 engine.run(CYCLES)
+        finally:
+            engine.close()
+        assert _shm_segments() <= before, "leaked /dev/shm segments"
+
+
+class TestDeferredReadings:
+    """A static ``record="cycle"`` run leaves its per-cycle readings
+    with the workers (``defer_moments``); a worker that dies with one
+    outstanding must cost neither a recorded value nor a segment."""
+
+    @staticmethod
+    def _static(backend):
+        values = np.random.default_rng(3).normal(10.0, 4.0, N)
+        return Scenario(CompleteTopology(N), values, cycles=CYCLES,
+                        seed=17, backend=backend)
+
+    def _recorded(self, backend):
+        with GossipEngine(self._static(backend)) as engine:
+            result = engine.run(CYCLES, record="cycle")
+            return result.variances, result.means, engine.matrix.tobytes()
+
+    @pytest.mark.parametrize("mode", ["respawn", "inline"])
+    @pytest.mark.parametrize("worker", [0, 1])
+    def test_killed_worker_loses_no_reading(self, mode, worker):
+        expected = self._recorded("vectorized")
+        before = _shm_segments()
+        backend = ShardedBackend(2, on_failure=mode)
+        backend.inject_faults(
+            [FaultSpec("kill_worker", worker=worker, at_call=4)])
+        assert self._recorded(backend) == expected
+        report = backend.health_report()
+        assert [event["worker"] for event in report.events] == [worker]
+        assert report.degraded == (mode == "inline")
+        assert _shm_segments() <= before, "leaked /dev/shm segments"
+
+    def test_reading_lost_after_its_schedule_was_applied(self):
+        """The worker dies *between* acknowledging the schedule and
+        taking the reading queued behind it: nothing is left to replay,
+        and the reading is taken inline from the applied state."""
+        expected = self._recorded("vectorized")
+        backend = ShardedBackend(2, on_failure="respawn")
+        with GossipEngine(self._static(backend)) as engine:
+            first = engine.run(3, record="cycle")
+            engine.run_cycle()
+            backend.sync()
+            os.kill(backend._procs[1].pid, signal.SIGKILL)
+            ticket = backend.defer_moments(engine._matrix, [0])
+            lost = ticket() if ticket is not None else None
+            rest = engine.run(CYCLES - 4, record="cycle")
+            events = backend.health_report().events
+            final = engine.matrix.tobytes()
+        assert [event["replayed"] for event in events] == [False]
+        variances = first.variances["mean"] + rest.variances["mean"]
+        means = first.means["mean"] + rest.means["mean"]
+        assert (variances, means) == (
+            expected[0]["mean"], expected[1]["mean"]
+        )
+        assert lost is None or lost == [(variances[4], means[4])]
+        assert final == expected[2]
+
+    def test_raise_mode_fails_fast(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "3")
+        before = _shm_segments()
+        backend = ShardedBackend(2, on_failure="raise")
+        backend.inject_faults(
+            [FaultSpec("kill_worker", worker=1, at_call=3)])
+        engine = GossipEngine(self._static(backend))
+        try:
+            with pytest.raises(ShardPoolError):
+                engine.run(CYCLES, record="cycle")
         finally:
             engine.close()
         assert _shm_segments() <= before, "leaked /dev/shm segments"
