@@ -52,10 +52,11 @@ VIEW_SIZE = 20
 SEED = 2004
 EQUIVALENCE_N = 600  # all-backend replay size
 #: newscast/oracle wall-clock ceiling at acceptance scale: the archived
-#: 16.5x (BENCH_membership.json) + 25 %. A ratio, so it holds when a
-#: slower runner moves both timings. Smoke sizes are not gated: the
-#: ratio is lower there (10x at N=20k, 16x from N=200k up)
-MAX_OVERHEAD_RATIO = 20.6
+#: 9.6x (BENCH_membership.json) + 25 %. A ratio, so it holds when a
+#: slower runner moves both timings — though not when one run of the
+#: two is disturbed: the oracle run alone read 3.7-4.9 s on the day of
+#: the archive. Smoke sizes are not gated
+MAX_OVERHEAD_RATIO = 12.0
 EQUIVALENCE_BACKENDS = ("reference", "vectorized", "sharded:2")
 
 

@@ -22,6 +22,7 @@ from .base import (
     PAIR_CHUNK,
     SEGMENT_BATCH,
     SEGMENT_SEQUENTIAL,
+    VIEW_TAIL,
     ExecutionBackend,
     GreedyScratch,
     Moments,
@@ -70,6 +71,7 @@ __all__ = [
     "SHARD_INLINE",
     "SHARD_TAIL",
     "ShardedBackend",
+    "VIEW_TAIL",
     "VectorizedBackend",
     "apply_disjoint_batch",
     "apply_one_sided",

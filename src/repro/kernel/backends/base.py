@@ -66,6 +66,20 @@ GREEDY_TAIL = 48
 SEGMENT_BATCH = 0
 SEGMENT_SEQUENTIAL = 1
 
+#: the view path's scalar threshold, where :data:`GREEDY_TAIL` serves
+#: the value path. A scalar value step costs 0.2 µs, a scalar view
+#: merge 10 µs, and one more round of the planner — a scan and a
+#: :func:`merge_views_batch` call on a handful of steps — ≈ 50 µs, so
+#: the break-even sits near eight merges, not 48.
+VIEW_TAIL = 8
+
+#: the widest row numpy's sort handles at its cheapest: a ``(rows, w)``
+#: int32 or int64 block sorts along its rows in half the time at any
+#: ``w <= 32`` that it takes at ``33 <= w <= 64``.
+#: :func:`merge_views_batch` cuts its candidate block here when the
+#: full ``2 * view_size + 2`` columns would cross it.
+VIEW_SORT_WIDTH = 32
+
 _NO_STEPS = np.empty(0, dtype=np.intp)
 
 
@@ -484,10 +498,17 @@ def column_moments(
 
 def _first_distinct_batch(
     candidates: np.ndarray, view_size: int, capacity: int
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Per row: the first ``view_size`` distinct entries in candidate
     order, padded with the remaining duplicates (in order) when fewer
-    distinct values exist. Entries must lie in ``[0, capacity)``.
+    distinct values exist. Entries must lie in ``[0, capacity)``; a row
+    holds ``view_size`` candidates or more. Returns ``(firsts,
+    complete)``: the ``(rows, view_size)`` answer and, per row, whether
+    it found ``view_size`` distinct entries — no duplicate pads it, and
+    no candidate appended on the right could change it, which is what
+    lets :func:`merge_views_batch` hand in a prefix of the candidate
+    sequence first. ``candidates`` is scratch: where the keys fit its
+    dtype they are built in place, and ``firsts`` is a view of it.
 
     Two in-place value sorts of bit-packed keys, no index bookkeeping
     (a plain row sort is ~5x cheaper than an argsort at this width, and
@@ -499,28 +520,43 @@ def _first_distinct_batch(
       repeat occurrence;
     * sort 2 orders ``((dup << s | col) << capbits) | id`` — first
       occurrences in column order, then repeats in column order; the
-      answer is the low ``capbits`` bits of the leading columns.
+      answer is the low ``capbits`` bits of the leading columns, and a
+      row is complete when its ``view_size``-th key carries no ``dup``
+      bit.
 
     Keys are int32 while ``s + 1 + capbits`` fits 31 bits (capacity up
-    to 16.7M at ``view_size`` 20), int64 above that.
+    to 16.7M at ``view_size`` 20), int64 above that. One block-sized
+    temporary (``ids``, reused for the ``dup`` bits) is all the kernel
+    allocates beside the bool flags: blocks of a few hundred kB sit
+    above glibc's mmap threshold, and a fresh one costs its page faults
+    — more than the pass that fills it.
     """
     width = candidates.shape[1]
     s = (width - 1).bit_length()
     capbits = max(capacity - 1, 1).bit_length()
     dtype = np.int32 if s + 1 + capbits <= 31 else np.int64
-    keys = np.left_shift(candidates, s, dtype=dtype)
+    keys = candidates.astype(dtype, copy=False)
+    keys <<= s
     keys |= np.arange(width, dtype=dtype)
     keys.sort(axis=1)
     ids = keys >> s
     keys &= (1 << s) - 1
     keys <<= capbits
     keys |= ids
-    keys[:, 1:] |= np.left_shift(
-        ids[:, 1:] == ids[:, :-1], s + capbits, dtype=dtype
-    )
+    # id[k] == id[k-1] over the flattened block, one contiguous pass
+    # (column slices would run one inner loop per row); the compare
+    # that straddles two rows lands in column 0, which is cleared
+    dup = np.empty(ids.shape, dtype=bool)
+    flat = ids.reshape(-1)
+    np.equal(flat[1:], flat[:-1], out=dup.reshape(-1)[1:])
+    dup[:, 0] = False
+    # the ids are packed into the keys by now: their block takes the bits
+    keys |= np.left_shift(dup, s + capbits, out=ids, dtype=dtype)
     keys.sort(axis=1)
-    firsts = keys[:, :view_size] & ((1 << capbits) - 1)
-    return firsts.astype(candidates.dtype, copy=False)
+    complete = keys[:, view_size - 1] < (1 << (s + capbits))
+    keys &= (1 << capbits) - 1
+    firsts = keys[:, :view_size]
+    return firsts.astype(candidates.dtype, copy=False), complete
 
 
 def _first_distinct_row(candidates: list, view_size: int) -> list:
@@ -537,6 +573,24 @@ def _first_distinct_row(candidates: list, view_size: int) -> list:
             firsts.append(entry)
     firsts += repeats
     return firsts[:view_size]
+
+
+def _interleave(
+    cand: np.ndarray,
+    own: np.ndarray,
+    partner: np.ndarray,
+    rows: np.ndarray,
+    mates: np.ndarray,
+) -> None:
+    """Fill ``cand`` with the leading ``cand.shape[1]`` entries of
+    ``[own, partner, own[0], partner's[0], own[1], partner's[1], …]``,
+    row for row: ``own`` / ``partner`` are the two ids, ``rows`` /
+    ``mates`` the nodes' own views and their partners'."""
+    width = cand.shape[1]
+    cand[:, 0] = own
+    cand[:, 1] = partner
+    cand[:, 2::2] = rows[:, :(width - 1) // 2]
+    cand[:, 3::2] = mates[:, :(width - 2) // 2]
 
 
 def merge_views_batch(
@@ -557,23 +611,56 @@ def merge_views_batch(
     peers. Pure integer column ops — the int32 analogue of
     :func:`apply_disjoint_batch` — so batching versus one-at-a-time
     application is trivially bitwise-identical.
+
+    *The rewrite is not a pass.* A rewritten self-entry repeats the
+    partner of column 0, so it is never a first occurrence. Putting the
+    node itself in front of its candidates (:func:`_interleave`),
+    keeping ``view_size + 1`` distinct ids and dropping the first makes
+    the raw self-entry a repeat in exactly the same columns; the two
+    differ only where duplicates *pad* a row, and there the node is
+    rewritten to its partner in the answer.
+
+    *Prefix first.* Where the candidates straddle
+    :data:`VIEW_SORT_WIDTH` only the leading that-many are assembled,
+    keyed and sorted (:func:`_first_distinct_batch`). A row that is
+    complete on them is finished: the first *k* distinct entries of a
+    sequence are those of any prefix that holds *k*. The others — two
+    views that overlap heavily, ≈ 1.4 % of the rows of the pinned
+    N = 5 000 overlay — are redone at full width by the same kernel,
+    which also keeps the duplicate-padding case. Both passes are exact,
+    so which rows take the second is invisible in the result.
     """
     m = len(batch_a)
     if m == 0:
         return
     capacity, view_size = views.shape
+    full = 2 * view_size + 2
+    width = VIEW_SORT_WIDTH if view_size < VIEW_SORT_WIDTH < full else full
     # both sides as one block: rows [:m] rebuild a's views, [m:] b's
     index = np.concatenate((batch_a, batch_b), dtype=np.intp)
     own = index.astype(views.dtype)
-    partner = np.concatenate((own[m:], own[:m]))
     rows = views.take(index, axis=0)
-    cand = np.empty((2 * m, 2 * view_size + 1), dtype=views.dtype)
-    cand[:, 0] = partner
-    cand[:, 1::2] = rows
-    cand[:m, 2::2] = rows[m:]
-    cand[m:, 2::2] = rows[:m]
-    np.copyto(cand, partner[:, None], where=cand == own[:, None])
-    views[index] = _first_distinct_batch(cand, view_size, capacity)
+    cand = np.empty((2 * m, width), dtype=views.dtype)
+    _interleave(cand[:m], own[:m], own[m:], rows[:m], rows[m:])
+    _interleave(cand[m:], own[m:], own[:m], rows[m:], rows[:m])
+    firsts, complete = _first_distinct_batch(cand, view_size + 1, capacity)
+    merged = firsts[:, 1:]
+    short = np.flatnonzero(~complete)
+    if len(short):
+        mate = (short + m) % (2 * m)
+        node, partner = own[short], own[mate]
+        if width < full:
+            cand = np.empty((len(short), full), dtype=views.dtype)
+            _interleave(cand, node, partner, rows[short], rows[mate])
+            padded = _first_distinct_batch(
+                cand, view_size + 1, capacity
+            )[0][:, 1:]
+        else:
+            padded = merged[short]
+        # where duplicates pad a row the node itself can show
+        np.copyto(padded, partner[:, None], where=padded == node[:, None])
+        merged[short] = padded
+    views[index] = merged
 
 
 def merge_views_sequential(
@@ -585,11 +672,12 @@ def merge_views_sequential(
 
     The scalar counterpart of :func:`merge_views_batch` for conflicted
     window tails, computed over plain Python lists (per-row numpy calls
-    cost more than the merge itself). The interleave, the self-rewrite
-    and the first-distinct selection replicate the batch arithmetic
-    exactly, so mixing the two over an order-preserving segmentation
-    stays bitwise-identical to sequential execution — integer ops need
-    no IEEE caveat.
+    cost more than the merge itself). It is the merge rule spelled out
+    — interleave, self-rewrite, first-distinct selection — and what
+    the batch kernel's shortcuts are tested against; both are integer
+    functions of the same rows, so mixing the two over an
+    order-preserving segmentation stays bitwise-identical to sequential
+    execution with no IEEE caveat.
     """
     view_size = views.shape[1]
     cand = [0] * (2 * view_size + 1)

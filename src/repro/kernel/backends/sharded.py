@@ -137,7 +137,8 @@ from .vectorized import VectorizedBackend
 #: costs one pool barrier, so the window is sized for few, fat batches
 #: (at N = 10⁶ a 64k pending set yields one ≈ 59k-step batch per scan,
 #: 19 barriers a cycle) rather than cache-resident scans. Override per
-#: backend with ``chunk=``.
+#: backend with ``chunk=`` — which, unlike this default, also sets the
+#: window of the backend's in-process work (inline, degraded, views).
 SHARD_CHUNK = 65536
 
 #: sequential-tail threshold for the sharded planner — larger than the
@@ -492,6 +493,10 @@ class ShardedBackend(ExecutionBackend):
             )
         self.workers = int(workers)
         self._chunk = resolve_chunk(chunk, default=SHARD_CHUNK)
+        # SHARD_CHUNK amortises barriers the in-process backend never
+        # crosses: it plans with its own default unless the caller
+        # chose a window
+        self._inline_chunk = chunk
         self._timeout = _barrier_timeout()
         self._inline_below = _non_negative_int(
             "inline_below", inline_below, SHARD_INLINE
@@ -1262,8 +1267,10 @@ class ShardedBackend(ExecutionBackend):
         self._sent_functions = functions
 
     def _ensure_vector(self) -> VectorizedBackend:
+        """The in-process backend behind ``auto`` below
+        ``inline_below``, a degraded pool and every view merge."""
         if self._vector is None:
-            self._vector = VectorizedBackend(chunk=self._chunk)
+            self._vector = VectorizedBackend(chunk=self._inline_chunk)
         return self._vector
 
     def apply_view_exchanges(
@@ -1281,7 +1288,10 @@ class ShardedBackend(ExecutionBackend):
         segment, so it is ``sync()``-safe and overlaps a pipelined
         value cycle still in flight on the workers for free. The
         greedy-segmented vectorized path keeps the matrix
-        bitwise-identical across backends and worker counts."""
+        bitwise-identical across backends and worker counts; it plans
+        with the vectorized backend's window and
+        :data:`~.base.VIEW_TAIL`, never :data:`SHARD_CHUNK` (an
+        explicit ``chunk=`` still reaches it)."""
         self._ensure_vector().apply_view_exchanges(views, exch_i, exch_j)
 
     # -- the backend contract ---------------------------------------------

@@ -11,6 +11,7 @@ from ...errors import SimulationError
 from .base import (
     GREEDY_TAIL,
     SEGMENT_SEQUENTIAL,
+    VIEW_TAIL,
     ExecutionBackend,
     GreedyScratch,
     apply_disjoint_batch,
@@ -112,10 +113,14 @@ class VectorizedBackend(ExecutionBackend):
         :func:`~.base.merge_views_batch`, conflicted steps via
         :func:`~.base.merge_views_sequential` — which is what keeps the
         view matrix bitwise-identical to the sequential reference
-        execution."""
+        execution. The plan's scalar threshold is
+        :data:`~.base.VIEW_TAIL`, not the value path's
+        :data:`~.base.GREEDY_TAIL`: a scalar merge costs fifty scalar
+        value steps, so a drained tail of more than a handful of
+        exchanges is worth another scan and another batch."""
         for kind, chunk_i, chunk_j in iter_greedy_segments(
             np.asarray(exch_i), np.asarray(exch_j), self._scratch,
-            views.shape[0], self._chunk, GREEDY_TAIL,
+            views.shape[0], self._chunk, VIEW_TAIL,
         ):
             if kind == SEGMENT_SEQUENTIAL:
                 merge_views_sequential(views, chunk_i, chunk_j)

@@ -30,7 +30,7 @@ from repro.failures import (
 )
 from repro.failures.partition import PartitionSchedule
 from repro.kernel import ChurnSpec, EpochSpec, GossipEngine, Scenario
-from repro.kernel.backends import GREEDY_TAIL, base
+from repro.kernel.backends import GREEDY_TAIL
 from repro.topology import (
     BarabasiAlbertTopology,
     CompleteTopology,
@@ -154,19 +154,11 @@ class TestBitwiseEquivalence:
         )
         assert_identical(ref, vec)
 
-    def test_hub_steps_cost_one_scan_per_tail(self, monkeypatch):
+    def test_hub_steps_cost_one_scan_per_tail(self, scan_sizes):
         """The hub cliff guard, as a count: on a star every exchange
         touches the hub, so a scan finds one step ready. Each scan must
         then retire ``GREEDY_TAIL`` steps through the sequential
         applier — never one scan per step."""
-        scans = []
-        scan = base.first_occurrence_ready
-
-        def counting(chunk_i, *rest):
-            scans.append(len(chunk_i))
-            return scan(chunk_i, *rest)
-
-        monkeypatch.setattr(base, "first_occurrence_ready", counting)
         topology = StarTopology(20_000)
         values = np.random.default_rng(8).normal(5.0, 2.0, topology.n)
         ref, vec = both_backends(
@@ -177,7 +169,7 @@ class TestBitwiseEquivalence:
             -(-steps // GREEDY_TAIL) + 1
             for steps in vec[1].exchange_counts
         )
-        assert 0 < len(scans) <= allowed
+        assert 0 < len(scan_sizes) <= allowed
 
     def test_fallback_combine_array(self):
         """Aggregates without a closed-form vectorized combine go

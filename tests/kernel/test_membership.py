@@ -16,7 +16,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import SizeEstimationConfig, SizeEstimationExperiment
@@ -30,7 +30,14 @@ from repro.kernel import (
     Scenario,
 )
 from repro.kernel.adversary import AdversarySpec
-from repro.kernel.backends import VectorizedBackend
+from repro.kernel.backends import (
+    GREEDY_TAIL,
+    VIEW_TAIL,
+    ReferenceBackend,
+    VectorizedBackend,
+)
+from repro.kernel.backends import base as backends_base
+from repro.kernel.backends import vectorized as vectorized_module
 from repro.kernel.backends.base import (
     _first_distinct_batch,
     _first_distinct_row,
@@ -308,11 +315,27 @@ class TestFirstDistinctKernel:
             min_size=1, max_size=5,
         ))
         candidates = np.array(rows, dtype=np.int32)
-        merged = _first_distinct_batch(candidates, view_size, capacity)
+        merged, complete = _first_distinct_batch(
+            candidates, view_size, capacity
+        )
         assert merged.dtype == np.int32
         assert merged.tolist() == [
             _first_distinct_row(row, view_size) for row in rows
         ]
+        # complete: the row holds view_size distinct entries, so none
+        # of the answer is duplicate padding
+        assert complete.tolist() == [
+            len(set(row)) >= view_size for row in rows
+        ]
+        # what the prefix pass of merge_views_batch stands on: a row
+        # that completes on a prefix already has its final answer
+        cut = data.draw(st.integers(view_size, width))
+        head, settled = _first_distinct_batch(
+            np.array([row[:cut] for row in rows], dtype=np.int32),
+            view_size, capacity,
+        )
+        assert not np.any(settled & ~complete)
+        assert head[settled].tolist() == merged[settled].tolist()
 
     @pytest.mark.parametrize("capacity", [2**24, 2**24 + 1])
     def test_key_width_boundary(self, capacity):
@@ -323,11 +346,178 @@ class TestFirstDistinctKernel:
         top = capacity - 1
         row = [top, 0] * view_size + [top]
         row[-2] = top - 1
-        merged = _first_distinct_batch(
+        merged, complete = _first_distinct_batch(
             np.array([row], dtype=np.int32), view_size, capacity
         )
         assert merged[0].tolist() == _first_distinct_row(row, view_size)
         assert merged[0, :3].tolist() == [top, 0, top - 1]
+        assert not complete[0]
+
+
+def overlapping_views(view_size, capacity, overlap, acquainted, pairs, rng):
+    """A ``(capacity, view_size)`` view matrix holding ``pairs``
+    exchanging pairs whose rows overlap in a chosen way, twice (one for
+    each applier), and the batch. The ids sit at the top of the range,
+    where every key bit is in play. ``np.zeros`` memory is never paged
+    in until written, so a 2**24-row matrix costs only the rows the
+    batch touches."""
+    count = 2 * pairs
+    if overlap == "tiny":
+        # fewer ids than a view holds: duplicates pad every row
+        pool = max(count, int(rng.integers(2, view_size + 2)))
+    else:
+        pool = count * (view_size + 1)
+    ids = (capacity - pool + rng.permutation(pool)).astype(np.int32)
+    nodes, others = ids[:count], ids[count:]
+    if overlap == "disjoint":
+        rows = others.reshape(count, view_size)
+    elif overlap == "identical":
+        rows = np.tile(others[:pairs * view_size].reshape(pairs, -1), (2, 1))
+    else:
+        # with replacement, the nodes themselves included: duplicates
+        # inside a row, the node in its own view, the partner or not
+        rows = rng.choice(ids, size=(count, view_size))
+    batch_a, batch_b = nodes[:pairs], nodes[pairs:]
+    column = rng.integers(0, view_size, size=count)
+    if acquainted in ("initiator", "both"):
+        # the initiator drew its partner from its own view
+        rows[np.arange(pairs), column[:pairs]] = batch_b
+    if acquainted == "both":
+        rows[np.arange(pairs, count), column[pairs:]] = batch_a
+    matrices = []
+    for _ in range(2):
+        views = np.zeros((capacity, view_size), dtype=np.int32)
+        views[nodes] = rows
+        matrices.append(views)
+    return matrices, batch_a.astype(np.int64), batch_b.astype(np.int64)
+
+
+class TestMergeBatchKernel:
+    """``merge_views_batch`` — the own-led candidate block, the
+    ``VIEW_SORT_WIDTH`` prefix pass, the full-width second pass —
+    against ``merge_views_sequential``, the merge rule spelled out."""
+
+    #: no prefix (2v + 2 <= 32) / prefix / no prefix (v >= 32)
+    VIEW_SIZES = [1, 7, 15, 16, 20, 31, 32, 40]
+
+    def test_batch_matches_sequential_on_overlapping_views(self, monkeypatch):
+        passes = set()
+        kernel = backends_base._first_distinct_batch
+
+        def watching(candidates, distinct, capacity):
+            view_size, width = distinct - 1, candidates.shape[1]
+            firsts, complete = kernel(candidates, distinct, capacity)
+            passes.add((view_size, width < 2 * view_size + 2,
+                        bool(complete.all())))
+            return firsts, complete
+
+        monkeypatch.setattr(backends_base, "_first_distinct_batch", watching)
+
+        @settings(max_examples=250, deadline=None)
+        @given(
+            view_size=st.sampled_from(self.VIEW_SIZES),
+            # the last capacity whose full-width keys fit int32 (column
+            # bits + dup bit + id bits = 31), one past it, and small
+            boundary=st.sampled_from([None, 0, 1]),
+            overlap=st.sampled_from(
+                ["disjoint", "identical", "replacement", "tiny"]
+            ),
+            acquainted=st.sampled_from(["no", "initiator", "both"]),
+            pairs=st.integers(1, 4),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        @example(20, None, "disjoint", "initiator", 3, 0)
+        @example(20, None, "identical", "initiator", 3, 0)
+        @example(20, None, "tiny", "both", 2, 0)
+        @example(7, None, "tiny", "both", 2, 0)
+        def check(view_size, boundary, overlap, acquainted, pairs, seed):
+            rng = np.random.default_rng(seed)
+            if boundary is None:
+                capacity = 2 * pairs * (view_size + 1) + int(
+                    rng.integers(0, 5000)
+                )
+            else:
+                column_bits = (2 * view_size + 1).bit_length()
+                capacity = (1 << (30 - column_bits)) + boundary
+            (batched, stepped), batch_a, batch_b = overlapping_views(
+                view_size, capacity, overlap, acquainted, pairs, rng
+            )
+            merge_views_batch(batched, batch_a, batch_b)
+            merge_views_sequential(stepped, batch_a, batch_b)
+            touched = np.concatenate((batch_a, batch_b))
+            assert batched[touched].tolist() == stepped[touched].tolist()
+            if boundary is None:
+                assert np.array_equal(batched, stepped)
+
+        check()
+        prefixed = {done for size, cut, done in passes if cut}
+        # both ways out of the prefix pass were taken: every row
+        # complete, and some row sent on to the full-width pass
+        assert prefixed == {True, False}
+        # … and duplicates padded a full-width row (the self-entry
+        # rewritten in the answer) both behind a prefix pass and not
+        assert (20, False, False) in passes
+        assert (7, False, False) in passes
+        assert {size for size, cut, done in passes if cut} == {16, 20, 31}
+
+
+class TestViewPlan:
+    """``apply_view_exchanges`` plans with ``VIEW_TAIL``: a scalar
+    merge costs as much as fifty scalar value steps, so the view path
+    does not inherit the value path's ``GREEDY_TAIL``."""
+
+    def apply_counted(self, monkeypatch, views, exch_i, exch_j):
+        """Apply on the vectorized backend, check against the
+        reference, return the steps each applier call received."""
+        calls = {"batch": [], "scalar": []}
+        for kind, name in (("batch", "merge_views_batch"),
+                           ("scalar", "merge_views_sequential")):
+            def counted(views, steps_a, steps_b, kind=kind,
+                        applier=getattr(vectorized_module, name)):
+                calls[kind].append(len(steps_a))
+                applier(views, steps_a, steps_b)
+
+            monkeypatch.setattr(vectorized_module, name, counted)
+        merged = views.copy()
+        VectorizedBackend().apply_view_exchanges(merged, exch_i, exch_j)
+        expected = views.copy()
+        ReferenceBackend().apply_view_exchanges(expected, exch_i, exch_j)
+        assert np.array_equal(merged, expected)
+        return calls
+
+    @pytest.mark.parametrize(
+        "steps", [1, VIEW_TAIL, VIEW_TAIL + 1, GREEDY_TAIL]
+    )
+    def test_drained_tail_is_batched_above_view_tail(self, monkeypatch,
+                                                     steps):
+        """A call that leaves 9–48 exchanges pending used to run them
+        one Python step at a time; only a handful still do."""
+        n, v = 2 * GREEDY_TAIL, 6
+        views = make_rng(5).integers(0, n, size=(n, v), dtype=np.int32)
+        exch_i = np.arange(steps, dtype=np.int32)
+        exch_j = exch_i + steps
+        calls = self.apply_counted(monkeypatch, views, exch_i, exch_j)
+        if steps <= VIEW_TAIL:
+            assert calls == {"batch": [], "scalar": [steps]}
+        else:
+            assert calls == {"batch": [steps], "scalar": []}
+
+    def test_hub_costs_one_scan_per_view_tail(self, monkeypatch,
+                                              scan_sizes):
+        """A mass join seeded from one contact: every initiator picks
+        the same partner, so a scan finds one exchange ready. Each scan
+        must then retire ``VIEW_TAIL`` exchanges through the scalar
+        merge — never one scan per exchange, never more than that at
+        scalar cost."""
+        n, v = 1500, 6
+        views = make_rng(6).integers(0, n, size=(n, v), dtype=np.int32)
+        exch_i = np.arange(1, n, dtype=np.int32)
+        exch_j = np.zeros(n - 1, dtype=np.int32)
+        calls = self.apply_counted(monkeypatch, views, exch_i, exch_j)
+        assert calls["batch"] == []
+        assert sum(calls["scalar"]) == n - 1
+        assert max(calls["scalar"]) == VIEW_TAIL
+        assert 0 < len(scan_sizes) <= -(-(n - 1) // VIEW_TAIL) + 1
 
 
 class TestEngineIntegration:

@@ -278,6 +278,32 @@ class TestShardedLifecycle:
             with pytest.raises(ConfigurationError):
                 ShardedBackend(workers=1, chunk=bad)
 
+    def test_in_process_work_plans_with_the_vectorized_window(
+        self, scan_sizes
+    ):
+        """``SHARD_CHUNK`` is sized for barriers; the in-process
+        backend behind ``auto``, a degraded pool and every view merge
+        crosses none and keeps ``VectorizedBackend()``'s window —
+        unless the caller chose one. Counted where it shows: the
+        longest first-occurrence scan of one view-merge call."""
+        from repro.kernel.backends import PAIR_CHUNK
+
+        n = 3 * PAIR_CHUNK
+        rng = np.random.default_rng(15)
+        views = rng.integers(0, n, size=(n, 4), dtype=np.int32)
+        exch_i = np.arange(n, dtype=np.int32)
+        exch_j = (exch_i + rng.integers(1, n, size=n, dtype=np.int32)) % n
+        expected = views.copy()
+        ReferenceBackend().apply_view_exchanges(expected, exch_i, exch_j)
+        for chunk, window in ((None, PAIR_CHUNK), (123, 123), (2 * n, n)):
+            backend = ShardedBackend(workers=1, chunk=chunk)
+            del scan_sizes[:]
+            merged = views.copy()
+            backend.apply_view_exchanges(merged, exch_i, exch_j)
+            backend.close()
+            assert max(scan_sizes) == window
+            assert np.array_equal(merged, expected)
+
     def test_parked_segments_stay_bounded_across_epoch_rebuilds(self):
         """Epoch restarts that change the instance count re-adopt the
         matrix every epoch; only the last superseded segment may stay
