@@ -49,8 +49,8 @@ from ...errors import ConfigurationError
 #: so the size of its scratch. Within a few thousand steps node
 #: collisions are rare (≈ 85 % of a full pending set is ready at once),
 #: so the scans stay cache-resident and the batches fat. Tunable per
-#: backend (``chunk=``) or per run via
-#: :attr:`~repro.kernel.pairs.PairProtocolSpec.chunk`.
+#: backend (``chunk=``, e.g. ``Scenario(backend=VectorizedBackend(
+#: chunk=…))``); it never changes results, only batch shapes.
 PAIR_CHUNK = 4096
 
 #: the planner's scalar threshold. A drained stream's last this-many
@@ -87,9 +87,9 @@ def resolve_chunk(
     chunk: Optional[int] = None, *, default: int = PAIR_CHUNK
 ) -> int:
     """The effective greedy-segmentation window size: an explicit
-    ``chunk`` (a backend constructor argument or
-    :attr:`PairProtocolSpec.chunk`), else ``default`` — the sharded
-    backend passes its own, larger :data:`~.sharded.SHARD_CHUNK`.
+    ``chunk`` (a backend constructor argument), else ``default`` —
+    the sharded backend passes its own, larger
+    :data:`~.sharded.SHARD_CHUNK`.
     Raises :class:`ConfigurationError` on non-positive or non-integer
     values.
     """
@@ -708,17 +708,14 @@ class ExecutionBackend(ABC):
         functions: Sequence[AggregateFunction],
         exch_i: np.ndarray,
         exch_j: np.ndarray,
-        *,
-        cycle: int = 0,
-        trace=None,
     ) -> None:
         """Apply exchanges ``(exch_i[t], exch_j[t])`` for t = 0..m-1, in
         order, to ``matrix`` in place.
 
-        ``matrix`` is the ``(n, k)`` structure-of-arrays node state;
-        ``functions`` holds the per-column AGGREGATE. ``trace`` is an
-        optional :class:`~repro.simulator.trace.ExchangeTrace` (only the
-        reference backend supports it, and only for k = 1).
+        ``matrix`` is the ``(n, k)`` structure-of-arrays node state —
+        the array :meth:`adopt_matrix` (or :meth:`grow_matrix` /
+        :meth:`allocate_matrix` / :meth:`restore_matrix`) last
+        returned; ``functions`` holds the per-column AGGREGATE.
         """
 
     def apply_pairs(
@@ -729,9 +726,6 @@ class ExecutionBackend(ABC):
         pairs_j: np.ndarray,
         *,
         plan: Optional[Tuple[Tuple[int, int, bool], ...]] = None,
-        chunk: Optional[int] = None,
-        cycle: int = 0,
-        trace=None,
     ) -> None:
         """Apply one pair-mode cycle's elementary steps, in step order.
 
@@ -740,14 +734,9 @@ class ExecutionBackend(ABC):
         covering the sequence, marking stretches that are node-disjoint
         *by construction* (PM's matching halves). Sequential backends
         may ignore it; batched backends apply a conflict-free segment
-        as a single batch with no segmentation scan. ``chunk``
-        optionally overrides the greedy-segmentation window size
-        (:func:`resolve_chunk`); it never changes results, only batch
-        shapes.
+        as a single batch with no segmentation scan.
         """
-        self.apply_exchanges(
-            matrix, functions, pairs_i, pairs_j, cycle=cycle, trace=trace
-        )
+        self.apply_exchanges(matrix, functions, pairs_i, pairs_j)
 
     def apply_view_exchanges(
         self,

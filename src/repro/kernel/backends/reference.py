@@ -19,9 +19,20 @@ class ReferenceBackend(ExecutionBackend):
     Newscast view exchanges use the base-class
     :meth:`~.base.ExecutionBackend.apply_view_exchanges` unchanged —
     the one-merge-at-a-time step-order loop *is* the reference
-    semantics the batched backends are checked against."""
+    semantics the batched backends are checked against.
+
+    Being sequential, it is also the one backend that can tell each
+    exchange apart: given a ``trace`` (an
+    :class:`~repro.simulator.trace.ExchangeTrace`; single-instance
+    runs only) it records every exchange with its before / after
+    values, stamped with :attr:`cycle` — which the engine sets once
+    per ``run_cycle``, so the apply contract carries neither."""
 
     name = "reference"
+
+    def __init__(self, trace=None):
+        self.trace = trace
+        self.cycle = 0
 
     def apply_exchanges(
         self,
@@ -29,12 +40,10 @@ class ReferenceBackend(ExecutionBackend):
         functions: Sequence[AggregateFunction],
         exch_i: np.ndarray,
         exch_j: np.ndarray,
-        *,
-        cycle: int = 0,
-        trace=None,
     ) -> None:
         if len(exch_i) == 0:
             return
+        trace, cycle = self.trace, self.cycle
         pairs = zip(exch_i.tolist(), exch_j.tolist())
         k = matrix.shape[1]
         if k == 1:

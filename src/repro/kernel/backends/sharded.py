@@ -13,7 +13,10 @@ worker processes:
   :meth:`~.base.ExecutionBackend.adopt_matrix` and works on the shared
   view from then on, so churn admissions, epoch reseeds and crash
   recycling are ordinary in-place writes that every worker sees — zero
-  per-cycle copying. Capacity growth goes through
+  per-cycle copying. That hand-off is the only way in: ``apply_*``
+  refuses any array but the adopted one, so a caller outside an engine
+  adopts, applies and calls ``sync()`` before it reads, as the engine
+  does. Capacity growth goes through
   :meth:`~.base.ExecutionBackend.grow_matrix`: the old shared view is
   copied **once**, directly into the freshly mapped larger segment
   (the engine used to vstack into a heap array and re-adopt — two full
@@ -576,7 +579,6 @@ class ShardedBackend(ExecutionBackend):
         self._view: Optional[np.ndarray] = None
         self._banks: Tuple = ()
         self._steps_cap = 0
-        self._adopted = False
         self._inline = False
         self._vector: Optional[VectorizedBackend] = None
         self._sent_functions: Optional[Tuple] = None
@@ -688,7 +690,6 @@ class ShardedBackend(ExecutionBackend):
         self._view = None
         self._banks = ()
         self._steps_cap = 0
-        self._adopted = False
         self._inline = False
         self._sent_functions = None
         self._barrier = None
@@ -1149,7 +1150,7 @@ class ShardedBackend(ExecutionBackend):
 
     # -- shared-memory mapping --------------------------------------------
 
-    def _map(self, rows: int, k: int, steps_cap: int) -> None:
+    def _map(self, rows: int, k: int) -> None:
         """(Re)create the shared segment and switch the pool over.
 
         In a degraded (pool-lost) backend the segment is still mapped
@@ -1158,7 +1159,9 @@ class ShardedBackend(ExecutionBackend):
         self.sync()
         if not self._degraded:
             self._ensure_pool()
-        nbytes = max(rows * k * 8 + steps_cap * 16, 1)
+        # one step per row: no engine path emits more per call
+        steps_cap = max(rows, 1)
+        nbytes = rows * k * 8 + steps_cap * 16
         shm = shared_memory.SharedMemory(create=True, size=nbytes)
         view, banks = _carve(shm, rows, k, steps_cap)
         previous = list(self._shm_holder)
@@ -1217,13 +1220,11 @@ class ShardedBackend(ExecutionBackend):
             # degenerate case: stay in-process (no segment, no pool);
             # a later growth past the threshold promotes to the pool
             self._inline = True
-            self._adopted = True
             return source
         self._inline = False
-        self._map(rows, k, steps_cap=max(rows, 1))
+        self._map(rows, k)
         self._view[:] = source
         self.adopt_copies += 1
-        self._adopted = True
         return self._view
 
     def grow_matrix(self, matrix: np.ndarray, rows: int) -> np.ndarray:
@@ -1238,11 +1239,10 @@ class ShardedBackend(ExecutionBackend):
             self.adopt_copies += 1
             return super().grow_matrix(matrix, rows)
         old_rows = min(matrix.shape[0], rows)
-        self._map(rows, k, steps_cap=max(rows, 1))
+        self._map(rows, k)
         self._view[:old_rows] = matrix[:old_rows]
         self.adopt_copies += 1
         self._inline = False
-        self._adopted = True
         return self._view
 
     def allocate_matrix(self, rows: int, k: int) -> np.ndarray:
@@ -1252,9 +1252,8 @@ class ShardedBackend(ExecutionBackend):
         every byte twice)."""
         if self._inline and self._inline_eligible(rows):
             return super().allocate_matrix(rows, k)
-        self._map(rows, k, steps_cap=max(rows, 1))
+        self._map(rows, k)
         self._inline = False
-        self._adopted = True
         return self._view
 
     def _ensure_functions(
@@ -1302,12 +1301,8 @@ class ShardedBackend(ExecutionBackend):
         functions: Sequence[AggregateFunction],
         exch_i: np.ndarray,
         exch_j: np.ndarray,
-        *,
-        cycle: int = 0,
-        trace=None,
     ) -> None:
-        self._apply(matrix, functions, exch_i, exch_j, None, None, cycle,
-                    trace)
+        self._apply(matrix, functions, exch_i, exch_j, None)
 
     def apply_pairs(
         self,
@@ -1317,37 +1312,33 @@ class ShardedBackend(ExecutionBackend):
         pairs_j: np.ndarray,
         *,
         plan: Optional[Tuple[Tuple[int, int, bool], ...]] = None,
-        chunk: Optional[int] = None,
-        cycle: int = 0,
-        trace=None,
     ) -> None:
-        self._apply(matrix, functions, pairs_i, pairs_j, plan, chunk, cycle,
-                    trace)
+        self._apply(matrix, functions, pairs_i, pairs_j, plan)
 
-    def _apply(self, matrix, functions, raw_i, raw_j, plan, chunk, cycle,
-               trace) -> None:
+    def _apply(self, matrix, functions, raw_i, raw_j, plan) -> None:
         """The one entry both step kinds share: an exchange sequence
-        is a pair sequence with no plan and the backend's own window."""
-        if trace is not None:
-            raise SimulationError(
-                "the sharded backend does not support exchange tracing; "
-                "use backend='reference'"
-            )
+        is a pair sequence with no plan. Three routes: in-process
+        (``auto`` below its threshold, or a pool lost for good), or
+        the pool, over the segment ``matrix`` was adopted into."""
 
         def fallback() -> None:
             started = time.perf_counter()
             self._ensure_vector().apply_pairs(
-                matrix, functions, raw_i, raw_j,
-                plan=plan, chunk=chunk, cycle=cycle,
+                matrix, functions, raw_i, raw_j, plan=plan
             )
             self.phase_seconds["apply"] += time.perf_counter() - started
 
-        if self._inline or self._degraded or (
-            not self._adopted and self._inline_eligible(matrix.shape[0])
-        ):
+        if self._inline or self._degraded:
             fallback()
             return
-        window = self._chunk if chunk is None else resolve_chunk(chunk)
+        if matrix is not self._view:
+            # the workers apply to the shared segment and nothing else:
+            # any other array would be left untouched, silently
+            raise SimulationError(
+                "the sharded backend applies to the matrix it adopted "
+                "(adopt_matrix / grow_matrix / allocate_matrix return "
+                "it); hand the matrix over first"
+            )
         planned = time.perf_counter()
         pending_i = np.ascontiguousarray(raw_i, dtype=np.int32)
         pending_j = np.ascontiguousarray(raw_j, dtype=np.int32)
@@ -1355,43 +1346,21 @@ class ShardedBackend(ExecutionBackend):
         if m == 0:
             return
         healing = self._on_failure != "raise"
-        borrowed = matrix is not self._view
-        if borrowed:
-            if self._adopted:
-                # an engine owns this backend's segment; staging a
-                # different matrix would overwrite (or desync) the
-                # engine's live state — direct use needs its own backend
-                raise SimulationError(
-                    "this ShardedBackend is adopted by an engine; "
-                    "create a separate backend for direct apply calls"
-                )
-            # direct use outside an engine (tests, ad-hoc callers):
-            # stage the caller's matrix in shared memory for this call
-            rows, k = matrix.shape
-            if (
-                self._view is None
-                or self._view.shape != (rows, k)
-                or self._steps_cap < m
-            ):
-                self._map(rows, k, steps_cap=max(rows, m))
-            self.sync()
-            self._view[:] = matrix
-        elif m > self._steps_cap:  # pragma: no cover - engine sizes it
+        if m > self._steps_cap:  # pragma: no cover - engine sizes it
             # remapping here would desync the engine (its matrix still
             # views the old segment and only the engine can re-adopt);
-            # adopt_matrix sizes steps_cap = rows and every engine path
-            # emits <= rows steps per call, so this is a contract bug
+            # every engine path emits <= rows steps per call, so this
+            # is a contract bug
             raise SimulationError(
                 f"sharded backend got {m} steps for a step buffer of "
-                f"{self._steps_cap} — the adopted matrix must be "
-                f"re-adopted (engine hand-off) before applying more "
-                f"steps than rows"
+                f"{self._steps_cap}: one call applies at most one "
+                f"step per row of the adopted matrix"
             )
         if healing:
             # serialize the pipeline to at most one schedule in
             # flight: the journal then describes exactly the work a
-            # dead pool owes. The _map/sync above may already have
-            # recovered by degrading — route this call inline then.
+            # dead pool owes. The sync may already have recovered by
+            # degrading — route this call inline then.
             self.sync()
             if self._degraded:
                 fallback()
@@ -1412,9 +1381,7 @@ class ShardedBackend(ExecutionBackend):
                 self._drain_bank(bank)
                 drain_seconds = time.perf_counter() - drain_started
                 self.phase_seconds["sync"] += drain_seconds
-                segments = self._schedule(
-                    pending_i, pending_j, plan, window, bank
-                )
+                segments = self._schedule(pending_i, pending_j, plan, bank)
                 self.phase_seconds["plan"] += (
                     time.perf_counter() - planned - drain_seconds
                 )
@@ -1425,19 +1392,11 @@ class ShardedBackend(ExecutionBackend):
                 self._broadcast(("apply", bank, segments))
                 self._inflight.append(("applied", bank, None))
                 self._next_bank = bank ^ 1
-                if borrowed:
-                    # direct use has no engine to call sync() before
-                    # its reads — drain in-call and hand the result
-                    # back
-                    self.sync()
-                    np.copyto(matrix, self._view)
                 return
             except _PoolFailure as failure:
                 if self._recover(failure):
                     # the journaled schedule was replayed inline:
                     # this call's work is complete
-                    if borrowed:
-                        np.copyto(matrix, self._view)
                     return
                 if self._degraded:
                     # the failure hit before this schedule was
@@ -1454,7 +1413,6 @@ class ShardedBackend(ExecutionBackend):
         pending_i: np.ndarray,
         pending_j: np.ndarray,
         plan: Optional[Tuple[Tuple[int, int, bool], ...]],
-        window: int,
         bank: int,
     ) -> List[Segment]:
         """Rewrite the step sequence into execution order in ``bank``'s
@@ -1483,7 +1441,8 @@ class ShardedBackend(ExecutionBackend):
                 continue
             for kind, chunk_i, chunk_j in iter_greedy_segments(
                 pending_i[start:end], pending_j[start:end],
-                self._scratch, self._view.shape[0], window, SHARD_TAIL,
+                self._scratch, self._view.shape[0], self._chunk,
+                SHARD_TAIL,
             ):
                 size = len(chunk_i)
                 out_i[cursor:cursor + size] = chunk_i

@@ -7,7 +7,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ...core.aggregates import AggregateFunction
-from ...errors import SimulationError
 from .base import (
     GREEDY_TAIL,
     SEGMENT_SEQUENTIAL,
@@ -46,18 +45,9 @@ class VectorizedBackend(ExecutionBackend):
         functions: Sequence[AggregateFunction],
         exch_i: np.ndarray,
         exch_j: np.ndarray,
-        *,
-        cycle: int = 0,
-        trace=None,
     ) -> None:
-        if trace is not None:
-            raise SimulationError(
-                "the vectorized backend does not support exchange tracing; "
-                "use backend='reference'"
-            )
         self._apply_greedy(
-            matrix, functions, np.asarray(exch_i), np.asarray(exch_j),
-            self._chunk,
+            matrix, functions, np.asarray(exch_i), np.asarray(exch_j)
         )
 
     # -- pair mode --------------------------------------------------------
@@ -70,9 +60,6 @@ class VectorizedBackend(ExecutionBackend):
         pairs_j: np.ndarray,
         *,
         plan: Optional[Tuple[Tuple[int, int, bool], ...]] = None,
-        chunk: Optional[int] = None,
-        cycle: int = 0,
-        trace=None,
     ) -> None:
         """Pair-mode fast path.
 
@@ -82,14 +69,8 @@ class VectorizedBackend(ExecutionBackend):
         order-preserving greedy segmentation. Bitwise-identical to the
         sequential reference execution either way.
         """
-        if trace is not None:
-            raise SimulationError(
-                "the vectorized backend does not support exchange tracing; "
-                "use backend='reference'"
-            )
         pi = np.asarray(pairs_i)
         pj = np.asarray(pairs_j)
-        window = self._chunk if chunk is None else resolve_chunk(chunk)
         if plan is None:
             plan = ((0, len(pi), False),)
         for start, end, conflict_free in plan:
@@ -99,7 +80,7 @@ class VectorizedBackend(ExecutionBackend):
                 )
             else:
                 self._apply_greedy(
-                    matrix, functions, pi[start:end], pj[start:end], window,
+                    matrix, functions, pi[start:end], pj[start:end]
                 )
 
     def apply_view_exchanges(
@@ -127,9 +108,7 @@ class VectorizedBackend(ExecutionBackend):
             else:
                 merge_views_batch(views, chunk_i, chunk_j)
 
-    def _apply_greedy(
-        self, matrix, functions, pending_i, pending_j, window
-    ) -> None:
+    def _apply_greedy(self, matrix, functions, pending_i, pending_j) -> None:
         """Greedy segmentation over an arbitrary exchange/pair
         sequence.
 
@@ -138,7 +117,7 @@ class VectorizedBackend(ExecutionBackend):
         backend's parent also consumes (writing segments out instead
         of applying them). Here each segment is applied the moment it
         is planned, which keeps the scans cache-resident: one
-        first-occurrence scan and one fat batch per ``window`` steps of
+        first-occurrence scan and one fat batch per ``chunk`` steps of
         input, the steps that were not ready carried into the next
         scan, and the last few conflicted steps
         (:data:`GREEDY_TAIL`) run sequentially — batch sizes decay
@@ -147,7 +126,7 @@ class VectorizedBackend(ExecutionBackend):
         """
         for kind, chunk_i, chunk_j in iter_greedy_segments(
             pending_i, pending_j, self._scratch, matrix.shape[0],
-            window, GREEDY_TAIL,
+            self._chunk, GREEDY_TAIL,
         ):
             if kind == SEGMENT_SEQUENTIAL:
                 apply_sequential(matrix, functions, chunk_i, chunk_j)

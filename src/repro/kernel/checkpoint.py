@@ -118,12 +118,6 @@ def _atomic_replace(tmp: Path, final: Path) -> None:
     os.replace(tmp, final)
 
 
-def _pickled(obj) -> np.ndarray:
-    return np.frombuffer(
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL), dtype=np.uint8
-    )
-
-
 def write_checkpoint(
     directory: Union[str, Path],
     arrays: Dict[str, np.ndarray],
@@ -202,6 +196,32 @@ def read_manifest(manifest_path: Union[str, Path]) -> Dict[str, object]:
     return manifest
 
 
+def check_manifest(
+    manifest: Dict[str, object], scenario, *, bit_generator=None, path=None
+) -> None:
+    """Raise :class:`CheckpointError` unless ``manifest`` was recorded
+    under a configuration ``scenario`` can resume: same size,
+    membership layer, pair mode and dynamic-overlay flag — and, where
+    the caller has an engine to ask, the same ``bit_generator``.
+    ``path`` names the checkpoint in the message."""
+    expected = {
+        "n": scenario.n,
+        "membership": "oracle" if scenario.membership is None else "newscast",
+        "pair_mode": scenario.pair_protocol is not None,
+        "dynamic": scenario.is_dynamic,
+    }
+    if bit_generator is not None:
+        expected["bit_generator"] = bit_generator
+    where = "" if path is None else f" at {path}"
+    for key, value in expected.items():
+        if manifest.get(key) != value:
+            raise CheckpointError(
+                f"checkpoint{where} was taken under "
+                f"{key}={manifest.get(key)!r}; this scenario has "
+                f"{key}={value!r}"
+            )
+
+
 def resolve_checkpoint(path: Union[str, Path]) -> Path:
     """Normalize a user-supplied checkpoint reference to its manifest
     path: a directory resolves to its newest valid checkpoint, a
@@ -258,7 +278,9 @@ def unpickle_payload(array: np.ndarray):
 
 def pickle_payload(obj) -> np.ndarray:
     """Serialize an arbitrary Python member for the payload bundle."""
-    return _pickled(obj)
+    return np.frombuffer(
+        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL), dtype=np.uint8
+    )
 
 
 def list_checkpoints(directory: Union[str, Path]) -> List[Path]:

@@ -8,8 +8,11 @@ slot order, contacts a random partner and both endpoints adopt
 stochastic and everything stateful:
 
 * node state as a ``(capacity, k)`` structure-of-arrays value matrix
-  plus boolean *alive* and *participant* masks — one column per
-  aggregation instance, one row per node slot,
+  — one column per aggregation instance, one row per node slot — plus
+  whatever else a slot holds (*alive* and *participant* masks, epoch
+  attributes, the adversary mask, the retry protocol's tables), listed
+  once in :data:`_SLOT_STATE`: capacity growth, checkpoint and restore
+  are loops over that table,
 * node lifecycle: a declarative
   :class:`~repro.kernel.lifecycle.ChurnSpec` is applied as alive-mask
   growth/shrink with value-matrix row recycling (departed slots are
@@ -31,7 +34,7 @@ stochastic and everything stateful:
   gossip-maintained partial views refreshed through the backend's
   node-disjoint batch primitives — no global membership oracle, and
 * the remaining failure machinery (crash plan, loss schedule,
-  partition), and
+  partition, message faults and their retry protocol), and
 * the declarative adversary
   (:class:`~repro.kernel.adversary.AdversarySpec`): the adversary set
   is drawn once at construction, ``inject`` corruption is written into
@@ -45,7 +48,9 @@ What remains — applying the cycle's successful exchanges to the matrix
 :class:`~repro.kernel.backends.ExecutionBackend`. Because backends see
 identical inputs and the vectorized backend preserves per-node exchange
 order, a scenario produces the same trajectory on every backend, churn
-and epoch restarts included.
+and epoch restarts included. Static and dynamic overlays run the same
+cycle body (:meth:`GossipEngine.run_cycle`): what tells them apart is
+the provider's draw and which of the filters are armed.
 
 A scenario may instead declare a
 :class:`~repro.kernel.pairs.PairProtocolSpec`, switching the engine to
@@ -89,12 +94,14 @@ from .backends import (
     GreedyScratch,
     Moments,
     MomentScratch,
+    ReferenceBackend,
     apply_one_sided,
     column_moments,
     make_backend,
 )
 from .checkpoint import (
     CheckpointSpec,
+    check_manifest,
     pickle_payload,
     prune_checkpoints,
     read_checkpoint,
@@ -112,6 +119,63 @@ from .scenario import Scenario
 #: ``(variance, mean)`` in column order, or the backend's ticket for
 #: them (:meth:`ExecutionBackend.defer_moments`)
 RecordPoint = Union[List[Moments], Callable[[], List[Moments]]]
+
+#: What a node slot holds beside its row of the value matrix, said
+#: once. Capacity growth, the retry tables' (re-)allocation, checkpoint
+#: and restore are loops over these rows and the structure monitor
+#: audits their lengths, so a new per-slot array is one more row here
+#: plus the place that clears it when a slot changes hands — and
+#: ``tests/faults/test_checkpoint.py`` fails on an array that has a
+#: slot per node and no row. Columns: attribute; checkpoint key (the
+#: on-disk name: never renamed); dtype; what fresh capacity holds; one
+#: column per aggregation instance, or a vector; the scenario field
+#: that brings the array into being (``None``: always there).
+_SLOT_STATE = (
+    ("_alive", "alive", bool, False, False, None),
+    # the nodes gossiping in the current epoch: diverges from alive
+    # only under epochs, where joiners wait for the next restart (§4)
+    ("_participant", "participant", bool, False, False, None),
+    # base attribute values, the reseed source of the default "restart
+    # from current local values" epoch protocol (a custom reseed may
+    # change the instance count, so only the default keeps them)
+    ("_attributes", "attributes", np.float64, 0.0, True, "epochs"),
+    # fresh capacity is always honest; a recycled slot keeps the
+    # departed node's flag (the attacker holds the position)
+    ("_adv_mask", "adv_mask", bool, False, False, "adversary"),
+    # the retry protocol's pending exchange, per initiator: partner
+    # (-1: none outstanding), phase (1 = awaiting any contact, 2 = the
+    # partner holds a cached combined value), attempts burned, cycle
+    # of the next retry, the cached reply row and the request row it
+    # answered (a delivered retransmission repairs mass from these
+    # two), and the permanent push-only fallback flag
+    ("_mf_partner", "mf_partner", np.int64, -1, False, "retry"),
+    ("_mf_kind", "mf_kind", np.int8, 0, False, "retry"),
+    ("_mf_attempt", "mf_attempt", np.int64, 0, False, "retry"),
+    ("_mf_due", "mf_due", np.int64, 0, False, "retry"),
+    ("_mf_cache", "mf_cache", np.float64, 0.0, True, "retry"),
+    ("_mf_sent", "mf_sent", np.float64, 0.0, True, "retry"),
+    ("_mf_push_only", "mf_push_only", bool, False, False, "retry"),
+)
+
+#: the scalar counters of a run, as (attribute, manifest field)
+_COUNTERS = (
+    ("cycle", "cycle"),
+    ("epoch", "epoch"),
+    ("_epoch_start_cycle", "epoch_start_cycle"),
+    ("_size_at_epoch_start", "size_at_epoch_start"),
+    ("_last_finalized_epoch", "last_finalized_epoch"),
+    # next never-used slot (== capacity until the matrix grows)
+    ("_top", "top"),
+    ("_mask_version", "mask_version"),
+)
+
+
+def _fresh_slots(shape, dtype, fill) -> np.ndarray:
+    """What fresh capacity holds for one row of :data:`_SLOT_STATE`
+    (zeros stay ``np.zeros``: pages nobody wrote cost nothing)."""
+    if fill:
+        return np.full(shape, fill, dtype=dtype)
+    return np.zeros(shape, dtype=dtype)
 
 
 @dataclass
@@ -234,6 +298,10 @@ class GossipEngine:
         self._names: Tuple[Hashable, ...] = scenario.instance_names
         self._functions: Tuple = scenario.functions
         self._matrix = scenario.initial_matrix()
+        # per-slot state: a row of _SLOT_STATE this scenario does not
+        # need stays None
+        for attr, *_ in _SLOT_STATE:
+            setattr(self, attr, None)
         self._alive = np.ones(scenario.n, dtype=bool)
         self._rng = make_rng(scenario.seed)
         self._trace = trace
@@ -268,7 +336,6 @@ class GossipEngine:
         self._adversary_partition = (
             adversary is not None and adversary.kind == "partition"
         )
-        self._adv_mask: Optional[np.ndarray] = None
         self._eclipse: Optional[np.ndarray] = None
         if adversary is not None:
             mask = np.zeros(scenario.n, dtype=bool)
@@ -278,13 +345,9 @@ class GossipEngine:
                 self._eclipse = adversary.eclipse_redirects(
                     scenario.topology, mask, self._rng
                 )
-        # participants: the nodes gossiping in the current epoch. Only
-        # diverges from the alive mask under epochs, where mid-epoch
-        # joiners wait for the next restart (§4).
         self._participant = self._alive.copy()
         # slots of departed nodes, recycled LIFO for joiners
         self._free_slots: List[int] = []
-        # next never-used slot (== capacity until the matrix grows)
         self._top = scenario.n
         # nodes with a zero-degree overlay row (possible in hand-built
         # or very sparse random adjacency overlays) stay alive — their
@@ -304,13 +367,6 @@ class GossipEngine:
         # never see the spec, so bitwise equivalence is preserved
         self._faults = scenario.message_faults
         self._retry = scenario.retry
-        self._mf_partner: Optional[np.ndarray] = None
-        self._mf_kind: Optional[np.ndarray] = None
-        self._mf_attempt: Optional[np.ndarray] = None
-        self._mf_due: Optional[np.ndarray] = None
-        self._mf_cache: Optional[np.ndarray] = None
-        self._mf_sent: Optional[np.ndarray] = None
-        self._mf_push_only: Optional[np.ndarray] = None
         # backoff delays by attempt number (attempts never pass budget)
         self._mf_delays: Optional[np.ndarray] = None
         if self._retry is not None:
@@ -329,22 +385,15 @@ class GossipEngine:
         # fixed, backend-independent point in the stream
         self._provider: PartnerProvider = build_provider(scenario.membership)
         self._provider.bind(self)
-        # per-slot base attribute values, the reseed source for the
-        # default "restart from current local values" epoch protocol
-        # (a custom reseed may change the instance count, so attributes
-        # are only maintained when the default restart needs them)
-        self._attributes = (
-            self._matrix.copy()
-            if self._epochs is not None and self._epochs.reseed is None
-            else None
-        )
+        if self._epochs is not None and self._epochs.reseed is None:
+            self._attributes = self._matrix.copy()
         self.epoch = -1
         self._epoch_start_cycle = 0
         self._size_at_epoch_start = 0
         self._last_finalized_epoch = -1
         self._epoch_results: List[Any] = []
 
-        backend_name = scenario.resolve_backend()
+        self._closed = False
         if trace is not None:
             if len(self._names) > 1:
                 raise SimulationError(
@@ -354,10 +403,11 @@ class GossipEngine:
                 raise SimulationError(
                     "exchange tracing is not supported under churn/epochs"
                 )
-            # telemetry needs the sequential per-exchange path
-            backend_name = "reference"
-        self._closed = False
-        self._backend: ExecutionBackend = make_backend(backend_name)
+            # telemetry needs the sequential per-exchange path, whatever
+            # backend the scenario names
+            self._backend: ExecutionBackend = ReferenceBackend(trace)
+        else:
+            self._backend = make_backend(scenario.resolve_backend())
         # hand the matrix to the backend: in-process backends return it
         # unchanged, the sharded backend moves it into shared memory so
         # all later in-place engine mutations are visible to its workers
@@ -395,19 +445,12 @@ class GossipEngine:
         self.cycle = 0
 
     def _alloc_retry_state(self, capacity: int, k: int) -> None:
-        """(Re-)allocate the pending-exchange tables of the retry
-        protocol: per-slot partner, phase (1 = awaiting any contact,
-        2 = partner holds a cached combined value), attempt counter,
-        next-retry cycle, the cached reply row plus the request row it
-        answered (a delivered retransmission repairs mass from these
-        two), and the permanent push-only fallback flag."""
-        self._mf_partner = np.full(capacity, -1, dtype=np.int64)
-        self._mf_kind = np.zeros(capacity, dtype=np.int8)
-        self._mf_attempt = np.zeros(capacity, dtype=np.int64)
-        self._mf_due = np.zeros(capacity, dtype=np.int64)
-        self._mf_cache = np.zeros((capacity, k), dtype=np.float64)
-        self._mf_sent = np.zeros((capacity, k), dtype=np.float64)
-        self._mf_push_only = np.zeros(capacity, dtype=bool)
+        """(Re-)allocate the retry protocol's rows of
+        :data:`_SLOT_STATE`: nothing outstanding anywhere."""
+        for attr, _, dtype, fill, per_column, needs in _SLOT_STATE:
+            if needs == "retry":
+                shape = (capacity, k) if per_column else (capacity,)
+                setattr(self, attr, _fresh_slots(shape, dtype, fill))
 
     # -- lifecycle -------------------------------------------------------
 
@@ -596,7 +639,14 @@ class GossipEngine:
         return self._matrix[self._participant].sum(axis=0)
 
     def structure_snapshot(self) -> Dict[str, Any]:
-        """The lifecycle bookkeeping the structure monitor audits."""
+        """The lifecycle bookkeeping the structure monitor audits;
+        ``slot_lengths`` is how many slots the matrix and every live
+        row of :data:`_SLOT_STATE` hold, by checkpoint key."""
+        lengths = {"matrix": len(self._matrix)}
+        for attr, key, *_ in _SLOT_STATE:
+            held = getattr(self, attr)
+            if held is not None:
+                lengths[key] = len(held)
         return {
             "alive": self._alive,
             "participant": self._participant,
@@ -604,6 +654,7 @@ class GossipEngine:
             "top": self._top,
             "capacity": self.capacity,
             "dynamic": bool(self._dynamic),
+            "slot_lengths": lengths,
         }
 
     @property
@@ -703,18 +754,11 @@ class GossipEngine:
         if self._retry is not None and len(node_ids):
             # a crashed node's outstanding exchange dies with it; a
             # recycled slot must not inherit pending/push-only state
-            self._mf_clear_slots(np.asarray(list(node_ids), dtype=np.int64))
+            self._clear_pending(
+                np.asarray(list(node_ids), dtype=np.int64), recycled=True
+            )
         if self._mask_version != version:
             self._provider.on_mask_change(self._mask_version)
-
-    def _mf_clear_slots(self, slots: np.ndarray) -> None:
-        """Drop all retry-protocol state of ``slots`` (departed or
-        freshly admitted nodes)."""
-        self._mf_partner[slots] = -1
-        self._mf_kind[slots] = 0
-        self._mf_attempt[slots] = 0
-        self._mf_due[slots] = 0
-        self._mf_push_only[slots] = False
 
     # -- adversary -------------------------------------------------------
 
@@ -764,7 +808,7 @@ class GossipEngine:
                         -self._matrix[leavers[departing]].sum(axis=0),
                     )
             if self._retry is not None:
-                self._mf_clear_slots(leavers)
+                self._clear_pending(leavers, recycled=True)
             self._alive[leavers] = False
             self._participant[leavers] = False
             self._mask_version += 1
@@ -786,47 +830,11 @@ class GossipEngine:
         # into a heap array here and copy again in adopt_matrix);
         # geometric growth keeps remaps O(log n)
         self._matrix = self._backend.grow_matrix(self._matrix, new_capacity)
-        self._alive = np.concatenate(
-            [self._alive, np.zeros(grow, dtype=bool)]
-        )
-        self._participant = np.concatenate(
-            [self._participant, np.zeros(grow, dtype=bool)]
-        )
-        if self._attributes is not None:
-            self._attributes = np.vstack(
-                [self._attributes, np.zeros((grow, self._attributes.shape[1]))]
-            )
-        if self._adv_mask is not None:
-            # fresh capacity is always honest; recycled slots keep the
-            # departed node's flag (the attacker holds the position)
-            self._adv_mask = np.concatenate(
-                [self._adv_mask, np.zeros(grow, dtype=bool)]
-            )
-        if self._mf_partner is not None:
-            # fresh capacity starts with no outstanding exchanges
-            self._mf_partner = np.concatenate(
-                [self._mf_partner, np.full(grow, -1, dtype=np.int64)]
-            )
-            self._mf_kind = np.concatenate(
-                [self._mf_kind, np.zeros(grow, dtype=np.int8)]
-            )
-            self._mf_attempt = np.concatenate(
-                [self._mf_attempt, np.zeros(grow, dtype=np.int64)]
-            )
-            self._mf_due = np.concatenate(
-                [self._mf_due, np.zeros(grow, dtype=np.int64)]
-            )
-            self._mf_cache = np.vstack(
-                [self._mf_cache,
-                 np.zeros((grow, self._mf_cache.shape[1]))]
-            )
-            self._mf_sent = np.vstack(
-                [self._mf_sent,
-                 np.zeros((grow, self._mf_sent.shape[1]))]
-            )
-            self._mf_push_only = np.concatenate(
-                [self._mf_push_only, np.zeros(grow, dtype=bool)]
-            )
+        for attr, _, dtype, fill, _, _ in _SLOT_STATE:
+            held = getattr(self, attr)
+            if held is not None:
+                tail = _fresh_slots((grow,) + held.shape[1:], dtype, fill)
+                setattr(self, attr, np.concatenate([held, tail]))
         # provider-held per-node state (newscast view rows) grows with
         # the same geometric schedule
         self._provider.grow(new_capacity)
@@ -891,7 +899,7 @@ class GossipEngine:
         if self._retry is not None and len(slots):
             # a joiner starts with a clean protocol state even when it
             # recycles the slot of a node that left mid-exchange
-            self._mf_clear_slots(slots)
+            self._clear_pending(slots, recycled=True)
         if self._monitor_entries and self._epochs is None and len(slots):
             # under plain churn joiners participate immediately: their
             # (possibly recycled) rows enter the participant mass
@@ -1006,15 +1014,15 @@ class GossipEngine:
         new checkpoint's manifest path.
 
         The snapshot captures everything the next cycle reads — value
-        matrix, alive/participant masks, RNG state, cycle and epoch
-        counters, slot-recycling bookkeeping, membership views, pair-φ
-        log — so :meth:`restore` resumes bitwise-identically on any
-        backend. The write is observation-grade: it drains in-flight
-        work like any matrix read but consumes no randomness and
-        mutates nothing, so a checkpointed run's trajectory equals an
-        uncheckpointed one's. Files land atomically (payload, then the
-        manifest as the commit record); see :mod:`repro.kernel.checkpoint`
-        for the format.
+        matrix, every live row of :data:`_SLOT_STATE`, RNG state, the
+        :data:`_COUNTERS`, slot-recycling bookkeeping, membership
+        views, pair-φ log, message-fault counts — so :meth:`restore`
+        resumes bitwise-identically on any backend. The write is
+        observation-grade: it drains in-flight work like any matrix
+        read but consumes no randomness and mutates nothing, so a
+        checkpointed run's trajectory equals an uncheckpointed one's.
+        Files land atomically (payload, then the manifest as the commit
+        record); see :mod:`repro.kernel.checkpoint` for the format.
         """
         if self._closed:
             raise SimulationError(
@@ -1023,32 +1031,24 @@ class GossipEngine:
         self._backend.sync()
         arrays: Dict[str, np.ndarray] = {
             "matrix": self._matrix,
-            "alive": self._alive,
-            "participant": self._participant,
             "free_slots": np.asarray(self._free_slots, dtype=np.int64),
             "rng_state": pickle_payload(self._rng.bit_generator.state),
             "epoch_results": pickle_payload(self._epoch_results),
         }
-        if self._attributes is not None:
-            arrays["attributes"] = self._attributes
-        if self._adv_mask is not None:
-            arrays["adv_mask"] = self._adv_mask
+        for attr, key, *_ in _SLOT_STATE:
+            held = getattr(self, attr)
+            if held is not None:
+                arrays[key] = held
         views = self._provider.view_matrix
         if views is not None:
             arrays["views"] = views
         if self._phi_log:
             arrays["phi_log"] = np.stack(self._phi_log)
-        if self._retry is not None:
-            arrays["mf_partner"] = self._mf_partner
-            arrays["mf_kind"] = self._mf_kind
-            arrays["mf_attempt"] = self._mf_attempt
-            arrays["mf_due"] = self._mf_due
-            arrays["mf_cache"] = self._mf_cache
-            arrays["mf_sent"] = self._mf_sent
-            arrays["mf_push_only"] = self._mf_push_only
+        if self._faults is not None:
+            # the counts are state as soon as faults are declared,
+            # whether or not a retry policy rides along
             arrays["mf_stats"] = pickle_payload(self._mf_stats)
         manifest = {
-            "cycle": int(self.cycle),
             "n": int(self.scenario.n),
             "capacity": int(self.capacity),
             "k": int(self._matrix.shape[1]),
@@ -1059,13 +1059,9 @@ class GossipEngine:
             "pair_mode": self._pair is not None,
             "dynamic": bool(self._dynamic),
             "backend": self.backend_name,
-            "epoch": int(self.epoch),
-            "epoch_start_cycle": int(self._epoch_start_cycle),
-            "size_at_epoch_start": int(self._size_at_epoch_start),
-            "last_finalized_epoch": int(self._last_finalized_epoch),
-            "top": int(self._top),
-            "mask_version": int(self._mask_version),
         }
+        for attr, key in _COUNTERS:
+            manifest[key] = int(getattr(self, attr))
         return write_checkpoint(directory, arrays, manifest)
 
     def _load_state(self, manifest: Dict[str, Any],
@@ -1077,20 +1073,10 @@ class GossipEngine:
         then discards it, so the resumed stream continues exactly where
         the checkpointed run left off."""
         scenario = self.scenario
-        checks = (
-            ("n", scenario.n),
-            ("membership", self._provider.name),
-            ("pair_mode", self._pair is not None),
-            ("dynamic", bool(self._dynamic)),
-            ("bit_generator", type(self._rng.bit_generator).__name__),
+        check_manifest(
+            manifest, scenario,
+            bit_generator=type(self._rng.bit_generator).__name__,
         )
-        for key, expected in checks:
-            if manifest.get(key) != expected:
-                raise CheckpointError(
-                    f"checkpoint was taken under {key}="
-                    f"{manifest.get(key)!r}; this scenario has "
-                    f"{key}={expected!r}"
-                )
         saved_matrix = np.ascontiguousarray(
             arrays["matrix"], dtype=np.float64
         )
@@ -1118,75 +1104,28 @@ class GossipEngine:
         self._matrix = self._backend.restore_matrix(
             self._matrix, saved_matrix
         )
-        self._alive = np.ascontiguousarray(arrays["alive"], dtype=bool)
-        self._participant = np.ascontiguousarray(
-            arrays["participant"], dtype=bool
-        )
-        if self._attributes is not None:
-            if "attributes" not in arrays:
+        for attr, key, dtype, *_ in _SLOT_STATE:
+            if getattr(self, attr) is None:
+                continue
+            if key not in arrays:
                 raise CheckpointError(
-                    "checkpoint is missing the epoch attribute matrix "
-                    "this scenario's default restart reseeds from"
+                    f"checkpoint holds no {key!r} array, which this "
+                    f"scenario's engine keeps per slot"
                 )
-            self._attributes = np.ascontiguousarray(
-                arrays["attributes"], dtype=np.float64
+            setattr(
+                self, attr, np.ascontiguousarray(arrays[key], dtype=dtype)
             )
-        if self._adv_mask is not None:
-            if "adv_mask" not in arrays:
-                raise CheckpointError(
-                    "checkpoint is missing the adversary mask this "
-                    "scenario's AdversarySpec requires"
-                )
-            self._adv_mask = np.ascontiguousarray(
-                arrays["adv_mask"], dtype=bool
-            )
-        self._provider.load_state(
-            arrays.get("views")
-        )
-        if self._retry is not None:
-            if "mf_partner" not in arrays:
-                raise CheckpointError(
-                    "checkpoint is missing the pending-exchange tables "
-                    "this scenario's RetrySpec requires"
-                )
-            self._mf_partner = np.ascontiguousarray(
-                arrays["mf_partner"], dtype=np.int64
-            )
-            self._mf_kind = np.ascontiguousarray(
-                arrays["mf_kind"], dtype=np.int8
-            )
-            self._mf_attempt = np.ascontiguousarray(
-                arrays["mf_attempt"], dtype=np.int64
-            )
-            self._mf_due = np.ascontiguousarray(
-                arrays["mf_due"], dtype=np.int64
-            )
-            self._mf_cache = np.ascontiguousarray(
-                arrays["mf_cache"], dtype=np.float64
-            )
-            self._mf_sent = np.ascontiguousarray(
-                arrays["mf_sent"], dtype=np.float64
-            )
-            self._mf_push_only = np.ascontiguousarray(
-                arrays["mf_push_only"], dtype=bool
-            )
+        self._provider.load_state(arrays.get("views"))
+        if self._faults is not None and "mf_stats" in arrays:
+            # a checkpoint an older build wrote without a retry policy
+            # has none: the counts then restart from zero
             self._mf_stats = dict(unpickle_payload(arrays["mf_stats"]))
         self._free_slots = [int(slot) for slot in arrays["free_slots"]]
-        self._phi_log = (
-            [row.copy() for row in arrays["phi_log"]]
-            if "phi_log" in arrays
-            else []
-        )
+        self._phi_log = [row.copy() for row in arrays.get("phi_log", ())]
         self._epoch_results = list(unpickle_payload(arrays["epoch_results"]))
-        state = unpickle_payload(arrays["rng_state"])
-        self._rng.bit_generator.state = state
-        self.cycle = int(manifest["cycle"])
-        self.epoch = int(manifest["epoch"])
-        self._epoch_start_cycle = int(manifest["epoch_start_cycle"])
-        self._size_at_epoch_start = int(manifest["size_at_epoch_start"])
-        self._last_finalized_epoch = int(manifest["last_finalized_epoch"])
-        self._top = int(manifest["top"])
-        self._mask_version = int(manifest["mask_version"])
+        self._rng.bit_generator.state = unpickle_payload(arrays["rng_state"])
+        for attr, key in _COUNTERS:
+            setattr(self, attr, int(manifest[key]))
         # fresh per-cycle scratch: buffers resize on first use and the
         # initiator cache re-keys on the restored mask version
         self._plan = CyclePlan()
@@ -1235,14 +1174,8 @@ class GossipEngine:
                 np.bincount(pairs.ravel(), minlength=self.capacity)
             )
         self._backend.apply_pairs(
-            self._matrix,
-            self._functions,
-            pairs[:, 0],
-            pairs[:, 1],
+            self._matrix, self._functions, pairs[:, 0], pairs[:, 1],
             plan=self._pair_plan,
-            chunk=self._pair.chunk,
-            cycle=self.cycle,
-            trace=self._trace,
         )
         self.cycle += 1
         return int(pairs.shape[0])
@@ -1257,6 +1190,9 @@ class GossipEngine:
         :class:`~repro.errors.InvariantViolation`."""
         executed = self.cycle
         self._moments = None
+        if self._trace is not None:
+            # the tracing backend stamps its records with the cycle
+            self._backend.cycle = executed
         count = self._run_cycle_inner()
         if self._monitor_entries:
             self._observe_invariants(executed)
@@ -1320,103 +1256,75 @@ class GossipEngine:
         plan = self._plan
         plan.ensure(self.capacity)
         provider = self._provider
-        if self._dynamic:
-            # dynamic overlays draw among current participants — the
-            # oracle provider uniformly (the paper's uniform overlay,
-            # self-picks shifted), newscast from its partial views
-            initiators = plan.initiators(self._participant, self._mask_version)
-            if mf_blocked is not None:
-                initiators = initiators[~mf_blocked[initiators]]
-            count = len(initiators)
-            if count < 2:
-                self.cycle += 1
-                return 0
-            provider.begin_cycle(initiators, self._alive, rng)
-            partners = provider.draw(
-                initiators, rng, plan.partners[:count]
+        # one body for static and dynamic overlays. On a static overlay
+        # the participant mask *is* the alive mask (only crash() writes
+        # either, and it writes both); isolated rows, eclipse capture
+        # and partition schedules are static-only by Scenario
+        # validation, so under churn / epochs those steps are inert.
+        initiators = plan.initiators(
+            self._participant, self._mask_version, exclude=self._isolated
+        )
+        if mf_blocked is not None:
+            initiators = initiators[~mf_blocked[initiators]]
+        count = len(initiators)
+        if self._dynamic and count < 2:
+            # dynamic overlays draw among the current participants:
+            # one alone has nobody to draw
+            self.cycle += 1
+            return 0
+        provider.begin_cycle(initiators, self._alive, rng)
+        partners = provider.draw(initiators, rng, plan.partners[:count])
+        if self._eclipse is not None and self._adversary.active_at(
+            self.cycle
+        ):
+            # eclipse capture: a victim's draw lands on its captor no
+            # matter which neighbor it picked. The draw itself still
+            # happens (same RNG consumption as without the adversary),
+            # only the result is overridden.
+            redirect = self._eclipse[initiators]
+            captured = redirect >= 0
+            if captured.any():
+                partners[captured] = redirect[captured]
+        if self._no_failure_filters and self._mask_version == 0:
+            # fast path: every node alive and participating (nothing
+            # has ever bumped the mask version) and nothing can fail
+            # an exchange, so the survivors ARE (initiators, partners)
+            # — skip the mask pass and the compaction entirely. No RNG
+            # is consumed either way, so trajectories stay
+            # bitwise-identical to the filtered path.
+            self._backend.apply_exchanges(
+                self._matrix, self._functions, initiators, partners
             )
-            ok = plan.ok[:count]
-            loss = scenario.loss_at(self.cycle)
-            if provider.draws_valid_participants:
-                self._loss_coins(count, loss, out=ok)
-            else:
-                # view draws can land on departed or not-yet-restarted
-                # nodes — contacting one fails the exchange, exactly
-                # like contacting a crashed neighbor on a static overlay
-                np.take(self._participant, partners, out=ok)
-                if loss > 0.0:
-                    ok &= self._loss_coins(count, loss)
-            if self._adversary_partition and self._adversary.active_at(
-                self.cycle
-            ):
-                adv = self._adv_mask
-                ok &= ~(adv[initiators] ^ adv[partners])
+            self.cycle += 1
+            return count
+        loss = scenario.loss_at(self.cycle)
+        # one fused mask pass: a partner that is not participating,
+        # then loss coins, then the partition filters
+        ok = plan.ok[:count]
+        if provider.draws_valid_participants:
+            self._loss_coins(count, loss, out=ok)
         else:
-            initiators = plan.initiators(
-                self._alive, self._mask_version, exclude=self._isolated
-            )
-            if mf_blocked is not None:
-                initiators = initiators[~mf_blocked[initiators]]
-            count = len(initiators)
-            provider.begin_cycle(initiators, self._alive, rng)
-            partners = provider.draw(
-                initiators, rng, plan.partners[:count]
-            )
-            if self._eclipse is not None and self._adversary.active_at(
-                self.cycle
-            ):
-                # eclipse capture: a victim's draw lands on its captor
-                # no matter which neighbor it picked. The draw itself
-                # still happens (same RNG consumption as without the
-                # adversary), only the result is overridden.
-                redirect = self._eclipse[initiators]
-                captured = redirect >= 0
-                if captured.any():
-                    partners[captured] = redirect[captured]
-            if self._no_failure_filters and self._mask_version == 0:
-                # static fast path: every node alive (no crash has ever
-                # bumped the mask version) and nothing can fail an
-                # exchange, so the survivors ARE (initiators, partners)
-                # — skip the mask pass and the compaction entirely.
-                # No RNG is consumed either way, so trajectories stay
-                # bitwise-identical to the filtered path.
-                self._backend.apply_exchanges(
-                    self._matrix,
-                    self._functions,
-                    initiators,
-                    partners,
-                    cycle=self.cycle,
-                    trace=self._trace,
-                )
-                self.cycle += 1
-                return count
-            loss = scenario.loss_at(self.cycle)
-            # one fused mask pass: contacting a crashed neighbor fails
-            # the exchange, then loss coins, then the partition filter
-            ok = plan.ok[:count]
-            np.take(self._alive, partners, out=ok)
+            # topology and view draws can land on crashed, departed or
+            # not-yet-restarted nodes — contacting one fails the
+            # exchange
+            np.take(self._participant, partners, out=ok)
             if loss > 0.0:
                 ok &= self._loss_coins(count, loss)
-            partition = scenario.partition
-            if partition is not None and partition.active_at(self.cycle):
-                ok &= ~partition.blocks_array(self.cycle, initiators, partners)
-            if self._adversary_partition and self._adversary.active_at(
-                self.cycle
-            ):
-                # targeted partition: exchanges crossing the
-                # honest/adversarial boundary fail
-                adv = self._adv_mask
-                ok &= ~(adv[initiators] ^ adv[partners])
+        partition = scenario.partition
+        if partition is not None and partition.active_at(self.cycle):
+            ok &= ~partition.blocks_array(self.cycle, initiators, partners)
+        if self._adversary_partition and self._adversary.active_at(
+            self.cycle
+        ):
+            # targeted partition: exchanges crossing the
+            # honest/adversarial boundary fail
+            adv = self._adv_mask
+            ok &= ~(adv[initiators] ^ adv[partners])
         if self._faults is not None:
             return self._finish_cycle_with_faults(initiators, partners, ok)
         exch_i, exch_j = plan.compact(initiators, partners, ok)
         self._backend.apply_exchanges(
-            self._matrix,
-            self._functions,
-            exch_i,
-            exch_j,
-            cycle=self.cycle,
-            trace=self._trace,
+            self._matrix, self._functions, exch_i, exch_j
         )
         self.cycle += 1
         return len(exch_i)
@@ -1488,12 +1396,7 @@ class GossipEngine:
         exch_i, exch_j = self._plan.compact(initiators, partners, full)
         full_count = len(exch_i)
         self._backend.apply_exchanges(
-            self._matrix,
-            self._functions,
-            exch_i,
-            exch_j,
-            cycle=cycle,
-            trace=self._trace,
+            self._matrix, self._functions, exch_i, exch_j
         )
         partial_count = int(np.count_nonzero(partial))
         combined = sent = None
@@ -1599,13 +1502,19 @@ class GossipEngine:
             self._ledger_add("repair", (repaired - old).sum(axis=0))
         self._mf_stats["repairs"] += len(slots)
 
-    def _clear_pending(self, slots: np.ndarray) -> None:
-        """Resolve outstanding episodes (``push_only`` is permanent and
-        survives — only slot recycling clears it)."""
+    def _clear_pending(
+        self, slots: np.ndarray, recycled: bool = False
+    ) -> None:
+        """Resolve the outstanding episodes of ``slots``. The cached
+        rows need no clearing (``mf_kind`` gates every read of them);
+        ``push_only`` is permanent for a node and goes only with it,
+        when its slot is ``recycled`` (departed or freshly admitted)."""
         self._mf_partner[slots] = -1
         self._mf_kind[slots] = 0
         self._mf_attempt[slots] = 0
         self._mf_due[slots] = 0
+        if recycled:
+            self._mf_push_only[slots] = False
 
     def _process_retries(self) -> int:
         """Fire every pending exchange whose backoff timer is due.

@@ -264,8 +264,11 @@ class VarianceMonotonicityMonitor(InvariantMonitor):
 class StructureMonitor(InvariantMonitor):
     """Lifecycle bookkeeping consistency: participants are a subset of
     alive nodes, the recycled-slot free list holds unique dead slots,
-    and (under churn/epochs) allocated slots are exactly partitioned
-    into alive + recyclable + never-used."""
+    (under churn/epochs) allocated slots are exactly partitioned into
+    alive + recyclable + never-used, and every per-slot array holds
+    exactly ``capacity`` slots — a growth that forgot one is a
+    violation on the cycle it happens, not an ``IndexError`` whenever
+    a fresh slot is first touched."""
 
     name = "structure"
 
@@ -280,6 +283,14 @@ class StructureMonitor(InvariantMonitor):
         capacity = snapshot["capacity"]
         top = snapshot["top"]
         findings = []
+        for key, length in snapshot["slot_lengths"].items():
+            if length != capacity:
+                findings.append(self._finding(
+                    cycle, "violation",
+                    f"per-slot array {key!r} holds {length} slots, "
+                    f"capacity is {capacity}",
+                    value=float(length - capacity),
+                ))
         ghosts = int(np.count_nonzero(participant & ~alive))
         if ghosts:
             findings.append(self._finding(

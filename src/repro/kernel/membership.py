@@ -284,9 +284,10 @@ class PartnerProvider:
     #: identifier used by Scenario.membership and reports
     name: str = "abstract"
     #: whether :meth:`draw` guarantees alive, participating partners
-    #: (the oracle's dynamic draw does; view-based draws can land on
-    #: departed nodes and need the engine's participant filter)
-    draws_valid_participants: bool = True
+    #: (the oracle's dynamic draw does: it picks among the initiators;
+    #: topology and view draws can land on crashed or departed nodes
+    #: and need the engine's participant filter)
+    draws_valid_participants: bool = False
 
     def bind(self, engine: "GossipEngine") -> None:
         """Attach to ``engine`` (called once, at engine construction;
@@ -374,12 +375,12 @@ class OracleProvider(PartnerProvider):
     """
 
     name = "oracle"
-    draws_valid_participants = True
 
     def bind(self, engine: "GossipEngine") -> None:
         super().bind(engine)
         self._topology = engine.scenario.topology
         self._dynamic = engine.scenario.is_dynamic
+        self.draws_valid_participants = self._dynamic
 
     def draw(
         self,
@@ -442,7 +443,6 @@ class NewscastProvider(PartnerProvider):
     """
 
     name = "newscast"
-    draws_valid_participants = False
 
     def __init__(self, spec: NewscastSpec):
         self.spec = spec

@@ -206,18 +206,12 @@ class PairProtocolSpec:
         :class:`~repro.avg.pair_selectors.PairSelector` subclasses run
         on the kernel). Custom generators skip the built-in topology
         preconditions and get no conflict-free segmentation plan.
-    chunk:
-        Optional greedy-segmentation window size for the vectorized
-        backend (default: :data:`~repro.kernel.backends.PAIR_CHUNK`).
-        Purely a performance knob — it never changes results, only how
-        the sequence is cut into batches.
     """
 
     selector: str
     track_phi: bool = True
     track_s: bool = False
     generator: Optional[PairGenerator] = None
-    chunk: Optional[int] = None
 
     def __post_init__(self):
         if self.generator is not None:
@@ -231,12 +225,6 @@ class PairProtocolSpec:
                 f"unknown pair selector {self.selector!r}; expected one "
                 f"of {PAIR_SELECTOR_NAMES}"
             )
-        if self.chunk is not None:
-            # validate eagerly so a bad value fails at configuration
-            # time, not on the first vectorized cycle
-            from .backends import resolve_chunk
-
-            resolve_chunk(self.chunk)
 
     def validate_topology(self, topology: Topology) -> None:
         """Raise if ``topology`` cannot host this selector."""

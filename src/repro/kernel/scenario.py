@@ -31,6 +31,7 @@ from ..topology.complete import CompleteTopology
 # historical home (`from repro.kernel.scenario import BACKEND_NAMES`)
 from .backends import BACKEND_NAMES, parse_backend_spec  # noqa: F401
 from .adversary import AdversarySpec
+from .checkpoint import check_manifest, read_manifest, resolve_checkpoint
 from .messages import MessageFaultSpec, RetrySpec
 from .lifecycle import ChurnSpec, EpochSpec
 from .membership import NewscastSpec, resolve_membership
@@ -455,26 +456,9 @@ class Scenario:
         <repro.kernel.engine.GossipEngine.restore>` together with the
         same ``path``.
         """
-        from ..errors import CheckpointError
-        from .checkpoint import read_manifest, resolve_checkpoint
-
-        manifest = read_manifest(resolve_checkpoint(path))
-        membership = (
-            "newscast" if self.membership is not None else "oracle"
+        check_manifest(
+            read_manifest(resolve_checkpoint(path)), self, path=path
         )
-        checks = (
-            ("n", self.n),
-            ("membership", membership),
-            ("pair_mode", self.pair_protocol is not None),
-            ("dynamic", self.is_dynamic),
-        )
-        for key, expected in checks:
-            if manifest.get(key) != expected:
-                raise CheckpointError(
-                    f"checkpoint at {path} was taken under "
-                    f"{key}={manifest.get(key)!r}; this scenario has "
-                    f"{key}={expected!r}"
-                )
         if backend is None or backend == self.backend:
             return self
         return self.replace(backend=backend)

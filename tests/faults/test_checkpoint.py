@@ -8,9 +8,18 @@ tests here assert that end to end (full run vs checkpoint-and-resume,
 bitwise) and cover the on-disk format's crash discipline: atomic
 payload-then-manifest commits, torn-checkpoint skipping, checksum
 verification, and retention pruning.
+
+What a slot holds is one table in the engine (``_SLOT_STATE``), and
+growth, recycling, checkpoint and restore are loops over it.
+:class:`TestSlotTable` audits the table against the engine's
+attributes, :class:`TestComposedRoundTrip` resumes every composition of
+the features that add rows to it, and :class:`TestOlderBuild` restores
+a checkpoint written before the table existed.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,19 +32,84 @@ from repro.core.size_estimation import (
 from repro.errors import CheckpointError, ConfigurationError
 from repro.failures import ConstantRateChurn
 from repro.kernel import (
+    AdversarySpec,
     CheckpointSpec,
     ChurnSpec,
+    EpochSpec,
     GossipEngine,
+    MessageFaultSpec,
+    NewscastSpec,
     PairProtocolSpec,
+    RetrySpec,
     Scenario,
+    StructureMonitor,
     latest_checkpoint,
     list_checkpoints,
     prune_checkpoints,
     read_checkpoint,
 )
-from repro.topology import CompleteTopology
+from repro.kernel.engine import _SLOT_STATE
+from repro.topology import AdjacencyTopology, CompleteTopology
 
 pytestmark = pytest.mark.faults
+
+ADVERSARIES = {
+    "honest": None,
+    "inject": AdversarySpec(kind="inject", fraction=0.1, value=40.0),
+    "partition": AdversarySpec(kind="partition", fraction=0.1),
+    "lying": AdversarySpec(kind="lying", fraction=0.1, value=40.0),
+}
+RETRIES = {
+    "no-retry": None,
+    "retransmit": RetrySpec(),
+    "redraw": RetrySpec(mode="redraw"),
+}
+
+
+def _armed(n=150, backend="vectorized", membership="newscast",
+           adversary="inject", retry="retransmit", epochs=True):
+    """Everything that gives a slot state, at once: churn that outgrows
+    the initial capacity twice in 20 cycles (n = 150: 150 -> 225 -> 337
+    slots) and recycles slots on the way, default-reseed epochs (the
+    attribute matrix), an adversary mask, request / reply /
+    duplication faults with the retry tables, Newscast views."""
+    values = np.random.default_rng(5).normal(12.0, 3.0, n)
+    return Scenario(
+        CompleteTopology(n), values, seed=29, backend=backend,
+        churn=ChurnSpec(model=ConstantRateChurn(n * 2 // 25, n // 50)),
+        epochs=EpochSpec(cycles_per_epoch=8) if epochs else None,
+        membership=NewscastSpec(view_size=8) if membership else None,
+        adversary=ADVERSARIES[adversary],
+        message_faults=MessageFaultSpec(
+            request_loss=0.1, reply_loss=0.2, duplication=0.05
+        ),
+        retry=RETRIES[retry],
+    )
+
+
+def _state(engine):
+    """Everything a resumed run has to reproduce."""
+    views = engine.membership_views
+    return {
+        "matrix": engine.matrix,
+        "alive": engine.alive_mask,
+        "participant": engine._participant.copy(),
+        "adversary": engine.adversary_mask,
+        "views": np.empty(0) if views is None else views,
+        "rng": engine._rng.bit_generator.state,
+        "pending": engine.pending_retry_count,
+        "stats": engine.message_fault_stats,
+    }
+
+
+def _digest(engine):
+    digest = hashlib.sha256()
+    for value in _state(engine).values():
+        digest.update(
+            value.tobytes() if isinstance(value, np.ndarray)
+            else repr(value).encode()
+        )
+    return digest.hexdigest()
 
 
 def _scenario(n=120, cycles=20, seed=23, backend="reference",
@@ -270,3 +344,139 @@ class TestFormat:
             CheckpointSpec(directory=tmp_path, every_cycles=0)
         with pytest.raises(ConfigurationError):
             CheckpointSpec(directory=tmp_path, every_cycles=5, keep=0)
+
+
+class TestSlotTable:
+    """``_SLOT_STATE`` is complete, and growth honours it."""
+
+    #: per-slot arrays that are not rows, with the reason: static-only
+    #: (Scenario rejects them under churn / epochs, so they never grow)
+    #: and re-derived at construction from scenario and seed (so a
+    #: checkpoint need not carry them)
+    REDERIVED = {"_eclipse", "_isolated"}
+
+    def _static_engine(self):
+        """A static overlay with a zero-degree row and an eclipse
+        adversary: the two whitelisted arrays exist."""
+        n = 40
+        edges = [(i, i + 1) for i in range(n - 2)]
+        return GossipEngine(Scenario(
+            AdjacencyTopology.from_edges(n, edges), np.arange(float(n)),
+            adversary=AdversarySpec(kind="eclipse", nodes=(3,)), seed=3,
+        ))
+
+    @pytest.mark.parametrize("build", ["armed", "static"])
+    def test_every_per_slot_array_is_a_row(self, build):
+        engine = (GossipEngine(_armed()) if build == "armed"
+                  else self._static_engine())
+        try:
+            # at construction, before growth can tell a forgotten
+            # array from the others by its length
+            rows = {attr for attr, *_ in _SLOT_STATE}
+            per_slot = {
+                name for name, value in vars(engine).items()
+                if isinstance(value, np.ndarray)
+                and len(value) == engine.capacity
+            }
+            assert per_slot - rows - {"_matrix"} <= self.REDERIVED
+            if build == "armed":
+                # fully armed: no row is left out of the audit
+                assert rows <= per_slot
+                assert not per_slot & self.REDERIVED
+            else:
+                assert self.REDERIVED <= per_slot
+        finally:
+            engine.close()
+
+    def test_growth_extends_every_row_with_its_fill(self):
+        engine = GossipEngine(_armed())
+        try:
+            engine.run(2)
+            old = engine.capacity
+            engine._ensure_capacity(old + 1)
+            assert engine.capacity > old
+            assert len(engine._matrix) == engine.capacity
+            for attr, key, dtype, fill, per_column, _ in _SLOT_STATE:
+                held = getattr(engine, attr)
+                assert held.dtype == dtype, key
+                assert held.shape == (
+                    (engine.capacity, len(engine.instance_names))
+                    if per_column else (engine.capacity,)
+                ), key
+                assert (held[old:] == fill).all(), key
+            # and the next cycles run on the grown state
+            engine.arm_standard_monitors(strict=True)
+            engine.run(3)
+        finally:
+            engine.close()
+
+    def test_structure_monitor_flags_a_forgotten_growth(self):
+        """A per-slot array left at the old capacity is a violation on
+        the cycle it happens."""
+        engine = GossipEngine(_armed())
+        monitor = engine.register_monitor(StructureMonitor())
+        try:
+            engine.run(1)
+            assert not engine.invariant_report().violations
+            engine._mf_due = engine._mf_due[:-1]
+            findings = monitor.observe(engine, engine.cycle, {}, False)
+            assert [f.message for f in findings if f.is_violation] == [
+                f"per-slot array 'mf_due' holds {engine.capacity - 1} "
+                f"slots, capacity is {engine.capacity}"
+            ]
+        finally:
+            engine.close()
+
+
+class TestComposedRoundTrip:
+    """Checkpoint-resume identity under composition: every combination
+    of the features that add per-slot state, over churn that grows and
+    recycles slots and all three message faults. One in-process
+    backend suffices here — the state is the engine's, and
+    :class:`TestRoundTrip` covers the backends."""
+
+    @pytest.mark.parametrize("epochs", [False, True],
+                             ids=["no-epochs", "epochs"])
+    @pytest.mark.parametrize("retry", sorted(RETRIES))
+    @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
+    @pytest.mark.parametrize("membership", [None, "newscast"],
+                             ids=["oracle", "newscast"])
+    def test_resume_is_bitwise(self, membership, adversary, retry, epochs,
+                               tmp_path):
+        full, resumed = _round_trip(
+            lambda: _armed(membership=membership, adversary=adversary,
+                           retry=retry, epochs=epochs),
+            total=20, split=11, tmp_path=tmp_path,
+        )
+        try:
+            assert full.capacity == 337  # grew twice on the way
+            np.testing.assert_equal(_state(resumed), _state(full))
+        finally:
+            full.close()
+            resumed.close()
+
+
+class TestOlderBuild:
+    """``data/ck-0000000007.*`` is ``_armed(n=60)`` checkpointed at
+    cycle 7 (capacity 90, 26 exchanges pending) by commit 046bcea, the
+    last build whose ``checkpoint`` / ``_load_state`` enumerated the
+    arrays by hand — written from a ``git archive`` of that commit with
+    ``engine.run(7); engine.checkpoint(directory)`` — and the digest is
+    what that build's own engine reached 13 cycles later. The format
+    has no version but 1: a build that cannot continue this run bitwise
+    has changed it."""
+
+    DATA = Path(__file__).parent / "data"
+    REACHED = (
+        "37a52669664e4841c38f974c369d9bbf6359aeb69a3b1881450fe2172161bb1c"
+    )
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_restores_and_finishes_bitwise(self, backend):
+        with GossipEngine.restore(
+            _armed(n=60, backend=backend), self.DATA
+        ) as engine:
+            assert (engine.cycle, engine.capacity) == (7, 90)
+            assert engine.pending_retry_count == 26
+            engine.run(13)
+            assert _digest(engine) == self.REACHED

@@ -127,6 +127,11 @@ class TestProviderProtocol:
         with GossipEngine(scenario_with()) as engine:
             assert engine.membership_name == "oracle"
             assert engine.membership_views is None
+            # a topology draw can land on a crashed node
+            assert not engine.partner_provider.draws_valid_participants
+        churn = ChurnTrace(np.zeros(4, dtype=int), np.zeros(4, dtype=int))
+        with GossipEngine(scenario_with(churn=churn)) as engine:
+            # the dynamic draw picks among the initiators themselves
             assert engine.partner_provider.draws_valid_participants
 
     def test_newscast_engine_exposes_views(self):

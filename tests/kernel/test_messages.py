@@ -451,18 +451,24 @@ class TestRetry:
         assert stats["retries"] > 0
         assert report.ok
 
+    @pytest.mark.parametrize("retry", [RetrySpec(budget=4), None],
+                             ids=["retry", "no-retry"])
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     def test_checkpoint_round_trip_with_pending_state(self, backend,
-                                                      tmp_path):
+                                                      retry, tmp_path):
         """Checkpointing mid-episode (pending initiators, cached
-        replies, backoff clocks) resumes bitwise-identically."""
+        replies, backoff clocks) resumes bitwise-identically — and the
+        fault counts come back whether or not a retry policy rides
+        along (they used to be saved with the retry tables only)."""
+        pending = retry is not None
+
         def scenario():
             return make_scenario(
                 backend,
                 message_faults=MessageFaultSpec(
                     request_loss=0.15, reply_loss=0.25
                 ),
-                retry=RetrySpec(budget=4),
+                retry=retry,
             )
 
         full = GossipEngine(scenario())
@@ -474,14 +480,15 @@ class TestRetry:
 
         part = GossipEngine(scenario())
         part.run(7)
-        assert part.pending_retry_count > 0  # mid-episode state exists
+        # mid-episode state exists
+        assert (part.pending_retry_count > 0) == pending
         manifest = part.checkpoint(tmp_path)
         part.close()
 
         resumed = GossipEngine.restore(scenario(), manifest)
         try:
             assert resumed.cycle == 7
-            assert resumed.pending_retry_count > 0
+            assert (resumed.pending_retry_count > 0) == pending
             resumed.run(9)
             assert np.array_equal(resumed.matrix, expected[0])
             assert dict(resumed.message_fault_stats) == expected[1]

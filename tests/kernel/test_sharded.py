@@ -22,7 +22,11 @@ from repro.core import (
     MeanAggregate,
     moment_values,
 )
-from repro.errors import BackendSpecError, ConfigurationError
+from repro.errors import (
+    BackendSpecError,
+    ConfigurationError,
+    SimulationError,
+)
 from repro.failures import ConstantRateChurn, CrashPlan
 from repro.kernel import (
     ChurnSpec,
@@ -174,26 +178,42 @@ class TestShardedBitwiseEquivalence:
         )
 
 
-class TestShardedBackendDirect:
-    """Direct (engine-less) use: the backend stages a borrowed matrix
-    through shared memory for the call and copies the result back."""
+def apply_like_an_engine(backend, matrix, functions, exch_i, exch_j):
+    """Engine-less use of a sharded backend, through the contract the
+    engine uses: hand the matrix over, apply (at most one step per row
+    and call — the step buffers are sized by the rows), ``sync()``
+    before reading. Returns a heap copy of the result."""
+    rows = len(matrix)
+    try:
+        shared = backend.adopt_matrix(matrix)
+        for lo in range(0, len(exch_i), rows):
+            backend.apply_exchanges(
+                shared, functions,
+                exch_i[lo:lo + rows], exch_j[lo:lo + rows],
+            )
+        backend.sync()
+        return shared.copy()
+    finally:
+        backend.close()
 
-    def test_apply_exchanges_on_borrowed_matrix(self):
+
+class TestShardedBackendDirect:
+    """Direct (engine-less) use of the adopt / apply / sync contract."""
+
+    def test_apply_exchanges_on_adopted_matrix(self):
         rng = np.random.default_rng(9)
         n, m = 90, 300
         matrix_ref = rng.normal(0.0, 1.0, (n, 2))
-        matrix_sh = matrix_ref.copy()
         exch_i = rng.integers(0, n, m)
         exch_j = (exch_i + 1 + rng.integers(0, n - 1, m)) % n
         functions = (MeanAggregate(), MaxAggregate())
+        matrix_sh = apply_like_an_engine(
+            ShardedBackend(workers=2), matrix_ref.copy(), functions,
+            exch_i, exch_j,
+        )
         ReferenceBackend().apply_exchanges(
             matrix_ref, functions, exch_i, exch_j
         )
-        backend = ShardedBackend(workers=2)
-        try:
-            backend.apply_exchanges(matrix_sh, functions, exch_i, exch_j)
-        finally:
-            backend.close()
         assert np.array_equal(matrix_ref, matrix_sh)
 
     def test_tiny_chunk_stresses_segment_boundaries(self):
@@ -202,31 +222,35 @@ class TestShardedBackendDirect:
         rng = np.random.default_rng(10)
         n, m = 40, 200
         matrix_ref = rng.normal(0.0, 1.0, (n, 1))
-        matrix_sh = matrix_ref.copy()
         exch_i = rng.integers(0, n, m)
         exch_j = (exch_i + 1 + rng.integers(0, n - 1, m)) % n
         functions = (MeanAggregate(),)
+        matrix_sh = apply_like_an_engine(
+            ShardedBackend(workers=3, chunk=7), matrix_ref.copy(),
+            functions, exch_i, exch_j,
+        )
         ReferenceBackend().apply_exchanges(
             matrix_ref, functions, exch_i, exch_j
         )
-        backend = ShardedBackend(workers=3, chunk=7)
-        try:
-            backend.apply_exchanges(matrix_sh, functions, exch_i, exch_j)
-        finally:
-            backend.close()
         assert np.array_equal(matrix_ref, matrix_sh)
 
-    def test_empty_call_is_a_noop(self):
+    def test_a_matrix_that_was_not_adopted_is_refused(self):
+        """The workers apply to the shared segment and nothing else; a
+        pool handed any other array would leave it untouched."""
         backend = ShardedBackend(workers=1)
-        matrix = np.ones((4, 1))
-        backend.apply_exchanges(
-            matrix, (MeanAggregate(),),
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-        )
-        # no pool should have spawned for an empty exchange list
-        assert backend.active_workers == 0
-        backend.close()
-        assert np.array_equal(matrix, np.ones((4, 1)))
+        steps = np.array([0]), np.array([1])
+        try:
+            with pytest.raises(SimulationError, match="adopted"):
+                backend.apply_exchanges(
+                    np.ones((4, 1)), (MeanAggregate(),), *steps
+                )
+            shared = backend.adopt_matrix(np.ones((4, 1)))
+            with pytest.raises(SimulationError, match="adopted"):
+                backend.apply_exchanges(
+                    shared.copy(), (MeanAggregate(),), *steps
+                )
+        finally:
+            backend.close()
 
 
 class TestShardedLifecycle:
@@ -370,15 +394,6 @@ class TestShardedLifecycle:
         with pytest.raises(ConfigurationError):
             ShardedBackend(workers=2.5)
 
-    def test_trace_rejected(self):
-        backend = ShardedBackend(workers=1)
-        with pytest.raises(Exception):
-            backend.apply_exchanges(
-                np.ones((4, 1)), (MeanAggregate(),),
-                np.array([0]), np.array([1]), trace=object(),
-            )
-        backend.close()
-
 
 def _families():
     """The four scenario families of the pipelined sweep: plain
@@ -491,11 +506,14 @@ class TestPipelineMechanics:
     def test_close_after_failure_is_clean(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "2")
         backend = ShardedBackend(workers=2)
-        matrix = np.random.default_rng(26).normal(0.0, 1.0, (64, 1))
+        matrix = backend.adopt_matrix(
+            np.random.default_rng(26).normal(0.0, 1.0, (64, 1))
+        )
         backend.apply_exchanges(
             matrix, (MeanAggregate(),),
             np.arange(32), np.arange(32, 64),
         )
+        backend.sync()
         backend._procs[0].terminate()
         backend._procs[0].join(timeout=5)
         backend.close()

@@ -1,16 +1,27 @@
 """The configuration surface is a reviewed list, not an accident.
 
-Every environment variable ``src/`` reads and every constructor
-argument of the sharded backend doubles the configurations the
-equivalence suite would have to cover. Adding one means editing this
-file — and the table in ``docs/architecture.md`` — in the same diff.
+Every environment variable ``src/`` reads, every constructor argument
+of the sharded backend, every parameter of the backends' apply
+contract and every field of the pair-protocol spec doubles the
+configurations the equivalence suite would have to cover. Adding one
+means editing this file — and, for the first two, the table in
+``docs/architecture.md`` — in the same diff.
 """
 
+import dataclasses
 import inspect
 import re
 from pathlib import Path
 
-from repro.kernel import ShardedBackend
+import pytest
+
+from repro.kernel import (
+    ExecutionBackend,
+    PairProtocolSpec,
+    ReferenceBackend,
+    ShardedBackend,
+    VectorizedBackend,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV_NAMES = {
@@ -21,6 +32,9 @@ ENV_NAMES = {
 SHARDED_ARGUMENTS = [
     "workers", "chunk", "inline_below", "on_failure", "max_respawns",
 ]
+APPLY_EXCHANGES = ["matrix", "functions", "exch_i", "exch_j"]
+APPLY_PAIRS = ["matrix", "functions", "pairs_i", "pairs_j", "plan"]
+PAIR_PROTOCOL_FIELDS = ["selector", "track_phi", "track_s", "generator"]
 
 
 def test_env_vars_read_by_src():
@@ -33,6 +47,22 @@ def test_env_vars_read_by_src():
 def test_sharded_backend_arguments():
     parameters = inspect.signature(ShardedBackend.__init__).parameters
     assert list(parameters)[1:] == SHARDED_ARGUMENTS
+
+
+@pytest.mark.parametrize("backend", [
+    ExecutionBackend, ReferenceBackend, VectorizedBackend, ShardedBackend,
+])
+def test_apply_contract(backend):
+    for method, expected in (
+        (backend.apply_exchanges, APPLY_EXCHANGES),
+        (backend.apply_pairs, APPLY_PAIRS),
+    ):
+        assert list(inspect.signature(method).parameters)[1:] == expected
+
+
+def test_pair_protocol_fields():
+    names = [field.name for field in dataclasses.fields(PairProtocolSpec)]
+    assert names == PAIR_PROTOCOL_FIELDS
 
 
 def test_architecture_table_lists_the_same_surface():
