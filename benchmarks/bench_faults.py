@@ -17,12 +17,17 @@ N = 1 000 000:
   checkpoint interval.
 * **Worker-kill recovery.** A sharded run is armed with a
   :class:`~repro.kernel.FaultSpec` that SIGKILLs one worker mid-run,
-  once under ``on_failure="respawn"`` (journal replay + pool restart)
-  and once under ``on_failure="inline"`` (degrade to single-process
-  vectorized execution). Both must finish bitwise-equal to the
-  vectorized oracle; the structured
-  :class:`~repro.kernel.PoolHealthReport` supplies the recovery
-  latency that lands in the archive.
+  once with respawn credits (journal replay, new workers at the next
+  schedule: the ``respawn_*`` keys) and once with ``max_respawns=0``
+  (degrade to single-process vectorized execution at once: the
+  ``inline_*`` keys). Both must finish bitwise-equal to the vectorized
+  oracle; the structured :class:`~repro.kernel.PoolHealthReport`
+  supplies the recovery latency that lands in the archive.
+* **What arming costs a calm run.** The same sharded run with no
+  fault, under ``on_failure="raise"`` (``unarmed_run_seconds``) and
+  under ``"respawn"`` (``armed_run_seconds``): the difference is the
+  per-schedule matrix snapshot of the healing journal and the
+  pipeline it holds one schedule deep.
 
 Results land in ``benchmarks/out/BENCH_faults.json`` (paper-scale runs
 also refresh the git-tracked ``BENCH_faults.json`` at the repo root).
@@ -66,6 +71,12 @@ KILL_AT_CALL = 2  # apply-call index the worker-kill fault fires at
 #: cost) and the respawn is a fork + segment remap, so anything beyond
 #: this is a stall, not a recovery
 RECOVERY_CEILING_SECONDS = 60.0
+#: the killed legs, by archive key prefix: the respawn budget of each
+#: (``inline`` was a policy of its own before it became a budget of 0;
+#: the keys keep BENCH_history.jsonl and diff_bench.py lined up)
+RECOVERY_LEGS = {"respawn": 2, "inline": 0}
+#: the calm legs, by archive key prefix: the failure policy of each
+CALM_LEGS = {"unarmed": "raise", "armed": "respawn"}
 
 
 def timed_run(scenario, cycles):
@@ -113,24 +124,40 @@ def compute_checkpoint(series, n, cycles, split):
 
 
 def compute_recovery(series, n, cycles, oracle_matrix):
-    """Kill one worker mid-run under each healing policy; record the
-    health report's recovery latency and the bitwise outcome."""
-    for mode in ("respawn", "inline"):
-        backend = ShardedBackend(WORKERS, on_failure=mode, max_respawns=2)
+    """Kill one worker mid-run with and without respawn credits;
+    record the health report's recovery latency and the bitwise
+    outcome."""
+    for leg, max_respawns in RECOVERY_LEGS.items():
+        backend = ShardedBackend(WORKERS, on_failure="respawn",
+                                 max_respawns=max_respawns)
         backend.inject_faults(
             [FaultSpec("kill_worker", worker=1, at_call=KILL_AT_CALL)]
         )
         scenario = service_scenario(n, backend, cycles=cycles)
         seconds, matrix = timed_run(scenario, cycles)
         report = backend.health_report()
-        series[f"{mode}_run_seconds"] = seconds
-        series[f"{mode}_recovery_seconds"] = report.recovery_seconds
-        series[f"{mode}_events"] = len(report.events)
-        series[f"{mode}_respawns"] = report.respawns
-        series[f"{mode}_degraded"] = report.degraded
-        series[f"{mode}_bitwise_equal"] = bool(
+        series[f"{leg}_run_seconds"] = seconds
+        series[f"{leg}_recovery_seconds"] = report.recovery_seconds
+        series[f"{leg}_events"] = len(report.events)
+        series[f"{leg}_respawns"] = report.respawns
+        series[f"{leg}_degraded"] = report.degraded
+        series[f"{leg}_bitwise_equal"] = bool(
             np.array_equal(oracle_matrix, matrix)
         )
+
+
+def compute_arming(series, n, cycles, oracle_matrix):
+    """The same calm run under each policy: what the journal costs a
+    pool nothing happens to."""
+    for leg, policy in CALM_LEGS.items():
+        backend = ShardedBackend(WORKERS, on_failure=policy)
+        scenario = service_scenario(n, backend, cycles=cycles)
+        seconds, matrix = timed_run(scenario, cycles)
+        series[f"{leg}_run_seconds"] = seconds
+        series[f"{leg}_bitwise_equal"] = bool(
+            np.array_equal(oracle_matrix, matrix)
+        )
+        assert not backend.health_report().events
 
 
 def compute(n=N, cycles=CYCLES, split=SPLIT):
@@ -143,6 +170,7 @@ def compute(n=N, cycles=CYCLES, split=SPLIT):
     }
     oracle_matrix = compute_checkpoint(series, n, cycles, split)
     compute_recovery(series, n, cycles, oracle_matrix)
+    compute_arming(series, n, cycles, oracle_matrix)
     return series
 
 
@@ -164,10 +192,15 @@ def render(series):
                   series["checkpoint_restore_seconds"], "-")
     table.add_row("resume tail", series["resume_tail_seconds"],
                   series["resume_bitwise_equal"])
-    for mode in ("respawn", "inline"):
+    for leg in RECOVERY_LEGS:
         table.add_row(
-            f"worker kill ({mode})", series[f"{mode}_run_seconds"],
-            series[f"{mode}_bitwise_equal"],
+            f"worker kill ({leg})", series[f"{leg}_run_seconds"],
+            series[f"{leg}_bitwise_equal"],
+        )
+    for leg in CALM_LEGS:
+        table.add_row(
+            f"calm pool ({leg})", series[f"{leg}_run_seconds"],
+            series[f"{leg}_bitwise_equal"],
         )
     lines = [table.render(), ""]
     lines.append(
@@ -177,11 +210,16 @@ def render(series):
     lines.append(
         "worker-kill recovery latency: "
         + "; ".join(
-            f"{mode} {series[f'{mode}_recovery_seconds'] * 1e3:.1f}ms "
-            f"({series[f'{mode}_respawns']} respawn(s), "
-            f"degraded={series[f'{mode}_degraded']})"
-            for mode in ("respawn", "inline")
+            f"{leg} {series[f'{leg}_recovery_seconds'] * 1e3:.1f}ms "
+            f"({series[f'{leg}_respawns']} respawn(s), "
+            f"degraded={series[f'{leg}_degraded']})"
+            for leg in RECOVERY_LEGS
         )
+    )
+    lines.append(
+        f"arming a calm pool: "
+        f"{series['armed_run_seconds'] / series['unarmed_run_seconds']:.2f}x "
+        f"the unarmed run"
     )
     return "\n".join(lines)
 
@@ -194,10 +232,10 @@ def check(series):
             )
     assert series["respawn_respawns"] == 1 and not series["respawn_degraded"]
     assert series["inline_degraded"]
-    for mode in ("respawn", "inline"):
-        latency = series[f"{mode}_recovery_seconds"]
+    for leg in RECOVERY_LEGS:
+        latency = series[f"{leg}_recovery_seconds"]
         assert 0.0 < latency < RECOVERY_CEILING_SECONDS, (
-            f"{mode} recovery took {latency:.1f}s "
+            f"{leg} recovery took {latency:.1f}s "
             f"(ceiling {RECOVERY_CEILING_SECONDS:g}s)"
         )
 

@@ -140,8 +140,9 @@ def _add_backend_options(command: argparse.ArgumentParser) -> None:
         default=None, metavar="MODE",
         help="what a sharded pool failure does (sets "
              "REPRO_SHARD_ON_FAILURE): 'raise' fails fast (the "
-             "default), 'respawn' replays the in-flight work inline "
-             "and restarts the workers, 'inline' degrades to "
+             "default) and the backend stays failed, 'respawn' "
+             "replays the in-flight work inline and forks new "
+             "workers at the next schedule, twice, then degrades to "
              "in-process execution — the run always finishes, "
              "bitwise-identically",
     )

@@ -75,18 +75,32 @@ Workers never draw randomness and never see the overlay (CSR partner
 draws stay engine-side), so backend swaps keep the engine's RNG stream
 untouched. ``workers="auto"`` resolves one worker per schedulable core
 (``os.sched_getaffinity``, capped at 8) and falls back to *inline*
-in-process execution below ``inline_below`` rows (default
-:data:`SHARD_INLINE`) — at degenerate sizes the pool's spawn and IPC
-costs cannot be amortized, so ``auto`` is never slower than the
-vectorized backend there. The pool is spawned
+in-process execution below :data:`SHARD_INLINE` rows — at degenerate
+sizes the pool's spawn and IPC costs cannot be amortized, so ``auto``
+is never slower than the vectorized backend there. The pool is spawned
 lazily on first use — fork where the platform has it, spawn otherwise
 — and torn down by :meth:`ShardedBackend.close` (also hooked to
-garbage collection, and workers are daemonic as a last resort). Pool
-failures — a worker killed mid-segment, a broken command pipe, a
-missing acknowledgement — surface as :class:`repro.errors.ShardPoolError`
-naming the dead or stalled worker and protocol phase.
+garbage collection, and workers are daemonic as a last resort).
 
-Configuration is the five constructor arguments plus the two
+* **Failure.** The pool's life is one state machine: *no pool* →
+  *live* → *lost*. A pool is lost when a detection site
+  (``_broadcast``, ``_await_acks``) meets a worker killed mid-segment,
+  a broken command pipe or a missing acknowledgement, and either
+  policy takes the same way through (:meth:`ShardedBackend._recover`):
+  kill and join every worker, forget what was in flight, then do what
+  ``on_failure`` says. ``"raise"`` parks the mappings, unlinks every
+  name and raises a :class:`repro.errors.ShardPoolError` naming the
+  dead or stalled worker and the protocol phase — *failed for good*:
+  every later apply or hand-off raises the same error, while
+  ``sync()``, ``release_matrix()`` and ``close()`` stay usable for the
+  post-mortem. ``"respawn"`` replays the journaled in-flight schedule
+  in-process, takes the readings the pool still owed, and spends one
+  of ``max_respawns`` credits — the pool is *down until the next
+  schedule*, which forks workers and attaches them to the current
+  segment the way first use does — or, the budget spent, runs
+  *in-process for good*.
+
+Configuration is the four constructor arguments plus the two
 environment variables whose setters sit outside the code that builds
 the backend: ``REPRO_SHARD_TIMEOUT`` (fault harnesses) and
 ``REPRO_SHARD_ON_FAILURE`` (the CLI's ``--on-pool-failure``).
@@ -153,25 +167,23 @@ SHARD_TAIL = 192
 #: entirely and applies in-process (the vectorized path): a worker
 #: pool cannot amortize its spawn/IPC costs on sub-cache matrices, so
 #: ``sharded:auto`` is never slower than ``vectorized`` at degenerate
-#: sizes. Override per backend with ``inline_below=``.
+#: sizes.
 SHARD_INLINE = 65536
 
 #: default seconds a barrier/acknowledgement wait may block before the
 #: pool is declared dead (override via ``REPRO_SHARD_TIMEOUT``)
 _DEFAULT_TIMEOUT = 120.0
 
-#: what a pool failure does: ``raise`` surfaces a ShardPoolError (the
-#: historical fail-fast behavior), ``respawn`` replays the in-flight
-#: schedule inline and restarts the workers (up to ``max_respawns``
-#: times, then degrades), ``inline`` degrades to in-process vectorized
-#: execution immediately — the run always finishes.
-POOL_FAILURE_MODES = ("raise", "respawn", "inline")
+#: what a lost pool costs: ``raise`` surfaces a ShardPoolError, and the
+#: backend stays failed; ``respawn`` replays the in-flight schedule
+#: in-process and lets the next schedule fork new workers, up to
+#: ``max_respawns`` times, then degrades to in-process vectorized
+#: execution (at once with ``max_respawns=0``) — the run always
+#: finishes.
+POOL_FAILURE_MODES = ("raise", "respawn")
 
 #: default respawn budget before a ``respawn`` pool degrades to inline
 _DEFAULT_MAX_RESPAWNS = 2
-
-#: first respawn backoff; doubles per attempt, capped at 1 s
-_RESPAWN_BACKOFF = 0.05
 
 
 def _barrier_timeout() -> float:
@@ -194,27 +206,15 @@ def _barrier_timeout() -> float:
     return value
 
 
-def _non_negative_int(name: str, value: Optional[int], default: int) -> int:
-    """A constructor argument that counts something: ``None`` selects
-    ``default``, anything but a non-negative integer is rejected."""
-    if value is None:
-        return default
-    if value < 0:
-        raise ConfigurationError(
-            f"{name} must be non-negative, got {value}"
-        )
-    return int(value)
-
-
 class _PoolFailure(Exception):
-    """Internal signal a detection site raises under a self-healing
-    failure policy instead of aborting the pool: the recovery
-    boundaries (:meth:`ShardedBackend.sync` and the ticket of a
-    deferred reading, ``_apply``, ``_map``, ``defer_moments``)
-    catch it and decide between replay-and-respawn and degrading.
-    Never escapes the backend."""
+    """Internal signal a detection site (``_broadcast``,
+    ``_await_acks``) raises when it finds the pool lost, under either
+    policy. The boundaries — ``_drain_while`` (so :meth:`sync`, the
+    bank handoff and the ticket of a deferred reading),
+    ``defer_moments``, ``_map`` and ``_apply`` — hand it to
+    :meth:`ShardedBackend._recover`. Never escapes the backend."""
 
-    def __init__(self, phase: str, worker: Optional[int], failure: str):
+    def __init__(self, phase: str, worker: int, failure: str):
         super().__init__(phase)
         self.phase = phase
         self.worker = worker
@@ -322,6 +322,33 @@ def _worker_slice(start: int, end: int, index: int, workers: int) -> slice:
     return slice(lo, lo + base + (1 if index < remainder else 0))
 
 
+def _apply_schedule(
+    view: np.ndarray, functions, step_i: np.ndarray, step_j: np.ndarray,
+    segments: Sequence[Segment], index: int = 0, workers: int = 1,
+    wait: Callable[[], object] = lambda: None,
+) -> float:
+    """Applier ``index`` of ``workers``' share of a schedule, in
+    segment order: its slice of every batch and — applier 0 only — the
+    conflicted tails, whole and in step order; ``wait()`` after each
+    segment is what orders it against the peers'. A lone applier (the
+    journal replay) is worker 0 of 1: every batch whole, every tail,
+    nobody to wait for. Returns the seconds busy, waits excluded."""
+    clock = time.perf_counter
+    busy = 0.0
+    for start, end, kind in segments:
+        started = clock()
+        if kind == _BATCH:
+            sl = _worker_slice(start, end, index, workers)
+            apply_disjoint_batch(view, functions, step_i[sl], step_j[sl])
+        elif index == 0:
+            apply_sequential(
+                view, functions, step_i[start:end], step_j[start:end]
+            )
+        busy += clock() - started
+        wait()
+    return busy
+
+
 def _worker_main(
     conn, barrier, index: int, workers: int, timeout: float,
 ) -> None:
@@ -372,25 +399,10 @@ def _worker_main(
                 time.sleep(message[1])
             elif command == "apply":
                 _, bank, segments = message
-                step_i, step_j = banks[bank]
-                busy = 0.0
-                for start, end, kind in segments:
-                    started = clock()
-                    if kind == _BATCH:
-                        sl = _worker_slice(start, end, index, workers)
-                        apply_disjoint_batch(
-                            view, functions, step_i[sl], step_j[sl]
-                        )
-                    elif index == 0:
-                        # conflicted tails run in step order on one
-                        # applier: worker 0 (the parent is busy
-                        # planning the next cycle)
-                        apply_sequential(
-                            view, functions,
-                            step_i[start:end], step_j[start:end],
-                        )
-                    busy += clock() - started
-                    barrier.wait(timeout)
+                busy = _apply_schedule(
+                    view, functions, *banks[bank], segments,
+                    index, workers, lambda: barrier.wait(timeout),
+                )
                 conn.send(("applied", bank, busy))
             elif command == "moments":
                 # the barrier that ended the last schedule is the
@@ -429,9 +441,18 @@ def _unlink(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
-def _stop_pool(procs, pipes) -> None:
-    """Stop the worker processes and close the command pipes."""
-    for pipe in pipes:
+def _stop_pool(procs, pipes, *, kill: bool = False) -> None:
+    """Stop the worker processes and close the command pipes: by the
+    ``quit`` handshake, or — ``kill``, for a pool that failed —
+    SIGKILL. The survivor of a dead peer is parked at the segment
+    barrier, where it never reads a ``quit``; and waking it from here
+    (``Barrier.abort()``) deadlocks whenever the peer died *asleep* at
+    that barrier: ``notify_all`` then waits, holding the barrier's
+    lock, for a sleeper that will never wake."""
+    for proc, pipe in zip(procs, pipes):
+        if kill:
+            proc.kill()
+            continue
         try:
             pipe.send(("quit",))
         except OSError:
@@ -478,7 +499,6 @@ class ShardedBackend(ExecutionBackend):
         workers: Optional[Union[int, str]] = None,
         *,
         chunk: Optional[int] = None,
-        inline_below: Optional[int] = None,
         on_failure: Optional[str] = None,
         max_respawns: Optional[int] = None,
     ):
@@ -501,9 +521,6 @@ class ShardedBackend(ExecutionBackend):
         # chose a window
         self._inline_chunk = chunk
         self._timeout = _barrier_timeout()
-        self._inline_below = _non_negative_int(
-            "inline_below", inline_below, SHARD_INLINE
-        )
         if on_failure is None:
             env = os.environ.get("REPRO_SHARD_ON_FAILURE", "")
             on_failure = env.strip().lower() or "raise"
@@ -513,15 +530,22 @@ class ShardedBackend(ExecutionBackend):
                 f"{POOL_FAILURE_MODES}, got {on_failure!r}"
             )
         self._on_failure = on_failure
-        self._max_respawns = _non_negative_int(
-            "max_respawns", max_respawns, _DEFAULT_MAX_RESPAWNS
-        )
-        # self-healing state: respawn budget spent, degraded-to-inline
-        # flag (sticky — it records that the pool was lost), the
-        # failure event log behind health_report(), and the armed
+        if max_respawns is None:
+            max_respawns = _DEFAULT_MAX_RESPAWNS
+        if max_respawns < 0:
+            raise ConfigurationError(
+                f"max_respawns must be non-negative, got {max_respawns}"
+            )
+        self._max_respawns = int(max_respawns)
+        # where a lost pool went: respawn credits spent (the pool is
+        # down until the next schedule forks another), degraded to
+        # in-process execution, or failed with the error every later
+        # call re-raises — the last two sticky for the backend's life;
+        # then the event log behind health_report(), and the armed
         # fault injections with the apply-call counter they key on
         self._respawns_used = 0
         self._degraded = False
+        self._failed: Optional[ShardPoolError] = None
         self._events: List[dict] = []
         self._faults: List[FaultSpec] = []
         self._apply_calls = 0
@@ -532,10 +556,11 @@ class ShardedBackend(ExecutionBackend):
         self._journal: Optional[Tuple] = None
         self._journal_pending = False
         #: parent-side wall-clock breakdown, accumulated across calls:
-        #: ``plan`` = segmentation + bank writes + publish, ``apply`` =
-        #: parent-applied work (the inline / degraded fallback),
-        #: ``sync`` = time blocked on worker replies (acknowledgements
-        #: and readings). ``bench_shard.py`` archives these.
+        #: ``plan`` = segmentation + bank writes + the healing journal
+        #: + publish, ``apply`` = parent-applied work (the inline /
+        #: degraded fallback), ``sync`` = time blocked on worker
+        #: replies (acknowledgements and readings). ``bench_shard.py``
+        #: archives these.
         self.phase_seconds = {"plan": 0.0, "apply": 0.0, "sync": 0.0}
         #: worker-side busy seconds, one total per worker, as the
         #: workers report them with each reply: ``apply`` = applying
@@ -684,23 +709,19 @@ class ShardedBackend(ExecutionBackend):
         try:
             self.sync()
         except ShardPoolError:
-            # the pool died with work in flight; _abort already parked
-            # the segments — proceed with the teardown below
+            # the pool died with work in flight; _recover already
+            # parked the segments — proceed with the teardown below
             pass
+        self._forget_pool()
         self._view = None
         self._banks = ()
         self._steps_cap = 0
         self._inline = False
-        self._sent_functions = None
-        self._barrier = None
-        self._inflight.clear()
-        self._next_bank = 0
-        # the healing journal dies with the run; _degraded and the
-        # event log survive close() so health_report() still tells
-        # the story after the engine released the backend
+        # the healing journal dies with the run; where a lost pool
+        # went and the event log survive close() so health_report()
+        # still tells the story after the engine released the backend
         self._snapshot = None
         self._journal = None
-        self._journal_pending = False
         self._faults = []
         if self._finalizer.alive:
             self._finalizer()
@@ -709,43 +730,14 @@ class ShardedBackend(ExecutionBackend):
             self._procs, self._pipes, self._shm_holder, self._parked,
         )
 
-    def _abort(self) -> str:
-        """Tear the pool down after a failure, *parking* the segments:
-        the caller's engine may still read its matrix view before (or
-        instead of) an orderly close. Returns worker diagnostics."""
-        detail = self._pool_error()
-        _stop_pool(self._procs, self._pipes)
-        for shm in self._shm_holder:
-            self._parked.append(shm)
-        self._shm_holder.clear()
-        try:
-            # every parked mapping stays open for stale views, but no
-            # name may survive the abort: a failure during a remap
-            # round-trip parks the previous generation *before* its
-            # name is unlinked, and close()/GC only unlink what is
-            # still in the holder — without this sweep that name would
-            # leak in /dev/shm for the life of the machine. _unlink is
-            # idempotent, so re-sweeping already-unlinked parks is free.
-            for shm in self._parked:
-                _unlink(shm)
-        finally:
-            self._barrier = None
-            self._sent_functions = None
-            self._inflight.clear()
-            self._journal_pending = False
-        return detail
-
-    def _fail(self, phase: str, worker: Optional[int], failure: str):
-        """Route a detected pool failure: under a self-healing policy
-        raise the internal recovery signal (the pool is torn down by
-        the recovery boundary, which still holds the journal); under
-        ``raise`` abort the pool and raise the typed error naming the
-        stalled worker and the protocol phase that broke."""
-        if self._on_failure != "raise":
-            raise _PoolFailure(phase, worker, failure)
-        prefix = "" if worker is None else f"worker {worker}: {failure}\n"
-        detail = f"{prefix}{self._abort()}"
-        raise ShardPoolError(phase, worker=worker, detail=detail)
+    def _forget_pool(self) -> None:
+        """What goes with a pool, however it went: its barrier, the
+        functions it was sent, what it still owed and the journal."""
+        self._barrier = None
+        self._sent_functions = None
+        self._inflight.clear()
+        self._next_bank = 0
+        self._journal_pending = False
 
     def _first_dead_worker(self) -> Optional[int]:
         for index, proc in enumerate(self._procs):
@@ -760,12 +752,13 @@ class ShardedBackend(ExecutionBackend):
         to one worker) it cannot win at *any* size — there is no
         second core to overlap with, so the pool would only add IPC
         and scheduling overhead on top of the same serial work."""
-        return self._auto and (
-            rows < self._inline_below or self.workers == 1
-        )
+        return self._auto and (rows < SHARD_INLINE or self.workers == 1)
 
     def _ensure_pool(self) -> None:
-        if self._procs or self._degraded:
+        """*No pool* → *live*: fork the workers, at first use or at
+        the first schedule after a pool was lost. They have no segment
+        yet (:meth:`_attach`)."""
+        if self._procs:
             return
         # make sure the resource-tracker process exists *before* the
         # workers fork, so they inherit its pipe and share it: a worker
@@ -795,16 +788,27 @@ class ShardedBackend(ExecutionBackend):
             self._procs.append(proc)
             self._pipes.append(parent_conn)
 
+    def _attach(self) -> None:
+        """Switch every worker to the current segment, and wait until
+        each confirms it attached: unlinking the previous name before
+        a slow worker processed an *earlier* remap command would make
+        that attach fail."""
+        rows, k = self._view.shape
+        name = self._shm_holder[0].name
+        self._broadcast(("remap", name, rows, k, self._steps_cap))
+        self._await_acks("remapped", "remap", payload=name)
+
     def _broadcast(self, message) -> None:
         try:
-            for pipe in self._pipes:
+            for index, pipe in enumerate(self._pipes):
                 pipe.send(message)
         except OSError as error:
-            # a dead worker (OOM kill, crash) broke the pipe: surface
-            # its diagnostics and stop the survivors — they would
-            # otherwise sit blocked on recv() until close/GC
-            self._fail("command", self._first_dead_worker(),
-                       f"pipe broke ({error})")
+            # a dead worker (OOM kill, crash) broke its pipe — its
+            # own, nobody else holds the far end; is_alive() may not
+            # know yet (a killed process's descriptors are closed
+            # before it can be waited for)
+            raise _PoolFailure("command", index,
+                               f"pipe broke ({error})") from None
         except (pickle.PicklingError, AttributeError, TypeError,
                 ValueError) as error:
             raise SimulationError(
@@ -885,7 +889,7 @@ class ShardedBackend(ExecutionBackend):
                         failure = f"died before its {expected!r} reply"
             except (EOFError, OSError):
                 failure = "exited"
-            self._fail(phase, index, failure)
+            raise _PoolFailure(phase, index, failure)
         return replies
 
     def _drain_oldest(self) -> None:
@@ -911,17 +915,10 @@ class ShardedBackend(ExecutionBackend):
             # schedule in flight, so this fires after every drain)
             self._journal_pending = False
 
-    def _drain_bank(self, bank: int) -> None:
-        """Phase one of the bank handoff: the parent may only plan
-        into a bank whose previous schedule has been acknowledged."""
-        while ("applied", bank, None) in self._inflight:
-            self._drain_oldest()
-
     def _drain_while(self, waiting: Callable[[], bool]) -> None:
         """Collect replies, oldest first, while ``waiting()`` — timed
-        as ``sync``. Under a self-healing failure policy a pool death
-        detected here is recovered in place (:meth:`_recover`), which
-        leaves nothing in flight."""
+        as ``sync``. A pool death detected here goes to
+        :meth:`_recover`, which leaves nothing in flight (or raises)."""
         started = time.perf_counter()
         try:
             while self._inflight and waiting():
@@ -937,8 +934,8 @@ class ShardedBackend(ExecutionBackend):
         every deferred reading taken — the pool is idle and the matrix
         is the caller's (the engine calls this before matrix reads and
         engine-side writes; a no-op for inline mode and idle pools).
-        Under a self-healing failure policy a pool death detected here
-        is recovered in place: the journaled schedule is replayed
+        Under the ``respawn`` policy a pool death detected here is
+        recovered in place: the journaled schedule is replayed
         inline, so the matrix the caller is about to read is exactly
         the state the dead pool was asked to produce."""
         if self._inflight:
@@ -953,12 +950,12 @@ class ShardedBackend(ExecutionBackend):
         the workers meet at the barrier again so that none starts the
         next schedule while a peer still reads, and each replies on its
         pipe. Offered only for the engine's adopted matrix on a live
-        pool; the inline and degraded paths have nothing in flight to
-        read behind."""
+        pool; inline, or with the pool lost (for good or until the
+        next schedule), nothing is in flight to read behind."""
         if matrix is not self._view:
             return None
         self._drain_while(lambda: len(self._inflight) > _MAX_UNCOLLECTED)
-        if self._degraded or not self._procs:
+        if not self._procs:
             return None
         reading = _Reading(tuple(columns))
         serial = self._readings_taken
@@ -977,10 +974,9 @@ class ShardedBackend(ExecutionBackend):
         """Resolve a ticket: block until the reading is in."""
         self._drain_while(lambda: reading.moments is None)
         if reading.moments is None:
-            raise ShardPoolError(
-                "moments",
-                detail="the pool was lost before this reading was taken",
-            )
+            # lost with a pool that failed for good: healing takes
+            # every reading its pool still owed (_recover)
+            raise self._failed
         return reading.moments
 
     # -- self-healing -----------------------------------------------------
@@ -1012,109 +1008,65 @@ class ShardedBackend(ExecutionBackend):
         schedule inline, in schedule order — the exact work the dead
         pool owed, with the same segmentation, so the result is
         bitwise what the workers would have produced."""
-        functions, step_i, step_j, segments = self._journal
         np.copyto(self._view, self._snapshot)
-        for start, end, kind in segments:
-            if kind == _BATCH:
-                apply_disjoint_batch(
-                    self._view, functions,
-                    step_i[start:end], step_j[start:end],
-                )
-            else:
-                apply_sequential(
-                    self._view, functions,
-                    step_i[start:end], step_j[start:end],
-                )
-        self._journal_pending = False
-
-    def _respawn_pool(self) -> None:
-        """Bring a fresh worker pool up on the *current* segment:
-        spawn, remap, and leave the functions to be re-sent by the
-        next apply (``_sent_functions`` was invalidated)."""
-        self._ensure_pool()
-        if self._view is not None:
-            rows, k = self._view.shape
-            name = self._shm_holder[0].name
-            self._broadcast(("remap", name, rows, k, self._steps_cap))
-            self._await_acks("remapped", "remap", payload=name)
+        _apply_schedule(self._view, *self._journal)
 
     def _recover(self, failure: _PoolFailure) -> bool:
-        """The self-healing boundary: tear the dead pool down, replay
-        any journaled in-flight schedule inline, take the readings that
-        were lost with the pool, then respawn (within
-        the ``max_respawns`` budget) or degrade to in-process
-        vectorized execution for the rest of the run. Returns whether
-        a journaled schedule was replayed — ``True`` means the failed
-        apply call's work is already complete."""
+        """*Live* → *lost*, the one way through a pool failure and
+        the only teardown of a failed pool: kill and join the workers
+        (:func:`_stop_pool` says why not ``quit`` or an abort), forget
+        what was in flight, then do what the policy says — fail for
+        good, or heal (the module docstring's *Failure* has both).
+        Returns whether a journaled schedule was replayed — ``True``
+        means the failed apply call's work is already complete."""
         started = time.perf_counter()
         detail = self._pool_error()
-        if self._barrier is not None:
-            try:
-                # wake workers blocked on the barrier so _stop_pool
-                # joins them in milliseconds, not join-timeouts
-                self._barrier.abort()
-            except Exception:  # pragma: no cover - teardown race
-                pass
-        _stop_pool(self._procs, self._pipes)
-        self._barrier = None
-        self._sent_functions = None
+        _stop_pool(self._procs, self._pipes, kill=True)
         lost = [entry[2] for entry in self._inflight if entry[2] is not None]
-        self._inflight.clear()
-        replayed = False
-        if self._journal_pending:
+        replayed = self._journal_pending
+        self._forget_pool()
+        if self._on_failure == "raise":
+            # the caller's engine may still read its matrix view
+            # before (or instead of) an orderly close, so every
+            # mapping stays open, parked — but no name may survive: a
+            # failure during a remap round-trip parks the previous
+            # generation *before* its name is unlinked, and close()/GC
+            # only unlink what is still in the holder (_unlink is
+            # idempotent: re-sweeping unlinked parks is free)
+            self._parked.extend(self._shm_holder)
+            self._shm_holder.clear()
+            for shm in self._parked:
+                _unlink(shm)
+            self._failed = ShardPoolError(
+                failure.phase, worker=failure.worker,
+                detail=f"worker {failure.worker}: {failure.failure}\n{detail}",
+            )
+            raise self._failed from None
+        if replayed:
             self._replay_journal()
-            replayed = True
         for reading in lost:
             # a healing pool publishes no schedule past an unresolved
             # reading (_apply syncs first) and the engine writes nothing
             # before a sync, so after the replay the matrix is the
             # state every lost reading was asked of
             reading.moments = column_moments(self._view, reading.columns)
-        event = {
+        if self._respawns_used < self._max_respawns:
+            self._respawns_used += 1
+            action = "respawn"
+        else:
+            # budget spent: the rest of the run executes in-process on
+            # the same memory — slower, never wrong, always finishes
+            self._degraded = True
+            action = "inline"
+        self._events.append({
             "phase": failure.phase,
             "worker": failure.worker,
             "failure": failure.failure,
             "detail": detail[:2000],
             "replayed": replayed,
-        }
-        while True:
-            if (
-                self._on_failure == "respawn"
-                and self._respawns_used < self._max_respawns
-            ):
-                self._respawns_used += 1
-                time.sleep(min(
-                    _RESPAWN_BACKOFF * 2 ** (self._respawns_used - 1),
-                    1.0,
-                ))
-                try:
-                    self._respawn_pool()
-                except _PoolFailure as again:  # pragma: no cover
-                    # the respawned pool died during its own remap:
-                    # burn another respawn credit (or fall through to
-                    # degrade) rather than surfacing the failure
-                    self._events.append({
-                        "phase": again.phase,
-                        "worker": again.worker,
-                        "failure": again.failure,
-                        "detail": self._pool_error()[:2000],
-                        "replayed": False,
-                        "action": "respawn-failed",
-                        "seconds": 0.0,
-                    })
-                    _stop_pool(self._procs, self._pipes)
-                    self._barrier = None
-                    continue
-                event["action"] = "respawn"
-            else:
-                # budget exhausted (or on_failure="inline"): the rest
-                # of the run executes in-process on the same memory —
-                # slower, never wrong, and it always finishes
-                self._degraded = True
-                event["action"] = "inline"
-            break
-        event["seconds"] = time.perf_counter() - started
-        self._events.append(event)
+            "action": action,
+            "seconds": time.perf_counter() - started,
+        })
         return replayed
 
     def _fire_faults(self, bank: int, call: int) -> None:
@@ -1157,7 +1109,11 @@ class ShardedBackend(ExecutionBackend):
         — it is plain memory to the inline path — but no pool is
         spawned and no remap round-trip happens."""
         self.sync()
+        if self._failed is not None:
+            raise self._failed
         if not self._degraded:
+            # fork before the segment is mapped: the children then
+            # carry no mapping of it but the one they attach
             self._ensure_pool()
         # one step per row: no engine path emits more per call
         steps_cap = max(rows, 1)
@@ -1177,28 +1133,19 @@ class ShardedBackend(ExecutionBackend):
         try:
             if not self._degraded:
                 try:
-                    self._broadcast(
-                        ("remap", shm.name, rows, k, steps_cap)
-                    )
-                    # wait until every worker confirms it attached the
-                    # new segment: unlinking the previous name before a
-                    # slow worker processed an *earlier* remap command
-                    # would make that attach fail
-                    self._await_acks("remapped", "remap",
-                                     payload=shm.name)
+                    self._attach()
                 except _PoolFailure as failure:
-                    # self-healing: recovery either respawned the pool
-                    # (remapping the current segment itself, acks and
-                    # all) or degraded to inline (the fresh mapping is
-                    # plain memory) — the switch-over is complete
-                    # either way
+                    # healed, the switch-over is complete either way:
+                    # the next schedule's pool attaches the current
+                    # segment itself, and to in-process execution the
+                    # fresh mapping is plain memory
                     self._recover(failure)
         finally:
             # previous-generation *names* must never outlive the
             # switch-over, success or failure: their parent mappings
             # stay parked for stale views, but a leaked name would
             # pin the segment in /dev/shm forever (_unlink tolerates
-            # the abort path having swept them already)
+            # a failed pool's sweep having been there already)
             for old in previous:
                 _unlink(old)
         # grandparent generations can go: the engine re-adopted the
@@ -1267,7 +1214,7 @@ class ShardedBackend(ExecutionBackend):
 
     def _ensure_vector(self) -> VectorizedBackend:
         """The in-process backend behind ``auto`` below
-        ``inline_below``, a degraded pool and every view merge."""
+        :data:`SHARD_INLINE`, a degraded pool and every view merge."""
         if self._vector is None:
             self._vector = VectorizedBackend(chunk=self._inline_chunk)
         return self._vector
@@ -1328,6 +1275,8 @@ class ShardedBackend(ExecutionBackend):
             )
             self.phase_seconds["apply"] += time.perf_counter() - started
 
+        if self._failed is not None:
+            raise self._failed
         if self._inline or self._degraded:
             fallback()
             return
@@ -1339,13 +1288,11 @@ class ShardedBackend(ExecutionBackend):
                 "(adopt_matrix / grow_matrix / allocate_matrix return "
                 "it); hand the matrix over first"
             )
-        planned = time.perf_counter()
         pending_i = np.ascontiguousarray(raw_i, dtype=np.int32)
         pending_j = np.ascontiguousarray(raw_j, dtype=np.int32)
         m = len(pending_i)
         if m == 0:
             return
-        healing = self._on_failure != "raise"
         if m > self._steps_cap:  # pragma: no cover - engine sizes it
             # remapping here would desync the engine (its matrix still
             # views the old segment and only the engine can re-adopt);
@@ -1356,55 +1303,45 @@ class ShardedBackend(ExecutionBackend):
                 f"{self._steps_cap}: one call applies at most one "
                 f"step per row of the adopted matrix"
             )
-        if healing:
-            # serialize the pipeline to at most one schedule in
-            # flight: the journal then describes exactly the work a
-            # dead pool owes. The sync may already have recovered by
-            # degrading — route this call inline then.
-            self.sync()
-            if self._degraded:
-                fallback()
-                return
+        healing = self._on_failure != "raise"
+        bank = self._next_bank
+        # two-phase bank handoff, phase one: this bank's previous
+        # schedule must be acknowledged before its buffers are reused
+        # (phase two is the publish below). The *other* bank may still
+        # be in flight — that is the overlap — except under a healing
+        # policy, which keeps at most one schedule in flight: the
+        # journal then describes exactly the work a dead pool owes
+        self._drain_while(
+            lambda: healing or ("applied", bank, None) in self._inflight
+        )
         call_index = self._apply_calls
         self._apply_calls += 1
-        while True:
+        # a pool lost here (or in the drain above) is recovered in
+        # place: with a credit left the loop comes round again and
+        # forks its successor, without one it ends in-process
+        while not self._degraded:
+            planned = time.perf_counter()
             try:
+                if not self._procs:
+                    self._ensure_pool()
+                    self._attach()
                 self._ensure_functions(functions)
-                bank = self._next_bank
-                # two-phase bank handoff, phase one: this bank's
-                # previous schedule must be acknowledged before its
-                # buffers are reused (phase two is the publish below).
-                # The *other* bank may still be in flight — that is
-                # the overlap. Time the wait as "sync", not "plan":
-                # it is worker-apply latency, not parent CPU.
-                drain_started = time.perf_counter()
-                self._drain_bank(bank)
-                drain_seconds = time.perf_counter() - drain_started
-                self.phase_seconds["sync"] += drain_seconds
                 segments = self._schedule(pending_i, pending_j, plan, bank)
-                self.phase_seconds["plan"] += (
-                    time.perf_counter() - planned - drain_seconds
-                )
                 if healing:
-                    self._journal_schedule(bank, segments,
-                                           tuple(functions))
+                    self._journal_schedule(bank, segments, tuple(functions))
                 self._fire_faults(bank, call_index)
                 self._broadcast(("apply", bank, segments))
-                self._inflight.append(("applied", bank, None))
-                self._next_bank = bank ^ 1
-                return
             except _PoolFailure as failure:
                 if self._recover(failure):
                     # the journaled schedule was replayed inline:
                     # this call's work is complete
                     return
-                if self._degraded:
-                    # the failure hit before this schedule was
-                    # journaled — nothing was lost; apply in-process
-                    fallback()
-                    return
-                # pool respawned with nothing published: retry
-                planned = time.perf_counter()
+                continue  # lost before this schedule was journaled
+            self._inflight.append(("applied", bank, None))
+            self._next_bank = bank ^ 1
+            self.phase_seconds["plan"] += time.perf_counter() - planned
+            return
+        fallback()
 
     # -- the planner ------------------------------------------------------
 

@@ -2,25 +2,33 @@
 
 The pool's failure policy (``on_failure``) decides what a dead or
 stalled worker costs: ``"raise"`` fails fast with a typed
-:class:`ShardPoolError` (the historical behaviour), ``"respawn"``
-replays the journaled in-flight schedule inline and restarts the
-worker, ``"inline"`` degrades the backend to single-process vectorized
-execution for the rest of the run. Either way the run's trajectory
-must stay **bitwise identical** to an undisturbed reference run — the
-journal snapshot/replay exists precisely so recovery consumes no
-randomness and loses no exchanges. Faults are injected declaratively
-via :class:`FaultSpec` through ``ShardedBackend.inject_faults``.
+:class:`ShardPoolError`, and the backend stays failed; ``"respawn"``
+replays the journaled in-flight schedule inline and lets the next
+schedule fork new workers, until ``max_respawns`` credits are spent
+and the backend degrades to single-process vectorized execution for
+the rest of the run (at once with ``max_respawns=0``). A healed run's
+trajectory must stay **bitwise identical** to an undisturbed reference
+run — the journal snapshot/replay exists precisely so recovery
+consumes no randomness and loses no exchanges. Faults are injected
+declaratively via :class:`FaultSpec` through
+``ShardedBackend.inject_faults``; that fires them at the one instant a
+healing pool is idle, so :class:`TestDeathInsideASchedule` kills from
+a timer thread instead. The deadline and the ``/dev/shm`` / child
+process audit every test here runs under are ``tests/conftest.py``'s
+``pool_deadline_and_leak_audit``.
 """
 
 import os
 import pickle
 import signal
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.errors import ShardPoolError
+from repro.core import MeanAggregate
+from repro.errors import ConfigurationError, ShardPoolError
 from repro.failures import ConstantRateChurn
 from repro.kernel import (
     ChurnSpec,
@@ -28,6 +36,7 @@ from repro.kernel import (
     GossipEngine,
     Scenario,
     ShardedBackend,
+    VectorizedBackend,
 )
 from repro.kernel.backends import POOL_FAILURE_MODES
 from repro.topology import CompleteTopology
@@ -54,19 +63,23 @@ def _scenario(backend):
                     cycles=CYCLES, seed=17, backend=backend)
 
 
-def _shm_segments():
-    try:
-        return {name for name in os.listdir("/dev/shm")
-                if not name.startswith(".")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
+def _static(backend, cycles=CYCLES):
+    """The same network with nothing joining or leaving: under
+    ``record="cycle"`` its readings are left with the workers."""
+    values = np.random.default_rng(3).normal(10.0, 4.0, N)
+    return Scenario(CompleteTopology(N), values, cycles=cycles,
+                    seed=17, backend=backend)
+
+
+def _recorded(backend, cycles=CYCLES):
+    with GossipEngine(_static(backend, cycles)) as engine:
+        result = engine.run(cycles, record="cycle")
+        return result.variances, result.means, engine.matrix.tobytes()
 
 
 def _run_with_faults(mode, faults, reference, max_respawns=2):
     """Run under injected faults; assert bitwise equality against the
-    reference engine and no leaked shared-memory segments; return the
-    backend's health report."""
-    before = _shm_segments()
+    reference engine; return the backend's health report."""
     backend = ShardedBackend(2, on_failure=mode, max_respawns=max_respawns)
     backend.inject_faults(faults)
     engine = GossipEngine(_scenario(backend))
@@ -77,8 +90,23 @@ def _run_with_faults(mode, faults, reference, max_respawns=2):
         report = backend.health_report()
     finally:
         engine.close()
-    assert _shm_segments() <= before, "leaked /dev/shm segments"
     return report
+
+
+def _assert_failed_for_good(engine, run, static):
+    """``run()`` loses the pool under ``raise``; from then on the
+    backend raises the same error instead of applying — and, on a
+    ``static`` scenario, where the engine itself writes no row at the
+    start of a cycle, the matrix stays as the failure left it."""
+    with pytest.raises(ShardPoolError) as first:
+        run()
+    left = engine.matrix.tobytes()
+    with pytest.raises(ShardPoolError) as again:
+        engine.run_cycle()
+    assert (again.value.phase, again.value.worker) == (
+        first.value.phase, first.value.worker
+    )
+    assert not static or engine.matrix.tobytes() == left
 
 
 class TestRecovery:
@@ -136,9 +164,10 @@ class TestRecovery:
 
     def test_kill_worker_inline_degrade(self, reference_run):
         report = _run_with_faults(
-            "inline",
+            "respawn",
             [FaultSpec("kill_worker", worker=0, at_call=2)],
             reference_run,
+            max_respawns=0,
         )
         assert report.degraded
         assert report.respawns == 0
@@ -160,19 +189,67 @@ class TestRecovery:
         assert [e["action"] for e in report.events] == \
             ["respawn", "respawn", "inline"]
 
+    def test_two_kills_at_consecutive_calls(self, reference_run):
+        """The second and third kill each hit a pool at its first
+        schedule: the one the previous recovery left to be forked."""
+        report = _run_with_faults(
+            "respawn",
+            [FaultSpec("kill_worker", worker=1, at_call=4),
+             FaultSpec("kill_worker", worker=0, at_call=5),
+             FaultSpec("kill_worker", worker=1, at_call=6)],
+            reference_run,
+            max_respawns=2,
+        )
+        assert [e["action"] for e in report.events] == \
+            ["respawn", "respawn", "inline"]
+
+    def test_lost_pool_comes_back_at_the_next_schedule_or_remap(self):
+        """Respawn is lazy: recovery forks nothing; the next schedule
+        does, or — fork first, then the new segment — the next remap."""
+        functions = (MeanAggregate(),)
+        steps = np.arange(32), np.arange(32, 64)
+        values = np.random.default_rng(5).normal(0.0, 1.0, (64, 1))
+        expected = values.copy()
+        for _ in range(5):
+            VectorizedBackend().apply_exchanges(expected, functions, *steps)
+        backend = ShardedBackend(2, on_failure="respawn", max_respawns=3)
+        try:
+            matrix = backend.adopt_matrix(values)
+            backend.apply_exchanges(matrix, functions, *steps)
+            for remap in (False, True):
+                backend.sync()
+                backend._procs[1].kill()
+                backend._procs[1].join(timeout=5)
+                # published into a broken pipe, replayed in-process
+                backend.apply_exchanges(matrix, functions, *steps)
+                assert backend.active_workers == 0
+                if remap:
+                    matrix = backend.grow_matrix(matrix, 128)
+                else:
+                    backend.apply_exchanges(matrix, functions, *steps)
+                assert backend.active_workers == 2
+            backend.apply_exchanges(matrix, functions, *steps)
+            backend.sync()
+            assert np.array_equal(matrix[:64], expected)
+            report = backend.health_report()
+        finally:
+            backend.close()
+        assert [(e["action"], e["replayed"]) for e in report.events] == \
+            [("respawn", True)] * 2
+        assert report.respawns == 2 and not report.degraded
+
     def test_raise_mode_fails_fast(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "3")
-        before = _shm_segments()
         backend = ShardedBackend(2, on_failure="raise")
         backend.inject_faults(
             [FaultSpec("kill_worker", worker=1, at_call=3)])
         engine = GossipEngine(_scenario(backend))
         try:
-            with pytest.raises(ShardPoolError):
-                engine.run(CYCLES)
+            _assert_failed_for_good(
+                engine, lambda: engine.run(CYCLES), static=False
+            )
         finally:
             engine.close()
-        assert _shm_segments() <= before, "leaked /dev/shm segments"
 
 
 class TestDeferredReadings:
@@ -180,38 +257,28 @@ class TestDeferredReadings:
     with the workers (``defer_moments``); a worker that dies with one
     outstanding must cost neither a recorded value nor a segment."""
 
-    @staticmethod
-    def _static(backend):
-        values = np.random.default_rng(3).normal(10.0, 4.0, N)
-        return Scenario(CompleteTopology(N), values, cycles=CYCLES,
-                        seed=17, backend=backend)
-
-    def _recorded(self, backend):
-        with GossipEngine(self._static(backend)) as engine:
-            result = engine.run(CYCLES, record="cycle")
-            return result.variances, result.means, engine.matrix.tobytes()
-
-    @pytest.mark.parametrize("mode", ["respawn", "inline"])
+    @pytest.mark.parametrize("max_respawns", [
+        pytest.param(2, id="respawn"), pytest.param(0, id="inline"),
+    ])
     @pytest.mark.parametrize("worker", [0, 1])
-    def test_killed_worker_loses_no_reading(self, mode, worker):
-        expected = self._recorded("vectorized")
-        before = _shm_segments()
-        backend = ShardedBackend(2, on_failure=mode)
+    def test_killed_worker_loses_no_reading(self, max_respawns, worker):
+        expected = _recorded("vectorized")
+        backend = ShardedBackend(2, on_failure="respawn",
+                                 max_respawns=max_respawns)
         backend.inject_faults(
             [FaultSpec("kill_worker", worker=worker, at_call=4)])
-        assert self._recorded(backend) == expected
+        assert _recorded(backend) == expected
         report = backend.health_report()
         assert [event["worker"] for event in report.events] == [worker]
-        assert report.degraded == (mode == "inline")
-        assert _shm_segments() <= before, "leaked /dev/shm segments"
+        assert report.degraded == (max_respawns == 0)
 
     def test_reading_lost_after_its_schedule_was_applied(self):
         """The worker dies *between* acknowledging the schedule and
         taking the reading queued behind it: nothing is left to replay,
         and the reading is taken inline from the applied state."""
-        expected = self._recorded("vectorized")
+        expected = _recorded("vectorized")
         backend = ShardedBackend(2, on_failure="respawn")
-        with GossipEngine(self._static(backend)) as engine:
+        with GossipEngine(_static(backend)) as engine:
             first = engine.run(3, record="cycle")
             engine.run_cycle()
             backend.sync()
@@ -232,24 +299,101 @@ class TestDeferredReadings:
 
     def test_raise_mode_fails_fast(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "3")
-        before = _shm_segments()
         backend = ShardedBackend(2, on_failure="raise")
         backend.inject_faults(
             [FaultSpec("kill_worker", worker=1, at_call=3)])
-        engine = GossipEngine(self._static(backend))
+        engine = GossipEngine(_static(backend))
         try:
-            with pytest.raises(ShardPoolError):
-                engine.run(CYCLES, record="cycle")
+            _assert_failed_for_good(
+                engine, lambda: engine.run(CYCLES, record="cycle"),
+                static=True,
+            )
         finally:
             engine.close()
-        assert _shm_segments() <= before, "leaked /dev/shm segments"
+
+
+class TestDeathInsideASchedule:
+    """``FaultSpec`` fires between the journal and the publish — the
+    one instant a healing pool is idle. A real worker dies while its
+    peers apply, sleep or wait at the segment barrier, so these kill
+    from a timer thread, wherever the run happens to be."""
+
+    LONG = 400
+
+    @staticmethod
+    def _kill_later(backend, worker, seconds):
+        timer = threading.Timer(
+            seconds, os.kill, (backend._procs[worker].pid, signal.SIGKILL)
+        )
+        timer.start()
+        return timer
+
+    def _peer_dies_at_the_barrier(self, mode):
+        """Three cycles in, worker 0 is stalled for 0.6 s ahead of the
+        next schedule; worker 1 applies its slice of it, waits for
+        worker 0 at the segment barrier, and is killed there at 0.2 s
+        — with worker 0 still asleep, due at that barrier later."""
+        backend = ShardedBackend(2, on_failure=mode)
+        backend.inject_faults(
+            [FaultSpec("delay_ack", worker=0, at_call=3, delay=0.6)])
+        engine = GossipEngine(_scenario(backend))
+        engine.run(3)
+        backend.sync()
+        return backend, engine, self._kill_later(backend, 1, 0.2)
+
+    def test_respawn_heals_a_death_at_the_barrier(self, reference_run):
+        backend, engine, timer = self._peer_dies_at_the_barrier("respawn")
+        try:
+            engine.run(CYCLES - 3)
+            assert np.array_equal(reference_run.matrix, engine.matrix)
+            assert np.array_equal(reference_run.alive_mask,
+                                  engine.alive_mask)
+        finally:
+            timer.cancel()
+            engine.close()
+        events = backend.health_report().events
+        assert [(e["worker"], e["replayed"]) for e in events] == [(1, True)]
+
+    def test_raise_reports_a_death_at_the_barrier(self):
+        backend, engine, timer = self._peer_dies_at_the_barrier("raise")
+        started = time.perf_counter()
+        try:
+            with pytest.raises(ShardPoolError) as excinfo:
+                engine.run(CYCLES - 3)
+            assert time.perf_counter() - started < 2.0
+            assert excinfo.value.worker == 1
+        finally:
+            timer.cancel()
+            engine.close()
+
+    @pytest.fixture(scope="class")
+    def long_run(self):
+        return _recorded("vectorized", self.LONG)
+
+    @pytest.mark.parametrize("victim", [0, 1])
+    @pytest.mark.parametrize("milliseconds",
+                             [11, 23, 37, 52, 68, 89, 120, 200])
+    def test_kill_at_a_random_instant(self, long_run, milliseconds, victim):
+        backend = ShardedBackend(2, on_failure="respawn")
+        scenario = _static(backend, self.LONG)
+        with GossipEngine(scenario) as engine:
+            timer = self._kill_later(backend, victim, milliseconds / 1e3)
+            try:
+                result = engine.run(self.LONG, record="cycle")
+            finally:
+                timer.cancel()
+            got = result.variances, result.means, engine.matrix.tobytes()
+        assert got == long_run
+        events = backend.health_report().events
+        assert [event["worker"] for event in events] == [victim]
 
 
 class TestConfiguration:
     def test_failure_modes_are_closed(self):
-        assert POOL_FAILURE_MODES == ("raise", "respawn", "inline")
-        with pytest.raises(Exception):
-            ShardedBackend(2, on_failure="retry-forever")
+        assert POOL_FAILURE_MODES == ("raise", "respawn")
+        for mode in ("retry-forever", "inline"):
+            with pytest.raises(ConfigurationError):
+                ShardedBackend(2, on_failure=mode)
 
     def test_env_policy(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARD_ON_FAILURE", "respawn")

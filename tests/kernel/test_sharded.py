@@ -570,6 +570,7 @@ class TestAutoWorkers:
         has two cores to exercise the promotion machinery."""
         import repro.kernel.backends.sharded as sharded_module
         monkeypatch.setattr(sharded_module, "default_workers", lambda: 2)
+        monkeypatch.setattr(sharded_module, "SHARD_INLINE", 100)
         topology = CompleteTopology(48)
         values = np.random.default_rng(29).normal(5.0, 2.0, topology.n)
         kwargs = dict(
@@ -582,7 +583,7 @@ class TestAutoWorkers:
         )
         ref_matrix, ref_alive, _ = run_engine("reference", kwargs, cycles=10)
         engine = GossipEngine(Scenario(
-            backend=ShardedBackend("auto", inline_below=100), **kwargs
+            backend=ShardedBackend("auto"), **kwargs
         ))
         try:
             assert engine._backend.inline is True
@@ -600,7 +601,8 @@ class TestAutoWorkers:
         stays in-process at *any* size, even past the threshold."""
         import repro.kernel.backends.sharded as sharded_module
         monkeypatch.setattr(sharded_module, "default_workers", lambda: 1)
-        backend = ShardedBackend(workers="auto", inline_below=100)
+        monkeypatch.setattr(sharded_module, "SHARD_INLINE", 100)
+        backend = ShardedBackend(workers="auto")
         try:
             matrix = backend.adopt_matrix(
                 np.random.default_rng(31).normal(0.0, 1.0, (4096, 1))
@@ -615,8 +617,6 @@ class TestAutoWorkers:
             backend.close()
 
     def test_count_arguments_validated(self):
-        with pytest.raises(ConfigurationError):
-            ShardedBackend(workers="auto", inline_below=-5)
         with pytest.raises(ConfigurationError):
             ShardedBackend(workers=2, max_respawns=-1)
 

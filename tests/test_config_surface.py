@@ -22,6 +22,7 @@ from repro.kernel import (
     ShardedBackend,
     VectorizedBackend,
 )
+from repro.kernel.backends import POOL_FAILURE_MODES
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV_NAMES = {
@@ -29,9 +30,7 @@ ENV_NAMES = {
     "REPRO_SHARD_ON_FAILURE",
     "REPRO_STRICT_INVARIANTS",
 }
-SHARDED_ARGUMENTS = [
-    "workers", "chunk", "inline_below", "on_failure", "max_respawns",
-]
+SHARDED_ARGUMENTS = ["workers", "chunk", "on_failure", "max_respawns"]
 APPLY_EXCHANGES = ["matrix", "functions", "exch_i", "exch_j"]
 APPLY_PAIRS = ["matrix", "functions", "pairs_i", "pairs_j", "plan"]
 PAIR_PROTOCOL_FIELDS = ["selector", "track_phi", "track_s", "generator"]
@@ -47,6 +46,7 @@ def test_env_vars_read_by_src():
 def test_sharded_backend_arguments():
     parameters = inspect.signature(ShardedBackend.__init__).parameters
     assert list(parameters)[1:] == SHARDED_ARGUMENTS
+    assert POOL_FAILURE_MODES == ("raise", "respawn")
 
 
 @pytest.mark.parametrize("backend", [
