@@ -36,8 +36,10 @@ SUMMARY_KEYS = ("n", "cycles", "aggregates", "cycles_per_epoch", "backend",
 
 def is_timing_key(key: str) -> bool:
     """Whether a JSON key holds a wall-clock measurement (mirrors
-    ``diff_bench.is_timing_key``, plus derived speedups)."""
-    return key == "seconds" or key.endswith("_seconds") or key == "speedup"
+    ``diff_bench.is_timing_key``) or a number derived from two of one
+    run's: ``speedup``, ``lone_worker_apply_ratio``."""
+    return (key == "seconds" or key.endswith("_seconds")
+            or key == "speedup" or key.endswith("_ratio"))
 
 
 def is_memory_key(key: str) -> bool:

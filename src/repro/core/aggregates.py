@@ -54,6 +54,13 @@ class AggregateFunction(ABC):
         """
         return np.frompyfunc(self.combine, 2, 1)(x, y).astype(np.float64)
 
+    def combine_into(self, x: np.ndarray, y: np.ndarray, out) -> None:
+        """:meth:`combine_array` written into ``out``, which may be
+        ``x``: the batch kernel combines a gathered block in place.
+        The built-ins override this fallback bit-identically, with
+        ufunc calls that build no float64 temporary."""
+        out[...] = self.combine_array(x, y)
+
     def __call__(self, x: float, y: float) -> float:
         return self.combine(x, y)
 
@@ -78,6 +85,9 @@ class MeanAggregate(AggregateFunction):
         # (x + y) * 0.5 is bitwise equal to (x + y) / 2.0 in IEEE-754
         return (x + y) * 0.5
 
+    def combine_into(self, x, y, out) -> None:
+        np.multiply(np.add(x, y, out=out), 0.5, out=out)
+
 
 class MaxAggregate(AggregateFunction):
     """AGGREGATE_MAX: the true maximum spreads epidemically."""
@@ -93,6 +103,10 @@ class MaxAggregate(AggregateFunction):
         # bitwise
         return np.where(x >= y, x, y)
 
+    def combine_into(self, x, y, out) -> None:
+        np.copyto(out, x)
+        np.copyto(out, y, where=~(x >= y))
+
 
 class MinAggregate(AggregateFunction):
     """The dual of AGGREGATE_MAX."""
@@ -106,6 +120,10 @@ class MinAggregate(AggregateFunction):
         # np.where, not np.minimum, to mirror the scalar tie/NaN
         # behavior bitwise (see MaxAggregate)
         return np.where(x <= y, x, y)
+
+    def combine_into(self, x, y, out) -> None:
+        np.copyto(out, x)
+        np.copyto(out, y, where=~(x <= y))
 
 
 class GeometricMeanAggregate(AggregateFunction):
@@ -129,6 +147,13 @@ class GeometricMeanAggregate(AggregateFunction):
                 "geometric mean requires positive values"
             )
         return np.sqrt(x * y)
+
+    def combine_into(self, x, y, out) -> None:
+        if np.any(x <= 0) or np.any(y <= 0):
+            raise ConfigurationError(
+                "geometric mean requires positive values"
+            )
+        np.sqrt(np.multiply(x, y, out=out), out=out)
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,8 @@ batched backend builds on:
   commute bitwise with each other),
 * :func:`iter_greedy_segments` — the plan: a pending set of at most one
   window slid over the step stream, one scan and one batch per round,
-* :func:`apply_disjoint_batch` — one node-disjoint batch applied through
-  the ``combine_array`` IEEE path,
+* :func:`apply_disjoint_batch` — one node-disjoint batch applied as
+  whole rows, a cache-sized tile and an aggregate group at a time,
 * :func:`apply_sequential` — a short run of (possibly conflicting)
   steps applied in step order through the scalar ``combine`` path,
 * :func:`apply_one_sided` — the same scan for the engine's *one-sided*
@@ -28,7 +28,8 @@ batched backend builds on:
 * :func:`column_moments` — the one reduction behind every reported
   variance and mean, run by whichever process has the rows mapped.
 
-``combine_array`` is IEEE-identical to the scalar ``combine`` (the
+``combine_array`` and its in-place form ``combine_into`` are
+IEEE-identical to the scalar ``combine`` (the
 :class:`~repro.core.aggregates.AggregateFunction` contract), so any
 mix of the two appliers over an order-preserving segmentation is
 **bitwise identical** to the sequential reference execution.
@@ -37,6 +38,7 @@ mix of the two appliers over an order-preserving segmentation is
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,6 +54,12 @@ from ...errors import ConfigurationError
 #: backend (``chunk=``, e.g. ``Scenario(backend=VectorizedBackend(
 #: chunk=…))``); it never changes results, only batch shapes.
 PAIR_CHUNK = 4096
+
+#: the most steps :func:`apply_disjoint_batch` gathers, combines and
+#: scatters at once, so its blocks stay cache-resident whatever window
+#: planned the batch: longer tiles page-fault their temporaries in on
+#: every call, shorter ones pay numpy's per-call cost too often.
+BATCH_TILE = 4096
 
 #: the planner's scalar threshold. A drained stream's last this-many
 #: pending steps run sequentially (batch sizes decay geometrically, so
@@ -232,13 +240,48 @@ def iter_greedy_segments(
             carry_i, carry_j = chunk_i.take(kept), chunk_j.take(kept)
 
 
+@lru_cache(maxsize=32)
+def column_groups(functions: Tuple[AggregateFunction, ...]) -> tuple:
+    """How :func:`apply_disjoint_batch` splits the columns of one
+    ``functions`` tuple (hashable, as instances are by default), worked
+    out once per tuple: functions of one class with equal instance
+    state form a group. Returns ``(lead, own, foreign)`` — a function
+    of the widest group, its first column, and the ``(column,
+    function)`` pairs outside that group."""
+    groups: List[List[int]] = []
+    for c, function in enumerate(functions):
+        for group in groups:
+            peer = functions[group[0]]
+            if type(peer) is type(function) and vars(peer) == vars(function):
+                group.append(c)
+                break
+        else:
+            groups.append([c])
+    widest = max(groups, key=len)
+    foreign = [(c, f) for c, f in enumerate(functions) if c not in widest]
+    return functions[widest[0]], widest[0], tuple(foreign)
+
+
 def apply_disjoint_batch(
     matrix: np.ndarray,
     functions: Sequence[AggregateFunction],
     batch_i: np.ndarray,
     batch_j: np.ndarray,
 ) -> None:
-    """Apply one node-disjoint batch of exchanges via ``combine_array``."""
+    """Apply one node-disjoint batch of exchanges, bitwise-equal to one
+    scalar ``combine`` per step and column.
+
+    Several columns move as whole rows of a C-contiguous float64
+    ``matrix``, one :data:`BATCH_TILE` at a time (disjoint steps
+    commute: any tiling is exact). Both endpoints' rows are gathered,
+    the widest of the :func:`column_groups` is combined in one
+    contiguous in-place pass over the gathered block, the other columns
+    one by one, and each side is written back by one flat ``put``
+    through a view of the matrix whose item is a row. *A function only
+    sees values of columns it owns*: for the block pass the foreign
+    columns of both blocks hold a copy of one of the group's own — a
+    min / max column may hold ± inf, a corrupted row anything.
+    """
     if len(batch_i) == 0:
         return
     # the planner's chunks are intp already; the sharded workers'
@@ -253,15 +296,23 @@ def apply_disjoint_batch(
         column[batch_i] = combined
         column[batch_j] = combined
         return
-    rows_i = matrix.take(batch_i, axis=0)
-    rows_j = matrix.take(batch_j, axis=0)
-    combined_rows = np.empty_like(rows_i)
-    for c, function in enumerate(functions):
-        combined_rows[:, c] = function.combine_array(
-            rows_i[:, c], rows_j[:, c]
-        )
-    matrix[batch_i] = combined_rows
-    matrix[batch_j] = combined_rows
+    lead, own, foreign = column_groups(tuple(functions))
+    rows = matrix.view(np.dtype((np.void, 8 * matrix.shape[1]))).reshape(-1)
+    for lo in range(0, len(batch_i), BATCH_TILE):
+        tile_i = batch_i[lo:lo + BATCH_TILE]
+        tile_j = batch_j[lo:lo + BATCH_TILE]
+        block = matrix.take(tile_i, axis=0)
+        other = matrix.take(tile_j, axis=0)
+        kept = [f.combine_array(block[:, c], other[:, c]) for c, f in foreign]
+        for c, _ in foreign:
+            block[:, c] = block[:, own]
+            other[:, c] = other[:, own]
+        lead.combine_into(block, other, block)
+        for (c, _), result in zip(foreign, kept):
+            block[:, c] = result
+        combined = block.view(rows.dtype).reshape(-1)
+        rows.put(tile_i, combined)
+        rows.put(tile_j, combined)
 
 
 def apply_sequential(
@@ -764,7 +815,10 @@ class ExecutionBackend(ABC):
         The engine calls this once at construction and again whenever it
         reallocates the value matrix (capacity growth under churn, an
         epoch restart that changes the instance count), then uses the
-        returned array as its matrix from that point on. In-process
+        returned array as its matrix from that point on. The matrix is
+        C-contiguous float64 on both sides: the batch kernel writes
+        through a row view, and ``apply_*`` refuses any other layout
+        with a :class:`~repro.errors.SimulationError`. In-process
         backends return the array unchanged; the sharded backend copies
         it into a :mod:`multiprocessing.shared_memory` segment and
         returns the shared view so every subsequent engine mutation —

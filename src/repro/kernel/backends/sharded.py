@@ -151,9 +151,10 @@ from .vectorized import VectorizedBackend
 
 #: default greedy-segmentation window for the sharded backend. Larger
 #: than the in-process :data:`~.base.PAIR_CHUNK`: every peeled batch
-#: costs one pool barrier, so the window is sized for few, fat batches
-#: (at N = 10⁶ a 64k pending set yields one ≈ 59k-step batch per scan,
-#: 19 barriers a cycle) rather than cache-resident scans. Override per
+#: costs one pool barrier (at N = 10⁶ a 64k pending set yields one
+#: ≈ 59k-step batch per scan, 19 barriers a cycle). The batch kernel
+#: tiles what it is handed, so the window is no cache question: it
+#: trades the parent's scan passes against barriers. Override per
 #: backend with ``chunk=`` — which, unlike this default, also sets the
 #: window of the backend's in-process work (inline, degraded, views).
 SHARD_CHUNK = 65536

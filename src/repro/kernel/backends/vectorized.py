@@ -7,6 +7,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ...core.aggregates import AggregateFunction
+from ...errors import SimulationError
 from .base import (
     GREEDY_TAIL,
     SEGMENT_SEQUENTIAL,
@@ -46,9 +47,7 @@ class VectorizedBackend(ExecutionBackend):
         exch_i: np.ndarray,
         exch_j: np.ndarray,
     ) -> None:
-        self._apply_greedy(
-            matrix, functions, np.asarray(exch_i), np.asarray(exch_j)
-        )
+        self.apply_pairs(matrix, functions, exch_i, exch_j)
 
     # -- pair mode --------------------------------------------------------
 
@@ -69,6 +68,13 @@ class VectorizedBackend(ExecutionBackend):
         order-preserving greedy segmentation. Bitwise-identical to the
         sequential reference execution either way.
         """
+        if matrix.dtype != np.float64 or not matrix.flags.c_contiguous:
+            # the batch kernel writes through a view whose item is a row
+            raise SimulationError(
+                "the vectorized backend applies to a C-contiguous float64 "
+                "matrix (adopt_matrix / grow_matrix / allocate_matrix / "
+                "restore_matrix return one); hand the matrix over first"
+            )
         pi = np.asarray(pairs_i)
         pj = np.asarray(pairs_j)
         if plan is None:

@@ -58,6 +58,9 @@ class TheoremSAggregate(AggregateFunction):
     def combine_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return (x + y) * 0.25
 
+    def combine_into(self, x, y, out) -> None:
+        np.multiply(np.add(x, y, out=out), 0.25, out=out)
+
 
 def two_disjoint_matchings(n: int, rng: np.random.Generator) -> np.ndarray:
     """Two edge-disjoint perfect matchings over ``n`` (even) labels.
