@@ -18,7 +18,7 @@ Acceptance target: the N = 100 000 vectorized run completes in < 30 s
 with mean relative estimation error < 5 %. Results land in
 ``benchmarks/out/BENCH_churn.json`` (paper-scale runs also refresh the
 git-tracked copy at the repo root). A smoke configuration
-(``--n 10000``) runs in about a second for CI.
+(``--n 50000 --cycles 90``) runs in about a second for CI.
 
 Run directly (``python benchmarks/bench_churn.py [--n N]``) or through
 pytest (``pytest benchmarks/bench_churn.py``).

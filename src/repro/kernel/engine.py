@@ -517,13 +517,13 @@ class GossipEngine:
     @property
     def alive_count(self) -> int:
         """Number of alive nodes (the current network size)."""
-        return int(self._alive.sum())
+        return int(np.count_nonzero(self._alive))
 
     @property
     def participant_count(self) -> int:
         """Number of nodes gossiping in the current epoch (equals
         :attr:`alive_count` except for joiners awaiting a restart)."""
-        return int(self._participant.sum())
+        return int(np.count_nonzero(self._participant))
 
     @property
     def capacity(self) -> int:
@@ -796,23 +796,22 @@ class GossipEngine:
         step = spec.model.step(self.cycle, alive_count)
         leaves = min(int(step.leaves), max(alive_count - 1, 0))
         if leaves > 0:
-            alive_ids = np.nonzero(self._alive)[0]
+            alive_ids = np.flatnonzero(self._alive)
             picks = self._rng.choice(len(alive_ids), size=leaves, replace=False)
-            leavers = alive_ids[picks]
+            leavers = alive_ids.take(picks)
             if self._monitor_entries:
-                departing = self._participant[leavers]
-                if departing.any():
+                departing = leavers.compress(self._participant.take(leavers))
+                if len(departing):
                     self._backend.sync()
                     self._ledger_add(
-                        "leave",
-                        -self._matrix[leavers[departing]].sum(axis=0),
+                        "leave", -self._matrix[departing].sum(axis=0)
                     )
             if self._retry is not None:
                 self._clear_pending(leavers, recycled=True)
             self._alive[leavers] = False
             self._participant[leavers] = False
             self._mask_version += 1
-            self._free_slots.extend(int(s) for s in leavers)
+            self._free_slots.extend(leavers.tolist())
             self._provider.on_mask_change(self._mask_version)
         if step.joins > 0:
             self._admit(int(step.joins))
@@ -845,10 +844,10 @@ class GossipEngine:
         # joiner rows are written below — the pipelined sharded backend
         # must finish any in-flight cycle before the matrix mutates
         self._backend.sync()
-        recycled = [
-            self._free_slots.pop()
-            for _ in range(min(count, len(self._free_slots)))
-        ]
+        # the newest free slots, newest first (LIFO)
+        keep = max(len(self._free_slots) - count, 0)
+        recycled = self._free_slots[keep:][::-1]
+        del self._free_slots[keep:]
         fresh = count - len(recycled)
         if fresh > 0:
             self._ensure_capacity(self._top + fresh)
@@ -1265,7 +1264,7 @@ class GossipEngine:
             self._participant, self._mask_version, exclude=self._isolated
         )
         if mf_blocked is not None:
-            initiators = initiators[~mf_blocked[initiators]]
+            initiators = initiators.compress(~mf_blocked.take(initiators))
         count = len(initiators)
         if self._dynamic and count < 2:
             # dynamic overlays draw among the current participants:
@@ -1281,7 +1280,7 @@ class GossipEngine:
             # matter which neighbor it picked. The draw itself still
             # happens (same RNG consumption as without the adversary),
             # only the result is overridden.
-            redirect = self._eclipse[initiators]
+            redirect = self._eclipse.take(initiators)
             captured = redirect >= 0
             if captured.any():
                 partners[captured] = redirect[captured]
@@ -1319,7 +1318,7 @@ class GossipEngine:
             # targeted partition: exchanges crossing the
             # honest/adversarial boundary fail
             adv = self._adv_mask
-            ok &= ~(adv[initiators] ^ adv[partners])
+            ok &= ~(adv.take(initiators) ^ adv.take(partners))
         if self._faults is not None:
             return self._finish_cycle_with_faults(initiators, partners, ok)
         exch_i, exch_j = plan.compact(initiators, partners, ok)
@@ -1375,46 +1374,49 @@ class GossipEngine:
         delivered = ok & req_ok
         nacked = None
         if retry is not None:
-            busy = self._mf_partner[partners] >= 0
+            busy = (self._mf_partner >= 0).take(partners)
             refused = delivered & busy
             delivered &= ~busy
             # a surviving NACK tells the initiator the exchange did not
             # happen — a clean failure, not a timeout
             nacked = refused & rep_ok
         full = delivered & rep_ok
-        partial = delivered & ~rep_ok
-        dup &= delivered
-        payload = None
-        if dup.any() or partial.any():
+        # masks decide, index lists move: each exchange class becomes a
+        # list of positions once, and every gather below is a take
+        partial_at = np.flatnonzero(delivered & ~rep_ok)
+        dup_at = np.flatnonzero(dup & delivered)
+        partial_count = len(partial_at)
+        if len(dup_at) or partial_count:
             # engine-side matrix writes ahead: drain in-flight work so
             # reads see this cycle's true pre-state
             self._backend.sync()
-        if dup.any():
+        if len(dup_at):
             # the duplicate carries the payload the initiator *sent* —
             # its row before any of this cycle's exchanges applied
-            payload = self._matrix[initiators[dup]]
+            dup_i = initiators.take(dup_at)
+            payload = self._matrix.take(dup_i, axis=0)
         exch_i, exch_j = self._plan.compact(initiators, partners, full)
         full_count = len(exch_i)
         self._backend.apply_exchanges(
             self._matrix, self._functions, exch_i, exch_j
         )
-        partial_count = int(np.count_nonzero(partial))
         combined = sent = None
         if partial_count:
             self._backend.sync()
+            partial_i = initiators.take(partial_at)
             combined, sent = self._apply_one_sided(
-                "partial", initiators[partial], partners[partial]
+                "partial", partial_i, partners.take(partial_at)
             )
-        if payload is not None:
+        if len(dup_at):
             self._backend.sync()
             self._apply_one_sided(
-                "duplicate", initiators[dup], partners[dup], payload=payload
+                "duplicate", dup_i, partners.take(dup_at), payload=payload
             )
         if retry is not None:
-            unanswered = ok & ~full & ~nacked
-            if unanswered.any():
-                slots = initiators[unanswered]
-                self._mf_partner[slots] = partners[unanswered]
+            unanswered_at = np.flatnonzero(ok & ~full & ~nacked)
+            if len(unanswered_at):
+                slots = initiators.take(unanswered_at)
+                self._mf_partner[slots] = partners.take(unanswered_at)
                 self._mf_kind[slots] = 1
                 self._mf_attempt[slots] = 0
                 self._mf_due[slots] = cycle + self._mf_delays[0]
@@ -1423,10 +1425,9 @@ class GossipEngine:
                     # engine: we cache) the combined reply plus the
                     # request it answered — a retransmission is
                     # answered from the cache
-                    pslots = initiators[partial]
-                    self._mf_kind[pslots] = 2
-                    self._mf_cache[pslots] = combined
-                    self._mf_sent[pslots] = sent
+                    self._mf_kind[partial_i] = 2
+                    self._mf_cache[partial_i] = combined
+                    self._mf_sent[partial_i] = sent
         self.cycle += 1
         return full_count + partial_count
 
@@ -1549,7 +1550,7 @@ class GossipEngine:
         self._backend.sync()
         faults = self._faults
         cycle = self.cycle
-        exhausted = self._mf_attempt[due] >= retry.budget
+        exhausted = self._mf_attempt.take(due) >= retry.budget
         if exhausted.any():
             spent = due[exhausted]
             if retry.fallback == "push_only":
@@ -1567,24 +1568,24 @@ class GossipEngine:
                 np.empty(n, dtype=np.int32),
             ).astype(np.int64)
         else:
-            targets = self._mf_partner[due]
+            targets = self._mf_partner.take(due)
         req_ok = self._loss_coins(n, faults.request_loss_at(cycle))
         rep_ok = self._loss_coins(n, faults.reply_loss_at(cycle))
-        reachable = req_ok & self._participant[targets]
+        reachable = req_ok & self._participant.take(targets)
         # a fresh exchange needs a partner that is free to combine; a
         # kind-2 retransmission only needs the partner's *cache*, which
         # it serves without touching its own (possibly frozen) state —
         # otherwise a saturated loss burst deadlocks the whole network
         # into mutually-refusing pending nodes
-        available = reachable & ~pending[targets]
+        available = reachable & ~pending.take(targets)
         resolved = np.zeros(n, dtype=bool)
         if retry.mode == "retransmit":
-            cached = reachable & (self._mf_kind[due] == 2)
+            cached = reachable & (self._mf_kind.take(due) == 2)
             repaired = cached & rep_ok
             if repaired.any():
                 self._apply_repairs(due[repaired])
                 resolved |= repaired
-            fresh = available & (self._mf_kind[due] == 1)
+            fresh = available & (self._mf_kind.take(due) == 1)
         else:
             # a redraw abandons the old episode: any cached reply at
             # the original partner is stale and never collected
@@ -1610,7 +1611,7 @@ class GossipEngine:
         unresolved = ~resolved
         if unresolved.any():
             slots = due[unresolved]
-            attempts = self._mf_attempt[slots] + 1
+            attempts = self._mf_attempt.take(slots) + 1
             self._mf_attempt[slots] = attempts
             self._mf_due[slots] = cycle + self._mf_delays[attempts]
         return n

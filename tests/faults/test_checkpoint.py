@@ -464,12 +464,47 @@ class TestOlderBuild:
     ``engine.run(7); engine.checkpoint(directory)`` — and the digest is
     what that build's own engine reached 13 cycles later. The format
     has no version but 1: a build that cannot continue this run bitwise
-    has changed it."""
+    has changed it.
+
+    ``GOLDEN`` pins whole runs the same way: what a ``git archive`` of
+    586a02a reached, per retry policy x epochs x partner provider. The
+    equivalence suite compares the backends with *each other*, and the
+    fault, retry and churn passes are engine code all of them run — a
+    write reordered there moves every backend together and only an
+    absolute digest sees it."""
 
     DATA = Path(__file__).parent / "data"
     REACHED = (
         "37a52669664e4841c38f974c369d9bbf6359aeb69a3b1881450fe2172161bb1c"
     )
+    #: (provider, retry, epochs) -> ``_digest`` after ``_armed`` ran 19
+    #: cycles, lost every 11th slot to ``crash()`` and ran one more
+    GOLDEN = {
+        ("oracle", "no-retry", False):
+            "83ff6ce2ba946d48724c1b629c242ba6cf29a22774bc9cdbf8d1d3699dcc81b0",
+        ("oracle", "no-retry", True):
+            "70d1faa0cd25b6984368312d8b0e7dcb5f6f980ab74896ec69c6cf509c717bcd",
+        ("oracle", "redraw", False):
+            "84fe3bf9466cfad74ed5b0696f74f24eef6d6eb3e2ba373ba0616ec73ae074d8",
+        ("oracle", "redraw", True):
+            "dda76164557e902289a042ab37150a5c9b4d731a901f520c9e45cd4c51006892",
+        ("oracle", "retransmit", False):
+            "be603c48051c19b6f78e355b589d9934eaa8dc81e97b8f463bf98e4477720a97",
+        ("oracle", "retransmit", True):
+            "507681a9d0b09d17cdf7e470944f7a333ae84959b20a282812811e42e243b86c",
+        ("newscast", "no-retry", False):
+            "1f349145d014293decbe0195b7af2a76193b4ed09db02e50d58bd961fcaf74cb",
+        ("newscast", "no-retry", True):
+            "e5ccd404acff6f7b3d81414253ae9aa16aa5e23095e8b3171b53edffb7310a7a",
+        ("newscast", "redraw", False):
+            "552e4da6606dffae4b3cc8d8f55727b88a1bda11ab2aff781972c3783773e01c",
+        ("newscast", "redraw", True):
+            "6b5a07f1d564a9b733eb136bff68128e2af4e523d300474085f227d0dcef9c88",
+        ("newscast", "retransmit", False):
+            "2154159a79b84cab61a6604ea2ccd0687c851f82b7c992cec522286c1a8aee7b",
+        ("newscast", "retransmit", True):
+            "a60e104176eb2fe4374582d7e3b8d3e3b5a59540c1b21465dbd610d9d3d252b6",
+    }
 
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     def test_restores_and_finishes_bitwise(self, backend):
@@ -480,3 +515,24 @@ class TestOlderBuild:
             assert engine.pending_retry_count == 26
             engine.run(13)
             assert _digest(engine) == self.REACHED
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("provider, retry, epochs", sorted(GOLDEN))
+    def test_fresh_runs_reach_the_pinned_states(self, provider, retry,
+                                                epochs, backend):
+        """Without the crash wave the free list would end empty (every
+        cycle admits more than leave): 30 slots die at once, the last
+        cycle's joiners take its 3 leavers and the 9 newest of them,
+        newest first, and the rest stay listed in crash order."""
+        with GossipEngine(_armed(
+            backend=backend, retry=retry, epochs=epochs,
+            membership=provider if provider == "newscast" else None,
+        )) as engine:
+            engine.run(19)
+            engine.crash(range(0, engine.capacity, 11))
+            engine.run(1)
+            assert engine.capacity == 337
+            assert engine.structure_snapshot()["free_slots"] == tuple(
+                range(0, 231, 11)
+            )
+            assert _digest(engine) == self.GOLDEN[provider, retry, epochs]
