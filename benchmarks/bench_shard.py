@@ -31,9 +31,11 @@ Each worker count also records the parent-side **phase breakdown**:
 ``plan`` (partner staging + greedy segmentation CPU), ``apply``
 (parent-side segment application: inline mode), and ``sync`` (time
 blocked on worker replies — the worker latency the pipeline failed to
-hide) — and ``worker_apply``, the busy seconds the slowest worker
-reported back. At W = 1 that worker runs the whole batch kernel and
-nothing else, so ``lone_worker_apply_ratio`` — its busy seconds over
+hide) — ``worker_apply``, the busy seconds the slowest worker
+reported back, and ``window``, the greedy window the pool planned with
+(an eighth of the rows, capped at 65 536 from N = 524 288 on). At
+W = 1 that worker runs the whole batch kernel and nothing else, so
+``lone_worker_apply_ratio`` — its busy seconds over
 the vectorized backend's wall-clock *of the same run* — is gated at
 :data:`LONE_WORKER_APPLY_CEILING` from N = 1M on two cores up: a worker
 that only applies is never busier than the backend that also plans.
@@ -51,7 +53,9 @@ estimation at N = 10 000 000, gated by an explicit peak-RSS budget
 ``BENCH_shard10m.json`` and accumulate in ``BENCH_history.jsonl``.
 
 Results land in ``benchmarks/out/BENCH_shard.json`` (paper-scale runs
-also refresh the git-tracked ``BENCH_shard.json`` at the repo root).
+also refresh the git-tracked ``BENCH_shard.json`` at the repo root; a
+run at the pinned benchmark's N = 100 000 writes and archives
+``BENCH_shard100k.json`` instead).
 Run directly (``python benchmarks/bench_shard.py [--n N] [--workers
 1 2 4 8] [--tenm]``) or through pytest.
 """
@@ -85,6 +89,9 @@ CYCLES = 5
 SEED = 23
 WORKER_SWEEP = (1, 2, 4, 8)
 EQUIV_N = 100_000  # reference-oracle equivalence scale
+#: the size of the pinned benchmark's service5 workloads: a run at it
+#: is archived as BENCH_shard100k.json, beside the paper-scale one
+PINNED_N = 100_000
 SPEEDUP_FLOOR = 2.0  # acceptance target at N = 1M on multi-core hosts
 REPS = 3  # best-of reps for the gated vectorized/auto timings
 OVERHEAD_CEILING_PCT = 2.0  # sharded:auto (inline) vs vectorized
@@ -126,6 +133,7 @@ def timed_engine_run(scenario, cycles, record="end"):
                 ).items()
             },
             "inline": getattr(backend, "inline", None),
+            "window": getattr(backend, "_window", None),
             "trajectories": (result.variances, result.means),
         }
         return elapsed, engine.matrix, probe
@@ -248,6 +256,7 @@ def compute_shard(n=N, cycles=CYCLES, workers=WORKER_SWEEP, equiv_n=EQUIV_N,
         series[f"sharded_w{w}_worker_apply_seconds"] = (
             probe["worker_seconds"].get("apply", 0.0)
         )
+        series[f"sharded_w{w}_window"] = probe["window"]
         equal = bool(np.array_equal(vec_matrix, sh_matrix))
         series[f"sharded_w{w}_bitwise_equal"] = equal
         all_bitwise = all_bitwise and equal
@@ -324,6 +333,13 @@ def render(series):
             f"{series[f'sharded_w{w}_plan_seconds']:.3f} / "
             f"{series[f'sharded_w{w}_apply_seconds']:.3f} / "
             f"{series[f'sharded_w{w}_sync_seconds']:.3f}"
+            for w in series["worker_sweep"].split(",")
+        )
+    )
+    lines.append(
+        "pool planning window (steps): "
+        + "; ".join(
+            f"w={w} {series[f'sharded_w{w}_window']}"
             for w in series["worker_sweep"].split(",")
         )
     )
@@ -512,8 +528,11 @@ def main(argv=None) -> int:
         args.n, args.cycles, tuple(args.workers), args.equiv_n, args.reps
     )
     emit("shard", render(series), None)
-    # only acceptance-scale runs refresh the git-tracked archive
-    emit_json("shard", series, archive=args.n >= N)
+    # only acceptance-scale runs refresh the git-tracked archive; a run
+    # at the pinned benchmark's size keeps an archive of its own
+    pinned = args.n == PINNED_N
+    emit_json("shard100k" if pinned else "shard", series,
+              archive=pinned or args.n >= N)
     check(series)
     return 0
 

@@ -26,8 +26,9 @@ worker processes:
 
 * **Scheduling.** The parent computes the *schedule* for each call up
   front — the same sliding-window greedy segmentation the
-  vectorized backend uses (:func:`~.base.iter_greedy_segments`), but
-  as a pure plan: steps are rewritten into execution order in one
+  vectorized backend uses (:func:`~.base.iter_greedy_segments`), over
+  a window that follows the row count (:data:`SHARD_CHUNK`), but as a
+  pure plan: steps are rewritten into execution order in one
   bank's step buffers and described as a list of ``(start, end,
   kind)`` segments. Conflict-free plan segments from pair mode (PM's
   matching halves) become single batch segments with no scan at all.
@@ -136,6 +137,7 @@ from ...core.aggregates import AggregateFunction
 from ...errors import ConfigurationError, ShardPoolError, SimulationError
 from ..faults import BACKEND_FAULT_KINDS, FaultSpec
 from .base import (
+    PAIR_CHUNK,
     SEGMENT_BATCH,
     ExecutionBackend,
     GreedyScratch,
@@ -149,14 +151,16 @@ from .base import (
 )
 from .vectorized import VectorizedBackend
 
-#: default greedy-segmentation window for the sharded backend. Larger
-#: than the in-process :data:`~.base.PAIR_CHUNK`: every peeled batch
-#: costs one pool barrier (at N = 10⁶ a 64k pending set yields one
-#: ≈ 59k-step batch per scan, 19 barriers a cycle). The batch kernel
-#: tiles what it is handed, so the window is no cache question: it
-#: trades the parent's scan passes against barriers. Override per
-#: backend with ``chunk=`` — which, unlike this default, also sets the
-#: window of the backend's in-process work (inline, degraded, views).
+#: cap on the pool planner's greedy window. Every peeled batch costs
+#: one pool barrier, every step left unready one more scan by the
+#: parent; how much of a window is ready at once depends on the window
+#: over the row count, so the default window is an eighth of the
+#: adopted rows (its first scan 83 % ready at any N), kept between
+#: :data:`~.base.PAIR_CHUNK` and this cap — which it reaches from
+#: 524 288 rows on. The batch kernel tiles what it is handed, so the
+#: window is no cache question. ``chunk=`` replaces the rule, and also
+#: sets the window of the backend's in-process work (inline,
+#: degraded, views).
 SHARD_CHUNK = 65536
 
 #: sequential-tail threshold for the sharded planner — larger than the
@@ -517,9 +521,9 @@ class ShardedBackend(ExecutionBackend):
             )
         self.workers = int(workers)
         self._chunk = resolve_chunk(chunk, default=SHARD_CHUNK)
-        # SHARD_CHUNK amortises barriers the in-process backend never
-        # crosses: it plans with its own default unless the caller
-        # chose a window
+        # the pool's window (_map) amortises barriers the in-process
+        # backend never crosses: it plans with its own default unless
+        # the caller chose a window
         self._inline_chunk = chunk
         self._timeout = _barrier_timeout()
         if on_failure is None:
@@ -605,6 +609,8 @@ class ShardedBackend(ExecutionBackend):
         self._view: Optional[np.ndarray] = None
         self._banks: Tuple = ()
         self._steps_cap = 0
+        # the pool planner's window, set with every mapping (_map)
+        self._window = 0
         self._inline = False
         self._vector: Optional[VectorizedBackend] = None
         self._sent_functions: Optional[Tuple] = None
@@ -1126,6 +1132,11 @@ class ShardedBackend(ExecutionBackend):
         self._shm_holder.append(shm)
         self._view, self._banks = view, banks
         self._steps_cap = steps_cap
+        # the planner's window follows the rows (SHARD_CHUNK says why)
+        self._window = (
+            self._chunk if self._inline_chunk is not None
+            else min(SHARD_CHUNK, max(PAIR_CHUNK, rows // 8))
+        )
         # park the previous generation *before* the remap round-trip so
         # a failure mid-remap leaves it reachable for close()/_shutdown
         # (its name is still linked at this point; _unlink is tolerant)
@@ -1237,8 +1248,8 @@ class ShardedBackend(ExecutionBackend):
         greedy-segmented vectorized path keeps the matrix
         bitwise-identical across backends and worker counts; it plans
         with the vectorized backend's window and
-        :data:`~.base.VIEW_TAIL`, never :data:`SHARD_CHUNK` (an
-        explicit ``chunk=`` still reaches it)."""
+        :data:`~.base.VIEW_TAIL`, never the pool's (an explicit
+        ``chunk=`` still reaches it)."""
         self._ensure_vector().apply_view_exchanges(views, exch_i, exch_j)
 
     # -- the backend contract ---------------------------------------------
@@ -1379,7 +1390,7 @@ class ShardedBackend(ExecutionBackend):
                 continue
             for kind, chunk_i, chunk_j in iter_greedy_segments(
                 pending_i[start:end], pending_j[start:end],
-                self._scratch, self._view.shape[0], self._chunk,
+                self._scratch, self._view.shape[0], self._window,
                 SHARD_TAIL,
             ):
                 size = len(chunk_i)

@@ -162,6 +162,29 @@ class TestRecovery:
             assert time.perf_counter() - started < 5.0
             assert [event["worker"] for event in report.events] == [1]
 
+    def test_kill_worker_at_a_derived_window(self):
+        """At 48 000 rows the pool plans 6 000-step windows, so the
+        journal a respawn replays holds many small segments a call."""
+        n = 48_000
+        values = np.random.default_rng(4).normal(10.0, 4.0, n)
+
+        def engine(backend):
+            return GossipEngine(Scenario(CompleteTopology(n), values,
+                                         cycles=3, seed=19, backend=backend))
+
+        with engine("vectorized") as expected:
+            expected.run(3)
+        backend = ShardedBackend(2, on_failure="respawn")
+        backend.inject_faults([FaultSpec("kill_worker", worker=1, at_call=1)])
+        with engine(backend) as healed:
+            healed.run(3)
+            segments = backend._journal[3]
+            assert len(segments) >= n // 6_000
+            assert max(end - start for start, end, _ in segments) <= 6_000
+        assert np.array_equal(expected.matrix, healed.matrix)
+        report = backend.health_report()
+        assert report.respawns == 1 and not report.degraded
+
     def test_kill_worker_inline_degrade(self, reference_run):
         report = _run_with_faults(
             "respawn",

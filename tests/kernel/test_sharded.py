@@ -20,6 +20,8 @@ from repro.cli import main as cli_main
 from repro.core import (
     MaxAggregate,
     MeanAggregate,
+    MinAggregate,
+    MultiAggregateSpec,
     moment_values,
 )
 from repro.errors import (
@@ -36,6 +38,7 @@ from repro.kernel import (
     ReferenceBackend,
     Scenario,
     ShardedBackend,
+    VectorizedBackend,
     make_backend,
     parse_backend_spec,
 )
@@ -253,6 +256,86 @@ class TestShardedBackendDirect:
             backend.close()
 
 
+def service5_scenario(n, backend, seed=41):
+    """Mean, second moment, max, min and count on one exchange stream:
+    the five-column AggregationService workload."""
+    values = np.random.default_rng(seed).normal(10.0, 4.0, n)
+    indicator = np.zeros(n)
+    indicator[seed % n] = 1.0
+    spec = MultiAggregateSpec.build(
+        {
+            "mean": MeanAggregate(),
+            "second_moment": MeanAggregate(),
+            "maximum": MaxAggregate(),
+            "minimum": MinAggregate(),
+            "count": MeanAggregate(),
+        },
+        initial={
+            "second_moment": moment_values(values, 2),
+            "count": indicator,
+        },
+    )
+    return spec.scenario(CompleteTopology(n), values, seed=seed,
+                         backend=backend)
+
+
+class TestWindowFollowsRows:
+    """The pool's planning window is derived from the adopted row
+    count; where it is new, segmentation changes and values do not."""
+
+    def test_pool_scans_an_eighth_of_the_rows_at_a_time(self, scan_sizes):
+        n = 48_000
+        rng = np.random.default_rng(16)
+        matrix = rng.normal(0.0, 1.0, (n, 2))
+        exch_i = np.arange(n)
+        exch_j = (exch_i + rng.integers(1, n, n)) % n
+        functions = (MeanAggregate(), MaxAggregate())
+        pooled = apply_like_an_engine(
+            ShardedBackend(workers=1), matrix.copy(), functions,
+            exch_i, exch_j,
+        )
+        assert max(scan_sizes) == n // 8
+        VectorizedBackend().apply_exchanges(
+            matrix, functions, exch_i, exch_j
+        )
+        assert np.array_equal(matrix, pooled)
+
+    def test_five_aggregates_at_a_derived_window(self):
+        def final(backend):
+            with GossipEngine(service5_scenario(48_000, backend)) as engine:
+                engine.run(3, record="end")
+                return engine.matrix.copy(), engine._backend
+
+        expected, _ = final("vectorized")
+        pooled, backend = final("sharded:2")
+        assert backend._window == 6_000
+        assert np.array_equal(expected, pooled)
+
+    def test_window_changes_when_the_matrix_grows(self):
+        """Joins push the capacity from 30 000 rows (window 4 096)
+        past 32 768 mid-run: later calls plan with a larger window."""
+        n = 30_000
+        kwargs = dict(
+            topology=CompleteTopology(n),
+            values=np.random.default_rng(17).normal(5.0, 2.0, n),
+            churn=ConstantRateChurn(joins_per_cycle=1_500,
+                                    leaves_per_cycle=100),
+            seed=63,
+        )
+        ref_matrix, ref_alive, ref_result = run_engine(
+            "vectorized", kwargs, cycles=4
+        )
+        windows, counts = [], []
+        with GossipEngine(Scenario(backend="sharded:2", **kwargs)) as engine:
+            for _ in range(4):
+                windows.append(engine._backend._window)
+                counts.append(engine.run_cycle())
+            assert np.array_equal(ref_matrix, engine.matrix)
+            assert np.array_equal(ref_alive, engine.alive_mask)
+        assert windows[0] == 4_096 and windows[-1] > 4_096
+        assert ref_result.exchange_counts == counts
+
+
 class TestShardedLifecycle:
     def test_close_terminates_workers(self):
         topology = CompleteTopology(128)
@@ -290,14 +373,27 @@ class TestShardedLifecycle:
             engine.run(1)
 
     def test_shard_chunk_argument(self):
+        """The pool plans with an eighth of the adopted rows, kept
+        between ``PAIR_CHUNK`` and ``SHARD_CHUNK`` and derived again at
+        every mapping; an explicit ``chunk=`` wins at any size."""
         from repro.kernel.backends.sharded import SHARD_CHUNK
 
         default = ShardedBackend(workers=1)
-        assert default._chunk == SHARD_CHUNK
-        default.close()
+        try:
+            assert default._chunk == SHARD_CHUNK
+            for rows, window in ((1_000, 4_096), (40_000, 5_000),
+                                 (100_000, 12_500), (600_000, 65_536)):
+                default.adopt_matrix(np.zeros((rows, 1)))
+                assert default._window == window
+        finally:
+            default.close()
         backend = ShardedBackend(workers=1, chunk=123)
-        assert backend._chunk == 123
-        backend.close()
+        try:
+            assert backend._chunk == 123
+            backend.adopt_matrix(np.zeros((100_000, 1)))
+            assert backend._window == 123
+        finally:
+            backend.close()
         for bad in (0, -4, "nope", 2.5, True):
             with pytest.raises(ConfigurationError):
                 ShardedBackend(workers=1, chunk=bad)
