@@ -1,15 +1,14 @@
 """Experiment A2 — failure ablation (message loss and crashes, §1.4).
 
-Measures, on the cycle-driven simulator:
+Measures, on the gossip kernel:
 
 * per-cycle reduction rate as a function of symmetric message-loss
-  probability p (an exchange fails entirely with probability p), and
+  probability p (an exchange fails entirely with probability p),
 * the converged-mean bias introduced by crashing a fraction of nodes
-  mid-run (mass departs with the crashed nodes),
-
-plus, on the event-driven simulator, the mean drift caused by
-*asymmetric* loss (push delivered, reply lost), which the synchronous
-model cannot express.
+  mid-run (mass departs with the crashed nodes), and
+* the mean drift caused by *asymmetric* loss: every request and every
+  reply is lost with probability p (``MessageFaultSpec``), and a lost
+  reply leaves only the partner updated.
 
 Expected shape: the rate degrades smoothly toward 1 as p → 1 following
 the Bernoulli-thinned Theorem 1 prediction
@@ -24,11 +23,9 @@ import numpy as np
 
 from repro.analysis import Table, replicate_scenario
 from repro.avg import RATE_SEQ, fit_geometric_rate, rate_seq_with_loss
-from repro.core import GossipNetwork
 from repro.failures import CrashPlan
-from repro.kernel import Scenario, run_scenario
+from repro.kernel import MessageFaultSpec, Scenario, run_scenario
 from repro.rng import make_rng, spawn_streams
-from repro.simulator import BernoulliLoss
 from repro.topology import CompleteTopology
 
 from _common import emit, paper_scale
@@ -77,11 +74,13 @@ def asymmetric_drift_row(loss, seed):
     drifts = []
     for rng in spawn_streams(seed, RUNS):
         values = rng.normal(10.0, 4.0, 400)
-        net = GossipNetwork(
-            CompleteTopology(400), values, loss=BernoulliLoss(loss), seed=rng
+        scenario = Scenario(
+            CompleteTopology(400), values,
+            message_faults=MessageFaultSpec(request_loss=loss, reply_loss=loss),
+            cycles=15, seed=rng,
         )
-        net.run_cycles(15)
-        drifts.append(abs(net.approximations().mean() - net.true_mean()))
+        result = run_scenario(scenario)
+        drifts.append(abs(result.mean_array()[-1] - values.mean()))
     return float(np.mean(drifts))
 
 
@@ -115,7 +114,7 @@ def render(loss_rows, crash_rows, drift_rows):
         crash_table.add_row(fraction, bias)
     drift_table = Table(
         headers=["loss prob", "mean drift of network average"],
-        title="A2.3: asymmetric loss (event-driven): mass-conservation drift",
+        title="A2.3: asymmetric loss (request + reply): mass-conservation drift",
     )
     for p, drift in drift_rows:
         drift_table.add_row(p, drift)

@@ -2,9 +2,9 @@
 
 The paper's motivation (§1): "the identity of the most powerful peer in
 a grid or the total amount of free space in a distributed storage".
-This example runs the event-driven protocol (asynchronous activations,
-real message latency, 2 % message loss) over a 20-regular overlay and
-computes, via separate protocol instances and derived estimators:
+This example runs four aggregation instances on the same push-pull
+exchanges (§4's piggybacking) over a 20-regular overlay with 2 %
+request loss and 2 % reply loss, and derives:
 
 * the average free disk space          (AGGREGATE_AVG),
 * the maximum node capability          (AGGREGATE_MAX — epidemic flood),
@@ -18,32 +18,20 @@ Run:  python examples/grid_monitoring.py
 import numpy as np
 
 from repro import (
-    GossipNetwork,
+    GossipEngine,
     MaxAggregate,
+    MeanAggregate,
     MinAggregate,
     RandomRegularTopology,
+    Scenario,
     estimate_sum,
     estimate_variance_from_moments,
 )
 from repro.core.aggregates import moment_values
-from repro.simulator import BernoulliLoss, UniformLatency
+from repro.kernel import MessageFaultSpec
 
 N = 2000
 CYCLES = 25
-
-
-def run_instance(topology, values, aggregate=None, seed=0):
-    """One protocol instance under latency and loss."""
-    network = GossipNetwork(
-        topology,
-        values,
-        aggregate=aggregate,
-        latency=UniformLatency(0.01, 0.05),  # delays << cycle length
-        loss=BernoulliLoss(0.02),
-        seed=seed,
-    )
-    network.run_cycles(CYCLES)
-    return network
 
 
 def main():
@@ -54,18 +42,29 @@ def main():
     capability = rng.uniform(1.0, 100.0, size=N)
 
     print(f"simulating {N} grid nodes, 20-regular overlay, "
-          f"{CYCLES} cycles, 2% message loss\n")
+          f"{CYCLES} cycles, 2% request and 2% reply loss\n")
 
-    avg_net = run_instance(topology, free_space_gb, seed=10)
-    sq_net = run_instance(topology, moment_values(free_space_gb, 2), seed=11)
-    max_net = run_instance(topology, capability, MaxAggregate(), seed=12)
-    min_net = run_instance(topology, capability, MinAggregate(), seed=13)
-
-    # a typical node's view after convergence (node 0 here):
-    mean_est = avg_net.nodes[0].approximation
-    second_moment_est = sq_net.nodes[0].approximation
-    max_est = max_net.nodes[0].approximation
-    min_est = min_net.nodes[0].approximation
+    scenario = Scenario(
+        topology,
+        free_space_gb,
+        aggregates={
+            "mean": MeanAggregate(),
+            "square": MeanAggregate(),
+            "max": MaxAggregate(),
+            "min": MinAggregate(),
+        },
+        initial={
+            "square": moment_values(free_space_gb, 2),
+            "max": capability,
+            "min": capability,
+        },
+        message_faults=MessageFaultSpec(request_loss=0.02, reply_loss=0.02),
+        seed=10,
+    )
+    with GossipEngine(scenario) as engine:
+        engine.run(CYCLES)
+        # a typical node's view after convergence (node 0 here)
+        mean_est, second_moment_est, max_est, min_est = engine.matrix[0]
 
     total_est = estimate_sum(mean_est, N)  # N known or from counting
     var_est = estimate_variance_from_moments(mean_est, second_moment_est)
@@ -84,7 +83,7 @@ def main():
         print(f"{name:<28}{estimate:>18.3f}{truth:>16.3f}{rel:>10.2%}")
 
     print("\nmax/min floods are exact (epidemic broadcast); averaging-based")
-    print("estimates carry a small bias from the 2% asymmetric message loss.")
+    print("estimates carry a small bias from the 2% lost replies.")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ A complete reproduction of Jelasity & Montresor (ICDCS 2004): the
 anti-entropy aggregation protocol, the AVG variance-reduction framework
 with its GETPAIR case studies and convergence theory, the epoch-based
 adaptive restarting with network size estimation, plus the simulation
-substrates (topologies, event-driven and cycle-driven engines,
+substrates (topologies, the gossip kernel and its cycle-driven shell,
 membership, failure models) needed to regenerate every figure in the
 paper.
 
@@ -23,7 +23,6 @@ from .errors import (
     ConfigurationError,
     TopologyError,
     SimulationError,
-    ProtocolError,
     PairSelectionError,
     EstimationError,
 )
@@ -45,11 +44,6 @@ from .core import (
     MaxAggregate,
     MinAggregate,
     GeometricMeanAggregate,
-    GossipNetwork,
-    AggregationNode,
-    ConstantWaiting,
-    ExponentialWaiting,
-    EpochSchedule,
     SizeEstimationConfig,
     SizeEstimationExperiment,
     estimate_network_size,
@@ -89,7 +83,6 @@ from .kernel import (
     ReferenceBackend,
     VectorizedBackend,
 )
-from .simulator import EventDrivenSimulator
 from .simulator.cycle_sim import CycleSimulator
 from .failures import (
     OscillatingChurn,
@@ -106,7 +99,6 @@ __all__ = [
     "ConfigurationError",
     "TopologyError",
     "SimulationError",
-    "ProtocolError",
     "PairSelectionError",
     "EstimationError",
     "make_rng",
@@ -140,11 +132,6 @@ __all__ = [
     "MaxAggregate",
     "MinAggregate",
     "GeometricMeanAggregate",
-    "GossipNetwork",
-    "AggregationNode",
-    "ConstantWaiting",
-    "ExponentialWaiting",
-    "EpochSchedule",
     "SizeEstimationConfig",
     "SizeEstimationExperiment",
     "estimate_network_size",
@@ -166,7 +153,6 @@ __all__ = [
     "ExecutionBackend",
     "ReferenceBackend",
     "VectorizedBackend",
-    "EventDrivenSimulator",
     "CycleSimulator",
     "OscillatingChurn",
     "ConstantRateChurn",

@@ -1,9 +1,9 @@
 """The paper's primary contribution: anti-entropy aggregation.
 
-This package implements the protocol of Figure 1 (push-pull exchange of
-aggregate approximations), the aggregate functions of §1.1, the
-epoch/restart machinery of §4 and the network-size estimation service
-built on top of it.
+This package implements the aggregate functions of §1.1, the
+multi-instance and epoch-restarted services of §4 and the network-size
+estimation built on top of them; the push-pull exchange of Figure 1
+itself runs in :mod:`repro.kernel`.
 """
 
 from .aggregates import (
@@ -17,16 +17,6 @@ from .aggregates import (
     estimate_variance_from_moments,
     moment_values,
 )
-from .protocol import (
-    AggregationNode,
-    PushMessage,
-    ReplyMessage,
-    WaitingTimeStrategy,
-    ConstantWaiting,
-    ExponentialWaiting,
-)
-from .network import GossipNetwork
-from .epoch import EpochSchedule
 from .size_estimation import (
     SizeEstimationConfig,
     SizeEstimationExperiment,
@@ -41,16 +31,8 @@ from .broadcast import (
 )
 from .service import AggregationReport, AggregationService
 from .robust import RobustAverager, RobustRunResult
-from .epoch_protocol import (
-    EpochGossipNetwork,
-    EpochAggregationNode,
-    EpochOutput,
-)
 
 __all__ = [
-    "EpochGossipNetwork",
-    "EpochAggregationNode",
-    "EpochOutput",
     "RobustAverager",
     "RobustRunResult",
     "PushPullBroadcast",
@@ -68,14 +50,6 @@ __all__ = [
     "estimate_sum",
     "estimate_variance_from_moments",
     "moment_values",
-    "AggregationNode",
-    "PushMessage",
-    "ReplyMessage",
-    "WaitingTimeStrategy",
-    "ConstantWaiting",
-    "ExponentialWaiting",
-    "GossipNetwork",
-    "EpochSchedule",
     "SizeEstimationConfig",
     "SizeEstimationExperiment",
     "EpochReport",

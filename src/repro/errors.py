@@ -49,8 +49,9 @@ class TopologyError(ReproError):
 class SimulationError(ReproError):
     """The simulator reached an inconsistent state.
 
-    This indicates a bug in a protocol implementation (e.g. an event
-    scheduled in the past) rather than a user mistake.
+    Raised when a run cannot continue as declared rather than for a
+    bad parameter: e.g. an epoch ``reseed`` hook returning the wrong
+    number of rows, or a closed engine asked to run again.
     """
 
 
@@ -133,10 +134,6 @@ class CheckpointError(SimulationError):
     format-version skew, and restore-time fingerprint mismatches (a
     checkpoint resumed against an incompatible scenario).
     """
-
-
-class ProtocolError(ReproError):
-    """A protocol message or state transition violated the protocol rules."""
 
 
 class PairSelectionError(ReproError):

@@ -346,7 +346,7 @@ class EpochSpec:
     cycles_per_epoch:
         Epoch length k, chosen from the §3 convergence rates so the
         protocol converges within an epoch (``rate**k`` below the
-        target accuracy; see ``EpochSchedule.required_epoch_length``).
+        target accuracy; see ``repro.avg.theory.cycles_to_reduce``).
     reseed:
         Called at every epoch start with an :class:`EpochRestart`;
         returns the participants' restarted values as ``(m,)`` or

@@ -1,50 +1,24 @@
-"""Execution substrates.
+"""Cycle-driven execution and run observation.
 
-Two simulators are provided, mirroring the two levels at which the
-paper reasons:
-
-* :class:`EventDrivenSimulator` — a discrete-event engine with per-node
-  clocks (optionally drifting), message latency and message loss. This
-  exercises the *protocol* of Figure 1, including the randomized
-  ``getWaitingTime`` variants of §3.3.2.
 * :class:`CycleSimulator` (in :mod:`repro.simulator.cycle_sim`) — a
   PeerSim-style synchronous cycle-driven engine matching the AVG model
-  of §3 exactly; this is what the paper-scale figures run on.
+  of §3 exactly; a thin shell over :mod:`repro.kernel`, which is what
+  the paper-scale figures run on.
+* :class:`MetricsRecorder` / :class:`TimeSeries` — per-cycle metric
+  recording.
+* :class:`ExchangeTrace` — per-exchange records from the sequential
+  ``reference`` backend.
+
+The asynchronous protocol of Figure 1 needs no engine of its own: with
+the §2 zero-latency model an asynchronous run is a time-ordered
+sequence of atomic exchanges, which the kernel's sequential primitives
+apply as they are.
 """
 
-from .events import Event, EventQueue
-from .engine import EventDrivenSimulator
-from .clock import Clock, DriftingClock, PerfectClock
-from .transport import (
-    Transport,
-    Message,
-    LatencyModel,
-    ConstantLatency,
-    UniformLatency,
-    ExponentialLatency,
-    LossModel,
-    NoLoss,
-    BernoulliLoss,
-)
 from .metrics import TimeSeries, MetricsRecorder
 from .trace import ExchangeRecord, ExchangeTrace
 
 __all__ = [
-    "Event",
-    "EventQueue",
-    "EventDrivenSimulator",
-    "Clock",
-    "PerfectClock",
-    "DriftingClock",
-    "Transport",
-    "Message",
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
-    "ExponentialLatency",
-    "LossModel",
-    "NoLoss",
-    "BernoulliLoss",
     "TimeSeries",
     "MetricsRecorder",
     "ExchangeRecord",

@@ -65,7 +65,7 @@ class CycleSimulator:
     loss_probability:
         Probability that a given exchange fails entirely (both sides
         keep their values). Models symmetric message loss; asymmetric
-        loss is only observable in the event-driven simulator.
+        loss is a kernel :class:`~repro.kernel.MessageFaultSpec`.
     churn:
         Optional :class:`~repro.failures.churn.ChurnModel` (or a full
         :class:`~repro.kernel.ChurnSpec`): per-cycle joins/leaves

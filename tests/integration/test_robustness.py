@@ -43,9 +43,9 @@ class TestMessageLossDegradesGracefully:
         assert final[0.5] > final[0.0]
 
     def test_loss_conserves_mass(self):
-        """Kernel exchanges are atomic — a lost message cancels the
-        whole exchange, so (unlike the event-driven half-exchange
-        model) heavy loss cannot leak mass from the AVG estimate."""
+        """Symmetric loss cancels the whole exchange, so (unlike a lost
+        reply under ``MessageFaultSpec``) heavy loss cannot leak mass
+        from the AVG estimate."""
         values = np.random.default_rng(12).normal(10, 4, 500)
         scenario = Scenario(
             CompleteTopology(500), values, loss_probability=0.4, seed=13

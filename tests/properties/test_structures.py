@@ -4,9 +4,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.avg import GetPairPerfectMatching, GetPairSeq
-from repro.core import EpochSchedule, MeanAggregate, MultiAggregateState, combine_multi
+from repro.core import MeanAggregate, MultiAggregateState, combine_multi
 from repro.rng import choice_excluding, make_rng
-from repro.simulator import EventDrivenSimulator
 from repro.topology import CompleteTopology, RingTopology
 
 
@@ -55,25 +54,6 @@ class TestPairSelectorProperties:
         assert np.all(pairs[:, 0] != pairs[:, 1])
 
 
-class TestEpochScheduleProperties:
-    @given(k=st.integers(1, 100), cycle=st.integers(0, 10_000))
-    def test_epoch_partition(self, k, cycle):
-        schedule = EpochSchedule(k)
-        epoch = schedule.epoch_of(cycle)
-        start = schedule.epoch_start_cycle(epoch)
-        assert start <= cycle < start + k
-
-    @given(k=st.integers(1, 100), cycle=st.integers(0, 10_000))
-    def test_wait_lands_on_boundary(self, k, cycle):
-        schedule = EpochSchedule(k)
-        landing = cycle + schedule.cycles_until_next_epoch(cycle)
-        assert schedule.is_epoch_start(landing)
-
-    @given(a=st.integers(0, 1000), b=st.integers(0, 1000))
-    def test_adoption_monotone(self, a, b):
-        assert EpochSchedule.adopt(a, b) >= max(a, b)
-
-
 class TestMultiAggregateProperties:
     @given(
         x=st.floats(-1e6, 1e6, allow_nan=False),
@@ -100,16 +80,3 @@ class TestMultiAggregateProperties:
         for index, value in enumerate(values):
             assert left.get(index) == value
 
-
-class TestEngineProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(delays=st.lists(st.floats(0.0, 100.0, allow_nan=False),
-                           min_size=1, max_size=30))
-    def test_events_fire_in_time_order(self, delays):
-        engine = EventDrivenSimulator()
-        fired = []
-        for delay in delays:
-            engine.schedule_after(delay, lambda d=delay: fired.append(d))
-        engine.run_until(100.0)
-        assert fired == sorted(fired)
-        assert len(fired) == len(delays)
