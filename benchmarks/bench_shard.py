@@ -35,10 +35,11 @@ hide) — ``worker_apply``, the busy seconds the slowest worker
 reported back, and ``window``, the greedy window the pool planned with
 (an eighth of the rows, capped at 65 536 from N = 524 288 on). At
 W = 1 that worker runs the whole batch kernel and nothing else, so
-``lone_worker_apply_ratio`` — its busy seconds over
-the vectorized backend's wall-clock *of the same run* — is gated at
-:data:`LONE_WORKER_APPLY_CEILING` from N = 1M on two cores up: a worker
-that only applies is never busier than the backend that also plans.
+``lone_worker_apply_ratio`` — its busy seconds over the vectorized
+backend's wall-clock *of the same run* — is reported, not gated: it
+reads 0.5–0.7 on an idle host, but parent and worker share the cores
+with their neighbours, and on a contended host it crosses any ceiling
+that would still say something.
 
 The sweep runs ``record="end"``; one more leg runs the same workload
 with ``record="cycle"`` — the per-cycle variance and mean every figure
@@ -95,13 +96,6 @@ PINNED_N = 100_000
 SPEEDUP_FLOOR = 2.0  # acceptance target at N = 1M on multi-core hosts
 REPS = 3  # best-of reps for the gated vectorized/auto timings
 OVERHEAD_CEILING_PCT = 2.0  # sharded:auto (inline) vs vectorized
-#: W = 1 worker apply seconds / vectorized seconds. 1.04 in PR 16's
-#: archive and 0.76–1.25 at PR 20, when the kernel walked a 59k-step
-#: pool batch whole; 0.50–0.68 since it tiles. Parent and worker share
-#: the host's two cores with its neighbours: while those are busy both
-#: slow down, vectorized (alone on a core) does not, and the ratio
-#: reads up to 0.97 — 1 run in 3 on 2026-10-02
-LONE_WORKER_APPLY_CEILING = 0.85
 
 TENM_N = 10_000_000
 TENM_EPOCH = 30  # one Figure 4 epoch at 10M
@@ -353,8 +347,7 @@ def render(series):
     if "lone_worker_apply_ratio" in series:
         lines.append(
             f"lone_worker_apply_ratio (w=1 worker's apply / vectorized "
-            f"run): {series['lone_worker_apply_ratio']:.2f} (gated <= "
-            f"{LONE_WORKER_APPLY_CEILING} at N >= {N} on >= 2 cores)"
+            f"run): {series['lone_worker_apply_ratio']:.2f}"
         )
     lines.append(
         f"record=\"cycle\": vectorized "
@@ -395,16 +388,6 @@ def check(series):
             f"best sharded configuration is only "
             f"{series['speedup']:.2f}x over vectorized at N={series['n']} "
             f"on {series['cpu_count']} cores (floor {SPEEDUP_FLOOR}x)"
-        )
-    ratio = series.get("lone_worker_apply_ratio")
-    if (ratio is not None and series["n"] >= N
-            and (series["cpu_count"] or 1) >= 2):
-        # the W = 1 worker runs the batch kernel vectorized runs, minus
-        # the planning; both timed in this run, on this host
-        assert ratio <= LONE_WORKER_APPLY_CEILING, (
-            f"the lone worker was busy applying for {ratio:.2f}x the "
-            f"vectorized backend's whole run (ceiling "
-            f"{LONE_WORKER_APPLY_CEILING})"
         )
     if series["sharded_auto_inline"] and series["n"] >= N:
         # the degenerate-host guarantee: when `auto` stays in-process

@@ -117,57 +117,73 @@ def resolve_chunk(
 def first_occurrence_ready(
     chunk_i: np.ndarray,
     chunk_j: np.ndarray,
-    position: np.ndarray,
-    flat_buffer: np.ndarray,
-    slot_numbers: np.ndarray,
+    scratch: "GreedyScratch",
 ) -> np.ndarray:
-    """Which pending steps are first occurrences of *both* endpoints.
+    """Which pending steps are first occurrences of *both* endpoints,
+    as a boolean mask in step order.
 
     The test is O(m) with no sorting: a scatter of slot numbers into an
     ``n``-sized ``position`` scratch (last write wins, so the endpoints
     are interleaved back to front — the last write to a node is then
-    its *first* occurrence) followed by one gather. ``position``,
-    ``flat_buffer`` and ``slot_numbers`` are a :class:`GreedyScratch`'s
-    arrays, the last two at least ``2 * len(chunk_i)`` long. The
-    endpoints may be of any integer dtype: writing them into the
-    ``intp`` interleave is the one cast the scan needs.
+    its *first* occurrence), one gather, one compare, and one ``and``
+    of the two endpoints' strided views, read back to front so the mask
+    comes out in forward step order. Every result lands in
+    ``scratch``'s buffers, which :meth:`GreedyScratch.fit` must have
+    sized for ``len(chunk_i)`` steps: the mask is a view of the
+    scratch, valid until its next scan. The endpoints may be of any
+    integer dtype: writing them into the ``intp`` interleave is the one
+    cast the scan needs.
     """
     m = len(chunk_i)
-    flat = flat_buffer[:2 * m]
+    flat = scratch.flat[:2 * m]
     flat[-1::-2] = chunk_i
     flat[-2::-2] = chunk_j
-    slots = slot_numbers[:2 * m]
+    slots = scratch.slots[:2 * m]
+    position = scratch.position
     position[flat] = slots
-    first = position.take(flat) == slots
-    return (first[0::2] & first[1::2])[::-1]
+    # flat holds rows the scatter above accepted, so "clip" never
+    # clips: it only spares take the copy of ``out`` its default mode
+    # makes
+    first = np.equal(
+        position.take(flat, out=scratch.gathered[:2 * m], mode="clip"),
+        slots, out=scratch.first[:2 * m],
+    )
+    return np.logical_and(
+        first[-1::-2], first[-2::-2], out=scratch.ready[:m]
+    )
 
 
 class GreedyScratch:
-    """The reusable scratch arrays of :func:`first_occurrence_ready`:
-    an int32 ``position`` array with one entry per matrix row, the
-    ``intp`` interleave buffer (numpy's native index dtype — a scatter
-    or gather through int32 indices runs 2–3x slower) and the int32
-    ``0, 1, 2, …`` slot numbers, both ``2 * window`` long. Nothing is
-    allocated before the first use; every array grows on demand."""
+    """The reusable buffers of :func:`first_occurrence_ready`: an int32
+    ``position`` array with one entry per matrix row; the ``intp``
+    interleave (numpy's native index dtype — a scatter or gather
+    through int32 indices runs 2–3x slower), the int32 ``0, 1, 2, …``
+    slot numbers, the int32 gather and the boolean compare, each
+    ``2 * window`` long; and the ``window``-long ``ready`` mask.
+    Nothing is allocated before the first use; every buffer grows on
+    demand (:meth:`fit`)."""
 
-    __slots__ = ("_position", "_flat", "_slots")
+    __slots__ = ("position", "flat", "slots", "gathered", "first", "ready")
 
     def __init__(self):
-        self._position: Optional[np.ndarray] = None
-        self._flat: Optional[np.ndarray] = None
-        self._slots: Optional[np.ndarray] = None
+        self.position: Optional[np.ndarray] = None
+        self.flat: Optional[np.ndarray] = None
+        self.slots: Optional[np.ndarray] = None
+        self.gathered: Optional[np.ndarray] = None
+        self.first: Optional[np.ndarray] = None
+        self.ready: Optional[np.ndarray] = None
 
-    def arrays(
-        self, rows: int, window: int = PAIR_CHUNK
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(position, flat_buffer, slot_numbers)`` for a matrix of
-        ``rows`` rows and scans of at most ``window`` steps."""
-        if self._flat is None or len(self._flat) < 2 * window:
-            self._flat = np.empty(2 * window, dtype=np.intp)
-            self._slots = np.arange(2 * window, dtype=np.int32)
-        if self._position is None or len(self._position) < rows:
-            self._position = np.empty(rows, dtype=np.int32)
-        return self._position, self._flat, self._slots
+    def fit(self, rows: int, window: int = PAIR_CHUNK) -> None:
+        """Size the buffers for a matrix of ``rows`` rows and scans of
+        at most ``window`` steps."""
+        if self.flat is None or len(self.flat) < 2 * window:
+            self.flat = np.empty(2 * window, dtype=np.intp)
+            self.slots = np.arange(2 * window, dtype=np.int32)
+            self.gathered = np.empty(2 * window, dtype=np.int32)
+            self.first = np.empty(2 * window, dtype=bool)
+            self.ready = np.empty(window, dtype=bool)
+        if self.position is None or len(self.position) < rows:
+            self.position = np.empty(rows, dtype=np.int32)
 
 
 def iter_greedy_segments(
@@ -203,41 +219,51 @@ def iter_greedy_segments(
     of the pending set is always order-preserving), and once the stream
     is drained the last ``tail`` steps go the same way.
 
-    The chunks are ``intp`` arrays whatever the integer dtype of
-    ``pending_i`` / ``pending_j``, cast one window at a time.
-    ``scratch`` serves a matrix of ``rows`` rows.
+    A round counts its ready steps and lists the batch and the carry
+    only when some but not all are ready; a round with nothing carried
+    takes its steps straight from the input. The chunks are ``intp``
+    arrays whatever the integer dtype of ``pending_i`` / ``pending_j``,
+    cast one window at a time — an ``intp`` input's chunks may be views
+    of it, never of ``scratch``, so a consumer may keep a segment for
+    as long as it leaves the input alone. ``scratch`` serves a matrix
+    of ``rows`` rows.
     """
     total = len(pending_i)
-    arrays = scratch.arrays(rows, window)
+    scratch.fit(rows, window)
     scalar = max(tail, 1)
     carry_i = carry_j = _NO_STEPS
     cursor = 0
     while True:
         stop = min(cursor + window - len(carry_i), total)
-        chunk_i = np.concatenate(
-            (carry_i, pending_i[cursor:stop]), dtype=np.intp
-        )
-        chunk_j = np.concatenate(
-            (carry_j, pending_j[cursor:stop]), dtype=np.intp
-        )
+        if len(carry_i):
+            chunk_i = np.concatenate(
+                (carry_i, pending_i[cursor:stop]), dtype=np.intp
+            )
+            chunk_j = np.concatenate(
+                (carry_j, pending_j[cursor:stop]), dtype=np.intp
+            )
+        else:
+            chunk_i = pending_i[cursor:stop].astype(np.intp, copy=False)
+            chunk_j = pending_j[cursor:stop].astype(np.intp, copy=False)
         cursor = stop
         size = len(chunk_i)
         if cursor == total and size <= tail:
             if size:
                 yield SEGMENT_SEQUENTIAL, chunk_i, chunk_j
             return
-        ready = first_occurrence_ready(chunk_i, chunk_j, *arrays)
-        peeled = np.flatnonzero(ready)
-        if len(peeled) == size:
+        ready = first_occurrence_ready(chunk_i, chunk_j, scratch)
+        count = np.count_nonzero(ready)
+        if count == size:
             yield SEGMENT_BATCH, chunk_i, chunk_j
             carry_i = carry_j = _NO_STEPS
-        elif len(peeled) < scalar:
+        elif count < scalar:
             yield SEGMENT_SEQUENTIAL, chunk_i[:scalar], chunk_j[:scalar]
             carry_i, carry_j = chunk_i[scalar:], chunk_j[scalar:]
         else:
-            yield SEGMENT_BATCH, chunk_i.take(peeled), chunk_j.take(peeled)
+            peeled = np.flatnonzero(ready)
             kept = np.flatnonzero(~ready)
             carry_i, carry_j = chunk_i.take(kept), chunk_j.take(kept)
+            yield SEGMENT_BATCH, chunk_i.take(peeled), chunk_j.take(peeled)
 
 
 @lru_cache(maxsize=32)
@@ -453,7 +479,7 @@ def apply_one_sided(
     if collect:
         combined = np.empty((m, k), dtype=np.float64)
         sent = np.empty((m, k), dtype=np.float64)
-    position, flat_buffer, slot_numbers = scratch.arrays(matrix.shape[0])
+    scratch.fit(matrix.shape[0])
 
     def apply(applier, chunk_i, chunk_j, at):
         rows, asked, moved = applier(
@@ -471,9 +497,7 @@ def apply_one_sided(
         chunk_j = steps_j[lo:lo + PAIR_CHUNK]
         at = np.arange(lo, lo + len(chunk_i))
         while len(at) > GREEDY_TAIL:
-            ready = first_occurrence_ready(
-                chunk_i, chunk_j, position, flat_buffer, slot_numbers
-            )
+            ready = first_occurrence_ready(chunk_i, chunk_j, scratch)
             apply(apply_one_sided_batch,
                   chunk_i[ready], chunk_j[ready], at[ready])
             keep = ~ready

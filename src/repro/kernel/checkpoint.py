@@ -263,9 +263,10 @@ def read_checkpoint(
             f"is corrupt or was tampered with"
         )
     # the pickled members (RNG state, epoch results) are loaded
-    # explicitly by the engine; everything here is a plain array
+    # explicitly by the engine; everything here is a plain array, and
+    # np.load reads each member into a fresh, writable heap array
     with np.load(payload, allow_pickle=False) as bundle:
-        arrays = {name: bundle[name].copy() for name in bundle.files}
+        arrays = {name: bundle[name] for name in bundle.files}
     return manifest, arrays
 
 

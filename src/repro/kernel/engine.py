@@ -216,15 +216,13 @@ class KernelRunResult:
 class CyclePlan:
     """Reusable per-cycle scratch for :meth:`GossipEngine.run_cycle`.
 
-    The engine's per-cycle setup used to allocate fresh initiator,
-    partner, coin-mask and compacted-exchange arrays every cycle; at
-    paper scale that constant dominates the vectorized backend's
-    runtime. A ``CyclePlan`` owns int32 buffers (half the bytes of
-    numpy's native ``intp``; the backends' planner casts one window at
-    a time at the point of fancy indexing) that are reallocated only
-    when engine capacity grows, plus a cached compacted initiator set
-    keyed on a mask *version stamp* — any alive/participant mutation
-    (crash, churn, epoch restart) bumps the stamp and invalidates it.
+    A ``CyclePlan`` owns int32 buffers (half the bytes of numpy's
+    native ``intp``; the backends' planner casts one window at a time
+    at the point of fancy indexing) for the partners, the survival mask
+    and the compacted exchanges, reallocated only when engine capacity
+    grows, plus a cached compacted initiator set keyed on a mask
+    *version stamp* — any alive/participant mutation (crash, churn,
+    epoch restart) bumps the stamp and invalidates it.
     """
 
     __slots__ = (
@@ -273,9 +271,13 @@ class CyclePlan:
     def compact(
         self, initiators: np.ndarray, partners: np.ndarray, ok: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One compaction of the surviving exchanges into the reusable
-        output buffers (the former ``initiators[ok]`` / ``partners[ok]``
-        pair scanned the mask twice and allocated twice)."""
+        """The exchanges ``ok`` keeps. When it keeps every one — a
+        loss-free cycle — that is ``initiators, partners`` themselves,
+        returned as they are (the initiators may be the cached set:
+        callers only read them); otherwise one compaction into the
+        reusable output buffers."""
+        if np.count_nonzero(ok) == len(ok):
+            return initiators, partners
         selected = np.flatnonzero(ok)
         m = len(selected)
         exch_i = self.out_i[:m]

@@ -310,6 +310,22 @@ class TestFormat:
         with pytest.raises(CheckpointError):
             read_checkpoint(manifest)
 
+    def test_restored_arrays_are_writable_heap_arrays(self, tmp_path):
+        """No copy on the way in: each restored member is writable and
+        its memory belongs to a heap array of its own — no open file,
+        no buffer shared with another member."""
+        _, arrays = read_checkpoint(self._write_one(tmp_path))
+        assert arrays
+        for array in arrays.values():
+            owner = array if array.base is None else array.base
+            assert isinstance(owner, np.ndarray)
+            assert owner.flags.owndata and owner.base is None
+            assert array.flags.writeable
+        members = list(arrays.values())
+        for k, array in enumerate(members):
+            for other in members[k + 1:]:
+                assert not np.shares_memory(array, other)
+
     def test_prune_keeps_newest(self, tmp_path):
         engine = GossipEngine(_scenario(n=40, cycles=8))
         for _ in range(4):

@@ -11,7 +11,13 @@ from repro.core import (
 )
 from repro.errors import ConfigurationError, SimulationError
 from repro.failures import CrashPlan
-from repro.kernel import GossipEngine, Scenario, burst_loss, run_scenario
+from repro.kernel import (
+    CyclePlan,
+    GossipEngine,
+    Scenario,
+    burst_loss,
+    run_scenario,
+)
 from repro.simulator.trace import ExchangeTrace
 from repro.topology import CompleteTopology
 
@@ -124,6 +130,29 @@ class TestCyclePlan:
         cached = engine._plan._initiators
         engine.run_cycle()
         assert engine._plan._initiators is cached
+
+    def test_compact_keeping_everything_returns_its_inputs(self):
+        plan = CyclePlan()
+        plan.ensure(8)
+        initiators = np.arange(8, dtype=np.int32)
+        partners = initiators[::-1].copy()
+        exch_i, exch_j = plan.compact(
+            initiators, partners, np.ones(8, dtype=bool)
+        )
+        assert exch_i is initiators and exch_j is partners
+
+    def test_compact_dropping_one_returns_the_compacted_copy(self):
+        plan = CyclePlan()
+        plan.ensure(8)
+        initiators = np.arange(8, dtype=np.int32)
+        partners = initiators[::-1].copy()
+        ok = np.ones(8, dtype=bool)
+        ok[3] = False
+        exch_i, exch_j = plan.compact(initiators, partners, ok)
+        assert np.shares_memory(exch_i, plan.out_i)
+        assert np.shares_memory(exch_j, plan.out_j)
+        assert exch_i.tolist() == [0, 1, 2, 4, 5, 6, 7]
+        assert exch_j.tolist() == [7, 6, 5, 3, 2, 1, 0]
 
     def test_crash_invalidates_initiator_cache(self, topo, values):
         """Semantic regression guard for the cache: a crash between

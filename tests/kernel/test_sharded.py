@@ -22,6 +22,8 @@ from repro.core import (
     MeanAggregate,
     MinAggregate,
     MultiAggregateSpec,
+    SizeEstimationConfig,
+    SizeEstimationExperiment,
     moment_values,
 )
 from repro.errors import (
@@ -32,6 +34,8 @@ from repro.errors import (
 from repro.failures import ConstantRateChurn, CrashPlan
 from repro.kernel import (
     ChurnSpec,
+    ChurnTrace,
+    CyclePlan,
     EpochSpec,
     GossipEngine,
     PairProtocolSpec,
@@ -198,6 +202,51 @@ def apply_like_an_engine(backend, matrix, functions, exch_i, exch_j):
         return shared.copy()
     finally:
         backend.close()
+
+
+class TestLossFreeCompaction:
+    """Figure 4's shape: churn keeps every cycle on the fused mask
+    path, oracle draws and no loss keep every exchange, so ``compact``
+    hands its inputs — the cached initiator set among them — straight
+    to the backend, which must only read them."""
+
+    def test_figure4_cycles_compact_nothing_and_match(self, monkeypatch):
+        n, cycles = 2_000, 25
+        compact = CyclePlan.compact
+        calls = []
+
+        def recording(plan, initiators, partners, ok):
+            exch_i, exch_j = compact(plan, initiators, partners, ok)
+            calls.append((exch_i is initiators, initiators, initiators.copy()))
+            return exch_i, exch_j
+
+        monkeypatch.setattr(CyclePlan, "compact", recording)
+        finals = []
+        for backend in ("vectorized", "sharded:2"):
+            del calls[:]
+            experiment = SizeEstimationExperiment(
+                SizeEstimationConfig(
+                    cycles=cycles, cycles_per_epoch=10, initial_size=n,
+                    expected_leaders=1e-9, force_leader=True, seed=27,
+                ),
+                churn=ChurnTrace.diurnal(
+                    n, cycles, period=12, amplitude=n // 10,
+                    fluctuation=n // 1000, seed=27,
+                ),
+                backend=backend,
+            )
+            with GossipEngine(experiment.scenario()) as engine:
+                result = engine.run(cycles)
+                finals.append((engine.matrix, engine.alive_mask,
+                               result.exchange_counts, result.alive_counts))
+            assert len(calls) == cycles
+            for returned_input, initiators, before in calls:
+                assert returned_input
+                assert np.array_equal(initiators, before)
+        (matrix, alive, *counts), (sh_matrix, sh_alive, *sh_counts) = finals
+        assert np.array_equal(matrix, sh_matrix)
+        assert np.array_equal(alive, sh_alive)
+        assert counts == sh_counts
 
 
 class TestShardedBackendDirect:

@@ -1,6 +1,7 @@
 """Property: whatever the step list, window and tail, the greedy plan
-is an order-preserving rearrangement of its input, and applying it
-equals one scalar step per exchange."""
+is an order-preserving rearrangement of its input, applying it equals
+one scalar step per exchange, and it is the frozen oracle's plan,
+segment for segment."""
 
 from collections import defaultdict
 from unittest import mock
@@ -18,7 +19,29 @@ from repro.kernel.backends import (
     iter_greedy_segments,
 )
 
+from ..kernel import greedy_oracle
 from ..kernel.one_sided_oracle import MIXED_FUNCTIONS
+
+#: the step lists every planner property runs over
+PLANNER_CASES = dict(
+    nodes=st.integers(2, 400),
+    steps=st.integers(0, 5000),
+    hub_share=st.sampled_from([0.0, 0.3, 1.0]),
+    window=st.sampled_from([1, 7, 64, 4096]),
+    tail=st.sampled_from([0, 3, 48]),
+    dtype=st.sampled_from([np.int32, np.int64]),
+    seed=st.integers(0, 2**31),
+)
+
+
+def random_steps(nodes, steps, hub_share, dtype, rng):
+    """``steps`` exchanges over ``nodes`` nodes; ``hub_share`` of them
+    are initiated by node 0 (at 1.0 a scan never finds more than one
+    step ready)."""
+    fi = rng.integers(0, nodes, steps)
+    fi[rng.random(steps) < hub_share] = 0
+    fj = (fi + rng.integers(1, nodes, steps)) % nodes
+    return fi.astype(dtype), fj.astype(dtype)
 
 
 def steps_by_node(steps_i, steps_j):
@@ -39,26 +62,12 @@ def scalar_steps(matrix, functions, steps_i, steps_j):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    nodes=st.integers(2, 400),
-    steps=st.integers(0, 5000),
-    hub_share=st.sampled_from([0.0, 0.3, 1.0]),
-    window=st.sampled_from([1, 7, 64, 4096]),
-    tail=st.sampled_from([0, 3, 48]),
-    dtype=st.sampled_from([np.int32, np.int64]),
-    mixed_columns=st.booleans(),
-    seed=st.integers(0, 2**31),
-)
+@given(**PLANNER_CASES, mixed_columns=st.booleans())
 def test_plan_preserves_order_and_equals_scalar(
-    nodes, steps, hub_share, window, tail, dtype, mixed_columns, seed
+    nodes, steps, hub_share, window, tail, dtype, seed, mixed_columns
 ):
     rng = np.random.default_rng(seed)
-    # hub_share of the steps are initiated by node 0: at 1.0 a scan
-    # never finds more than one step ready
-    fi = rng.integers(0, nodes, steps)
-    fi[rng.random(steps) < hub_share] = 0
-    fj = (fi + rng.integers(1, nodes, steps)) % nodes
-    fi, fj = fi.astype(dtype), fj.astype(dtype)
+    fi, fj = random_steps(nodes, steps, hub_share, dtype, rng)
     functions = MIXED_FUNCTIONS if mixed_columns else (MeanAggregate(),)
     actual = rng.normal(10.0, 4.0, (nodes, len(functions)))
     expected = actual.copy()
@@ -92,3 +101,36 @@ def test_plan_preserves_order_and_equals_scalar(
     )
     scalar_steps(expected, functions, fi.tolist(), fj.tolist())
     assert np.array_equal(actual, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**PLANNER_CASES)
+def test_plan_is_the_oracles_and_owns_no_scratch(
+    nodes, steps, hub_share, window, tail, dtype, seed
+):
+    fi, fj = random_steps(
+        nodes, steps, hub_share, dtype, np.random.default_rng(seed)
+    )
+    expected = list(greedy_oracle.iter_greedy_segments(
+        fi, fj, greedy_oracle.OracleGreedyScratch(), nodes, window, tail
+    ))
+    scratch = GreedyScratch()
+    kept = []
+    for kind, chunk_i, chunk_j in iter_greedy_segments(
+        fi, fj, scratch, nodes, window, tail
+    ):
+        for chunk in (chunk_i, chunk_j):
+            assert chunk.dtype == np.intp
+            for buffer in (scratch.position, scratch.flat, scratch.slots,
+                           scratch.gathered, scratch.first, scratch.ready):
+                assert not np.shares_memory(chunk, buffer)
+        # a consumer that holds on to every segment, as the sharded
+        # bank copy and the journal do
+        kept.append((kind, chunk_i, chunk_j))
+    assert len(kept) == len(expected)
+    for (kind, chunk_i, chunk_j), (want, want_i, want_j) in zip(
+        kept, expected
+    ):
+        assert kind == want
+        assert np.array_equal(chunk_i, want_i)
+        assert np.array_equal(chunk_j, want_j)
