@@ -2,8 +2,8 @@
 
 Measures, on the gossip kernel:
 
-* per-cycle reduction rate as a function of symmetric message-loss
-  probability p (an exchange fails entirely with probability p),
+* per-cycle reduction rate as a function of the request-loss
+  probability p (a lost request fails the whole exchange),
 * the converged-mean bias introduced by crashing a fraction of nodes
   mid-run (mass departs with the crashed nodes), and
 * the mean drift caused by *asymmetric* loss: every request and every
@@ -40,7 +40,7 @@ def loss_rate_row(loss, seed):
     scenario = Scenario(
         CompleteTopology(N),
         make_rng(seed).normal(0.0, 1.0, N),
-        loss_probability=loss,
+        message_faults=MessageFaultSpec(request_loss=loss),
         cycles=12,
         seed=seed,
     )
@@ -102,7 +102,7 @@ def compute_ablation():
 def render(loss_rows, crash_rows, drift_rows):
     loss_table = Table(
         headers=["loss prob", "per-cycle rate", "thinned-phi prediction"],
-        title=f"A2.1: symmetric message loss vs convergence rate, N={N}",
+        title=f"A2.1: lost requests vs convergence rate, N={N}",
     )
     for p, rate in loss_rows:
         loss_table.add_row(p, rate, rate_seq_with_loss(p))

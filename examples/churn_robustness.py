@@ -4,9 +4,9 @@ The paper (§1.4, §3.2) analyzes the clean case and defers failures to
 the companion TR. This example quantifies, on one screen, the three
 failure modes a deployment will actually meet:
 
-1. symmetric message loss  — slows convergence, never wrong
-2. crash-stop failures     — lose unmixed mass, bias the result
-3. asymmetric reply loss   — leaks mass continuously
+1. lost requests (failed exchanges) — slow convergence, never wrong
+2. crash-stop failures              — lose unmixed mass, bias the result
+3. lost replies                     — leak mass continuously
 
 Run:  python examples/churn_robustness.py
 """
@@ -21,14 +21,16 @@ N = 1500
 
 
 def loss_study():
-    print("1. symmetric message loss (cycle-driven, complete overlay)")
+    print("1. lost requests: whole exchanges fail (complete overlay)")
     print(f"{'loss p':>8} {'measured rate':>15} {'thinned-phi theory':>20}")
     for p in (0.0, 0.1, 0.2, 0.4):
         values = np.random.default_rng(1).normal(0, 1, N)
-        sim = CycleSimulator(
-            CompleteTopology(N), values, loss_probability=p, seed=2
+        scenario = Scenario(
+            CompleteTopology(N), values,
+            message_faults=MessageFaultSpec(request_loss=p),
+            cycles=12, seed=2,
         )
-        rate = fit_geometric_rate(sim.run(12).variance_array)
+        rate = fit_geometric_rate(run_scenario(scenario).variance_array())
         print(f"{p:>8.2f} {rate:>15.4f} {rate_seq_with_loss(p):>20.4f}")
     print()
 

@@ -68,6 +68,7 @@ from .kernel import CheckpointSpec, GossipEngine, Scenario, parse_backend_spec
 from .kernel.backends.sharded import POOL_FAILURE_MODES
 from .kernel.lifecycle import ChurnTrace
 from .kernel.membership import MEMBERSHIP_NAMES
+from .kernel.messages import exchange_loss
 from .rng import make_rng
 from .topology import CompleteTopology, RandomRegularTopology
 
@@ -337,7 +338,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         scenario = Scenario(
             topology,
             values,
-            loss_probability=args.loss,
+            message_faults=exchange_loss(args.loss),
             cycles=args.cycles,
             seed=args.seed,
             backend=backend,

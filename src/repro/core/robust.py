@@ -12,27 +12,30 @@ instances discards the outlier instances a few unlucky crashes produce,
 at a bandwidth cost linear in ``t`` (values piggyback on the same
 messages).
 
-:class:`RobustAverager` implements this on the cycle-driven substrate
-with optional message loss and crash injection, and reports both the
-naive single-instance estimate and the median-of-instances estimate so
-benchmarks can quantify the gain.
+:class:`RobustAverager` runs each instance as its own single-column
+:class:`~repro.kernel.engine.GossipEngine` on an independent seed, with
+optional message loss (lost requests) and crash injection, and reports
+both the naive single-instance estimate and the median-of-instances
+estimate so benchmarks can quantify the gain.
 
 The kernel hosts the same defenses as reductions over per-node reports
 (:mod:`repro.kernel.robust`: median / trimmed mean, median-of-runs,
 count-capped MIN/MAX size estimation), composable with any backend and
-any :class:`~repro.kernel.adversary.AdversarySpec`; this module remains
-the self-contained multi-instance reference implementation.
+any :class:`~repro.kernel.adversary.AdversarySpec`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..rng import SeedLike, make_rng, spawn_streams
+from ..kernel.engine import GossipEngine
+from ..kernel.messages import exchange_loss
+from ..kernel.scenario import Scenario
+from ..rng import SeedLike, spawn_streams
 from ..topology.base import Topology
 
 
@@ -70,9 +73,11 @@ class RobustAverager:
         Number of concurrent instances ``t`` (t = 1 degenerates to the
         plain protocol).
     loss_probability:
-        Probability an entire exchange fails.
+        Probability an entire exchange fails: its request is lost.
     seed:
-        Master seed; each instance's pair sequence is independent.
+        Master seed; instance ``k`` runs on stream ``k`` of
+        :func:`~repro.rng.spawn_streams`, so each instance's exchange
+        sequence is independent.
     """
 
     def __init__(
@@ -84,46 +89,39 @@ class RobustAverager:
         loss_probability: float = 0.0,
         seed: SeedLike = None,
     ):
-        if len(values) != topology.n:
-            raise ConfigurationError(
-                f"got {len(values)} values for a topology of {topology.n} nodes"
-            )
         if instances < 1:
             raise ConfigurationError(
                 f"instances must be >= 1, got {instances}"
             )
-        if not 0.0 <= loss_probability <= 1.0:
-            raise ConfigurationError(
-                f"loss probability must be in [0, 1], got {loss_probability}"
-            )
+        scenario = Scenario(
+            topology, values, message_faults=exchange_loss(loss_probability)
+        )
         self.topology = topology
-        self.true_mean = float(np.mean(np.asarray(values, dtype=np.float64)))
-        self._instances = instances
-        self._loss = loss_probability
-        # state[k] is instance k's value list; all start from the same a_i
-        self._state: List[List[float]] = [
-            [float(v) for v in values] for _ in range(instances)
+        self.true_mean = float(np.mean(scenario.values))
+        self._engines = [
+            GossipEngine(scenario.replace(seed=stream))
+            for stream in spawn_streams(seed, instances)
         ]
-        self._alive = np.ones(topology.n, dtype=bool)
-        self._rngs = spawn_streams(seed, instances)
-        self.cycle = 0
 
     @property
     def instances(self) -> int:
         """Number of concurrent instances."""
-        return self._instances
+        return len(self._engines)
 
     @property
     def alive_count(self) -> int:
         """Number of alive nodes."""
-        return int(self._alive.sum())
+        return self._engines[0].alive_count
+
+    @property
+    def cycle(self) -> int:
+        """Number of completed cycles."""
+        return self._engines[0].cycle
 
     def crash(self, node_ids: Sequence[int]) -> None:
         """Crash-stop nodes across all instances."""
-        for node_id in node_ids:
-            if not 0 <= node_id < self.topology.n:
-                raise ConfigurationError(f"node id {node_id} out of range")
-            self._alive[node_id] = False
+        for engine in self._engines:
+            engine.crash(node_ids)
 
     def run_cycle(self) -> None:
         """One synchronous cycle of every instance.
@@ -131,43 +129,20 @@ class RobustAverager:
         Each instance uses its own RNG stream, so crash/loss damage is
         independent across instances — the property the median exploits.
         """
-        alive_mask = self._alive
-        initiators = np.nonzero(alive_mask)[0]
-        alive_list = alive_mask.tolist()
-        for instance, rng in enumerate(self._rngs):
-            partners = self.topology.random_neighbor_array(initiators, rng)
-            losses = (
-                rng.random(len(initiators)) < self._loss
-                if self._loss > 0.0
-                else None
-            )
-            state = self._state[instance]
-            for index, (i, j) in enumerate(
-                zip(initiators.tolist(), partners.tolist())
-            ):
-                if not alive_list[j]:
-                    continue
-                if losses is not None and losses[index]:
-                    continue
-                midpoint = (state[i] + state[j]) * 0.5
-                state[i] = midpoint
-                state[j] = midpoint
-        self.cycle += 1
+        for engine in self._engines:
+            engine.run_cycle()
 
     def run(self, cycles: int) -> RobustRunResult:
         """Run ``cycles`` cycles and report both estimators."""
-        if cycles < 0:
-            raise ConfigurationError(f"cycles must be non-negative, got {cycles}")
-        for _ in range(cycles):
-            self.run_cycle()
-        alive_index = np.nonzero(self._alive)[0]
-        stacked = np.asarray(
-            [np.asarray(state)[alive_index] for state in self._state]
+        for engine in self._engines:
+            engine.run(cycles, record="end")
+        stacked = np.stack(
+            [engine.alive_column() for engine in self._engines]
         )  # (instances, alive)
         return RobustRunResult(
             true_mean=self.true_mean,
-            single_estimates=stacked[0].copy(),
+            single_estimates=stacked[0],
             median_estimates=np.median(stacked, axis=0),
-            instances=self._instances,
+            instances=self.instances,
             cycles=self.cycle,
         )

@@ -32,6 +32,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..kernel.engine import GossipEngine
 from ..kernel.lifecycle import EpochSpec
+from ..kernel.messages import exchange_loss
 from ..kernel.scenario import Scenario
 from ..rng import SeedLike, make_rng, spawn_streams
 from ..topology.base import Topology
@@ -131,7 +132,7 @@ class AggregationService:
     values:
         Per-node attribute values ``a_i``.
     loss_probability:
-        Optional symmetric exchange-failure probability.
+        Probability an entire exchange fails: its request is lost.
     seed:
         Master seed (protocol randomness and the counting instance's
         leader draw get independent streams).
@@ -155,7 +156,7 @@ class AggregationService:
             )
         self.topology = topology
         self.values = np.asarray(values, dtype=np.float64)
-        self._loss = loss_probability
+        self._faults = exchange_loss(loss_probability)
         self._seed = seed
         self._backend = backend
 
@@ -186,7 +187,7 @@ class AggregationService:
         scenario = self._spec(leader_stream).scenario(
             self.topology,
             self.values,
-            loss_probability=self._loss,
+            message_faults=self._faults,
             seed=protocol_stream,
             backend=self._backend,
             cycles=cycles,
@@ -275,7 +276,7 @@ class AggregationService:
             self.topology,
             values,
             aggregates=_suite_functions(),
-            loss_probability=self._loss,
+            message_faults=self._faults,
             epochs=EpochSpec(
                 cycles_per_epoch=cycles_per_epoch,
                 reseed=reseed,

@@ -18,11 +18,10 @@ worker processes:
   adopts, applies and calls ``sync()`` before it reads, as the engine
   does. Capacity growth goes through
   :meth:`~.base.ExecutionBackend.grow_matrix`: the old shared view is
-  copied **once**, directly into the freshly mapped larger segment
-  (the engine used to vstack into a heap array and re-adopt — two full
-  copies per growth); epoch rebuilds that change the instance count
-  allocate a zero-filled segment outright
-  (:meth:`~.base.ExecutionBackend.allocate_matrix`, no copy at all).
+  copied **once**, directly into the freshly mapped larger segment;
+  epoch rebuilds that change the instance count allocate a zero-filled
+  segment outright (:meth:`~.base.ExecutionBackend.allocate_matrix`,
+  no copy at all).
 
 * **Scheduling.** The parent computes the *schedule* for each call up
   front — the same sliding-window greedy segmentation the
@@ -576,7 +575,7 @@ class ShardedBackend(ExecutionBackend):
         }
         #: full value-matrix copies performed by adopt/grow hand-offs —
         #: the churn-growth regression test pins this to exactly one
-        #: copy per growth (it used to be two: engine vstack + adopt)
+        #: copy per growth
         self.adopt_copies = 0
         # fork only where it is actually safe: macOS has fork available
         # but CPython switched its default to spawn for a reason (forked
@@ -1207,8 +1206,7 @@ class ShardedBackend(ExecutionBackend):
     def allocate_matrix(self, rows: int, k: int) -> np.ndarray:
         """Zero-copy epoch rebuild: a fresh segment's pages are
         zero-filled by the OS, so the rebuilt matrix costs no copy and
-        no zero-fill pass at all (the heap-zeros-then-adopt path wrote
-        every byte twice)."""
+        no zero-fill pass at all."""
         if self._inline and self._inline_eligible(rows):
             return super().allocate_matrix(rows, k)
         self._map(rows, k)

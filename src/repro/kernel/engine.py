@@ -23,7 +23,7 @@ stochastic and everything stateful:
   every epoch boundary by re-seeding the participants' rows in place
   (mid-epoch joiners stay alive but wait for the next restart before
   they participate),
-* the cycle's randomness as batched draws (partner picks, loss coins,
+* the cycle's randomness as batched draws (partner picks, fault coins,
   churn departures, restart re-seeding), identical no matter which
   backend executes,
 * the partner draws themselves, delegated to a pluggable
@@ -33,8 +33,8 @@ stochastic and everything stateful:
   :class:`~repro.kernel.membership.NewscastProvider` draws from
   gossip-maintained partial views refreshed through the backend's
   node-disjoint batch primitives — no global membership oracle, and
-* the remaining failure machinery (crash plan, loss schedule,
-  partition, message faults and their retry protocol), and
+* the remaining failure machinery (crash plan, partition, message
+  faults and their retry protocol), and
 * the declarative adversary
   (:class:`~repro.kernel.adversary.AdversarySpec`): the adversary set
   is drawn once at construction, ``inject`` corruption is written into
@@ -354,8 +354,7 @@ class GossipEngine:
         # nodes with a zero-degree overlay row (possible in hand-built
         # or very sparse random adjacency overlays) stay alive — their
         # value still counts toward the true aggregate — but are
-        # excluded from initiating: they have no neighbor to draw, and
-        # the CSR draw used to raise from deep inside the batch
+        # excluded from initiating: they have no neighbor to draw
         self._isolated: Optional[np.ndarray] = None
         if not self._dynamic:
             isolated = scenario.topology.isolated_mask()
@@ -414,15 +413,13 @@ class GossipEngine:
         # unchanged, the sharded backend moves it into shared memory so
         # all later in-place engine mutations are visible to its workers
         self._matrix = self._backend.adopt_matrix(self._matrix)
-        # the fused alive/loss/partition mask pass only exists to serve
+        # the fused alive/partition mask pass only exists to serve
         # failure specs; without any, and as long as no mask mutation
         # has ever happened (_mask_version still 0), a static cycle's
         # exchanges are exactly (initiators, partners) — no mask
         # allocation, no compaction scan
         self._no_failure_filters = (
-            scenario.loss_schedule is None
-            and scenario.loss_probability == 0.0
-            and scenario.partition is None
+            scenario.partition is None
             and not self._adversary_partition
             and scenario.message_faults is None
         )
@@ -827,9 +824,8 @@ class GossipEngine:
         grow = new_capacity - capacity
         # the backend owns the growth so it costs exactly one matrix
         # copy: the sharded backend maps a larger shared segment and
-        # copies the old rows straight into it (this used to vstack
-        # into a heap array here and copy again in adopt_matrix);
-        # geometric growth keeps remaps O(log n)
+        # copies the old rows straight into it; geometric growth keeps
+        # remaps O(log n)
         self._matrix = self._backend.grow_matrix(self._matrix, new_capacity)
         for attr, _, dtype, fill, _, _ in _SLOT_STATE:
             held = getattr(self, attr)
@@ -964,9 +960,8 @@ class GossipEngine:
             self._functions = (spec.function,) * k_new
             self._names = tuple(range(k_new))
             # a fresh zero matrix straight from the backend: the
-            # sharded backend maps a new zero-filled segment (no heap
-            # array, no copy at all — the old zeros-then-adopt path
-            # wrote every byte twice)
+            # sharded backend maps a new zero-filled segment, so no
+            # byte is written twice
             self._matrix = self._backend.allocate_matrix(
                 self.capacity, k_new
             )
@@ -1136,8 +1131,6 @@ class GossipEngine:
         cls,
         scenario: Scenario,
         path: Union[str, Path],
-        *,
-        trace=None,
     ) -> "GossipEngine":
         """An engine resumed from a checkpoint, bitwise-identical to
         the engine that wrote it.
@@ -1151,7 +1144,7 @@ class GossipEngine:
         newest valid checkpoint wins).
         """
         manifest, arrays = read_checkpoint(path)
-        engine = cls(scenario, trace=trace)
+        engine = cls(scenario)
         try:
             engine._load_state(manifest, arrays)
         except BaseException:
@@ -1199,24 +1192,17 @@ class GossipEngine:
             self._observe_invariants(executed)
         return count
 
-    def _loss_coins(
-        self, count: int, p: float, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def _loss_coins(self, count: int, p: float) -> np.ndarray:
         """The one loss-coin idiom every stochastic drop shares: a
         boolean survival mask (``True`` = delivered) from one batched
         uniform draw. ``p == 0`` consumes no RNG and returns all-True,
         so inactive fault processes leave the stream untouched; every
         caller draws ``rng.random(count)`` against the same threshold
-        rule, so coins can never diverge between the fused-mask path,
-        the fault path and the retry path."""
+        rule, so coins can never diverge between the fault path and
+        the retry path."""
         if p <= 0.0:
-            if out is None:
-                return np.ones(count, dtype=bool)
-            out[:] = True
-            return out
-        if out is None:
-            return self._rng.random(count) >= p
-        return np.greater_equal(self._rng.random(count), p, out=out)
+            return np.ones(count, dtype=bool)
+        return self._rng.random(count) >= p
 
     def _run_cycle_inner(self) -> int:
         """The cycle body (see :meth:`run_cycle`)."""
@@ -1298,19 +1284,16 @@ class GossipEngine:
             )
             self.cycle += 1
             return count
-        loss = scenario.loss_at(self.cycle)
         # one fused mask pass: a partner that is not participating,
-        # then loss coins, then the partition filters
+        # then the partition filters
         ok = plan.ok[:count]
         if provider.draws_valid_participants:
-            self._loss_coins(count, loss, out=ok)
+            ok[:] = True
         else:
             # topology and view draws can land on crashed, departed or
             # not-yet-restarted nodes — contacting one fails the
             # exchange
             np.take(self._participant, partners, out=ok)
-            if loss > 0.0:
-                ok &= self._loss_coins(count, loss)
         partition = scenario.partition
         if partition is not None and partition.active_at(self.cycle):
             ok &= ~partition.blocks_array(self.cycle, initiators, partners)
@@ -1341,11 +1324,14 @@ class GossipEngine:
         """Split this cycle's surviving exchanges by the message-fault
         coins and finish the cycle.
 
-        ``ok`` is the legacy survival mask (dead partner, symmetric
-        loss, partitions) — the fault coins layer on top of it, in
-        fixed RNG order *request, reply, duplication* so trajectories
-        are reproducible across backends and retry configurations:
+        ``ok`` is the survival mask (dead partner, partitions) — the
+        fault coins layer on top of it, in fixed RNG order *request,
+        reply, duplication* so trajectories are reproducible across
+        backends and retry configurations. A process at probability 0
+        draws no coins, and its masks are skipped too:
 
+        * a lost request cancels the exchange at both ends — the
+          paper's failed exchange,
         * ``delivered``: the request arrived at a partner willing to
           serve it — the partner applies AGGREGATE and sends the reply,
         * ``full = delivered & reply_ok``: the atomic exchange — goes
@@ -1370,10 +1356,10 @@ class GossipEngine:
         retry = self._retry
         cycle = self.cycle
         count = len(initiators)
-        req_ok = self._loss_coins(count, faults.request_loss_at(cycle))
-        rep_ok = self._loss_coins(count, faults.reply_loss_at(cycle))
-        dup = ~self._loss_coins(count, faults.duplication_at(cycle))
-        delivered = ok & req_ok
+        p_request, p_reply, p_dup = faults.rates_at(cycle)
+        delivered = ok & self._loss_coins(count, p_request)
+        rep_ok = self._loss_coins(count, p_reply) if p_reply > 0.0 else None
+        dup = ~self._loss_coins(count, p_dup) if p_dup > 0.0 else None
         nacked = None
         if retry is not None:
             busy = (self._mf_partner >= 0).take(partners)
@@ -1381,12 +1367,16 @@ class GossipEngine:
             delivered &= ~busy
             # a surviving NACK tells the initiator the exchange did not
             # happen — a clean failure, not a timeout
-            nacked = refused & rep_ok
-        full = delivered & rep_ok
+            nacked = refused if rep_ok is None else refused & rep_ok
         # masks decide, index lists move: each exchange class becomes a
         # list of positions once, and every gather below is a take
-        partial_at = np.flatnonzero(delivered & ~rep_ok)
-        dup_at = np.flatnonzero(dup & delivered)
+        full = delivered
+        partial_at = dup_at = np.empty(0, dtype=np.intp)
+        if rep_ok is not None:
+            full = delivered & rep_ok
+            partial_at = np.flatnonzero(delivered & ~rep_ok)
+        if dup is not None:
+            dup_at = np.flatnonzero(dup & delivered)
         partial_count = len(partial_at)
         if len(dup_at) or partial_count:
             # engine-side matrix writes ahead: drain in-flight work so
@@ -1571,8 +1561,9 @@ class GossipEngine:
             ).astype(np.int64)
         else:
             targets = self._mf_partner.take(due)
-        req_ok = self._loss_coins(n, faults.request_loss_at(cycle))
-        rep_ok = self._loss_coins(n, faults.reply_loss_at(cycle))
+        p_request, p_reply, _ = faults.rates_at(cycle)
+        req_ok = self._loss_coins(n, p_request)
+        rep_ok = self._loss_coins(n, p_reply)
         reachable = req_ok & self._participant.take(targets)
         # a fresh exchange needs a partner that is free to combine; a
         # kind-2 retransmission only needs the partner's *cache*, which
@@ -1734,11 +1725,11 @@ class GossipEngine:
 
 
 def run_scenario(
-    scenario: Scenario, *, cycles: Optional[int] = None, trace=None
+    scenario: Scenario, *, cycles: Optional[int] = None
 ) -> KernelRunResult:
     """Build an engine for ``scenario``, run it to completion, and
     release its backend (sharded scenarios spawn a worker pool)."""
-    engine = GossipEngine(scenario, trace=trace)
+    engine = GossipEngine(scenario)
     try:
         return engine.run(cycles)
     finally:

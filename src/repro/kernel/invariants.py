@@ -216,8 +216,6 @@ class VarianceMonotonicityMonitor(InvariantMonitor):
         scenario = engine.scenario
         return (
             not scenario.is_dynamic
-            and scenario.loss_probability == 0.0
-            and scenario.loss_schedule is None
             and scenario.message_faults is None
             and scenario.crash_plan is None
             and scenario.partition is None

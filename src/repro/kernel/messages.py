@@ -21,11 +21,11 @@ losing them has very different consequences:
 
 :class:`MessageFaultSpec` declares these three fault processes with
 independent probabilities — independent request/reply rates are what
-makes the link *asymmetric* — plus optional per-cycle schedules (the
-same ``cycle -> probability`` callables :attr:`Scenario.loss_schedule`
-uses; :func:`constant_loss` and :func:`burst_loss` are the canonical
-factories). Like :class:`~repro.kernel.adversary.AdversarySpec`, the
-spec is applied entirely by :class:`~repro.kernel.engine.GossipEngine`:
+makes the link *asymmetric* — plus optional per-cycle schedules
+(``cycle -> probability`` callables; :func:`constant_loss` and
+:func:`burst_loss` are the canonical factories). Like
+:class:`~repro.kernel.adversary.AdversarySpec`, the spec is applied
+entirely by :class:`~repro.kernel.engine.GossipEngine`:
 fault coins come from the engine RNG, partial exchanges and duplicate
 deliveries are engine-side matrix writes, and execution backends never
 see the spec — so reference/vectorized/sharded stay bitwise-equal
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -99,6 +99,14 @@ def burst_loss(p_background: float, p_burst: float, burst_start: int,
         return p_burst if burst_start <= cycle < burst_end else p_background
 
     return schedule
+
+
+def exchange_loss(p: float) -> Optional[MessageFaultSpec]:
+    """The paper's failed exchange with probability ``p``, as message
+    faults: a lost request cancels the exchange at both ends. ``None``
+    at ``p == 0``, so a loss-free run keeps the engine's fast path —
+    how the facades' loss probability reaches a scenario."""
+    return MessageFaultSpec(request_loss=p) if p else None
 
 
 def _validate_probability(name: str, value: float) -> None:
@@ -189,29 +197,20 @@ class MessageFaultSpec:
             return False
         return self.end is None or cycle < self.end
 
-    def request_loss_at(self, cycle: int) -> float:
-        """Effective request-loss probability at ``cycle``."""
+    def rates_at(self, cycle: int) -> Tuple[float, float, float]:
+        """Effective ``(request loss, reply loss, duplication)``
+        probabilities at ``cycle``: the schedules where given, all zero
+        outside the active window."""
         if not self.active_at(cycle):
-            return 0.0
+            return 0.0, 0.0, 0.0
+        request, reply = self.request_loss, self.reply_loss
         if self.request_schedule is not None:
-            return _schedule_value(
+            request = _schedule_value(
                 "request_loss", self.request_schedule, cycle
             )
-        return self.request_loss
-
-    def reply_loss_at(self, cycle: int) -> float:
-        """Effective reply-loss probability at ``cycle``."""
-        if not self.active_at(cycle):
-            return 0.0
         if self.reply_schedule is not None:
-            return _schedule_value("reply_loss", self.reply_schedule, cycle)
-        return self.reply_loss
-
-    def duplication_at(self, cycle: int) -> float:
-        """Effective duplication probability at ``cycle``."""
-        if not self.active_at(cycle):
-            return 0.0
-        return self.duplication
+            reply = _schedule_value("reply_loss", self.reply_schedule, cycle)
+        return request, reply, self.duplication
 
 
 @dataclass(frozen=True)

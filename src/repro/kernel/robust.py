@@ -1,12 +1,12 @@
 """Kernel-hosted robust estimation: reductions over per-node reports.
 
-The seed's :class:`~repro.core.robust.RobustAverager` ran ``t``
-independently seeded pure-Python protocol copies and took a median
-across instances. On the kernel the same defenses become *reductions*
-over what the network reports — cheap numpy passes over
+The defenses are *reductions* over what the network reports — cheap
+numpy passes over
 :meth:`~repro.kernel.engine.GossipEngine.reported_column` — so they
 compose with every backend, every failure model and every
-:class:`~repro.kernel.adversary.AdversarySpec`:
+:class:`~repro.kernel.adversary.AdversarySpec`
+(:class:`~repro.core.robust.RobustAverager` is the median-of-instances
+defense as a facade over independently seeded engines):
 
 * **median / trimmed mean** over per-node reports: exact against
   report-time (byzantine) contamination below the breakdown point

@@ -3,8 +3,8 @@
 A :class:`Scenario` is the single configuration object every execution
 layer understands: it names the overlay, the initial per-node values,
 the set of concurrent aggregation instances piggybacked on each
-exchange (§4's multi-instance rule), the failure model (message loss,
-crash-stop plan, partition schedule, declarative churn), the §4
+exchange (§4's multi-instance rule), the failure model (message
+faults, crash-stop plan, partition schedule, declarative churn), the §4
 epoch/restart machinery, the cycle budget, the seed, and
 which execution backend should run it. `CycleSimulator`,
 `AggregationService`, the CLI and the benchmark drivers all build a
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping, Optional, Sequence, Tuple
+from typing import Hashable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,10 +26,7 @@ from ..failures.crash import CrashPlan
 from ..rng import SeedLike
 from ..topology.base import Topology
 from ..topology.complete import CompleteTopology
-# BACKEND_NAMES is re-exported for back-compat: the canonical
-# definition moved to backends/registry.py, but this module was its
-# historical home (`from repro.kernel.scenario import BACKEND_NAMES`)
-from .backends import BACKEND_NAMES, parse_backend_spec  # noqa: F401
+from .backends import parse_backend_spec
 from .adversary import AdversarySpec
 from .checkpoint import check_manifest, read_manifest, resolve_checkpoint
 from .messages import MessageFaultSpec, RetrySpec
@@ -73,11 +70,6 @@ class Scenario:
         Optional per-instance initial vectors overriding ``values``
         (e.g. squared values for a second-moment instance, or the 0/1
         indicator of the §4 counting instance).
-    loss_probability:
-        Probability that a given exchange fails entirely.
-    loss_schedule:
-        Optional cycle → loss-probability function; overrides
-        ``loss_probability`` when present.
     crash_plan:
         Optional :class:`~repro.failures.crash.CrashPlan`; victims crash
         before their scheduled cycle executes.
@@ -105,8 +97,8 @@ class Scenario:
         exchange batches. Pair mode owns the instance layout (an
         ``"avg"`` column, plus an ``"s"`` column when the spec tracks
         Theorem 1's parallel vector) and models the paper's
-        failure-free §3 analysis setting — loss, crashes, partitions,
-        churn, epochs and adversaries are rejected.
+        failure-free §3 analysis setting — message faults, crashes,
+        partitions, churn, epochs and adversaries are rejected.
     adversary:
         Optional :class:`~repro.kernel.adversary.AdversarySpec` — value
         injection, byzantine (lying) responders, targeted partitions or
@@ -132,9 +124,10 @@ class Scenario:
         adversary (both assume the oracle's draw structure).
     message_faults:
         Optional :class:`~repro.kernel.messages.MessageFaultSpec` —
-        the asymmetric message-level fault model: independent
-        request-loss and reply-loss probabilities (with per-cycle
-        schedules) plus duplication. A lost reply executes the
+        the message-level fault model: independent request-loss and
+        reply-loss probabilities (with per-cycle schedules) plus
+        duplication. A lost request cancels the exchange at both ends —
+        the paper's failed exchange. A lost reply executes the
         *partial* exchange (the partner adopts the combined value, the
         initiator keeps its old one), the mass-drift failure mode the
         paper's practical-issues discussion warns about. Applied
@@ -168,8 +161,6 @@ class Scenario:
         default_factory=_default_aggregates
     )
     initial: Optional[Mapping[Hashable, Sequence[float]]] = None
-    loss_probability: float = 0.0
-    loss_schedule: Optional[Callable[[int], float]] = None
     crash_plan: Optional[CrashPlan] = None
     partition: Optional[object] = None
     churn: Optional[ChurnSpec] = None
@@ -202,11 +193,6 @@ class Scenario:
                 raise ConfigurationError(
                     f"aggregate {instance_id!r} is not an AggregateFunction"
                 )
-        if not 0.0 <= self.loss_probability <= 1.0:
-            raise ConfigurationError(
-                f"loss probability must be in [0, 1], got "
-                f"{self.loss_probability}"
-            )
         if self.initial is not None:
             unknown = set(self.initial) - set(self.aggregates)
             if unknown:
@@ -314,10 +300,8 @@ class Scenario:
             if self.message_faults is None:
                 raise ConfigurationError(
                     "retry needs message_faults: the retry protocol "
-                    "recovers from request/reply losses, which only the "
-                    "message-level fault model produces (symmetric "
-                    "loss_probability drops are invisible to both "
-                    "endpoints, so there is nothing to retry)"
+                    "recovers from the request/reply losses the "
+                    "message-level fault model produces"
                 )
         if self.pair_protocol is not None:
             self._init_pair_mode()
@@ -333,9 +317,7 @@ class Scenario:
                 f"{type(spec).__name__}"
             )
         if (
-            self.loss_probability != 0.0
-            or self.loss_schedule is not None
-            or self.crash_plan is not None
+            self.crash_plan is not None
             or self.partition is not None
             or self.adversary is not None
             or self.membership is not None
@@ -344,7 +326,7 @@ class Scenario:
         ):
             raise ConfigurationError(
                 "pair-mode scenarios model the failure-free AVG of "
-                "Figure 2; loss, crash plans, partitions, adversaries, "
+                "Figure 2; crash plans, partitions, adversaries, "
                 "membership providers, message faults, churn and epochs "
                 "are not supported with pair_protocol"
             )
@@ -411,17 +393,6 @@ class Scenario:
                 column = self.values
             columns.append(column)
         return np.column_stack(columns).astype(np.float64, copy=True)
-
-    def loss_at(self, cycle: int) -> float:
-        """Effective loss probability at ``cycle``."""
-        if self.loss_schedule is not None:
-            p = float(self.loss_schedule(cycle))
-            if not 0.0 <= p <= 1.0:
-                raise ConfigurationError(
-                    f"loss schedule returned {p} at cycle {cycle}"
-                )
-            return p
-        return self.loss_probability
 
     def resolve_backend(self) -> str:
         """The concrete backend ``auto`` resolves to for this scenario.

@@ -4,8 +4,6 @@
   PeerSim-style synchronous cycle-driven engine matching the AVG model
   of §3 exactly; a thin shell over :mod:`repro.kernel`, which is what
   the paper-scale figures run on.
-* :class:`MetricsRecorder` / :class:`TimeSeries` — per-cycle metric
-  recording.
 * :class:`ExchangeTrace` — per-exchange records from the sequential
   ``reference`` backend.
 
@@ -15,12 +13,9 @@ sequence of atomic exchanges, which the kernel's sequential primitives
 apply as they are.
 """
 
-from .metrics import TimeSeries, MetricsRecorder
 from .trace import ExchangeRecord, ExchangeTrace
 
 __all__ = [
-    "TimeSeries",
-    "MetricsRecorder",
     "ExchangeRecord",
     "ExchangeTrace",
 ]

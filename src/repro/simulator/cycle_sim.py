@@ -4,8 +4,8 @@ Runs the Figure 1 protocol under the synchronous model the paper
 analyzes: in each cycle every alive node, in a fixed order, contacts a
 random neighbor and both adopt ``AGGREGATE(x_i, x_j)`` — exactly the
 GETPAIR_SEQ discipline of §3.3.3. Supports per-exchange message loss
-and crash-stop failures between cycles, which is how the A2 robustness
-ablation runs at scale.
+(a lost request fails the whole exchange) and crash-stop failures
+between cycles, which is how the A2 robustness ablation runs at scale.
 
 Since the unified-kernel refactor this class is a thin, API-stable
 shell over :class:`repro.kernel.GossipEngine`: it builds a
@@ -32,6 +32,7 @@ import numpy as np
 from ..core.aggregates import AggregateFunction, MeanAggregate
 from ..errors import ConfigurationError
 from ..kernel.engine import GossipEngine
+from ..kernel.messages import exchange_loss
 from ..kernel.scenario import Scenario
 from ..rng import SeedLike
 from ..topology.base import Topology
@@ -64,8 +65,10 @@ class CycleSimulator:
         Pairwise combiner; default AGGREGATE_AVG.
     loss_probability:
         Probability that a given exchange fails entirely (both sides
-        keep their values). Models symmetric message loss; asymmetric
-        loss is a kernel :class:`~repro.kernel.MessageFaultSpec`.
+        keep their values): the scenario's
+        ``MessageFaultSpec(request_loss=loss_probability)``. Reply loss
+        and duplication are the kernel's
+        :class:`~repro.kernel.MessageFaultSpec` fields.
     churn:
         Optional :class:`~repro.failures.churn.ChurnModel` (or a full
         :class:`~repro.kernel.ChurnSpec`): per-cycle joins/leaves
@@ -103,7 +106,7 @@ class CycleSimulator:
             topology,
             np.asarray(values, dtype=np.float64),
             aggregates={self.aggregate.name: self.aggregate},
-            loss_probability=loss_probability,
+            message_faults=exchange_loss(loss_probability),
             partition=partition,
             churn=churn,
             epochs=epochs,

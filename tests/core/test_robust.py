@@ -5,6 +5,9 @@ import pytest
 
 from repro.core import RobustAverager
 from repro.errors import ConfigurationError
+from repro.kernel import GossipEngine, Scenario
+from repro.kernel.messages import exchange_loss
+from repro.rng import spawn_streams
 from repro.topology import CompleteTopology
 
 
@@ -66,8 +69,38 @@ class TestCleanRun:
             CompleteTopology(400), values, instances=2, seed=5
         )
         averager.run_cycle()
-        first, second = averager._state
-        assert first != second  # different pair sequences
+        result = averager.run(0)
+        # the median of two is their midpoint: it equals instance 0
+        # only where the two instances agree
+        assert not np.array_equal(
+            result.single_estimates, result.median_estimates
+        )  # different pair sequences
+
+    @pytest.mark.parametrize("loss", [0.0, 0.3])
+    def test_instances_are_engines_on_spawned_streams(self, values, loss):
+        """Instance ``k`` is a single-column kernel run on stream ``k``
+        of ``spawn_streams(seed, instances)``, lost exchanges being lost
+        requests — a crash wave included."""
+        topology = CompleteTopology(400)
+        averager = RobustAverager(topology, values, instances=3,
+                                  loss_probability=loss, seed=9)
+        engines = [
+            GossipEngine(Scenario(
+                topology, values, seed=stream,
+                message_faults=exchange_loss(loss),
+            ))
+            for stream in spawn_streams(9, 3)
+        ]
+        for runner in (averager, *engines):
+            runner.run(2)
+            runner.crash(range(0, 400, 5))
+        result = averager.run(6)
+        for engine in engines:
+            engine.run(6)
+        stacked = np.stack([engine.alive_column() for engine in engines])
+        assert np.array_equal(result.single_estimates, stacked[0])
+        assert np.array_equal(result.median_estimates,
+                              np.median(stacked, axis=0))
 
 
 class TestRobustnessGain:

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from repro.failures import random_crash_plan
-from repro.kernel import AdversarySpec, GossipEngine, Scenario, robust_reduce
+from repro.kernel import (
+    AdversarySpec,
+    GossipEngine,
+    MessageFaultSpec,
+    Scenario,
+    robust_reduce,
+)
 from repro.topology import CompleteTopology, RandomRegularTopology
 
 
@@ -22,11 +28,13 @@ def run_engine(scenario, cycles):
 class TestMessageLossDegradesGracefully:
     @pytest.mark.parametrize("loss", [0.0, 0.1, 0.3])
     def test_convergence_rate_degrades_smoothly(self, loss):
-        """Loss probability p slows the per-cycle rate but never breaks
-        convergence — each surviving exchange still reduces variance."""
+        """Losing a request with probability p slows the per-cycle rate
+        but never breaks convergence — each surviving exchange still
+        reduces variance."""
         values = np.random.default_rng(1).normal(0, 1, 1000)
         scenario = Scenario(
-            CompleteTopology(1000), values, loss_probability=loss, seed=2
+            CompleteTopology(1000), values, seed=2,
+            message_faults=MessageFaultSpec(request_loss=loss),
         )
         _, result = run_engine(scenario, 10)
         trajectory = result.variance_array()
@@ -37,18 +45,20 @@ class TestMessageLossDegradesGracefully:
         final = {}
         for loss in (0.0, 0.5):
             scenario = Scenario(
-                CompleteTopology(1000), values, loss_probability=loss, seed=4
+                CompleteTopology(1000), values, seed=4,
+                message_faults=MessageFaultSpec(request_loss=loss),
             )
             final[loss] = run_engine(scenario, 8)[1].variance_array()[-1]
         assert final[0.5] > final[0.0]
 
     def test_loss_conserves_mass(self):
-        """Symmetric loss cancels the whole exchange, so (unlike a lost
-        reply under ``MessageFaultSpec``) heavy loss cannot leak mass
-        from the AVG estimate."""
+        """A lost request cancels the whole exchange, so (unlike a lost
+        reply) heavy request loss cannot leak mass from the AVG
+        estimate."""
         values = np.random.default_rng(12).normal(10, 4, 500)
         scenario = Scenario(
-            CompleteTopology(500), values, loss_probability=0.4, seed=13
+            CompleteTopology(500), values, seed=13,
+            message_faults=MessageFaultSpec(request_loss=0.4),
         )
         engine, _ = run_engine(scenario, 15)
         assert engine.mean() == pytest.approx(values.mean(), rel=1e-12)

@@ -29,7 +29,13 @@ from repro.failures import (
     OscillatingChurn,
 )
 from repro.failures.partition import PartitionSchedule
-from repro.kernel import ChurnSpec, EpochSpec, GossipEngine, Scenario
+from repro.kernel import (
+    ChurnSpec,
+    EpochSpec,
+    GossipEngine,
+    MessageFaultSpec,
+    Scenario,
+)
 from repro.kernel.backends import GREEDY_TAIL
 from repro.topology import (
     BarabasiAlbertTopology,
@@ -96,8 +102,8 @@ class TestBitwiseEquivalence:
     def test_with_message_loss(self, topology):
         values = np.random.default_rng(2).normal(5.0, 2.0, topology.n)
         ref, vec = both_backends(
-            dict(topology=topology, values=values, loss_probability=0.3,
-                 seed=32)
+            dict(topology=topology, values=values, seed=32,
+                 message_faults=MessageFaultSpec(request_loss=0.3))
         )
         assert_identical(ref, vec)
 
@@ -130,8 +136,8 @@ class TestBitwiseEquivalence:
         plan = CrashPlan()
         plan.add(3, list(range(40)))
         ref, vec = both_backends(
-            dict(topology=topology, values=values, loss_probability=0.2,
-                 crash_plan=plan, seed=35)
+            dict(topology=topology, values=values, crash_plan=plan,
+                 seed=35, message_faults=MessageFaultSpec(request_loss=0.2))
         )
         assert_identical(ref, vec)
 
@@ -239,7 +245,7 @@ class TestChurnEquivalence:
                 topology=CompleteTopology(n),
                 values=values,
                 churn=OscillatingChurn(n, 40, 20, fluctuation=3),
-                loss_probability=0.2,
+                message_faults=MessageFaultSpec(request_loss=0.2),
                 seed=42,
             ),
             cycles=30,

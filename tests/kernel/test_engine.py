@@ -14,6 +14,7 @@ from repro.failures import CrashPlan
 from repro.kernel import (
     CyclePlan,
     GossipEngine,
+    MessageFaultSpec,
     Scenario,
     burst_loss,
     run_scenario,
@@ -103,7 +104,9 @@ class TestFailureMachinery:
 
     def test_loss_schedule_gates_exchanges(self, topo, values):
         scenario = Scenario(
-            topo, values, loss_schedule=burst_loss(0.0, 1.0, 1, 2), seed=8
+            topo, values, seed=8, message_faults=MessageFaultSpec(
+                request_schedule=burst_loss(0.0, 1.0, 1, 2)
+            ),
         )
         result = GossipEngine(scenario).run(3)
         assert result.exchange_counts[0] == topo.n
@@ -191,7 +194,7 @@ class TestCyclePlan:
 
 
 class TestStaticFastPath:
-    """Without loss/partition specs (and before any mask mutation) the
+    """Without fault/partition specs (and before any mask mutation) the
     engine skips the mask pass and compaction: the exchanges ARE
     (initiators, partners). The fast path must deactivate the moment
     a crash makes the alive mask non-trivial."""
@@ -205,9 +208,11 @@ class TestStaticFastPath:
         must reproduce the fast path bit for bit (neither consumes
         extra RNG)."""
         fast = GossipEngine(Scenario(topo, values, seed=26))
-        slow = GossipEngine(
-            Scenario(topo, values, loss_schedule=lambda cycle: 0.0, seed=26)
-        )
+        slow = GossipEngine(Scenario(
+            topo, values, seed=26, message_faults=MessageFaultSpec(
+                request_schedule=lambda cycle: 0.0
+            ),
+        ))
         assert fast._no_failure_filters and not slow._no_failure_filters
         fast_result = fast.run(6)
         slow_result = slow.run(6)

@@ -18,7 +18,13 @@ from repro.core.service import AggregationService
 from repro.errors import ConfigurationError, SimulationError
 from repro.failures import ConstantRateChurn, NoChurn
 from repro.failures.partition import PartitionSchedule
-from repro.kernel import ChurnSpec, EpochSpec, GossipEngine, Scenario
+from repro.kernel import (
+    ChurnSpec,
+    EpochSpec,
+    GossipEngine,
+    MessageFaultSpec,
+    Scenario,
+)
 from repro.topology import CompleteTopology, RingTopology
 
 
@@ -116,10 +122,11 @@ class TestChurnMechanics:
             model=ConstantRateChurn(3, 0),
             join_values=lambda count, rng: np.full(count, 42.0),
         )
-        # loss=1.0 freezes gossip so only churn touches the matrix
-        engine = GossipEngine(
-            scenario_with(churn=spec, loss_probability=1.0)
-        )
+        # losing every request freezes gossip so only churn touches
+        # the matrix
+        engine = GossipEngine(scenario_with(
+            churn=spec, message_faults=MessageFaultSpec(request_loss=1.0)
+        ))
         engine.run(2)
         assert engine.alive_count == 64 + 6
         # the six joiner slots carry the declared join value (slots
@@ -138,9 +145,10 @@ class TestChurnMechanics:
                 rejoin=policy,
                 join_values=lambda count, rng: np.full(count, -1.0),
             )
-            engine = GossipEngine(
-                scenario_with(churn=spec, loss_probability=1.0, seed=9)
-            )
+            engine = GossipEngine(scenario_with(
+                churn=spec, seed=9,
+                message_faults=MessageFaultSpec(request_loss=1.0),
+            ))
             initial = engine.matrix[:, 0]
             engine.run(5)
             recycled = engine.matrix[:64, 0]

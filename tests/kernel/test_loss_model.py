@@ -1,0 +1,215 @@
+"""A lost exchange is a lost request.
+
+The paper's §3 cycle lets an exchange fail only as a whole — at both
+ends or at neither. ``MessageFaultSpec(request_loss=p)`` is exactly that
+failure (a lost request cancels the exchange silently), and the facades'
+``loss_probability`` builds that spec, or none at ``p == 0``.
+
+``GOLDEN`` pins whole runs: what a ``git archive`` of 9952160 reached,
+where the same losses were a separate exchange-loss coin drawn in the
+engine's mask pass (``Scenario.loss_probability`` / ``loss_schedule``).
+Every backend must reach each pinned state, so the two loss models were
+one and the same, coin for coin.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.core import AggregationService, RobustAverager
+from repro.failures import ConstantRateChurn
+from repro.failures.partition import PartitionSchedule
+from repro.kernel import (
+    ChurnSpec,
+    EpochSpec,
+    GossipEngine,
+    MessageFaultSpec,
+    Scenario,
+    burst_loss,
+)
+from repro.simulator.cycle_sim import CycleSimulator
+from repro.topology import CompleteTopology, RandomRegularTopology
+
+N = 240
+VALUES = np.random.default_rng(17).normal(10.0, 4.0, N)
+BACKENDS = ("reference", "vectorized", "sharded:2")
+BURST = burst_loss(0.05, 0.9, 3, 9)
+
+
+def _lost(loss):
+    """``loss`` — a probability or a ``cycle -> probability`` schedule —
+    as lost requests."""
+    if callable(loss):
+        return MessageFaultSpec(request_schedule=loss)
+    return MessageFaultSpec(request_loss=loss)
+
+
+def _digest(*parts):
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(
+            part.tobytes() if isinstance(part, np.ndarray)
+            else repr(part).encode()
+        )
+    return digest.hexdigest()
+
+
+def _engine_digest(engine, exchange_counts, variances):
+    return _digest(
+        engine.matrix, engine.alive_mask, engine._rng.bit_generator.state,
+        exchange_counts, variances,
+    )
+
+
+def _dynamic(loss):
+    return dict(
+        loss=loss,
+        churn=ChurnSpec(model=ConstantRateChurn(6, 4)),
+        epochs=EpochSpec(cycles_per_epoch=5),
+    )
+
+
+def _split(loss):
+    return dict(
+        loss=loss,
+        partition=PartitionSchedule.random_split(N, 2, start=2, end=8,
+                                                 seed=3),
+    )
+
+
+def _regular(loss):
+    return dict(loss=loss, topology=RandomRegularTopology(N, 20, seed=5))
+
+
+#: case -> Scenario fields; ``crash`` kills every 7th node after cycle 5
+CASES = {
+    "constant": dict(loss=0.3),
+    "burst": dict(loss=BURST),
+    "total": dict(loss=1.0),
+    "churn-epochs": _dynamic(0.3),
+    "churn-epochs-burst": _dynamic(BURST),
+    "partition": _split(0.3),
+    "partition-burst": _split(BURST),
+    "crash": dict(loss=0.3, crash=True),
+    "crash-burst": dict(loss=BURST, crash=True),
+    "regular20": _regular(0.3),
+    "regular20-burst": _regular(BURST),
+}
+
+
+def _run_case(case, backend):
+    fields = dict(CASES[case])
+    loss = fields.pop("loss")
+    crash = fields.pop("crash", False)
+    topology = fields.pop("topology", CompleteTopology(N))
+    scenario = Scenario(topology, VALUES, message_faults=_lost(loss),
+                        seed=31, backend=backend, **fields)
+    with GossipEngine(scenario) as engine:
+        results = [engine.run(5 if crash else 12)]
+        if crash:
+            engine.crash(range(0, N, 7))
+            results.append(engine.run(7))
+        return _engine_digest(
+            engine,
+            [(r.exchange_counts, r.alive_counts) for r in results],
+            [r.variances for r in results],
+        )
+
+
+def _run_simulator(backend):
+    with CycleSimulator(CompleteTopology(N), VALUES, loss_probability=0.3,
+                        seed=37, backend=backend) as simulator:
+        first = simulator.run(4)
+        simulator.crash(range(0, N, 9))
+        second = simulator.run(8)
+        return _engine_digest(
+            simulator._engine,
+            [first.exchange_counts, second.exchange_counts],
+            [first.variances, second.variances],
+        )
+
+
+def _run_service(backend):
+    service = AggregationService(CompleteTopology(N), VALUES,
+                                 loss_probability=0.2, seed=43,
+                                 backend=backend)
+    return _digest(
+        service.run(15).as_dict(),
+        [report.as_dict() for report in service.run_epochs(3, 8)],
+    )
+
+
+def _run_robust(loss):
+    averager = RobustAverager(CompleteTopology(N), VALUES, instances=3,
+                              loss_probability=loss, seed=47)
+    averager.run(3)
+    averager.crash(range(0, N, 9))
+    result = averager.run(12)
+    return _digest(result.single_estimates, result.median_estimates)
+
+
+GOLDEN = {
+    "burst":
+        "6532f6c7be1433ba6d28fdd9eb120601df08ed88e72e9de1854e2927b47f2b7a",
+    "churn-epochs":
+        "a51a3b698b6daacf208a3bad124d5c0608bb1f51f8908a5552634f1de13d1b02",
+    "churn-epochs-burst":
+        "9d7ec5181ac58801d61175386ea960091a94a755a8fbd808a0e63975a4a18cca",
+    "constant":
+        "4291cca409976ac95038a7374d2cb0d6a7a6a5e29a221c1828e56d56ae40629b",
+    "crash":
+        "4aaedd4d99936c6a15335141edb5d3bdeabd7c76429f968b3a9d0f6130dd098c",
+    "crash-burst":
+        "05079c4352487221e6076ebfa0da38be12c4f13b8284c598c9b389cbccd55609",
+    "partition":
+        "e3f52fd0a346ab7fa2a51642a3af1d5c191ebf3c695e8e7616edc879566bd4b5",
+    "partition-burst":
+        "d7f62a1bfe11a1a718c5bc1e86597fe467b71dab01aeabb9845ec7b27084ba8a",
+    "regular20":
+        "f6ddb6484c7d31def9cf39c72e28068bb60ac73a64e3554bd2aa6248fa8c5643",
+    "regular20-burst":
+        "33148f05f9840b6c154a281c4d6e43677766f9394f8ca65aa2ad16e4a8ea6e4e",
+    "total":
+        "1c9d60c0961fa89bc3cfa0b59c23fff17f9c80d6f0dc00055de5238519489186",
+    "CycleSimulator":
+        "b2c51e4443075573243c987a0f981583982036e389801d97ce42dd77ba461872",
+    "AggregationService":
+        "cba4dfad751f7e7d047afbc6d4fd0ea10f375e11cba08208828e823c5922b8a2",
+}
+
+#: ``RobustAverager``'s single and median estimates, by loss probability
+ROBUST_GOLDEN = {
+    0.0:
+        "9ef77fd550bb626459fc1f6014aecde4e8fc892b63d97cb667565674b969cf89",
+    0.3:
+        "6ca3b3baf30ffe7c776e9361c4bbd1167e72ba05892c6a91b2b75d8cc95c6645",
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_lost_requests_reach_the_pinned_states(case, backend):
+    assert _run_case(case, backend) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_simulator_loss_reaches_the_pinned_state(backend):
+    assert _run_simulator(backend) == GOLDEN["CycleSimulator"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_service_loss_reaches_the_pinned_state(backend):
+    assert _run_service(backend) == GOLDEN["AggregationService"]
+
+
+@pytest.mark.parametrize("loss", sorted(ROBUST_GOLDEN))
+def test_robust_averager_reaches_the_pinned_estimates(loss):
+    assert _run_robust(loss) == ROBUST_GOLDEN[loss]
+
+
+def test_facade_loss_free_runs_declare_no_faults():
+    """``loss_probability=0`` builds no spec, so the engine keeps its
+    loss-free fast path."""
+    with CycleSimulator(CompleteTopology(N), VALUES, seed=1) as simulator:
+        assert simulator._engine.scenario.message_faults is None

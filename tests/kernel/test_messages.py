@@ -122,7 +122,7 @@ class TestSpecValidation:
         spec = MessageFaultSpec(
             reply_loss=0.5, reply_schedule=constant_loss(0.2)
         )
-        assert spec.reply_loss_at(3) == 0.2
+        assert spec.rates_at(3) == (0.0, 0.2, 0.0)
 
     def test_window_gates_every_rate(self):
         spec = MessageFaultSpec(
@@ -131,13 +131,13 @@ class TestSpecValidation:
         )
         for cycle, active in ((0, False), (2, True), (3, True), (4, False)):
             assert spec.active_at(cycle) is active
-            expected = 0.3 if active else 0.0
-            assert spec.request_loss_at(cycle) == expected
+            expected = (0.3, 0.2, 0.1) if active else (0.0, 0.0, 0.0)
+            assert spec.rates_at(cycle) == expected
 
     def test_bad_schedule_value_rejected_at_use(self):
         spec = MessageFaultSpec(reply_schedule=lambda cycle: 1.5)
         with pytest.raises(ConfigurationError, match="schedule returned"):
-            spec.reply_loss_at(0)
+            spec.rates_at(0)
 
     def test_retry_timeout_below_one_rejected(self):
         with pytest.raises(ConfigurationError, match="timeout"):

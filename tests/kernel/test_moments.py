@@ -20,6 +20,7 @@ from repro.kernel import (
     ChurnSpec,
     EpochSpec,
     GossipEngine,
+    MessageFaultSpec,
     Scenario,
     ShardedBackend,
 )
@@ -206,7 +207,8 @@ class TestOverlap:
             raise TimeoutError("parent and workers block on each other")
 
         backend = ShardedBackend(2)
-        spec = scenario(5, backend, n=400, loss_probability=1.0)
+        spec = scenario(5, backend, n=400,
+                        message_faults=MessageFaultSpec(request_loss=1.0))
         previous = signal.signal(signal.SIGALRM, stuck)
         signal.alarm(30)
         try:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import MaxAggregate, MeanAggregate, moment_values
 from repro.errors import ConfigurationError
-from repro.kernel import AUTO_VECTORIZE_THRESHOLD, Scenario, burst_loss
+from repro.kernel import AUTO_VECTORIZE_THRESHOLD, Scenario
 from repro.topology import CompleteTopology
 
 
@@ -27,10 +27,6 @@ class TestValidation:
     def test_values_must_be_1d(self, topo):
         with pytest.raises(ConfigurationError):
             Scenario(topo, np.zeros((topo.n, 2)))
-
-    def test_loss_range_checked(self, topo, values):
-        with pytest.raises(ConfigurationError):
-            Scenario(topo, values, loss_probability=1.5)
 
     def test_empty_aggregates_rejected(self, topo, values):
         with pytest.raises(ConfigurationError):
@@ -88,20 +84,6 @@ class TestDerivedViews:
         )
         with pytest.raises(ConfigurationError):
             scenario.initial_matrix()
-
-    def test_loss_at_constant(self, topo, values):
-        scenario = Scenario(topo, values, loss_probability=0.3)
-        assert scenario.loss_at(0) == 0.3
-        assert scenario.loss_at(99) == 0.3
-
-    def test_loss_at_schedule_overrides(self, topo, values):
-        scenario = Scenario(
-            topo, values, loss_probability=0.3,
-            loss_schedule=burst_loss(0.0, 0.8, 5, 10),
-        )
-        assert scenario.loss_at(0) == 0.0
-        assert scenario.loss_at(5) == 0.8
-        assert scenario.loss_at(10) == 0.0
 
 
 class TestBackendResolution:

@@ -38,6 +38,7 @@ from repro.kernel import (
     CyclePlan,
     EpochSpec,
     GossipEngine,
+    MessageFaultSpec,
     PairProtocolSpec,
     ReferenceBackend,
     Scenario,
@@ -111,8 +112,9 @@ class TestShardedBitwiseEquivalence:
         plan = CrashPlan()
         plan.add(3, list(range(40)))
         assert_sharded_matches_reference(
-            dict(topology=topology, values=values, loss_probability=0.25,
-                 crash_plan=plan, seed=53),
+            dict(topology=topology, values=values, crash_plan=plan,
+                 seed=53,
+                 message_faults=MessageFaultSpec(request_loss=0.25)),
             workers,
         )
 

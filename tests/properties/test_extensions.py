@@ -134,11 +134,14 @@ class TestRobustProperties:
         cycles=st.integers(0, 6),
         seed=st.integers(0, 2**31),
     )
-    def test_every_instance_conserves_mass(self, instances, cycles, seed):
+    def test_single_instance_conserves_mass(self, instances, cycles, seed):
+        """Instance 0 is the single estimate; the median of instances
+        need not conserve mass, but it stays within the values' range."""
         values = np.linspace(-5.0, 5.0, 40)
         averager = RobustAverager(
             CompleteTopology(40), values, instances=instances, seed=seed
         )
-        averager.run(cycles)
-        for state in averager._state:
-            assert abs(sum(state) - values.sum()) < 1e-8
+        result = averager.run(cycles)
+        assert abs(result.single_estimates.sum() - values.sum()) < 1e-8
+        assert values.min() <= result.median_estimates.min()
+        assert result.median_estimates.max() <= values.max()

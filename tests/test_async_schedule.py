@@ -83,7 +83,7 @@ class TestSchedule:
             n, cycles, waiting, skew, np.random.default_rng(seed)
         )
         assert np.all(np.diff(times) >= 0)
-        assert times.min() >= 0 and times.max() < cycles
+        assert np.all((times >= 0) & (times < cycles))
         if waiting == "constant" and skew == 0.0:
             # every node initiates exactly once per cycle: GETPAIR_SEQ
             assert np.all(np.bincount(nodes, minlength=n) == cycles)
