@@ -145,19 +145,9 @@ class AvgAlgorithm:
         return self._selector
 
     def _protocol_spec(self) -> PairProtocolSpec:
-        """The kernel declaration for this selector: built-in selectors
-        go by name (and get conflict-free segmentation plans);
-        user-defined subclasses ride a custom generator wrapping their
-        ``cycle_pairs`` override."""
-        selector = self._selector
-        if type(selector).cycle_pairs is PairSelector.cycle_pairs:
-            return PairProtocolSpec(
-                selector=selector.name, track_s=self._track_s
-            )
+        """The kernel declaration for this selector."""
         return PairProtocolSpec(
-            selector=selector.name,
-            track_s=self._track_s,
-            generator=lambda topology, rng: selector.cycle_pairs(rng),
+            selector=self._selector.name, track_s=self._track_s
         )
 
     def run(

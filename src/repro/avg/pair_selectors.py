@@ -47,28 +47,19 @@ from ..topology.base import Topology
 class PairSelector(ABC):
     """Produces the per-cycle pair sequence consumed by algorithm AVG.
 
-    The built-in subclasses set :attr:`name` (the kernel's selector id)
-    and :attr:`_generator` and inherit everything else: construction
-    validates the topology preconditions and :meth:`cycle_pairs`
-    delegates to the kernel generator. User-defined strategies remain
-    supported the pre-kernel way — subclass, pick a distinct ``name``,
-    and override :meth:`cycle_pairs`; :class:`AvgAlgorithm` runs such
-    selectors on the kernel through a custom
-    :attr:`~repro.kernel.pairs.PairProtocolSpec.generator`.
+    The subclasses set :attr:`name` (the kernel's selector id) and
+    :attr:`_generator` and inherit everything else: construction
+    validates the topology preconditions (an unknown name is a
+    :class:`~repro.errors.ConfigurationError`) and :meth:`cycle_pairs`
+    delegates to the kernel generator.
     """
 
-    #: short identifier used in experiment reports; for the built-in
-    #: strategies it doubles as the kernel's
+    #: short identifier used in experiment reports, and the kernel's
     #: :attr:`~repro.kernel.pairs.PairProtocolSpec.selector`
     name: str = "abstract"
 
-    #: the kernel pair generator backing this selector (None for
-    #: user-defined subclasses, which override :meth:`cycle_pairs`)
-    _generator = None
-
     def __init__(self, topology: Topology):
-        if type(self)._generator is not None:
-            validate_pair_topology(self.name, topology)
+        validate_pair_topology(self.name, topology)
         self._topology = topology
 
     @property
@@ -88,13 +79,7 @@ class PairSelector(ABC):
         topologies, ``(i, j)`` an edge of the overlay. The number of
         calls per cycle is ``N`` for every selector in the paper.
         """
-        generator = type(self)._generator
-        if generator is None:
-            raise NotImplementedError(
-                "user-defined PairSelector subclasses must override "
-                "cycle_pairs"
-            )
-        return generator(self._topology, rng)
+        return type(self)._generator(self._topology, rng)
 
     def phi_counts(self, pairs: np.ndarray) -> np.ndarray:
         """Per-node selection counts φ_k for a cycle's pair sequence."""

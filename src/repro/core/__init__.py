@@ -22,7 +22,7 @@ from .size_estimation import (
     SizeEstimationExperiment,
     EpochReport,
 )
-from .multi import MultiAggregateSpec, MultiAggregateState, combine_multi
+from .multi import MultiAggregateSpec
 from .broadcast import (
     PushPullBroadcast,
     expected_rounds_push,
@@ -54,6 +54,4 @@ __all__ = [
     "SizeEstimationExperiment",
     "EpochReport",
     "MultiAggregateSpec",
-    "MultiAggregateState",
-    "combine_multi",
 ]

@@ -7,16 +7,13 @@ epidemic broadcast, which is well studied [4]". This module makes that
 connection executable:
 
 * :class:`PushPullBroadcast` — SI-model spreading on a topology under
-  the SEQ discipline (every node gossips once per cycle, push-pull);
+  the SEQ discipline (every node gossips once per cycle, push-pull),
+  run as that very MAX aggregation on the gossip kernel;
 * :func:`expected_rounds_push_pull` — the classical
   ``log₂ N + ln N + O(1)`` round complexity (Karp et al. / Pittel) for
   comparison;
 * :func:`spread_trajectory_deterministic` — the mean-field recurrence
   for the informed fraction, useful as a reference curve.
-
-The suite's tests verify that MAX aggregation and broadcast produce
-*identical* informed-set trajectories when driven by the same pair
-sequence — the paper's equivalence claim, checked bit-for-bit.
 """
 
 from __future__ import annotations
@@ -27,8 +24,11 @@ from typing import List
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..rng import SeedLike, make_rng
+from ..kernel.engine import GossipEngine
+from ..kernel.scenario import Scenario
+from ..rng import SeedLike
 from ..topology.base import Topology
+from .aggregates import MaxAggregate
 
 
 class PushPullBroadcast:
@@ -37,7 +37,11 @@ class PushPullBroadcast:
     Each cycle, every node contacts one uniformly random neighbor; if
     either side of the pair is informed, both become informed (push if
     the initiator knows, pull if the responder knows — the push-pull
-    exchange of Figure 1 restricted to a boolean payload).
+    exchange of Figure 1 restricted to a boolean payload). That is
+    AGGREGATE_MAX over a 0/1 indicator, so the broadcast is one
+    :class:`~repro.kernel.engine.GossipEngine` running it. A node with
+    no neighbor never initiates; if it is not the origin it is never
+    informed.
     """
 
     def __init__(
@@ -52,47 +56,43 @@ class PushPullBroadcast:
                 f"origin {origin} outside range [0, {topology.n})"
             )
         self.topology = topology
-        self._informed = np.zeros(topology.n, dtype=bool)
-        self._informed[origin] = True
-        self._rng = make_rng(seed)
-        self.cycle = 0
+        indicator = np.zeros(topology.n)
+        indicator[origin] = 1.0
+        self._engine = GossipEngine(Scenario(
+            topology, indicator, aggregates={"informed": MaxAggregate()},
+            seed=seed,
+        ))
+
+    @property
+    def cycle(self) -> int:
+        """Cycles run so far."""
+        return self._engine.cycle
 
     @property
     def informed_count(self) -> int:
         """Number of informed nodes."""
-        return int(self._informed.sum())
+        return int(np.count_nonzero(self._engine.column()))
 
     @property
     def informed_mask(self) -> np.ndarray:
         """Boolean mask of informed nodes (copy)."""
-        return self._informed.copy()
+        return self._engine.column() > 0.0
 
     def is_complete(self) -> bool:
         """Whether every node is informed."""
-        return bool(self._informed.all())
+        return bool(self._engine.column().all())
 
     def run_cycle(self) -> int:
         """One push-pull cycle; returns the number of newly informed."""
-        n = self.topology.n
-        initiators = np.arange(n, dtype=np.int64)
-        partners = self.topology.random_neighbor_array(initiators, self._rng)
-        informed = self._informed
-        newly = 0
-        for i, j in zip(initiators.tolist(), partners.tolist()):
-            if informed[i] or informed[j]:
-                if not informed[i]:
-                    informed[i] = True
-                    newly += 1
-                if not informed[j]:
-                    informed[j] = True
-                    newly += 1
-        self.cycle += 1
-        return newly
+        before = self.informed_count
+        self._engine.run_cycle()
+        return self.informed_count - before
 
     def run_until_complete(self, *, max_cycles: int = 10_000) -> List[int]:
         """Run to full coverage; returns the informed-count trajectory
         (index 0 = before any cycle). Raises if max_cycles is exceeded
-        (e.g. on a disconnected topology)."""
+        (e.g. on a disconnected topology, or one with an isolated
+        node)."""
         trajectory = [self.informed_count]
         while not self.is_complete():
             if self.cycle >= max_cycles:

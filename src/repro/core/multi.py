@@ -4,18 +4,15 @@
 averaging protocol", each tagged with a unique identifier. More
 generally a deployment computes several aggregates at once (mean, max,
 min, second moment …) by piggybacking all instance values on the same
-push-pull exchange. :class:`MultiAggregateState` is that tagged bundle
-for a *single node*; :class:`MultiAggregateSpec` is the network-wide
-view of the same idea, laid out the way the gossip kernel executes it —
-a fixed column order over an ``(n, k)`` value matrix — and is the
-bridge between the per-node object model and the kernel's
-structure-of-arrays scale path.
+push-pull exchange. :class:`MultiAggregateSpec` declares that bundle
+network-wide, laid out the way the gossip kernel executes it: a fixed
+column order over an ``(n, k)`` value matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,84 +20,11 @@ from ..errors import ConfigurationError
 from .aggregates import AggregateFunction
 
 
-@dataclass
-class MultiAggregateState:
-    """A node's map of instance id → (aggregate function, value).
-
-    Instances are independent: combining two states applies each
-    instance's own AGGREGATE to the pair of values. An instance missing
-    on one side is initialized there with ``default`` before combining —
-    the §4 rule that nodes reached by a new counting instance "start to
-    behave as if they had 0 as initial value".
-    """
-
-    functions: Dict[Hashable, AggregateFunction] = field(default_factory=dict)
-    values: Dict[Hashable, float] = field(default_factory=dict)
-    defaults: Dict[Hashable, float] = field(default_factory=dict)
-
-    def add_instance(
-        self,
-        instance_id: Hashable,
-        function: AggregateFunction,
-        value: float,
-        *,
-        default: float = 0.0,
-    ) -> None:
-        """Register an aggregation instance on this node."""
-        if instance_id in self.functions:
-            raise ConfigurationError(f"instance {instance_id!r} already exists")
-        self.functions[instance_id] = function
-        self.values[instance_id] = float(value)
-        self.defaults[instance_id] = float(default)
-
-    def get(self, instance_id: Hashable) -> float:
-        """Current value of one instance."""
-        try:
-            return self.values[instance_id]
-        except KeyError:
-            raise ConfigurationError(f"no instance {instance_id!r}") from None
-
-    def __contains__(self, instance_id: Hashable) -> bool:
-        return instance_id in self.values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def combine_multi(
-    left: MultiAggregateState, right: MultiAggregateState
-) -> None:
-    """Push-pull exchange over all instances of two states, in place.
-
-    Instances known to only one side are adopted by the other (with that
-    instance's default as its pre-exchange value), then combined.
-    """
-    all_ids = set(left.values) | set(right.values)
-    for instance_id in all_ids:
-        if instance_id not in left.values:
-            owner = right
-            left.functions[instance_id] = owner.functions[instance_id]
-            left.defaults[instance_id] = owner.defaults[instance_id]
-            left.values[instance_id] = owner.defaults[instance_id]
-        elif instance_id not in right.values:
-            owner = left
-            right.functions[instance_id] = owner.functions[instance_id]
-            right.defaults[instance_id] = owner.defaults[instance_id]
-            right.values[instance_id] = owner.defaults[instance_id]
-        function = left.functions[instance_id]
-        combined = function.combine(
-            left.values[instance_id], right.values[instance_id]
-        )
-        left.values[instance_id] = combined
-        right.values[instance_id] = combined
-
-
 @dataclass(frozen=True)
 class MultiAggregateSpec:
     """Network-wide declaration of concurrent aggregation instances.
 
-    Where :class:`MultiAggregateState` holds one *node's* tagged values,
-    the spec fixes the instance set and column order for the whole
+    The spec fixes the instance set and column order for the whole
     overlay, which is exactly what the kernel's ``(n, k)`` value matrix
     needs: column ``c`` of the matrix is instance ``names[c]`` on every
     node, combined with ``functions[c]`` on every exchange.
@@ -168,18 +92,3 @@ class MultiAggregateSpec:
             initial=self.initial or None,
             **kwargs,
         )
-
-    def node_state(self, matrix: np.ndarray, node: int) -> MultiAggregateState:
-        """Materialize one node's :class:`MultiAggregateState` view from
-        the kernel's ``(n, k)`` value matrix (the inverse bridge, for
-        code that speaks the per-node object model)."""
-        state = MultiAggregateState()
-        for column, (name, function) in enumerate(
-            zip(self.names, self.functions)
-        ):
-            state.add_instance(name, function, float(matrix[node, column]))
-        return state
-
-    def node_states(self, matrix: np.ndarray) -> List[MultiAggregateState]:
-        """Per-node state objects for the whole matrix."""
-        return [self.node_state(matrix, node) for node in range(len(matrix))]

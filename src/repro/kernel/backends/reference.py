@@ -7,7 +7,6 @@ from typing import Sequence
 import numpy as np
 
 from ...core.aggregates import AggregateFunction, MeanAggregate
-from ...errors import SimulationError
 from .base import ExecutionBackend
 
 
@@ -19,20 +18,9 @@ class ReferenceBackend(ExecutionBackend):
     Newscast view exchanges use the base-class
     :meth:`~.base.ExecutionBackend.apply_view_exchanges` unchanged —
     the one-merge-at-a-time step-order loop *is* the reference
-    semantics the batched backends are checked against.
-
-    Being sequential, it is also the one backend that can tell each
-    exchange apart: given a ``trace`` (an
-    :class:`~repro.simulator.trace.ExchangeTrace`; single-instance
-    runs only) it records every exchange with its before / after
-    values, stamped with :attr:`cycle` — which the engine sets once
-    per ``run_cycle``, so the apply contract carries neither."""
+    semantics the batched backends are checked against."""
 
     name = "reference"
-
-    def __init__(self, trace=None):
-        self.trace = trace
-        self.cycle = 0
 
     def apply_exchanges(
         self,
@@ -43,13 +31,12 @@ class ReferenceBackend(ExecutionBackend):
     ) -> None:
         if len(exch_i) == 0:
             return
-        trace, cycle = self.trace, self.cycle
         pairs = zip(exch_i.tolist(), exch_j.tolist())
         k = matrix.shape[1]
         if k == 1:
             values = matrix[:, 0].tolist()
             function = functions[0]
-            if isinstance(function, MeanAggregate) and trace is None:
+            if isinstance(function, MeanAggregate):
                 # tight AGGREGATE_AVG path: list indexing beats numpy
                 # scalar indexing by ~5x in the sequential loop
                 for i, j in pairs:
@@ -59,20 +46,11 @@ class ReferenceBackend(ExecutionBackend):
             else:
                 combine = function.combine
                 for i, j in pairs:
-                    before_i, before_j = values[i], values[j]
-                    combined = combine(before_i, before_j)
+                    combined = combine(values[i], values[j])
                     values[i] = combined
                     values[j] = combined
-                    if trace is not None:
-                        trace.record(
-                            float(cycle), i, j, before_i, before_j, combined
-                        )
             matrix[:, 0] = values
             return
-        if trace is not None:
-            raise SimulationError(
-                "exchange tracing supports single-instance runs only"
-            )
         columns = [matrix[:, c].tolist() for c in range(k)]
         combines = [function.combine for function in functions]
         for i, j in pairs:

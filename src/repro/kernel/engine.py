@@ -94,7 +94,6 @@ from .backends import (
     GreedyScratch,
     Moments,
     MomentScratch,
-    ReferenceBackend,
     apply_one_sided,
     column_moments,
     make_backend,
@@ -111,7 +110,7 @@ from .checkpoint import (
 from .invariants import InvariantFinding, InvariantMonitor, InvariantReport
 from .lifecycle import EpochRestart, EpochView
 from .membership import PartnerProvider, build_provider
-from .pairs import PairDraw
+from .pairs import PairDraw, conflict_free_plan
 from .scenario import Scenario
 
 
@@ -295,7 +294,7 @@ class GossipEngine:
     robustness ablations inject mid-run failures.
     """
 
-    def __init__(self, scenario: Scenario, *, trace=None):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self._names: Tuple[Hashable, ...] = scenario.instance_names
         self._functions: Tuple = scenario.functions
@@ -306,7 +305,6 @@ class GossipEngine:
             setattr(self, attr, None)
         self._alive = np.ones(scenario.n, dtype=bool)
         self._rng = make_rng(scenario.seed)
-        self._trace = trace
         # reusable per-cycle scratch; bump _mask_version on every
         # alive/participant mutation so its initiator cache invalidates
         self._plan = CyclePlan()
@@ -323,7 +321,7 @@ class GossipEngine:
             else None
         )
         self._pair_plan = (
-            self._pair.segmentation_plan(scenario.n)
+            conflict_free_plan(self._pair.selector, scenario.n)
             if self._pair is not None
             else None
         )
@@ -395,20 +393,9 @@ class GossipEngine:
         self._epoch_results: List[Any] = []
 
         self._closed = False
-        if trace is not None:
-            if len(self._names) > 1:
-                raise SimulationError(
-                    "exchange tracing supports single-instance scenarios only"
-                )
-            if self._dynamic:
-                raise SimulationError(
-                    "exchange tracing is not supported under churn/epochs"
-                )
-            # telemetry needs the sequential per-exchange path, whatever
-            # backend the scenario names
-            self._backend: ExecutionBackend = ReferenceBackend(trace)
-        else:
-            self._backend = make_backend(scenario.resolve_backend())
+        self._backend: ExecutionBackend = make_backend(
+            scenario.resolve_backend()
+        )
         # hand the matrix to the backend: in-process backends return it
         # unchanged, the sharded backend moves it into shared memory so
         # all later in-place engine mutations are visible to its workers
@@ -735,12 +722,14 @@ class GossipEngine:
 
     def crash(self, node_ids: Sequence[int]) -> None:
         """Crash-stop nodes; their approximations leave the system and
-        (under churn) their slots become recyclable."""
-        version = self._mask_version
-        self._moments = None
+        (under churn) their slots become recyclable. Every id is checked
+        before any state changes: a bad id crashes nobody."""
         for node_id in node_ids:
             if not 0 <= node_id < self.capacity:
                 raise ConfigurationError(f"node id {node_id} out of range")
+        version = self._mask_version
+        self._moments = None
+        for node_id in node_ids:
             if self._alive[node_id]:
                 if self._monitor_entries and self._participant[node_id]:
                     self._backend.sync()
@@ -1184,9 +1173,6 @@ class GossipEngine:
         :class:`~repro.errors.InvariantViolation`."""
         executed = self.cycle
         self._moments = None
-        if self._trace is not None:
-            # the tracing backend stamps its records with the cycle
-            self._backend.cycle = executed
         count = self._run_cycle_inner()
         if self._monitor_entries:
             self._observe_invariants(executed)

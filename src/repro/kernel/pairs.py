@@ -22,7 +22,7 @@ shells over the ``pairs_*`` functions here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -36,9 +36,6 @@ PAIR_SELECTOR_NAMES = ("pm", "rand", "seq", "pmrand")
 
 #: a bound generator: engine RNG in, one cycle's (N, 2) pair array out
 PairDraw = Callable[[np.random.Generator], np.ndarray]
-
-#: an unbound generator: (topology, engine RNG) -> (N, 2) pair array
-PairGenerator = Callable[[Topology, np.random.Generator], np.ndarray]
 
 
 class TheoremSAggregate(AggregateFunction):
@@ -195,35 +192,21 @@ class PairProtocolSpec:
     ----------
     selector:
         GETPAIR strategy name: ``"pm"``, ``"rand"``, ``"seq"`` or
-        ``"pmrand"`` — or, with a custom ``generator``, any non-empty
-        label used in reports.
+        ``"pmrand"``.
     track_phi:
         Record the per-node communication counts φ of every cycle in
         :attr:`~repro.kernel.engine.KernelRunResult.phi_counts`.
     track_s:
         Co-evolve Theorem 1's ``s`` vector as a second matrix column
         (instance id ``"s"``, seeded with the squared initial values).
-    generator:
-        Optional custom pair generator ``(topology, rng) -> (m, 2)``
-        replacing the built-in strategies (how user-defined
-        :class:`~repro.avg.pair_selectors.PairSelector` subclasses run
-        on the kernel). Custom generators skip the built-in topology
-        preconditions and get no conflict-free segmentation plan.
     """
 
     selector: str
     track_phi: bool = True
     track_s: bool = False
-    generator: Optional[PairGenerator] = None
 
     def __post_init__(self):
-        if self.generator is not None:
-            if not self.selector:
-                raise ConfigurationError(
-                    "a custom pair generator needs a non-empty selector "
-                    "label"
-                )
-        elif self.selector not in PAIR_SELECTOR_NAMES:
+        if self.selector not in PAIR_SELECTOR_NAMES:
             raise ConfigurationError(
                 f"unknown pair selector {self.selector!r}; expected one "
                 f"of {PAIR_SELECTOR_NAMES}"
@@ -231,22 +214,10 @@ class PairProtocolSpec:
 
     def validate_topology(self, topology: Topology) -> None:
         """Raise if ``topology`` cannot host this selector."""
-        if self.generator is None:
-            validate_pair_topology(self.selector, topology)
+        validate_pair_topology(self.selector, topology)
 
     def bind(self, topology: Topology) -> PairDraw:
         """The pair generator for this selector over ``topology``."""
         self.validate_topology(topology)
-        generator = (
-            self.generator
-            if self.generator is not None
-            else _GENERATORS[self.selector]
-        )
+        generator = _GENERATORS[self.selector]
         return lambda rng: generator(topology, rng)
-
-    def segmentation_plan(self, n: int):
-        """:func:`conflict_free_plan` for built-in selectors; custom
-        generators have no known structure."""
-        if self.generator is not None:
-            return None
-        return conflict_free_plan(self.selector, n)

@@ -82,8 +82,7 @@ class CycleSimulator:
         RNG seed or generator.
     backend:
         Kernel execution backend: ``"reference"``, ``"vectorized"`` or
-        ``"auto"`` (default; picks by network size). Tracing forces the
-        reference backend.
+        ``"auto"`` (default; picks by network size).
     """
 
     def __init__(
@@ -93,7 +92,6 @@ class CycleSimulator:
         *,
         aggregate: Optional[AggregateFunction] = None,
         loss_probability: float = 0.0,
-        trace=None,
         partition=None,
         churn=None,
         epochs=None,
@@ -113,7 +111,7 @@ class CycleSimulator:
             seed=seed,
             backend=backend,
         )
-        self._engine = GossipEngine(scenario, trace=trace)
+        self._engine = GossipEngine(scenario)
 
     # -- lifecycle -------------------------------------------------------
 

@@ -14,8 +14,23 @@ from repro.core import (
     spread_trajectory_deterministic,
 )
 from repro.errors import ConfigurationError
+from repro.kernel import GossipEngine, Scenario
 from repro.simulator.cycle_sim import CycleSimulator
-from repro.topology import AdjacencyTopology, CompleteTopology, RingTopology
+from repro.topology import (
+    AdjacencyTopology,
+    CompleteTopology,
+    RandomRegularTopology,
+    RingTopology,
+)
+
+#: the overlays of the pinned trajectories, by name
+OVERLAYS = {
+    "complete-400": lambda: CompleteTopology(400),
+    "complete-3001": lambda: CompleteTopology(3001),
+    "ring-100-2": lambda: RingTopology(100, 2),
+    "regular-500-8": lambda: RandomRegularTopology(500, 8, seed=3),
+    "hand-4": lambda: AdjacencyTopology([[1, 2], [0], [0, 3], [2]]),
+}
 
 
 class TestBroadcastBasics:
@@ -49,6 +64,22 @@ class TestBroadcastBasics:
         b = PushPullBroadcast(topo, origin=0, seed=4)
         with pytest.raises(ConfigurationError):
             b.run_until_complete(max_cycles=50)
+
+    def test_isolated_node_is_never_informed(self):
+        """A zero-degree node never initiates and nobody draws it: the
+        rest of the overlay is informed, the run reports the node as
+        unreachable."""
+        topo = AdjacencyTopology([[1], [0], []])
+        b = PushPullBroadcast(topo, origin=0, seed=4)
+        with pytest.raises(ConfigurationError, match="incomplete"):
+            b.run_until_complete(max_cycles=20)
+        assert b.informed_mask.tolist() == [True, True, False]
+        assert b.cycle == 20
+
+    def test_isolated_origin_informs_nobody(self):
+        b = PushPullBroadcast(AdjacencyTopology([[], [2], [1]]), seed=4)
+        assert b.run_cycle() == 0
+        assert b.informed_mask.tolist() == [True, False, False]
 
     def test_deterministic(self):
         a = PushPullBroadcast(CompleteTopology(300), seed=9)
@@ -143,3 +174,73 @@ class TestMaxEquivalence:
                              aggregate=MaxAggregate(), seed=2)
         sim.run(int(expected_rounds_push(n)) + 3)
         assert np.all(sim.values == values.max())
+
+
+class TestGoldenTrajectories:
+    """``run_until_complete`` from origin 0, as pinned from the build
+    whose broadcast drew its own partners and ran its own per-exchange
+    loop beside the kernel. Running it as MAX aggregation on the kernel
+    must reach the same informed counts, cycle by cycle, on either
+    backend."""
+
+    #: (overlay, seed) -> informed count before cycle 0, 1, ...
+    GOLDEN = {
+        ("complete-400", 0): [1, 3, 12, 46, 176, 354, 400],
+        ("complete-400", 1): [1, 5, 28, 123, 305, 394, 400],
+        ("complete-400", 2): [1, 10, 48, 183, 372, 399, 400],
+        ("complete-400", 3): [1, 7, 42, 180, 357, 399, 400],
+        ("complete-3001", 0): [1, 9, 40, 200, 877, 2298, 2962, 3001],
+        ("complete-3001", 1): [1, 6, 21, 108, 495, 1712, 2825, 2999, 3001],
+        ("complete-3001", 2): [1, 6, 23, 98, 491, 1617, 2785, 2997, 3001],
+        ("complete-3001", 3): [1, 7, 39, 188, 847, 2274, 2956, 3001],
+        ("ring-100-2", 0): [
+            1, 6, 8, 12, 16, 24, 25, 27, 30, 34, 35, 44, 45, 47, 51, 52, 54,
+            56, 60, 66, 70, 72, 73, 76, 76, 79, 80, 81, 82, 83, 85, 89, 92,
+            93, 94, 98, 100,
+        ],
+        ("ring-100-2", 1): [
+            1, 3, 5, 5, 9, 12, 13, 15, 18, 18, 22, 25, 26, 29, 36, 40, 42, 52,
+            53, 54, 60, 61, 63, 68, 68, 71, 74, 76, 77, 78, 82, 83, 88, 90,
+            93, 95, 98, 98, 100,
+        ],
+        ("ring-100-2", 2): [
+            1, 3, 3, 9, 9, 13, 16, 19, 20, 23, 24, 24, 28, 29, 32, 38, 42, 45,
+            49, 55, 55, 56, 58, 63, 64, 65, 67, 67, 68, 69, 70, 72, 75, 80,
+            87, 89, 92, 98, 99, 100,
+        ],
+        ("ring-100-2", 3): [
+            1, 3, 7, 12, 17, 19, 20, 25, 26, 28, 36, 37, 37, 37, 40, 45, 47,
+            47, 49, 50, 53, 58, 58, 67, 72, 77, 80, 84, 85, 86, 87, 90, 92,
+            94, 95, 98, 100,
+        ],
+        ("regular-500-8", 0): [1, 6, 27, 111, 269, 448, 498, 500],
+        ("regular-500-8", 1): [1, 4, 18, 65, 196, 418, 494, 500],
+        ("regular-500-8", 2): [1, 8, 32, 104, 284, 458, 498, 500],
+        ("regular-500-8", 3): [1, 4, 24, 98, 257, 449, 499, 500],
+        ("hand-4", 0): [1, 4],
+        ("hand-4", 1): [1, 4],
+        ("hand-4", 2): [1, 2, 4],
+        ("hand-4", 3): [1, 2, 4],
+    }
+
+    @pytest.mark.parametrize("overlay, seed", sorted(GOLDEN))
+    def test_broadcast_reaches_the_pinned_trajectory(self, overlay, seed):
+        b = PushPullBroadcast(OVERLAYS[overlay](), seed=seed)
+        assert b.run_until_complete() == self.GOLDEN[overlay, seed]
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("overlay, seed", sorted(GOLDEN))
+    def test_max_scenario_reaches_the_pinned_trajectory(self, overlay, seed,
+                                                        backend):
+        topology = OVERLAYS[overlay]()
+        indicator = np.zeros(topology.n)
+        indicator[0] = 1.0
+        engine = GossipEngine(Scenario(
+            topology, indicator, aggregates={"informed": MaxAggregate()},
+            seed=seed, backend=backend,
+        ))
+        trajectory = [1]
+        while trajectory[-1] < topology.n:
+            engine.run_cycle()
+            trajectory.append(int(np.count_nonzero(engine.column())))
+        assert trajectory == self.GOLDEN[overlay, seed]

@@ -25,8 +25,9 @@ from repro.kernel import (
     PairProtocolSpec,
     Scenario,
 )
-from repro.simulator.trace import ExchangeTrace
 from repro.topology import CompleteTopology, RandomRegularTopology
+
+from ..recording import RecordingBackend
 
 N = 400
 CYCLES = 6
@@ -344,13 +345,13 @@ class TestInjectSemantics:
 class TestPartitionSemantics:
     def test_no_exchange_crosses_the_boundary(self):
         spec = AdversarySpec(kind="partition", fraction=0.3)
-        trace = ExchangeTrace()
-        engine = GossipEngine(make_scenario(spec), trace=trace)
+        recorder = RecordingBackend()
+        engine = GossipEngine(make_scenario(spec, backend=recorder))
         engine.run(CYCLES)
         mask = engine.adversary_mask
-        assert len(trace) > 0
-        for record in trace:
-            assert mask[record.initiator] == mask[record.responder]
+        exchanges = recorder.exchanges()
+        assert len(exchanges) > 0
+        assert np.array_equal(mask[exchanges[:, 0]], mask[exchanges[:, 1]])
 
     def test_honest_mass_is_conserved(self):
         spec = AdversarySpec(kind="partition", fraction=0.3)
@@ -365,25 +366,21 @@ class TestEclipseSemantics:
     def test_captured_initiators_reach_only_their_captor(self):
         topology = RandomRegularTopology(N, 8, seed=SEED)
         spec = AdversarySpec(kind="eclipse", fraction=0.1)
-        trace = ExchangeTrace()
-        scenario = make_scenario(spec, topology=topology)
-        engine = GossipEngine(scenario, trace=trace)
+        recorder = RecordingBackend()
+        scenario = make_scenario(spec, backend=recorder, topology=topology)
+        engine = GossipEngine(scenario)
         engine.run(CYCLES)
         mask = engine.adversary_mask
         redirect = spec.eclipse_redirects(
             topology, mask, np.random.default_rng(0)
         )
-        captured = {
-            int(node)
-            for node in np.flatnonzero(redirect >= 0)
-        }
-        seen_captured = 0
-        for record in trace:
-            if record.initiator in captured:
-                seen_captured += 1
-                assert record.responder == redirect[record.initiator]
-                assert mask[record.responder]
-        assert seen_captured > 0
+        initiators, responders = recorder.exchanges().T
+        captured = redirect[initiators] >= 0
+        assert captured.any()
+        assert np.array_equal(
+            responders[captured], redirect[initiators[captured]]
+        )
+        assert mask[responders[captured]].all()
 
 
 class TestObservers:

@@ -63,17 +63,6 @@ class TestMultiAggregateSpec:
         assert engine.mean("m2") == pytest.approx((values ** 2).mean(),
                                                   rel=1e-9)
 
-    def test_node_state_bridge(self, topo, values):
-        spec = MultiAggregateSpec.build(
-            {"mean": MeanAggregate(), "max": MaxAggregate()}
-        )
-        engine = GossipEngine(spec.scenario(topo, values, seed=2, cycles=25))
-        engine.run()
-        state = spec.node_state(engine.matrix, 7)
-        assert state.get("mean") == pytest.approx(values.mean(), rel=1e-6)
-        assert state.get("max") == values.max()
-        assert len(spec.node_states(engine.matrix)) == topo.n
-
 
 class TestScenarioRunners:
     def test_replicate_scenario_independent_runs(self, topo, values):

@@ -9,17 +9,17 @@ from repro.core import (
     MinAggregate,
     moment_values,
 )
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.failures import CrashPlan
 from repro.kernel import (
     CyclePlan,
     GossipEngine,
     MessageFaultSpec,
+    RetrySpec,
     Scenario,
     burst_loss,
     run_scenario,
 )
-from repro.simulator.trace import ExchangeTrace
 from repro.topology import CompleteTopology
 
 
@@ -101,6 +101,23 @@ class TestFailureMachinery:
         engine = GossipEngine(Scenario(topo, values, seed=7))
         with pytest.raises(ConfigurationError):
             engine.crash([topo.n])
+
+    def test_crash_with_a_bad_id_changes_nothing(self, topo, values):
+        scenario = Scenario(
+            topo, values, seed=7, retry=RetrySpec(),
+            message_faults=MessageFaultSpec(request_loss=0.3, reply_loss=0.3),
+        )
+        engine = GossipEngine(scenario)
+        engine.run(2)
+        pending = engine.pending_retry_count
+        victim = int(np.flatnonzero(engine._mf_partner >= 0)[0])
+        mask_changes = []
+        engine.partner_provider.on_mask_change = mask_changes.append
+        with pytest.raises(ConfigurationError):
+            engine.crash([victim, 10**9])
+        assert engine.alive_mask.all()
+        assert engine.pending_retry_count == pending
+        assert mask_changes == []
 
     def test_loss_schedule_gates_exchanges(self, topo, values):
         scenario = Scenario(
@@ -267,17 +284,3 @@ class TestRecordingModes:
         engine = GossipEngine(Scenario(topo, values, seed=11))
         with pytest.raises(ConfigurationError):
             engine.run(-1)
-
-
-class TestTraceRouting:
-    def test_trace_forces_reference_backend(self, topo, values):
-        scenario = Scenario(topo, values, backend="vectorized", seed=12)
-        engine = GossipEngine(scenario, trace=ExchangeTrace())
-        assert engine.backend_name == "reference"
-        engine.run(2)
-
-    def test_trace_rejected_for_multi_instance(self, topo, values):
-        with pytest.raises(SimulationError):
-            GossipEngine(
-                multi_scenario(topo, values, seed=13), trace=ExchangeTrace()
-            )

@@ -80,15 +80,6 @@ class TestSpecValidation:
                 churn=ConstantRateChurn(1, 1),
             )
 
-    def test_tracing_rejected_under_churn(self):
-        from repro.simulator.trace import ExchangeTrace
-
-        with pytest.raises(SimulationError):
-            GossipEngine(
-                scenario_with(churn=ConstantRateChurn(1, 1)),
-                trace=ExchangeTrace(),
-            )
-
 
 class TestChurnMechanics:
     def test_net_growth_extends_matrix(self):

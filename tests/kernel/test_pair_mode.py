@@ -234,6 +234,13 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError):
             PairProtocolSpec(selector="bogus")
 
+    def test_selector_subclass_with_unknown_name_rejected(self):
+        class RoundRobin(PairSelector):
+            name = "round_robin"
+
+        with pytest.raises(ConfigurationError, match="unknown pair selector"):
+            RoundRobin(CompleteTopology(64))
+
     def test_pm_odd_n_rejected(self):
         with pytest.raises(PairSelectionError):
             Scenario(CompleteTopology(101), self.values(101),
@@ -317,46 +324,3 @@ class TestChunkTunable:
 
         with pytest.raises(ConfigurationError):
             VectorizedBackend(chunk=chunk)
-
-
-class TestCustomSelectors:
-    """User-defined PairSelector subclasses (the pre-kernel extension
-    point: subclass, name, override cycle_pairs) still run through
-    AvgAlgorithm — via a custom PairProtocolSpec generator — with the
-    backends bitwise-equal."""
-
-    class RoundRobin(PairSelector):
-        name = "round_robin"
-
-        def cycle_pairs(self, rng):
-            n = self.n
-            shift = 1 + int(rng.integers(0, n - 1))
-            initiators = np.arange(n, dtype=np.int64)
-            return np.column_stack((initiators, (initiators + shift) % n))
-
-    def test_constructs_without_kernel_name(self):
-        selector = self.RoundRobin(CompleteTopology(64))
-        assert selector.name == "round_robin"
-
-    def test_runs_on_both_backends_bitwise(self):
-        results = {}
-        for backend in ("reference", "vectorized"):
-            vector = ValueVector.gaussian(256, seed=5)
-            selector = self.RoundRobin(CompleteTopology(256))
-            run = run_avg(vector, selector, 6, seed=8, track_s=True,
-                          backend=backend)
-            results[backend] = (vector.snapshot(), run)
-        ref_values, ref_run = results["reference"]
-        vec_values, vec_run = results["vectorized"]
-        assert np.array_equal(ref_values, vec_values)
-        assert [c.variance_after for c in ref_run.cycles] == [
-            c.variance_after for c in vec_run.cycles
-        ]
-        assert all(
-            np.array_equal(a.phi, b.phi)
-            for a, b in zip(ref_run.cycles, vec_run.cycles)
-        )
-
-    def test_custom_generator_spec_validates_label(self):
-        with pytest.raises(ConfigurationError):
-            PairProtocolSpec(selector="", generator=lambda t, r: None)

@@ -9,7 +9,6 @@ from repro.avg.matrix import cycle_matrix, is_doubly_stochastic
 from repro.core import RobustAverager
 from repro.failures import ConstantRateChurn, OscillatingChurn
 from repro.rng import make_rng
-from repro.simulator import ExchangeTrace
 from repro.topology import CompleteTopology
 
 
@@ -58,34 +57,6 @@ class TestChurnProperties:
         step = ConstantRateChurn(joins, leaves).step(0, size)
         assert step.joins == joins
         assert step.leaves <= max(size - 1, 0)
-
-
-class TestTraceProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        capacity=st.integers(1, 50),
-        count=st.integers(0, 120),
-    )
-    def test_ring_buffer_invariants(self, capacity, count):
-        trace = ExchangeTrace(capacity=capacity)
-        for k in range(count):
-            trace.record(float(k), 0, 1, 0.0, 0.0, 0.0)
-        assert len(trace) == min(count, capacity)
-        assert trace.dropped == max(count - capacity, 0)
-        times = [record.time for record in trace]
-        assert times == sorted(times)  # order preserved
-
-    @settings(max_examples=30, deadline=None)
-    @given(values=st.lists(
-        st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
-        min_size=1, max_size=30,
-    ))
-    def test_mass_delta_zero_for_midpoints(self, values):
-        trace = ExchangeTrace()
-        for x, y in values:
-            trace.record(0.0, 0, 1, x, y, (x + y) / 2)
-        scale = max(sum(abs(x) + abs(y) for x, y in values), 1.0)
-        assert abs(trace.mass_delta()) < 1e-9 * scale
 
 
 class TestIoProperties:

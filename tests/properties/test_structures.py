@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.avg import GetPairPerfectMatching, GetPairSeq
-from repro.core import MeanAggregate, MultiAggregateState, combine_multi
 from repro.rng import choice_excluding, make_rng
 from repro.topology import CompleteTopology, RingTopology
 
@@ -52,31 +51,3 @@ class TestPairSelectorProperties:
         pairs = selector.cycle_pairs(make_rng(seed))
         assert pairs[:, 0].tolist() == list(range(n))
         assert np.all(pairs[:, 0] != pairs[:, 1])
-
-
-class TestMultiAggregateProperties:
-    @given(
-        x=st.floats(-1e6, 1e6, allow_nan=False),
-        y=st.floats(-1e6, 1e6, allow_nan=False),
-    )
-    def test_combine_converges_both_sides(self, x, y):
-        left = MultiAggregateState()
-        left.add_instance("m", MeanAggregate(), x)
-        right = MultiAggregateState()
-        right.add_instance("m", MeanAggregate(), y)
-        combine_multi(left, right)
-        assert left.get("m") == right.get("m")
-
-    @given(values=st.lists(st.floats(-1e6, 1e6, allow_nan=False),
-                           min_size=1, max_size=8))
-    def test_repeated_combine_idempotent(self, values):
-        """Combining identical states leaves them unchanged."""
-        left = MultiAggregateState()
-        right = MultiAggregateState()
-        for index, value in enumerate(values):
-            left.add_instance(index, MeanAggregate(), value)
-            right.add_instance(index, MeanAggregate(), value)
-        combine_multi(left, right)
-        for index, value in enumerate(values):
-            assert left.get(index) == value
-

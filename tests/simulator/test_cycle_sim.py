@@ -9,6 +9,8 @@ from repro.errors import ConfigurationError
 from repro.simulator.cycle_sim import CycleSimulator
 from repro.topology import CompleteTopology
 
+from ..recording import RecordingBackend
+
 
 @pytest.fixture
 def topo():
@@ -65,6 +67,18 @@ class TestAveraging:
         assert len(result.variances) == 8
         assert len(result.means) == 8
         assert len(result.exchange_counts) == 7
+
+    def test_load_is_flat_on_complete_graph(self):
+        """§5: no performance peaks — per-node communication load over
+        20 cycles stays within 1.8x its mean."""
+        n = 300
+        recorder = RecordingBackend()
+        values = np.random.default_rng(3).normal(0, 1, n)
+        CycleSimulator(
+            CompleteTopology(n), values, seed=4, backend=recorder
+        ).run(20)
+        load = np.bincount(recorder.exchanges().ravel(), minlength=n)
+        assert load.max() / load.mean() < 1.8
 
 
 class TestOtherAggregates:

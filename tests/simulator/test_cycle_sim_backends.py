@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import MaxAggregate
 from repro.simulator.cycle_sim import CycleSimulator
-from repro.simulator.trace import ExchangeTrace
 from repro.topology import CompleteTopology
 
 
@@ -30,11 +29,6 @@ class TestBackendSelection:
         sim = CycleSimulator(topo, values, seed=1, backend="vectorized")
         assert sim.backend_name == "vectorized"
 
-    def test_trace_forces_reference(self, topo, values):
-        sim = CycleSimulator(
-            topo, values, seed=1, backend="vectorized", trace=ExchangeTrace()
-        )
-        assert sim.backend_name == "reference"
 
 
 class TestBackendEquality:

@@ -33,7 +33,7 @@ ENV_NAMES = {
 SHARDED_ARGUMENTS = ["workers", "chunk", "on_failure", "max_respawns"]
 APPLY_EXCHANGES = ["matrix", "functions", "exch_i", "exch_j"]
 APPLY_PAIRS = ["matrix", "functions", "pairs_i", "pairs_j", "plan"]
-PAIR_PROTOCOL_FIELDS = ["selector", "track_phi", "track_s", "generator"]
+PAIR_PROTOCOL_FIELDS = ["selector", "track_phi", "track_s"]
 
 
 def test_env_vars_read_by_src():
