@@ -40,7 +40,6 @@ from repro.analysis import (
     RobustnessSweep,
     Table,
     render_robustness_svg,
-    run_robustness_sweep,
 )
 from repro.kernel import AdversarySpec, ADVERSARY_KINDS, GossipEngine, Scenario
 from repro.rng import make_rng
@@ -134,7 +133,7 @@ def _headline(rows, kind):
 def compute_adversary(n=N):
     sweep = build_sweep(n)
     start = time.perf_counter()
-    payload = run_robustness_sweep(sweep)
+    payload = sweep.run()
     sweep_seconds = time.perf_counter() - start
     start = time.perf_counter()
     equivalence = equivalence_check()

@@ -46,7 +46,6 @@ from repro.analysis import (
     Table,
     render_message_fault_svg,
     retry_for_policy,
-    run_message_fault_sweep,
 )
 from repro.kernel import (
     GossipEngine,
@@ -227,7 +226,7 @@ def _headline(rows, policy):
 def compute_messages(n=N):
     sweep = build_sweep(n)
     start = time.perf_counter()
-    payload = run_message_fault_sweep(sweep)
+    payload = sweep.run()
     sweep_seconds = time.perf_counter() - start
     start = time.perf_counter()
     equivalence = equivalence_check()

@@ -7,13 +7,20 @@ from .stats import (
     geometric_mean,
 )
 from .runner import (
+    Axis,
     replicate,
     replicate_scenario,
-    sweep,
-    sweep_scenario,
     ReplicateResult,
+    ScenarioGrid,
 )
-from .reporting import format_table, format_series, Table
+from .reporting import (
+    format_table,
+    format_series,
+    Panel,
+    render_line_chart,
+    Series,
+    Table,
+)
 from .robustness import (
     MESSAGE_FAULT_DIRECTIONS,
     MESSAGE_FAULT_POLICIES,
@@ -22,8 +29,6 @@ from .robustness import (
     render_message_fault_svg,
     render_robustness_svg,
     retry_for_policy,
-    run_message_fault_sweep,
-    run_robustness_sweep,
 )
 from .validation import (
     chi_square_statistic,
@@ -41,11 +46,14 @@ __all__ = [
     "geometric_mean",
     "replicate",
     "replicate_scenario",
-    "sweep",
-    "sweep_scenario",
     "ReplicateResult",
+    "Axis",
+    "ScenarioGrid",
     "format_table",
     "format_series",
+    "Panel",
+    "render_line_chart",
+    "Series",
     "Table",
     "MESSAGE_FAULT_DIRECTIONS",
     "MESSAGE_FAULT_POLICIES",
@@ -54,6 +62,4 @@ __all__ = [
     "render_message_fault_svg",
     "render_robustness_svg",
     "retry_for_policy",
-    "run_message_fault_sweep",
-    "run_robustness_sweep",
 ]

@@ -1,36 +1,17 @@
-"""Declarative robustness sweeps: estimation error under adversaries.
-
-The scenario-diversity flagship: a :class:`RobustnessSweep` declares a
-matrix of adversary kind × adversary fraction × churn rate × topology
-cells, every cell runs the §4 size-estimation workload (the COUNT
-bundle of :class:`~repro.kernel.robust.MultiAggregateSpec`) under the
-declared :class:`~repro.kernel.adversary.AdversarySpec`, and the per
-cell output is the relative estimation error of each report reduction
-(plain mean, median, trimmed mean) over independent replications —
-the robustness-report figure in one JSON-able payload.
-
-The sweep is fully declarative: :meth:`RobustnessSweep.from_mapping`
-builds one from a plain mapping (parsed YAML/JSON — see
-``docs/scenarios.md`` for the config cookbook), the ``repro robustness``
-CLI subcommand and ``benchmarks/bench_adversary.py`` both drive it, and
-:func:`render_robustness_svg` turns the payload into a dependency-free
-SVG figure.
-
-Cell semantics:
-
-* static cells (churn rate 0) run ``cycles`` cycles on the declared
-  overlay; ground truth is the full network size ``n``;
-* churn cells add ``ConstantRateChurn`` (``rate * n`` nodes joining AND
-  leaving per cycle) plus the §4 epoch machinery (two epochs, a fresh
-  leader elected per epoch start), and measure the final epoch's
-  converged estimate against the size at that epoch's start — Figure
-  4's one-epoch lag. Churn requires the uniform overlay, so churn cells
-  run on the complete topology only (sparse cells are static).
+"""The robustness sweeps, each one :class:`~.runner.ScenarioGrid`:
+§4 size estimation under adversaries (:class:`RobustnessSweep`) and
+plain AVG under message loss (:class:`MessageFaultSweep`). Both build
+from the YAML/JSON mapping of ``docs/scenarios.md``, return a JSON-able
+payload from ``run()``, and draw through
+:func:`~repro.analysis.reporting.render_line_chart`. ``repro robustness
+[--messages]`` and ``benchmarks/bench_{adversary,messages}.py`` drive
+them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import dataclasses
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -52,21 +33,63 @@ from ..kernel.robust import (
     size_from_count,
 )
 from ..kernel.scenario import Scenario
-from ..rng import SeedLike, make_rng, spawn_streams
-from ..topology.base import Topology
+from ..rng import SeedLike, make_rng
 from ..topology.complete import CompleteTopology
 from ..topology.random_regular import RandomRegularTopology
+from .reporting import DASHES, PALETTE, Panel, Series, render_line_chart
+from .runner import Axis, ScenarioGrid, fold_seed
+from .stats import convergence_factor
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigurationError(message)
+
+
+class _Sweep:
+    """What the two sweep configs share: the mapping constructor, the
+    common checks and the payload."""
+
+    label = ""
+
+    @classmethod
+    def from_mapping(cls, mapping: Mapping[str, Any]):
+        """Build a sweep from a declarative config mapping (the parsed
+        YAML/JSON form); unknown keys fail loudly."""
+        known = {spec_field.name for spec_field in dataclasses.fields(cls)}
+        unknown = set(mapping) - known
+        _check(not unknown, f"unknown {cls.label} keys: {sorted(unknown)}; "
+                            f"expected a subset of {sorted(known)}")
+        return cls(**dict(mapping))
+
+    def _check_shape(self, *sequences: str) -> None:
+        _check(self.n >= 2, f"n must be >= 2, got {self.n}")
+        _check(self.runs >= 1, f"runs must be >= 1, got {self.runs}")
+        for name in sequences:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
+    def run(self) -> Dict[str, Any]:
+        """Execute the grid: every config field but the seed, plus one
+        row per cell."""
+        payload = {
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in vars(self).items() if name != "seed"
+        }
+        payload["rows"] = self.grid().run()
+        return payload
+
+
+# -- the adversary sweep ------------------------------------------------
 
 
 @dataclass(frozen=True)
-class RobustnessSweep:
-    """One declarative robustness sweep, fully specified.
+class RobustnessSweep(_Sweep):
+    """The adversary sweep: ``kinds`` × overlays × ``fractions``, each
+    cell replicated over ``runs`` seed streams. The overlays are every
+    static topology, then each nonzero churn rate on the complete graph
+    (not for eclipse, which needs a static overlay)."""
 
-    ``fractions`` × ``kinds`` × ``topologies`` (static cells) plus
-    ``fractions`` × ``kinds`` × nonzero ``churn_rates`` (complete
-    overlay) — each cell replicated over ``runs`` independent seed
-    streams derived from ``seed``.
-    """
+    label = "robustness-sweep"
 
     n: int = 100_000
     cycles: int = 30
@@ -82,84 +105,93 @@ class RobustnessSweep:
     trim: float = DEFAULT_TRIM
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ConfigurationError(f"n must be >= 2, got {self.n}")
-        if self.cycles < 1 or self.cycles_per_epoch < 1:
-            raise ConfigurationError("cycles and cycles_per_epoch must be >= 1")
-        if self.runs < 1:
-            raise ConfigurationError(f"runs must be >= 1, got {self.runs}")
-        for sequence_name in ("kinds", "fractions", "churn_rates", "topologies"):
-            object.__setattr__(
-                self, sequence_name, tuple(getattr(self, sequence_name))
-            )
+        self._check_shape("kinds", "fractions", "churn_rates", "topologies")
+        _check(self.cycles >= 1 and self.cycles_per_epoch >= 1,
+               "cycles and cycles_per_epoch must be >= 1")
         for kind in self.kinds:
-            if kind not in ADVERSARY_KINDS:
-                raise ConfigurationError(
-                    f"unknown adversary kind {kind!r}; expected one of "
-                    f"{ADVERSARY_KINDS}"
-                )
+            _check(kind in ADVERSARY_KINDS, f"unknown adversary kind "
+                   f"{kind!r}; expected one of {ADVERSARY_KINDS}")
         for fraction in self.fractions:
-            if not 0.0 <= fraction <= 1.0:
-                raise ConfigurationError(
-                    f"adversary fractions must be in [0, 1], got {fraction}"
-                )
+            _check(0.0 <= fraction <= 1.0, f"adversary fractions must be "
+                   f"in [0, 1], got {fraction}")
         for rate in self.churn_rates:
-            if not 0.0 <= rate < 1.0:
-                raise ConfigurationError(
-                    f"churn rates must be in [0, 1), got {rate}"
-                )
+            _check(0.0 <= rate < 1.0,
+                   f"churn rates must be in [0, 1), got {rate}")
         for name in self.topologies:
             _parse_topology_name(name)  # validate eagerly, build lazily
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "RobustnessSweep":
-        """Build a sweep from a declarative config mapping (the parsed
-        YAML/JSON form); unknown keys fail loudly."""
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = set(mapping) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown robustness-sweep keys: {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
+    def grid(self) -> ScenarioGrid:
+        overlays = [(name, 0.0) for name in self.topologies] + [
+            ("complete", rate) for rate in self.churn_rates if rate != 0.0
+        ]
+        return ScenarioGrid(
+            base=MultiAggregateSpec.counting(self.n, trim=self.trim).scenario(
+                CompleteTopology(self.n), cycles=self.cycles,
+                backend=self.backend,
+            ),
+            axes=(
+                Axis("kind", self.kinds, lambda scenario, cell: (
+                    scenario.replace(adversary=AdversarySpec(
+                        kind=cell["kind"], value=self.value
+                    ))
+                )),
+                Axis(("topology", "churn_rate"), overlays, self._overlay),
+                Axis("fraction", self.fractions, lambda scenario, cell: (
+                    scenario.replace(adversary=dataclasses.replace(
+                        scenario.adversary, fraction=cell["fraction"]
+                    ))
+                )),
+            ),
+            metric=self._estimate,
+            reduce=_error_row,
+            runs=self.runs,
+            seed_tag=("robustness", self.seed),
+            skip=lambda cell: (
+                cell["kind"] == "eclipse" and cell["churn_rate"] != 0.0
+            ),
+        )
+
+    def _overlay(self, scenario: Scenario, cell: Mapping[str, Any]
+                 ) -> Scenario:
+        """A static topology, or ``rate * n`` joins AND leaves per cycle
+        on the complete graph over two §4 epochs, each with a fresh
+        leader."""
+        rate = cell["churn_rate"]
+        if rate == 0.0:
+            degree = _parse_topology_name(cell["topology"])
+            return scenario.replace(topology=(
+                CompleteTopology(self.n) if degree is None
+                else _cached_regular_topology(self.n, degree)
+            ))
+        per_cycle = max(int(round(rate * self.n)), 1)
+        return scenario.replace(
+            churn=ChurnSpec(model=ConstantRateChurn(per_cycle, per_cycle)),
+            epochs=EpochSpec(
+                cycles_per_epoch=self.cycles_per_epoch,
+                reseed=_indicator_reseed,
+            ),
+            cycles=2 * self.cycles_per_epoch,
+        )
+
+    def _estimate(self, scenario: Scenario) -> Dict[str, Any]:
+        """One replication: the size estimate of every reduction, and
+        the ground truth — under churn, the size at the final epoch's
+        start (Figure 4's one-epoch lag)."""
+        with GossipEngine(scenario) as engine:
+            result = engine.run(record="cycle")
+            truth = float(
+                result.alive_counts[scenario.epochs.cycles_per_epoch]
+                if scenario.epochs is not None else engine.alive_count
             )
-        return cls(**dict(mapping))
-
-    def build_topology(self, name: str) -> Topology:
-        """Resolve a declarative topology name (``"complete"`` or
-        ``"regular<k>"``) into an overlay of size ``n``. Overlays are
-        immutable, so cells sharing a name share one cached graph —
-        sparse construction at paper scale is paid once per sweep, not
-        once per replication."""
-        degree = _parse_topology_name(name)
-        if degree is None:
-            return CompleteTopology(self.n)
-        return _cached_regular_topology(self.n, degree)
-
-    def cells(self) -> List[Dict[str, Any]]:
-        """The cell matrix, in execution order."""
-        matrix: List[Dict[str, Any]] = []
-        for kind in self.kinds:
-            for topology_name in self.topologies:
-                for fraction in self.fractions:
-                    matrix.append({
-                        "kind": kind,
-                        "topology": topology_name,
-                        "churn_rate": 0.0,
-                        "fraction": fraction,
-                    })
-            for rate in self.churn_rates:
-                if rate == 0.0 or kind == "eclipse":
-                    # rate 0 duplicates the static complete cell;
-                    # eclipse needs a static overlay
-                    continue
-                for fraction in self.fractions:
-                    matrix.append({
-                        "kind": kind,
-                        "topology": "complete",
-                        "churn_rate": rate,
-                        "fraction": fraction,
-                    })
-        return matrix
+            reports = engine.reported_column("count")
+        estimates = {
+            method: size_from_count(
+                robust_reduce(reports, method, trim=self.trim),
+                cap=100.0 * self.n,
+            )
+            for method in ROBUST_REDUCTIONS
+        }
+        return {"truth": truth, "estimates": estimates}
 
 
 def _parse_topology_name(name: str) -> Optional[int]:
@@ -167,22 +199,22 @@ def _parse_topology_name(name: str) -> Optional[int]:
     ``"regular<k>"``; raises on anything else."""
     if name == "complete":
         return None
-    if isinstance(name, str) and name.startswith("regular"):
-        try:
-            degree = int(name[len("regular"):])
-        except ValueError:
-            degree = 0
-        if degree >= 1:
-            return degree
-    raise ConfigurationError(
-        f"unknown topology {name!r}; expected 'complete' or 'regular<k>'"
-    )
+    text = str(name)
+    try:
+        degree = (int(text[len("regular"):]) if text.startswith("regular")
+                  else 0)
+    except ValueError:
+        degree = 0
+    _check(degree >= 1, f"unknown topology {name!r}; expected 'complete' "
+           f"or 'regular<k>'")
+    return degree
 
 
 @lru_cache(maxsize=4)
 def _cached_regular_topology(n: int, degree: int) -> RandomRegularTopology:
-    # construction seed is a pure function of the overlay shape, so the
-    # sweep is reproducible and cells share the graph
+    # overlays are immutable and their construction seed is a pure
+    # function of the shape, so the sweep is reproducible and cells
+    # share one graph (paid once per sweep, not once per replication)
     return RandomRegularTopology(n, degree, seed=97 + 31 * degree + n)
 
 
@@ -194,290 +226,96 @@ def _indicator_reseed(context) -> np.ndarray:
     return rows
 
 
-def _run_cell_once(
-    sweep: RobustnessSweep, cell: Mapping[str, Any], seed: SeedLike
-) -> Dict[str, Any]:
-    """One replication of one cell: run the COUNT workload under the
-    cell's adversary, reduce the reported estimates every way, and
-    return per-reduction size estimates plus the ground truth."""
-    bundle = MultiAggregateSpec.counting(sweep.n, trim=sweep.trim)
-    adversary = AdversarySpec(
-        kind=cell["kind"], fraction=cell["fraction"], value=sweep.value
-    )
-    rate = cell["churn_rate"]
-    if rate > 0.0:
-        per_cycle = max(int(round(rate * sweep.n)), 1)
-        scenario = bundle.scenario(
-            CompleteTopology(sweep.n),
-            churn=ChurnSpec(model=ConstantRateChurn(per_cycle, per_cycle)),
-            epochs=EpochSpec(
-                cycles_per_epoch=sweep.cycles_per_epoch,
-                reseed=_indicator_reseed,
-            ),
-            adversary=adversary,
-            seed=seed,
-            backend=sweep.backend,
+def _error_row(outcomes: List[Dict[str, Any]]) -> Dict[str, float]:
+    """Per reduction, the mean relative error over the replications
+    (``error_<method>``) and the error of the median-of-runs combined
+    estimate (``runs_error_<method>`` — the UBLCS-2003-16 cross-run
+    defense)."""
+    row = {}
+    mean_truth = float(np.mean([outcome["truth"] for outcome in outcomes]))
+    for method in ROBUST_REDUCTIONS:
+        estimates = [outcome["estimates"][method] for outcome in outcomes]
+        row[f"error_{method}"] = float(np.mean([
+            abs(estimate - outcome["truth"]) / outcome["truth"]
+            for estimate, outcome in zip(estimates, outcomes)
+        ]))
+        row[f"runs_error_{method}"] = float(
+            abs(median_of_runs(estimates) - mean_truth) / mean_truth
         )
-        cycles = 2 * sweep.cycles_per_epoch
-    else:
-        scenario = bundle.scenario(
-            sweep.build_topology(cell["topology"]),
-            adversary=adversary,
-            seed=seed,
-            backend=sweep.backend,
-        )
-        cycles = sweep.cycles
-    engine = GossipEngine(scenario)
-    try:
-        result = engine.run(cycles, record="cycle")
-        if rate > 0.0:
-            # the final epoch's estimate describes the size at its own
-            # start (Figure 4's one-epoch lag)
-            truth = float(result.alive_counts[sweep.cycles_per_epoch])
-        else:
-            truth = float(engine.alive_count)
-        reports = engine.reported_column("count")
-    finally:
-        engine.close()
-    cap = 100.0 * sweep.n
-    estimates = {
-        method: size_from_count(
-            robust_reduce(reports, method, trim=sweep.trim), cap=cap
-        )
-        for method in ROBUST_REDUCTIONS
-    }
-    return {"truth": truth, "estimates": estimates}
+    return row
 
 
-def run_robustness_sweep(sweep: RobustnessSweep) -> Dict[str, Any]:
-    """Execute the whole matrix and aggregate across replications.
-
-    Each row carries, per reduction, the mean relative estimation error
-    over the ``runs`` replications (``error_<method>``) and the error
-    of the median-of-runs combined estimate
-    (``runs_error_<method>`` — the UBLCS-2003-16 cross-run defense).
-    """
-    rows: List[Dict[str, Any]] = []
-    for cell in sweep.cells():
-        cell_seed = (
-            "robustness", sweep.seed, cell["kind"], cell["topology"],
-            cell["churn_rate"], cell["fraction"],
-        )
-        outcomes = [
-            _run_cell_once(sweep, cell, run_rng)
-            for run_rng in spawn_streams(_fold_seed(cell_seed), sweep.runs)
-        ]
-        row: Dict[str, Any] = dict(cell)
-        row["runs"] = sweep.runs
-        for method in ROBUST_REDUCTIONS:
-            errors = [
-                abs(outcome["estimates"][method] - outcome["truth"])
-                / outcome["truth"]
-                for outcome in outcomes
-            ]
-            row[f"error_{method}"] = float(np.mean(errors))
-            combined = median_of_runs(
-                [outcome["estimates"][method] for outcome in outcomes]
+def render_robustness_svg(payload: Mapping[str, Any]) -> str:
+    """The robustness-report figure: one panel per adversary kind,
+    relative estimation error (log scale) vs adversary fraction, one
+    color per reduction and one dash style per static topology, plus
+    the highest churn rate on the complete overlay."""
+    rates = [rate for rate in payload["churn_rates"] if rate > 0.0]
+    overlays = [(name, 0.0, name) for name in payload["topologies"]]
+    if rates:
+        overlays.append(("complete", max(rates), f"churn {max(rates):g}"))
+    panels = []
+    for kind in payload["kinds"]:
+        series = []
+        for style, (topology, rate, label) in enumerate(overlays):
+            rows = [row for row in payload["rows"] if row["kind"] == kind
+                    and row["topology"] == topology
+                    and row["churn_rate"] == rate]
+            series.extend(
+                Series(f"{method} · {label}",
+                       [(row["fraction"], row[f"error_{method}"])
+                        for row in rows],
+                       PALETTE[color], DASHES[style % len(DASHES)])
+                for color, method in enumerate(ROBUST_REDUCTIONS)
             )
-            mean_truth = float(np.mean([o["truth"] for o in outcomes]))
-            row[f"runs_error_{method}"] = float(
-                abs(combined - mean_truth) / mean_truth
-            )
-        rows.append(row)
-    return {
-        "n": sweep.n,
-        "cycles": sweep.cycles,
-        "cycles_per_epoch": sweep.cycles_per_epoch,
-        "runs": sweep.runs,
-        "value": sweep.value,
-        "backend": sweep.backend,
-        "trim": sweep.trim,
-        "kinds": list(sweep.kinds),
-        "fractions": list(sweep.fractions),
-        "churn_rates": list(sweep.churn_rates),
-        "topologies": list(sweep.topologies),
-        "rows": rows,
-    }
+        panels.append(Panel(
+            f"{kind} adversary — N={payload['n']}", series,
+            x_label="adversary fraction", log_y=True,
+            y_range=(1e-8, 10.0 ** 0.5),
+        ))
+    return render_line_chart(panels, columns=len(panels), panel_height=360)
 
 
-def _fold_seed(parts: Tuple[Any, ...]) -> int:
-    """Deterministic 63-bit seed from a mixed tuple (cells must keep
-    their seed streams when the matrix gains or loses other cells)."""
-    accumulator = 1469598103934665603  # FNV-1a offset basis
-    for byte in repr(parts).encode():
-        accumulator = ((accumulator ^ byte) * 1099511628211) % (1 << 63)
-    return accumulator
+# -- the message-fault sweep --------------------------------------------
 
-
-# -- the robustness-report figure ---------------------------------------
-
-_SVG_COLORS = {"mean": "#c0392b", "median": "#2471a3", "trimmed": "#1e8449"}
-
-
-def render_robustness_svg(
-    payload: Mapping[str, Any], *, width: int = 960, height: int = 360
-) -> str:
-    """The robustness-report figure as a dependency-free SVG string:
-    one panel per adversary kind, relative estimation error (log scale)
-    vs adversary fraction, one line per reduction — solid on the static
-    complete overlay, dashed under the highest churn rate."""
-    kinds = list(payload["kinds"])
-    rows = payload["rows"]
-    churn_rates = [rate for rate in payload["churn_rates"] if rate > 0.0]
-    top_rate = max(churn_rates) if churn_rates else None
-    panel_width = width // max(len(kinds), 1)
-    margin = 52
-    floor = 1e-8
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" font-family="monospace" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    fractions = sorted({row["fraction"] for row in rows})
-    if not fractions or not kinds:
-        parts.append("</svg>")
-        return "\n".join(parts)
-    log_low, log_high = np.log10(floor), 0.5
-
-    def x_at(panel: int, fraction: float) -> float:
-        span = max(fractions[-1] - fractions[0], 1e-9)
-        inner = panel_width - margin - 16
-        return panel * panel_width + margin + (
-            (fraction - fractions[0]) / span
-        ) * inner
-
-    def y_at(error: float) -> float:
-        level = np.clip(np.log10(max(error, floor)), log_low, log_high)
-        inner = height - margin - 28
-        return 28 + (log_high - level) / (log_high - log_low) * inner
-
-    for panel, kind in enumerate(kinds):
-        left = panel * panel_width
-        parts.append(
-            f'<text x="{left + margin}" y="16" font-weight="bold">'
-            f'{kind} adversary — N={payload["n"]}</text>'
-        )
-        parts.append(
-            f'<line x1="{left + margin}" y1="{height - margin}" '
-            f'x2="{left + panel_width - 16}" y2="{height - margin}" '
-            f'stroke="black"/>'
-        )
-        parts.append(
-            f'<line x1="{left + margin}" y1="28" x2="{left + margin}" '
-            f'y2="{height - margin}" stroke="black"/>'
-        )
-        for fraction in fractions:
-            x = x_at(panel, fraction)
-            parts.append(
-                f'<text x="{x - 10}" y="{height - margin + 14}">'
-                f'{fraction:g}</text>'
-            )
-        for decade in range(int(log_low), 1):
-            y = y_at(10.0 ** decade)
-            parts.append(
-                f'<text x="{left + 6}" y="{y + 4}">1e{decade}</text>'
-            )
-        series = [("complete-static", 0.0, "none")]
-        if top_rate is not None and kind != "eclipse":
-            series.append((f"churn {top_rate:g}", top_rate, "6,4"))
-        for label, rate, dash in series:
-            for method in ROBUST_REDUCTIONS:
-                points = []
-                for fraction in fractions:
-                    match = [
-                        row for row in rows
-                        if row["kind"] == kind
-                        and row["topology"] == "complete"
-                        and row["churn_rate"] == rate
-                        and row["fraction"] == fraction
-                    ]
-                    if match:
-                        points.append(
-                            (x_at(panel, fraction),
-                             y_at(match[0][f"error_{method}"]))
-                        )
-                if len(points) < 2:
-                    continue
-                path = " ".join(f"{x:.1f},{y:.1f}" for x, y in points)
-                dash_attr = (
-                    f' stroke-dasharray="{dash}"' if dash != "none" else ""
-                )
-                parts.append(
-                    f'<polyline points="{path}" fill="none" '
-                    f'stroke="{_SVG_COLORS[method]}" stroke-width="1.6"'
-                    f'{dash_attr}/>'
-                )
-        legend_y = 30
-        for method in ROBUST_REDUCTIONS:
-            parts.append(
-                f'<rect x="{left + panel_width - 110}" y="{legend_y}" '
-                f'width="10" height="10" fill="{_SVG_COLORS[method]}"/>'
-            )
-            parts.append(
-                f'<text x="{left + panel_width - 96}" y="{legend_y + 9}">'
-                f'{method}</text>'
-            )
-            legend_y += 14
-        parts.append(
-            f'<text x="{left + margin}" y="{height - 6}">'
-            f'adversary fraction (dashed = churn)</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
-# -- the message-fault degradation figure -------------------------------
-
-#: retry policies the degradation sweep compares; ``"none"`` runs the
-#: fault spec without any :class:`~repro.kernel.messages.RetrySpec`
-MESSAGE_FAULT_POLICIES = ("none", "retransmit", "redraw", "push_only")
+#: the retry policies the degradation sweep compares; ``"none"`` runs
+#: the fault spec without any :class:`~repro.kernel.messages.RetrySpec`
+_RETRY_POLICIES = {
+    "none": None,
+    "retransmit": RetrySpec(),
+    "redraw": RetrySpec(mode="redraw"),
+    "push_only": RetrySpec(budget=2, fallback="push_only"),
+}
+MESSAGE_FAULT_POLICIES = tuple(_RETRY_POLICIES)
 
 #: loss directions the sweep degrades along (the asymmetry is the
 #: point: request loss cancels cleanly, reply loss leaks mass)
 MESSAGE_FAULT_DIRECTIONS = ("request", "reply")
 
-_POLICY_COLORS = {
-    "none": "#7f8c8d",
-    "retransmit": "#2471a3",
-    "redraw": "#1e8449",
-    "push_only": "#c0392b",
-}
-
 
 def retry_for_policy(policy: str) -> Optional[RetrySpec]:
     """The :class:`RetrySpec` a sweep policy name stands for (``None``
     for the no-retry baseline)."""
-    if policy == "none":
-        return None
-    if policy == "retransmit":
-        return RetrySpec()
-    if policy == "redraw":
-        return RetrySpec(mode="redraw")
-    if policy == "push_only":
-        return RetrySpec(budget=2, fallback="push_only")
-    raise ConfigurationError(
-        f"unknown retry policy {policy!r}; expected one of "
-        f"{MESSAGE_FAULT_POLICIES}"
-    )
+    _check(policy in _RETRY_POLICIES, f"unknown retry policy {policy!r}; "
+           f"expected one of {MESSAGE_FAULT_POLICIES}")
+    return _RETRY_POLICIES[policy]
 
 
 @dataclass(frozen=True)
-class MessageFaultSweep:
-    """The degradation-figure sweep: convergence factor and attributed
-    mass drift vs loss rate × direction × retry policy.
+class MessageFaultSweep(_Sweep):
+    """The degradation-figure sweep: ``directions`` × ``policies`` ×
+    ``loss_rates``, each cell replicated over ``runs`` seed streams.
 
-    Every cell runs a plain AVG workload (normal(10, 4) initial values
-    on the complete overlay) under a
-    :class:`~repro.kernel.messages.MessageFaultSpec` that loses the
-    cell's direction (request or reply) at the cell's rate, replicated
-    over ``runs`` independent seed streams. A
+    Every cell runs plain AVG (normal(10, 4) values on the complete
+    overlay) losing the cell's direction at the cell's rate. A
     :class:`~repro.kernel.invariants.MassConservationMonitor` rides
     along, so the reported drift is the *attributed* fault drift —
     partials + duplicates offset by repairs — not a noisy end-state
-    difference. Zero-rate cells run once per direction (policy
-    ``"none"``): with the loss coins never flipped, every policy is
-    trajectory-identical there.
+    difference. Zero-rate cells run once per direction, as policy
+    ``"none"``: with no loss coin flipped every policy is the same run.
     """
+
+    label = "message-fault-sweep"
 
     n: int = 100_000
     cycles: int = 40
@@ -490,320 +328,123 @@ class MessageFaultSweep:
     seed: SeedLike = 2004
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ConfigurationError(f"n must be >= 2, got {self.n}")
-        if self.cycles < 2:
-            raise ConfigurationError(
-                f"cycles must be >= 2 for a convergence factor, got "
-                f"{self.cycles}"
-            )
-        if self.runs < 1:
-            raise ConfigurationError(f"runs must be >= 1, got {self.runs}")
-        for name in ("loss_rates", "directions", "policies"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        self._check_shape("loss_rates", "directions", "policies")
+        _check(self.cycles >= 2, f"cycles must be >= 2 for a convergence "
+               f"factor, got {self.cycles}")
         for rate in self.loss_rates:
-            if not 0.0 <= rate < 1.0:
-                raise ConfigurationError(
-                    f"loss rates must be in [0, 1), got {rate}"
-                )
+            _check(0.0 <= rate < 1.0,
+                   f"loss rates must be in [0, 1), got {rate}")
         for direction in self.directions:
-            if direction not in MESSAGE_FAULT_DIRECTIONS:
-                raise ConfigurationError(
-                    f"unknown loss direction {direction!r}; expected one "
-                    f"of {MESSAGE_FAULT_DIRECTIONS}"
-                )
+            _check(direction in MESSAGE_FAULT_DIRECTIONS, f"unknown loss "
+                   f"direction {direction!r}; expected one of "
+                   f"{MESSAGE_FAULT_DIRECTIONS}")
         for policy in self.policies:
             retry_for_policy(policy)  # validate eagerly
-        if not 0.0 <= self.duplication < 1.0:
-            raise ConfigurationError(
-                f"duplication must be in [0, 1), got {self.duplication}"
-            )
+        _check(0.0 <= self.duplication < 1.0,
+               f"duplication must be in [0, 1), got {self.duplication}")
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "MessageFaultSweep":
-        """Build a sweep from a declarative config mapping; unknown
-        keys fail loudly."""
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = set(mapping) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown message-fault-sweep keys: {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        return cls(**dict(mapping))
-
-    def cells(self) -> List[Dict[str, Any]]:
-        """The cell matrix, in execution order. Rate-0 cells collapse
-        onto the ``"none"`` policy (all policies coincide there)."""
-        matrix: List[Dict[str, Any]] = []
-        for direction in self.directions:
-            for policy in self.policies:
-                for rate in self.loss_rates:
-                    if rate == 0.0 and policy != "none":
-                        continue
-                    matrix.append({
-                        "direction": direction,
-                        "policy": policy,
-                        "loss_rate": rate,
-                    })
-        return matrix
-
-
-def _convergence_factor(variances: np.ndarray) -> float:
-    """Geometric per-cycle variance reduction rate over the longest
-    prefix where the variance stays positive (late cycles underflow to
-    exactly 0.0 on converged runs)."""
-    variances = np.asarray(variances, dtype=np.float64)
-    positive = np.flatnonzero(variances > 0.0)
-    if len(positive) < 2 or positive[0] != 0:
-        return float("nan")
-    last = int(positive[-1])
-    return float((variances[last] / variances[0]) ** (1.0 / last))
-
-
-def _run_fault_cell_once(
-    sweep: MessageFaultSweep,
-    cell: Mapping[str, Any],
-    seed: SeedLike,
-    values: np.ndarray,
-) -> Dict[str, float]:
-    """One replication of one degradation cell."""
-    rate = cell["loss_rate"]
-    spec = MessageFaultSpec(
-        request_loss=rate if cell["direction"] == "request" else 0.0,
-        reply_loss=rate if cell["direction"] == "reply" else 0.0,
-        duplication=sweep.duplication,
-    )
-    scenario = Scenario(
-        CompleteTopology(sweep.n),
-        values,
-        message_faults=spec,
-        retry=retry_for_policy(cell["policy"]),
-        seed=seed,
-        backend=sweep.backend,
-    )
-    engine = GossipEngine(scenario)
-    monitor = engine.register_monitor(MassConservationMonitor())
-    try:
-        result = engine.run(sweep.cycles, record="cycle")
-        estimate_error = abs(engine.mean() - float(values.mean()))
-        stats = dict(engine.message_fault_stats)
-        pending = engine.pending_retry_count
-    finally:
-        engine.close()
-    report = monitor.summary()
-    return {
-        "convergence_factor": _convergence_factor(result.variance_array()),
-        "drift_per_node": abs(monitor.fault_drift) / sweep.n,
-        "estimate_error": float(estimate_error),
-        "max_residual": float(report["max_residual"]),
-        "partials": float(stats.get("partials", 0)),
-        "repairs": float(stats.get("repairs", 0)),
-        "retries": float(stats.get("retries", 0)),
-        "giveups": float(stats.get("giveups", 0)),
-        "pending_final": float(pending),
-    }
-
-
-def run_message_fault_sweep(sweep: MessageFaultSweep) -> Dict[str, Any]:
-    """Execute the degradation matrix and aggregate across replications.
-
-    Each row carries the replication mean of the convergence factor,
-    the per-node attributed mass drift and the end-state estimate
-    error, plus 95 % acceptance bands (normal-approximation half
-    widths) — the statistical bands the degradation figure draws as
-    whiskers.
-    """
-    values = make_rng(_fold_seed(("message-values", sweep.seed))).normal(
-        10.0, 4.0, sweep.n
-    )
-    rows: List[Dict[str, Any]] = []
-    for cell in sweep.cells():
-        cell_seed = (
-            "messages", sweep.seed, cell["direction"], cell["policy"],
-            cell["loss_rate"],
+    def grid(self) -> ScenarioGrid:
+        values = make_rng(fold_seed(("message-values", self.seed))).normal(
+            10.0, 4.0, self.n
         )
-        outcomes = [
-            _run_fault_cell_once(sweep, cell, run_rng, values)
-            for run_rng in spawn_streams(_fold_seed(cell_seed), sweep.runs)
-        ]
-        row: Dict[str, Any] = dict(cell)
-        row["runs"] = sweep.runs
-        for metric in ("convergence_factor", "drift_per_node",
-                       "estimate_error"):
-            samples = np.asarray(
-                [outcome[metric] for outcome in outcomes], dtype=np.float64
-            )
-            row[metric] = float(np.nanmean(samples))
-            spread = (
-                float(np.nanstd(samples, ddof=1)) if len(samples) > 1 else 0.0
-            )
-            row[f"{metric}_band"] = float(
-                1.96 * spread / np.sqrt(max(len(samples), 1))
-            )
-        for counter in ("partials", "repairs", "retries", "giveups",
-                        "pending_final", "max_residual"):
-            row[counter] = float(
-                np.mean([outcome[counter] for outcome in outcomes])
-            )
-        rows.append(row)
-    return {
-        "n": sweep.n,
-        "cycles": sweep.cycles,
-        "runs": sweep.runs,
-        "duplication": sweep.duplication,
-        "backend": sweep.backend,
-        "loss_rates": list(sweep.loss_rates),
-        "directions": list(sweep.directions),
-        "policies": list(sweep.policies),
-        "rows": rows,
-    }
+        return ScenarioGrid(
+            base=Scenario(
+                CompleteTopology(self.n), values,
+                message_faults=MessageFaultSpec(duplication=self.duplication),
+                cycles=self.cycles, backend=self.backend,
+            ),
+            axes=(
+                Axis("direction", self.directions),
+                Axis("policy", self.policies, lambda scenario, cell: (
+                    scenario.replace(retry=retry_for_policy(cell["policy"]))
+                )),
+                Axis("loss_rate", self.loss_rates, lambda scenario, cell: (
+                    scenario.replace(message_faults=dataclasses.replace(
+                        scenario.message_faults,
+                        **{f"{cell['direction']}_loss": cell["loss_rate"]},
+                    ))
+                )),
+            ),
+            metric=self._degradation,
+            reduce=_band_row,
+            runs=self.runs,
+            seed_tag=("messages", self.seed),
+            skip=lambda cell: (
+                cell["loss_rate"] == 0.0 and cell["policy"] != "none"
+            ),
+        )
+
+    def _degradation(self, scenario: Scenario) -> Dict[str, float]:
+        """One replication of one degradation cell."""
+        with GossipEngine(scenario) as engine:
+            monitor = engine.register_monitor(MassConservationMonitor())
+            result = engine.run(record="cycle")
+            estimate_error = abs(engine.mean() - float(scenario.values.mean()))
+            stats = dict(engine.message_fault_stats)
+            pending = engine.pending_retry_count
+        return {
+            "convergence_factor": convergence_factor(result.variance_array()),
+            "drift_per_node": abs(monitor.fault_drift) / self.n,
+            "estimate_error": float(estimate_error),
+            "max_residual": float(monitor.summary()["max_residual"]),
+            "pending_final": float(pending),
+            **{counter: float(stats.get(counter, 0))
+               for counter in ("partials", "repairs", "retries", "giveups")},
+        }
 
 
-def _fault_row(
-    rows: List[Dict[str, Any]], direction: str, policy: str, rate: float
-) -> Optional[Dict[str, Any]]:
-    """The matching sweep row; rate-0 lookups fall through to the
-    shared ``"none"`` baseline cell."""
-    for row in rows:
-        if (
-            row["direction"] == direction
-            and row["loss_rate"] == rate
-            and (row["policy"] == policy
-                 or (rate == 0.0 and row["policy"] == "none"))
-        ):
-            return row
-    return None
+def _band_row(outcomes: List[Dict[str, float]]) -> Dict[str, float]:
+    """The replication mean of the convergence factor, the per-node
+    attributed drift and the end-state estimate error, each with a 95 %
+    acceptance band (normal-approximation half width, the figure's
+    whiskers), plus the mean fault counters."""
+    row = {}
+    for metric in ("convergence_factor", "drift_per_node", "estimate_error"):
+        samples = np.asarray([outcome[metric] for outcome in outcomes],
+                             dtype=np.float64)
+        spread = float(np.nanstd(samples, ddof=1)) if len(samples) > 1 else 0.0
+        row[metric] = float(np.nanmean(samples))
+        row[f"{metric}_band"] = float(1.96 * spread / np.sqrt(len(samples)))
+    for counter in ("partials", "repairs", "retries", "giveups",
+                    "pending_final", "max_residual"):
+        row[counter] = float(np.mean([outcome[counter]
+                                      for outcome in outcomes]))
+    return row
 
 
-def render_message_fault_svg(
-    payload: Mapping[str, Any], *, width: int = 960, height: int = 560
-) -> str:
-    """The degradation figure as a dependency-free SVG string: one
-    column per loss direction; the top row plots per-node attributed
-    mass drift (log scale), the bottom row the convergence factor
-    (linear), both vs loss rate with one line per retry policy and
-    95 % acceptance-band whiskers."""
-    directions = list(payload["directions"])
-    policies = list(payload["policies"])
-    rows = payload["rows"]
-    rates = sorted({row["loss_rate"] for row in rows})
-    panel_width = width // max(len(directions), 1)
-    panel_height = height // 2
-    margin = 56
-    floor = 1e-9
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" font-family="monospace" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    if not rates or not directions:
-        parts.append("</svg>")
-        return "\n".join(parts)
-    log_low, log_high = np.log10(floor), 0.0
-
-    def x_at(panel: int, rate: float) -> float:
-        span = max(rates[-1] - rates[0], 1e-9)
-        inner = panel_width - margin - 16
-        return panel * panel_width + margin + (
-            (rate - rates[0]) / span
-        ) * inner
-
-    def y_drift(top: int, drift: float) -> float:
-        level = np.clip(np.log10(max(drift, floor)), log_low, log_high)
-        inner = panel_height - margin - 28
-        return top + 28 + (log_high - level) / (log_high - log_low) * inner
-
-    def y_factor(top: int, factor: float) -> float:
-        level = np.clip(factor, 0.0, 1.0)
-        inner = panel_height - margin - 28
-        return top + 28 + (1.0 - level) * inner
-
-    panel_rows = [
-        ("mass drift / node (log)", "drift_per_node", y_drift),
-        ("convergence factor", "convergence_factor", y_factor),
-    ]
-    for panel, direction in enumerate(directions):
-        left = panel * panel_width
-        for row_index, (title, metric, y_at) in enumerate(panel_rows):
-            top = row_index * panel_height
-            parts.append(
-                f'<text x="{left + margin}" y="{top + 16}" '
-                f'font-weight="bold">{direction}-loss — {title}, '
-                f'N={payload["n"]}</text>'
-            )
-            parts.append(
-                f'<line x1="{left + margin}" '
-                f'y1="{top + panel_height - margin}" '
-                f'x2="{left + panel_width - 16}" '
-                f'y2="{top + panel_height - margin}" stroke="black"/>'
-            )
-            parts.append(
-                f'<line x1="{left + margin}" y1="{top + 28}" '
-                f'x2="{left + margin}" '
-                f'y2="{top + panel_height - margin}" stroke="black"/>'
-            )
-            for rate in rates:
-                x = x_at(panel, rate)
-                parts.append(
-                    f'<text x="{x - 10}" '
-                    f'y="{top + panel_height - margin + 14}">'
-                    f'{rate:g}</text>'
-                )
-            if metric == "drift_per_node":
-                for decade in range(int(log_low), 1, 2):
-                    y = y_at(top, 10.0 ** decade)
-                    parts.append(
-                        f'<text x="{left + 6}" y="{y + 4}">1e{decade}</text>'
-                    )
-            else:
-                for tick in (0.0, 0.5, 1.0):
-                    y = y_at(top, tick)
-                    parts.append(
-                        f'<text x="{left + 12}" y="{y + 4}">{tick:g}</text>'
-                    )
-            for policy in policies:
-                color = _POLICY_COLORS.get(policy, "#34495e")
-                points = []
-                for rate in rates:
-                    row = _fault_row(rows, direction, policy, rate)
-                    if row is None:
-                        continue
-                    x = x_at(panel, rate)
-                    y = y_at(top, row[metric])
-                    points.append((x, y))
-                    band = row.get(f"{metric}_band", 0.0)
-                    if band > 0.0:
-                        y_lo = y_at(top, max(row[metric] - band, 0.0))
-                        y_hi = y_at(top, row[metric] + band)
-                        parts.append(
-                            f'<line x1="{x:.1f}" y1="{y_lo:.1f}" '
-                            f'x2="{x:.1f}" y2="{y_hi:.1f}" '
-                            f'stroke="{color}" stroke-width="1"/>'
-                        )
-                if len(points) < 2:
-                    continue
-                path = " ".join(f"{x:.1f},{y:.1f}" for x, y in points)
-                parts.append(
-                    f'<polyline points="{path}" fill="none" '
-                    f'stroke="{color}" stroke-width="1.6"/>'
-                )
-            legend_y = top + 30
-            for policy in policies:
-                color = _POLICY_COLORS.get(policy, "#34495e")
-                parts.append(
-                    f'<rect x="{left + panel_width - 116}" y="{legend_y}" '
-                    f'width="10" height="10" fill="{color}"/>'
-                )
-                parts.append(
-                    f'<text x="{left + panel_width - 102}" '
-                    f'y="{legend_y + 9}">{policy}</text>'
-                )
-                legend_y += 14
-            parts.append(
-                f'<text x="{left + margin}" '
-                f'y="{top + panel_height - 6}">loss rate '
-                f'(whiskers = 95% band)</text>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts)
+def render_message_fault_svg(payload: Mapping[str, Any]) -> str:
+    """The degradation figure: one column per loss direction; the top
+    row plots per-node attributed mass drift (log scale), the bottom
+    row the convergence factor (linear), both vs loss rate with one
+    line per retry policy and 95 % acceptance-band whiskers. The shared
+    rate-0 cell (policy ``"none"``) starts every policy's line."""
+    panels = []
+    for metric, title, log_y, y_range in (
+        ("drift_per_node", "mass drift / node (log)", True, (1e-9, 1.0)),
+        ("convergence_factor", "convergence factor", False, (0.0, 1.0)),
+    ):
+        for direction in payload["directions"]:
+            series = []
+            for color, policy in enumerate(payload["policies"]):
+                rows = [row for row in payload["rows"]
+                        if row["direction"] == direction
+                        and (row["policy"] == policy
+                             or row["loss_rate"] == 0.0)]
+                band = f"{metric}_band"
+                series.append(Series(
+                    policy,
+                    [(row["loss_rate"], row[metric]) for row in rows],
+                    PALETTE[color],
+                    whiskers=[(row["loss_rate"],
+                               max(row[metric] - row[band], 0.0),
+                               row[metric] + row[band])
+                              for row in rows if row[band] > 0.0],
+                ))
+            panels.append(Panel(
+                f"{direction}-loss — {title}, N={payload['n']}", series,
+                x_label="loss rate (whiskers = 95% band)", log_y=log_y,
+                y_range=y_range,
+            ))
+    return render_line_chart(
+        panels, columns=len(payload["directions"]), panel_height=280
+    )

@@ -1,21 +1,23 @@
-"""Multi-seed replication and parameter sweeps.
+"""Multi-seed replication and scenario grids.
 
 Experiments in the paper are "averages over 50 independent runs";
 :func:`replicate` runs an experiment function once per independent seed
-stream and collects the outputs, and :func:`sweep` crosses that with a
-parameter axis (e.g. network size for Figure 3(a)).
+stream and collects the outputs, and :func:`replicate_scenario` does the
+same for one declarative :class:`~repro.kernel.Scenario`.
 
-Kernel-native entry points: :func:`replicate_scenario` replicates one
-declarative :class:`~repro.kernel.Scenario` across independent seed
-streams, and :func:`sweep_scenario` crosses a scenario factory with a
-parameter axis (see e.g. the A2 failure ablation in
-``benchmarks/bench_ablation_failures.py``).
+A :class:`ScenarioGrid` crosses named :class:`Axis` edits of a base
+scenario, replicates every cell over its own seed streams and reduces
+each cell to one row — the adversary and message-fault sweeps in
+:mod:`repro.analysis.robustness` are two grid definitions.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -55,30 +57,6 @@ def replicate(
     return result
 
 
-def sweep(
-    experiment: Callable[[Any, np.random.Generator], Any],
-    parameters: Sequence[Any],
-    *,
-    runs: int,
-    seed: SeedLike = None,
-) -> Dict[Any, ReplicateResult]:
-    """Replicate ``experiment`` over every value of a parameter axis.
-
-    Each parameter point gets its own independent seed streams, so
-    adding points never perturbs existing ones.
-    """
-    if len(parameters) == 0:
-        raise ConfigurationError("parameter axis is empty")
-    outcomes: Dict[Any, ReplicateResult] = {}
-    point_seeds = spawn_streams(seed, len(parameters))
-    for parameter, point_rng in zip(parameters, point_seeds):
-        result = ReplicateResult()
-        for rng in spawn_streams(point_rng, runs):
-            result.outputs.append(experiment(parameter, rng))
-        outcomes[parameter] = result
-    return outcomes
-
-
 def replicate_scenario(
     scenario: Scenario,
     *,
@@ -101,21 +79,73 @@ def replicate_scenario(
     return result
 
 
-def sweep_scenario(
-    factory: Callable[[Any], Scenario],
-    parameters: Sequence[Any],
-    *,
-    runs: int,
-    seed: SeedLike = None,
-) -> Dict[Any, ReplicateResult]:
-    """Cross a scenario factory with a parameter axis (e.g. network
-    size), replicating each point over independent seed streams."""
-    if len(parameters) == 0:
-        raise ConfigurationError("parameter axis is empty")
-    outcomes: Dict[Any, ReplicateResult] = {}
-    point_seeds = spawn_streams(seed, len(parameters))
-    for parameter, point_rng in zip(parameters, point_seeds):
-        outcomes[parameter] = replicate_scenario(
-            factory(parameter), runs=runs, seed=point_rng
-        )
-    return outcomes
+def fold_seed(parts: Tuple[Any, ...]) -> int:
+    """Deterministic 63-bit seed from a mixed tuple (FNV-1a over its
+    ``repr``, so ``0`` and ``0.0`` are different tags)."""
+    accumulator = 1469598103934665603  # FNV-1a offset basis
+    for byte in repr(parts).encode():
+        accumulator = ((accumulator ^ byte) * 1099511628211) % (1 << 63)
+    return accumulator
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One named grid axis: ``name`` is a cell key, or a tuple of keys
+    that vary jointly (each value then a tuple as long). ``edit`` applies
+    the cell's value to the scenario; it sees the whole cell, so one edit
+    may combine axes, and ``None`` leaves the scenario alone (a label a
+    later edit reads)."""
+
+    name: Union[str, Tuple[str, ...]]
+    values: Sequence[Any]
+    edit: Optional[Callable[[Scenario, Mapping[str, Any]], Scenario]] = None
+
+
+@dataclass(frozen=True)
+class ScenarioGrid:
+    """Named axes of scenario edits, replicated and reduced per cell.
+
+    Cells run in axis order, the last axis fastest, minus those
+    ``skip`` rejects. A cell's scenario is ``base`` with every axis edit
+    applied in order. Its ``runs`` replications run on the streams of
+    ``fold_seed(seed_tag + cell values)``, so a cell keeps its streams
+    when the grid gains or loses other cells. ``metric`` turns one
+    seeded scenario into one replication's outcome, and ``reduce`` turns
+    a cell's outcomes into the fields of its row.
+    """
+
+    base: Scenario
+    axes: Sequence[Axis]
+    metric: Callable[[Scenario], Any]
+    reduce: Callable[[List[Any]], Dict[str, Any]]
+    runs: int = 1
+    seed_tag: Tuple[Any, ...] = ()
+    skip: Optional[Callable[[Mapping[str, Any]], bool]] = None
+
+    def cells(self) -> List[Dict[str, Any]]:
+        """The cell matrix, in execution order."""
+        matrix = []
+        for values in itertools.product(*(axis.values for axis in self.axes)):
+            cell: Dict[str, Any] = {}
+            for axis, value in zip(self.axes, values):
+                if isinstance(axis.name, tuple):
+                    cell.update(zip(axis.name, value))
+                else:
+                    cell[axis.name] = value
+            if self.skip is None or not self.skip(cell):
+                matrix.append(cell)
+        return matrix
+
+    def run(self) -> List[Dict[str, Any]]:
+        """One row per cell: the cell, ``runs`` and the reduced fields."""
+        rows = []
+        for cell in self.cells():
+            scenario = self.base
+            for axis in self.axes:
+                if axis.edit is not None:
+                    scenario = axis.edit(scenario, cell)
+            seed = fold_seed(self.seed_tag + tuple(cell.values()))
+            outcomes = [self.metric(scenario.replace(seed=rng))
+                        for rng in spawn_streams(seed, self.runs)]
+            rows.append({**cell, "runs": self.runs, **self.reduce(outcomes)})
+        return rows

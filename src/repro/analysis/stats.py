@@ -65,3 +65,16 @@ def geometric_mean(values: Sequence[float]) -> float:
     if np.any(array <= 0):
         raise ConfigurationError("geometric mean requires positive values")
     return float(np.exp(np.log(array).mean()))
+
+
+def convergence_factor(variances: Sequence[float]) -> float:
+    """Geometric per-cycle variance reduction rate over the longest
+    prefix where the variance stays positive (late cycles underflow to
+    exactly 0.0 on converged runs); NaN without two positive readings
+    from the start."""
+    variances = np.asarray(variances, dtype=np.float64)
+    positive = np.flatnonzero(variances > 0.0)
+    if len(positive) < 2 or positive[0] != 0:
+        return float("nan")
+    last = int(positive[-1])
+    return float((variances[last] / variances[0]) ** (1.0 / last))

@@ -34,6 +34,7 @@ archives, with small default sizes so it completes in seconds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -48,8 +49,6 @@ from .analysis import (
     render_message_fault_svg,
     render_robustness_svg,
     replicate,
-    run_message_fault_sweep,
-    run_robustness_sweep,
 )
 from .avg import (
     GetPairPerfectMatching,
@@ -358,9 +357,9 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 
 
 def _load_sweep_config(path: str) -> dict:
-    """Parse a declarative robustness-sweep config: JSON always, YAML
-    when PyYAML is importable (the file formats are interchangeable —
-    the mapping feeds ``RobustnessSweep.from_mapping`` either way)."""
+    """Parse a declarative sweep config: JSON always, YAML when PyYAML
+    is importable (the file formats are interchangeable — the mapping
+    feeds the sweep's ``from_mapping`` either way)."""
     import json
 
     with open(path, "r", encoding="utf-8") as handle:
@@ -385,126 +384,103 @@ def _float_list(value: str) -> tuple:
     return tuple(float(part) for part in value.split(","))
 
 
-def _cmd_messages(args: argparse.Namespace) -> int:
-    """The message-fault degradation sweep: convergence factor and
-    attributed mass drift vs loss rate × direction × retry policy."""
-    if args.config:
-        mapping = _load_sweep_config(args.config)
-    else:
-        # quick-look defaults: the full degradation grid in seconds
-        mapping = {"n": 2000, "runs": 2, "cycles": 25,
-                   "loss_rates": (0.0, 0.05, 0.1)}
-    sweep = MessageFaultSweep.from_mapping(mapping)
-    overrides = {
-        key: value
-        for key, value in (
-            ("n", args.n),
-            ("runs", args.runs),
-            ("cycles", args.cycles),
-            ("seed", args.seed),
-            ("loss_rates", args.loss_rates),
-            ("duplication", args.duplication),
-            (
-                "directions",
-                tuple(args.directions.split(",")) if args.directions
-                else None,
-            ),
-            ("policies", tuple(args.retry.split(",")) if args.retry else None),
-        )
-        if value is not None
-    }
-    if args.backend != "auto":
-        overrides["backend"] = args.backend
-    if overrides:
-        import dataclasses
+def _str_list(value: str) -> tuple:
+    return tuple(value.split(","))
 
-        sweep = dataclasses.replace(sweep, **overrides)
-    start = time.perf_counter()
-    payload = run_message_fault_sweep(sweep)
-    elapsed = time.perf_counter() - start
-    table = Table(
-        headers=[
-            "direction", "policy", "loss", "conv.factor",
-            "drift/node", "±band", "repairs", "giveups",
-        ],
-        title=(
-            f"Message-fault degradation: N={sweep.n}, {sweep.cycles} "
-            f"cycles, {sweep.runs} runs/cell ({elapsed:.1f}s)"
-        ),
-    )
-    for row in payload["rows"]:
-        table.add_row(
-            row["direction"], row["policy"], row["loss_rate"],
-            row["convergence_factor"], row["drift_per_node"],
-            row["drift_per_node_band"], row["repairs"], row["giveups"],
-        )
-    print(table.render())
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(render_message_fault_svg(payload))
-        print(f"figure written to {args.svg}")
-    return 0
+
+#: ``repro robustness`` flags that set a sweep field, as (flag, field,
+#: type, metavar, help)
+_SWEEP_FLAGS = (
+    ("--n", "n", int, None, "network size (default 2000 without --config)"),
+    ("--runs", "runs", int, None, None),
+    ("--cycles", "cycles", int, None, None),
+    ("--epoch", "cycles_per_epoch", int, None,
+     "cycles per epoch in churn cells"),
+    ("--value", "value", float, None, "the injected / reported lie value"),
+    ("--seed", "seed", int, None, None),
+    ("--fractions", "fractions", _float_list, "F,F,...",
+     "adversary fractions (default 0,0.05,0.1,0.2)"),
+    ("--churn-rates", "churn_rates", _float_list, "R,R,...",
+     "per-cycle churn rates as fractions of N (default 0,0.01)"),
+    ("--kinds", "kinds", _str_list, "K,K,...",
+     "adversary kinds (default lying,inject)"),
+    ("--topologies", "topologies", _str_list, "T,T,...",
+     "overlays for static cells (default complete,regular20)"),
+    ("--loss-rates", "loss_rates", _float_list, "P,P,...",
+     "[--messages] loss rates (default 0,0.02,0.05,0.1,0.2)"),
+    ("--retry", "policies", _str_list, "POLICY,POLICY,...",
+     "[--messages] retry policies (default none,retransmit,redraw,"
+     "push_only)"),
+    ("--directions", "directions", _str_list, "D,D,...",
+     "[--messages] loss directions (default request,reply)"),
+    ("--duplication", "duplication", float, None,
+     "[--messages] per-reply duplication probability (default 0)"),
+)
+
+#: per sweep: its quick-look config (the full grid in seconds), the
+#: table title, the table's (header, row key) columns and its figure
+_SWEEPS = {
+    RobustnessSweep: (
+        {"n": 2000, "runs": 2, "cycles": 25, "cycles_per_epoch": 25},
+        "Robustness report: size-estimation error, N={n}, "
+        "{runs} runs/cell ({elapsed:.1f}s)",
+        (("kind", "kind"), ("topology", "topology"),
+         ("churn", "churn_rate"), ("fraction", "fraction"),
+         ("err(mean)", "error_mean"), ("err(median)", "error_median"),
+         ("err(trimmed)", "error_trimmed")),
+        render_robustness_svg,
+    ),
+    MessageFaultSweep: (
+        {"n": 2000, "runs": 2, "cycles": 25,
+         "loss_rates": (0.0, 0.05, 0.1)},
+        "Message-fault degradation: N={n}, {cycles} cycles, "
+        "{runs} runs/cell ({elapsed:.1f}s)",
+        (("direction", "direction"), ("policy", "policy"),
+         ("loss", "loss_rate"), ("conv.factor", "convergence_factor"),
+         ("drift/node", "drift_per_node"),
+         ("±band", "drift_per_node_band"), ("repairs", "repairs"),
+         ("giveups", "giveups")),
+        render_message_fault_svg,
+    ),
+}
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
     """The declarative scenario-matrix sweep: estimation error vs
     adversary fraction × churn rate × topology. ``--messages`` switches
-    to the message-fault degradation sweep."""
-    if args.messages:
-        return _cmd_messages(args)
-    if args.config:
-        mapping = _load_sweep_config(args.config)
-    else:
-        # quick-look defaults: the full matrix in a couple of seconds
-        mapping = {"n": 2000, "runs": 2, "cycles": 25, "cycles_per_epoch": 25}
-    sweep = RobustnessSweep.from_mapping(mapping)
-    overrides = {
-        key: value
-        for key, value in (
-            ("n", args.n),
-            ("runs", args.runs),
-            ("cycles", args.cycles),
-            ("cycles_per_epoch", args.epoch),
-            ("value", args.value),
-            ("seed", args.seed),
-            ("fractions", args.fractions),
-            ("churn_rates", args.churn_rates),
-            ("kinds", tuple(args.kinds.split(",")) if args.kinds else None),
-            (
-                "topologies",
-                tuple(args.topologies.split(",")) if args.topologies else None,
-            ),
-        )
-        if value is not None
-    }
+    to the message-fault degradation sweep: convergence factor and
+    attributed mass drift vs loss rate × direction × retry policy. A
+    flag the chosen sweep has no field for is a usage error."""
+    sweep_type = MessageFaultSweep if args.messages else RobustnessSweep
+    quick_look, title, columns, render = _SWEEPS[sweep_type]
+    mapping = _load_sweep_config(args.config) if args.config else quick_look
+    known = {field.name for field in dataclasses.fields(sweep_type)}
+    overrides = {}
+    for flag, key, *_ in _SWEEP_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if key not in known:
+            args.usage_error(
+                f"{flag} does not apply to the {sweep_type.label}"
+            )
+        overrides[key] = value
     if args.backend != "auto":
         overrides["backend"] = args.backend
-    if overrides:
-        import dataclasses
-
-        sweep = dataclasses.replace(sweep, **overrides)
+    sweep = dataclasses.replace(sweep_type.from_mapping(mapping), **overrides)
     start = time.perf_counter()
-    payload = run_robustness_sweep(sweep)
+    payload = sweep.run()
     elapsed = time.perf_counter() - start
     table = Table(
-        headers=[
-            "kind", "topology", "churn", "fraction",
-            "err(mean)", "err(median)", "err(trimmed)",
-        ],
-        title=(
-            f"Robustness report: size-estimation error, N={sweep.n}, "
-            f"{sweep.runs} runs/cell ({elapsed:.1f}s)"
-        ),
+        headers=[header for header, _ in columns],
+        title=title.format(elapsed=elapsed, **payload),
     )
     for row in payload["rows"]:
-        table.add_row(
-            row["kind"], row["topology"], row["churn_rate"], row["fraction"],
-            row["error_mean"], row["error_median"], row["error_trimmed"],
-        )
+        table.add_row(*(row[key] for _, key in columns))
     print(table.render())
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(render_robustness_svg(payload))
+            handle.write(render(payload))
         print(f"figure written to {args.svg}")
     return 0
 
@@ -633,61 +609,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="declarative sweep config (JSON, or YAML with pyyaml); "
              "explicit flags override its keys",
     )
-    robustness.add_argument("--n", type=int, default=None,
-                            help="network size (default 2000 without "
-                                 "--config)")
-    robustness.add_argument("--runs", type=int, default=None)
-    robustness.add_argument("--cycles", type=int, default=None)
-    robustness.add_argument("--epoch", type=int, default=None,
-                            help="cycles per epoch in churn cells")
-    robustness.add_argument("--value", type=float, default=None,
-                            help="the injected / reported lie value")
-    robustness.add_argument("--seed", type=int, default=None)
-    robustness.add_argument(
-        "--fractions", type=_float_list, default=None, metavar="F,F,...",
-        help="adversary fractions (default 0,0.05,0.1,0.2)",
-    )
-    robustness.add_argument(
-        "--churn-rates", type=_float_list, default=None, metavar="R,R,...",
-        help="per-cycle churn rates as fractions of N (default 0,0.01)",
-    )
-    robustness.add_argument(
-        "--kinds", default=None, metavar="K,K,...",
-        help="adversary kinds (default lying,inject)",
-    )
-    robustness.add_argument(
-        "--topologies", default=None, metavar="T,T,...",
-        help="overlays for static cells (default complete,regular20)",
-    )
     robustness.add_argument(
         "--messages", action="store_true",
         help="run the message-fault degradation sweep instead "
              "(convergence factor + mass drift vs loss rate × retry "
              "policy)",
     )
-    robustness.add_argument(
-        "--loss-rates", type=_float_list, default=None, metavar="P,P,...",
-        help="[--messages] loss rates (default 0,0.02,0.05,0.1,0.2)",
-    )
-    robustness.add_argument(
-        "--retry", default=None, metavar="POLICY,POLICY,...",
-        help="[--messages] retry policies "
-             "(default none,retransmit,redraw,push_only)",
-    )
-    robustness.add_argument(
-        "--directions", default=None, metavar="D,D,...",
-        help="[--messages] loss directions (default request,reply)",
-    )
-    robustness.add_argument(
-        "--duplication", type=float, default=None,
-        help="[--messages] per-reply duplication probability (default 0)",
-    )
+    for flag, _, kind, metavar, text in _SWEEP_FLAGS:
+        robustness.add_argument(flag, type=kind, metavar=metavar, help=text)
     robustness.add_argument(
         "--svg", default=None, metavar="PATH",
         help="write the robustness-report figure to PATH",
     )
     _add_backend_options(robustness)
-    robustness.set_defaults(func=_cmd_robustness)
+    robustness.set_defaults(
+        func=_cmd_robustness, usage_error=robustness.error
+    )
     return parser
 
 

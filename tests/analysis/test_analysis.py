@@ -11,7 +11,6 @@ from repro.analysis import (
     geometric_mean,
     replicate,
     summarize,
-    sweep,
 )
 from repro.errors import ConfigurationError
 
@@ -72,26 +71,6 @@ class TestReplicate:
     def test_zero_runs_rejected(self):
         with pytest.raises(ConfigurationError):
             replicate(lambda rng: 1.0, runs=0)
-
-
-class TestSweep:
-    def test_covers_all_parameters(self):
-        outcomes = sweep(
-            lambda p, rng: p * 10, [1, 2, 3], runs=2, seed=4
-        )
-        assert set(outcomes) == {1, 2, 3}
-        assert outcomes[2].outputs == [20, 20]
-
-    def test_adding_points_is_stable(self):
-        """Seeds are per-point, so results for shared points agree."""
-        short = sweep(lambda p, rng: float(rng.random()), [1, 2], runs=2, seed=5)
-        # the same points in a different sweep order with the same seed
-        again = sweep(lambda p, rng: float(rng.random()), [1, 2], runs=2, seed=5)
-        assert short[1].outputs == again[1].outputs
-
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sweep(lambda p, rng: p, [], runs=1)
 
 
 class TestReporting:

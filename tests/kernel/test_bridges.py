@@ -1,11 +1,11 @@
 """Bridges between the kernel and the surrounding layers:
-MultiAggregateSpec (core.multi), the scenario-native analysis runners,
-and AggregationService backend parity."""
+MultiAggregateSpec (core.multi), the scenario-native replication
+runner, and AggregationService backend parity."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import replicate_scenario, sweep_scenario
+from repro.analysis import replicate_scenario
 from repro.core import (
     AggregationService,
     MaxAggregate,
@@ -76,21 +76,6 @@ class TestScenarioRunners:
     def test_replicate_scenario_validates_runs(self, topo, values):
         with pytest.raises(ConfigurationError):
             replicate_scenario(Scenario(topo, values), runs=0)
-
-    def test_sweep_scenario_over_sizes(self, values):
-        def factory(n):
-            return Scenario(
-                CompleteTopology(n),
-                np.random.default_rng(n).normal(0.0, 1.0, n),
-                cycles=8,
-            )
-
-        outcomes = sweep_scenario(factory, [100, 200], runs=2, seed=4)
-        assert set(outcomes) == {100, 200}
-        for point in outcomes.values():
-            assert len(point.outputs) == 2
-            for run in point.outputs:
-                assert run.variance_array()[-1] < run.variance_array()[0]
 
 
 class TestServiceBackendParity:

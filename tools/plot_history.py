@@ -7,8 +7,10 @@ only a trend plot shows a slow drift. This script reads the JSONL
 history and writes a two-panel SVG — wall-clock timings on top,
 peak RSS below, one polyline per ``bench.key`` series, log-scaled so
 minute-long paper-scale runs and sub-second smoke timings share an
-axis. Pure standard library: CI runners have no plotting stack, and
-none is needed for polylines.
+axis. It draws through ``repro.analysis.reporting.render_line_chart``,
+the figure writer the robustness figures share; the writer is standard
+library only, since CI runners have no plotting stack and none is
+needed for polylines.
 
 Usage::
 
@@ -23,24 +25,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
-WIDTH = 960
-PANEL_HEIGHT = 300
-MARGIN_LEFT = 64
-MARGIN_RIGHT = 260  # legend column
-MARGIN_TOP = 36
-MARGIN_BOTTOM = 40
-
-#: distinguishable line colors, cycled per series
-PALETTE = (
-    "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
-    "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
-    "#393b79", "#ad494a", "#637939", "#7b4173", "#3182bd",
+from repro.analysis.reporting import (  # noqa: E402
+    PALETTE,
+    Panel,
+    Series,
+    render_line_chart,
 )
 
 
@@ -55,13 +50,8 @@ def is_memory_key(key: str) -> bool:
 
 
 def load_rows(path: Path):
-    rows = []
-    with path.open() as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+    return [json.loads(line) for line in path.read_text().splitlines()
+            if line.strip()]
 
 
 def collect_series(rows, key_filter):
@@ -71,21 +61,12 @@ def collect_series(rows, key_filter):
     for index, row in enumerate(rows):
         for bench, payload in sorted(row.get("benches", {}).items()):
             for key, value in sorted(payload.items()):
-                if not key_filter(key):
-                    continue
-                if not isinstance(value, (int, float)) or value <= 0:
-                    continue
-                series.setdefault(f"{bench}.{key}", []).append(
-                    (index, float(value))
-                )
+                if key_filter(key) and isinstance(value, (int, float)) \
+                        and value > 0:
+                    series.setdefault(f"{bench}.{key}", []).append(
+                        (index, float(value))
+                    )
     return series
-
-
-def log_ticks(lo: float, hi: float):
-    """Decade tick values covering [lo, hi]."""
-    first = math.floor(math.log10(lo))
-    last = math.ceil(math.log10(hi))
-    return [10.0 ** e for e in range(first, last + 1)]
 
 
 def format_value(value: float, unit: str) -> str:
@@ -102,107 +83,29 @@ def format_value(value: float, unit: str) -> str:
     return f"{value:g} s"
 
 
-def render_panel(series, labels, title, unit, y_offset):
-    """SVG fragment for one log-scaled panel; returns a list of SVG
-    element strings."""
-    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = PANEL_HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-    top = y_offset + MARGIN_TOP
-    values = [v for points in series.values() for _, v in points]
-    lo, hi = min(values), max(values)
-    if lo == hi:  # a flat axis still needs a span to project onto
-        lo, hi = lo / 2, hi * 2
-    log_lo, log_hi = math.log10(lo), math.log10(hi)
-
-    def x_at(index):
-        if len(labels) == 1:
-            return MARGIN_LEFT + plot_w / 2
-        return MARGIN_LEFT + plot_w * index / (len(labels) - 1)
-
-    def y_at(value):
-        frac = (math.log10(value) - log_lo) / (log_hi - log_lo)
-        return top + plot_h * (1.0 - frac)
-
-    parts = [
-        f'<text x="{MARGIN_LEFT}" y="{y_offset + 20}" '
-        f'font-size="14" font-weight="bold">{title}</text>',
-        f'<rect x="{MARGIN_LEFT}" y="{top}" width="{plot_w}" '
-        f'height="{plot_h}" fill="none" stroke="#cccccc"/>',
-    ]
-    for tick in log_ticks(lo, hi):
-        if not lo <= tick <= hi:
-            continue
-        y = y_at(tick)
-        parts.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{y:.1f}" '
-            f'x2="{MARGIN_LEFT + plot_w}" y2="{y:.1f}" '
-            f'stroke="#eeeeee"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN_LEFT - 6}" y="{y + 4:.1f}" font-size="10" '
-            f'text-anchor="end">{format_value(tick, unit)}</text>'
-        )
-    for index, label in enumerate(labels):
-        x = x_at(index)
-        parts.append(
-            f'<text x="{x:.1f}" y="{top + plot_h + 16}" font-size="10" '
-            f'text-anchor="middle">{label}</text>'
-        )
-    legend_y = top
-    for color_index, (name, points) in enumerate(sorted(series.items())):
-        color = PALETTE[color_index % len(PALETTE)]
-        coords = [(x_at(i), y_at(v)) for i, v in points]
-        if len(coords) > 1:
-            path = " ".join(f"{x:.1f},{y:.1f}" for x, y in coords)
-            parts.append(
-                f'<polyline points="{path}" fill="none" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
-        for x, y in coords:
-            parts.append(
-                f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.5" '
-                f'fill="{color}"/>'
-            )
-        if legend_y < top + plot_h:
-            parts.append(
-                f'<line x1="{MARGIN_LEFT + plot_w + 10}" '
-                f'y1="{legend_y + 4:.1f}" '
-                f'x2="{MARGIN_LEFT + plot_w + 26}" '
-                f'y2="{legend_y + 4:.1f}" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
-            parts.append(
-                f'<text x="{MARGIN_LEFT + plot_w + 30}" '
-                f'y="{legend_y + 8:.1f}" font-size="10">{name}</text>'
-            )
-            legend_y += 14
-    return parts
-
-
 def render_svg(rows) -> str:
-    labels = [str(row.get("label", index))
-              for index, row in enumerate(rows)]
-    panels = [
-        ("wall-clock timings", "seconds",
-         collect_series(rows, is_timing_key)),
-        ("peak RSS", "bytes", collect_series(rows, is_memory_key)),
-    ]
-    height = 0
-    body = []
-    for title, unit, series in panels:
+    """Both panels as one SVG document ("" when nothing is plottable)."""
+    ticks = [(index, str(row.get("label", index)))
+             for index, row in enumerate(rows)]
+    panels = []
+    for title, unit, key_filter in (
+        ("wall-clock timings", "seconds", is_timing_key),
+        ("peak RSS", "bytes", is_memory_key),
+    ):
+        series = collect_series(rows, key_filter)
         if not series:
             continue
-        body.extend(render_panel(series, labels, title, unit, height))
-        height += PANEL_HEIGHT
-    if not body:
+        panels.append(Panel(
+            title,
+            [Series(name, points, PALETTE[index % len(PALETTE)])
+             for index, (name, points) in enumerate(sorted(series.items()))],
+            log_y=True,
+            x_ticks=ticks,
+            y_format=lambda value, unit=unit: format_value(value, unit),
+        ))
+    if not panels:
         return ""
-    return "\n".join([
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
-        f'height="{height}" font-family="sans-serif">',
-        f'<rect width="{WIDTH}" height="{height}" fill="white"/>',
-        *body,
-        "</svg>",
-    ]) + "\n"
+    return render_line_chart(panels, legend_width=260) + "\n"
 
 
 def main(argv=None) -> int:
