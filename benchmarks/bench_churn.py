@@ -1,7 +1,7 @@
 """Experiment C1 — kernel-hosted churn at paper scale.
 
 Times the Figure 4 workload — size estimation with epoch restarts over
-the oscillating-churn model (size swings ±10 %, 0.1 % of nodes joining
+a diurnal churn trace (size swings ±10 %, 0.1 % of nodes joining
 AND leaving every cycle) — at N = 100 000 on the vectorized backend.
 Before the kernel hosted churn, this experiment rebuilt Python node
 objects every epoch and could not reach paper scale; now churn is
@@ -37,7 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis import Table
 from repro.core import SizeEstimationConfig, SizeEstimationExperiment
-from repro.failures import OscillatingChurn
+from repro.kernel import ChurnTrace
 
 from _common import emit, emit_json
 
@@ -51,7 +51,8 @@ EQUIVALENCE_N = 600  # both-backend replay size
 
 def figure4_experiment(n, *, cycles=CYCLES, epoch=EPOCH, backend="vectorized",
                        seed=SEED):
-    """The Figure 4 workload: oscillation ±10 % with 0.1 % fluctuation."""
+    """The Figure 4 workload: a diurnal ±10 % wave with 0.1 %
+    fluctuation."""
     config = SizeEstimationConfig(
         cycles=cycles,
         cycles_per_epoch=epoch,
@@ -59,8 +60,8 @@ def figure4_experiment(n, *, cycles=CYCLES, epoch=EPOCH, backend="vectorized",
         expected_leaders=1.0,
         seed=seed,
     )
-    churn = OscillatingChurn(
-        n, n // 10, period=max(cycles // 2, 2),
+    churn = ChurnTrace.diurnal(
+        n, cycles, period=max(cycles // 2, 2), amplitude=n // 10,
         fluctuation=max(n // 1000, 1),
     )
     return SizeEstimationExperiment(config, churn=churn, backend=backend)

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.analysis import Table
 from repro.core import SizeEstimationConfig, SizeEstimationExperiment
-from repro.failures import OscillatingChurn
+from repro.kernel import ChurnTrace
 
 from _common import emit, scale
 
@@ -32,10 +32,11 @@ def compute_figure4():
         expected_leaders=1.0,
         seed=2004,
     )
-    churn = OscillatingChurn(
+    churn = ChurnTrace.diurnal(
         cfg.figure4_mid,
-        cfg.figure4_amplitude,
+        cfg.figure4_cycles,
         period=cfg.figure4_cycles // 2,  # two day/night swings per run
+        amplitude=cfg.figure4_amplitude,
         fluctuation=cfg.figure4_fluctuation,
     )
     experiment = SizeEstimationExperiment(config, churn=churn)

@@ -77,8 +77,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from repro.analysis import Table
 from repro.avg import GetPairRand, RATE_RAND, ValueVector, run_avg
 from repro.core import SizeEstimationConfig, SizeEstimationExperiment
-from repro.failures import OscillatingChurn
-from repro.kernel import GossipEngine, PairProtocolSpec, Scenario
+from repro.kernel import ChurnTrace, GossipEngine, PairProtocolSpec, Scenario
 from repro.rng import make_rng
 from repro.topology import CompleteTopology, RandomRegularTopology
 
@@ -195,8 +194,8 @@ def equivalence_scenarios(n, seed=SEED):
         ),
         "churn": lambda backend: Scenario(
             complete, values,
-            churn=OscillatingChurn(n, n // 10, 20,
-                                   fluctuation=max(n // 1000, 1)),
+            churn=ChurnTrace.diurnal(n, 20, period=20, amplitude=n // 10,
+                                     fluctuation=max(n // 1000, 1)),
             seed=seed, backend=backend,
         ),
         "sparse_regular20": lambda backend: Scenario(
@@ -406,7 +405,7 @@ def compute_tenm(n=TENM_N):
     """Figure 3(a) + Figure 4 shapes at N = 10M under the peak-RSS
     budget: one AVG execution's variance reduction (RAND selector,
     complete topology) and one epoch of size estimation under
-    oscillating churn."""
+    diurnal churn."""
     series = {
         "n": n,
         "cpu_count": os.cpu_count(),
@@ -426,8 +425,9 @@ def compute_tenm(n=TENM_N):
         expected_leaders=1.0,
         seed=2004,
     )
-    churn = OscillatingChurn(
-        n, n // 100, period=TENM_EPOCH // 2, fluctuation=n // 10_000
+    churn = ChurnTrace.diurnal(
+        n, TENM_EPOCH, period=TENM_EPOCH // 2, amplitude=n // 100,
+        fluctuation=n // 10_000,
     )
     experiment = SizeEstimationExperiment(config, churn=churn)
     start = time.perf_counter()

@@ -13,7 +13,7 @@ Run:  python examples/churn_robustness.py
 
 import numpy as np
 
-from repro import CompleteTopology, CycleSimulator, Scenario, run_scenario
+from repro import CompleteTopology, GossipEngine, Scenario, run_scenario
 from repro.avg import fit_geometric_rate, rate_seq_with_loss
 from repro.kernel import MessageFaultSpec
 
@@ -42,12 +42,14 @@ def crash_study():
         rng = np.random.default_rng(3)
         values = rng.normal(10.0, 4.0, N)
         truth = values.mean()
-        sim = CycleSimulator(CompleteTopology(N), values, seed=4)
-        sim.run(crash_cycle)
-        victims = rng.choice(N, size=N * 3 // 10, replace=False)
-        sim.crash(victims.tolist())
-        sim.run(25)
-        print(f"{crash_cycle:>12} {abs(sim.mean() - truth):>24.5f}")
+        with GossipEngine(Scenario(CompleteTopology(N), values,
+                                   seed=4)) as engine:
+            engine.run(crash_cycle)
+            victims = rng.choice(N, size=N * 3 // 10, replace=False)
+            engine.crash(victims.tolist())
+            engine.run(25)
+            bias = abs(engine.mean() - truth)
+        print(f"{crash_cycle:>12} {bias:>24.5f}")
     print("   (the later the crash, the more the victims' mass has")
     print("    already mixed into the survivors, the smaller the bias)\n")
 

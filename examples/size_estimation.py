@@ -10,11 +10,7 @@ adapts.
 Run:  python examples/size_estimation.py
 """
 
-from repro import (
-    OscillatingChurn,
-    SizeEstimationConfig,
-    SizeEstimationExperiment,
-)
+from repro import ChurnTrace, SizeEstimationConfig, SizeEstimationExperiment
 
 
 def main():
@@ -27,8 +23,8 @@ def main():
         expected_leaders=1.0,
         seed=2004,
     )
-    churn = OscillatingChurn(
-        mid=10_000, amplitude=1_000, period=300, fluctuation=10
+    churn = ChurnTrace.diurnal(
+        10_000, config.cycles, period=300, amplitude=1_000, fluctuation=10
     )
 
     experiment = SizeEstimationExperiment(config, churn=churn)

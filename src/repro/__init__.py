@@ -4,9 +4,8 @@ A complete reproduction of Jelasity & Montresor (ICDCS 2004): the
 anti-entropy aggregation protocol, the AVG variance-reduction framework
 with its GETPAIR case studies and convergence theory, the epoch-based
 adaptive restarting with network size estimation, plus the simulation
-substrates (topologies, the gossip kernel and its cycle-driven shell,
-membership, failure models) needed to regenerate every figure in the
-paper.
+substrates (topologies, the gossip kernel, membership, failure models)
+needed to regenerate every figure in the paper.
 
 Quickstart::
 
@@ -26,7 +25,7 @@ from .errors import (
     PairSelectionError,
     EstimationError,
 )
-from .rng import make_rng, spawn_streams, spawn_runs, derive_seed
+from .rng import make_rng, spawn_streams, derive_seed
 from .topology import (
     Topology,
     AdjacencyTopology,
@@ -61,7 +60,6 @@ from .avg import (
     GetPairRand,
     GetPairSeq,
     GetPairPMRand,
-    AvgAlgorithm,
     RunResult,
     run_avg,
     RATE_PM,
@@ -83,11 +81,7 @@ from .kernel import (
     ReferenceBackend,
     VectorizedBackend,
 )
-from .simulator.cycle_sim import CycleSimulator
 from .failures import (
-    OscillatingChurn,
-    ConstantRateChurn,
-    NoChurn,
     CrashPlan,
     random_crash_plan,
 )
@@ -103,7 +97,6 @@ __all__ = [
     "EstimationError",
     "make_rng",
     "spawn_streams",
-    "spawn_runs",
     "derive_seed",
     "Topology",
     "AdjacencyTopology",
@@ -120,7 +113,6 @@ __all__ = [
     "GetPairRand",
     "GetPairSeq",
     "GetPairPMRand",
-    "AvgAlgorithm",
     "RunResult",
     "run_avg",
     "RATE_PM",
@@ -153,10 +145,6 @@ __all__ = [
     "ExecutionBackend",
     "ReferenceBackend",
     "VectorizedBackend",
-    "CycleSimulator",
-    "OscillatingChurn",
-    "ConstantRateChurn",
-    "NoChurn",
     "CrashPlan",
     "random_crash_plan",
     "__version__",

@@ -18,11 +18,10 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..failures.churn import ConstantRateChurn
 from ..kernel.adversary import ADVERSARY_KINDS, AdversarySpec
 from ..kernel.engine import GossipEngine
 from ..kernel.invariants import MassConservationMonitor
-from ..kernel.lifecycle import ChurnSpec, EpochSpec
+from ..kernel.lifecycle import ChurnTrace, EpochSpec
 from ..kernel.messages import MessageFaultSpec, RetrySpec
 from ..kernel.robust import (
     ROBUST_REDUCTIONS,
@@ -164,13 +163,14 @@ class RobustnessSweep(_Sweep):
                 else _cached_regular_topology(self.n, degree)
             ))
         per_cycle = max(int(round(rate * self.n)), 1)
+        cycles = 2 * self.cycles_per_epoch
         return scenario.replace(
-            churn=ChurnSpec(model=ConstantRateChurn(per_cycle, per_cycle)),
+            churn=ChurnTrace.constant(cycles, per_cycle, per_cycle),
             epochs=EpochSpec(
                 cycles_per_epoch=self.cycles_per_epoch,
                 reseed=_indicator_reseed,
             ),
-            cycles=2 * self.cycles_per_epoch,
+            cycles=cycles,
         )
 
     def _estimate(self, scenario: Scenario) -> Dict[str, Any]:

@@ -15,7 +15,7 @@ from .pair_selectors import (
     GetPairSeq,
     GetPairPMRand,
 )
-from .algorithm import AvgAlgorithm, CycleStats, RunResult, run_avg
+from .algorithm import CycleStats, RunResult, run_avg
 from .theory import (
     RATE_PM,
     RATE_RAND,
@@ -44,7 +44,6 @@ __all__ = [
     "GetPairRand",
     "GetPairSeq",
     "GetPairPMRand",
-    "AvgAlgorithm",
     "CycleStats",
     "RunResult",
     "run_avg",

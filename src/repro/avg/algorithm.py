@@ -11,9 +11,8 @@ cycles and records exactly the quantities the paper's figures plot:
   (``s_i = s_j = (s_i + s_j)/4``), which lets tests verify
   ``E(s_{i+1}) = E(2^{-φ}) · E(s_i)`` directly.
 
-Since the pair-mode kernel refactor :class:`AvgAlgorithm` is a thin
-shell over :class:`~repro.kernel.engine.GossipEngine`: it declares a
-:class:`~repro.kernel.pairs.PairProtocolSpec` on a
+:func:`run_avg` runs on :class:`~repro.kernel.engine.GossipEngine`: it
+declares a :class:`~repro.kernel.pairs.PairProtocolSpec` on a
 :class:`~repro.kernel.scenario.Scenario` and reads the trajectory back
 out of the kernel result. That is what gives every GETPAIR selector —
 not just SEQ — the vectorized backend's conflict-free batched
@@ -110,13 +109,27 @@ class RunResult:
         return float(np.exp(np.log(ratios).mean()))
 
 
-class AvgAlgorithm:
-    """Executes algorithm AVG over a :class:`ValueVector`.
+def run_avg(
+    vector: ValueVector,
+    selector: PairSelector,
+    cycles: int,
+    *,
+    seed: SeedLike = None,
+    track_s: bool = False,
+    backend: str = "auto",
+) -> RunResult:
+    """Run ``cycles`` cycles of AVG, mutating ``vector`` in place.
 
     Parameters
     ----------
+    vector:
+        The initial values; holds the final approximations afterwards.
     selector:
         The GETPAIR implementation (determines convergence rate).
+    cycles:
+        Number of cycles to run.
+    seed:
+        RNG seed or generator.
     track_s:
         When true, co-evolve the ``s`` vector of Theorem 1 starting from
         ``s_0 = a_0²`` and record its mean each cycle.
@@ -127,92 +140,42 @@ class AvgAlgorithm:
         network size). The backends are bitwise-equal, so this is
         purely a speed choice.
     """
-
-    def __init__(
-        self,
-        selector: PairSelector,
-        *,
-        track_s: bool = False,
-        backend: str = "auto",
-    ):
-        self._selector = selector
-        self._track_s = track_s
-        self._backend = backend
-
-    @property
-    def selector(self) -> PairSelector:
-        """The pair selector in use."""
-        return self._selector
-
-    def _protocol_spec(self) -> PairProtocolSpec:
-        """The kernel declaration for this selector."""
-        return PairProtocolSpec(
-            selector=self._selector.name, track_s=self._track_s
+    if cycles < 0:
+        raise ConfigurationError(f"cycles must be non-negative, got {cycles}")
+    if vector.n != selector.n:
+        raise ConfigurationError(
+            f"vector length {vector.n} does not match selector size "
+            f"{selector.n}"
         )
-
-    def run(
-        self,
-        vector: ValueVector,
-        cycles: int,
-        *,
-        seed: SeedLike = None,
-    ) -> RunResult:
-        """Run ``cycles`` cycles of AVG, mutating ``vector`` in place."""
-        if cycles < 0:
-            raise ConfigurationError(f"cycles must be non-negative, got {cycles}")
-        if vector.n != self._selector.n:
-            raise ConfigurationError(
-                f"vector length {vector.n} does not match selector size "
-                f"{self._selector.n}"
-            )
-        scenario = Scenario(
-            topology=self._selector.topology,
-            values=vector.values,
-            pair_protocol=self._protocol_spec(),
-            cycles=cycles,
-            seed=seed,
-            backend=self._backend,
-        )
-        with GossipEngine(scenario) as engine:
-            kernel_result = engine.run(cycles)
-        variances = kernel_result.variance_array("avg")
-        result = RunResult(
-            initial_variance=float(variances[0]),
-            initial_mean=float(kernel_result.mean_array("avg")[0]),
-        )
-        s_means = (
-            kernel_result.mean_array("s") if self._track_s else None
-        )
-        for cycle in range(1, cycles + 1):
-            result.cycles.append(
-                CycleStats(
-                    cycle=cycle,
-                    variance_before=float(variances[cycle - 1]),
-                    variance_after=float(variances[cycle]),
-                    phi=kernel_result.phi_counts[cycle - 1],
-                    s_mean=(
-                        float(s_means[cycle]) if s_means is not None else None
-                    ),
-                )
-            )
-        vector.values[:] = engine.alive_column("avg")
-        return result
-
-
-def run_avg(
-    vector: ValueVector,
-    selector: PairSelector,
-    cycles: int,
-    *,
-    seed: SeedLike = None,
-    track_s: bool = False,
-    backend: str = "auto",
-) -> RunResult:
-    """Convenience wrapper: run AVG for ``cycles`` cycles.
-
-    Equivalent to
-    ``AvgAlgorithm(selector, track_s=track_s, backend=backend).run(...)``.
-    """
-    return AvgAlgorithm(selector, track_s=track_s, backend=backend).run(
-        vector, cycles, seed=seed
+    scenario = Scenario(
+        topology=selector.topology,
+        values=vector.values,
+        pair_protocol=PairProtocolSpec(
+            selector=selector.name, track_s=track_s
+        ),
+        cycles=cycles,
+        seed=seed,
+        backend=backend,
     )
+    with GossipEngine(scenario) as engine:
+        kernel_result = engine.run(cycles)
+    variances = kernel_result.variance_array("avg")
+    result = RunResult(
+        initial_variance=float(variances[0]),
+        initial_mean=float(kernel_result.mean_array("avg")[0]),
+    )
+    s_means = kernel_result.mean_array("s") if track_s else None
+    for cycle in range(1, cycles + 1):
+        result.cycles.append(
+            CycleStats(
+                cycle=cycle,
+                variance_before=float(variances[cycle - 1]),
+                variance_after=float(variances[cycle]),
+                phi=kernel_result.phi_counts[cycle - 1],
+                s_mean=(
+                    float(s_means[cycle]) if s_means is not None else None
+                ),
+            )
+        )
+    vector.values[:] = engine.alive_column("avg")
+    return result

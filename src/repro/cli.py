@@ -62,7 +62,6 @@ from .avg import (
 from .core import SizeEstimationConfig, SizeEstimationExperiment
 from .core.service import AggregationService
 from .errors import BackendSpecError
-from .failures import OscillatingChurn
 from .kernel import CheckpointSpec, GossipEngine, Scenario, parse_backend_spec
 from .kernel.backends.sharded import POOL_FAILURE_MODES
 from .kernel.lifecycle import ChurnTrace
@@ -242,16 +241,12 @@ def _cmd_figure3a(args: argparse.Namespace) -> int:
 
 
 def _figure4_churn(args: argparse.Namespace):
-    """The churn model for ``figure4 --churn-trace``: the historical
-    closed-form oscillation, or a trace-driven workload replayed from
-    per-cycle join/leave counts (:class:`~repro.kernel.ChurnTrace`)."""
+    """The churn for ``figure4 --churn-trace``, replayed from per-cycle
+    join/leave counts (:class:`~repro.kernel.ChurnTrace`)."""
     n, cycles = args.n, args.cycles
     period = max(cycles // 2, 2)
     fluctuation = max(n // 1000, 1)
-    kind = getattr(args, "churn_trace", "oscillating")
-    if kind == "oscillating":
-        return OscillatingChurn(n, n // 10, period=period,
-                                fluctuation=fluctuation)
+    kind = args.churn_trace
     if kind == "diurnal":
         return ChurnTrace.diurnal(
             n, cycles, period=period, amplitude=n // 10,
@@ -548,11 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     f4.add_argument(
         "--churn-trace",
-        choices=["oscillating", "diurnal", "flash", "sessions"],
-        default="oscillating",
-        help="churn workload: the historical closed-form oscillation, "
-             "or a trace-driven diurnal wave / flash crowd / session "
-             "workload replayed from per-cycle join+leave counts",
+        choices=["diurnal", "flash", "sessions"],
+        default="diurnal",
+        help="churn workload replayed from per-cycle join+leave "
+             "counts: Figure 4's diurnal wave, a flash crowd, or a "
+             "session workload",
     )
     f4.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",

@@ -35,10 +35,15 @@ from typing import List, Optional, Union
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..failures.churn import ChurnModel, NoChurn
 from ..kernel.checkpoint import CheckpointSpec
 from ..kernel.engine import GossipEngine
-from ..kernel.lifecycle import ChurnSpec, EpochRestart, EpochSpec, EpochView
+from ..kernel.lifecycle import (
+    ChurnSpec,
+    ChurnTrace,
+    EpochRestart,
+    EpochSpec,
+    EpochView,
+)
 from ..kernel.scenario import Scenario
 from ..rng import SeedLike
 from ..topology.complete import CompleteTopology
@@ -113,8 +118,9 @@ class SizeEstimationExperiment:
     config:
         Cycle budget, epoch length, leader-election policy, size, seed.
     churn:
-        Optional :class:`~repro.failures.churn.ChurnModel`; applied by
-        the kernel every cycle.
+        Optional :class:`~repro.kernel.ChurnTrace`, or a
+        :class:`~repro.kernel.ChurnSpec` to choose the rejoin policy
+        and joiner values; passed to ``Scenario(churn=...)`` as given.
     backend:
         Kernel execution backend (``"auto"``, ``"reference"`` or
         ``"vectorized"``). Both produce bitwise-identical trajectories;
@@ -131,12 +137,12 @@ class SizeEstimationExperiment:
         self,
         config: SizeEstimationConfig,
         *,
-        churn: Optional[ChurnModel] = None,
+        churn: Union[ChurnTrace, ChurnSpec, None] = None,
         backend: str = "auto",
         membership=None,
     ):
         self.config = config
-        self.churn = churn if churn is not None else NoChurn()
+        self.churn = churn
         self._backend = backend
         self._membership = membership
         self._engine: Optional[GossipEngine] = None
@@ -232,7 +238,7 @@ class SizeEstimationExperiment:
             topology=CompleteTopology(config.initial_size),
             values=np.zeros(config.initial_size),
             aggregates={"count": MeanAggregate()},
-            churn=ChurnSpec(model=self.churn),
+            churn=self.churn,
             epochs=EpochSpec(
                 cycles_per_epoch=config.cycles_per_epoch,
                 reseed=self._reseed,

@@ -1,23 +1,12 @@
-"""Fault models: crash-stop failures, churn traces and partitions
-(loss schedules live in :mod:`repro.kernel.messages`)."""
+"""Fault models: crash-stop failures and partitions (churn traces live
+in :mod:`repro.kernel.lifecycle`, loss schedules in
+:mod:`repro.kernel.messages`)."""
 
 from .crash import CrashPlan, random_crash_plan
-from .churn import (
-    ChurnModel,
-    NoChurn,
-    OscillatingChurn,
-    ConstantRateChurn,
-    ChurnStep,
-)
 from .partition import PartitionSchedule
 
 __all__ = [
     "PartitionSchedule",
     "CrashPlan",
     "random_crash_plan",
-    "ChurnModel",
-    "NoChurn",
-    "OscillatingChurn",
-    "ConstantRateChurn",
-    "ChurnStep",
 ]

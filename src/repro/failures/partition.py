@@ -22,7 +22,7 @@ class PartitionSchedule:
     """Assigns nodes to partition groups during [start, end) cycles.
 
     ``groups`` is a list of disjoint node-id lists covering 0..n-1.
-    ``blocks(cycle, i, j)`` is the predicate the simulator consults per
+    ``blocks(cycle, i, j)`` is the predicate the engine consults per
     exchange.
     """
 

@@ -13,9 +13,11 @@ aggregate instances, failure model, seed) executed by one
   over a :mod:`multiprocessing.shared_memory` value matrix, for
   million-node figures; bitwise-equal to the other two.
 
-Both the cycle-driven simulator (:class:`repro.simulator.CycleSimulator`)
-and the aggregation facade (:class:`repro.core.AggregationService`) are
-thin shells over this layer.
+The §3 runner (:func:`repro.avg.run_avg`), the Figure 4 experiment
+(:class:`repro.core.SizeEstimationExperiment`) and the aggregation
+facade (:class:`repro.core.AggregationService`) all declare a
+``Scenario`` and run it here; churn is declared as a
+:class:`ChurnTrace` of per-cycle join/leave counts.
 """
 
 from .scenario import (
@@ -72,6 +74,7 @@ from .robust import (
 )
 from .lifecycle import (
     ChurnSpec,
+    ChurnStep,
     ChurnTrace,
     EpochRestart,
     EpochSpec,
@@ -149,6 +152,7 @@ __all__ = [
     "BACKEND_NAMES",
     "Scenario",
     "ChurnSpec",
+    "ChurnStep",
     "ChurnTrace",
     "EpochRestart",
     "EpochSpec",

@@ -12,8 +12,7 @@ from .base import ExecutionBackend
 
 class ReferenceBackend(ExecutionBackend):
     """Sequential exchange-order execution — the semantic oracle: a
-    plain Python loop in exchange order, structurally the same code the
-    original ``CycleSimulator`` ran. Kept honest and simple.
+    plain Python loop in exchange order. Kept honest and simple.
 
     Newscast view exchanges use the base-class
     :meth:`~.base.ExecutionBackend.apply_view_exchanges` unchanged —

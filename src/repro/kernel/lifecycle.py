@@ -39,50 +39,71 @@ import numpy as np
 
 from ..core.aggregates import AggregateFunction, MeanAggregate
 from ..errors import ConfigurationError
-from ..failures.churn import ChurnModel, ChurnStep
 from ..rng import SeedLike, make_rng
 
 #: accepted :attr:`ChurnSpec.rejoin` policies
 REJOIN_POLICIES = ("reset", "keep")
 
 
-class ChurnTrace(ChurnModel):
-    """Data-driven churn: per-cycle join/leave counts from a trace.
+@dataclass(frozen=True)
+class ChurnStep:
+    """The churn applied before one cycle: ``joins`` new nodes enter,
+    ``leaves`` random existing nodes depart."""
 
-    Where ``ConstantRateChurn``/``OscillatingChurn`` *sample* lifecycle
-    events from rates each cycle, a trace *replays* them: the model
-    holds one join count and one leave count per cycle, precomputed
-    from session data (per-node join/leave timestamps, session-length
-    distributions) or from the scripted generators below. Past the end
-    of the trace the network is quiescent. Plugs into the existing
-    machinery unchanged — ``ChurnSpec(model=ChurnTrace(...))`` — so
-    the engine's alive-mask growth/shrink, slot recycling and joiner
-    seeding all run from data instead of Bernoulli draws.
+    joins: int
+    leaves: int
 
-    Generators: :meth:`from_events` (event timestamps),
-    :meth:`from_sessions` (arrival cycle + session length per node),
-    :meth:`sessions` (Poisson arrivals with geometric session
-    lengths), :meth:`flash_crowd` (a mass join burst whose members
-    leave as their sessions expire) and :meth:`diurnal` (a day/night
-    size wave as data — the trace-driven counterpart of
-    ``OscillatingChurn``).
+
+def _counts(values, name: str) -> np.ndarray:
+    """``values`` as 1-D non-negative int64 per-cycle counts."""
+    counts = np.asarray(values)
+    if counts.ndim != 1:
+        raise ConfigurationError(
+            f"ChurnTrace {name} must be 1-D per-cycle counts"
+        )
+    whole = counts.dtype.kind in "iub" or (
+        counts.dtype.kind == "f"
+        and bool(np.all(np.isfinite(counts) & (np.floor(counts) == counts)))
+    )
+    if not whole:
+        raise ConfigurationError(
+            f"ChurnTrace {name} must be whole numbers of nodes"
+        )
+    if len(counts) and counts.min() < 0:
+        raise ConfigurationError("ChurnTrace counts must be non-negative")
+    return counts.astype(np.int64)
+
+
+class ChurnTrace:
+    """Churn as data: one join count and one leave count per cycle.
+
+    Figure 4 describes its churn exactly this way — the size swings
+    between 90 000 and 110 000 on a day/night basis while 100 nodes
+    leave and 100 join every cycle — and so does any session log. The
+    engine asks :meth:`step` once per cycle and applies the answer as
+    alive-mask growth/shrink with value-matrix row recycling
+    (departures are drawn uniformly among alive nodes by the engine).
+    Past the end of the trace the network is quiescent, and a step
+    never removes the last node. Wrap a trace in a :class:`ChurnSpec`
+    to pick the rejoin policy and joiner values, or pass it to
+    ``Scenario(churn=...)`` directly for the defaults.
+
+    Generators: :meth:`constant` (steady-state turnover),
+    :meth:`diurnal` (Figure 4's day/night size wave),
+    :meth:`from_events` (event timestamps), :meth:`from_sessions`
+    (arrival cycle + session length per node), :meth:`sessions`
+    (Poisson arrivals with geometric session lengths) and
+    :meth:`flash_crowd` (a mass join burst whose members leave as
+    their sessions expire).
     """
 
     def __init__(self, joins, leaves):
-        joins = np.asarray(joins, dtype=np.int64)
-        leaves = np.asarray(leaves, dtype=np.int64)
-        if joins.ndim != 1 or leaves.ndim != 1:
-            raise ConfigurationError(
-                "ChurnTrace joins/leaves must be 1-D per-cycle counts"
-            )
+        joins = _counts(joins, "joins")
+        leaves = _counts(leaves, "leaves")
         if len(joins) != len(leaves):
             raise ConfigurationError(
                 f"ChurnTrace joins ({len(joins)}) and leaves "
                 f"({len(leaves)}) must cover the same cycles"
-            )
-        if len(joins) and (joins.min() < 0 or leaves.min() < 0):
-            raise ConfigurationError(
-                "ChurnTrace counts must be non-negative"
             )
         self._joins = joins
         self._leaves = leaves
@@ -101,6 +122,8 @@ class ChurnTrace(ChurnModel):
         return self._leaves.copy()
 
     def step(self, cycle: int, current_size: int) -> ChurnStep:
+        """Churn to apply before ``cycle`` when the network currently
+        has ``current_size`` nodes."""
         if cycle < 0 or cycle >= len(self._joins):
             return ChurnStep(0, 0)
         leaves = min(int(self._leaves[cycle]), max(current_size - 1, 0))
@@ -109,12 +132,22 @@ class ChurnTrace(ChurnModel):
     # -- generators -------------------------------------------------------
 
     @classmethod
+    def constant(cls, cycles: int, joins: int, leaves: int) -> "ChurnTrace":
+        """Steady-state turnover: ``joins`` nodes enter and ``leaves``
+        depart in each of the first ``cycles`` cycles."""
+        if cycles < 0:
+            raise ConfigurationError(f"cycles must be >= 0, got {cycles}")
+        return cls([joins] * cycles, [leaves] * cycles)
+
+    @classmethod
     def from_events(cls, join_cycles, leave_cycles, *,
                     cycles: Optional[int] = None) -> "ChurnTrace":
         """From raw event timestamps: one entry per join/leave event,
         in cycles (fractions are floored). Events at or past ``cycles``
         (default: just past the last event) are dropped — a session
         that outlives the trace simply never leaves."""
+        if cycles is not None and cycles < 0:
+            raise ConfigurationError(f"cycles must be >= 0, got {cycles}")
         join_cycles = np.floor(np.asarray(join_cycles, dtype=np.float64))
         leave_cycles = np.floor(np.asarray(leave_cycles, dtype=np.float64))
         if cycles is None:
@@ -202,9 +235,9 @@ class ChurnTrace(ChurnModel):
         """A day/night wave as data: the network size follows
         ``n + amplitude * sin(2π cycle / period)`` with ``fluctuation``
         extra paired join/leave events per cycle (background turnover
-        that keeps membership churning even at constant size). The
-        trace-driven counterpart of
-        :class:`~repro.failures.churn.OscillatingChurn`.
+        that keeps membership churning even at constant size) — Figure
+        4's scenario. ``seed`` is accepted for signature parity with the
+        sampled generators; the wave draws nothing.
         """
         if cycles < 1 or period < 1:
             raise ConfigurationError("cycles and period must be >= 1")
@@ -252,15 +285,14 @@ class ChurnTrace(ChurnModel):
 
 @dataclass(frozen=True)
 class ChurnSpec:
-    """How the kernel applies a :class:`~repro.failures.churn.ChurnModel`.
+    """How the kernel applies a :class:`ChurnTrace`.
 
     Parameters
     ----------
     model:
-        The declarative join/leave rates (``NoChurn``,
-        ``ConstantRateChurn``, ``OscillatingChurn``, …). Queried once
-        per cycle; departures are drawn uniformly among alive nodes by
-        the engine.
+        The per-cycle join/leave counts. Queried once per cycle;
+        departures are drawn uniformly among alive nodes by the
+        engine.
     rejoin:
         Row-recycling policy when a joiner is assigned the slot of a
         departed node. ``"reset"`` (default) seeds the slot from
@@ -275,16 +307,16 @@ class ChurnSpec:
         instance for the first time.
     """
 
-    model: ChurnModel
+    model: ChurnTrace
     rejoin: str = "reset"
     join_values: Optional[
         Callable[[int, np.random.Generator], np.ndarray]
     ] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.model, ChurnModel):
+        if not isinstance(self.model, ChurnTrace):
             raise ConfigurationError(
-                f"ChurnSpec.model must be a ChurnModel, got "
+                f"ChurnSpec.model must be a ChurnTrace, got "
                 f"{type(self.model).__name__}"
             )
         if self.rejoin not in REJOIN_POLICIES:

@@ -6,9 +6,9 @@ the set of concurrent aggregation instances piggybacked on each
 exchange (§4's multi-instance rule), the failure model (message
 faults, crash-stop plan, partition schedule, declarative churn), the §4
 epoch/restart machinery, the cycle budget, the seed, and
-which execution backend should run it. `CycleSimulator`,
-`AggregationService`, the CLI and the benchmark drivers all build a
-``Scenario`` and hand it to :class:`~repro.kernel.engine.GossipEngine`.
+which execution backend should run it. `AggregationService`, the CLI
+and the benchmark drivers all build a ``Scenario`` and hand it to
+:class:`~repro.kernel.engine.GossipEngine`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from ..core.aggregates import AggregateFunction, MeanAggregate
 from ..errors import ConfigurationError
-from ..failures.churn import ChurnModel
 from ..failures.crash import CrashPlan
 from ..rng import SeedLike
 from ..topology.base import Topology
@@ -30,7 +29,7 @@ from .backends import parse_backend_spec
 from .adversary import AdversarySpec
 from .checkpoint import check_manifest, read_manifest, resolve_checkpoint
 from .messages import MessageFaultSpec, RetrySpec
-from .lifecycle import ChurnSpec, EpochSpec
+from .lifecycle import ChurnSpec, ChurnTrace, EpochSpec
 from .membership import NewscastSpec, resolve_membership
 from .pairs import PairProtocolSpec, TheoremSAggregate
 
@@ -76,10 +75,11 @@ class Scenario:
     partition:
         Optional :class:`~repro.failures.partition.PartitionSchedule`.
     churn:
-        Optional :class:`~repro.kernel.lifecycle.ChurnSpec` (a bare
-        :class:`~repro.failures.churn.ChurnModel` is wrapped in a
-        default spec). The engine applies it as alive-mask
-        growth/shrink plus value-matrix row recycling. Churn scenarios
+        Optional :class:`~repro.kernel.lifecycle.ChurnTrace` (wrapped in
+        a default spec) or a full
+        :class:`~repro.kernel.lifecycle.ChurnSpec`. The engine applies
+        it as alive-mask growth/shrink plus value-matrix row recycling.
+        Churn scenarios
         model the paper's uniform overlay: partners are drawn uniformly
         among current participants, so the topology must be
         :class:`~repro.topology.complete.CompleteTopology` (it sets the
@@ -207,11 +207,11 @@ class Scenario:
         # names and malformed "sharded:<workers>" specs
         parse_backend_spec(self.backend, allow_auto=True)
         if self.churn is not None:
-            if isinstance(self.churn, ChurnModel):
+            if isinstance(self.churn, ChurnTrace):
                 object.__setattr__(self, "churn", ChurnSpec(model=self.churn))
             elif not isinstance(self.churn, ChurnSpec):
                 raise ConfigurationError(
-                    f"churn must be a ChurnSpec or ChurnModel, got "
+                    f"churn must be a ChurnSpec or ChurnTrace, got "
                     f"{type(self.churn).__name__}"
                 )
         if self.epochs is not None and not isinstance(self.epochs, EpochSpec):
@@ -392,7 +392,8 @@ class Scenario:
             else:
                 column = self.values
             columns.append(column)
-        return np.column_stack(columns).astype(np.float64, copy=True)
+        # column_stack already built a fresh array: cast, never copy it
+        return np.column_stack(columns).astype(np.float64, copy=False)
 
     def resolve_backend(self) -> str:
         """The concrete backend ``auto`` resolves to for this scenario.

@@ -8,8 +8,9 @@ generators are created so that
 * independent components (nodes, runs, churn model, transport) receive
   *independent* streams, via :meth:`numpy.random.SeedSequence.spawn`.
 
-The paper reports averages over 50 independent runs; :func:`spawn_runs`
-produces the per-run generators for exactly that pattern.
+The paper reports averages over 50 independent runs;
+:func:`spawn_streams` produces the per-run generators for exactly that
+pattern.
 """
 
 from __future__ import annotations
@@ -57,12 +58,6 @@ def spawn_streams(seed: SeedLike, count: int) -> List[np.random.Generator]:
     else:
         children = np.random.SeedSequence(seed).spawn(count)
     return [np.random.default_rng(child) for child in children]
-
-
-def spawn_runs(seed: SeedLike, runs: int) -> List[np.random.Generator]:
-    """Per-run generators for a multi-run experiment (alias of
-    :func:`spawn_streams` with intent-revealing name)."""
-    return spawn_streams(seed, runs)
 
 
 def derive_seed(seed: SeedLike, *path: int) -> np.random.SeedSequence:

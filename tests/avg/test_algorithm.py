@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.avg import (
-    AvgAlgorithm,
     GetPairPerfectMatching,
     GetPairRand,
     GetPairSeq,
@@ -143,8 +142,8 @@ class TestCycleStats:
 
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     def test_backends_agree_bitwise(self, topo, backend):
-        """The AvgAlgorithm thin shell inherits the kernel's backend
-        equivalence contract: explicit backends match `auto` bitwise."""
+        """``run_avg`` inherits the kernel's backend equivalence
+        contract: explicit backends match `auto` bitwise."""
         auto_vec = ValueVector.uniform(200, seed=4)
         auto = run_avg(auto_vec, GetPairSeq(topo), 6, seed=5, track_s=True)
         other_vec = ValueVector.uniform(200, seed=4)

@@ -15,7 +15,6 @@ from repro.core import (
 )
 from repro.errors import ConfigurationError
 from repro.kernel import GossipEngine, Scenario
-from repro.simulator.cycle_sim import CycleSimulator
 from repro.topology import (
     AdjacencyTopology,
     CompleteTopology,
@@ -158,22 +157,24 @@ class TestMaxEquivalence:
         n = 400
         values = np.zeros(n)
         values[7] = 1.0  # unique maximum at node 7
-        sim = CycleSimulator(CompleteTopology(n), values,
-                             aggregate=MaxAggregate(), seed=123)
+        engine = GossipEngine(Scenario(CompleteTopology(n), values,
+                                       aggregates={"max": MaxAggregate()},
+                                       seed=123))
         broadcast = PushPullBroadcast(CompleteTopology(n), origin=7, seed=123)
         for _ in range(12):
-            sim.run_cycle()
+            engine.run_cycle()
             broadcast.run_cycle()
-            reached_max = int((sim.values == 1.0).sum())
+            reached_max = int((engine.alive_column() == 1.0).sum())
             assert reached_max == broadcast.informed_count
 
     def test_max_reaches_everyone_fast(self):
         n = 1000
         values = np.random.default_rng(1).normal(0, 1, n)
-        sim = CycleSimulator(CompleteTopology(n), values,
-                             aggregate=MaxAggregate(), seed=2)
-        sim.run(int(expected_rounds_push(n)) + 3)
-        assert np.all(sim.values == values.max())
+        engine = GossipEngine(Scenario(CompleteTopology(n), values,
+                                       aggregates={"max": MaxAggregate()},
+                                       seed=2))
+        engine.run(int(expected_rounds_push(n)) + 3)
+        assert np.all(engine.alive_column() == values.max())
 
 
 class TestGoldenTrajectories:

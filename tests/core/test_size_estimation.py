@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import SizeEstimationConfig, SizeEstimationExperiment
 from repro.errors import ConfigurationError
-from repro.failures import ConstantRateChurn, NoChurn, OscillatingChurn
+from repro.kernel import ChurnTrace
 
 
 class TestConfig:
@@ -87,7 +87,7 @@ class TestChurn:
         config = SizeEstimationConfig(
             cycles=120, cycles_per_epoch=30, initial_size=500, seed=7
         )
-        churn = ConstantRateChurn(joins_per_cycle=5, leaves_per_cycle=0)
+        churn = ChurnTrace.constant(120, 5, 0)
         experiment = SizeEstimationExperiment(config, churn=churn)
         reports = experiment.run()
         # estimates reflect the epoch-start size, not the inflated end size
@@ -101,18 +101,19 @@ class TestChurn:
         config = SizeEstimationConfig(
             cycles=30, cycles_per_epoch=30, initial_size=800, seed=8
         )
-        churn = ConstantRateChurn(joins_per_cycle=0, leaves_per_cycle=4)
+        churn = ChurnTrace.constant(30, 0, 4)
         report = SizeEstimationExperiment(config, churn=churn).run()[0]
         # leavers remove mass, so estimates drift from the start size but
         # stay within the epoch's size envelope (order of magnitude)
         assert report.size_at_end < report.size_at_start
         assert report.relative_error < 0.5
 
-    def test_oscillating_trace_recorded(self):
+    def test_diurnal_trace_recorded(self):
         config = SizeEstimationConfig(
             cycles=100, cycles_per_epoch=20, initial_size=1000, seed=9
         )
-        churn = OscillatingChurn(1000, 100, 100, fluctuation=2)
+        churn = ChurnTrace.diurnal(1000, 100, period=100, amplitude=100,
+                                   fluctuation=2)
         experiment = SizeEstimationExperiment(config, churn=churn)
         experiment.run()
         trace = np.asarray(experiment.size_trace)
@@ -124,7 +125,8 @@ class TestChurn:
         config = SizeEstimationConfig(
             cycles=200, cycles_per_epoch=20, initial_size=1000, seed=10
         )
-        churn = OscillatingChurn(1000, 150, 200, fluctuation=1)
+        churn = ChurnTrace.diurnal(1000, 200, period=200, amplitude=150,
+                                   fluctuation=1)
         reports = SizeEstimationExperiment(config, churn=churn).run()
         estimates = np.array([r.estimate_mean for r in reports])
         starts = np.array([r.size_at_start for r in reports])
@@ -135,7 +137,7 @@ class TestChurn:
         config = SizeEstimationConfig(
             cycles=30, cycles_per_epoch=30, initial_size=300, seed=11
         )
-        churn = ConstantRateChurn(joins_per_cycle=10, leaves_per_cycle=0)
+        churn = ChurnTrace.constant(30, 10, 0)
         experiment = SizeEstimationExperiment(config, churn=churn)
         report = experiment.run()[0]
         assert report.reporting_nodes == 300  # none of the ~300 joiners

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import SizeEstimationConfig, SizeEstimationExperiment
-from repro.failures import ConstantRateChurn
+from repro.kernel import ChurnTrace
 
 
 class TestAdaptiveLeaders:
@@ -36,7 +36,7 @@ class TestAdaptiveLeaders:
             adaptive_leaders=True,
             seed=3,
         )
-        churn = ConstantRateChurn(joins_per_cycle=5, leaves_per_cycle=0)
+        churn = ChurnTrace.constant(300, 5, 0)
         experiment = SizeEstimationExperiment(config, churn=churn)
         reports = experiment.run()
         counts = [report.instance_count for report in reports]

@@ -1,16 +1,10 @@
-"""Tests for the failures package: loss schedules, crash plans, churn."""
+"""Tests for the failures package: loss schedules and crash plans
+(churn traces are tested in ``tests/kernel/test_lifecycle.py``)."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.failures import (
-    ChurnStep,
-    ConstantRateChurn,
-    CrashPlan,
-    NoChurn,
-    OscillatingChurn,
-    random_crash_plan,
-)
+from repro.failures import CrashPlan, random_crash_plan
 from repro.kernel import burst_loss, constant_loss
 
 
@@ -72,54 +66,3 @@ class TestCrashPlan:
         a = random_crash_plan(100, 0.2, at_cycle=1, seed=9).crashing_at(1)
         b = random_crash_plan(100, 0.2, at_cycle=1, seed=9).crashing_at(1)
         assert a == b
-
-
-class TestChurnModels:
-    def test_no_churn(self):
-        assert NoChurn().step(0, 100) == ChurnStep(0, 0)
-
-    def test_constant_rate(self):
-        step = ConstantRateChurn(3, 2).step(0, 100)
-        assert step == ChurnStep(joins=3, leaves=2)
-
-    def test_constant_rate_never_empties_network(self):
-        step = ConstantRateChurn(0, 50).step(0, 10)
-        assert step.leaves == 9
-
-    def test_constant_rate_validated(self):
-        with pytest.raises(ConfigurationError):
-            ConstantRateChurn(-1, 0)
-
-    def test_oscillation_bounds(self):
-        churn = OscillatingChurn(1000, 100, 200)
-        targets = [churn.target_size(c) for c in range(200)]
-        assert max(targets) == 1100
-        assert min(targets) == 900
-
-    def test_oscillation_period(self):
-        churn = OscillatingChurn(1000, 100, 40)
-        assert churn.target_size(0) == churn.target_size(40)
-
-    def test_steps_track_target(self):
-        churn = OscillatingChurn(1000, 100, 100, fluctuation=0)
-        size = 1000
-        for cycle in range(100):
-            step = churn.step(cycle, size)
-            size += step.joins - step.leaves
-            assert size == churn.target_size(cycle)
-
-    def test_fluctuation_added_to_both_sides(self):
-        churn = OscillatingChurn(1000, 0, 10, fluctuation=7)
-        step = churn.step(0, 1000)  # on-target: only fluctuation
-        assert step.joins == 7
-        assert step.leaves == 7
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            OscillatingChurn(0, 0, 10)
-        with pytest.raises(ConfigurationError):
-            OscillatingChurn(100, 100, 10)
-        with pytest.raises(ConfigurationError):
-            OscillatingChurn(100, 10, 1)
-        with pytest.raises(ConfigurationError):
-            OscillatingChurn(100, 10, 10, fluctuation=-1)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.failures import PartitionSchedule
-from repro.simulator.cycle_sim import CycleSimulator
+from repro.kernel import GossipEngine, Scenario
 from repro.topology import CompleteTopology
 
 
@@ -61,27 +61,27 @@ class TestSplitBrainScenario:
         values = np.zeros(n)
         values[right] = 10.0  # the two sides disagree strongly
         schedule = PartitionSchedule(n, [left, right], start=0, end=20)
-        sim = CycleSimulator(
+        engine = GossipEngine(Scenario(
             CompleteTopology(n), values, partition=schedule, seed=2
-        )
-        sim.run(20)
-        state = sim.all_values
+        ))
+        engine.run(20)
+        state = engine.column()
         # split brain: tight agreement within sides, gulf between them
         assert np.asarray(state)[left].std() < 1e-3
         assert np.asarray(state)[right].std() < 1e-3
         assert abs(np.mean(state[: n // 2]) - 0.0) < 1e-3
         assert abs(np.mean(state[n // 2:]) - 10.0) < 1e-3
         # heal and re-converge globally
-        sim.run(20)
-        assert sim.variance() < 1e-9
-        assert sim.mean() == pytest.approx(5.0, abs=1e-9)
+        engine.run(20)
+        assert engine.variance() < 1e-9
+        assert engine.mean() == pytest.approx(5.0, abs=1e-9)
 
     def test_partition_conserves_global_mass(self):
         n = 100
         values = np.random.default_rng(3).normal(5, 2, n)
         schedule = PartitionSchedule.random_split(n, 4, start=0, end=10, seed=4)
-        sim = CycleSimulator(
+        engine = GossipEngine(Scenario(
             CompleteTopology(n), values, partition=schedule, seed=5
-        )
-        sim.run(15)
-        assert sim.mean() == pytest.approx(values.mean(), abs=1e-12)
+        ))
+        engine.run(15)
+        assert engine.mean() == pytest.approx(values.mean(), abs=1e-12)

@@ -30,11 +30,11 @@ from repro.core.size_estimation import (
     SizeEstimationExperiment,
 )
 from repro.errors import CheckpointError, ConfigurationError
-from repro.failures import ConstantRateChurn
 from repro.kernel import (
     AdversarySpec,
     CheckpointSpec,
     ChurnSpec,
+    ChurnTrace,
     EpochSpec,
     GossipEngine,
     MessageFaultSpec,
@@ -76,7 +76,9 @@ def _armed(n=150, backend="vectorized", membership="newscast",
     values = np.random.default_rng(5).normal(12.0, 3.0, n)
     return Scenario(
         CompleteTopology(n), values, seed=29, backend=backend,
-        churn=ChurnSpec(model=ConstantRateChurn(n * 2 // 25, n // 50)),
+        churn=ChurnSpec(
+            model=ChurnTrace.constant(20, n * 2 // 25, n // 50)
+        ),
         epochs=EpochSpec(cycles_per_epoch=8) if epochs else None,
         membership=NewscastSpec(view_size=8) if membership else None,
         adversary=ADVERSARIES[adversary],
@@ -119,7 +121,7 @@ def _scenario(n=120, cycles=20, seed=23, backend="reference",
     if membership is not None:
         kwargs["membership"] = membership
     if churn:
-        kwargs["churn"] = ChurnSpec(model=ConstantRateChurn(2, 3))
+        kwargs["churn"] = ChurnSpec(model=ChurnTrace.constant(cycles, 2, 3))
     if pair:
         kwargs["pair_protocol"] = PairProtocolSpec(selector="pm",
                                                    track_phi=True)
@@ -212,18 +214,18 @@ class TestRoundTrip:
             )
 
         full = SizeEstimationExperiment(
-            config(40), churn=ConstantRateChurn(4, 6),
+            config(40), churn=ChurnTrace.constant(40, 4, 6),
             backend="reference")
         full.run()
 
         part = SizeEstimationExperiment(
-            config(25), churn=ConstantRateChurn(4, 6),
+            config(25), churn=ChurnTrace.constant(40, 4, 6),
             backend="reference")
         part.run(checkpoint=CheckpointSpec(directory=tmp_path,
                                            every_cycles=25))
 
         resumed = SizeEstimationExperiment(
-            config(40), churn=ConstantRateChurn(4, 6),
+            config(40), churn=ChurnTrace.constant(40, 4, 6),
             backend="vectorized")
         resumed.resume(tmp_path)
 

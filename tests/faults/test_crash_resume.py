@@ -21,8 +21,7 @@ from repro.core.size_estimation import (
     SizeEstimationExperiment,
 )
 from repro.errors import SimulationError
-from repro.failures import OscillatingChurn
-from repro.kernel import spawn_and_kill
+from repro.kernel import ChurnTrace, spawn_and_kill
 
 pytestmark = pytest.mark.faults
 
@@ -37,12 +36,13 @@ SEED = 9
 def _experiment():
     # must mirror the CLI's figure4 scenario exactly — the checkpoint
     # serializes no callables, so the resumed run supplies the same
-    # churn model the killed subprocess used
+    # churn trace the killed subprocess used
     return SizeEstimationExperiment(
         SizeEstimationConfig(cycles=CYCLES, cycles_per_epoch=EPOCH,
                              initial_size=N, seed=SEED),
-        churn=OscillatingChurn(N, N // 10, period=CYCLES // 2,
-                               fluctuation=max(N // 1000, 1)),
+        churn=ChurnTrace.diurnal(N, CYCLES, period=CYCLES // 2,
+                                 amplitude=N // 10,
+                                 fluctuation=max(N // 1000, 1)),
         backend="reference",
     )
 
@@ -51,7 +51,7 @@ def test_sigkill_mid_run_resumes_bitwise(tmp_path):
     manifest = spawn_and_kill(
         ["python", "-m", "repro", "figure4",
          "--n", str(N), "--cycles", str(CYCLES), "--epoch", str(EPOCH),
-         "--seed", str(SEED), "--churn-trace", "oscillating",
+         "--seed", str(SEED), "--churn-trace", "diurnal",
          "--checkpoint-dir", str(tmp_path),
          "--checkpoint-every", str(EPOCH)],
         tmp_path,

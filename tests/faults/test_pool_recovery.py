@@ -29,9 +29,9 @@ import pytest
 
 from repro.core import MeanAggregate
 from repro.errors import ConfigurationError, ShardPoolError
-from repro.failures import ConstantRateChurn
 from repro.kernel import (
     ChurnSpec,
+    ChurnTrace,
     FaultSpec,
     GossipEngine,
     Scenario,
@@ -59,7 +59,9 @@ def reference_run():
 def _scenario(backend):
     values = np.random.default_rng(3).normal(10.0, 4.0, N)
     return Scenario(CompleteTopology(N), values,
-                    churn=ChurnSpec(model=ConstantRateChurn(7, 11)),
+                    churn=ChurnSpec(
+                        model=ChurnTrace.constant(CYCLES, 7, 11)
+                    ),
                     cycles=CYCLES, seed=17, backend=backend)
 
 

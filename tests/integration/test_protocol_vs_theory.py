@@ -1,7 +1,7 @@
 """Integration: the deployed protocol layers reproduce the AVG theory.
 
-The cycle-driven simulator, the asynchronous schedule and the abstract
-AVG algorithm are three executions of the same protocol; their
+The kernel's synchronous cycle, the asynchronous schedule and the
+abstract AVG algorithm are three executions of the same protocol; their
 convergence behavior must agree with each other and with §3.
 """
 
@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from repro.avg import RATE_SEQ, fit_geometric_rate
-from repro.kernel import GossipEngine, NewscastSpec, Scenario
-from repro.simulator.cycle_sim import CycleSimulator
+from repro.kernel import GossipEngine, NewscastSpec, Scenario, run_scenario
 from repro.topology import CompleteTopology, RandomRegularTopology
 
 from ..async_schedule import run as run_async
@@ -20,15 +19,15 @@ class TestCycleSimMatchesTheory:
     def test_rate_on_complete(self):
         topo = CompleteTopology(2000)
         values = np.random.default_rng(1).normal(0, 1, 2000)
-        result = CycleSimulator(topo, values, seed=2).run(12)
-        rate = fit_geometric_rate(result.variance_array)
+        result = run_scenario(Scenario(topo, values, seed=2), cycles=12)
+        rate = fit_geometric_rate(result.variance_array())
         assert rate == pytest.approx(RATE_SEQ, rel=0.1)
 
     def test_rate_on_20_regular(self):
         topo = RandomRegularTopology(2000, 20, seed=3)
         values = np.random.default_rng(1).normal(0, 1, 2000)
-        result = CycleSimulator(topo, values, seed=4).run(12)
-        rate = fit_geometric_rate(result.variance_array)
+        result = run_scenario(Scenario(topo, values, seed=4), cycles=12)
+        rate = fit_geometric_rate(result.variance_array())
         # slightly slower than 1/(2*sqrt(e)), but within 20 %
         assert rate == pytest.approx(RATE_SEQ, rel=0.2)
 
@@ -40,10 +39,11 @@ class TestAsynchronousMatchesCycleDriven:
         cycles."""
         n, cycles = 400, 10
         values = np.random.default_rng(5).normal(10, 3, n)
-        cycle_sim = CycleSimulator(CompleteTopology(n), values, seed=6)
-        cycle_sim.run(cycles)
+        with GossipEngine(Scenario(CompleteTopology(n), values,
+                                   seed=6)) as engine:
+            engine.run(cycles)
+            cycle_var = engine.variance()
         async_variances, _ = run_async(values, cycles, seed=6)
-        cycle_var = cycle_sim.variance()
         async_var = async_variances[-1]
         assert cycle_var < 1e-4
         assert async_var < 1e-4

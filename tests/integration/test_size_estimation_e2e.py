@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import SizeEstimationConfig, SizeEstimationExperiment
-from repro.failures import OscillatingChurn
+from repro.kernel import ChurnTrace
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +18,8 @@ def figure4_run():
         expected_leaders=1.0,
         seed=42,
     )
-    churn = OscillatingChurn(1000, 100, 300, fluctuation=1)
+    churn = ChurnTrace.diurnal(1000, 300, period=300, amplitude=100,
+                               fluctuation=1)
     experiment = SizeEstimationExperiment(config, churn=churn)
     experiment.run()
     return experiment

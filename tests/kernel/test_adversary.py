@@ -16,10 +16,10 @@ import pytest
 
 from repro.core import MeanAggregate, MinAggregate
 from repro.errors import ConfigurationError
-from repro.failures import ConstantRateChurn
 from repro.kernel import (
     ADVERSARY_KINDS,
     AdversarySpec,
+    ChurnTrace,
     EpochSpec,
     GossipEngine,
     PairProtocolSpec,
@@ -113,7 +113,7 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="eclipse"):
             make_scenario(
                 spec,
-                churn=ConstantRateChurn(joins_per_cycle=2, leaves_per_cycle=2),
+                churn=ChurnTrace.constant(CYCLES, 2, 2),
             )
 
     def test_eclipse_rejected_with_epochs(self):
@@ -232,7 +232,7 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("kind", ("inject", "lying", "partition"))
     def test_bitwise_under_churn(self, kind):
         spec = AdversarySpec(kind=kind, fraction=0.1, value=100.0)
-        churn = ConstantRateChurn(joins_per_cycle=5, leaves_per_cycle=3)
+        churn = ChurnTrace.constant(CYCLES, 5, 3)
         ref = run_snapshot(make_scenario(spec, "reference", churn=churn))
         vec = run_snapshot(make_scenario(spec, "vectorized", churn=churn))
         assert_snapshots_equal(ref, vec)

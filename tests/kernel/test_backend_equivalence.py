@@ -23,14 +23,11 @@ from repro.core import (
     SizeEstimationExperiment,
     moment_values,
 )
-from repro.failures import (
-    ConstantRateChurn,
-    CrashPlan,
-    OscillatingChurn,
-)
+from repro.failures import CrashPlan
 from repro.failures.partition import PartitionSchedule
 from repro.kernel import (
     ChurnSpec,
+    ChurnTrace,
     EpochSpec,
     GossipEngine,
     MessageFaultSpec,
@@ -229,7 +226,7 @@ class TestChurnEquivalence:
             dict(
                 topology=CompleteTopology(n),
                 values=values,
-                churn=ConstantRateChurn(joins_per_cycle=7, leaves_per_cycle=4),
+                churn=ChurnTrace.constant(15, 7, 4),
                 seed=41,
             ),
             cycles=15,
@@ -237,14 +234,15 @@ class TestChurnEquivalence:
         self.assert_identical_dynamic(ref_e, ref_r, vec_e, vec_r)
         assert ref_e.alive_count == n + 15 * (7 - 4)
 
-    def test_oscillating_churn_with_loss(self):
+    def test_diurnal_churn_with_loss(self):
         n = 400
         values = np.random.default_rng(9).normal(5.0, 2.0, n)
         (ref_e, ref_r), (vec_e, vec_r) = self.run_both(
             dict(
                 topology=CompleteTopology(n),
                 values=values,
-                churn=OscillatingChurn(n, 40, 20, fluctuation=3),
+                churn=ChurnTrace.diurnal(n, 30, period=20, amplitude=40,
+                                         fluctuation=3),
                 message_faults=MessageFaultSpec(request_loss=0.2),
                 seed=42,
             ),
@@ -282,9 +280,7 @@ class TestChurnEquivalence:
                 topology=CompleteTopology(n),
                 values=values,
                 churn=ChurnSpec(
-                    model=ConstantRateChurn(
-                        joins_per_cycle=3, leaves_per_cycle=3
-                    ),
+                    model=ChurnTrace.constant(30, 3, 3),
                     join_values=lambda m, rng: rng.normal(5.0, 2.0, m),
                 ),
                 epochs=EpochSpec(cycles_per_epoch=10),
@@ -302,7 +298,8 @@ class TestChurnEquivalence:
         config = SizeEstimationConfig(
             cycles=90, cycles_per_epoch=30, initial_size=500, seed=45
         )
-        churn = OscillatingChurn(500, 50, 60, fluctuation=2)
+        churn = ChurnTrace.diurnal(500, 90, period=60, amplitude=50,
+                                   fluctuation=2)
         runs = {}
         for backend in ("reference", "vectorized"):
             experiment = SizeEstimationExperiment(

@@ -191,15 +191,14 @@ class TestCyclePlan:
         assert all(count <= topo.n - 60 for count in result.exchange_counts)
 
     def test_capacity_growth_resizes_buffers(self):
-        from repro.failures import ConstantRateChurn
+        from repro.kernel import ChurnTrace
 
         n = 64
         engine = GossipEngine(
             Scenario(
                 CompleteTopology(n),
                 np.random.default_rng(1).normal(0, 1, n),
-                churn=ConstantRateChurn(joins_per_cycle=30,
-                                        leaves_per_cycle=0),
+                churn=ChurnTrace.constant(10, 30, 0),
                 seed=24,
             )
         )

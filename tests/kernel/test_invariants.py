@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from repro.errors import InvariantViolation
-from repro.failures import ConstantRateChurn
 from repro.kernel import (
     AdversarySpec,
     ChurnSpec,
+    ChurnTrace,
     GossipEngine,
     InvariantFinding,
     InvariantMonitor,
@@ -178,7 +178,7 @@ class TestMassConservation:
 
     def test_churn_run_stays_attributed(self):
         engine = GossipEngine(make_scenario(
-            churn=ChurnSpec(model=ConstantRateChurn(3, 2))
+            churn=ChurnSpec(model=ChurnTrace.constant(8, 3, 2))
         ))
         monitor = engine.register_monitor(
             MassConservationMonitor(), strict=True
@@ -222,7 +222,7 @@ class TestVarianceMonotonicity:
 class TestStructure:
     def test_clean_under_churn(self):
         engine = GossipEngine(make_scenario(
-            churn=ChurnSpec(model=ConstantRateChurn(4, 3))
+            churn=ChurnSpec(model=ChurnTrace.constant(10, 4, 3))
         ))
         monitor = engine.register_monitor(StructureMonitor(), strict=True)
         try:

@@ -1,10 +1,17 @@
 """Tests for the kernel's churn/epoch lifecycle layer.
 
-Covers the declarative specs (validation, defaults), the engine's
-alive-mask growth/shrink and row-recycling mechanics, epoch restart
-semantics, and the size-estimation oracle: converged counting
-estimates equal 1/⟨x⟩ of the indicator vector.
+Covers the declarative specs (validation, defaults), the churn
+traces' per-cycle counts, the engine's alive-mask growth/shrink and
+row-recycling mechanics, epoch restart semantics, the size-estimation
+oracle (converged counting estimates equal 1/⟨x⟩ of the indicator
+vector), and the runs pinned before the churn-model classes went.
 """
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import re
 
 import numpy as np
 import pytest
@@ -16,13 +23,16 @@ from repro.core import (
 )
 from repro.core.service import AggregationService
 from repro.errors import ConfigurationError, SimulationError
-from repro.failures import ConstantRateChurn, NoChurn
 from repro.failures.partition import PartitionSchedule
+from repro.cli import main
 from repro.kernel import (
     ChurnSpec,
+    ChurnStep,
+    ChurnTrace,
     EpochSpec,
     GossipEngine,
     MessageFaultSpec,
+    RetrySpec,
     Scenario,
 )
 from repro.topology import CompleteTopology, RingTopology
@@ -40,7 +50,7 @@ class TestSpecValidation:
 
     def test_churn_spec_rejoin_policy(self):
         with pytest.raises(ConfigurationError):
-            ChurnSpec(model=NoChurn(), rejoin="respawn")
+            ChurnSpec(model=ChurnTrace([], []), rejoin="respawn")
 
     def test_epoch_spec_requires_positive_length(self):
         with pytest.raises(ConfigurationError):
@@ -50,15 +60,62 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             EpochSpec(cycles_per_epoch=10, function="avg")
 
-    def test_scenario_wraps_bare_churn_model(self):
-        scenario = scenario_with(churn=ConstantRateChurn(1, 1))
+    @pytest.mark.parametrize("joins, leaves", [
+        ([-1], [0]),
+        ([1, 2], [0]),
+        ([[1]], [[0]]),
+        ([1.7], [0]),
+        ([float("nan")], [0]),
+        ([0], [float("inf")]),
+        (["1"], [0]),
+    ], ids=["negative", "lengths", "2-D", "fraction", "nan", "inf", "text"])
+    def test_churn_trace_rejects_bad_counts(self, joins, leaves):
+        with pytest.raises(ConfigurationError):
+            ChurnTrace(joins, leaves)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ChurnTrace.from_events([0], [1], cycles=-1),
+        lambda: ChurnTrace.constant(-1, 1, 1),
+        lambda: ChurnTrace.constant(3, -1, 0),
+        lambda: ChurnTrace.diurnal(100, 10, period=5, amplitude=100),
+        lambda: ChurnTrace.diurnal(100, 10, period=5, amplitude=10,
+                                   fluctuation=-1),
+        lambda: ChurnTrace.diurnal(100, 0, period=5, amplitude=10),
+    ], ids=["events-cycles", "constant-cycles", "constant-rate",
+            "amplitude", "fluctuation", "diurnal-cycles"])
+    def test_churn_trace_generators_validated(self, build):
+        with pytest.raises(ConfigurationError):
+            build()
+
+    def test_whole_float_counts_are_accepted(self):
+        trace = ChurnTrace([2.0, 0.0], np.array([1, 3], dtype=np.uint8))
+        assert trace.joins.tolist() == [2, 0]
+        assert trace.leaves.dtype == np.int64
+
+    def test_facade_passes_churn_spec_through(self):
+        """``SizeEstimationExperiment`` hands its ``churn`` to the
+        scenario as given, so a full spec's rejoin policy and joiner
+        values reach the engine."""
+        spec = ChurnSpec(model=ChurnTrace.constant(4, 3, 1), rejoin="keep",
+                         join_values=lambda count, rng: np.zeros(count))
+        experiment = SizeEstimationExperiment(
+            SizeEstimationConfig(cycles=4, cycles_per_epoch=2,
+                                 initial_size=40, seed=1),
+            churn=spec,
+        )
+        assert experiment.scenario().churn is spec
+        experiment.run()
+        assert experiment.current_size == 40 + 4 * 2
+
+    def test_scenario_wraps_bare_churn_trace(self):
+        scenario = scenario_with(churn=ChurnTrace.constant(1, 1, 1))
         assert isinstance(scenario.churn, ChurnSpec)
         assert scenario.is_dynamic
 
     def test_scenario_rejects_partition_with_churn(self):
         with pytest.raises(ConfigurationError):
             scenario_with(
-                churn=ConstantRateChurn(1, 1),
+                churn=ChurnTrace.constant(4, 1, 1),
                 partition=PartitionSchedule.random_split(
                     64, 2, start=0, end=4, seed=1
                 ),
@@ -70,22 +127,65 @@ class TestSpecValidation:
         plan = CrashPlan()
         plan.add(3, [1, 2])
         with pytest.raises(ConfigurationError):
-            scenario_with(churn=ConstantRateChurn(1, 1), crash_plan=plan)
+            scenario_with(churn=ChurnTrace.constant(4, 1, 1),
+                          crash_plan=plan)
 
     def test_scenario_rejects_sparse_topology_with_churn(self):
         with pytest.raises(ConfigurationError):
             Scenario(
                 RingTopology(64),
                 np.zeros(64),
-                churn=ConstantRateChurn(1, 1),
+                churn=ChurnTrace.constant(4, 1, 1),
             )
+
+
+class TestChurnTraces:
+    def test_constant_repeats_one_step(self):
+        trace = ChurnTrace.constant(3, 4, 2)
+        assert [trace.step(c, 100) for c in range(3)] == [ChurnStep(4, 2)] * 3
+        assert trace.step(3, 100) == ChurnStep(0, 0)  # quiescent after
+
+    def test_step_never_empties_network(self):
+        trace = ChurnTrace([3], [50])
+        assert trace.step(0, 10) == ChurnStep(3, 9)
+        assert trace.step(0, 1).leaves == 0
+        assert trace.step(0, 0).leaves == 0
+
+    def test_diurnal_follows_its_target(self):
+        """Applied open-loop, the steps walk the size along
+        ``n + amplitude·sin(2π·cycle/period)``, through both extremes
+        and back to ``n`` after each period."""
+        n, amplitude, period = 1000, 100, 40
+        trace = ChurnTrace.diurnal(n, 2 * period, period=period,
+                                   amplitude=amplitude)
+        size, sizes = n, []
+        for cycle in range(trace.cycles):
+            step = trace.step(cycle, size)
+            size += step.joins - step.leaves
+            sizes.append(size)
+        targets = np.rint(n + amplitude * np.sin(
+            2.0 * np.pi * np.arange(1, 2 * period + 1) / period
+        ))
+        assert sizes == targets.tolist()
+        assert (max(sizes), min(sizes)) == (n + amplitude, n - amplitude)
+        assert sizes[period - 1] == sizes[-1] == n
+
+    def test_fluctuation_applies_to_joins_and_leaves(self):
+        flat = ChurnTrace.diurnal(1000, 10, period=10, amplitude=0,
+                                  fluctuation=7)
+        assert flat.joins.tolist() == flat.leaves.tolist() == [7] * 10
+        wave = ChurnTrace.diurnal(1000, 10, period=10, amplitude=50,
+                                  fluctuation=7)
+        plain = ChurnTrace.diurnal(1000, 10, period=10, amplitude=50)
+        assert np.array_equal(wave.joins, plain.joins + 7)
+        assert np.array_equal(wave.leaves, plain.leaves + 7)
 
 
 class TestChurnMechanics:
     def test_net_growth_extends_matrix(self):
-        engine = GossipEngine(
-            scenario_with(churn=ConstantRateChurn(4, 1), backend="reference")
-        )
+        engine = GossipEngine(scenario_with(
+            churn=ChurnTrace.constant(20, 4, 1), backend="reference"
+        ))
         engine.run(20)
         assert engine.alive_count == 64 + 20 * 3
         assert engine.capacity >= engine.alive_count
@@ -93,9 +193,9 @@ class TestChurnMechanics:
     def test_recycling_bounds_capacity(self):
         """Steady-state churn (joins == leaves) reuses departed slots
         instead of growing the matrix."""
-        engine = GossipEngine(
-            scenario_with(churn=ConstantRateChurn(5, 5), backend="reference")
-        )
+        engine = GossipEngine(scenario_with(
+            churn=ChurnTrace.constant(40, 5, 5), backend="reference"
+        ))
         engine.run(40)
         assert engine.alive_count == 64
         # at most one cycle's joins can outrun the free list
@@ -103,14 +203,14 @@ class TestChurnMechanics:
 
     def test_leaves_never_empty_network(self):
         engine = GossipEngine(
-            scenario_with(n=8, churn=ConstantRateChurn(0, 100))
+            scenario_with(n=8, churn=ChurnTrace.constant(10, 0, 100))
         )
         engine.run(10)
         assert engine.alive_count == 1
 
     def test_join_values_seed_rows(self):
         spec = ChurnSpec(
-            model=ConstantRateChurn(3, 0),
+            model=ChurnTrace.constant(2, 3, 0),
             join_values=lambda count, rng: np.full(count, 42.0),
         )
         # losing every request freezes gossip so only churn touches
@@ -132,7 +232,7 @@ class TestChurnMechanics:
         outcomes = {}
         for policy in ("keep", "reset"):
             spec = ChurnSpec(
-                model=ConstantRateChurn(2, 2),
+                model=ChurnTrace.constant(5, 2, 2),
                 rejoin=policy,
                 join_values=lambda count, rng: np.full(count, -1.0),
             )
@@ -151,7 +251,7 @@ class TestChurnMechanics:
 
     def test_bad_join_values_shape(self):
         spec = ChurnSpec(
-            model=ConstantRateChurn(3, 0),
+            model=ChurnTrace.constant(2, 3, 0),
             join_values=lambda count, rng: np.zeros(count + 1),
         )
         engine = GossipEngine(scenario_with(churn=spec))
@@ -163,7 +263,7 @@ class TestEpochMechanics:
     def test_joiners_wait_for_next_epoch(self):
         engine = GossipEngine(
             scenario_with(
-                churn=ConstantRateChurn(2, 0),
+                churn=ChurnTrace.constant(11, 2, 0),
                 epochs=EpochSpec(cycles_per_epoch=10),
             )
         )
@@ -302,3 +402,77 @@ class TestServiceEpochs:
             service.run_epochs(cycles_per_epoch=0)
         with pytest.raises(ConfigurationError):
             service.run_epochs(probe_node=99)
+
+
+class TestPinnedChurnRuns:
+    """What a ``git archive`` of a6cba58 reached while churn was still
+    a class hierarchy beside ``ChurnTrace``: the default
+    ``SizeEstimationExperiment`` (a no-churn model), ``figure4
+    --churn-trace diurnal``, and a constant-rate model (9 joins, 14
+    leaves per cycle) under epochs, message faults and retry.
+    ``churn=None`` and ``ChurnTrace.constant`` reach each state bit
+    for bit."""
+
+    DEFAULT = (
+        "5c80aed62dc93b3e9484b52394b47c4a83f08f6d85b288fc2b8a6ae2cbf436f2"
+    )
+    FIGURE4 = (
+        "9438e2f813f5c40557e0b8c4b928c650cd571bfb972aa714843c9bd557d4ad02"
+    )
+    CONSTANT = (
+        "7fef52773b63002dfa35e7267272e45a7f2b06e7c4edcec1d2de57981d403f40"
+    )
+
+    @staticmethod
+    def _digest(*parts):
+        digest = hashlib.sha256()
+        for part in parts:
+            digest.update(
+                part.tobytes() if isinstance(part, np.ndarray)
+                else repr(part).encode()
+            )
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_default_experiment(self, backend):
+        experiment = SizeEstimationExperiment(
+            SizeEstimationConfig(cycles=60, initial_size=800, seed=3),
+            backend=backend,
+        )
+        experiment.run()
+        engine = experiment._engine
+        assert self._digest(
+            [dataclasses.astuple(report) for report in experiment.reports],
+            experiment.size_trace, engine.alive_mask,
+            engine._rng.bit_generator.state,
+        ) == self.DEFAULT
+
+    def test_figure4_diurnal(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["figure4", "--n", "2000", "--cycles", "60",
+                         "--churn-trace", "diurnal"]) == 0
+        # the title's wall-clock reading is the one varying part
+        table = re.sub(r" in [0-9.]+s\)", ")", out.getvalue())
+        assert self._digest(table) == self.FIGURE4
+
+    @pytest.mark.parametrize("backend",
+                             ["reference", "vectorized", "sharded:2"])
+    def test_constant_churn_with_faults_and_retry(self, backend):
+        values = np.random.default_rng(29).normal(10.0, 4.0, 300)
+        scenario = Scenario(
+            CompleteTopology(300), values, seed=41, backend=backend,
+            churn=ChurnSpec(model=ChurnTrace.constant(24, 9, 14)),
+            epochs=EpochSpec(cycles_per_epoch=8),
+            message_faults=MessageFaultSpec(
+                request_loss=0.05, reply_loss=0.1, duplication=0.02
+            ),
+            retry=RetrySpec(),
+        )
+        with GossipEngine(scenario) as engine:
+            result = engine.run(24)
+            assert self._digest(
+                engine.matrix, engine.alive_mask,
+                engine._rng.bit_generator.state, result.exchange_counts,
+                result.alive_counts, result.epoch_results,
+            ) == self.CONSTANT

@@ -3,13 +3,16 @@
 The paper's §3 cycle lets an exchange fail only as a whole — at both
 ends or at neither. ``MessageFaultSpec(request_loss=p)`` is exactly that
 failure (a lost request cancels the exchange silently), and the facades'
-``loss_probability`` builds that spec, or none at ``p == 0``.
+``loss_probability`` builds that spec through ``exchange_loss(p)``, or
+none at ``p == 0``.
 
 ``GOLDEN`` pins whole runs: what a ``git archive`` of 9952160 reached,
 where the same losses were a separate exchange-loss coin drawn in the
 engine's mask pass (``Scenario.loss_probability`` / ``loss_schedule``).
 Every backend must reach each pinned state, so the two loss models were
-one and the same, coin for coin.
+one and the same, coin for coin. ``GOLDEN["exchange-loss"]`` was
+pinned through a single-instance cycle facade that has since gone; a
+plain scenario with ``exchange_loss(0.3)`` reaches it.
 """
 
 import hashlib
@@ -18,17 +21,17 @@ import numpy as np
 import pytest
 
 from repro.core import AggregationService, RobustAverager
-from repro.failures import ConstantRateChurn
 from repro.failures.partition import PartitionSchedule
 from repro.kernel import (
     ChurnSpec,
+    ChurnTrace,
     EpochSpec,
     GossipEngine,
     MessageFaultSpec,
     Scenario,
     burst_loss,
 )
-from repro.simulator.cycle_sim import CycleSimulator
+from repro.kernel.messages import exchange_loss
 from repro.topology import CompleteTopology, RandomRegularTopology
 
 N = 240
@@ -65,7 +68,7 @@ def _engine_digest(engine, exchange_counts, variances):
 def _dynamic(loss):
     return dict(
         loss=loss,
-        churn=ChurnSpec(model=ConstantRateChurn(6, 4)),
+        churn=ChurnSpec(model=ChurnTrace.constant(12, 6, 4)),
         epochs=EpochSpec(cycles_per_epoch=5),
     )
 
@@ -117,16 +120,18 @@ def _run_case(case, backend):
         )
 
 
-def _run_simulator(backend):
-    with CycleSimulator(CompleteTopology(N), VALUES, loss_probability=0.3,
-                        seed=37, backend=backend) as simulator:
-        first = simulator.run(4)
-        simulator.crash(range(0, N, 9))
-        second = simulator.run(8)
+def _run_cycles(backend):
+    scenario = Scenario(CompleteTopology(N), VALUES,
+                        message_faults=exchange_loss(0.3), seed=37,
+                        backend=backend)
+    with GossipEngine(scenario) as engine:
+        first = engine.run(4)
+        engine.crash(range(0, N, 9))
+        second = engine.run(8)
         return _engine_digest(
-            simulator._engine,
+            engine,
             [first.exchange_counts, second.exchange_counts],
-            [first.variances, second.variances],
+            [first.variances["mean"], second.variances["mean"]],
         )
 
 
@@ -172,7 +177,7 @@ GOLDEN = {
         "33148f05f9840b6c154a281c4d6e43677766f9394f8ca65aa2ad16e4a8ea6e4e",
     "total":
         "1c9d60c0961fa89bc3cfa0b59c23fff17f9c80d6f0dc00055de5238519489186",
-    "CycleSimulator":
+    "exchange-loss":
         "b2c51e4443075573243c987a0f981583982036e389801d97ce42dd77ba461872",
     "AggregationService":
         "cba4dfad751f7e7d047afbc6d4fd0ea10f375e11cba08208828e823c5922b8a2",
@@ -194,8 +199,8 @@ def test_lost_requests_reach_the_pinned_states(case, backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_simulator_loss_reaches_the_pinned_state(backend):
-    assert _run_simulator(backend) == GOLDEN["CycleSimulator"]
+def test_exchange_loss_reaches_the_pinned_state(backend):
+    assert _run_cycles(backend) == GOLDEN["exchange-loss"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -211,5 +216,6 @@ def test_robust_averager_reaches_the_pinned_estimates(loss):
 def test_facade_loss_free_runs_declare_no_faults():
     """``loss_probability=0`` builds no spec, so the engine keeps its
     loss-free fast path."""
-    with CycleSimulator(CompleteTopology(N), VALUES, seed=1) as simulator:
-        assert simulator._engine.scenario.message_faults is None
+    assert exchange_loss(0.0) is None
+    service = AggregationService(CompleteTopology(N), VALUES, seed=1)
+    assert service._faults is None

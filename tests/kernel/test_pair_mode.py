@@ -6,7 +6,7 @@ GETPAIR sequence. The pair draw is the cycle's only RNG consumption and
 happens in the engine, so the two backends replay identical sequences:
 
 * the reference backend steps through the sequence one pair at a time
-  (the semantic oracle — structurally the pre-refactor ``AvgAlgorithm``
+  (the semantic oracle — structurally the pre-kernel AVG runner's
   loop), and
 * the vectorized backend greedily segments the sequence into
   conflict-free batches that preserve each node's step order,
@@ -33,8 +33,7 @@ from repro.avg import (
 from repro.avg.theory import RATE_PM, RATE_RAND, RATE_SEQ
 from repro.avg.vector import empirical_variance
 from repro.errors import ConfigurationError, PairSelectionError
-from repro.failures import ConstantRateChurn
-from repro.kernel import GossipEngine, PairProtocolSpec, Scenario
+from repro.kernel import ChurnTrace, GossipEngine, PairProtocolSpec, Scenario
 from repro.rng import make_rng
 from repro.topology import CompleteTopology, RandomRegularTopology, RingTopology
 
@@ -124,7 +123,7 @@ class TestBitwiseEquivalence:
 
 class TestSequentialOracle:
     """The reference trajectory must match a verbatim replay of the
-    pre-kernel ``AvgAlgorithm`` loop — same RNG draws, same elementary
+    pre-kernel AVG runner's loop — same RNG draws, same elementary
     steps, bitwise."""
 
     @staticmethod
@@ -255,8 +254,7 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError):
             Scenario(CompleteTopology(100), self.values(),
                      pair_protocol=PairProtocolSpec(selector="seq"),
-                     churn=ConstantRateChurn(joins_per_cycle=1,
-                                             leaves_per_cycle=1))
+                     churn=ChurnTrace.constant(4, 1, 1))
 
     def test_custom_aggregates_rejected(self):
         from repro.core import MaxAggregate

@@ -31,7 +31,7 @@ from repro.errors import (
     ConfigurationError,
     SimulationError,
 )
-from repro.failures import ConstantRateChurn, CrashPlan
+from repro.failures import CrashPlan
 from repro.kernel import (
     ChurnSpec,
     ChurnTrace,
@@ -141,9 +141,7 @@ class TestShardedBitwiseEquivalence:
                 topology=topology,
                 values=values,
                 churn=ChurnSpec(
-                    model=ConstantRateChurn(
-                        joins_per_cycle=6, leaves_per_cycle=4
-                    ),
+                    model=ChurnTrace.constant(15, 6, 4),
                     join_values=lambda m, rng: rng.normal(5.0, 2.0, m),
                 ),
                 epochs=EpochSpec(cycles_per_epoch=5),
@@ -162,8 +160,7 @@ class TestShardedBitwiseEquivalence:
             dict(
                 topology=topology,
                 values=values,
-                churn=ConstantRateChurn(joins_per_cycle=40,
-                                        leaves_per_cycle=2),
+                churn=ChurnTrace.constant(12, 40, 2),
                 seed=56,
             ),
             workers,
@@ -369,8 +366,7 @@ class TestWindowFollowsRows:
         kwargs = dict(
             topology=CompleteTopology(n),
             values=np.random.default_rng(17).normal(5.0, 2.0, n),
-            churn=ConstantRateChurn(joins_per_cycle=1_500,
-                                    leaves_per_cycle=100),
+            churn=ChurnTrace.constant(4, 1_500, 100),
             seed=63,
         )
         ref_matrix, ref_alive, ref_result = run_engine(
@@ -561,8 +557,7 @@ def _families():
             topology=CompleteTopology(72),
             values=rng.normal(5.0, 2.0, 72),
             churn=ChurnSpec(
-                model=ConstantRateChurn(joins_per_cycle=30,
-                                        leaves_per_cycle=2),
+                model=ChurnTrace.constant(12, 30, 2),
             ),
             epochs=EpochSpec(cycles_per_epoch=4),
             seed=73,
@@ -723,8 +718,7 @@ class TestAutoWorkers:
         kwargs = dict(
             topology=topology, values=values,
             churn=ChurnSpec(
-                model=ConstantRateChurn(joins_per_cycle=25,
-                                        leaves_per_cycle=1),
+                model=ChurnTrace.constant(10, 25, 1),
             ),
             seed=80,
         )
@@ -781,8 +775,7 @@ class TestSingleCopyGrowth:
             Scenario(
                 topology, values,
                 churn=ChurnSpec(
-                    model=ConstantRateChurn(joins_per_cycle=40,
-                                            leaves_per_cycle=2),
+                    model=ChurnTrace.constant(12, 40, 2),
                 ),
                 seed=81, backend="sharded:2",
             )

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.io import read_csv, read_json, write_csv, write_json
 from repro.avg.matrix import cycle_matrix, is_doubly_stochastic
 from repro.core import RobustAverager
-from repro.failures import ConstantRateChurn, OscillatingChurn
+from repro.kernel import ChurnTrace
 from repro.rng import make_rng
 from repro.topology import CompleteTopology
 
@@ -15,36 +15,41 @@ from repro.topology import CompleteTopology
 class TestChurnProperties:
     @settings(max_examples=40, deadline=None)
     @given(
-        mid=st.integers(10, 5000),
+        n=st.integers(10, 5000),
         amplitude_fraction=st.floats(0.0, 0.9),
         period=st.integers(2, 500),
-        cycle=st.integers(0, 2000),
+        cycles=st.integers(1, 600),
     )
-    def test_oscillation_target_within_bounds(
-        self, mid, amplitude_fraction, period, cycle
+    def test_diurnal_size_within_bounds(
+        self, n, amplitude_fraction, period, cycles
     ):
-        amplitude = int(mid * amplitude_fraction)
-        churn = OscillatingChurn(mid, amplitude, period)
-        target = churn.target_size(cycle)
-        assert mid - amplitude - 1 <= target <= mid + amplitude + 1
+        amplitude = int(n * amplitude_fraction)
+        trace = ChurnTrace.diurnal(n, cycles, period=period,
+                                   amplitude=amplitude)
+        sizes = n + np.cumsum(trace.joins - trace.leaves)
+        assert sizes.min() >= n - amplitude
+        assert sizes.max() <= n + amplitude
 
     @settings(max_examples=40, deadline=None)
     @given(
-        mid=st.integers(10, 2000),
+        n=st.integers(10, 2000),
         amplitude_fraction=st.floats(0.0, 0.5),
         period=st.integers(2, 200),
         fluctuation=st.integers(0, 20),
-        start=st.integers(2, 4000),
+        start=st.integers(1, 4000),
     )
     def test_steps_never_empty_network(
-        self, mid, amplitude_fraction, period, fluctuation, start
+        self, n, amplitude_fraction, period, fluctuation, start
     ):
-        amplitude = int(mid * amplitude_fraction)
-        churn = OscillatingChurn(mid, amplitude, period,
-                                 fluctuation=fluctuation)
+        """Even when the live size has drifted from the wave the trace
+        was drawn for, no step removes the last node."""
+        amplitude = int(n * amplitude_fraction)
+        trace = ChurnTrace.diurnal(n, 50, period=period,
+                                   amplitude=amplitude,
+                                   fluctuation=fluctuation)
         size = start
         for cycle in range(50):
-            step = churn.step(cycle, size)
+            step = trace.step(cycle, size)
             assert step.joins >= 0
             assert 0 <= step.leaves < size or size <= 1
             size += step.joins - step.leaves
@@ -53,8 +58,8 @@ class TestChurnProperties:
     @settings(max_examples=30, deadline=None)
     @given(joins=st.integers(0, 50), leaves=st.integers(0, 50),
            size=st.integers(1, 500))
-    def test_constant_rate_bounds(self, joins, leaves, size):
-        step = ConstantRateChurn(joins, leaves).step(0, size)
+    def test_constant_bounds(self, joins, leaves, size):
+        step = ChurnTrace.constant(1, joins, leaves).step(0, size)
         assert step.joins == joins
         assert step.leaves <= max(size - 1, 0)
 

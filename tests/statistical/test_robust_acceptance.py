@@ -15,6 +15,7 @@ import pytest
 from repro.kernel import (
     AdversarySpec,
     ChurnSpec,
+    ChurnTrace,
     EpochSpec,
     GossipEngine,
     MultiAggregateSpec,
@@ -22,7 +23,6 @@ from repro.kernel import (
     robust_reduce,
     size_from_count,
 )
-from repro.failures import ConstantRateChurn
 from repro.topology import CompleteTopology
 
 from .helpers import (
@@ -159,9 +159,8 @@ class TestChurnBand:
             scenario = spec.scenario(
                 CompleteTopology(n),
                 churn=ChurnSpec(
-                    model=ConstantRateChurn(
-                        joins_per_cycle=per_cycle,
-                        leaves_per_cycle=per_cycle,
+                    model=ChurnTrace.constant(
+                        2 * cycles_per_epoch, per_cycle, per_cycle
                     )
                 ),
                 epochs=EpochSpec(

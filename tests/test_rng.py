@@ -9,7 +9,6 @@ from repro.rng import (
     derive_seed,
     make_rng,
     random_permutation,
-    spawn_runs,
     spawn_streams,
 )
 
@@ -71,11 +70,6 @@ class TestSpawnStreams:
     def test_from_seed_sequence(self):
         streams = spawn_streams(np.random.SeedSequence(11), 2)
         assert len(streams) == 2
-
-    def test_spawn_runs_alias(self):
-        a = [g.integers(0, 10**9) for g in spawn_runs(5, 3)]
-        b = [g.integers(0, 10**9) for g in spawn_streams(5, 3)]
-        assert a == b
 
 
 class TestDeriveSeed:
