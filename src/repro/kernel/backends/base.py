@@ -789,8 +789,8 @@ class ExecutionBackend(ABC):
 
         ``matrix`` is the ``(n, k)`` structure-of-arrays node state —
         the array :meth:`adopt_matrix` (or :meth:`grow_matrix` /
-        :meth:`allocate_matrix` / :meth:`restore_matrix`) last
-        returned; ``functions`` holds the per-column AGGREGATE.
+        :meth:`allocate_matrix`) last returned; ``functions`` holds the
+        per-column AGGREGATE.
         """
 
     def apply_pairs(
@@ -836,18 +836,19 @@ class ExecutionBackend(ABC):
     def adopt_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Engine hand-off hook: take ownership of storing ``matrix``.
 
-        The engine calls this once at construction and again whenever it
-        reallocates the value matrix (capacity growth under churn, an
-        epoch restart that changes the instance count), then uses the
-        returned array as its matrix from that point on. The matrix is
-        C-contiguous float64 on both sides: the batch kernel writes
-        through a row view, and ``apply_*`` refuses any other layout
-        with a :class:`~repro.errors.SimulationError`. In-process
-        backends return the array unchanged; the sharded backend copies
-        it into a :mod:`multiprocessing.shared_memory` segment and
-        returns the shared view so every subsequent engine mutation —
-        epoch reseeds, joiner admissions, crash recycling — is visible
-        to the worker processes with no per-cycle copying.
+        The engine calls this once at construction — with the
+        scenario's initial matrix, or with a checkpoint's on restore —
+        and again whenever it reallocates the value matrix (capacity
+        growth under churn, an epoch restart that changes the instance
+        count), then uses the returned array as its matrix from that
+        point on. The matrix is C-contiguous float64 on both sides: the
+        batch kernel writes through a row view, and ``apply_*`` refuses
+        any other layout with a :class:`~repro.errors.SimulationError`.
+        In-process backends return the array unchanged; the sharded
+        backend copies it into a :mod:`multiprocessing.shared_memory`
+        segment and returns the shared view so every subsequent engine
+        mutation — epoch reseeds, joiner admissions, crash recycling —
+        is visible to the worker processes with no per-cycle copying.
         """
         return matrix
 
@@ -876,29 +877,6 @@ class ExecutionBackend(ABC):
         sharded backend maps a fresh segment and returns its view,
         zero-filled by the OS for free)."""
         return np.zeros((rows, k), dtype=np.float64)
-
-    def restore_matrix(
-        self, matrix: np.ndarray, saved: np.ndarray
-    ) -> np.ndarray:
-        """Replace an adopted matrix's content with checkpointed state.
-
-        Called by :meth:`GossipEngine.restore
-        <repro.kernel.engine.GossipEngine.restore>` after ordinary
-        construction already adopted a freshly built matrix: when the
-        checkpoint has the same shape the content is copied in place
-        (one pass, the adopted storage — shared segment or heap array —
-        is reused); a shape change (churn grew the capacity, an epoch
-        rebuild changed the instance count) routes through
-        :meth:`allocate_matrix` so backend-owned storage is resized the
-        same way a live run would resize it.
-        """
-        if matrix.shape == saved.shape:
-            self.sync()
-            np.copyto(matrix, saved)
-            return matrix
-        fresh = self.allocate_matrix(*saved.shape)
-        np.copyto(fresh, saved)
-        return fresh
 
     def sync(self) -> None:
         """Block until every previously submitted apply call has fully

@@ -72,8 +72,8 @@ class VectorizedBackend(ExecutionBackend):
             # the batch kernel writes through a view whose item is a row
             raise SimulationError(
                 "the vectorized backend applies to a C-contiguous float64 "
-                "matrix (adopt_matrix / grow_matrix / allocate_matrix / "
-                "restore_matrix return one); hand the matrix over first"
+                "matrix (adopt_matrix / grow_matrix / allocate_matrix "
+                "return one); hand the matrix over first"
             )
         pi = np.asarray(pairs_i)
         pj = np.asarray(pairs_j)

@@ -20,12 +20,33 @@ On-disk format (version 1), two files per checkpoint in one directory:
   (size, instance layout, membership, bit-generator type) validated on
   restore.
 
+The payload is the file :func:`numpy.savez` would write, byte for byte
+but for the zip timestamps, written without its copies: each ``.npy``
+member is its :mod:`numpy.lib.format` header followed by the array's
+own memory, handed to the zip writer as a buffer (``np.savez`` copies
+every member through ``tobytes`` first). Only numeric and bool members
+are written; anything that would need pickling is refused, because the
+engine pickles its Python members itself (:func:`pickle_payload`).
+Once the payload is flushed, one helper thread hashes the finished file
+while the calling thread waits in :func:`os.fsync` for it to reach the
+disk; both are done, and a hashing error is re-raised, before the
+manifest is written. The checksum is therefore always that of the bytes
+on disk, and the payload is durable before the manifest names it.
+
 Both files are written to a temporary sibling and moved into place
 with :func:`os.replace`, payload **before** manifest — the manifest is
 the commit record, so a crash mid-checkpoint can never corrupt the
 last good checkpoint: either the new manifest exists and its checksum
 matches a fully written payload, or the previous checkpoint is still
 the newest valid one. :func:`latest_checkpoint` skips anything else.
+
+Reading verifies the checksum before anything is decoded and loads each
+member into an array of its own. A manifest that is not a JSON object,
+a payload that cannot be read and a checksum mismatch all end in
+:class:`~repro.errors.CheckpointError`. :meth:`GossipEngine.restore
+<repro.kernel.engine.GossipEngine.restore>` then builds the engine
+around the loaded matrix: the backend adopts it like any initial
+matrix, so the scenario's own initial matrix is never built.
 
 :class:`CheckpointSpec` drives periodic auto-checkpointing from
 :meth:`GossipEngine.run(..., checkpoint=...)
@@ -42,6 +63,8 @@ import json
 import os
 import pickle
 import re
+import threading
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -61,6 +84,10 @@ _STEM_PATTERN = re.compile(r"^ck-(\d{10})$")
 
 #: hashing block size for the payload checksum
 _HASH_BLOCK = 1 << 20
+
+#: dtype kinds a payload member may have: bool, integers, floats,
+#: complex — the kinds whose memory is the member's content
+_RAW_KINDS = "biufc"
 
 
 @dataclass(frozen=True)
@@ -118,6 +145,58 @@ def _atomic_replace(tmp: Path, final: Path) -> None:
     os.replace(tmp, final)
 
 
+def _write_members(fh, arrays: Dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` to ``fh`` as the uncompressed zip of ``.npy``
+    members that :func:`numpy.savez` writes, each member straight from
+    the array's memory."""
+    with zipfile.ZipFile(
+        fh, mode="w", compression=zipfile.ZIP_STORED, allowZip64=True
+    ) as bundle:
+        for name, value in arrays.items():
+            array = np.asanyarray(value)
+            if array.dtype.kind not in _RAW_KINDS:
+                raise CheckpointError(
+                    f"checkpoint member {name!r} has dtype {array.dtype}; "
+                    f"only numeric and bool arrays are written (pickle "
+                    f"Python objects with pickle_payload)"
+                )
+            header = np.lib.format.header_data_from_array_1_0(array)
+            # savez's member bytes: a Fortran-ordered array's data is
+            # its transpose in C order, anything else C order
+            data = (array.T if header["fortran_order"]
+                    else np.ascontiguousarray(array))
+            # savez forces zip64 on every member; so does the format
+            with bundle.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                member.write(data)
+
+
+def _fsync_while_hashing(fh, path: Path) -> str:
+    """Flush ``fh`` (open on ``path``) to disk and return the SHA-256 of
+    ``path``: a helper thread hashes the finished file while this one
+    waits in :func:`os.fsync`. The thread is joined before this returns
+    or raises, and an error it raised is re-raised here."""
+    fh.flush()
+    outcome: List[object] = []
+
+    def hash_payload() -> None:
+        try:
+            outcome.append(_sha256_file(path))
+        except BaseException as error:  # re-raised by the calling thread
+            outcome.append(error)
+
+    hasher = threading.Thread(target=hash_payload, name="checkpoint-sha256")
+    hasher.start()
+    try:
+        os.fsync(fh.fileno())
+    finally:
+        hasher.join()
+    (digest,) = outcome
+    if isinstance(digest, BaseException):
+        raise digest
+    return digest
+
+
 def write_checkpoint(
     directory: Union[str, Path],
     arrays: Dict[str, np.ndarray],
@@ -139,14 +218,13 @@ def write_checkpoint(
     tmp_manifest = directory / f".tmp-{stem}-{os.getpid()}.json"
     try:
         with open(tmp_payload, "wb") as fh:
-            np.savez(fh, **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
+            _write_members(fh, arrays)
+            sha256 = _fsync_while_hashing(fh, tmp_payload)
         record = dict(manifest)
         record["format"] = CHECKPOINT_FORMAT
         record["version"] = CHECKPOINT_VERSION
         record["payload"] = payload.name
-        record["sha256"] = _sha256_file(tmp_payload)
+        record["sha256"] = sha256
         _atomic_replace(tmp_payload, payload)
         with open(tmp_manifest, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)
@@ -178,7 +256,9 @@ def read_manifest(manifest_path: Union[str, Path]) -> Dict[str, object]:
         raise CheckpointError(
             f"unreadable checkpoint manifest {manifest_path}: {error}"
         ) from error
-    if manifest.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(manifest, dict) or (
+        manifest.get("format") != CHECKPOINT_FORMAT
+    ):
         raise CheckpointError(
             f"{manifest_path} is not a {CHECKPOINT_FORMAT} manifest"
         )
@@ -246,7 +326,9 @@ def read_checkpoint(
     ``path`` may be the manifest (``.json``), the payload (``.npz``),
     or a directory (resolved through :func:`latest_checkpoint`).
     Returns ``(manifest, arrays)`` with the payload fully materialized
-    on the heap (no open file handles survive the call).
+    on the heap (no open file handles survive the call). Every failure
+    — no manifest, no payload, an unreadable or corrupt file — raises
+    :class:`~repro.errors.CheckpointError`.
     """
     path = resolve_checkpoint(path)
     manifest = read_manifest(path)
@@ -255,18 +337,23 @@ def read_checkpoint(
         raise CheckpointError(
             f"checkpoint payload {payload} is missing (manifest {path})"
         )
-    digest = _sha256_file(payload)
-    if digest != manifest["sha256"]:
+    try:
+        digest = _sha256_file(payload)
+        if digest != manifest["sha256"]:
+            raise CheckpointError(
+                f"checkpoint payload {payload} fails its checksum "
+                f"(expected {manifest['sha256']}, got {digest}); the "
+                f"file is corrupt or was tampered with"
+            )
+        # the pickled members (RNG state, epoch results) are loaded
+        # explicitly by the engine; everything here is a plain array,
+        # and np.load reads each member into a fresh, writable array
+        with np.load(payload, allow_pickle=False) as bundle:
+            arrays = {name: bundle[name] for name in bundle.files}
+    except (OSError, ValueError, zipfile.BadZipFile) as error:
         raise CheckpointError(
-            f"checkpoint payload {payload} fails its checksum "
-            f"(expected {manifest['sha256']}, got {digest}); the file "
-            f"is corrupt or was tampered with"
-        )
-    # the pickled members (RNG state, epoch results) are loaded
-    # explicitly by the engine; everything here is a plain array, and
-    # np.load reads each member into a fresh, writable heap array
-    with np.load(payload, allow_pickle=False) as bundle:
-        arrays = {name: bundle[name] for name in bundle.files}
+            f"unreadable checkpoint payload {payload}: {error}"
+        ) from error
     return manifest, arrays
 
 

@@ -169,6 +169,43 @@ _COUNTERS = (
 )
 
 
+#: the payload members every checkpoint holds, whatever the scenario
+_REQUIRED_MEMBERS = ("matrix", "free_slots", "rng_state", "epoch_results")
+
+
+def _check_restorable(scenario: Scenario, manifest: Dict[str, Any],
+                      arrays: Dict[str, np.ndarray]) -> None:
+    """Raise :class:`CheckpointError` unless ``scenario`` can resume
+    the checkpoint ``(manifest, arrays)``: the configuration it was
+    taken under, its instance layout and the members every checkpoint
+    holds. Needs no engine, so nothing is built for a checkpoint that
+    fails it."""
+    check_manifest(
+        manifest, scenario,
+        bit_generator=type(make_rng(scenario.seed).bit_generator).__name__,
+    )
+    if manifest.get("instances_rebuilt"):
+        if scenario.epochs is None:
+            raise CheckpointError(
+                "checkpoint holds an epoch-rebuilt instance layout "
+                "but this scenario declares no epochs"
+            )
+    elif [str(name) for name in scenario.instance_names] != list(
+        manifest.get("instances", ())
+    ):
+        raise CheckpointError(
+            f"checkpoint instances {manifest.get('instances')} do "
+            f"not match the scenario's "
+            f"{[str(n) for n in scenario.instance_names]}"
+        )
+    missing = [key for key in _REQUIRED_MEMBERS if key not in arrays]
+    if missing:
+        raise CheckpointError(
+            f"checkpoint payload holds no {', '.join(map(repr, missing))} "
+            f"member; every checkpoint has one"
+        )
+
+
 def _fresh_slots(shape, dtype, fill) -> np.ndarray:
     """What fresh capacity holds for one row of :data:`_SLOT_STATE`
     (zeros stay ``np.zeros``: pages nobody wrote cost nothing)."""
@@ -295,10 +332,15 @@ class GossipEngine:
     """
 
     def __init__(self, scenario: Scenario):
+        self._build(scenario, scenario.initial_matrix())
+
+    def _build(self, scenario: Scenario, matrix: np.ndarray) -> None:
+        """Construct the engine around ``matrix``: the scenario's
+        initial matrix, or a checkpoint's (:meth:`restore`)."""
         self.scenario = scenario
         self._names: Tuple[Hashable, ...] = scenario.instance_names
         self._functions: Tuple = scenario.functions
-        self._matrix = scenario.initial_matrix()
+        self._matrix = matrix
         # per-slot state: a row of _SLOT_STATE this scenario does not
         # need stays None
         for attr, *_ in _SLOT_STATE:
@@ -1051,44 +1093,20 @@ class GossipEngine:
 
     def _load_state(self, manifest: Dict[str, Any],
                     arrays: Dict[str, np.ndarray]) -> None:
-        """Overwrite this (freshly constructed) engine's mutable state
-        with a checkpoint's. Construction already consumed the same
-        construction-time randomness (adversary draw, provider
-        bootstrap) the checkpointed engine did; the restored RNG state
-        then discards it, so the resumed stream continues exactly where
-        the checkpointed run left off."""
-        scenario = self.scenario
-        check_manifest(
-            manifest, scenario,
-            bit_generator=type(self._rng.bit_generator).__name__,
-        )
-        saved_matrix = np.ascontiguousarray(
-            arrays["matrix"], dtype=np.float64
-        )
-        capacity, k = saved_matrix.shape
-        rebuilt = bool(manifest.get("instances_rebuilt"))
-        if rebuilt:
-            if self._epochs is None:
-                raise CheckpointError(
-                    "checkpoint holds an epoch-rebuilt instance layout "
-                    "but this scenario declares no epochs"
-                )
+        """Overwrite this engine's mutable state, built around the
+        checkpoint's matrix, with the rest of the checkpoint's.
+        Construction already consumed the same construction-time
+        randomness (adversary draw, provider bootstrap) the checkpointed
+        engine did; the restored RNG state then discards it, so the
+        resumed stream continues exactly where the checkpointed run
+        left off."""
+        if manifest.get("instances_rebuilt"):
             # positional instance ids, every column running the epoch
             # spec's AGGREGATE — exactly what _start_epoch rebuilds
+            k = self._matrix.shape[1]
             self._functions = (self._epochs.function,) * k
             self._names = tuple(range(k))
-        elif [str(name) for name in scenario.instance_names] != list(
-            manifest.get("instances", ())
-        ):
-            raise CheckpointError(
-                f"checkpoint instances {manifest.get('instances')} do "
-                f"not match the scenario's "
-                f"{[str(n) for n in scenario.instance_names]}"
-            )
         self._moments = None
-        self._matrix = self._backend.restore_matrix(
-            self._matrix, saved_matrix
-        )
         for attr, key, dtype, *_ in _SLOT_STATE:
             if getattr(self, attr) is None:
                 continue
@@ -1131,9 +1149,18 @@ class GossipEngine:
         sharded pool resumes in-process and vice versa. ``path`` may
         be a manifest, a payload file, or a checkpoint directory (the
         newest valid checkpoint wins).
+
+        The checkpoint is validated before anything is built, and the
+        engine is then built around the checkpoint's matrix: the
+        backend adopts it as it would an initial matrix, and the
+        scenario's initial matrix is never built.
         """
         manifest, arrays = read_checkpoint(path)
-        engine = cls(scenario)
+        _check_restorable(scenario, manifest, arrays)
+        engine = cls.__new__(cls)
+        engine._build(scenario, np.ascontiguousarray(
+            arrays["matrix"], dtype=np.float64
+        ))
         try:
             engine._load_state(manifest, arrays)
         except BaseException:

@@ -7,7 +7,10 @@ never stopped, on any backend and under any partner-draw layer. The
 tests here assert that end to end (full run vs checkpoint-and-resume,
 bitwise) and cover the on-disk format's crash discipline: atomic
 payload-then-manifest commits, torn-checkpoint skipping, checksum
-verification, and retention pruning.
+verification, and retention pruning. :class:`TestWriter` pins the
+payload to the bytes ``np.savez`` writes and checks that a failed write
+leaves the previous checkpoint as the newest; :class:`TestRestorePath`
+checks that restore builds the engine around the saved matrix.
 
 What a slot holds is one table in the engine (``_SLOT_STATE``), and
 growth, recycling, checkpoint and restore are loops over it.
@@ -18,7 +21,11 @@ a checkpoint written before the table existed.
 """
 
 import hashlib
+import io
 import json
+import os
+import threading
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +55,8 @@ from repro.kernel import (
     prune_checkpoints,
     read_checkpoint,
 )
+from repro.kernel import checkpoint as checkpoint_module
+from repro.kernel.checkpoint import pickle_payload, write_checkpoint
 from repro.kernel.engine import _SLOT_STATE
 from repro.topology import AdjacencyTopology, CompleteTopology
 
@@ -297,11 +306,17 @@ class TestFormat:
 
     def test_torn_checkpoint_is_skipped(self, tmp_path):
         """A manifest whose payload vanished (the torn half of a crash
-        mid-write) must not be offered as the latest checkpoint."""
+        mid-write) must not be offered as the latest checkpoint, and
+        neither must a manifest that is JSON but not an object."""
         older = self._write_one(tmp_path, cycles=3)
         newer = self._write_one(tmp_path, cycles=6)
         newer.with_suffix(".npz").unlink()
         assert latest_checkpoint(tmp_path) == older
+        listed = tmp_path / "ck-0000000009.json"
+        listed.write_text("[]")
+        assert latest_checkpoint(tmp_path) == older
+        with pytest.raises(CheckpointError, match="not a repro-checkpoint"):
+            read_checkpoint(listed)
 
     def test_checksum_mismatch_raises(self, tmp_path):
         manifest = self._write_one(tmp_path)
@@ -311,6 +326,28 @@ class TestFormat:
         payload.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError):
             read_checkpoint(manifest)
+
+    @pytest.mark.parametrize("payload_kind", ["directory", "not-a-zip"])
+    def test_unreadable_payload_raises(self, payload_kind, tmp_path):
+        """A payload that exists but cannot be read — or holds bytes
+        whose checksum the manifest records but that are no zip — is a
+        typed error for the reader and an invalid checkpoint for
+        discovery."""
+        older = self._write_one(tmp_path, cycles=3)
+        manifest = self._write_one(tmp_path, cycles=6)
+        payload = manifest.with_suffix(".npz")
+        payload.unlink()
+        if payload_kind == "directory":
+            payload.mkdir()
+        else:
+            payload.write_bytes(b"not a zip")
+            record = json.loads(manifest.read_text())
+            record["sha256"] = hashlib.sha256(b"not a zip").hexdigest()
+            manifest.write_text(json.dumps(record))
+        with pytest.raises(CheckpointError, match="unreadable"):
+            read_checkpoint(manifest)
+        if payload_kind == "directory":
+            assert latest_checkpoint(tmp_path) == older
 
     def test_restored_arrays_are_writable_heap_arrays(self, tmp_path):
         """No copy on the way in: each restored member is writable and
@@ -352,6 +389,24 @@ class TestFormat:
         assert [json.loads(p.read_text())["cycle"] for p in remaining] \
             == [9, 12]
 
+    @pytest.mark.parametrize(
+        "member", ["matrix", "free_slots", "rng_state", "epoch_results"]
+    )
+    def test_missing_member_fails_before_building(self, member, tmp_path,
+                                                  monkeypatch):
+        """A payload whose checksum holds but which lacks a member every
+        checkpoint has is refused before any engine or pool exists."""
+        manifest, arrays = read_checkpoint(self._write_one(tmp_path))
+        del arrays[member]
+        written = write_checkpoint(tmp_path / "short", arrays, manifest)
+
+        def build(*args):
+            raise AssertionError("restore built an engine")
+
+        monkeypatch.setattr(GossipEngine, "_build", build)
+        with pytest.raises(CheckpointError, match=repr(member)):
+            GossipEngine.restore(_scenario(n=40), written)
+
     def test_scenario_validation_fails_fast(self, tmp_path):
         manifest = self._write_one(tmp_path)
         with pytest.raises(CheckpointError):
@@ -362,6 +417,104 @@ class TestFormat:
             CheckpointSpec(directory=tmp_path, every_cycles=0)
         with pytest.raises(ConfigurationError):
             CheckpointSpec(directory=tmp_path, every_cycles=5, keep=0)
+
+
+def _members():
+    """One of every member kind the engine writes, plus the layouts a
+    caller may hand the writer: an empty free list, pickled payloads,
+    a strided and a transposed view."""
+    rng = np.random.default_rng(3)
+    matrix = rng.normal(size=(60, 5))
+    return {
+        "matrix": matrix,
+        "alive": rng.random(60) > 0.3,
+        "mf_kind": rng.integers(0, 3, 60).astype(np.int8),
+        "mf_partner": rng.integers(-1, 60, 60),
+        "views": rng.integers(0, 60, (60, 8), dtype=np.int32),
+        "phi_log": rng.integers(0, 9, (4, 60)),
+        "attributes": rng.normal(size=(60, 5)),
+        "mf_cache": rng.normal(size=(60, 5)),
+        "free_slots": np.asarray([], dtype=np.int64),
+        "rng_state": pickle_payload(rng.bit_generator.state),
+        "epoch_results": pickle_payload([1.5, None, {"leaders": 2}]),
+        "strided": matrix[::3, 2],
+        "transposed": matrix.T,
+    }
+
+
+def _masked(raw):
+    """``raw`` zip bytes with every member's DOS date/time zeroed, in
+    its local header and in the central directory."""
+    raw = bytearray(raw)
+    for info in zipfile.ZipFile(io.BytesIO(bytes(raw))).infolist():
+        raw[info.header_offset + 10:info.header_offset + 14] = bytes(4)
+    start = raw.find(b"PK\x01\x02")
+    while start >= 0:
+        raw[start + 12:start + 16] = bytes(4)
+        start = raw.find(b"PK\x01\x02", start + 4)
+    return bytes(raw)
+
+
+class TestWriter:
+    """The payload writer: the ``np.savez`` format without its copies,
+    the checksum of what is on disk, and no trace of a failed write."""
+
+    def test_members_read_back_through_np_load(self, tmp_path):
+        members = _members()
+        manifest = write_checkpoint(tmp_path, members, {"cycle": 4})
+        with np.load(manifest.with_suffix(".npz")) as bundle:
+            assert sorted(bundle.files) == sorted(members)
+            for name, array in members.items():
+                loaded = bundle[name]
+                assert loaded.dtype == array.dtype, name
+                assert loaded.shape == array.shape, name
+                assert loaded.tobytes() == array.tobytes(), name
+
+    def test_manifest_checksum_is_the_file_on_disk(self, tmp_path):
+        manifest = write_checkpoint(tmp_path, _members(), {"cycle": 4})
+        on_disk = manifest.with_suffix(".npz").read_bytes()
+        recorded = json.loads(manifest.read_text())["sha256"]
+        assert recorded == hashlib.sha256(on_disk).hexdigest()
+
+    def test_payload_is_what_np_savez_writes(self, tmp_path):
+        """The format is pinned to numpy's own: the same dict through
+        ``np.savez`` gives the same bytes but for the timestamps."""
+        members = _members()
+        manifest = write_checkpoint(tmp_path, members, {"cycle": 4})
+        reference = io.BytesIO()
+        np.savez(reference, **members)
+        assert _masked(manifest.with_suffix(".npz").read_bytes()) == \
+            _masked(reference.getvalue())
+
+    @pytest.mark.parametrize("failure", ["object-member", "fsync", "hash"])
+    def test_failed_write_leaves_the_previous_checkpoint(
+        self, failure, tmp_path, monkeypatch
+    ):
+        previous = write_checkpoint(tmp_path, _members(), {"cycle": 4})
+        members = _members()
+        threads = set(threading.enumerate())
+        if failure == "object-member":
+            members["objects"] = np.array([{"a": 1}, None], dtype=object)
+            expected = CheckpointError
+        else:
+            def broken(*args):
+                raise OSError(f"injected {failure} failure")
+
+            if failure == "fsync":
+                monkeypatch.setattr(os, "fsync", broken)
+            else:
+                monkeypatch.setattr(
+                    checkpoint_module, "_sha256_file", broken
+                )
+            expected = OSError
+        with pytest.raises(expected):
+            write_checkpoint(tmp_path, members, {"cycle": 8})
+        monkeypatch.undo()
+        assert set(threading.enumerate()) == threads
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            previous.name, previous.with_suffix(".npz").name
+        ]
+        assert latest_checkpoint(tmp_path) == previous
 
 
 class TestSlotTable:
@@ -468,6 +621,42 @@ class TestComposedRoundTrip:
         )
         try:
             assert full.capacity == 337  # grew twice on the way
+            np.testing.assert_equal(_state(resumed), _state(full))
+        finally:
+            full.close()
+            resumed.close()
+
+
+class TestRestorePath:
+    """Restore builds the engine around the checkpoint's matrix."""
+
+    def test_restore_never_builds_the_initial_matrix(self, tmp_path,
+                                                     monkeypatch):
+        with GossipEngine(_armed()) as full:
+            full.run(20)
+        with GossipEngine(_armed()) as part:
+            part.run(11)
+            part.checkpoint(tmp_path)
+
+        def initial_matrix(self):
+            raise AssertionError("restore built the initial matrix")
+
+        monkeypatch.setattr(Scenario, "initial_matrix", initial_matrix)
+        with GossipEngine.restore(_armed(), tmp_path) as resumed:
+            resumed.run(9)
+            assert _digest(resumed) == _digest(full)
+
+    @pytest.mark.parametrize("resume_backend", ["sharded:2", "vectorized"])
+    def test_sharded_resume_after_growth(self, resume_backend, tmp_path):
+        """A pool run checkpointed after churn grew its capacity twice
+        resumes on the pool and in-process without a bit of drift."""
+        full, resumed = _round_trip(
+            lambda: _armed(backend="sharded:2"), total=20, split=11,
+            tmp_path=tmp_path, resume_backend=resume_backend,
+        )
+        try:
+            (manifest,) = list_checkpoints(tmp_path)
+            assert json.loads(manifest.read_text())["capacity"] == 337
             np.testing.assert_equal(_state(resumed), _state(full))
         finally:
             full.close()
