@@ -1,99 +1,27 @@
-"""Shared infrastructure for the benchmark harness.
+"""Shared infrastructure for the benchmark drivers.
 
-Every benchmark regenerates one paper artifact (figure or in-text
-claim). By default the workloads run at a reduced scale so the whole
-harness finishes in minutes on a laptop; set ``REPRO_PAPER_SCALE=1`` to
-run the exact parameters of the paper (N = 100 000, 50 runs, 1000
-cycles — slow in pure Python, as the reproduction notes anticipate).
-
-Each benchmark prints its series (the same rows the paper's figure
-plots) and archives them under ``benchmarks/out/``.
+Every ``bench_*.py`` driver is a script: ``python benchmarks/bench_<name>.py
+[--n N ...]`` times one workload at acceptance scale by default, checks
+its bitwise and speedup claims, prints a report and archives it under
+``benchmarks/out/``. The paper's figure and table claims are asserted
+by the test suite instead (``tests/statistical/test_paper_claims.py``).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 OUT_DIR = Path(__file__).parent / "out"
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def paper_scale() -> bool:
-    """Whether to run the exact paper-scale parameters."""
-    return os.environ.get("REPRO_PAPER_SCALE", "0") == "1"
-
-
-@dataclass(frozen=True)
-class Scale:
-    """Workload sizes for one scale regime."""
-
-    figure3a_sizes: tuple
-    figure3a_runs: int
-    figure3b_n: int
-    figure3b_runs: int
-    figure3b_cycles: int
-    figure4_mid: int
-    figure4_amplitude: int
-    figure4_fluctuation: int
-    figure4_cycles: int
-    figure4_epoch: int
-    rates_n: int
-    rates_runs: int
-    rates_cycles: int
-
-
-REDUCED = Scale(
-    figure3a_sizes=(100, 316, 1000, 3162, 10000),
-    figure3a_runs=10,
-    figure3b_n=10000,
-    figure3b_runs=3,
-    figure3b_cycles=30,
-    figure4_mid=3000,
-    figure4_amplitude=300,
-    figure4_fluctuation=3,
-    figure4_cycles=1000,
-    figure4_epoch=30,
-    rates_n=2000,
-    rates_runs=5,
-    rates_cycles=15,
-)
-
-PAPER = Scale(
-    figure3a_sizes=(100, 316, 1000, 3162, 10000, 31623, 100000),
-    figure3a_runs=50,
-    figure3b_n=100000,
-    figure3b_runs=50,
-    figure3b_cycles=30,
-    figure4_mid=100000,
-    figure4_amplitude=10000,
-    figure4_fluctuation=100,
-    figure4_cycles=1000,
-    figure4_epoch=30,
-    rates_n=10000,
-    rates_runs=50,
-    rates_cycles=20,
-)
-
-
-def scale() -> Scale:
-    """The active scale regime."""
-    return PAPER if paper_scale() else REDUCED
-
-
-def emit(name: str, text: str, capsys) -> None:
-    """Print a report to the live terminal and archive it."""
+def emit(name: str, text: str) -> None:
+    """Print a report and archive it as ``benchmarks/out/<name>.txt``."""
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / f"{name}.txt").write_text(text + "\n")
-    if capsys is not None:
-        with capsys.disabled():
-            print()
-            print(text)
-    else:  # pragma: no cover - direct invocation
-        print(text)
+    print(text)
 
 
 def peak_rss_bytes() -> dict:
@@ -102,11 +30,8 @@ def peak_rss_bytes() -> dict:
     children number. Empty where :mod:`resource` is unavailable.
 
     ``ru_maxrss`` is a process-lifetime high-water mark, so archives
-    are only attributable to one workload when each benchmark runs in
-    its own process (how CI and the nightly invoke them); a combined
-    pytest session stamps every archive with the session's peak so
-    far. Rows remain comparable across runs of the same entrypoint
-    either way.
+    are attributable to one workload because each benchmark runs in
+    its own process.
     """
     try:
         import resource
@@ -134,7 +59,8 @@ def emit_json(name: str, payload: dict, *, archive: bool = True) -> Path:
     smoke/reduced workloads so a quick local run never clobbers the
     committed paper-scale archive. Every archive also carries the
     run's peak-RSS numbers (see :func:`peak_rss_bytes`) so memory
-    trends accumulate in ``bench_history.py`` alongside the timings.
+    trends accumulate in ``diff_bench.py --append``'s history
+    alongside the timings.
     Returns the ``benchmarks/out/`` path."""
     OUT_DIR.mkdir(exist_ok=True)
     payload = {**peak_rss_bytes(), **payload}

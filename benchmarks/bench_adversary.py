@@ -21,8 +21,7 @@ runs also refresh the git-tracked copy at the repo root) plus the
 robustness-report figure ``benchmarks/out/FIG_adversary.svg``. A smoke
 configuration (``--n 50000``) runs a reduced grid for CI.
 
-Run directly (``python benchmarks/bench_adversary.py [--n N]``) or
-through pytest (``pytest benchmarks/bench_adversary.py``).
+Run as a script: ``python benchmarks/bench_adversary.py [--n N]``.
 """
 
 from __future__ import annotations
@@ -223,21 +222,12 @@ def check(series):
         )
 
 
-def test_adversary(benchmark, capsys):
-    series = benchmark.pedantic(
-        compute_adversary, args=(20_000,), rounds=1, iterations=1
-    )
-    emit("adversary", render(series), capsys)
-    emit_json("adversary", series, archive=series["n"] >= N)
-    check(series)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=N)
     args = parser.parse_args(argv)
     series = compute_adversary(args.n)
-    emit("adversary", render(series), None)
+    emit("adversary", render(series))
     # only acceptance-scale runs refresh the git-tracked archive;
     # smoke sizes stay in benchmarks/out/
     emit_json("adversary", series, archive=args.n >= N)

@@ -23,8 +23,7 @@ N = 100 000: speedup ≥ 5×. Results land in
 git-tracked copy at the repo root). A smoke configuration
 (``--n 20000``) runs in seconds for CI.
 
-Run directly (``python benchmarks/bench_avg.py [--n N]``) or through
-pytest (``pytest benchmarks/bench_avg.py``).
+Run as a script: ``python benchmarks/bench_avg.py [--n N]``.
 """
 
 from __future__ import annotations
@@ -152,20 +151,13 @@ def check(series):
         )
 
 
-def test_avg(benchmark, capsys):
-    series = benchmark.pedantic(compute_avg, rounds=1, iterations=1)
-    emit("avg", render(series), capsys)
-    emit_json("avg", series, archive=series["n"] >= N)
-    check(series)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=N)
     parser.add_argument("--cycles", type=int, default=CYCLES)
     args = parser.parse_args(argv)
     series = compute_avg(args.n, args.cycles)
-    emit("avg", render(series), None)
+    emit("avg", render(series))
     # only acceptance-scale runs refresh the git-tracked archive;
     # smoke sizes stay in benchmarks/out/
     emit_json("avg", series, archive=args.n >= N)

@@ -20,8 +20,7 @@ with mean relative estimation error < 5 %. Results land in
 git-tracked copy at the repo root). A smoke configuration
 (``--n 50000 --cycles 90``) runs in about a second for CI.
 
-Run directly (``python benchmarks/bench_churn.py [--n N]``) or through
-pytest (``pytest benchmarks/bench_churn.py``).
+Run as a script: ``python benchmarks/bench_churn.py [--n N]``.
 """
 
 from __future__ import annotations
@@ -142,20 +141,13 @@ def check(series):
         )
 
 
-def test_churn(benchmark, capsys):
-    series = benchmark.pedantic(compute_churn, rounds=1, iterations=1)
-    emit("churn", render(series), capsys)
-    emit_json("churn", series, archive=series["n"] >= N)
-    check(series)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=N)
     parser.add_argument("--cycles", type=int, default=CYCLES)
     args = parser.parse_args(argv)
     series = compute_churn(args.n, args.cycles)
-    emit("churn", render(series), None)
+    emit("churn", render(series))
     # only acceptance-scale runs refresh the git-tracked archive;
     # smoke sizes stay in benchmarks/out/
     emit_json("churn", series, archive=args.n >= N)

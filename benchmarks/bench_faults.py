@@ -31,8 +31,7 @@ N = 1 000 000:
 
 Results land in ``benchmarks/out/BENCH_faults.json`` (paper-scale runs
 also refresh the git-tracked ``BENCH_faults.json`` at the repo root).
-Run directly (``python benchmarks/bench_faults.py [--n N]``) or
-through pytest.
+Run as a script: ``python benchmarks/bench_faults.py [--n N]``.
 """
 
 from __future__ import annotations
@@ -240,13 +239,6 @@ def check(series):
         )
 
 
-def test_faults(benchmark, capsys):
-    series = benchmark.pedantic(compute, rounds=1, iterations=1)
-    emit("faults", render(series), capsys)
-    emit_json("faults", series, archive=series["n"] >= N)
-    check(series)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=N)
@@ -257,7 +249,7 @@ def main(argv=None) -> int:
     if not 0 < args.split < args.cycles:
         parser.error("--split must fall strictly inside --cycles")
     series = compute(args.n, args.cycles, args.split)
-    emit("faults", render(series), None)
+    emit("faults", render(series))
     # only acceptance-scale runs refresh the git-tracked archive
     emit_json("faults", series, archive=args.n >= N)
     check(series)

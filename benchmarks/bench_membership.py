@@ -24,8 +24,7 @@ Results land in ``benchmarks/out/BENCH_membership.json`` (paper-scale
 runs also refresh the git-tracked copy at the repo root). A smoke
 configuration (``--n 20000``) runs in seconds for CI.
 
-Run directly (``python benchmarks/bench_membership.py [--n N]``) or
-through pytest (``pytest benchmarks/bench_membership.py``).
+Run as a script: ``python benchmarks/bench_membership.py [--n N]``.
 """
 
 from __future__ import annotations
@@ -184,20 +183,13 @@ def check(series):
         )
 
 
-def test_membership(benchmark, capsys):
-    series = benchmark.pedantic(compute_membership, rounds=1, iterations=1)
-    emit("membership", render(series), capsys)
-    emit_json("membership", series, archive=series["n"] >= N)
-    check(series)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=N)
     parser.add_argument("--cycles", type=int, default=CYCLES)
     args = parser.parse_args(argv)
     series = compute_membership(args.n, args.cycles)
-    emit("membership", render(series), None)
+    emit("membership", render(series))
     # only acceptance-scale runs refresh the git-tracked archive;
     # smoke sizes stay in benchmarks/out/
     emit_json("membership", series, archive=args.n >= N)

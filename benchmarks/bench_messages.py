@@ -22,12 +22,12 @@ strict invariant monitors certifies exactly zero attributed drift.
 
 Results land in ``benchmarks/out/BENCH_messages.json`` (acceptance
 scale runs also refresh the git-tracked copy at the repo root) plus
-the degradation figure ``benchmarks/out/FIG_messages.svg``. With
-``REPRO_PAPER_SCALE=1`` a million-node spot check (none vs retransmit
-at 10 % reply loss, sharded backend) rides along.
+the degradation figure ``benchmarks/out/FIG_messages.svg``. At
+acceptance scale (``--n`` at least the default) a million-node spot
+check (none vs retransmit at 10 % reply loss, sharded backend) rides
+along.
 
-Run directly (``python benchmarks/bench_messages.py [--n N]``) or
-through pytest (``pytest benchmarks/bench_messages.py``).
+Run as a script: ``python benchmarks/bench_messages.py [--n N]``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from repro.kernel import (
 from repro.rng import make_rng
 from repro.topology import CompleteTopology
 
-from _common import OUT_DIR, emit, emit_json, paper_scale
+from _common import OUT_DIR, emit, emit_json
 
 N = 100_000
 SEED = 2004
@@ -232,7 +232,7 @@ def compute_messages(n=N):
     equivalence = equivalence_check()
     equivalence_seconds = time.perf_counter() - start
     conservation = zero_drift_check()
-    spot = spot_check_1m() if paper_scale() else None
+    spot = spot_check_1m() if n >= N else None
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / "FIG_messages.svg").write_text(
         render_message_fault_svg(payload) + "\n"
@@ -331,21 +331,12 @@ def check(series):
         )
 
 
-def test_messages(benchmark, capsys):
-    series = benchmark.pedantic(
-        compute_messages, args=(20_000,), rounds=1, iterations=1
-    )
-    emit("messages", render(series), capsys)
-    emit_json("messages", series, archive=series["n"] >= N)
-    check(series)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=N)
     args = parser.parse_args(argv)
     series = compute_messages(args.n)
-    emit("messages", render(series), None)
+    emit("messages", render(series))
     # only acceptance-scale runs refresh the git-tracked archive;
     # smoke sizes stay in benchmarks/out/
     emit_json("messages", series, archive=args.n >= N)

@@ -16,8 +16,7 @@ CI; results land in ``benchmarks/out/BENCH_scale.json`` via
 :func:`_common.emit_json` (paper-scale runs also refresh the
 git-tracked ``BENCH_scale.json`` at the repo root).
 
-Run directly (``python benchmarks/bench_scale.py [--n N]``) or through
-pytest (``pytest benchmarks/bench_scale.py``).
+Run as a script: ``python benchmarks/bench_scale.py [--n N]``.
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ from repro.topology import CompleteTopology
 from _common import emit, emit_json
 
 # the acceptance claim is at paper scale, and a full two-backend run
-# finishes in seconds, so 100k is the default regardless of
-# REPRO_PAPER_SCALE; CI's smoke job passes --n 10000 explicitly
+# finishes in seconds, so 100k is the default; CI's smoke job passes a
+# smaller --n explicitly
 N = 100_000
 CYCLES = 10
 SEED = 17
@@ -144,20 +143,13 @@ def check(series):
     )
 
 
-def test_scale(benchmark, capsys):
-    series = benchmark.pedantic(compute_scale, rounds=1, iterations=1)
-    emit("scale", render(series), capsys)
-    emit_json("scale", series, archive=series["n"] >= N)
-    check(series)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=N)
     parser.add_argument("--cycles", type=int, default=CYCLES)
     args = parser.parse_args(argv)
     series = compute_scale(args.n, args.cycles)
-    emit("scale", render(series), None)
+    emit("scale", render(series))
     # only acceptance-scale runs refresh the git-tracked archive;
     # smoke sizes stay in benchmarks/out/
     emit_json("scale", series, archive=args.n >= N)

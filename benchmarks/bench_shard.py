@@ -57,8 +57,8 @@ Results land in ``benchmarks/out/BENCH_shard.json`` (paper-scale runs
 also refresh the git-tracked ``BENCH_shard.json`` at the repo root; a
 run at the pinned benchmark's N = 100 000 writes and archives
 ``BENCH_shard100k.json`` instead).
-Run directly (``python benchmarks/bench_shard.py [--n N] [--workers
-1 2 4 8] [--tenm]``) or through pytest.
+Run as a script: ``python benchmarks/bench_shard.py [--n N] [--workers
+1 2 4 8] [--tenm]``.
 """
 
 from __future__ import annotations
@@ -478,13 +478,6 @@ def check_tenm(series):
         )
 
 
-def test_shard(benchmark, capsys):
-    series = benchmark.pedantic(compute_shard, rounds=1, iterations=1)
-    emit("shard", render(series), capsys)
-    emit_json("shard", series, archive=series["n"] >= N)
-    check(series)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=N)
@@ -503,14 +496,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.tenm:
         series = compute_tenm()
-        emit("shard10m", render_tenm(series), None)
+        emit("shard10m", render_tenm(series))
         emit_json("shard10m", series)
         check_tenm(series)
         return 0
     series = compute_shard(
         args.n, args.cycles, tuple(args.workers), args.equiv_n, args.reps
     )
-    emit("shard", render(series), None)
+    emit("shard", render(series))
     # only acceptance-scale runs refresh the git-tracked archive; a run
     # at the pinned benchmark's size keeps an archive of its own
     pinned = args.n == PINNED_N

@@ -32,8 +32,7 @@ loop) near N ≈ 2048. ``AUTO_VECTORIZE_THRESHOLD`` = 1024 sits in that
 measured band; the benchmark asserts the vectorized backend wins the
 service workload at the threshold size.
 
-Run directly (``python benchmarks/bench_sparse.py [--n N]``) or through
-pytest (``pytest benchmarks/bench_sparse.py``).
+Run as a script: ``python benchmarks/bench_sparse.py [--n N]``.
 """
 
 from __future__ import annotations
@@ -222,20 +221,13 @@ def check(series):
         )
 
 
-def test_sparse(benchmark, capsys):
-    series = benchmark.pedantic(compute_sparse, rounds=1, iterations=1)
-    emit("sparse", render(series), capsys)
-    emit_json("sparse", series, archive=series["n"] >= N)
-    check(series)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=N)
     parser.add_argument("--cycles", type=int, default=CYCLES)
     args = parser.parse_args(argv)
     series = compute_sparse(args.n, args.cycles)
-    emit("sparse", render(series), None)
+    emit("sparse", render(series))
     # only acceptance-scale runs refresh the git-tracked archive;
     # smoke sizes stay in benchmarks/out/
     emit_json("sparse", series, archive=args.n >= N)

@@ -1,4 +1,5 @@
-"""Diff two benchmark JSON archives and fail on timing regressions.
+"""Diff two benchmark JSON archives, fail on timing regressions, and
+optionally append the run to a JSONL history.
 
 The CI workflow archives each run's ``BENCH_*.json`` (the
 machine-readable outputs of :mod:`bench_scale`, :mod:`bench_churn`, …)
@@ -11,12 +12,17 @@ script compares the two:
 * measurements whose baseline is below ``--min-seconds`` are reported
   but never gated — sub-100 ms smoke timings vary far more than any
   honest tolerance between CI runners;
-* non-timing scalar keys (``n``, ``cycles``, ``speedup`` …) are
-  reported informationally;
 * runs are only comparable when their workload parameters match —
   mismatched ``n``/``cycles`` (e.g. a smoke run against a paper-scale
   archive) skip the diff with exit code 0, as does a missing baseline
   (the first run ever, or an expired cache).
+
+A pairwise diff cannot show a slow drift, so ``--append HISTORY``
+condenses the current archives into one JSON line — run label, commit,
+and every workload's parameters, timings, derived ratios (``speedup``,
+``*_ratio``) and peak-RSS numbers — and appends it to a history file
+that ``tools/plot_history.py`` renders. A run that regresses appends
+nothing.
 
 Exit codes: 0 = ok/skip, 1 = regression beyond tolerance, 2 = bad
 invocation.
@@ -26,7 +32,9 @@ Usage::
     python benchmarks/diff_bench.py --baseline prev/BENCH_scale.json \
         --current BENCH_scale.json [--tolerance 0.25]
     python benchmarks/diff_bench.py --baseline-dir .bench-baseline \
-        --current-dir benchmarks/out
+        --current-dir benchmarks/out \
+        [--append .bench-baseline/BENCH_history.jsonl] \
+        [--label "$GITHUB_RUN_NUMBER"] [--commit "$GITHUB_SHA"]
 
 The directory form diffs every ``BENCH_*.json`` of ``--current-dir``
 against its namesake in ``--baseline-dir`` under the same rules (an
@@ -37,12 +45,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import time
 from pathlib import Path
 
-#: keys that must match for two runs to be comparable — cpu_count
-#: guards the sharded sweep, whose timings shift with the runner's
-#: core count even on identical code
+#: keys that must match for two runs to be comparable, and that every
+#: history row keeps — cpu_count guards the sharded sweep, whose
+#: timings shift with the runner's core count even on identical code
 PARAM_KEYS = ("n", "cycles", "aggregates", "cycles_per_epoch", "backend",
               "worker_sweep", "cpu_count")
 
@@ -50,6 +60,12 @@ PARAM_KEYS = ("n", "cycles", "aggregates", "cycles_per_epoch", "backend",
 def is_timing_key(key: str) -> bool:
     """Whether a JSON key holds a wall-clock measurement."""
     return key == "seconds" or key.endswith("_seconds")
+
+
+def is_memory_key(key: str) -> bool:
+    """Whether a JSON key holds a memory measurement (the peak-RSS
+    numbers ``_common.emit_json`` stamps on every archive)."""
+    return key.startswith("peak_rss") and key.endswith("_bytes")
 
 
 def load(path: Path):
@@ -123,6 +139,30 @@ def diff_files(baseline: Path, current: Path, tolerance: float,
     return 0
 
 
+def summarize(payload: dict) -> dict:
+    """The history-worthy subset of one benchmark archive: workload
+    parameters, timings, ratios derived from two of one run's timings,
+    and peak RSS."""
+    return {
+        key: value for key, value in payload.items()
+        if key in PARAM_KEYS or is_timing_key(key) or is_memory_key(key)
+        or key == "speedup" or key.endswith("_ratio")
+    }
+
+
+def history_row(archives, label: str, commit: str) -> dict:
+    """One history line summarizing the ``BENCH_<name>.json`` paths."""
+    return {
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "label": label,
+        "commit": commit,
+        "benches": {
+            path.stem[len("BENCH_"):]: summarize(load(path))
+            for path in archives
+        },
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", type=Path,
@@ -138,6 +178,15 @@ def main(argv=None) -> int:
     parser.add_argument("--min-seconds", type=float, default=0.0,
                         help="ignore timings whose baseline is below "
                              "this (noise floor for smoke runs)")
+    parser.add_argument("--append", type=Path, metavar="HISTORY",
+                        help="JSONL file to append this run's summary "
+                             "row to when nothing regressed")
+    parser.add_argument("--label", default=os.environ.get(
+        "GITHUB_RUN_NUMBER", "local"),
+        help="history run label (default: $GITHUB_RUN_NUMBER or 'local')")
+    parser.add_argument("--commit", default=os.environ.get(
+        "GITHUB_SHA", "unknown"),
+        help="history commit id (default: $GITHUB_SHA or 'unknown')")
     args = parser.parse_args(argv)
     if args.tolerance <= 0:
         print("tolerance must be positive", file=sys.stderr)
@@ -168,6 +217,14 @@ def main(argv=None) -> int:
         worst = max(worst, diff_files(
             baseline, current, args.tolerance, args.min_seconds
         ))
+    if args.append is not None and worst == 0:
+        row = history_row([current for _, current in pairs],
+                          args.label, args.commit)
+        args.append.parent.mkdir(parents=True, exist_ok=True)
+        with args.append.open("a") as handle:
+            handle.write(json.dumps(row, sort_keys=True) + "\n")
+        print(f"appended run {row['label']} ({len(row['benches'])} "
+              f"benches) to {args.append}")
     return worst
 
 

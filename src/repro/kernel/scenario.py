@@ -27,7 +27,6 @@ from ..topology.base import Topology
 from ..topology.complete import CompleteTopology
 from .backends import parse_backend_spec
 from .adversary import AdversarySpec
-from .checkpoint import check_manifest, read_manifest, resolve_checkpoint
 from .messages import MessageFaultSpec, RetrySpec
 from .lifecycle import ChurnSpec, ChurnTrace, EpochSpec
 from .membership import NewscastSpec, resolve_membership
@@ -412,25 +411,3 @@ class Scenario:
         """A copy of this scenario with ``changes`` applied (the hook
         replication/sweep drivers use to re-seed per run)."""
         return dataclasses.replace(self, **changes)
-
-    def from_checkpoint(self, path, *, backend: Optional[str] = None
-                        ) -> "Scenario":
-        """This scenario, validated against a checkpoint and ready to
-        resume it — optionally on a different ``backend`` (resume is
-        bitwise-identical on any of them).
-
-        A checkpoint deliberately serializes no callables (aggregates,
-        churn models, epoch hooks), so resuming starts from the
-        original scenario object; this hook fails fast — before any
-        engine or worker pool is built — when ``path`` was recorded
-        under an incompatible configuration. Feed the result to
-        :meth:`GossipEngine.restore
-        <repro.kernel.engine.GossipEngine.restore>` together with the
-        same ``path``.
-        """
-        check_manifest(
-            read_manifest(resolve_checkpoint(path)), self, path=path
-        )
-        if backend is None or backend == self.backend:
-            return self
-        return self.replace(backend=backend)

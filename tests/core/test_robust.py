@@ -104,14 +104,15 @@ class TestCleanRun:
 
 
 class TestRobustnessGain:
-    def test_median_beats_single_under_crashes(self, values):
+    @pytest.mark.parametrize("instances", [7, 15])
+    def test_median_beats_single_under_crashes(self, values, instances):
         """Across seeds, the median-of-instances estimator has no larger
         error than the single-instance one when 20 % of nodes crash
         early (independent per-instance mixing noise gets voted out)."""
         single_errors, median_errors = [], []
         for seed in range(6):
             averager = RobustAverager(
-                CompleteTopology(400), values, instances=7, seed=seed
+                CompleteTopology(400), values, instances=instances, seed=seed
             )
             averager.run(2)
             rng = np.random.default_rng(100 + seed)

@@ -389,28 +389,33 @@ class TestFormat:
         assert [json.loads(p.read_text())["cycle"] for p in remaining] \
             == [9, 12]
 
+    @pytest.fixture
+    def refuse_build(self, monkeypatch):
+        """Call it to fail the test if an engine is built afterwards."""
+        def build(*args):
+            raise AssertionError("restore built an engine")
+
+        return lambda: monkeypatch.setattr(GossipEngine, "_build", build)
+
     @pytest.mark.parametrize(
         "member", ["matrix", "free_slots", "rng_state", "epoch_results"]
     )
     def test_missing_member_fails_before_building(self, member, tmp_path,
-                                                  monkeypatch):
+                                                  refuse_build):
         """A payload whose checksum holds but which lacks a member every
         checkpoint has is refused before any engine or pool exists."""
         manifest, arrays = read_checkpoint(self._write_one(tmp_path))
         del arrays[member]
         written = write_checkpoint(tmp_path / "short", arrays, manifest)
-
-        def build(*args):
-            raise AssertionError("restore built an engine")
-
-        monkeypatch.setattr(GossipEngine, "_build", build)
+        refuse_build()
         with pytest.raises(CheckpointError, match=repr(member)):
             GossipEngine.restore(_scenario(n=40), written)
 
-    def test_scenario_validation_fails_fast(self, tmp_path):
+    def test_scenario_validation_fails_fast(self, tmp_path, refuse_build):
         manifest = self._write_one(tmp_path)
+        refuse_build()
         with pytest.raises(CheckpointError):
-            _scenario(n=80).from_checkpoint(manifest)
+            GossipEngine.restore(_scenario(n=80), manifest)
 
     def test_spec_validation(self, tmp_path):
         with pytest.raises(ConfigurationError):

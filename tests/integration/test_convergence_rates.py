@@ -58,11 +58,13 @@ class TestRatesOnCompleteTopology:
         assert rate == pytest.approx(RATE_SEQ, rel=0.05)
 
     def test_empirical_ordering(self, complete):
-        """PM < SEQ < RAND (§3.3.3 comparison)."""
+        """PM < SEQ < RAND and PM < PMRAND < RAND (§3.3.3 comparison)."""
         pm = measure_rate(GetPairPerfectMatching, complete)
         seq = measure_rate(GetPairSeq, complete)
+        pmrand = measure_rate(GetPairPMRand, complete)
         rand = measure_rate(GetPairRand, complete)
         assert pm < seq < rand
+        assert pm < pmrand < rand
 
 
 class TestRatesOnRandomTopology:
@@ -81,9 +83,11 @@ class TestRatesOnRandomTopology:
         rate = measure_rate(GetPairRand, regular)
         assert rate == pytest.approx(RATE_RAND, rel=0.15)
 
-    def test_random_topology_no_faster_than_complete(self, regular):
-        complete_rate = measure_rate(GetPairSeq, CompleteTopology(N))
-        regular_rate = measure_rate(GetPairSeq, regular)
+    @pytest.mark.parametrize("selector", [GetPairSeq, GetPairRand])
+    def test_random_topology_no_faster_than_complete(self, regular,
+                                                     selector):
+        complete_rate = measure_rate(selector, CompleteTopology(N))
+        regular_rate = measure_rate(selector, regular)
         assert regular_rate > complete_rate * 0.98
 
 

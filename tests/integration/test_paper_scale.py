@@ -1,6 +1,6 @@
 """Paper-scale spot checks.
 
-Full paper-scale sweeps live in the benchmarks (REPRO_PAPER_SCALE=1);
+Full paper-scale sweeps live in the benchmark scripts and the CLI;
 these tests verify the headline size-independence claim at the paper's
 actual N = 100 000 with single cycles, which is cheap enough for the
 regular suite.

@@ -3,7 +3,7 @@
 The tool is stdlib-only (CI runners have no plotting stack), so the
 tests exercise it end-to-end: JSONL in, well-formed SVG out, with the
 timing and memory panels populated from the same keys that
-``bench_history.py`` summarizes.
+``diff_bench.py --append`` summarizes.
 """
 
 import importlib.util
@@ -18,6 +18,8 @@ TOOL = Path(__file__).resolve().parents[2] / "tools" / "plot_history.py"
 spec = importlib.util.spec_from_file_location("plot_history", TOOL)
 plot_history = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(plot_history)
+
+import diff_bench  # noqa: E402  (plot_history put benchmarks/ on sys.path)
 
 
 def history_row(label, benches):
@@ -98,13 +100,24 @@ class TestRender:
         assert "run1" not in out.read_text()
 
     def test_real_repo_history_renders(self, tmp_path):
-        """The git-tracked history must stay renderable."""
-        history = TOOL.parent.parent / "BENCH_history.jsonl"
+        """The git-tracked history, plus a row ``diff_bench.py --append``
+        writes, must stay renderable."""
+        history = tmp_path / "BENCH_history.jsonl"
+        history.write_text(
+            (TOOL.parent.parent / "BENCH_history.jsonl").read_text())
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "BENCH_x.json").write_text('{"seconds": 0.5}')
+        assert diff_bench.main(
+            ["--baseline-dir", str(tmp_path / "none"), "--current-dir",
+             str(tmp_path / "out"), "--append", str(history),
+             "--label", "appended-run"]
+        ) == 0
         out = tmp_path / "repo.svg"
         assert plot_history.main(
             ["--history", str(history), "--out", str(out)]
         ) == 0
         xml.dom.minidom.parseString(out.read_text())
+        assert "appended-run" in out.read_text()  # the new row's x tick
 
 
 class TestEdgeCases:

@@ -1,8 +1,8 @@
 """Render the benchmark-history trend as a standalone SVG.
 
-``benchmarks/bench_history.py`` accumulates one JSON line per CI run
-(every workload's timing keys plus the peak-RSS numbers stamped by
-``_common.emit_json``); ``diff_bench.py`` gates each run pairwise, but
+``benchmarks/diff_bench.py --append`` accumulates one JSON line per CI
+run (every workload's timing keys plus the peak-RSS numbers stamped by
+``_common.emit_json``); the same tool gates each run pairwise, but
 only a trend plot shows a slow drift. This script reads the JSONL
 history and writes a two-panel SVG — wall-clock timings on top,
 peak RSS below, one polyline per ``bench.key`` series, log-scaled so
@@ -30,23 +30,15 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
+from diff_bench import is_memory_key, is_timing_key  # noqa: E402
 from repro.analysis.reporting import (  # noqa: E402
     PALETTE,
     Panel,
     Series,
     render_line_chart,
 )
-
-
-def is_timing_key(key: str) -> bool:
-    """Wall-clock keys (mirrors ``diff_bench.is_timing_key``; the
-    derived ``speedup`` ratio is excluded — it is not seconds)."""
-    return key == "seconds" or key.endswith("_seconds")
-
-
-def is_memory_key(key: str) -> bool:
-    return key.startswith("peak_rss") and key.endswith("_bytes")
 
 
 def load_rows(path: Path):
@@ -112,7 +104,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--history", type=Path,
                         default=REPO_ROOT / "BENCH_history.jsonl",
-                        help="JSONL history written by bench_history.py")
+                        help="JSONL history written by diff_bench.py "
+                             "--append")
     parser.add_argument("--out", type=Path,
                         default=REPO_ROOT / "benchmarks" / "out"
                         / "history.svg",
