@@ -69,7 +69,6 @@ from .avg import (
 )
 from .kernel import (
     Scenario,
-    ChurnSpec,
     ChurnTrace,
     EpochSpec,
     NewscastSpec,
@@ -134,7 +133,6 @@ __all__ = [
     "AggregationReport",
     "RobustAverager",
     "Scenario",
-    "ChurnSpec",
     "ChurnTrace",
     "EpochSpec",
     "NewscastSpec",

@@ -17,7 +17,7 @@ exactly as in a real deployment.
 
 Since the kernel-hosted churn refactor this experiment is a thin shell
 over :class:`~repro.kernel.GossipEngine`: churn is declared as a
-:class:`~repro.kernel.ChurnSpec` and applied as alive-mask mutation
+:class:`~repro.kernel.ChurnTrace` and applied as alive-mask mutation
 with value-matrix row recycling, and the per-epoch leader election and
 estimate extraction live in an :class:`~repro.kernel.EpochSpec`'s
 ``reseed``/``finalize`` hooks — no node objects are rebuilt between
@@ -38,7 +38,6 @@ from ..errors import ConfigurationError
 from ..kernel.checkpoint import CheckpointSpec
 from ..kernel.engine import GossipEngine
 from ..kernel.lifecycle import (
-    ChurnSpec,
     ChurnTrace,
     EpochRestart,
     EpochSpec,
@@ -118,9 +117,9 @@ class SizeEstimationExperiment:
     config:
         Cycle budget, epoch length, leader-election policy, size, seed.
     churn:
-        Optional :class:`~repro.kernel.ChurnTrace`, or a
-        :class:`~repro.kernel.ChurnSpec` to choose the rejoin policy
-        and joiner values; passed to ``Scenario(churn=...)`` as given.
+        Optional :class:`~repro.kernel.ChurnTrace`, passed to
+        ``Scenario(churn=...)`` as given; joiners start from zero and
+        wait for the next epoch (§4).
     backend:
         Kernel execution backend (``"auto"``, ``"reference"`` or
         ``"vectorized"``). Both produce bitwise-identical trajectories;
@@ -137,7 +136,7 @@ class SizeEstimationExperiment:
         self,
         config: SizeEstimationConfig,
         *,
-        churn: Union[ChurnTrace, ChurnSpec, None] = None,
+        churn: Optional[ChurnTrace] = None,
         backend: str = "auto",
         membership=None,
     ):

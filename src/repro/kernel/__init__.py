@@ -73,7 +73,6 @@ from .robust import (
     trimmed_mean,
 )
 from .lifecycle import (
-    ChurnSpec,
     ChurnStep,
     ChurnTrace,
     EpochRestart,
@@ -151,7 +150,6 @@ __all__ = [
     "BACKEND_FORMS",
     "BACKEND_NAMES",
     "Scenario",
-    "ChurnSpec",
     "ChurnStep",
     "ChurnTrace",
     "EpochRestart",

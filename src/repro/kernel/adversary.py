@@ -32,10 +32,11 @@ Four adversary kinds:
     its breakdown point while the plain mean diverges.
 
 ``"partition"``
-    Targeted partition: every exchange crossing the honest/adversarial
-    boundary fails, isolating the target set from the rest of the
-    overlay (a partition aimed at *nodes*, complementing the group-based
-    :class:`~repro.failures.partition.PartitionSchedule`).
+    Partition: every exchange crossing the boundary between the target
+    set and the rest of the overlay fails while the spec is active —
+    the split-brain scenario with ``nodes`` as one side. Each side
+    converges to its own average; after ``end`` the network re-converges
+    to the global one. The kernel's only partition model.
 
 ``"eclipse"``
     Neighbor capture on a fixed overlay: every honest node adjacent to

@@ -13,11 +13,11 @@ stochastic and everything stateful:
   attributes, the adversary mask, the retry protocol's tables), listed
   once in :data:`_SLOT_STATE`: capacity growth, checkpoint and restore
   are loops over that table,
-* node lifecycle: a declarative
-  :class:`~repro.kernel.lifecycle.ChurnSpec` is applied as alive-mask
-  growth/shrink with value-matrix row recycling (departed slots are
-  reused by joiners; the matrix grows geometrically when the network
-  outgrows its capacity — no node objects are ever rebuilt),
+* node lifecycle: a :class:`~repro.kernel.lifecycle.ChurnTrace` is
+  applied as alive-mask growth/shrink with value-matrix row recycling
+  (departed slots are reused by joiners, which start from zero; the
+  matrix grows geometrically when the network outgrows its capacity —
+  no node objects are ever rebuilt),
 * the §4 epoch/restart machinery: an
   :class:`~repro.kernel.lifecycle.EpochSpec` restarts the protocol at
   every epoch boundary by re-seeding the participants' rows in place
@@ -33,8 +33,8 @@ stochastic and everything stateful:
   :class:`~repro.kernel.membership.NewscastProvider` draws from
   gossip-maintained partial views refreshed through the backend's
   node-disjoint batch primitives — no global membership oracle, and
-* the remaining failure machinery (crash plan, partition, message
-  faults and their retry protocol), and
+* the remaining failure machinery (crash plan, message faults and
+  their retry protocol), and
 * the declarative adversary
   (:class:`~repro.kernel.adversary.AdversarySpec`): the adversary set
   is drawn once at construction, ``inject`` corruption is written into
@@ -448,8 +448,7 @@ class GossipEngine:
         # exchanges are exactly (initiators, partners) — no mask
         # allocation, no compaction scan
         self._no_failure_filters = (
-            scenario.partition is None
-            and not self._adversary_partition
+            not self._adversary_partition
             and scenario.message_faults is None
         )
         # -- invariant monitors -----------------------------------------
@@ -765,8 +764,21 @@ class GossipEngine:
     def crash(self, node_ids: Sequence[int]) -> None:
         """Crash-stop nodes; their approximations leave the system and
         (under churn) their slots become recyclable. Every id is checked
-        before any state changes: a bad id crashes nobody."""
+        before any state changes: a bad id crashes nobody. Pair-mode
+        engines run Figure 2's failure-free AVG and refuse crashes."""
+        if self._pair is not None:
+            raise ConfigurationError(
+                "pair-mode engines model the failure-free AVG of Figure 2; "
+                "crash() is not supported with pair_protocol"
+            )
+        node_ids = list(node_ids)
         for node_id in node_ids:
+            if isinstance(node_id, bool) or not isinstance(
+                node_id, (int, np.integer)
+            ):
+                raise ConfigurationError(
+                    f"node id {node_id!r} is not an integer"
+                )
             if not 0 <= node_id < self.capacity:
                 raise ConfigurationError(f"node id {node_id} out of range")
         version = self._mask_version
@@ -785,7 +797,7 @@ class GossipEngine:
             # a crashed node's outstanding exchange dies with it; a
             # recycled slot must not inherit pending/push-only state
             self._clear_pending(
-                np.asarray(list(node_ids), dtype=np.int64), recycled=True
+                np.asarray(node_ids, dtype=np.int64), recycled=True
             )
         if self._mask_version != version:
             self._provider.on_mask_change(self._mask_version)
@@ -821,9 +833,8 @@ class GossipEngine:
         """One cycle's declarative churn: departures leave (taking their
         approximation mass), joiners are admitted into recycled or
         fresh slots."""
-        spec = self._churn
         alive_count = self.alive_count
-        step = spec.model.step(self.cycle, alive_count)
+        step = self._churn.step(self.cycle, alive_count)
         leaves = min(int(step.leaves), max(alive_count - 1, 0))
         if leaves > 0:
             alive_ids = np.flatnonzero(self._alive)
@@ -892,45 +903,18 @@ class GossipEngine:
         # plain churn it participates immediately
         self._participant[slots] = self._epochs is None
         self._mask_version += 1
-
-        spec = self._churn
-        k = self._matrix.shape[1]
-        if spec.join_values is not None:
-            drawn = np.asarray(
-                spec.join_values(count, self._rng), dtype=np.float64
-            )
-            if drawn.ndim == 1:
-                if drawn.shape != (count,):
-                    raise SimulationError(
-                        f"join_values returned shape {drawn.shape}, "
-                        f"expected ({count},) or ({count}, {k})"
-                    )
-                rows = np.repeat(drawn[:, None], k, axis=1)
-            elif drawn.shape == (count, k):
-                rows = drawn
-            else:
-                raise SimulationError(
-                    f"join_values returned shape {drawn.shape}, "
-                    f"expected ({count},) or ({count}, {k})"
-                )
-        else:
-            rows = np.zeros((count, k))
-        if spec.rejoin == "keep":
-            # recycled slots keep the departed node's state; only
-            # fresh slots are seeded
-            seed_slots, seed_rows = fresh_slots, rows[len(recycled):]
-        else:
-            seed_slots, seed_rows = slots, rows
-        self._matrix[seed_slots] = seed_rows
+        # §4: a joiner behaves as if it had 0 as initial value, in a
+        # recycled slot as in a fresh one
+        self._matrix[slots] = 0.0
         if self._attributes is not None:
-            self._attributes[seed_slots] = seed_rows
+            self._attributes[slots] = 0.0
         if self._retry is not None and len(slots):
             # a joiner starts with a clean protocol state even when it
             # recycles the slot of a node that left mid-exchange
             self._clear_pending(slots, recycled=True)
         if self._monitor_entries and self._epochs is None and len(slots):
             # under plain churn joiners participate immediately: their
-            # (possibly recycled) rows enter the participant mass
+            # zero rows enter the participant mass
             self._ledger_add("join", self._matrix[slots].sum(axis=0))
         # membership hooks last, after the joiners' values landed: the
         # provider may draw bootstrap randomness (newscast contact
@@ -1258,9 +1242,9 @@ class GossipEngine:
         provider = self._provider
         # one body for static and dynamic overlays. On a static overlay
         # the participant mask *is* the alive mask (only crash() writes
-        # either, and it writes both); isolated rows, eclipse capture
-        # and partition schedules are static-only by Scenario
-        # validation, so under churn / epochs those steps are inert.
+        # either, and it writes both); isolated rows and eclipse
+        # capture are static-only by Scenario validation, so under
+        # churn / epochs those steps are inert.
         initiators = plan.initiators(
             self._participant, self._mask_version, exclude=self._isolated
         )
@@ -1298,7 +1282,7 @@ class GossipEngine:
             self.cycle += 1
             return count
         # one fused mask pass: a partner that is not participating,
-        # then the partition filters
+        # then the adversary's partition filter
         ok = plan.ok[:count]
         if provider.draws_valid_participants:
             ok[:] = True
@@ -1307,9 +1291,6 @@ class GossipEngine:
             # not-yet-restarted nodes — contacting one fails the
             # exchange
             np.take(self._participant, partners, out=ok)
-        partition = scenario.partition
-        if partition is not None and partition.active_at(self.cycle):
-            ok &= ~partition.blocks_array(self.cycle, initiators, partners)
         if self._adversary_partition and self._adversary.active_at(
             self.cycle
         ):

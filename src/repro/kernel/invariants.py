@@ -198,10 +198,10 @@ class MassConservationMonitor(InvariantMonitor):
 
 class VarianceMonotonicityMonitor(InvariantMonitor):
     """σ² never increases — valid only in the fault-free static
-    setting (no churn, loss, message faults, crashes, partitions or
-    adversaries), where every AVG exchange provably reduces the sum of
-    squared deviations. Self-disables (reports nothing) on scenarios
-    where the premise does not hold."""
+    setting (no churn, loss, message faults, crashes or adversaries,
+    partitions included), where every AVG exchange provably reduces
+    the sum of squared deviations. Self-disables (reports nothing) on
+    scenarios where the premise does not hold."""
 
     name = "variance"
 
@@ -218,7 +218,6 @@ class VarianceMonotonicityMonitor(InvariantMonitor):
             not scenario.is_dynamic
             and scenario.message_faults is None
             and scenario.crash_plan is None
-            and scenario.partition is None
             and scenario.adversary is None
         )
 

@@ -14,7 +14,7 @@ that change *who* participates over time:
   its own start, and nodes that joined mid-epoch wait for the next one.
 
 Both are *declared* here and *executed* by the kernel:
-:class:`ChurnSpec` and :class:`EpochSpec` attach to a
+a :class:`ChurnTrace` and an :class:`EpochSpec` attach to a
 :class:`~repro.kernel.scenario.Scenario`, and
 :class:`~repro.kernel.engine.GossipEngine` applies them as alive-mask
 growth/shrink plus value-matrix row recycling — no per-epoch node
@@ -40,10 +40,6 @@ import numpy as np
 from ..core.aggregates import AggregateFunction, MeanAggregate
 from ..errors import ConfigurationError
 from ..rng import SeedLike, make_rng
-
-#: accepted :attr:`ChurnSpec.rejoin` policies
-REJOIN_POLICIES = ("reset", "keep")
-
 
 @dataclass(frozen=True)
 class ChurnStep:
@@ -84,9 +80,10 @@ class ChurnTrace:
     alive-mask growth/shrink with value-matrix row recycling
     (departures are drawn uniformly among alive nodes by the engine).
     Past the end of the trace the network is quiescent, and a step
-    never removes the last node. Wrap a trace in a :class:`ChurnSpec`
-    to pick the rejoin policy and joiner values, or pass it to
-    ``Scenario(churn=...)`` directly for the defaults.
+    never removes the last node. Pass it to ``Scenario(churn=...)``;
+    joiners enter with zeros in every instance (§4's rule for nodes
+    that meet a running instance for the first time), recycled slots
+    included.
 
     Generators: :meth:`constant` (steady-state turnover),
     :meth:`diurnal` (Figure 4's day/night size wave),
@@ -281,49 +278,6 @@ class ChurnTrace:
             f"joins={int(self._joins.sum())}, "
             f"leaves={int(self._leaves.sum())})"
         )
-
-
-@dataclass(frozen=True)
-class ChurnSpec:
-    """How the kernel applies a :class:`ChurnTrace`.
-
-    Parameters
-    ----------
-    model:
-        The per-cycle join/leave counts. Queried once per cycle;
-        departures are drawn uniformly among alive nodes by the
-        engine.
-    rejoin:
-        Row-recycling policy when a joiner is assigned the slot of a
-        departed node. ``"reset"`` (default) seeds the slot from
-        ``join_values`` like any fresh slot; ``"keep"`` lets the joiner
-        adopt the state the departed node left behind — the "rejoining
-        node resumes where it left off" model.
-    join_values:
-        ``(count, rng) -> array`` producing initial values for joiners;
-        a 1-D ``(count,)`` result is broadcast across all aggregation
-        instances, a 2-D ``(count, k)`` result seeds each column.
-        Defaults to zeros — the §4 rule for nodes that meet a running
-        instance for the first time.
-    """
-
-    model: ChurnTrace
-    rejoin: str = "reset"
-    join_values: Optional[
-        Callable[[int, np.random.Generator], np.ndarray]
-    ] = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.model, ChurnTrace):
-            raise ConfigurationError(
-                f"ChurnSpec.model must be a ChurnTrace, got "
-                f"{type(self.model).__name__}"
-            )
-        if self.rejoin not in REJOIN_POLICIES:
-            raise ConfigurationError(
-                f"unknown rejoin policy {self.rejoin!r}; expected one of "
-                f"{REJOIN_POLICIES}"
-            )
 
 
 @dataclass(frozen=True)

@@ -70,23 +70,16 @@ class NewscastSpec:
     view_size:
         Entries kept per node (the paper's experiments use 20). The
         effective size is capped at ``n - 1`` for tiny networks.
-    refresh_every:
-        Run the view-exchange cycle every this many aggregation cycles
-        (1 = every cycle, the Newscast default; larger values model a
-        membership service gossiping slower than the aggregation).
+
+    Views refresh once every aggregation cycle, as in the paper.
     """
 
     view_size: int = DEFAULT_VIEW_SIZE
-    refresh_every: int = 1
 
     def __post_init__(self) -> None:
         if self.view_size < 1:
             raise ConfigurationError(
                 f"view_size must be >= 1, got {self.view_size}"
-            )
-        if self.refresh_every < 1:
-            raise ConfigurationError(
-                f"refresh_every must be >= 1, got {self.refresh_every}"
             )
 
 
@@ -434,12 +427,11 @@ class NewscastProvider(PartnerProvider):
     """Partner draws from gossip-maintained partial views.
 
     Holds a :class:`NewscastViews` matrix over engine slots. Each cycle
-    (subject to ``refresh_every``) the participants run one
-    view-exchange round through the backend's node-disjoint batch
-    primitives, then aggregation partners are drawn from the refreshed
-    views. Draws can land on departed nodes — the engine's ok-mask
-    filters them, exactly like contacting a crashed neighbor — so no
-    global liveness oracle is consulted anywhere.
+    the participants run one view-exchange round through the backend's
+    node-disjoint batch primitives, then aggregation partners are drawn
+    from the refreshed views. Draws can land on departed nodes — the
+    engine's ok-mask filters them, exactly like contacting a crashed
+    neighbor — so no global liveness oracle is consulted anywhere.
     """
 
     name = "newscast"
@@ -460,10 +452,7 @@ class NewscastProvider(PartnerProvider):
         alive: np.ndarray,
         rng: np.random.Generator,
     ) -> None:
-        engine = self._engine
-        if engine.cycle % self.spec.refresh_every != 0:
-            return
-        self._views.refresh(initiators, alive, rng, engine._backend)
+        self._views.refresh(initiators, alive, rng, self._engine._backend)
 
     def draw(
         self,

@@ -4,7 +4,7 @@ A :class:`Scenario` is the single configuration object every execution
 layer understands: it names the overlay, the initial per-node values,
 the set of concurrent aggregation instances piggybacked on each
 exchange (§4's multi-instance rule), the failure model (message
-faults, crash-stop plan, partition schedule, declarative churn), the §4
+faults, crash-stop plan, churn trace, adversaries and partitions), the §4
 epoch/restart machinery, the cycle budget, the seed, and
 which execution backend should run it. `AggregationService`, the CLI
 and the benchmark drivers all build a ``Scenario`` and hand it to
@@ -28,7 +28,7 @@ from ..topology.complete import CompleteTopology
 from .backends import parse_backend_spec
 from .adversary import AdversarySpec
 from .messages import MessageFaultSpec, RetrySpec
-from .lifecycle import ChurnSpec, ChurnTrace, EpochSpec
+from .lifecycle import ChurnTrace, EpochSpec
 from .membership import NewscastSpec, resolve_membership
 from .pairs import PairProtocolSpec, TheoremSAggregate
 
@@ -71,15 +71,11 @@ class Scenario:
     crash_plan:
         Optional :class:`~repro.failures.crash.CrashPlan`; victims crash
         before their scheduled cycle executes.
-    partition:
-        Optional :class:`~repro.failures.partition.PartitionSchedule`.
     churn:
-        Optional :class:`~repro.kernel.lifecycle.ChurnTrace` (wrapped in
-        a default spec) or a full
-        :class:`~repro.kernel.lifecycle.ChurnSpec`. The engine applies
-        it as alive-mask growth/shrink plus value-matrix row recycling.
-        Churn scenarios
-        model the paper's uniform overlay: partners are drawn uniformly
+        Optional :class:`~repro.kernel.lifecycle.ChurnTrace`. The engine
+        applies it as alive-mask growth/shrink plus value-matrix row
+        recycling; joiners start from zero (§4). Churn scenarios model
+        the paper's uniform overlay: partners are drawn uniformly
         among current participants, so the topology must be
         :class:`~repro.topology.complete.CompleteTopology` (it sets the
         initial size).
@@ -97,7 +93,7 @@ class Scenario:
         ``"avg"`` column, plus an ``"s"`` column when the spec tracks
         Theorem 1's parallel vector) and models the paper's
         failure-free §3 analysis setting — message faults, crashes,
-        partitions, churn, epochs and adversaries are rejected.
+        churn, epochs and adversaries are rejected.
     adversary:
         Optional :class:`~repro.kernel.adversary.AdversarySpec` — value
         injection, byzantine (lying) responders, targeted partitions or
@@ -161,8 +157,7 @@ class Scenario:
     )
     initial: Optional[Mapping[Hashable, Sequence[float]]] = None
     crash_plan: Optional[CrashPlan] = None
-    partition: Optional[object] = None
-    churn: Optional[ChurnSpec] = None
+    churn: Optional[ChurnTrace] = None
     epochs: Optional[EpochSpec] = None
     pair_protocol: Optional[PairProtocolSpec] = None
     adversary: Optional[AdversarySpec] = None
@@ -205,26 +200,16 @@ class Scenario:
         # raises BackendSpecError (a ConfigurationError) on unknown
         # names and malformed "sharded:<workers>" specs
         parse_backend_spec(self.backend, allow_auto=True)
-        if self.churn is not None:
-            if isinstance(self.churn, ChurnTrace):
-                object.__setattr__(self, "churn", ChurnSpec(model=self.churn))
-            elif not isinstance(self.churn, ChurnSpec):
-                raise ConfigurationError(
-                    f"churn must be a ChurnSpec or ChurnTrace, got "
-                    f"{type(self.churn).__name__}"
-                )
+        if self.churn is not None and not isinstance(self.churn, ChurnTrace):
+            raise ConfigurationError(
+                f"churn must be a ChurnTrace, got {type(self.churn).__name__}"
+            )
         if self.epochs is not None and not isinstance(self.epochs, EpochSpec):
             raise ConfigurationError(
                 f"epochs must be an EpochSpec, got "
                 f"{type(self.epochs).__name__}"
             )
         if self.is_dynamic:
-            if self.partition is not None:
-                raise ConfigurationError(
-                    "partition schedules are not supported together with "
-                    "churn/epochs (slot recycling makes static node-id "
-                    "groups meaningless)"
-                )
             if self.churn is not None and self.crash_plan is not None:
                 raise ConfigurationError(
                     "crash plans are not supported together with churn "
@@ -317,7 +302,6 @@ class Scenario:
             )
         if (
             self.crash_plan is not None
-            or self.partition is not None
             or self.adversary is not None
             or self.membership is not None
             or self.message_faults is not None
@@ -325,7 +309,7 @@ class Scenario:
         ):
             raise ConfigurationError(
                 "pair-mode scenarios model the failure-free AVG of "
-                "Figure 2; crash plans, partitions, adversaries, "
+                "Figure 2; crash plans, adversaries, "
                 "membership providers, message faults, churn and epochs "
                 "are not supported with pair_protocol"
             )

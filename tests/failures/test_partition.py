@@ -1,54 +1,61 @@
-"""Tests for the partition fault model and the split-brain scenario."""
+"""The split-brain scenario: a partition is an ``AdversarySpec`` of
+kind ``"partition"`` whose ``nodes`` are one side of the cut."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.failures import PartitionSchedule
-from repro.kernel import GossipEngine, Scenario
+from repro.kernel import AdversarySpec, ChurnTrace, GossipEngine, Scenario
 from repro.topology import CompleteTopology
+
+from ..recording import RecordingBackend
+
+
+def random_side(n, seed):
+    """One side of a uniformly random two-way split of ``n`` nodes."""
+    order = np.random.default_rng(seed).permutation(n)
+    return tuple(int(node) for node in order[: n // 2])
 
 
 class TestSchedule:
-    def test_groups_must_cover(self):
-        with pytest.raises(ConfigurationError):
-            PartitionSchedule(4, [[0, 1]], start=0, end=5)
-
-    def test_groups_must_be_disjoint(self):
-        with pytest.raises(ConfigurationError):
-            PartitionSchedule(3, [[0, 1], [1, 2]], start=0, end=5)
-
-    def test_node_range_checked(self):
-        with pytest.raises(ConfigurationError):
-            PartitionSchedule(2, [[0], [5]], start=0, end=5)
-
-    def test_window_validated(self):
-        with pytest.raises(ConfigurationError):
-            PartitionSchedule(2, [[0], [1]], start=5, end=2)
-
     def test_blocks_only_cross_cut_during_window(self):
-        schedule = PartitionSchedule(4, [[0, 1], [2, 3]], start=2, end=6)
-        assert not schedule.blocks(0, 0, 2)  # before the window
-        assert schedule.blocks(3, 0, 2)  # cross-cut during
-        assert not schedule.blocks(3, 0, 1)  # same side during
-        assert not schedule.blocks(6, 0, 2)  # healed
+        n = 40
+        side = tuple(range(n // 2))
+        recorder = RecordingBackend()
+        engine = GossipEngine(Scenario(
+            CompleteTopology(n), np.arange(n, dtype=float), seed=4,
+            adversary=AdversarySpec(
+                kind="partition", nodes=side, start=2, end=6
+            ),
+            backend=recorder,
+        ))
+        engine.run(8)
+        left = engine.adversary_mask
+        crossings = [
+            int(np.count_nonzero(left[i] != left[j]))
+            for i, j in recorder.calls
+        ]
+        assert len(crossings) == 8
+        assert all(crossings[cycle] > 0 for cycle in (0, 1, 6, 7))
+        assert crossings[2:6] == [0, 0, 0, 0]
 
-    def test_random_split_covers(self):
-        schedule = PartitionSchedule.random_split(20, 3, start=0, end=1, seed=1)
-        groups = schedule.groups()
-        assert sorted(sum(groups, [])) == list(range(20))
-        assert {len(g) for g in groups} <= {6, 7}
-
-    def test_random_split_validated(self):
-        with pytest.raises(ConfigurationError):
-            PartitionSchedule.random_split(5, 1, start=0, end=1)
-        with pytest.raises(ConfigurationError):
-            PartitionSchedule.random_split(3, 5, start=0, end=1)
-
-    def test_group_of(self):
-        schedule = PartitionSchedule(4, [[0, 3], [1, 2]], start=0, end=1)
-        assert schedule.group_of(0) == schedule.group_of(3)
-        assert schedule.group_of(0) != schedule.group_of(1)
+    def test_either_side_names_the_same_cut(self):
+        """The cut is symmetric: naming one side or its complement
+        gives a bitwise-identical run."""
+        n = 120
+        values = np.random.default_rng(8).normal(0.0, 3.0, n)
+        side = random_side(n, seed=3)
+        other = tuple(sorted(set(range(n)) - set(side)))
+        states = []
+        for nodes in (side, other):
+            engine = GossipEngine(Scenario(
+                CompleteTopology(n), values, seed=6,
+                adversary=AdversarySpec(
+                    kind="partition", nodes=nodes, start=1, end=9
+                ),
+            ))
+            engine.run(12)
+            states.append(engine.matrix)
+        assert np.array_equal(states[0], states[1])
 
 
 class TestSplitBrainScenario:
@@ -60,9 +67,11 @@ class TestSplitBrainScenario:
         right = list(range(n // 2, n))
         values = np.zeros(n)
         values[right] = 10.0  # the two sides disagree strongly
-        schedule = PartitionSchedule(n, [left, right], start=0, end=20)
+        partition = AdversarySpec(
+            kind="partition", nodes=tuple(right), start=0, end=20
+        )
         engine = GossipEngine(Scenario(
-            CompleteTopology(n), values, partition=schedule, seed=2
+            CompleteTopology(n), values, adversary=partition, seed=2
         ))
         engine.run(20)
         state = engine.column()
@@ -79,9 +88,50 @@ class TestSplitBrainScenario:
     def test_partition_conserves_global_mass(self):
         n = 100
         values = np.random.default_rng(3).normal(5, 2, n)
-        schedule = PartitionSchedule.random_split(n, 4, start=0, end=10, seed=4)
+        partition = AdversarySpec(
+            kind="partition", nodes=random_side(n, seed=4), start=0, end=10
+        )
         engine = GossipEngine(Scenario(
-            CompleteTopology(n), values, partition=schedule, seed=5
+            CompleteTopology(n), values, adversary=partition, seed=5
         ))
         engine.run(15)
         assert engine.mean() == pytest.approx(values.mean(), abs=1e-12)
+
+    def test_each_side_keeps_its_mass_while_cut(self):
+        n = 100
+        values = np.random.default_rng(7).normal(5, 2, n)
+        side = np.zeros(n, dtype=bool)
+        side[list(random_side(n, seed=2))] = True
+        engine = GossipEngine(Scenario(
+            CompleteTopology(n), values, seed=9,
+            adversary=AdversarySpec(
+                kind="partition", nodes=tuple(np.flatnonzero(side))
+            ),
+        ))
+        engine.run(10)
+        state = engine.column()
+        assert state[side].sum() == pytest.approx(
+            values[side].sum(), rel=1e-12
+        )
+        assert state[~side].sum() == pytest.approx(
+            values[~side].sum(), rel=1e-12
+        )
+
+    def test_boundary_holds_under_churn(self):
+        """A joiner recycled into a slot of the cut side stays on that
+        side; slots from capacity growth join the other side."""
+        n = 60
+        recorder = RecordingBackend()
+        engine = GossipEngine(Scenario(
+            CompleteTopology(n), np.arange(n, dtype=float), seed=3,
+            churn=ChurnTrace.constant(10, 6, 4),
+            adversary=AdversarySpec(kind="partition", nodes=tuple(range(20))),
+            backend=recorder,
+        ))
+        engine.run(10)
+        assert engine.capacity > n
+        mask = engine.adversary_mask
+        assert not mask[n:].any()
+        exchanges = recorder.exchanges()
+        assert len(exchanges) > 0
+        assert np.array_equal(mask[exchanges[:, 0]], mask[exchanges[:, 1]])

@@ -40,7 +40,6 @@ from repro.errors import CheckpointError, ConfigurationError
 from repro.kernel import (
     AdversarySpec,
     CheckpointSpec,
-    ChurnSpec,
     ChurnTrace,
     EpochSpec,
     GossipEngine,
@@ -85,9 +84,7 @@ def _armed(n=150, backend="vectorized", membership="newscast",
     values = np.random.default_rng(5).normal(12.0, 3.0, n)
     return Scenario(
         CompleteTopology(n), values, seed=29, backend=backend,
-        churn=ChurnSpec(
-            model=ChurnTrace.constant(20, n * 2 // 25, n // 50)
-        ),
+        churn=ChurnTrace.constant(20, n * 2 // 25, n // 50),
         epochs=EpochSpec(cycles_per_epoch=8) if epochs else None,
         membership=NewscastSpec(view_size=8) if membership else None,
         adversary=ADVERSARIES[adversary],
@@ -130,7 +127,7 @@ def _scenario(n=120, cycles=20, seed=23, backend="reference",
     if membership is not None:
         kwargs["membership"] = membership
     if churn:
-        kwargs["churn"] = ChurnSpec(model=ChurnTrace.constant(cycles, 2, 3))
+        kwargs["churn"] = ChurnTrace.constant(cycles, 2, 3)
     if pair:
         kwargs["pair_protocol"] = PairProtocolSpec(selector="pm",
                                                    track_phi=True)

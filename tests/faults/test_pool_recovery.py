@@ -30,7 +30,6 @@ import pytest
 from repro.core import MeanAggregate
 from repro.errors import ConfigurationError, ShardPoolError
 from repro.kernel import (
-    ChurnSpec,
     ChurnTrace,
     FaultSpec,
     GossipEngine,
@@ -59,9 +58,7 @@ def reference_run():
 def _scenario(backend):
     values = np.random.default_rng(3).normal(10.0, 4.0, N)
     return Scenario(CompleteTopology(N), values,
-                    churn=ChurnSpec(
-                        model=ChurnTrace.constant(CYCLES, 7, 11)
-                    ),
+                    churn=ChurnTrace.constant(CYCLES, 7, 11),
                     cycles=CYCLES, seed=17, backend=backend)
 
 

@@ -24,9 +24,8 @@ from repro.core import (
     moment_values,
 )
 from repro.failures import CrashPlan
-from repro.failures.partition import PartitionSchedule
 from repro.kernel import (
-    ChurnSpec,
+    AdversarySpec,
     ChurnTrace,
     EpochSpec,
     GossipEngine,
@@ -120,9 +119,10 @@ class TestBitwiseEquivalence:
         n = 400
         topology = CompleteTopology(n)
         values = np.random.default_rng(4).normal(5.0, 2.0, n)
-        schedule = PartitionSchedule.random_split(n, 2, start=2, end=8, seed=5)
+        side = np.random.default_rng(5).permutation(n)[::2].tolist()
+        partition = AdversarySpec(kind="partition", nodes=side, start=2, end=8)
         ref, vec = both_backends(
-            dict(topology=topology, values=values, partition=schedule,
+            dict(topology=topology, values=values, adversary=partition,
                  seed=34)
         )
         assert_identical(ref, vec)
@@ -279,10 +279,7 @@ class TestChurnEquivalence:
             dict(
                 topology=CompleteTopology(n),
                 values=values,
-                churn=ChurnSpec(
-                    model=ChurnTrace.constant(30, 3, 3),
-                    join_values=lambda m, rng: rng.normal(5.0, 2.0, m),
-                ),
+                churn=ChurnTrace.constant(30, 3, 3),
                 epochs=EpochSpec(cycles_per_epoch=10),
                 seed=44,
             ),

@@ -102,6 +102,15 @@ class TestFailureMachinery:
         with pytest.raises(ConfigurationError):
             engine.crash([topo.n])
 
+    def test_crash_accepts_numpy_ids(self, topo, values):
+        """Ids taken from numpy (an index array, a numpy scalar) pass
+        the integer check."""
+        engine = GossipEngine(Scenario(topo, values, seed=7))
+        engine.crash(np.array([3, 4]))
+        engine.crash([np.int32(5)])
+        assert engine.alive_count == topo.n - 3
+        assert not engine.alive_mask[[3, 4, 5]].any()
+
     def test_crash_with_a_bad_id_changes_nothing(self, topo, values):
         scenario = Scenario(
             topo, values, seed=7, retry=RetrySpec(),
@@ -113,8 +122,9 @@ class TestFailureMachinery:
         victim = int(np.flatnonzero(engine._mf_partner >= 0)[0])
         mask_changes = []
         engine.partner_provider.on_mask_change = mask_changes.append
-        with pytest.raises(ConfigurationError):
-            engine.crash([victim, 10**9])
+        for bad in ([victim, 10**9], [victim, 1.5], [victim, True]):
+            with pytest.raises(ConfigurationError):
+                engine.crash(bad)
         assert engine.alive_mask.all()
         assert engine.pending_retry_count == pending
         assert mask_changes == []

@@ -15,7 +15,6 @@ import pytest
 from repro.errors import InvariantViolation
 from repro.kernel import (
     AdversarySpec,
-    ChurnSpec,
     ChurnTrace,
     GossipEngine,
     InvariantFinding,
@@ -176,9 +175,29 @@ class TestMassConservation:
         assert "inject" in monitor.attributed
         assert monitor.fault_drift == 0.0  # message faults never fired
 
+    def test_partition_run_certifies_zero_drift(self):
+        """Exchanges a partition blocks never happen, so the cut moves
+        no mass and nothing is attributed to faults."""
+        engine = GossipEngine(make_scenario(
+            adversary=AdversarySpec(
+                kind="partition", nodes=tuple(range(N // 2)), start=1, end=5
+            )
+        ))
+        monitor = engine.register_monitor(
+            MassConservationMonitor(), strict=True
+        )
+        try:
+            engine.run(8)
+            report = engine.invariant_report()
+        finally:
+            engine.close()
+        assert report.ok
+        assert monitor.fault_drift == 0.0
+        assert monitor.max_residual < 1e-7
+
     def test_churn_run_stays_attributed(self):
         engine = GossipEngine(make_scenario(
-            churn=ChurnSpec(model=ChurnTrace.constant(8, 3, 2))
+            churn=ChurnTrace.constant(8, 3, 2)
         ))
         monitor = engine.register_monitor(
             MassConservationMonitor(), strict=True
@@ -218,11 +237,25 @@ class TestVarianceMonotonicity:
         assert monitor.summary()["applicable"] is False
         assert monitor.cycles_checked == 0
 
+    def test_self_disables_under_partition(self):
+        engine = GossipEngine(make_scenario(
+            adversary=AdversarySpec(kind="partition", fraction=0.5)
+        ))
+        monitor = engine.register_monitor(
+            VarianceMonotonicityMonitor(), strict=True
+        )
+        try:
+            engine.run(4)
+        finally:
+            engine.close()
+        assert monitor.summary()["applicable"] is False
+        assert monitor.cycles_checked == 0
+
 
 class TestStructure:
     def test_clean_under_churn(self):
         engine = GossipEngine(make_scenario(
-            churn=ChurnSpec(model=ChurnTrace.constant(10, 4, 3))
+            churn=ChurnTrace.constant(10, 4, 3)
         ))
         monitor = engine.register_monitor(StructureMonitor(), strict=True)
         try:

@@ -22,11 +22,9 @@ from repro.core import (
     SizeEstimationExperiment,
 )
 from repro.core.service import AggregationService
-from repro.errors import ConfigurationError, SimulationError
-from repro.failures.partition import PartitionSchedule
+from repro.errors import ConfigurationError
 from repro.cli import main
 from repro.kernel import (
-    ChurnSpec,
     ChurnStep,
     ChurnTrace,
     EpochSpec,
@@ -44,14 +42,6 @@ def scenario_with(n=64, seed=5, **kwargs):
 
 
 class TestSpecValidation:
-    def test_churn_spec_requires_model(self):
-        with pytest.raises(ConfigurationError):
-            ChurnSpec(model="not a model")
-
-    def test_churn_spec_rejoin_policy(self):
-        with pytest.raises(ConfigurationError):
-            ChurnSpec(model=ChurnTrace([], []), rejoin="respawn")
-
     def test_epoch_spec_requires_positive_length(self):
         with pytest.raises(ConfigurationError):
             EpochSpec(cycles_per_epoch=0)
@@ -92,34 +82,30 @@ class TestSpecValidation:
         assert trace.joins.tolist() == [2, 0]
         assert trace.leaves.dtype == np.int64
 
-    def test_facade_passes_churn_spec_through(self):
+    def test_facade_passes_churn_trace_through(self):
         """``SizeEstimationExperiment`` hands its ``churn`` to the
-        scenario as given, so a full spec's rejoin policy and joiner
-        values reach the engine."""
-        spec = ChurnSpec(model=ChurnTrace.constant(4, 3, 1), rejoin="keep",
-                         join_values=lambda count, rng: np.zeros(count))
+        scenario as given."""
+        trace = ChurnTrace.constant(4, 3, 1)
         experiment = SizeEstimationExperiment(
             SizeEstimationConfig(cycles=4, cycles_per_epoch=2,
                                  initial_size=40, seed=1),
-            churn=spec,
+            churn=trace,
         )
-        assert experiment.scenario().churn is spec
+        assert experiment.scenario().churn is trace
         experiment.run()
         assert experiment.current_size == 40 + 4 * 2
 
-    def test_scenario_wraps_bare_churn_trace(self):
-        scenario = scenario_with(churn=ChurnTrace.constant(1, 1, 1))
-        assert isinstance(scenario.churn, ChurnSpec)
+    def test_scenario_takes_a_churn_trace(self):
+        trace = ChurnTrace.constant(1, 1, 1)
+        scenario = scenario_with(churn=trace)
+        assert scenario.churn is trace
         assert scenario.is_dynamic
 
-    def test_scenario_rejects_partition_with_churn(self):
+    def test_scenario_requires_a_churn_trace(self):
         with pytest.raises(ConfigurationError):
-            scenario_with(
-                churn=ChurnTrace.constant(4, 1, 1),
-                partition=PartitionSchedule.random_split(
-                    64, 2, start=0, end=4, seed=1
-                ),
-            )
+            scenario_with(churn="not a trace")
+        with pytest.raises(ConfigurationError):
+            scenario_with(churn=(np.array([1]), np.array([0])))
 
     def test_scenario_rejects_crash_plan_with_churn(self):
         from repro.failures import CrashPlan
@@ -208,55 +194,24 @@ class TestChurnMechanics:
         engine.run(10)
         assert engine.alive_count == 1
 
-    def test_join_values_seed_rows(self):
-        spec = ChurnSpec(
-            model=ChurnTrace.constant(2, 3, 0),
-            join_values=lambda count, rng: np.full(count, 42.0),
-        )
+    def test_joiners_start_from_zero(self):
+        """§4: a joiner enters with 0 in every instance, in a recycled
+        slot as in a fresh one."""
         # losing every request freezes gossip so only churn touches
         # the matrix
         engine = GossipEngine(scenario_with(
-            churn=spec, message_faults=MessageFaultSpec(request_loss=1.0)
+            churn=ChurnTrace.constant(4, 3, 2), seed=9,
+            message_faults=MessageFaultSpec(request_loss=1.0),
         ))
-        engine.run(2)
-        assert engine.alive_count == 64 + 6
-        # the six joiner slots carry the declared join value (slots
-        # beyond them are grown-but-unused capacity)
-        joined = engine.matrix[engine.alive_mask, 0][64:]
-        assert len(joined) == 6
-        assert np.all(joined == 42.0)
-
-    def test_rejoin_keep_preserves_departed_state(self):
-        """With rejoin="keep" a recycled slot retains the value the
-        departed node left behind; with "reset" it is re-seeded."""
-        outcomes = {}
-        for policy in ("keep", "reset"):
-            spec = ChurnSpec(
-                model=ChurnTrace.constant(5, 2, 2),
-                rejoin=policy,
-                join_values=lambda count, rng: np.full(count, -1.0),
-            )
-            engine = GossipEngine(scenario_with(
-                churn=spec, seed=9,
-                message_faults=MessageFaultSpec(request_loss=1.0),
-            ))
-            initial = engine.matrix[:, 0]
-            engine.run(5)
-            recycled = engine.matrix[:64, 0]
-            outcomes[policy] = (initial, recycled)
-        initial, kept = outcomes["keep"]
-        assert np.array_equal(kept, initial)  # departed values survive
-        _, reset = outcomes["reset"]
-        assert np.any(reset == -1.0)  # some slots were re-seeded
-
-    def test_bad_join_values_shape(self):
-        spec = ChurnSpec(
-            model=ChurnTrace.constant(2, 3, 0),
-            join_values=lambda count, rng: np.zeros(count + 1),
-        )
-        engine = GossipEngine(scenario_with(churn=spec))
-        with pytest.raises(SimulationError):
-            engine.run(1)
+        initial = engine.matrix[:, 0]
+        engine.run(4)
+        alive = engine.alive_mask
+        column = engine.matrix[:64, 0]
+        recycled = alive[:64] & (column != initial)
+        assert recycled.any()
+        assert np.all(column[recycled] == 0.0)
+        fresh = engine.matrix[64:][alive[64:]]
+        assert len(fresh) and np.all(fresh == 0.0)
 
 
 class TestEpochMechanics:
@@ -462,7 +417,7 @@ class TestPinnedChurnRuns:
         values = np.random.default_rng(29).normal(10.0, 4.0, 300)
         scenario = Scenario(
             CompleteTopology(300), values, seed=41, backend=backend,
-            churn=ChurnSpec(model=ChurnTrace.constant(24, 9, 14)),
+            churn=ChurnTrace.constant(24, 9, 14),
             epochs=EpochSpec(cycles_per_epoch=8),
             message_faults=MessageFaultSpec(
                 request_loss=0.05, reply_loss=0.1, duplication=0.02

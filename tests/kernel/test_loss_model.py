@@ -12,7 +12,10 @@ engine's mask pass (``Scenario.loss_probability`` / ``loss_schedule``).
 Every backend must reach each pinned state, so the two loss models were
 one and the same, coin for coin. ``GOLDEN["exchange-loss"]`` was
 pinned through a single-instance cycle facade that has since gone; a
-plain scenario with ``exchange_loss(0.3)`` reaches it.
+plain scenario with ``exchange_loss(0.3)`` reaches it. The two
+``partition`` pins were taken with a group-based partition schedule
+that has also gone; an ``AdversarySpec(kind="partition")`` whose nodes
+are one side of the same seeded split reaches them.
 """
 
 import hashlib
@@ -21,9 +24,8 @@ import numpy as np
 import pytest
 
 from repro.core import AggregationService, RobustAverager
-from repro.failures.partition import PartitionSchedule
 from repro.kernel import (
-    ChurnSpec,
+    AdversarySpec,
     ChurnTrace,
     EpochSpec,
     GossipEngine,
@@ -68,16 +70,20 @@ def _engine_digest(engine, exchange_counts, variances):
 def _dynamic(loss):
     return dict(
         loss=loss,
-        churn=ChurnSpec(model=ChurnTrace.constant(12, 6, 4)),
+        churn=ChurnTrace.constant(12, 6, 4),
         epochs=EpochSpec(cycles_per_epoch=5),
     )
+
+
+#: one side of the pinned two-way split: every other node of a seeded
+#: permutation
+SIDE = tuple(np.random.default_rng(3).permutation(N)[1::2].tolist())
 
 
 def _split(loss):
     return dict(
         loss=loss,
-        partition=PartitionSchedule.random_split(N, 2, start=2, end=8,
-                                                 seed=3),
+        adversary=AdversarySpec(kind="partition", nodes=SIDE, start=2, end=8),
     )
 
 

@@ -74,15 +74,10 @@ class TestSpecValidation:
     def test_spec_defaults(self):
         spec = NewscastSpec()
         assert spec.view_size == 20
-        assert spec.refresh_every == 1
 
     def test_spec_rejects_bad_view_size(self):
         with pytest.raises(ConfigurationError):
             NewscastSpec(view_size=0)
-
-    def test_spec_rejects_bad_refresh(self):
-        with pytest.raises(ConfigurationError):
-            NewscastSpec(refresh_every=0)
 
     def test_resolve_names(self):
         assert resolve_membership(None) is None
@@ -582,13 +577,16 @@ class TestEngineIntegration:
             rows = engine.membership_views[alive]
             assert alive[rows].all()
 
-    def test_refresh_every_skips_cycles(self):
-        spec = NewscastSpec(view_size=6, refresh_every=3)
-        with GossipEngine(scenario_with(membership=spec)) as engine:
-            engine.run_cycle()  # cycle 0: refresh runs
-            after_first = engine.membership_views
-            engine.run_cycle()  # cycle 1: skipped — views frozen
-            assert np.array_equal(after_first, engine.membership_views)
+    def test_views_refresh_every_cycle(self):
+        with GossipEngine(scenario_with(
+            membership=NewscastSpec(view_size=6)
+        )) as engine:
+            before = engine.membership_views
+            for _ in range(3):
+                engine.run_cycle()
+                after = engine.membership_views
+                assert not np.array_equal(before, after)
+                before = after
 
     @pytest.mark.parametrize("backend", BACKENDS[1:])
     def test_backend_bitwise_equivalence(self, backend):

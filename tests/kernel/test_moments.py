@@ -16,7 +16,6 @@ import pytest
 
 from repro.core import MaxAggregate, MeanAggregate, MinAggregate
 from repro.kernel import (
-    ChurnSpec,
     ChurnTrace,
     EpochSpec,
     GossipEngine,
@@ -134,7 +133,7 @@ class TestMemo:
             assert_memo_is_fresh(resumed)
 
     def test_dropped_by_churn_growth(self):
-        churn = ChurnSpec(model=ChurnTrace.constant(4, 400, 5))
+        churn = ChurnTrace.constant(4, 400, 5)
         with GossipEngine(scenario(1, "sharded:2", churn=churn)) as engine:
             capacity = engine.capacity
             for _ in range(4):
@@ -144,7 +143,7 @@ class TestMemo:
 
     def test_dropped_by_epoch_restart(self):
         epochs = EpochSpec(cycles_per_epoch=3)
-        churn = ChurnSpec(model=ChurnTrace.constant(7, 9, 9))
+        churn = ChurnTrace.constant(7, 9, 9)
         spec = scenario(1, "vectorized", churn=churn, epochs=epochs)
         with GossipEngine(spec) as engine:
             for _ in range(7):

@@ -256,6 +256,18 @@ class TestScenarioValidation:
                      pair_protocol=PairProtocolSpec(selector="seq"),
                      churn=ChurnTrace.constant(4, 1, 1))
 
+    def test_crash_rejected_and_changes_nothing(self):
+        """A pair-mode engine keeps drawing every node, so a crash
+        could not take effect: it is refused before any state moves."""
+        engine = GossipEngine(pair_scenario(CompleteTopology(100), "seq"))
+        before = engine.matrix
+        with pytest.raises(ConfigurationError):
+            engine.crash([0])
+        assert engine.alive_mask.all()
+        assert np.array_equal(engine.matrix, before)
+        engine.run(3)
+        assert engine.alive_mask.all()
+
     def test_custom_aggregates_rejected(self):
         from repro.core import MaxAggregate
 

@@ -33,7 +33,6 @@ from repro.errors import (
 )
 from repro.failures import CrashPlan
 from repro.kernel import (
-    ChurnSpec,
     ChurnTrace,
     CyclePlan,
     EpochSpec,
@@ -140,10 +139,7 @@ class TestShardedBitwiseEquivalence:
             dict(
                 topology=topology,
                 values=values,
-                churn=ChurnSpec(
-                    model=ChurnTrace.constant(15, 6, 4),
-                    join_values=lambda m, rng: rng.normal(5.0, 2.0, m),
-                ),
+                churn=ChurnTrace.constant(15, 6, 4),
                 epochs=EpochSpec(cycles_per_epoch=5),
                 seed=55,
             ),
@@ -556,9 +552,7 @@ def _families():
         "churn_epoch": dict(
             topology=CompleteTopology(72),
             values=rng.normal(5.0, 2.0, 72),
-            churn=ChurnSpec(
-                model=ChurnTrace.constant(12, 30, 2),
-            ),
+            churn=ChurnTrace.constant(12, 30, 2),
             epochs=EpochSpec(cycles_per_epoch=4),
             seed=73,
         ),
@@ -717,9 +711,7 @@ class TestAutoWorkers:
         values = np.random.default_rng(29).normal(5.0, 2.0, topology.n)
         kwargs = dict(
             topology=topology, values=values,
-            churn=ChurnSpec(
-                model=ChurnTrace.constant(10, 25, 1),
-            ),
+            churn=ChurnTrace.constant(10, 25, 1),
             seed=80,
         )
         ref_matrix, ref_alive, _ = run_engine("reference", kwargs, cycles=10)
@@ -774,9 +766,7 @@ class TestSingleCopyGrowth:
         engine = GossipEngine(
             Scenario(
                 topology, values,
-                churn=ChurnSpec(
-                    model=ChurnTrace.constant(12, 40, 2),
-                ),
+                churn=ChurnTrace.constant(12, 40, 2),
                 seed=81, backend="sharded:2",
             )
         )

@@ -7,7 +7,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.kernel import (
-    ChurnSpec,
     ChurnTrace,
     EpochSpec,
     GossipEngine,
@@ -50,7 +49,7 @@ def test_admit_hands_out_what_a_pop_loop_would(steps, epochs, seed):
                        [leaves for leaves, _, _ in steps])
     engine = GossipEngine(Scenario(
         CompleteTopology(N), np.arange(float(N)), seed=seed,
-        backend="vectorized", churn=ChurnSpec(model=trace),
+        backend="vectorized", churn=trace,
         epochs=EpochSpec(cycles_per_epoch=3) if epochs else None,
     ))
     engine.register_monitor(StructureMonitor(), strict=True)

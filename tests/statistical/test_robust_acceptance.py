@@ -14,7 +14,6 @@ import pytest
 
 from repro.kernel import (
     AdversarySpec,
-    ChurnSpec,
     ChurnTrace,
     EpochSpec,
     GossipEngine,
@@ -158,10 +157,8 @@ class TestChurnBand:
             per_cycle = max(1, round(0.01 * n))
             scenario = spec.scenario(
                 CompleteTopology(n),
-                churn=ChurnSpec(
-                    model=ChurnTrace.constant(
-                        2 * cycles_per_epoch, per_cycle, per_cycle
-                    )
+                churn=ChurnTrace.constant(
+                    2 * cycles_per_epoch, per_cycle, per_cycle
                 ),
                 epochs=EpochSpec(
                     cycles_per_epoch=cycles_per_epoch, reseed=reseed

@@ -2,7 +2,7 @@
 
 Every environment variable ``src/`` reads, every constructor argument
 of the sharded backend, every parameter of the backends' apply
-contract and every field of the pair-protocol spec doubles the
+contract and every field of a scenario spec doubles the
 configurations the equivalence suite would have to cover. Adding one
 means editing this file — and, for the first two, the table in
 ``docs/architecture.md`` — in the same diff.
@@ -16,9 +16,16 @@ from pathlib import Path
 import pytest
 
 from repro.kernel import (
+    AdversarySpec,
+    CheckpointSpec,
+    EpochSpec,
     ExecutionBackend,
+    MessageFaultSpec,
+    NewscastSpec,
     PairProtocolSpec,
     ReferenceBackend,
+    RetrySpec,
+    Scenario,
     ShardedBackend,
     VectorizedBackend,
 )
@@ -33,7 +40,24 @@ ENV_NAMES = {
 SHARDED_ARGUMENTS = ["workers", "chunk", "on_failure", "max_respawns"]
 APPLY_EXCHANGES = ["matrix", "functions", "exch_i", "exch_j"]
 APPLY_PAIRS = ["matrix", "functions", "pairs_i", "pairs_j", "plan"]
-PAIR_PROTOCOL_FIELDS = ["selector", "track_phi", "track_s"]
+#: every settable field of the scenario surface, in declaration order
+SPEC_FIELDS = {
+    Scenario: [
+        "topology", "values", "aggregates", "initial", "crash_plan",
+        "churn", "epochs", "pair_protocol", "adversary", "membership",
+        "message_faults", "retry", "cycles", "seed", "backend",
+    ],
+    MessageFaultSpec: [
+        "request_loss", "reply_loss", "duplication", "request_schedule",
+        "reply_schedule", "start", "end",
+    ],
+    RetrySpec: ["timeout", "budget", "backoff", "mode", "fallback"],
+    NewscastSpec: ["view_size"],
+    AdversarySpec: ["kind", "fraction", "value", "nodes", "start", "end"],
+    EpochSpec: ["cycles_per_epoch", "reseed", "finalize", "function"],
+    CheckpointSpec: ["directory", "every_cycles", "keep"],
+    PairProtocolSpec: ["selector", "track_phi", "track_s"],
+}
 
 
 def test_env_vars_read_by_src():
@@ -60,9 +84,10 @@ def test_apply_contract(backend):
         assert list(inspect.signature(method).parameters)[1:] == expected
 
 
-def test_pair_protocol_fields():
-    names = [field.name for field in dataclasses.fields(PairProtocolSpec)]
-    assert names == PAIR_PROTOCOL_FIELDS
+@pytest.mark.parametrize("spec", list(SPEC_FIELDS), ids=lambda s: s.__name__)
+def test_spec_fields(spec):
+    names = [field.name for field in dataclasses.fields(spec)]
+    assert names == SPEC_FIELDS[spec]
 
 
 def test_architecture_table_lists_the_same_surface():
