@@ -6,7 +6,7 @@ honest: recovery is *cheap* (killing a shard worker mid-run costs a
 journal replay plus a respawn, not a rerun) and recovery is *exact*
 (the healed run's trajectory is bitwise-identical to an undisturbed
 one, because the journal snapshot/replay consumes no randomness). This
-benchmark measures both on the AggregationService workload at
+benchmark measures both on the monitoring-suite workload at
 N = 1 000 000:
 
 * **Checkpoint round trip.** One run is checkpointed mid-flight

@@ -1,7 +1,7 @@
 """Experiment S1 — the unified-kernel scale benchmark.
 
 Times the two kernel execution backends on the *same* scenario — the
-AggregationService workload: five concurrent aggregation instances
+monitoring-suite workload: five concurrent aggregation instances
 (mean, second moment, max, min, §4 counting) piggybacked on one
 GETPAIR_SEQ exchange stream — at paper scale (N = 100 000 by default).
 Both backends consume identical RNG draws and the vectorized backend
@@ -54,7 +54,7 @@ SPEEDUP_FLOOR = 5.0  # acceptance target at N = 100 000
 
 
 def service_scenario(n, backend, *, seed=SEED, cycles=CYCLES, topology=None):
-    """The AggregationService workload as a kernel scenario: all five
+    """The monitoring-suite workload as a kernel scenario: all five
     standard instances in one pass. ``topology`` defaults to the
     complete graph; ``bench_sparse.py`` reuses the same workload over
     the sparse overlay families."""

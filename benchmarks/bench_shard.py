@@ -4,7 +4,7 @@ The paper's scalability claim is asymptotic — "the performance of the
 protocol does not depend on network size" — so the reproduction should
 not stop where one process's numpy throughput does. This benchmark
 times the multi-process :class:`~repro.kernel.ShardedBackend` against
-the single-process vectorized backend on the same AggregationService
+the single-process vectorized backend on the same monitoring-suite
 workload (five concurrent aggregation instances, identical RNG draws)
 at N = 1 000 000, sweeping the worker count (1/2/4/8 by default), and
 asserts three things:

@@ -6,7 +6,7 @@ refactor the vectorized fast path was only fast on complete and
 perfectly regular graphs: irregular overlays fell back to a per-node
 Python partner draw, and even regular graphs re-built an O(n·k)
 neighbor matrix every cycle. This benchmark times the
-AggregationService workload (five concurrent aggregation instances
+monitoring-suite workload (five concurrent aggregation instances
 riding one GETPAIR_SEQ exchange stream — the same scenario
 ``bench_scale.py`` times on the complete graph) at N = 100 000 on both
 kernel backends across the overlay families:

@@ -48,10 +48,7 @@ from .core import (
     estimate_network_size,
     estimate_sum,
     estimate_variance_from_moments,
-    PushPullBroadcast,
-    AggregationService,
     AggregationReport,
-    RobustAverager,
 )
 from .avg import (
     ValueVector,
@@ -128,10 +125,7 @@ __all__ = [
     "estimate_network_size",
     "estimate_sum",
     "estimate_variance_from_moments",
-    "PushPullBroadcast",
-    "AggregationService",
     "AggregationReport",
-    "RobustAverager",
     "Scenario",
     "ChurnTrace",
     "EpochSpec",

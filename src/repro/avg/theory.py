@@ -130,7 +130,7 @@ def cycles_to_reduce(factor: float, rate: float) -> int:
     return math.ceil(math.log(factor) / math.log(rate))
 
 
-def rate_seq_with_loss(loss_probability: float) -> float:
+def rate_seq_with_loss(p: float) -> float:
     """Predicted SEQ rate when each exchange independently fails with
     probability p (symmetric message loss).
 
@@ -144,12 +144,12 @@ def rate_seq_with_loss(loss_probability: float) -> float:
     at p = 1. This extends the paper's Theorem 1 machinery to the
     lossy-channel setting discussed in §1.4.
     """
-    if not 0.0 <= loss_probability <= 1.0:
+    if not 0.0 <= p <= 1.0:
         raise ConfigurationError(
-            f"loss probability must be in [0, 1], got {loss_probability}"
+            f"loss probability must be in [0, 1], got {p}"
         )
-    survive = 1.0 - loss_probability
-    return (loss_probability + survive / 2.0) * math.exp(-survive / 2.0)
+    survive = 1.0 - p
+    return (p + survive / 2.0) * math.exp(-survive / 2.0)
 
 
 def verify_lemma2_optimality(

@@ -15,7 +15,7 @@ Usage::
                                           # Figure 4 at paper scale
     python -m repro figure4 --n 1000000 --backend sharded --cycles 60
                                           # million-node Figure 4
-    python -m repro monitor --n 2000      # AggregationService demo
+    python -m repro monitor --n 2000      # monitoring service demo
     python -m repro scale --n 100000      # kernel backend comparison
     python -m repro scale --n 1000000 --backend vectorized,sharded:4
                                           # single- vs multi-process at 1M
@@ -60,7 +60,7 @@ from .avg import (
     run_avg,
 )
 from .core import SizeEstimationConfig, SizeEstimationExperiment
-from .core.service import AggregationService
+from .core.service import service_report, service_scenario
 from .errors import BackendSpecError
 from .kernel import CheckpointSpec, GossipEngine, Scenario, parse_backend_spec
 from .kernel.backends.sharded import POOL_FAILURE_MODES
@@ -484,10 +484,13 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     topology = RandomRegularTopology(args.n, 20, seed=args.seed)
     values = rng.lognormal(3.0, 0.7, args.n)
-    service = AggregationService(
-        topology, values, seed=args.seed, backend=args.backend
+    scenario = service_scenario(
+        topology, values, cycles=args.cycles, seed=args.seed,
+        backend=args.backend,
     )
-    report = service.run(cycles=args.cycles)
+    with GossipEngine(scenario) as engine:
+        engine.run(record="end")
+        report = service_report(engine)
     table = Table(
         headers=["aggregate", "estimate", "ground truth"],
         title=f"AggregationService over a 20-regular overlay, N={args.n}",
@@ -567,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_options(f4)
     f4.set_defaults(func=_cmd_figure4)
 
-    monitor = sub.add_parser("monitor", help="AggregationService demo")
+    monitor = sub.add_parser("monitor", help="monitoring service demo")
     monitor.add_argument("--n", type=int, default=1000)
     monitor.add_argument("--cycles", type=int, default=30)
     monitor.add_argument("--seed", type=int, default=9)

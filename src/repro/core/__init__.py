@@ -1,9 +1,11 @@
 """The paper's primary contribution: anti-entropy aggregation.
 
-This package implements the aggregate functions of §1.1, the
-multi-instance and epoch-restarted services of §4 and the network-size
-estimation built on top of them; the push-pull exchange of Figure 1
-itself runs in :mod:`repro.kernel`.
+This package implements the aggregate functions of §1.1 and the
+network-size estimation of §4. §4's monitoring suite, the median of
+independent instances and §1.1's broadcast are recipes: a function
+returning a :class:`~repro.kernel.Scenario`, plus a reducer over its
+run. The push-pull exchange of Figure 1 itself runs in
+:mod:`repro.kernel`.
 """
 
 from .aggregates import (
@@ -24,23 +26,32 @@ from .size_estimation import (
 )
 from .multi import MultiAggregateSpec
 from .broadcast import (
-    PushPullBroadcast,
+    broadcast_scenario,
     expected_rounds_push,
     expected_rounds_push_pull,
+    spread_trajectory,
     spread_trajectory_deterministic,
 )
-from .service import AggregationReport, AggregationService
-from .robust import RobustAverager, RobustRunResult
+from .service import (
+    AggregationReport,
+    service_epochs_scenario,
+    service_report,
+    service_scenario,
+)
+from .robust import RobustRunResult, median_of_instances
 
 __all__ = [
-    "RobustAverager",
+    "median_of_instances",
     "RobustRunResult",
-    "PushPullBroadcast",
+    "broadcast_scenario",
+    "spread_trajectory",
     "expected_rounds_push",
     "expected_rounds_push_pull",
     "spread_trajectory_deterministic",
     "AggregationReport",
-    "AggregationService",
+    "service_scenario",
+    "service_epochs_scenario",
+    "service_report",
     "AggregateFunction",
     "MeanAggregate",
     "MaxAggregate",

@@ -6,9 +6,10 @@ spreading of the true maximum is identical to that of the push-pull
 epidemic broadcast, which is well studied [4]". This module makes that
 connection executable:
 
-* :class:`PushPullBroadcast` — SI-model spreading on a topology under
+* :func:`broadcast_scenario` — SI-model spreading on a topology under
   the SEQ discipline (every node gossips once per cycle, push-pull),
-  run as that very MAX aggregation on the gossip kernel;
+  declared as that very MAX aggregation for the gossip kernel, and
+  :func:`spread_trajectory`, its informed-count reducer;
 * :func:`expected_rounds_push_pull` — the classical
   ``log₂ N + ln N + O(1)`` round complexity (Karp et al. / Pittel) for
   comparison;
@@ -24,6 +25,7 @@ from typing import List
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..failures.crash import check_node_id
 from ..kernel.engine import GossipEngine
 from ..kernel.scenario import Scenario
 from ..rng import SeedLike
@@ -31,78 +33,48 @@ from ..topology.base import Topology
 from .aggregates import MaxAggregate
 
 
-class PushPullBroadcast:
-    """SI-model push-pull broadcast under the SEQ discipline.
+def broadcast_scenario(
+    topology: Topology, *, origin: int = 0, seed: SeedLike = None
+) -> Scenario:
+    """SI-model push-pull broadcast from ``origin`` under the SEQ
+    discipline.
 
     Each cycle, every node contacts one uniformly random neighbor; if
     either side of the pair is informed, both become informed (push if
     the initiator knows, pull if the responder knows — the push-pull
     exchange of Figure 1 restricted to a boolean payload). That is
-    AGGREGATE_MAX over a 0/1 indicator, so the broadcast is one
-    :class:`~repro.kernel.engine.GossipEngine` running it. A node with
-    no neighbor never initiates; if it is not the origin it is never
-    informed.
+    AGGREGATE_MAX over a 0/1 indicator, the scenario's one column. A
+    node with no neighbor never initiates; if it is not the origin it
+    is never informed.
     """
+    indicator = np.zeros(topology.n)
+    indicator[check_node_id(origin, topology.n)] = 1.0
+    return Scenario(
+        topology, indicator, aggregates={"informed": MaxAggregate()},
+        seed=seed,
+    )
 
-    def __init__(
-        self,
-        topology: Topology,
-        *,
-        origin: int = 0,
-        seed: SeedLike = None,
-    ):
-        if not 0 <= origin < topology.n:
+
+def spread_trajectory(
+    engine: GossipEngine, *, max_cycles: int = 10_000
+) -> List[int]:
+    """Run a :func:`broadcast_scenario` engine to full coverage and
+    return the informed-count trajectory (index 0 = before the first
+    cycle run here). Raises once the engine has run ``max_cycles``
+    cycles without full coverage (e.g. on a disconnected topology, or
+    one with an isolated node)."""
+    informed = engine.column()
+    trajectory = [int(np.count_nonzero(informed))]
+    while not informed.all():
+        if engine.cycle >= max_cycles:
             raise ConfigurationError(
-                f"origin {origin} outside range [0, {topology.n})"
+                f"broadcast incomplete after {max_cycles} cycles "
+                "(disconnected topology?)"
             )
-        self.topology = topology
-        indicator = np.zeros(topology.n)
-        indicator[origin] = 1.0
-        self._engine = GossipEngine(Scenario(
-            topology, indicator, aggregates={"informed": MaxAggregate()},
-            seed=seed,
-        ))
-
-    @property
-    def cycle(self) -> int:
-        """Cycles run so far."""
-        return self._engine.cycle
-
-    @property
-    def informed_count(self) -> int:
-        """Number of informed nodes."""
-        return int(np.count_nonzero(self._engine.column()))
-
-    @property
-    def informed_mask(self) -> np.ndarray:
-        """Boolean mask of informed nodes (copy)."""
-        return self._engine.column() > 0.0
-
-    def is_complete(self) -> bool:
-        """Whether every node is informed."""
-        return bool(self._engine.column().all())
-
-    def run_cycle(self) -> int:
-        """One push-pull cycle; returns the number of newly informed."""
-        before = self.informed_count
-        self._engine.run_cycle()
-        return self.informed_count - before
-
-    def run_until_complete(self, *, max_cycles: int = 10_000) -> List[int]:
-        """Run to full coverage; returns the informed-count trajectory
-        (index 0 = before any cycle). Raises if max_cycles is exceeded
-        (e.g. on a disconnected topology, or one with an isolated
-        node)."""
-        trajectory = [self.informed_count]
-        while not self.is_complete():
-            if self.cycle >= max_cycles:
-                raise ConfigurationError(
-                    f"broadcast incomplete after {max_cycles} cycles "
-                    "(disconnected topology?)"
-                )
-            self.run_cycle()
-            trajectory.append(self.informed_count)
-        return trajectory
+        engine.run_cycle()
+        informed = engine.column()
+        trajectory.append(int(np.count_nonzero(informed)))
+    return trajectory
 
 
 def expected_rounds_push(n: int) -> float:

@@ -1,38 +1,36 @@
-"""High-level aggregation service facade.
+"""The standard monitoring suite as scenario recipes.
 
-The library's "batteries included" entry point: given per-node values
-and an overlay, :class:`AggregationService` runs all the standard
-aggregates (mean, max, min, k-th moments, counting) as concurrent
-instances and returns one consolidated report. This is the API shape a
-downstream monitoring system would embed; everything underneath is the
-paper's protocol.
+Given per-node values and an overlay, the suite runs all the standard
+aggregates (mean, max, min, second moment, counting) as concurrent
+instances of **one** push-pull exchange — §4's multi-instance rule —
+so one :class:`~repro.kernel.GossipEngine` pass over a five-column
+value matrix computes every aggregate at once:
 
-Since the unified-kernel refactor the service runs **one**
-:class:`~repro.kernel.GossipEngine` pass over a five-column value
-matrix — every instance piggybacks on the same push-pull exchange, the
-§4 multi-instance rule — instead of re-simulating the network once per
-aggregate. At monitoring scale pass ``backend="vectorized"`` (or keep
-the default ``"auto"``) for the structure-of-arrays execution path.
+* :func:`service_scenario` is the one-shot recipe and
+  :func:`service_report` its reducer: run the scenario, then read one
+  node's converged view as an :class:`AggregationReport`;
+* :func:`service_epochs_scenario` is continuous monitoring through the
+  §4 epoch/restart machinery: an :class:`~repro.kernel.EpochSpec`
+  re-seeds every instance from the attribute values at each epoch
+  start (drawing a fresh counting leader) and its ``finalize`` hook
+  emits one :class:`AggregationReport` per epoch.
 
-Continuous monitoring uses the §4 epoch/restart machinery, also hosted
-on the kernel: :meth:`AggregationService.run_epochs` declares an
-:class:`~repro.kernel.EpochSpec` whose restart hook re-seeds every
-instance from the current attribute values (drawing a fresh counting
-leader each epoch) in place on the value matrix — nothing is rebuilt
-between epochs — and emits one :class:`AggregationReport` per epoch.
+Message loss, a backend or any other failure model is set on the
+returned scenario like on any other, e.g.
+``service_scenario(...).replace(message_faults=exchange_loss(0.2))``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..failures.crash import check_node_id
 from ..kernel.engine import GossipEngine
 from ..kernel.lifecycle import EpochSpec
-from ..kernel.messages import exchange_loss
 from ..kernel.scenario import Scenario
 from ..rng import SeedLike, make_rng, spawn_streams
 from ..topology.base import Topology
@@ -45,7 +43,6 @@ from .aggregates import (
     estimate_variance_from_moments,
     moment_values,
 )
-from .multi import MultiAggregateSpec
 
 
 @dataclass(frozen=True)
@@ -84,6 +81,7 @@ class AggregationReport:
 
 #: the standard monitoring suite, in kernel column order
 SUITE_NAMES = ("mean", "second_moment", "maximum", "minimum", "count")
+_COUNT = SUITE_NAMES.index("count")
 
 
 def _suite_functions() -> Dict[str, object]:
@@ -98,12 +96,22 @@ def _suite_functions() -> Dict[str, object]:
     }
 
 
+def _suite_layout(values: np.ndarray) -> np.ndarray:
+    """The suite's ``(n, 5)`` initial matrix, columns in
+    :data:`SUITE_NAMES` order. The counting column is zero: each recipe
+    draws its own leader."""
+    return np.column_stack(
+        [values, moment_values(values, 2), values, values,
+         np.zeros(len(values))]
+    )
+
+
 def _assemble_report(
     probe: Dict[str, float], variance_across_nodes: float, cycles: int
 ) -> AggregationReport:
     """Derive an :class:`AggregationReport` from one node's converged
-    per-instance values (shared by the single-pass and epoch-restarted
-    entry points so the two can never drift apart)."""
+    per-instance values (shared by the one-shot reducer and the epoch
+    hook so the two can never drift apart)."""
     mean_estimate = probe["mean"]
     second_moment = probe["second_moment"]
     size_estimate = estimate_network_size(max(probe["count"], 1e-300))
@@ -122,169 +130,111 @@ def _assemble_report(
     )
 
 
-class AggregationService:
-    """Runs the full aggregate suite over one overlay, in one pass.
+def service_scenario(
+    topology: Topology,
+    values: Sequence[float],
+    *,
+    cycles: int = 30,
+    seed: SeedLike = None,
+    backend: str = "auto",
+) -> Scenario:
+    """The whole suite in one pass of ``cycles`` cycles over
+    ``topology``; read the result with :func:`service_report`.
 
-    Parameters
-    ----------
-    topology:
-        The overlay to gossip on.
-    values:
-        Per-node attribute values ``a_i``.
-    loss_probability:
-        Probability an entire exchange fails: its request is lost.
-    seed:
-        Master seed (protocol randomness and the counting instance's
-        leader draw get independent streams).
-    backend:
-        Kernel execution backend (``"auto"``, ``"reference"`` or
-        ``"vectorized"``).
+    ``seed`` is split in two streams: the protocol's and the counting
+    instance's leader draw (one random leader holds 1).
     """
+    if cycles < 1:
+        raise ConfigurationError(f"cycles must be >= 1, got {cycles}")
+    protocol_stream, leader_stream = spawn_streams(seed, 2)
+    scenario = Scenario(
+        topology, values, aggregates=_suite_functions(), cycles=cycles,
+        seed=protocol_stream, backend=backend,
+    )
+    layout = _suite_layout(scenario.values)
+    layout[int(make_rng(leader_stream).integers(0, scenario.n)), _COUNT] = 1.0
+    return scenario.replace(initial=dict(zip(SUITE_NAMES, layout.T)))
 
-    def __init__(
-        self,
-        topology: Topology,
-        values: Sequence[float],
-        *,
-        loss_probability: float = 0.0,
-        seed: SeedLike = None,
-        backend: str = "auto",
-    ):
-        if len(values) != topology.n:
-            raise ConfigurationError(
-                f"got {len(values)} values for a topology of {topology.n} nodes"
-            )
-        self.topology = topology
-        self.values = np.asarray(values, dtype=np.float64)
-        self._faults = exchange_loss(loss_probability)
-        self._seed = seed
-        self._backend = backend
 
-    def _spec(self, leader_stream) -> MultiAggregateSpec:
-        """The standard suite with the counting instance's leader drawn
-        (one random leader holds 1)."""
-        n = self.topology.n
-        indicator = np.zeros(n)
-        indicator[int(make_rng(leader_stream).integers(0, n))] = 1.0
-        return MultiAggregateSpec.build(
-            _suite_functions(),
-            initial={
-                "second_moment": moment_values(self.values, 2),
-                "count": indicator,
-            },
+def service_report(
+    engine: GossipEngine, probe_node: int = 0
+) -> AggregationReport:
+    """Node ``probe_node``'s view of a :func:`service_scenario` engine
+    after its run."""
+    probe_node = check_node_id(probe_node, engine.capacity)
+    probe = {
+        name: float(engine.column(name)[probe_node]) for name in SUITE_NAMES
+    }
+    return _assemble_report(probe, engine.variance("mean"), engine.cycle)
+
+
+def service_epochs_scenario(
+    topology: Topology,
+    values: Sequence[float],
+    *,
+    epochs: int = 4,
+    cycles_per_epoch: int = 30,
+    probe_node: int = 0,
+    seed: SeedLike = None,
+    backend: str = "auto",
+) -> Scenario:
+    """Continuous monitoring via §4 epoch restarts.
+
+    ``epochs`` consecutive epochs of ``cycles_per_epoch`` cycles each.
+    At every epoch boundary the protocol restarts in place: each
+    instance is re-seeded from the node attribute values and a fresh
+    counting leader is drawn, so every epoch's report reflects a full
+    re-aggregation (this is how a deployed monitor keeps estimates
+    current). The run's ``epoch_results`` hold one
+    :class:`AggregationReport` per completed epoch, each describing
+    ``probe_node``'s converged view.
+
+    The epoch machinery models the paper's uniform overlay, so
+    ``topology`` must be a
+    :class:`~repro.topology.complete.CompleteTopology`.
+    """
+    if epochs < 1:
+        raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
+    if cycles_per_epoch < 1:
+        raise ConfigurationError(
+            f"cycles_per_epoch must be >= 1, got {cycles_per_epoch}"
+        )
+    probe_node = check_node_id(probe_node, topology.n)
+    layout = _suite_layout(np.asarray(values, dtype=np.float64))
+
+    def reseed(context):
+        rows = layout[context.participants]
+        leader = int(context.rng.integers(0, len(context.participants)))
+        rows[leader, _COUNT] = 1.0
+        return rows
+
+    def finalize(view):
+        # view.matrix rows cover surviving participants only; map the
+        # probe's slot id to its row (a crash plan set on the scenario
+        # can take the probe out)
+        position = int(np.searchsorted(view.participants, probe_node))
+        if (
+            position >= len(view.participants)
+            or view.participants[position] != probe_node
+        ):
+            return None  # probe departed mid-epoch: nothing to report
+        probe = {
+            name: float(view.matrix[position, column])
+            for column, name in enumerate(SUITE_NAMES)
+        }
+        return _assemble_report(
+            probe, float(view.matrix[:, 0].var(ddof=1)), cycles_per_epoch
         )
 
-    def run(self, cycles: int = 30, *, probe_node: int = 0) -> AggregationReport:
-        """Gossip for ``cycles`` cycles and report node ``probe_node``'s
-        converged view of the network."""
-        if cycles < 1:
-            raise ConfigurationError(f"cycles must be >= 1, got {cycles}")
-        if not 0 <= probe_node < self.topology.n:
-            raise ConfigurationError(
-                f"probe_node {probe_node} outside range [0, {self.topology.n})"
-            )
-        protocol_stream, leader_stream = spawn_streams(self._seed, 2)
-        scenario = self._spec(leader_stream).scenario(
-            self.topology,
-            self.values,
-            message_faults=self._faults,
-            seed=protocol_stream,
-            backend=self._backend,
-            cycles=cycles,
-        )
-        with GossipEngine(scenario) as engine:
-            engine.run(cycles, record="end")
-            probe = {
-                name: float(engine.column(name)[probe_node])
-                for name in scenario.instance_names
-            }
-            return _assemble_report(probe, engine.variance("mean"), cycles)
-
-    def run_epochs(
-        self,
-        epochs: int = 4,
-        cycles_per_epoch: int = 30,
-        *,
-        probe_node: int = 0,
-    ) -> List[AggregationReport]:
-        """Continuous monitoring via §4 epoch restarts, on the kernel.
-
-        Runs ``epochs`` consecutive epochs of ``cycles_per_epoch``
-        cycles each. At every epoch boundary the protocol restarts in
-        place: each instance is re-seeded from the node attribute
-        values and a fresh counting leader is drawn, so every epoch's
-        report reflects a full re-aggregation (this is how a deployed
-        monitor keeps estimates current). Returns one
-        :class:`AggregationReport` per completed epoch, each describing
-        ``probe_node``'s converged view.
-
-        The epoch machinery models the paper's uniform overlay, so the
-        service must be built over a
-        :class:`~repro.topology.complete.CompleteTopology`.
-        """
-        if epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
-        if cycles_per_epoch < 1:
-            raise ConfigurationError(
-                f"cycles_per_epoch must be >= 1, got {cycles_per_epoch}"
-            )
-        if not 0 <= probe_node < self.topology.n:
-            raise ConfigurationError(
-                f"probe_node {probe_node} outside range [0, {self.topology.n})"
-            )
-        values = self.values
-        names = SUITE_NAMES
-        count_column = names.index("count")
-        base = np.column_stack(
-            [
-                values,
-                moment_values(values, 2),
-                values,
-                values,
-                np.zeros(len(values)),
-            ]
-        )
-
-        def reseed(context):
-            rows = base[context.participants].copy()
-            leader = int(context.rng.integers(0, len(context.participants)))
-            rows[leader, count_column] = 1.0
-            return rows
-
-        def finalize(view):
-            # view.matrix rows cover surviving participants only; map
-            # the probe's slot id to its row (today no node ever leaves
-            # a run_epochs scenario, but the mapping keeps this hook
-            # correct as a template for churned variants)
-            position = int(np.searchsorted(view.participants, probe_node))
-            if (
-                position >= len(view.participants)
-                or view.participants[position] != probe_node
-            ):
-                return None  # probe departed mid-epoch: nothing to report
-            probe = {
-                name: float(view.matrix[position, column])
-                for column, name in enumerate(names)
-            }
-            return _assemble_report(
-                probe,
-                float(view.matrix[:, 0].var(ddof=1)),
-                cycles_per_epoch,
-            )
-
-        scenario = Scenario(
-            self.topology,
-            values,
-            aggregates=_suite_functions(),
-            message_faults=self._faults,
-            epochs=EpochSpec(
-                cycles_per_epoch=cycles_per_epoch,
-                reseed=reseed,
-                finalize=finalize,
-            ),
-            cycles=epochs * cycles_per_epoch,
-            seed=self._seed,
-            backend=self._backend,
-        )
-        with GossipEngine(scenario) as engine:
-            return engine.run(epochs * cycles_per_epoch).epoch_results
+    return Scenario(
+        topology,
+        values,
+        aggregates=_suite_functions(),
+        epochs=EpochSpec(
+            cycles_per_epoch=cycles_per_epoch, reseed=reseed,
+            finalize=finalize,
+        ),
+        cycles=epochs * cycles_per_epoch,
+        seed=seed,
+        backend=backend,
+    )

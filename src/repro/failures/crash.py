@@ -9,10 +9,26 @@ contribution to the average is lost).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike, make_rng
+
+
+def check_node_id(node_id, n: Optional[int] = None) -> int:
+    """``node_id`` as an ``int``, or :class:`ConfigurationError` when it
+    is not an integer (bools and floats included) or, given ``n``, lies
+    outside ``[0, n)``. Every node id a caller hands the library —
+    crash victims, broadcast origins, probe nodes — goes through here."""
+    if isinstance(node_id, bool) or not isinstance(
+        node_id, (int, np.integer)
+    ):
+        raise ConfigurationError(f"node id {node_id!r} is not an integer")
+    if n is not None and not 0 <= node_id < n:
+        raise ConfigurationError(f"node id {node_id} out of range [0, {n})")
+    return int(node_id)
 
 
 @dataclass
@@ -25,7 +41,8 @@ class CrashPlan:
         """Schedule ``node_ids`` to crash before ``cycle`` runs."""
         if cycle < 0:
             raise ConfigurationError(f"cycle must be non-negative, got {cycle}")
-        self.crashes.setdefault(cycle, []).extend(int(n) for n in node_ids)
+        ids = [check_node_id(node_id) for node_id in node_ids]
+        self.crashes.setdefault(cycle, []).extend(ids)
 
     def crashing_at(self, cycle: int) -> List[int]:
         """Node ids crashing at ``cycle`` (empty list when none)."""

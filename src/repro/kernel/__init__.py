@@ -14,9 +14,9 @@ aggregate instances, failure model, seed) executed by one
   million-node figures; bitwise-equal to the other two.
 
 The §3 runner (:func:`repro.avg.run_avg`), the Figure 4 experiment
-(:class:`repro.core.SizeEstimationExperiment`) and the aggregation
-facade (:class:`repro.core.AggregationService`) all declare a
-``Scenario`` and run it here; churn is declared as a
+(:class:`repro.core.SizeEstimationExperiment`) and the scenario recipes
+of :mod:`repro.core` (e.g. :func:`repro.core.service_scenario`) all
+declare a ``Scenario`` and run it here; churn is declared as a
 :class:`ChurnTrace` of per-cycle join/leave counts.
 """
 

@@ -88,6 +88,7 @@ from ..errors import (
     InvariantViolation,
     SimulationError,
 )
+from ..failures.crash import check_node_id
 from ..rng import make_rng
 from .backends import (
     ExecutionBackend,
@@ -771,16 +772,8 @@ class GossipEngine:
                 "pair-mode engines model the failure-free AVG of Figure 2; "
                 "crash() is not supported with pair_protocol"
             )
-        node_ids = list(node_ids)
-        for node_id in node_ids:
-            if isinstance(node_id, bool) or not isinstance(
-                node_id, (int, np.integer)
-            ):
-                raise ConfigurationError(
-                    f"node id {node_id!r} is not an integer"
-                )
-            if not 0 <= node_id < self.capacity:
-                raise ConfigurationError(f"node id {node_id} out of range")
+        capacity = self.capacity
+        node_ids = [check_node_id(node_id, capacity) for node_id in node_ids]
         version = self._mask_version
         self._moments = None
         for node_id in node_ids:

@@ -104,8 +104,9 @@ def burst_loss(p_background: float, p_burst: float, burst_start: int,
 def exchange_loss(p: float) -> Optional[MessageFaultSpec]:
     """The paper's failed exchange with probability ``p``, as message
     faults: a lost request cancels the exchange at both ends. ``None``
-    at ``p == 0``, so a loss-free run keeps the engine's fast path —
-    how the facades' loss probability reaches a scenario."""
+    at ``p == 0``, so a loss-free run keeps the engine's fast path.
+    A recipe's scenario takes it through
+    ``scenario.replace(message_faults=exchange_loss(p))``."""
     return MessageFaultSpec(request_loss=p) if p else None
 
 

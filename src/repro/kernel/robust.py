@@ -5,8 +5,8 @@ numpy passes over
 :meth:`~repro.kernel.engine.GossipEngine.reported_column` — so they
 compose with every backend, every failure model and every
 :class:`~repro.kernel.adversary.AdversarySpec`
-(:class:`~repro.core.robust.RobustAverager` is the median-of-instances
-defense as a facade over independently seeded engines):
+(:func:`~repro.core.robust.median_of_instances` is the
+median-of-instances defense over independently seeded engines):
 
 * **median / trimmed mean** over per-node reports: exact against
   report-time (byzantine) contamination below the breakdown point

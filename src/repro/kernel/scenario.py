@@ -6,9 +6,9 @@ the set of concurrent aggregation instances piggybacked on each
 exchange (§4's multi-instance rule), the failure model (message
 faults, crash-stop plan, churn trace, adversaries and partitions), the §4
 epoch/restart machinery, the cycle budget, the seed, and
-which execution backend should run it. `AggregationService`, the CLI
-and the benchmark drivers all build a ``Scenario`` and hand it to
-:class:`~repro.kernel.engine.GossipEngine`.
+which execution backend should run it. The recipes of
+:mod:`repro.core`, the CLI and the benchmark drivers all build a
+``Scenario`` and hand it to :class:`~repro.kernel.engine.GossipEngine`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core.aggregates import AggregateFunction, MeanAggregate
 from ..errors import ConfigurationError
-from ..failures.crash import CrashPlan
+from ..failures.crash import CrashPlan, check_node_id
 from ..rng import SeedLike
 from ..topology.base import Topology
 from ..topology.complete import CompleteTopology
@@ -70,7 +70,9 @@ class Scenario:
         indicator of the §4 counting instance).
     crash_plan:
         Optional :class:`~repro.failures.crash.CrashPlan`; victims crash
-        before their scheduled cycle executes.
+        before their scheduled cycle executes. Every planned id must be
+        a node of ``topology``; that is checked here, not at the cycle
+        that names it.
     churn:
         Optional :class:`~repro.kernel.lifecycle.ChurnTrace`. The engine
         applies it as alive-mask growth/shrink plus value-matrix row
@@ -209,6 +211,10 @@ class Scenario:
                 f"epochs must be an EpochSpec, got "
                 f"{type(self.epochs).__name__}"
             )
+        if self.crash_plan is not None:
+            for victims in self.crash_plan.crashes.values():
+                for node_id in victims:
+                    check_node_id(node_id, self.topology.n)
         if self.is_dynamic:
             if self.churn is not None and self.crash_plan is not None:
                 raise ConfigurationError(

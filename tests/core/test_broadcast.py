@@ -8,9 +8,10 @@ import pytest
 
 from repro.core import (
     MaxAggregate,
-    PushPullBroadcast,
+    broadcast_scenario,
     expected_rounds_push,
     expected_rounds_push_pull,
+    spread_trajectory,
     spread_trajectory_deterministic,
 )
 from repro.errors import ConfigurationError
@@ -32,68 +33,78 @@ OVERLAYS = {
 }
 
 
+def _broadcast(topology, **fields):
+    return GossipEngine(broadcast_scenario(topology, **fields))
+
+
+def _informed(engine):
+    return engine.column() > 0.0
+
+
+def _rounds(topology, seed):
+    return len(spread_trajectory(_broadcast(topology, seed=seed))) - 1
+
+
 class TestBroadcastBasics:
     def test_initial_state(self):
-        b = PushPullBroadcast(CompleteTopology(10), origin=3, seed=1)
-        assert b.informed_count == 1
-        assert b.informed_mask[3]
-        assert not b.is_complete()
+        informed = _informed(_broadcast(CompleteTopology(10), origin=3,
+                                        seed=1))
+        assert informed.sum() == 1
+        assert informed[3]
+        assert not informed.all()
 
-    def test_origin_validated(self):
+    @pytest.mark.parametrize("origin", [5, 1.7, True])
+    def test_origin_validated(self, origin):
         with pytest.raises(ConfigurationError):
-            PushPullBroadcast(CompleteTopology(5), origin=5)
+            broadcast_scenario(CompleteTopology(5), origin=origin)
 
     def test_monotone_spread(self):
-        b = PushPullBroadcast(CompleteTopology(200), seed=2)
-        counts = [b.informed_count]
+        engine = _broadcast(CompleteTopology(200), seed=2)
+        counts = [int(_informed(engine).sum())]
         for _ in range(10):
-            b.run_cycle()
-            counts.append(b.informed_count)
+            engine.run_cycle()
+            counts.append(int(_informed(engine).sum()))
         assert all(y >= x for x, y in zip(counts, counts[1:]))
 
-    def test_run_until_complete(self):
-        b = PushPullBroadcast(CompleteTopology(500), seed=3)
-        trajectory = b.run_until_complete()
+    def test_spread_trajectory(self):
+        engine = _broadcast(CompleteTopology(500), seed=3)
+        trajectory = spread_trajectory(engine)
         assert trajectory[0] == 1
         assert trajectory[-1] == 500
-        assert b.is_complete()
+        assert _informed(engine).all()
 
     def test_disconnected_raises(self):
         topo = AdjacencyTopology([[1], [0], [3], [2]])
-        b = PushPullBroadcast(topo, origin=0, seed=4)
         with pytest.raises(ConfigurationError):
-            b.run_until_complete(max_cycles=50)
+            spread_trajectory(_broadcast(topo, origin=0, seed=4),
+                              max_cycles=50)
 
     def test_isolated_node_is_never_informed(self):
         """A zero-degree node never initiates and nobody draws it: the
         rest of the overlay is informed, the run reports the node as
         unreachable."""
-        topo = AdjacencyTopology([[1], [0], []])
-        b = PushPullBroadcast(topo, origin=0, seed=4)
+        engine = _broadcast(AdjacencyTopology([[1], [0], []]), origin=0,
+                            seed=4)
         with pytest.raises(ConfigurationError, match="incomplete"):
-            b.run_until_complete(max_cycles=20)
-        assert b.informed_mask.tolist() == [True, True, False]
-        assert b.cycle == 20
+            spread_trajectory(engine, max_cycles=20)
+        assert _informed(engine).tolist() == [True, True, False]
+        assert engine.cycle == 20
 
     def test_isolated_origin_informs_nobody(self):
-        b = PushPullBroadcast(AdjacencyTopology([[], [2], [1]]), seed=4)
-        assert b.run_cycle() == 0
-        assert b.informed_mask.tolist() == [True, False, False]
+        engine = _broadcast(AdjacencyTopology([[], [2], [1]]), seed=4)
+        engine.run_cycle()
+        assert _informed(engine).tolist() == [True, False, False]
 
     def test_deterministic(self):
-        a = PushPullBroadcast(CompleteTopology(300), seed=9)
-        b = PushPullBroadcast(CompleteTopology(300), seed=9)
-        assert a.run_until_complete() == b.run_until_complete()
+        a = spread_trajectory(_broadcast(CompleteTopology(300), seed=9))
+        b = spread_trajectory(_broadcast(CompleteTopology(300), seed=9))
+        assert a == b
 
 
 class TestRoundComplexity:
     @pytest.mark.parametrize("n", [1000, 10000])
     def test_rounds_in_theoretical_window(self, n):
-        rounds = [
-            len(PushPullBroadcast(CompleteTopology(n), seed=s)
-                .run_until_complete()) - 1
-            for s in range(5)
-        ]
+        rounds = [_rounds(CompleteTopology(n), s) for s in range(5)]
         mean_rounds = np.mean(rounds)
         # lower envelope: pure tripling; upper envelope: push-only bound
         assert mean_rounds >= math.log(n, 3) - 1
@@ -101,11 +112,7 @@ class TestRoundComplexity:
 
     def test_push_pull_estimate_close(self):
         estimate = expected_rounds_push_pull(10000)
-        rounds = [
-            len(PushPullBroadcast(CompleteTopology(10000), seed=s)
-                .run_until_complete()) - 1
-            for s in range(5)
-        ]
+        rounds = [_rounds(CompleteTopology(10000), s) for s in range(5)]
         assert abs(np.mean(rounds) - estimate) < 4
 
     def test_edge_cases(self):
@@ -118,9 +125,9 @@ class TestRoundComplexity:
         """Structured topologies break the epidemic speedup: on a ring
         information travels a bounded distance per cycle."""
         n = 100
-        trajectory = PushPullBroadcast(
-            RingTopology(n, 2), seed=5
-        ).run_until_complete(max_cycles=500)
+        trajectory = spread_trajectory(
+            _broadcast(RingTopology(n, 2), seed=5), max_cycles=500
+        )
         assert len(trajectory) - 1 > 2 * math.log2(n)
 
 
@@ -140,8 +147,8 @@ class TestMeanField:
             inside = [f for f in fractions if 0.10 <= f <= 0.90]
             return len(inside)
 
-        b = PushPullBroadcast(CompleteTopology(n), seed=6)
-        simulated = [c / n for c in b.run_until_complete()]
+        trajectory = spread_trajectory(_broadcast(CompleteTopology(n), seed=6))
+        simulated = [c / n for c in trajectory]
         predicted = spread_trajectory_deterministic(n)
         assert abs(width(simulated) - width(predicted)) <= 1
 
@@ -160,12 +167,12 @@ class TestMaxEquivalence:
         engine = GossipEngine(Scenario(CompleteTopology(n), values,
                                        aggregates={"max": MaxAggregate()},
                                        seed=123))
-        broadcast = PushPullBroadcast(CompleteTopology(n), origin=7, seed=123)
+        broadcast = _broadcast(CompleteTopology(n), origin=7, seed=123)
         for _ in range(12):
             engine.run_cycle()
             broadcast.run_cycle()
             reached_max = int((engine.alive_column() == 1.0).sum())
-            assert reached_max == broadcast.informed_count
+            assert reached_max == int(_informed(broadcast).sum())
 
     def test_max_reaches_everyone_fast(self):
         n = 1000
@@ -178,7 +185,7 @@ class TestMaxEquivalence:
 
 
 class TestGoldenTrajectories:
-    """``run_until_complete`` from origin 0, as pinned from the build
+    """``spread_trajectory`` from origin 0, as pinned from the build
     whose broadcast drew its own partners and ran its own per-exchange
     loop beside the kernel. Running it as MAX aggregation on the kernel
     must reach the same informed counts, cycle by cycle, on either
@@ -226,8 +233,8 @@ class TestGoldenTrajectories:
 
     @pytest.mark.parametrize("overlay, seed", sorted(GOLDEN))
     def test_broadcast_reaches_the_pinned_trajectory(self, overlay, seed):
-        b = PushPullBroadcast(OVERLAYS[overlay](), seed=seed)
-        assert b.run_until_complete() == self.GOLDEN[overlay, seed]
+        engine = _broadcast(OVERLAYS[overlay](), seed=seed)
+        assert spread_trajectory(engine) == self.GOLDEN[overlay, seed]
 
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     @pytest.mark.parametrize("overlay, seed", sorted(GOLDEN))

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import RobustAverager
+from repro.core import median_of_instances
 from repro.errors import ConfigurationError
+from repro.failures import CrashPlan
 from repro.kernel import GossipEngine, Scenario
 from repro.kernel.messages import exchange_loss
 from repro.rng import spawn_streams
@@ -16,60 +17,42 @@ def values():
     return np.random.default_rng(1).normal(10.0, 4.0, 400)
 
 
-class TestValidation:
-    def test_value_count(self):
-        with pytest.raises(ConfigurationError):
-            RobustAverager(CompleteTopology(5), [1.0])
+def _scenario(values, cycles, seed, **fields):
+    return Scenario(CompleteTopology(400), values, cycles=cycles, seed=seed,
+                    **fields)
 
+
+def _crash_at(cycle, victims):
+    plan = CrashPlan()
+    plan.add(cycle, victims)
+    return plan
+
+
+class TestValidation:
     def test_instances_positive(self, values):
         with pytest.raises(ConfigurationError):
-            RobustAverager(CompleteTopology(400), values, instances=0)
-
-    def test_loss_range(self, values):
-        with pytest.raises(ConfigurationError):
-            RobustAverager(CompleteTopology(400), values,
-                           loss_probability=-0.1)
-
-    def test_negative_cycles(self, values):
-        averager = RobustAverager(CompleteTopology(400), values, seed=1)
-        with pytest.raises(ConfigurationError):
-            averager.run(-1)
-
-    def test_crash_range(self, values):
-        averager = RobustAverager(CompleteTopology(400), values, seed=1)
-        with pytest.raises(ConfigurationError):
-            averager.crash([400])
+            median_of_instances(_scenario(values, 5, 1), instances=0)
 
 
 class TestCleanRun:
     def test_all_instances_converge_to_truth(self, values):
-        averager = RobustAverager(
-            CompleteTopology(400), values, instances=3, seed=2
-        )
-        result = averager.run(25)
+        result = median_of_instances(_scenario(values, 25, 2), instances=3)
         assert result.single_error < 1e-4
         assert result.median_error < 1e-4
         assert result.true_mean == pytest.approx(values.mean())
+        assert result.cycles == 25
 
     def test_single_instance_degenerate(self, values):
-        averager = RobustAverager(
-            CompleteTopology(400), values, instances=1, seed=3
-        )
-        result = averager.run(20)
+        result = median_of_instances(_scenario(values, 20, 3), instances=1)
         assert np.array_equal(result.single_estimates, result.median_estimates)
 
     def test_deterministic(self, values):
-        a = RobustAverager(CompleteTopology(400), values, instances=3, seed=4)
-        b = RobustAverager(CompleteTopology(400), values, instances=3, seed=4)
-        ra, rb = a.run(10), b.run(10)
+        ra = median_of_instances(_scenario(values, 10, 4), instances=3)
+        rb = median_of_instances(_scenario(values, 10, 4), instances=3)
         assert np.array_equal(ra.median_estimates, rb.median_estimates)
 
     def test_instances_evolve_independently(self, values):
-        averager = RobustAverager(
-            CompleteTopology(400), values, instances=2, seed=5
-        )
-        averager.run_cycle()
-        result = averager.run(0)
+        result = median_of_instances(_scenario(values, 1, 5), instances=2)
         # the median of two is their midpoint: it equals instance 0
         # only where the two instances agree
         assert not np.array_equal(
@@ -82,8 +65,11 @@ class TestCleanRun:
         of ``spawn_streams(seed, instances)``, lost exchanges being lost
         requests — a crash wave included."""
         topology = CompleteTopology(400)
-        averager = RobustAverager(topology, values, instances=3,
-                                  loss_probability=loss, seed=9)
+        result = median_of_instances(
+            _scenario(values, 8, 9, message_faults=exchange_loss(loss),
+                      crash_plan=_crash_at(2, range(0, 400, 5))),
+            instances=3,
+        )
         engines = [
             GossipEngine(Scenario(
                 topology, values, seed=stream,
@@ -91,11 +77,9 @@ class TestCleanRun:
             ))
             for stream in spawn_streams(9, 3)
         ]
-        for runner in (averager, *engines):
-            runner.run(2)
-            runner.crash(range(0, 400, 5))
-        result = averager.run(6)
         for engine in engines:
+            engine.run(2)
+            engine.crash(range(0, 400, 5))
             engine.run(6)
         stacked = np.stack([engine.alive_column() for engine in engines])
         assert np.array_equal(result.single_estimates, stacked[0])
@@ -111,28 +95,27 @@ class TestRobustnessGain:
         early (independent per-instance mixing noise gets voted out)."""
         single_errors, median_errors = [], []
         for seed in range(6):
-            averager = RobustAverager(
-                CompleteTopology(400), values, instances=instances, seed=seed
-            )
-            averager.run(2)
             rng = np.random.default_rng(100 + seed)
-            averager.crash(rng.choice(400, size=80, replace=False).tolist())
-            result = averager.run(20)
+            victims = rng.choice(400, size=80, replace=False).tolist()
+            result = median_of_instances(
+                _scenario(values, 22, seed, crash_plan=_crash_at(2, victims)),
+                instances=instances,
+            )
             single_errors.append(result.single_error)
             median_errors.append(result.median_error)
         assert np.mean(median_errors) <= np.mean(single_errors)
 
     def test_crash_reduces_reporting_population(self, values):
-        averager = RobustAverager(CompleteTopology(400), values, seed=7)
-        averager.crash(list(range(100)))
-        result = averager.run(10)
-        assert averager.alive_count == 300
+        result = median_of_instances(
+            _scenario(values, 10, 7, crash_plan=_crash_at(0, range(100))),
+            instances=5,
+        )
+        assert len(result.single_estimates) == 300
         assert len(result.median_estimates) == 300
 
     def test_loss_tolerated(self, values):
-        averager = RobustAverager(
-            CompleteTopology(400), values, instances=3,
-            loss_probability=0.3, seed=8,
+        result = median_of_instances(
+            _scenario(values, 30, 8, message_faults=exchange_loss(0.3)),
+            instances=3,
         )
-        result = averager.run(30)
         assert result.median_error < 1e-4

@@ -1,11 +1,19 @@
-"""Tests for core.service — the AggregationService facade."""
+"""Tests for core.service — the monitoring suite's scenario recipes."""
 
 import numpy as np
 import pytest
 
-from repro.core import AggregationService
+from repro.core import service_report, service_scenario
 from repro.errors import ConfigurationError
+from repro.kernel import GossipEngine
+from repro.kernel.messages import exchange_loss
 from repro.topology import CompleteTopology, RandomRegularTopology
+
+
+def _report(scenario, probe_node=0):
+    with GossipEngine(scenario) as engine:
+        engine.run()
+        return service_report(engine, probe_node)
 
 
 @pytest.fixture(scope="module")
@@ -15,8 +23,7 @@ def values():
 
 @pytest.fixture(scope="module")
 def report(values):
-    service = AggregationService(CompleteTopology(600), values, seed=5)
-    return service.run(cycles=30)
+    return _report(service_scenario(CompleteTopology(600), values, seed=5))
 
 
 class TestEstimates:
@@ -53,34 +60,34 @@ class TestEstimates:
 class TestConfiguration:
     def test_value_count_checked(self):
         with pytest.raises(ConfigurationError):
-            AggregationService(CompleteTopology(5), [1.0])
+            service_scenario(CompleteTopology(5), [1.0])
 
     def test_cycles_validated(self, values):
-        service = AggregationService(CompleteTopology(600), values, seed=1)
         with pytest.raises(ConfigurationError):
-            service.run(cycles=0)
+            service_scenario(CompleteTopology(600), values, cycles=0, seed=1)
 
-    def test_probe_node_validated(self, values):
-        service = AggregationService(CompleteTopology(600), values, seed=1)
-        with pytest.raises(ConfigurationError):
-            service.run(cycles=5, probe_node=600)
+    @pytest.mark.parametrize("probe_node", [600, 1.7, True])
+    def test_probe_node_validated(self, values, probe_node):
+        scenario = service_scenario(CompleteTopology(600), values, cycles=5,
+                                    seed=1)
+        with GossipEngine(scenario) as engine:
+            engine.run()
+            with pytest.raises(ConfigurationError):
+                service_report(engine, probe_node)
 
     def test_different_probe_nodes_agree(self, values):
-        service = AggregationService(CompleteTopology(600), values, seed=6)
-        a = service.run(cycles=30, probe_node=0)
-        service2 = AggregationService(CompleteTopology(600), values, seed=6)
-        b = service2.run(cycles=30, probe_node=599)
+        scenario = service_scenario(CompleteTopology(600), values, seed=6)
+        a = _report(scenario, probe_node=0)
+        b = _report(scenario, probe_node=599)
         assert a.mean == pytest.approx(b.mean, rel=1e-6)
 
     def test_sparse_topology(self, values):
         topology = RandomRegularTopology(600, 10, seed=7)
-        service = AggregationService(topology, values, seed=8)
-        report = service.run(cycles=40)
+        report = _report(service_scenario(topology, values, cycles=40, seed=8))
         assert report.mean == pytest.approx(values.mean(), rel=1e-4)
 
     def test_with_loss_still_reasonable(self, values):
-        service = AggregationService(
-            CompleteTopology(600), values, loss_probability=0.2, seed=9
-        )
-        report = service.run(cycles=40)
+        scenario = service_scenario(CompleteTopology(600), values, cycles=40,
+                                    seed=9)
+        report = _report(scenario.replace(message_faults=exchange_loss(0.2)))
         assert report.mean == pytest.approx(values.mean(), rel=0.02)

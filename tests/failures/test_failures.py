@@ -41,9 +41,14 @@ class TestCrashPlan:
         assert plan.crashing_at(6) == []
         assert plan.total_crashes == 3
 
-    def test_negative_cycle_rejected(self):
+    @pytest.mark.parametrize("cycle, node_ids", [
+        (-1, [0]), (0, [1.7]), (0, [True]),
+    ])
+    def test_bad_entry_rejected(self, cycle, node_ids):
+        plan = CrashPlan()
         with pytest.raises(ConfigurationError):
-            CrashPlan().add(-1, [0])
+            plan.add(cycle, node_ids)
+        assert plan.total_crashes == 0
 
     def test_random_plan_size(self):
         plan = random_crash_plan(100, 0.3, at_cycle=4, seed=1)

@@ -1,17 +1,18 @@
 """Bridges between the kernel and the surrounding layers:
 MultiAggregateSpec (core.multi), the scenario-native replication
-runner, and AggregationService backend parity."""
+runner, and the monitoring suite's backend parity."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import replicate_scenario
 from repro.core import (
-    AggregationService,
     MaxAggregate,
     MeanAggregate,
     MultiAggregateSpec,
     moment_values,
+    service_report,
+    service_scenario,
 )
 from repro.errors import ConfigurationError
 from repro.kernel import GossipEngine, Scenario
@@ -78,20 +79,23 @@ class TestScenarioRunners:
             replicate_scenario(Scenario(topo, values), runs=0)
 
 
+def _service_report(topo, values, **fields):
+    with GossipEngine(service_scenario(topo, values, **fields)) as engine:
+        engine.run()
+        return service_report(engine)
+
+
 class TestServiceBackendParity:
     def test_backends_agree_bitwise(self, topo, values):
         reports = [
-            AggregationService(
-                topo, values, seed=5, backend=backend
-            ).run(cycles=25)
+            _service_report(topo, values, cycles=25, seed=5, backend=backend)
             for backend in ("reference", "vectorized")
         ]
         assert reports[0].as_dict() == reports[1].as_dict()
 
     def test_service_estimates_with_vectorized_backend(self, topo, values):
-        report = AggregationService(
-            topo, values, seed=6, backend="vectorized"
-        ).run(cycles=30)
+        report = _service_report(topo, values, cycles=30, seed=6,
+                                 backend="vectorized")
         assert report.mean == pytest.approx(values.mean(), rel=1e-6)
         assert report.maximum == values.max()
         assert report.minimum == values.min()

@@ -101,6 +101,11 @@ class TestFailureMachinery:
         engine = GossipEngine(Scenario(topo, values, seed=7))
         with pytest.raises(ConfigurationError):
             engine.crash([topo.n])
+        # a plan's victims are checked when the scenario is built, not
+        # at the cycle that names them
+        for plan in (CrashPlan({5: [topo.n]}), CrashPlan({5: [True]})):
+            with pytest.raises(ConfigurationError):
+                Scenario(topo, values, crash_plan=plan)
 
     def test_crash_accepts_numpy_ids(self, topo, values):
         """Ids taken from numpy (an index array, a numpy scalar) pass

@@ -21,7 +21,7 @@ from repro.core import (
     SizeEstimationConfig,
     SizeEstimationExperiment,
 )
-from repro.core.service import AggregationService
+from repro.core.service import service_epochs_scenario
 from repro.errors import ConfigurationError
 from repro.cli import main
 from repro.kernel import (
@@ -318,14 +318,18 @@ class TestSizeEstimationOracle:
         assert report.estimate_max == pytest.approx(200, rel=1e-6)
 
 
+def _epoch_reports(n, values, **fields):
+    scenario = service_epochs_scenario(CompleteTopology(n), values, **fields)
+    with GossipEngine(scenario) as engine:
+        return engine.run().epoch_results
+
+
 class TestServiceEpochs:
     def test_run_epochs_reports_per_epoch(self):
         n = 256
         values = np.random.default_rng(4).lognormal(3.0, 0.5, n)
-        service = AggregationService(
-            CompleteTopology(n), values, seed=12, backend="reference"
-        )
-        reports = service.run_epochs(epochs=3, cycles_per_epoch=30)
+        reports = _epoch_reports(n, values, epochs=3, cycles_per_epoch=30,
+                                 seed=12, backend="reference")
         assert len(reports) == 3
         for report in reports:
             assert report.mean == pytest.approx(values.mean(), rel=1e-6)
@@ -336,27 +340,22 @@ class TestServiceEpochs:
     def test_run_epochs_backend_equivalent(self):
         n = 128
         values = np.random.default_rng(5).normal(20.0, 5.0, n)
-        reports = {}
-        for backend in ("reference", "vectorized"):
-            service = AggregationService(
-                CompleteTopology(n), values, seed=13, backend=backend
-            )
-            reports[backend] = service.run_epochs(
-                epochs=2, cycles_per_epoch=20
-            )
+        reports = {
+            backend: _epoch_reports(n, values, epochs=2, cycles_per_epoch=20,
+                                    seed=13, backend=backend)
+            for backend in ("reference", "vectorized")
+        }
         for ref, vec in zip(reports["reference"], reports["vectorized"]):
             assert ref.as_dict() == vec.as_dict()
 
-    def test_run_epochs_validation(self):
-        service = AggregationService(
-            CompleteTopology(16), np.ones(16), seed=1
-        )
+    @pytest.mark.parametrize("fields", [
+        dict(epochs=0), dict(cycles_per_epoch=0), dict(probe_node=99),
+        dict(probe_node=1.7), dict(probe_node=True),
+    ])
+    def test_run_epochs_validation(self, fields):
         with pytest.raises(ConfigurationError):
-            service.run_epochs(epochs=0)
-        with pytest.raises(ConfigurationError):
-            service.run_epochs(cycles_per_epoch=0)
-        with pytest.raises(ConfigurationError):
-            service.run_epochs(probe_node=99)
+            service_epochs_scenario(CompleteTopology(16), np.ones(16),
+                                    seed=1, **fields)
 
 
 class TestPinnedChurnRuns:

@@ -2,9 +2,9 @@
 
 The paper's §3 cycle lets an exchange fail only as a whole — at both
 ends or at neither. ``MessageFaultSpec(request_loss=p)`` is exactly that
-failure (a lost request cancels the exchange silently), and the facades'
-``loss_probability`` builds that spec through ``exchange_loss(p)``, or
-none at ``p == 0``.
+failure (a lost request cancels the exchange silently), and
+``exchange_loss(p)`` builds that spec, or none at ``p == 0``. A recipe's
+scenario takes it like any other: ``.replace(message_faults=...)``.
 
 ``GOLDEN`` pins whole runs: what a ``git archive`` of 9952160 reached,
 where the same losses were a separate exchange-loss coin drawn in the
@@ -16,6 +16,9 @@ plain scenario with ``exchange_loss(0.3)`` reaches it. The two
 ``partition`` pins were taken with a group-based partition schedule
 that has also gone; an ``AdversarySpec(kind="partition")`` whose nodes
 are one side of the same seeded split reaches them.
+``GOLDEN["AggregationService"]`` and ``ROBUST_GOLDEN`` were pinned
+through facade classes that have gone too; their scenario recipes
+reach both.
 """
 
 import hashlib
@@ -23,7 +26,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import AggregationService, RobustAverager
+from repro.core import (
+    median_of_instances,
+    service_epochs_scenario,
+    service_report,
+    service_scenario,
+)
+from repro.failures import CrashPlan
 from repro.kernel import (
     AdversarySpec,
     ChurnTrace,
@@ -142,21 +151,28 @@ def _run_cycles(backend):
 
 
 def _run_service(backend):
-    service = AggregationService(CompleteTopology(N), VALUES,
-                                 loss_probability=0.2, seed=43,
-                                 backend=backend)
-    return _digest(
-        service.run(15).as_dict(),
-        [report.as_dict() for report in service.run_epochs(3, 8)],
-    )
+    lost = exchange_loss(0.2)
+    once = service_scenario(CompleteTopology(N), VALUES, cycles=15, seed=43,
+                            backend=backend)
+    with GossipEngine(once.replace(message_faults=lost)) as engine:
+        engine.run(record="end")
+        report = service_report(engine)
+    epochs = service_epochs_scenario(CompleteTopology(N), VALUES, epochs=3,
+                                     cycles_per_epoch=8, seed=43,
+                                     backend=backend)
+    with GossipEngine(epochs.replace(message_faults=lost)) as engine:
+        reports = engine.run().epoch_results
+    return _digest(report.as_dict(), [each.as_dict() for each in reports])
 
 
 def _run_robust(loss):
-    averager = RobustAverager(CompleteTopology(N), VALUES, instances=3,
-                              loss_probability=loss, seed=47)
-    averager.run(3)
-    averager.crash(range(0, N, 9))
-    result = averager.run(12)
+    plan = CrashPlan()
+    plan.add(3, range(0, N, 9))
+    result = median_of_instances(
+        Scenario(CompleteTopology(N), VALUES, crash_plan=plan, cycles=15,
+                 message_faults=exchange_loss(loss), seed=47),
+        instances=3,
+    )
     return _digest(result.single_estimates, result.median_estimates)
 
 
@@ -189,7 +205,8 @@ GOLDEN = {
         "cba4dfad751f7e7d047afbc6d4fd0ea10f375e11cba08208828e823c5922b8a2",
 }
 
-#: ``RobustAverager``'s single and median estimates, by loss probability
+#: ``median_of_instances``' single and median estimates, by loss
+#: probability
 ROBUST_GOLDEN = {
     0.0:
         "9ef77fd550bb626459fc1f6014aecde4e8fc892b63d97cb667565674b969cf89",
@@ -215,13 +232,11 @@ def test_service_loss_reaches_the_pinned_state(backend):
 
 
 @pytest.mark.parametrize("loss", sorted(ROBUST_GOLDEN))
-def test_robust_averager_reaches_the_pinned_estimates(loss):
+def test_median_of_instances_reaches_the_pinned_estimates(loss):
     assert _run_robust(loss) == ROBUST_GOLDEN[loss]
 
 
-def test_facade_loss_free_runs_declare_no_faults():
-    """``loss_probability=0`` builds no spec, so the engine keeps its
+def test_loss_free_runs_declare_no_faults():
+    """``exchange_loss(0)`` is no spec, so the engine keeps its
     loss-free fast path."""
     assert exchange_loss(0.0) is None
-    service = AggregationService(CompleteTopology(N), VALUES, seed=1)
-    assert service._faults is None

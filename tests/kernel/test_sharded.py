@@ -302,7 +302,7 @@ class TestShardedBackendDirect:
 
 def service5_scenario(n, backend, seed=41):
     """Mean, second moment, max, min and count on one exchange stream:
-    the five-column AggregationService workload."""
+    the five-column monitoring-suite workload."""
     values = np.random.default_rng(seed).normal(10.0, 4.0, n)
     indicator = np.zeros(n)
     indicator[seed % n] = 1.0

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.io import read_csv, read_json, write_csv, write_json
 from repro.avg.matrix import cycle_matrix, is_doubly_stochastic
-from repro.core import RobustAverager
-from repro.kernel import ChurnTrace
+from repro.core import median_of_instances
+from repro.kernel import ChurnTrace, Scenario
 from repro.rng import make_rng
 from repro.topology import CompleteTopology
 
@@ -114,10 +114,10 @@ class TestRobustProperties:
         """Instance 0 is the single estimate; the median of instances
         need not conserve mass, but it stays within the values' range."""
         values = np.linspace(-5.0, 5.0, 40)
-        averager = RobustAverager(
-            CompleteTopology(40), values, instances=instances, seed=seed
+        result = median_of_instances(
+            Scenario(CompleteTopology(40), values, cycles=cycles, seed=seed),
+            instances=instances,
         )
-        result = averager.run(cycles)
         assert abs(result.single_estimates.sum() - values.sum()) < 1e-8
         assert values.min() <= result.median_estimates.min()
         assert result.median_estimates.max() <= values.max()

@@ -2,10 +2,11 @@
 
 Every environment variable ``src/`` reads, every constructor argument
 of the sharded backend, every parameter of the backends' apply
-contract and every field of a scenario spec doubles the
-configurations the equivalence suite would have to cover. Adding one
-means editing this file — and, for the first two, the table in
-``docs/architecture.md`` — in the same diff.
+contract, every field of a scenario spec and every parameter of a
+scenario recipe doubles the configurations the equivalence suite would
+have to cover, and every name in ``repro.__all__`` is public API to
+keep. Adding one means editing this file — and, for the first two,
+the table in ``docs/architecture.md`` — in the same diff.
 """
 
 import dataclasses
@@ -15,6 +16,15 @@ from pathlib import Path
 
 import pytest
 
+import repro
+from repro.core import (
+    broadcast_scenario,
+    median_of_instances,
+    service_epochs_scenario,
+    service_report,
+    service_scenario,
+    spread_trajectory,
+)
 from repro.kernel import (
     AdversarySpec,
     CheckpointSpec,
@@ -59,6 +69,38 @@ SPEC_FIELDS = {
     PairProtocolSpec: ["selector", "track_phi", "track_s"],
 }
 
+#: every parameter of a scenario recipe or its reducer, in order
+RECIPE_PARAMETERS = {
+    service_scenario: ["topology", "values", "cycles", "seed", "backend"],
+    service_epochs_scenario: [
+        "topology", "values", "epochs", "cycles_per_epoch", "probe_node",
+        "seed", "backend",
+    ],
+    service_report: ["engine", "probe_node"],
+    median_of_instances: ["scenario", "instances"],
+    broadcast_scenario: ["topology", "origin", "seed"],
+    spread_trajectory: ["engine", "max_cycles"],
+}
+#: the package's public names, sorted
+PUBLIC_NAMES = [
+    "AdjacencyTopology", "AggregateFunction", "AggregationReport",
+    "BarabasiAlbertTopology", "ChurnTrace", "CompleteTopology",
+    "ConfigurationError", "CrashPlan", "EpochSpec", "ErdosRenyiTopology",
+    "EstimationError", "ExecutionBackend", "GeometricMeanAggregate",
+    "GetPairPMRand", "GetPairPerfectMatching", "GetPairRand", "GetPairSeq",
+    "GossipEngine", "KernelRunResult", "MaxAggregate", "MeanAggregate",
+    "MinAggregate", "NewscastSpec", "PairProtocolSpec", "PairSelectionError",
+    "PairSelector", "RATE_PM", "RATE_RAND", "RATE_SEQ",
+    "RandomRegularTopology", "ReferenceBackend", "ReproError",
+    "RingTopology", "RunResult", "Scenario", "SimulationError",
+    "SizeEstimationConfig", "SizeEstimationExperiment", "StarTopology",
+    "Topology", "TopologyError", "ValueVector", "VectorizedBackend",
+    "WattsStrogatzTopology", "__version__", "convergence_rate",
+    "derive_seed", "estimate_network_size", "estimate_sum",
+    "estimate_variance_from_moments", "make_rng", "random_crash_plan",
+    "run_avg", "run_scenario", "spawn_streams",
+]
+
 
 def test_env_vars_read_by_src():
     found = set()
@@ -88,6 +130,17 @@ def test_apply_contract(backend):
 def test_spec_fields(spec):
     names = [field.name for field in dataclasses.fields(spec)]
     assert names == SPEC_FIELDS[spec]
+
+
+@pytest.mark.parametrize("recipe", list(RECIPE_PARAMETERS),
+                         ids=lambda f: f.__name__)
+def test_recipe_parameters(recipe):
+    parameters = inspect.signature(recipe).parameters
+    assert list(parameters) == RECIPE_PARAMETERS[recipe]
+
+
+def test_public_names():
+    assert sorted(repro.__all__) == PUBLIC_NAMES
 
 
 def test_architecture_table_lists_the_same_surface():
