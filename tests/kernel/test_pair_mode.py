@@ -18,6 +18,8 @@ selectors, on complete and sparse overlays, with and without Theorem
 the kernel-recorded ``phi_counts`` directly.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,70 @@ def assert_identical(ref, vec):
     assert len(ref_result.phi_counts) == len(vec_result.phi_counts)
     for ref_phi, vec_phi in zip(ref_result.phi_counts, vec_result.phi_counts):
         assert np.array_equal(ref_phi, vec_phi)
+
+
+def _avg_digest(topology, selector, *, track_s, backend, cycles=8, seed=37):
+    """sha256 over one AVG run: the final ``avg`` column, the variance
+    trajectory, every cycle's φ counts and, when tracked, the ``s``
+    means of cycles 1..T."""
+    values = np.random.default_rng(11).normal(0.0, 1.0, topology.n)
+    vector = ValueVector(values)
+    result = run_avg(vector, SELECTORS[selector](topology), cycles,
+                     seed=seed, track_s=track_s, backend=backend)
+    digest = hashlib.sha256()
+    digest.update(vector.values.tobytes())
+    digest.update(np.asarray(result.variances, dtype=np.float64).tobytes())
+    digest.update(np.stack([c.phi for c in result.cycles]).tobytes())
+    if track_s:
+        digest.update(
+            np.asarray([c.s_mean for c in result.cycles]).tobytes()
+        )
+    return digest.hexdigest()
+
+
+#: the AVG runs, pinned through the ``run_avg`` runner this kernel
+#: path replaced; keyed by (overlay, selector, track_s)
+GOLDEN = {
+    ("complete", "pm", False):
+        "cb3fe559d924cd05504e6270abf4a7b1bec843173a7f7248c6bfe1b15a80cc09",
+    ("complete", "pm", True):
+        "87bae35069f92878fe09aba7c8caa74ba9666219bd673064654ba274fa111e61",
+    ("complete", "rand", False):
+        "985fabb201420ae056e4d5955ae7832a36dd68e0497d5bc5796f206003ae9cd1",
+    ("complete", "rand", True):
+        "0a6682f6d540b4400bbebcdabb84d219e11ea01511874b6f341788ee6b1eea1e",
+    ("complete", "seq", False):
+        "3ba1e82022debaac94814e126cae5364d9cba71df1ce4347b49a4077b42d73ef",
+    ("complete", "seq", True):
+        "84c7462e73b337eb29db66200b866535d8e2ec42715918a43e3223f87db92e6f",
+    ("complete", "pmrand", False):
+        "82b9797b0c20640bf833fe59559a7ca2d23901617808e8259a4fe3b4baefbf21",
+    ("complete", "pmrand", True):
+        "9f9ad327517cf5dd6eed3cf91b5cadb4a02a3c525a913b6b5e03ae11ba7273dd",
+    ("regular20", "seq", True):
+        "8c8ded4a7403b3ca97c80d3e5270bdc73ce3c4b3e3de6b179c0f243c40d87a8b",
+    ("regular20", "rand", True):
+        "85b5faf29b926b6bb78c6cfdeded05e7a5cca7e2a5bf08783b2af015b9bfc214",
+}
+
+GOLDEN_TOPOLOGIES = {
+    "complete": CompleteTopology(400),
+    "regular20": RandomRegularTopology(400, 20, seed=43),
+}
+
+GOLDEN_CASES = [
+    ("complete", selector, track_s)
+    for selector in SELECTORS for track_s in (False, True)
+] + [("regular20", "seq", True), ("regular20", "rand", True)]
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+@pytest.mark.parametrize("overlay, selector, track_s", GOLDEN_CASES)
+def test_golden(overlay, selector, track_s, backend):
+    assert _avg_digest(
+        GOLDEN_TOPOLOGIES[overlay], selector, track_s=track_s,
+        backend=backend,
+    ) == GOLDEN[overlay, selector, track_s]
 
 
 class TestBitwiseEquivalence:
