@@ -75,9 +75,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.analysis import Table
-from repro.avg import GetPairRand, RATE_RAND, ValueVector, run_avg
+from repro.avg import RATE_RAND, empirical_reduction_rates
 from repro.core import SizeEstimationConfig, SizeEstimationExperiment
-from repro.kernel import ChurnTrace, GossipEngine, PairProtocolSpec, Scenario
+from repro.kernel import (
+    ChurnTrace,
+    GossipEngine,
+    PairProtocolSpec,
+    Scenario,
+    run_scenario,
+)
 from repro.rng import make_rng
 from repro.topology import CompleteTopology, RandomRegularTopology
 
@@ -411,13 +417,20 @@ def compute_tenm(n=TENM_N):
         "cpu_count": os.cpu_count(),
         "rss_budget_bytes": TENM_RSS_BUDGET_BYTES,
     }
-    vector = ValueVector.gaussian(n, seed=SEED)
-    topology = CompleteTopology(n)
+    scenario = Scenario(
+        CompleteTopology(n),
+        make_rng(SEED).normal(0.0, 1.0, size=n),
+        pair_protocol=PairProtocolSpec("rand"),
+        cycles=1,
+        seed=SEED,
+    )
     start = time.perf_counter()
-    result = run_avg(vector, GetPairRand(topology), 1, seed=SEED)
+    variances = run_scenario(scenario).variance_array("avg")
     series["figure3a_seconds"] = time.perf_counter() - start
-    series["figure3a_reduction"] = float(result.cycles[0].reduction)
-    del vector, result
+    series["figure3a_reduction"] = float(
+        empirical_reduction_rates(variances)[0]
+    )
+    del scenario
     config = SizeEstimationConfig(
         cycles=TENM_EPOCH,
         cycles_per_epoch=TENM_EPOCH,

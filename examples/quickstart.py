@@ -7,44 +7,63 @@ average — no coordinator, no spanning tree, no global knowledge.
 Run:  python examples/quickstart.py
 """
 
+import numpy as np
+
 from repro import (
     CompleteTopology,
-    GetPairSeq,
+    GossipEngine,
+    PairProtocolSpec,
     RATE_SEQ,
-    ValueVector,
-    run_avg,
+    Scenario,
+    make_rng,
+)
+from repro.avg import (
+    empirical_mean,
+    empirical_reduction_rates,
+    empirical_variance,
+    geometric_mean_reduction,
 )
 
 
 def main():
     n = 1000
-    topology = CompleteTopology(n)
 
     # each node starts with a private value; the network-wide truth:
-    vector = ValueVector.uniform(n, low=0.0, high=100.0, seed=7)
-    true_average = vector.mean
+    values = make_rng(7).uniform(0.0, 100.0, size=n)
+    true_average = empirical_mean(values)
     print(f"{n} nodes, true average = {true_average:.4f}")
-    print(f"initial variance across nodes = {vector.variance:.4f}\n")
+    print(f"initial variance across nodes = {empirical_variance(values):.4f}\n")
 
     # the practical protocol: every node contacts one random neighbor
     # per cycle (GETPAIR_SEQ) and both adopt the pair's mean
-    result = run_avg(vector, GetPairSeq(topology), cycles=20, seed=42)
+    scenario = Scenario(
+        CompleteTopology(n),
+        values,
+        pair_protocol=PairProtocolSpec("seq"),
+        cycles=20,
+        seed=42,
+    )
+    with GossipEngine(scenario) as engine:
+        variances = engine.run().variance_array("avg")
+        estimates = engine.alive_column("avg")
+    reductions = empirical_reduction_rates(variances)
 
     print("cycle   variance          reduction")
-    for stats in result.cycles[:10]:
-        print(f"{stats.cycle:>5}   {stats.variance_after:.6e}   "
-              f"{stats.reduction:.4f}")
+    for cycle in range(1, 11):
+        print(f"{cycle:>5}   {variances[cycle]:.6e}   "
+              f"{reductions[cycle - 1]:.4f}")
     print("  ...")
     print(f"\ntheory predicts a per-cycle reduction of 1/(2*sqrt(e)) = "
           f"{RATE_SEQ:.4f}")
     print(f"measured geometric mean            = "
-          f"{result.geometric_mean_reduction():.4f}")
+          f"{geometric_mean_reduction(variances):.4f}")
 
     print(f"\nafter 20 cycles:")
-    print(f"  every node's estimate  = {vector.values.min():.6f} .. "
-          f"{vector.values.max():.6f}")
+    print(f"  every node's estimate  = {estimates.min():.6f} .. "
+          f"{estimates.max():.6f}")
     print(f"  true average           = {true_average:.6f}")
-    print(f"  worst node error       = {vector.max_error():.2e}")
+    print(f"  worst node error       = "
+          f"{np.abs(estimates - true_average).max():.2e}")
 
 
 if __name__ == "__main__":

@@ -7,14 +7,19 @@ adaptive restarting with network size estimation, plus the simulation
 substrates (topologies, the gossip kernel, membership, failure models)
 needed to regenerate every figure in the paper.
 
-Quickstart::
+Quickstart (algorithm AVG with GETPAIR_SEQ)::
 
-    from repro import CompleteTopology, GetPairSeq, ValueVector, run_avg
+    from repro import CompleteTopology, PairProtocolSpec, Scenario
+    from repro import make_rng, run_scenario
+    from repro.avg import geometric_mean_reduction
 
-    topology = CompleteTopology(1000)
-    vector = ValueVector.uniform(1000, seed=1)
-    result = run_avg(vector, GetPairSeq(topology), cycles=20, seed=2)
-    print(result.geometric_mean_reduction())   # ~0.303 = 1/(2*sqrt(e))
+    scenario = Scenario(
+        CompleteTopology(1000), make_rng(1).uniform(size=1000),
+        pair_protocol=PairProtocolSpec("seq"), cycles=20, seed=2,
+    )
+    result = run_scenario(scenario)
+    print(geometric_mean_reduction(result.variance_array("avg")))
+    # ~0.303 = 1/(2*sqrt(e))
 """
 
 from .errors import (
@@ -51,14 +56,6 @@ from .core import (
     AggregationReport,
 )
 from .avg import (
-    ValueVector,
-    PairSelector,
-    GetPairPerfectMatching,
-    GetPairRand,
-    GetPairSeq,
-    GetPairPMRand,
-    RunResult,
-    run_avg,
     RATE_PM,
     RATE_RAND,
     RATE_SEQ,
@@ -103,14 +100,6 @@ __all__ = [
     "WattsStrogatzTopology",
     "BarabasiAlbertTopology",
     "StarTopology",
-    "ValueVector",
-    "PairSelector",
-    "GetPairPerfectMatching",
-    "GetPairRand",
-    "GetPairSeq",
-    "GetPairPMRand",
-    "RunResult",
-    "run_avg",
     "RATE_PM",
     "RATE_RAND",
     "RATE_SEQ",

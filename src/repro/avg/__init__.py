@@ -1,21 +1,18 @@
 """The theoretical AVG layer (Section 3 of the paper).
 
-This package models one cycle of anti-entropy averaging as the AVG
-algorithm of Figure 2: ``N`` elementary variance-reduction steps
-``a_i = a_j = (a_i + a_j) / 2`` driven by a pluggable pair selector.
-It contains the pair selectors analyzed in §3.3, the instrumented
-algorithm runner, and the closed-form convergence theory.
+Algorithm AVG (Figure 2) runs a cycle as ``N`` elementary
+variance-reduction steps ``a_i = a_j = (a_i + a_j) / 2`` over a GETPAIR
+sequence. The kernel runs it: a :class:`~repro.kernel.Scenario` that
+declares ``pair_protocol=PairProtocolSpec(selector)`` (one of the four
+selectors of §3.3, hosted in :mod:`repro.kernel.pairs`) executes AVG,
+and its :class:`~repro.kernel.KernelRunResult` carries the variance
+trajectory, the φ counts and Theorem 1's ``s`` means. This package
+holds what is read off such a run: the empirical statistics of
+eqs. (2)–(3), the convergence analysis of a variance trajectory, the
+closed-form theory and the small-N matrix view.
 """
 
-from .vector import ValueVector, empirical_mean, empirical_variance
-from .pair_selectors import (
-    PairSelector,
-    GetPairPerfectMatching,
-    GetPairRand,
-    GetPairSeq,
-    GetPairPMRand,
-)
-from .algorithm import CycleStats, RunResult, run_avg
+from .vector import empirical_mean, empirical_variance
 from .theory import (
     RATE_PM,
     RATE_RAND,
@@ -32,21 +29,13 @@ from .theory import (
 from .convergence import (
     empirical_reduction_rates,
     fit_geometric_rate,
+    geometric_mean_reduction,
     cycles_until_threshold,
 )
 
 __all__ = [
-    "ValueVector",
     "empirical_mean",
     "empirical_variance",
-    "PairSelector",
-    "GetPairPerfectMatching",
-    "GetPairRand",
-    "GetPairSeq",
-    "GetPairPMRand",
-    "CycleStats",
-    "RunResult",
-    "run_avg",
     "RATE_PM",
     "RATE_RAND",
     "RATE_SEQ",
@@ -60,5 +49,6 @@ __all__ = [
     "verify_lemma2_optimality",
     "empirical_reduction_rates",
     "fit_geometric_rate",
+    "geometric_mean_reduction",
     "cycles_until_threshold",
 ]

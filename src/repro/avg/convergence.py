@@ -30,6 +30,23 @@ def empirical_reduction_rates(variances: Sequence[float]) -> np.ndarray:
     return ratios
 
 
+def geometric_mean_reduction(variances: Sequence[float]) -> float:
+    """Geometric mean of the per-cycle ratios σ²ᵢ/σ²ᵢ₋₁ (the empirical
+    rate) of a variance trajectory.
+
+    Cycles at or past exact convergence contribute nothing to the
+    empirical rate: a ``0.0`` ratio (the converging cycle) or a
+    ``nan`` ratio (every cycle after it) is dropped, so a run that
+    converges exactly mid-way still reports its pre-convergence
+    rate instead of ``nan``.
+    """
+    ratios = empirical_reduction_rates(variances)
+    ratios = ratios[np.isfinite(ratios) & (ratios > 0)]
+    if len(ratios) == 0:
+        return float("nan")
+    return float(np.exp(np.log(ratios).mean()))
+
+
 def fit_geometric_rate(variances: Sequence[float]) -> float:
     """Least-squares geometric rate of a variance trajectory.
 

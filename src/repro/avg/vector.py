@@ -1,23 +1,19 @@
-"""Value vectors and the empirical statistics of eqs. (2)–(3).
+"""The empirical statistics of eqs. (2)–(3).
 
 The paper analyzes anti-entropy averaging as variance reduction over a
-vector ``a = (a_1 .. a_N)``. :class:`ValueVector` wraps such a vector
-and exposes exactly the statistics the paper tracks:
+vector ``a = (a_1 .. a_N)`` of node values (a float64 array):
 
-* ``mean`` — the empirical average (eq. 2), conserved by every
-  elementary step, and
-* ``variance`` — the unbiased empirical variance (eq. 3), which the
-  convergence theorems drive to zero.
+* :func:`empirical_mean` — the empirical average (eq. 2), conserved by
+  every elementary step, and
+* :func:`empirical_variance` — the unbiased empirical variance (eq. 3),
+  which the convergence theorems drive to zero.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
-
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..rng import SeedLike, make_rng
 
 
 def empirical_mean(values: np.ndarray) -> float:
@@ -35,121 +31,3 @@ def empirical_variance(values: np.ndarray) -> float:
         raise ConfigurationError("variance needs at least two values")
     return float(values.var(ddof=1))
 
-
-class ValueVector:
-    """A mutable vector of node values with paper-faithful statistics.
-
-    The vector owns a float64 numpy array. Elementary steps mutate it in
-    place (mirroring Figure 2's in-place AVG); ``snapshot`` returns a
-    defensive copy for recording trajectories.
-    """
-
-    def __init__(self, values: Union[np.ndarray, Iterable[float]]):
-        array = np.array(list(values) if not isinstance(values, np.ndarray) else values,
-                         dtype=np.float64)
-        if array.ndim != 1:
-            raise ConfigurationError(f"value vector must be 1-D, got shape {array.shape}")
-        if array.size == 0:
-            raise ConfigurationError("value vector must be non-empty")
-        self._values = array
-
-    # ------------------------------------------------------------------
-    # constructors for the paper's initial distributions
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def uniform(cls, n: int, *, low: float = 0.0, high: float = 1.0,
-                seed: SeedLike = None) -> "ValueVector":
-        """IID uniform initial values (the generic §3 setting)."""
-        rng = make_rng(seed)
-        return cls(rng.uniform(low, high, size=n))
-
-    @classmethod
-    def gaussian(cls, n: int, *, mean: float = 0.0, std: float = 1.0,
-                 seed: SeedLike = None) -> "ValueVector":
-        """IID normal initial values with the given mean and std."""
-        rng = make_rng(seed)
-        return cls(rng.normal(mean, std, size=n))
-
-    @classmethod
-    def peak(cls, n: int, *, peak_value: float = 1.0,
-             peak_index: int = 0) -> "ValueVector":
-        """The counting initializer of §4: one node holds ``peak_value``
-        (the leader's 1), everyone else holds 0. The true average is
-        ``peak_value / n``, so the converged estimate yields ``n``.
-        """
-        if not 0 <= peak_index < n:
-            raise ConfigurationError(
-                f"peak_index {peak_index} outside range [0, {n})"
-            )
-        values = np.zeros(n, dtype=np.float64)
-        values[peak_index] = peak_value
-        return cls(values)
-
-    @classmethod
-    def constant(cls, n: int, value: float) -> "ValueVector":
-        """All nodes share ``value`` — zero variance from the start."""
-        return cls(np.full(n, value, dtype=np.float64))
-
-    # ------------------------------------------------------------------
-    # accessors
-    # ------------------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        """Vector length (network size N)."""
-        return self._values.size
-
-    @property
-    def values(self) -> np.ndarray:
-        """The underlying array (mutable — this is the live state)."""
-        return self._values
-
-    def snapshot(self) -> np.ndarray:
-        """An independent copy of the current values."""
-        return self._values.copy()
-
-    @property
-    def mean(self) -> float:
-        """Empirical average, eq. (2)."""
-        return empirical_mean(self._values)
-
-    @property
-    def variance(self) -> float:
-        """Unbiased empirical variance, eq. (3)."""
-        return empirical_variance(self._values)
-
-    @property
-    def total(self) -> float:
-        """Sum of all values — the conserved 'mass'."""
-        return float(self._values.sum())
-
-    def max_error(self) -> float:
-        """Largest absolute deviation of any node from the true average."""
-        return float(np.abs(self._values - self._values.mean()).max())
-
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-
-    def elementary_step(self, i: int, j: int) -> None:
-        """The elementary variance reduction step of Figure 2:
-        ``a_i = a_j = (a_i + a_j) / 2``."""
-        if i == j:
-            raise ConfigurationError("elementary step requires two distinct indices")
-        midpoint = (self._values[i] + self._values[j]) * 0.5
-        self._values[i] = midpoint
-        self._values[j] = midpoint
-
-    def copy(self) -> "ValueVector":
-        """Deep copy of this vector."""
-        return ValueVector(self._values.copy())
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ValueVector(n={self.n}, mean={self.mean:.6g}, "
-            f"variance={self.variance:.6g})"
-        )

@@ -51,31 +51,28 @@ from .analysis import (
     replicate,
 )
 from .avg import (
-    GetPairPerfectMatching,
-    GetPairPMRand,
-    GetPairRand,
-    GetPairSeq,
-    ValueVector,
     convergence_rate,
-    run_avg,
+    empirical_reduction_rates,
+    geometric_mean_reduction,
 )
 from .core import SizeEstimationConfig, SizeEstimationExperiment
 from .core.service import service_report, service_scenario
 from .errors import BackendSpecError
-from .kernel import CheckpointSpec, GossipEngine, Scenario, parse_backend_spec
+from .kernel import (
+    PAIR_SELECTOR_NAMES,
+    CheckpointSpec,
+    GossipEngine,
+    PairProtocolSpec,
+    Scenario,
+    parse_backend_spec,
+    run_scenario,
+)
 from .kernel.backends.sharded import POOL_FAILURE_MODES
 from .kernel.lifecycle import ChurnTrace
 from .kernel.membership import MEMBERSHIP_NAMES
 from .kernel.messages import exchange_loss
 from .rng import make_rng
 from .topology import CompleteTopology, RandomRegularTopology
-
-_SELECTORS = {
-    "pm": GetPairPerfectMatching,
-    "rand": GetPairRand,
-    "seq": GetPairSeq,
-    "pmrand": GetPairPMRand,
-}
 
 #: ``scale --backend`` aliases expanding to comparison lists
 _SCALE_ALIASES = {
@@ -187,19 +184,30 @@ def _resolve_backend(parser: argparse.ArgumentParser,
     args.backend = f"sharded:{workers}"
 
 
+def _avg_variances(topology, selector, cycles, rng, backend):
+    """The variance trajectory of one AVG run from N(0, 1) values."""
+    scenario = Scenario(
+        topology,
+        make_rng(rng).normal(0.0, 1.0, size=topology.n),
+        pair_protocol=PairProtocolSpec(selector),
+        cycles=cycles,
+        seed=rng,
+        backend=backend,
+    )
+    return run_scenario(scenario).variance_array("avg")
+
+
 def _cmd_rates(args: argparse.Namespace) -> int:
     topology = CompleteTopology(args.n)
     table = Table(
         headers=["getPair", "empirical", "theory"],
         title=f"Per-cycle variance reduction rates, N={args.n}",
     )
-    for name, factory in _SELECTORS.items():
-        def one_run(rng, factory=factory):
-            vector = ValueVector.gaussian(args.n, seed=rng)
-            return run_avg(
-                vector, factory(topology), args.cycles, seed=rng,
-                backend=args.backend,
-            ).geometric_mean_reduction()
+    for name in PAIR_SELECTOR_NAMES:
+        def one_run(rng, name=name):
+            return geometric_mean_reduction(_avg_variances(
+                topology, name, args.cycles, rng, args.backend
+            ))
 
         rates = replicate(one_run, runs=args.runs, seed=1).outputs
         table.add_row(name, float(np.mean(rates)), convergence_rate(name))
@@ -224,13 +232,11 @@ def _cmd_figure3a(args: argparse.Namespace) -> int:
         else:
             topology = CompleteTopology(n)
         row = [n]
-        for factory in (GetPairRand, GetPairSeq):
-            def one_run(rng, factory=factory):
-                vector = ValueVector.gaussian(n, seed=rng)
-                return run_avg(
-                    vector, factory(topology), 1, seed=rng,
-                    backend=args.backend,
-                ).cycles[0].reduction
+        for name in ("rand", "seq"):
+            def one_run(rng, name=name):
+                return empirical_reduction_rates(_avg_variances(
+                    topology, name, 1, rng, args.backend
+                ))[0]
 
             row.append(
                 float(np.mean(replicate(one_run, runs=args.runs, seed=n).outputs))

@@ -35,6 +35,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..failures.crash import check_integer
 from ..kernel.checkpoint import CheckpointSpec
 from ..kernel.engine import GossipEngine
 from ..kernel.lifecycle import (
@@ -66,6 +67,8 @@ class SizeEstimationConfig:
     seed: SeedLike = None
 
     def __post_init__(self) -> None:
+        for name in ("cycles", "cycles_per_epoch", "initial_size"):
+            check_integer(getattr(self, name), name)
         if self.cycles < 1:
             raise ConfigurationError(f"cycles must be >= 1, got {self.cycles}")
         if self.cycles_per_epoch < 1:

@@ -17,15 +17,23 @@ from ..errors import ConfigurationError
 from ..rng import SeedLike, make_rng
 
 
+def check_integer(value, name: str) -> int:
+    """``value`` as an ``int``, or :class:`ConfigurationError` naming
+    ``name`` when it is not an ``int`` or ``np.integer`` (bools and
+    floats included). Every integer count a spec takes — cycles, epoch
+    lengths, view sizes, retry budgets — goes through here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
 def check_node_id(node_id, n: Optional[int] = None) -> int:
     """``node_id`` as an ``int``, or :class:`ConfigurationError` when it
     is not an integer (bools and floats included) or, given ``n``, lies
     outside ``[0, n)``. Every node id a caller hands the library —
-    crash victims, broadcast origins, probe nodes — goes through here."""
-    if isinstance(node_id, bool) or not isinstance(
-        node_id, (int, np.integer)
-    ):
-        raise ConfigurationError(f"node id {node_id!r} is not an integer")
+    crash victims, broadcast origins, probe nodes, leaders, adversary
+    nodes — goes through here."""
+    node_id = check_integer(node_id, "node id")
     if n is not None and not 0 <= node_id < n:
         raise ConfigurationError(f"node id {node_id} out of range [0, {n})")
     return int(node_id)

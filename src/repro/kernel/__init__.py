@@ -13,10 +13,11 @@ aggregate instances, failure model, seed) executed by one
   over a :mod:`multiprocessing.shared_memory` value matrix, for
   million-node figures; bitwise-equal to the other two.
 
-The §3 runner (:func:`repro.avg.run_avg`), the Figure 4 experiment
-(:class:`repro.core.SizeEstimationExperiment`) and the scenario recipes
-of :mod:`repro.core` (e.g. :func:`repro.core.service_scenario`) all
-declare a ``Scenario`` and run it here; churn is declared as a
+Algorithm AVG of §3 (a ``Scenario`` with a :class:`PairProtocolSpec`),
+the Figure 4 experiment (:class:`repro.core.SizeEstimationExperiment`)
+and the scenario recipes of :mod:`repro.core` (e.g.
+:func:`repro.core.service_scenario`) all declare a ``Scenario`` and run
+it here; churn is declared as a
 :class:`ChurnTrace` of per-cycle join/leave counts.
 """
 

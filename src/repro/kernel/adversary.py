@@ -56,6 +56,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..failures.crash import check_node_id
 from ..topology.base import AdjacencyTopology, Topology
 from ..topology.complete import CompleteTopology
 
@@ -119,7 +120,7 @@ class AdversarySpec:
                 f"adversary value must be finite, got {self.value}"
             )
         if self.nodes is not None:
-            ids = tuple(sorted(int(node) for node in self.nodes))
+            ids = tuple(sorted(check_node_id(node) for node in self.nodes))
             if len(set(ids)) != len(ids):
                 raise ConfigurationError(
                     f"adversary nodes contain duplicates: {self.nodes}"

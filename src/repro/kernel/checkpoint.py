@@ -72,6 +72,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from ..errors import CheckpointError, ConfigurationError
+from ..failures.crash import check_integer
 
 #: manifest ``format`` field — rejects foreign json files outright
 CHECKPOINT_FORMAT = "repro-checkpoint"
@@ -110,6 +111,9 @@ class CheckpointSpec:
     keep: Optional[int] = None
 
     def __post_init__(self) -> None:
+        check_integer(self.every_cycles, "every_cycles")
+        if self.keep is not None:
+            check_integer(self.keep, "keep")
         if self.every_cycles < 1:
             raise ConfigurationError(
                 f"every_cycles must be >= 1, got {self.every_cycles}"

@@ -39,6 +39,7 @@ import numpy as np
 
 from ..core.aggregates import AggregateFunction, MeanAggregate
 from ..errors import ConfigurationError
+from ..failures.crash import check_integer
 from ..rng import SeedLike, make_rng
 
 @dataclass(frozen=True)
@@ -358,6 +359,7 @@ class EpochSpec:
     function: AggregateFunction = field(default_factory=MeanAggregate)
 
     def __post_init__(self) -> None:
+        check_integer(self.cycles_per_epoch, "cycles_per_epoch")
         if self.cycles_per_epoch < 1:
             raise ConfigurationError(
                 f"cycles_per_epoch must be >= 1, got {self.cycles_per_epoch}"

@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..failures.crash import check_integer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import GossipEngine
@@ -77,6 +78,7 @@ class NewscastSpec:
     view_size: int = DEFAULT_VIEW_SIZE
 
     def __post_init__(self) -> None:
+        check_integer(self.view_size, "view_size")
         if self.view_size < 1:
             raise ConfigurationError(
                 f"view_size must be >= 1, got {self.view_size}"

@@ -53,6 +53,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..failures.crash import check_integer
 
 #: a schedule maps a cycle number to that cycle's loss probability
 LossSchedule = Callable[[int], float]
@@ -263,6 +264,8 @@ class RetrySpec:
     fallback: str = "accept"
 
     def __post_init__(self) -> None:
+        check_integer(self.timeout, "retry timeout")
+        check_integer(self.budget, "retry budget")
         if self.timeout < 1:
             raise ConfigurationError(
                 f"retry timeout must be >= 1 cycle, got {self.timeout}"

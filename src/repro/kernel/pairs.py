@@ -15,8 +15,8 @@ random variable), and whether to co-evolve the ``s`` vector of
 Theorem 1's proof (``s_i = s_j = (s_i + s_j)/4``, seeded with ``a_0²``)
 as a second matrix column.
 
-The public selector classes in :mod:`repro.avg.pair_selectors` are thin
-shells over the ``pairs_*`` functions here.
+To draw one cycle's sequence outside an engine, call a ``pairs_*``
+function or ``PairProtocolSpec(name).bind(topology)(rng)``.
 """
 
 from __future__ import annotations

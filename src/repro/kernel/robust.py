@@ -43,6 +43,7 @@ from ..core.aggregates import (
     MinAggregate,
 )
 from ..errors import ConfigurationError
+from ..failures.crash import check_node_id
 from ..rng import SeedLike, make_rng
 from ..topology.base import Topology
 from .scenario import Scenario
@@ -240,10 +241,7 @@ class MultiAggregateSpec:
         """The §4 COUNT bundle: one AVG instance over the leader
         indicator (node ``leader`` starts at 1, everyone else 0);
         network size is :func:`size_from_count` of the reduced report."""
-        if not 0 <= leader < n:
-            raise ConfigurationError(
-                f"leader {leader} out of range for {n} nodes"
-            )
+        leader = check_node_id(leader, n)
         indicator = np.zeros(n, dtype=np.float64)
         indicator[leader] = 1.0
         return cls(

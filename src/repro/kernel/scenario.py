@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core.aggregates import AggregateFunction, MeanAggregate
 from ..errors import ConfigurationError
-from ..failures.crash import CrashPlan, check_node_id
+from ..failures.crash import CrashPlan, check_integer, check_node_id
 from ..rng import SeedLike
 from ..topology.base import Topology
 from ..topology.complete import CompleteTopology
@@ -195,6 +195,7 @@ class Scenario:
                 raise ConfigurationError(
                     f"initial vectors for unknown instances: {sorted(map(str, unknown))}"
                 )
+        check_integer(self.cycles, "cycles")
         if self.cycles < 0:
             raise ConfigurationError(
                 f"cycles must be non-negative, got {self.cycles}"

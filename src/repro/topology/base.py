@@ -1,7 +1,7 @@
 """Topology abstractions.
 
 A :class:`Topology` is an undirected graph over node ids ``0 .. n-1``. It
-is the object the pair selectors (``repro.avg.pair_selectors``) and the
+is the object the pair selectors (``repro.kernel.pairs``) and the
 protocol layer (``repro.core``) consult to find communication partners.
 
 Two families exist:

@@ -9,8 +9,8 @@ from repro.analysis import (
     chi_square_statistic,
     poisson_fit_ok,
 )
-from repro.avg import GetPairRand, GetPairSeq
 from repro.errors import ConfigurationError
+from repro.kernel.pairs import pairs_rand, pairs_seq
 from repro.rng import make_rng
 from repro.topology import CompleteTopology
 
@@ -67,20 +67,20 @@ class TestPaperDistributionClaims:
 
     def test_rand_phi_is_poisson2(self):
         topo = CompleteTopology(20000)
-        selector = GetPairRand(topo)
-        phi = selector.phi_counts(selector.cycle_pairs(make_rng(4)))
+        pairs = pairs_rand(topo, make_rng(4))
+        phi = np.bincount(pairs.ravel(), minlength=topo.n)
         assert poisson_fit_ok(phi, 2.0)
 
     def test_seq_phi_is_one_plus_poisson1(self):
         topo = CompleteTopology(20000)
-        selector = GetPairSeq(topo)
-        phi = selector.phi_counts(selector.cycle_pairs(make_rng(5)))
+        pairs = pairs_seq(topo, make_rng(5))
+        phi = np.bincount(pairs.ravel(), minlength=topo.n)
         assert poisson_fit_ok(phi, 1.0, shift=1)
 
     def test_seq_phi_is_not_poisson2(self):
         """SEQ and RAND have the same mean φ = 2 but different
         distributions — the whole point of §3.3.3."""
         topo = CompleteTopology(20000)
-        selector = GetPairSeq(topo)
-        phi = selector.phi_counts(selector.cycle_pairs(make_rng(6)))
+        pairs = pairs_seq(topo, make_rng(6))
+        phi = np.bincount(pairs.ravel(), minlength=topo.n)
         assert not poisson_fit_ok(phi, 2.0)

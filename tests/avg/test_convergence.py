@@ -7,6 +7,7 @@ from repro.avg import (
     cycles_until_threshold,
     empirical_reduction_rates,
     fit_geometric_rate,
+    geometric_mean_reduction,
 )
 from repro.errors import ConfigurationError
 
@@ -24,6 +25,21 @@ class TestReductionRates:
     def test_too_short_rejected(self):
         with pytest.raises(ConfigurationError):
             empirical_reduction_rates([1.0])
+
+
+class TestGeometricMeanReduction:
+    def test_exact_geometric_series(self):
+        series = [100.0 * 0.3**i for i in range(6)]
+        assert geometric_mean_reduction(series) == pytest.approx(0.3)
+
+    def test_ignores_converged_cycles(self):
+        """Regression: a run that hits exact convergence mid-way used to
+        report nan for the whole run (the 0.0 ratio survived the
+        nan-filter and tripped the <= 0 guard). Converged-cycle ratios
+        are dropped; the pre-convergence empirical rate remains."""
+        # ratios 0.25, 0.25, then 0.0 (converged) and nan (past it)
+        series = [4.0, 1.0, 0.25, 0.0, 0.0]
+        assert geometric_mean_reduction(series) == pytest.approx(0.25)
 
 
 class TestGeometricFit:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.avg import GetPairSeq, ValueVector, run_avg
 from repro.avg.matrix import (
     contraction_coefficient,
     cycle_matrix,
@@ -12,6 +11,8 @@ from repro.avg.matrix import (
     realized_reduction,
 )
 from repro.errors import ConfigurationError
+from repro.kernel import GossipEngine, PairProtocolSpec, Scenario
+from repro.kernel.pairs import pairs_seq
 from repro.rng import make_rng
 from repro.topology import CompleteTopology
 
@@ -56,27 +57,25 @@ class TestCycleMatrix:
 
     def test_every_cycle_matrix_doubly_stochastic(self, rng):
         topo = CompleteTopology(12)
-        selector = GetPairSeq(topo)
         for _ in range(5):
-            pairs = [tuple(p) for p in selector.cycle_pairs(rng).tolist()]
+            pairs = [tuple(p) for p in pairs_seq(topo, rng).tolist()]
             assert is_doubly_stochastic(cycle_matrix(12, pairs))
 
     def test_matrix_agrees_with_algorithm(self):
-        """The matrix product reproduces run_avg exactly for the same
-        pair sequence."""
+        """The matrix product reproduces a one-cycle AVG run exactly
+        for the same pair sequence (the engine's first draw from its
+        seed)."""
         n = 10
         topo = CompleteTopology(n)
-        selector = GetPairSeq(topo)
-        pair_rng = make_rng(77)
-        pairs = [tuple(p) for p in selector.cycle_pairs(pair_rng).tolist()]
-        vector = ValueVector.gaussian(n, seed=5)
-        initial = vector.snapshot()
-        # apply via the algorithm path
-        for i, j in pairs:
-            vector.elementary_step(i, j)
-        # apply via the matrix path
+        pairs = [tuple(p) for p in pairs_seq(topo, make_rng(77)).tolist()]
+        initial = make_rng(5).normal(0.0, 1.0, size=n)
+        scenario = Scenario(topo, initial,
+                            pair_protocol=PairProtocolSpec("seq"), seed=77)
+        with GossipEngine(scenario) as engine:
+            engine.run(1)
+            algorithm_result = engine.alive_column("avg")
         matrix_result = cycle_matrix(n, pairs) @ initial
-        assert np.allclose(vector.values, matrix_result)
+        assert np.allclose(algorithm_result, matrix_result)
 
 
 class TestContraction:
@@ -92,12 +91,12 @@ class TestContraction:
         """λ² upper-bounds the realized per-cycle reduction for every
         input vector."""
         n = 14
-        selector = GetPairSeq(CompleteTopology(n))
-        pairs = [tuple(p) for p in selector.cycle_pairs(rng).tolist()]
+        pairs = pairs_seq(CompleteTopology(n), rng)
+        pairs = [tuple(p) for p in pairs.tolist()]
         matrix = cycle_matrix(n, pairs)
         bound = contraction_coefficient(matrix)
         for seed in range(5):
-            vector = ValueVector.gaussian(n, seed=seed).values
+            vector = make_rng(seed).normal(0.0, 1.0, size=n)
             assert realized_reduction(matrix, vector) <= bound + 1e-9
 
     def test_realized_reduction_validation(self):
@@ -111,12 +110,12 @@ class TestContraction:
         vectors sits near E(2^{-φ}) = 1/(2√e) (Theorem 1) — the spectral
         view and the probabilistic view agree."""
         n = 60
-        selector = GetPairSeq(CompleteTopology(n))
+        topo = CompleteTopology(n)
         reductions = []
         for seed in range(30):
-            pairs = [tuple(p) for p in selector.cycle_pairs(rng).tolist()]
+            pairs = [tuple(p) for p in pairs_seq(topo, rng).tolist()]
             matrix = cycle_matrix(n, pairs)
-            vector = ValueVector.gaussian(n, seed=seed).values
+            vector = make_rng(seed).normal(0.0, 1.0, size=n)
             reductions.append(realized_reduction(matrix, vector))
         assert np.mean(reductions) == pytest.approx(0.3033, rel=0.15)
 

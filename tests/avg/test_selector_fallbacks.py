@@ -4,7 +4,8 @@ neither adjacency-backed nor complete)."""
 import numpy as np
 import pytest
 
-from repro.avg import GetPairRand, GetPairSeq, ValueVector, run_avg
+from repro.kernel import PairProtocolSpec, Scenario, run_scenario
+from repro.rng import make_rng
 from repro.topology import RingTopology
 from repro.topology.base import Topology
 
@@ -42,20 +43,26 @@ def adapter():
 
 class TestRandFallback:
     def test_pairs_respect_views(self, adapter, rng):
-        pairs = GetPairRand(adapter).cycle_pairs(rng)
+        pairs = PairProtocolSpec("rand").bind(adapter)(rng)
         assert pairs.shape == (30, 2)
         for i, j in pairs.tolist():
             assert j in adapter.neighbors(i).tolist()
 
     def test_no_self_pairs(self, adapter, rng):
-        pairs = GetPairRand(adapter).cycle_pairs(rng)
+        pairs = PairProtocolSpec("rand").bind(adapter)(rng)
         assert np.all(pairs[:, 0] != pairs[:, 1])
 
     def test_avg_converges_via_fallback(self, adapter):
         # a ring mixes slowly (diffusive), so allow a generous horizon
-        vector = ValueVector.gaussian(30, seed=1)
-        result = run_avg(vector, GetPairRand(adapter), 60, seed=2)
-        assert result.variances[-1] < result.variances[0] * 1e-3
+        scenario = Scenario(
+            adapter,
+            make_rng(1).normal(0.0, 1.0, size=30),
+            pair_protocol=PairProtocolSpec("rand"),
+            cycles=60,
+            seed=2,
+        )
+        variances = run_scenario(scenario).variance_array("avg")
+        assert variances[-1] < variances[0] * 1e-3
 
 
 class TestSeqOverLiveViews:
@@ -69,9 +76,9 @@ class TestSeqOverLiveViews:
             ]
 
         topology = ListTopology(fresh_views())
-        selector = GetPairSeq(topology)
+        draw = PairProtocolSpec("seq").bind(topology)
         for _ in range(3):
-            pairs = selector.cycle_pairs(rng)
+            pairs = draw(rng)
             for i, j in pairs.tolist():
                 assert j in topology.lists[i]
             topology.lists = fresh_views()  # views change between cycles

@@ -1,9 +1,9 @@
-"""Tests for avg.vector — ValueVector and eq. (2)-(3) statistics."""
+"""Tests for avg.vector — the eq. (2)-(3) statistics."""
 
 import numpy as np
 import pytest
 
-from repro.avg import ValueVector, empirical_mean, empirical_variance
+from repro.avg import empirical_mean, empirical_variance
 from repro.errors import ConfigurationError
 
 
@@ -24,92 +24,3 @@ class TestStatistics:
         with pytest.raises(ConfigurationError):
             empirical_variance(np.array([1.0]))
 
-
-class TestConstruction:
-    def test_from_list(self):
-        vec = ValueVector([1, 2, 3])
-        assert vec.n == 3
-        assert vec.mean == 2.0
-
-    def test_rejects_2d(self):
-        with pytest.raises(ConfigurationError):
-            ValueVector(np.zeros((2, 2)))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            ValueVector([])
-
-    def test_uniform_bounds(self):
-        vec = ValueVector.uniform(500, low=2.0, high=3.0, seed=1)
-        assert vec.values.min() >= 2.0
-        assert vec.values.max() <= 3.0
-
-    def test_uniform_deterministic(self):
-        a = ValueVector.uniform(10, seed=4)
-        b = ValueVector.uniform(10, seed=4)
-        assert np.array_equal(a.values, b.values)
-
-    def test_gaussian_moments(self):
-        vec = ValueVector.gaussian(5000, mean=10.0, std=2.0, seed=2)
-        assert vec.mean == pytest.approx(10.0, abs=0.2)
-        assert np.sqrt(vec.variance) == pytest.approx(2.0, abs=0.2)
-
-    def test_peak_distribution(self):
-        vec = ValueVector.peak(100, peak_value=1.0, peak_index=7)
-        assert vec.values[7] == 1.0
-        assert vec.total == 1.0
-        assert vec.mean == pytest.approx(0.01)
-
-    def test_peak_index_validated(self):
-        with pytest.raises(ConfigurationError):
-            ValueVector.peak(10, peak_index=10)
-
-    def test_constant_zero_variance(self):
-        vec = ValueVector.constant(10, 3.5)
-        assert vec.variance == 0.0
-        assert vec.mean == 3.5
-
-
-class TestMutation:
-    def test_elementary_step_sets_midpoint(self):
-        vec = ValueVector([0.0, 4.0, 1.0])
-        vec.elementary_step(0, 1)
-        assert vec.values[0] == 2.0
-        assert vec.values[1] == 2.0
-        assert vec.values[2] == 1.0
-
-    def test_elementary_step_conserves_sum(self):
-        vec = ValueVector.uniform(10, seed=3)
-        total = vec.total
-        vec.elementary_step(2, 7)
-        assert vec.total == pytest.approx(total)
-
-    def test_elementary_step_reduces_variance(self):
-        vec = ValueVector([0.0, 10.0, 5.0, 5.0])
-        before = vec.variance
-        vec.elementary_step(0, 1)
-        assert vec.variance < before
-
-    def test_elementary_step_same_index_rejected(self):
-        vec = ValueVector([1.0, 2.0])
-        with pytest.raises(ConfigurationError):
-            vec.elementary_step(1, 1)
-
-    def test_snapshot_is_independent(self):
-        vec = ValueVector([1.0, 2.0])
-        snap = vec.snapshot()
-        vec.elementary_step(0, 1)
-        assert snap.tolist() == [1.0, 2.0]
-
-    def test_copy_is_deep(self):
-        vec = ValueVector([1.0, 2.0])
-        dup = vec.copy()
-        vec.elementary_step(0, 1)
-        assert dup.values.tolist() == [1.0, 2.0]
-
-    def test_max_error(self):
-        vec = ValueVector([0.0, 2.0])
-        assert vec.max_error() == 1.0
-
-    def test_len(self):
-        assert len(ValueVector([1, 2, 3])) == 3

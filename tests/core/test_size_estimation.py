@@ -10,14 +10,16 @@ from repro.kernel import ChurnTrace
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SizeEstimationConfig(cycles=0)
-        with pytest.raises(ConfigurationError):
-            SizeEstimationConfig(cycles_per_epoch=0)
+        for bad in (0, 6.5, True):
+            with pytest.raises(ConfigurationError):
+                SizeEstimationConfig(cycles=bad)
+            with pytest.raises(ConfigurationError):
+                SizeEstimationConfig(cycles_per_epoch=bad)
         with pytest.raises(ConfigurationError):
             SizeEstimationConfig(expected_leaders=0)
-        with pytest.raises(ConfigurationError):
-            SizeEstimationConfig(initial_size=1)
+        for bad in (1, 1000.0):
+            with pytest.raises(ConfigurationError):
+                SizeEstimationConfig(initial_size=bad)
 
 
 class TestStaticNetwork:

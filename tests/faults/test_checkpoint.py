@@ -415,10 +415,12 @@ class TestFormat:
             GossipEngine.restore(_scenario(n=80), manifest)
 
     def test_spec_validation(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            CheckpointSpec(directory=tmp_path, every_cycles=0)
-        with pytest.raises(ConfigurationError):
-            CheckpointSpec(directory=tmp_path, every_cycles=5, keep=0)
+        for bad in (0, 1.5, True):
+            with pytest.raises(ConfigurationError):
+                CheckpointSpec(directory=tmp_path, every_cycles=bad)
+        for bad in (0, 2.0, True):
+            with pytest.raises(ConfigurationError):
+                CheckpointSpec(directory=tmp_path, every_cycles=5, keep=bad)
 
 
 def _members():

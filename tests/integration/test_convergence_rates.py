@@ -1,7 +1,7 @@
 """Integration: empirical AVG convergence matches the §3.3 theory.
 
 These are the paper's headline quantitative claims, verified end to end
-(value vector + pair selector + algorithm + rate fitting).
+(initial values + pair-mode scenario + kernel run + rate fitting).
 """
 
 import numpy as np
@@ -9,28 +9,38 @@ import pytest
 
 from repro.analysis import geometric_mean, replicate
 from repro.avg import (
-    GetPairPerfectMatching,
-    GetPairPMRand,
-    GetPairRand,
-    GetPairSeq,
     RATE_PM,
     RATE_RAND,
     RATE_SEQ,
-    ValueVector,
     cycles_until_threshold,
-    run_avg,
+    geometric_mean_reduction,
 )
+from repro.kernel import PairProtocolSpec, Scenario, run_scenario
+from repro.rng import make_rng
 from repro.topology import CompleteTopology, RandomRegularTopology
 
 N = 1000
 CYCLES = 12
 
 
-def measure_rate(selector_factory, topology, runs=5, seed=100):
+def gaussian_variances(topology, selector, cycles, rng):
+    """The variance trajectory of AVG over N(0, 1) values, drawn from
+    ``rng`` before the run itself draws from it."""
+    scenario = Scenario(
+        topology,
+        make_rng(rng).normal(0.0, 1.0, size=topology.n),
+        pair_protocol=PairProtocolSpec(selector),
+        cycles=cycles,
+        seed=rng,
+    )
+    return run_scenario(scenario).variance_array("avg")
+
+
+def measure_rate(selector, topology, runs=5, seed=100):
     def one_run(rng):
-        vec = ValueVector.gaussian(topology.n, seed=rng)
-        result = run_avg(vec, selector_factory(topology), CYCLES, seed=rng)
-        return result.geometric_mean_reduction()
+        return geometric_mean_reduction(
+            gaussian_variances(topology, selector, CYCLES, rng)
+        )
 
     return geometric_mean(replicate(one_run, runs=runs, seed=seed).outputs)
 
@@ -42,27 +52,27 @@ def complete():
 
 class TestRatesOnCompleteTopology:
     def test_pm_rate(self, complete):
-        rate = measure_rate(GetPairPerfectMatching, complete)
+        rate = measure_rate("pm", complete)
         assert rate == pytest.approx(RATE_PM, rel=0.03)
 
     def test_rand_rate(self, complete):
-        rate = measure_rate(GetPairRand, complete)
+        rate = measure_rate("rand", complete)
         assert rate == pytest.approx(RATE_RAND, rel=0.05)
 
     def test_seq_rate(self, complete):
-        rate = measure_rate(GetPairSeq, complete)
+        rate = measure_rate("seq", complete)
         assert rate == pytest.approx(RATE_SEQ, rel=0.05)
 
     def test_pmrand_rate(self, complete):
-        rate = measure_rate(GetPairPMRand, complete)
+        rate = measure_rate("pmrand", complete)
         assert rate == pytest.approx(RATE_SEQ, rel=0.05)
 
     def test_empirical_ordering(self, complete):
         """PM < SEQ < RAND and PM < PMRAND < RAND (§3.3.3 comparison)."""
-        pm = measure_rate(GetPairPerfectMatching, complete)
-        seq = measure_rate(GetPairSeq, complete)
-        pmrand = measure_rate(GetPairPMRand, complete)
-        rand = measure_rate(GetPairRand, complete)
+        pm = measure_rate("pm", complete)
+        seq = measure_rate("seq", complete)
+        pmrand = measure_rate("pmrand", complete)
+        rand = measure_rate("rand", complete)
         assert pm < seq < rand
         assert pm < pmrand < rand
 
@@ -76,14 +86,14 @@ class TestRatesOnRandomTopology:
         return RandomRegularTopology(N, 20, seed=55)
 
     def test_seq_close_to_theory(self, regular):
-        rate = measure_rate(GetPairSeq, regular)
+        rate = measure_rate("seq", regular)
         assert rate == pytest.approx(RATE_SEQ, rel=0.15)
 
     def test_rand_close_to_theory(self, regular):
-        rate = measure_rate(GetPairRand, regular)
+        rate = measure_rate("rand", regular)
         assert rate == pytest.approx(RATE_RAND, rel=0.15)
 
-    @pytest.mark.parametrize("selector", [GetPairSeq, GetPairRand])
+    @pytest.mark.parametrize("selector", ["seq", "rand"])
     def test_random_topology_no_faster_than_complete(self, regular,
                                                      selector):
         complete_rate = measure_rate(selector, CompleteTopology(N))
@@ -97,9 +107,8 @@ class TestScaleInvariance:
     @pytest.mark.parametrize("n", [100, 1000, 4000])
     def test_seq_first_cycle_reduction(self, n):
         def one_run(rng):
-            vec = ValueVector.gaussian(n, seed=rng)
-            result = run_avg(vec, GetPairSeq(CompleteTopology(n)), 1, seed=rng)
-            return result.cycles[0].reduction
+            variances = gaussian_variances(CompleteTopology(n), "seq", 1, rng)
+            return variances[1] / variances[0]
 
         rate = np.mean(replicate(one_run, runs=8, seed=n).outputs)
         assert rate == pytest.approx(RATE_SEQ, rel=0.12)
@@ -110,11 +119,9 @@ class TestEfficiencyClaim:
         """§5: 'the variance over the network will decrease 99.9% in
         ln 1000 ≈ 7 cycles of AVG' with GETPAIR_RAND."""
         def one_run(rng):
-            vec = ValueVector.gaussian(2000, seed=rng)
-            result = run_avg(
-                vec, GetPairRand(CompleteTopology(2000)), 10, seed=rng
-            )
-            return cycles_until_threshold(result.variances, 1e-3)
+            variances = gaussian_variances(CompleteTopology(2000), "rand",
+                                           10, rng)
+            return cycles_until_threshold(variances, 1e-3)
 
         cycles = replicate(one_run, runs=5, seed=7).outputs
         assert all(c != -1 for c in cycles)

@@ -22,6 +22,7 @@ from repro.kernel import (
     ChurnTrace,
     EpochSpec,
     GossipEngine,
+    MultiAggregateSpec,
     PairProtocolSpec,
     Scenario,
 )
@@ -94,6 +95,16 @@ class TestSpecValidation:
     def test_negative_node_rejected(self):
         with pytest.raises(ConfigurationError, match="non-negative"):
             AdversarySpec(kind="lying", nodes=(-2, 5))
+        for bad in ([True, 2], [1.5]):
+            with pytest.raises(ConfigurationError, match="not an integer"):
+                AdversarySpec(kind="lying", nodes=bad)
+
+    @pytest.mark.parametrize("leader", [5, -1, True, 1.5])
+    def test_counting_leader_must_be_a_node_id(self, leader):
+        """A bool leader used to index the indicator as a mask and seed
+        every node with 1 (the count read N = 1)."""
+        with pytest.raises(ConfigurationError, match="node id"):
+            MultiAggregateSpec.counting(5, leader=leader)
 
     def test_nodes_normalized_sorted(self):
         spec = AdversarySpec(kind="lying", nodes=[9, 1, 4])

@@ -43,8 +43,9 @@ def scenario_with(n=64, seed=5, **kwargs):
 
 class TestSpecValidation:
     def test_epoch_spec_requires_positive_length(self):
-        with pytest.raises(ConfigurationError):
-            EpochSpec(cycles_per_epoch=0)
+        for bad in (0, 2.5, True):
+            with pytest.raises(ConfigurationError):
+                EpochSpec(cycles_per_epoch=bad)
 
     def test_epoch_spec_function_type(self):
         with pytest.raises(ConfigurationError):

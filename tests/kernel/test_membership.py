@@ -76,8 +76,9 @@ class TestSpecValidation:
         assert spec.view_size == 20
 
     def test_spec_rejects_bad_view_size(self):
-        with pytest.raises(ConfigurationError):
-            NewscastSpec(view_size=0)
+        for bad in (0, 2.5, True):
+            with pytest.raises(ConfigurationError):
+                NewscastSpec(view_size=bad)
 
     def test_resolve_names(self):
         assert resolve_membership(None) is None

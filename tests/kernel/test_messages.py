@@ -140,12 +140,14 @@ class TestSpecValidation:
             spec.rates_at(0)
 
     def test_retry_timeout_below_one_rejected(self):
-        with pytest.raises(ConfigurationError, match="timeout"):
-            RetrySpec(timeout=0)
+        for bad in (0, 1.5, True):
+            with pytest.raises(ConfigurationError, match="timeout"):
+                RetrySpec(timeout=bad)
 
     def test_retry_negative_budget_rejected(self):
-        with pytest.raises(ConfigurationError, match="budget"):
-            RetrySpec(budget=-1)
+        for bad in (-1, 1.5, True):
+            with pytest.raises(ConfigurationError, match="budget"):
+                RetrySpec(budget=bad)
 
     def test_retry_backoff_below_one_rejected(self):
         with pytest.raises(ConfigurationError, match="backoff"):

@@ -23,28 +23,20 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.avg import (
-    GetPairPerfectMatching,
-    GetPairPMRand,
-    GetPairRand,
-    GetPairSeq,
-    PairSelector,
-    ValueVector,
-    run_avg,
-)
+from repro.avg import geometric_mean_reduction
 from repro.avg.theory import RATE_PM, RATE_RAND, RATE_SEQ
 from repro.avg.vector import empirical_variance
 from repro.errors import ConfigurationError, PairSelectionError
-from repro.kernel import ChurnTrace, GossipEngine, PairProtocolSpec, Scenario
+from repro.kernel import (
+    PAIR_SELECTOR_NAMES,
+    ChurnTrace,
+    GossipEngine,
+    PairProtocolSpec,
+    Scenario,
+    run_scenario,
+)
 from repro.rng import make_rng
 from repro.topology import CompleteTopology, RandomRegularTopology, RingTopology
-
-SELECTORS = {
-    "pm": GetPairPerfectMatching,
-    "rand": GetPairRand,
-    "seq": GetPairSeq,
-    "pmrand": GetPairPMRand,
-}
 
 #: selectors that work on any overlay (PM/PMRAND need global knowledge)
 SPARSE_SELECTORS = ("rand", "seq")
@@ -95,22 +87,30 @@ def _avg_digest(topology, selector, *, track_s, backend, cycles=8, seed=37):
     trajectory, every cycle's φ counts and, when tracked, the ``s``
     means of cycles 1..T."""
     values = np.random.default_rng(11).normal(0.0, 1.0, topology.n)
-    vector = ValueVector(values)
-    result = run_avg(vector, SELECTORS[selector](topology), cycles,
-                     seed=seed, track_s=track_s, backend=backend)
+    scenario = Scenario(
+        topology,
+        values,
+        pair_protocol=PairProtocolSpec(selector, track_s=track_s),
+        cycles=cycles,
+        seed=seed,
+        backend=backend,
+    )
+    with GossipEngine(scenario) as engine:
+        result = engine.run()
+        final = engine.alive_column("avg")
     digest = hashlib.sha256()
-    digest.update(vector.values.tobytes())
-    digest.update(np.asarray(result.variances, dtype=np.float64).tobytes())
-    digest.update(np.stack([c.phi for c in result.cycles]).tobytes())
+    digest.update(final.tobytes())
+    digest.update(result.variance_array("avg").tobytes())
+    digest.update(np.stack(result.phi_counts).tobytes())
     if track_s:
-        digest.update(
-            np.asarray([c.s_mean for c in result.cycles]).tobytes()
-        )
+        digest.update(result.mean_array("s")[1:].tobytes())
     return digest.hexdigest()
 
 
-#: the AVG runs, pinned through the ``run_avg`` runner this kernel
-#: path replaced; keyed by (overlay, selector, track_s)
+#: AVG runs keyed by (overlay, selector, track_s), pinned through a
+#: facade runner (``run_avg`` over a ``ValueVector`` and a GETPAIR
+#: selector class) that has since gone; a plain pair-mode scenario
+#: reaches every digest on both backends
 GOLDEN = {
     ("complete", "pm", False):
         "cb3fe559d924cd05504e6270abf4a7b1bec843173a7f7248c6bfe1b15a80cc09",
@@ -141,7 +141,7 @@ GOLDEN_TOPOLOGIES = {
 
 GOLDEN_CASES = [
     ("complete", selector, track_s)
-    for selector in SELECTORS for track_s in (False, True)
+    for selector in PAIR_SELECTOR_NAMES for track_s in (False, True)
 ] + [("regular20", "seq", True), ("regular20", "rand", True)]
 
 
@@ -155,7 +155,7 @@ def test_golden(overlay, selector, track_s, backend):
 
 
 class TestBitwiseEquivalence:
-    @pytest.mark.parametrize("selector", list(SELECTORS))
+    @pytest.mark.parametrize("selector", list(PAIR_SELECTOR_NAMES))
     @pytest.mark.parametrize("track_s", [False, True],
                              ids=["values-only", "with-s"])
     def test_complete(self, selector, track_s):
@@ -193,14 +193,14 @@ class TestSequentialOracle:
     steps, bitwise."""
 
     @staticmethod
-    def replay(topology, selector_cls, cycles, seed, values):
-        selector = selector_cls(topology)
+    def replay(topology, selector, cycles, seed, values):
+        draw = PairProtocolSpec(selector).bind(topology)
         rng = make_rng(seed)
         state = values.tolist()
         s_state = [v * v for v in state]
         trajectory, s_trajectory = [], []
         for _ in range(cycles):
-            for i, j in selector.cycle_pairs(rng).tolist():
+            for i, j in draw(rng).tolist():
                 midpoint = (state[i] + state[j]) * 0.5
                 state[i] = midpoint
                 state[j] = midpoint
@@ -211,7 +211,7 @@ class TestSequentialOracle:
             s_trajectory.append(float(np.mean(s_state)))
         return np.asarray(state), trajectory, s_trajectory
 
-    @pytest.mark.parametrize("selector", list(SELECTORS))
+    @pytest.mark.parametrize("selector", list(PAIR_SELECTOR_NAMES))
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     def test_matches_old_loop(self, selector, backend):
         topology = CompleteTopology(300)
@@ -226,7 +226,7 @@ class TestSequentialOracle:
         engine = GossipEngine(scenario)
         result = engine.run(6)
         state, trajectory, s_trajectory = self.replay(
-            topology, SELECTORS[selector], 6, 91, values
+            topology, selector, 6, 91, values
         )
         assert np.array_equal(engine.alive_column("avg"), state)
         assert result.variances["avg"][1:] == trajectory
@@ -280,13 +280,16 @@ class TestConvergenceRates:
         ("pmrand", RATE_SEQ),
     ])
     def test_rate(self, selector, theory):
-        topology = CompleteTopology(4000)
-        vector = ValueVector.gaussian(4000, seed=17)
-        result = run_avg(
-            vector, SELECTORS[selector](topology), 10, seed=19,
+        scenario = Scenario(
+            CompleteTopology(4000),
+            np.random.default_rng(17).normal(0.0, 1.0, 4000),
+            pair_protocol=PairProtocolSpec(selector),
+            cycles=10,
+            seed=19,
             backend="vectorized",
         )
-        assert result.geometric_mean_reduction() == pytest.approx(
+        variances = run_scenario(scenario).variance_array("avg")
+        assert geometric_mean_reduction(variances) == pytest.approx(
             theory, rel=0.06
         )
 
@@ -298,13 +301,6 @@ class TestScenarioValidation:
     def test_unknown_selector_rejected(self):
         with pytest.raises(ConfigurationError):
             PairProtocolSpec(selector="bogus")
-
-    def test_selector_subclass_with_unknown_name_rejected(self):
-        class RoundRobin(PairSelector):
-            name = "round_robin"
-
-        with pytest.raises(ConfigurationError, match="unknown pair selector"):
-            RoundRobin(CompleteTopology(64))
 
     def test_pm_odd_n_rejected(self):
         with pytest.raises(PairSelectionError):

@@ -45,8 +45,9 @@ class TestValidation:
             Scenario(topo, values, backend="gpu")
 
     def test_negative_cycles_rejected(self, topo, values):
-        with pytest.raises(ConfigurationError):
-            Scenario(topo, values, cycles=-1)
+        for bad in (-1, 2.5, True):
+            with pytest.raises(ConfigurationError):
+                Scenario(topo, values, cycles=bad)
 
 
 class TestDerivedViews:

@@ -19,13 +19,18 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.avg import GetPairRand, GetPairSeq, ValueVector, run_avg
+from repro.avg import empirical_mean, empirical_variance
 from repro.core import (
     MaxAggregate,
     MeanAggregate,
     MinAggregate,
 )
-from repro.kernel import AdversarySpec, GossipEngine, Scenario
+from repro.kernel import (
+    AdversarySpec,
+    GossipEngine,
+    PairProtocolSpec,
+    Scenario,
+)
 from repro.topology import CompleteTopology
 
 finite_floats = st.floats(
@@ -37,39 +42,54 @@ value_lists = st.lists(finite_floats, min_size=4, max_size=64)
 pair_indices = st.tuples(st.integers(0, 63), st.integers(0, 63))
 
 
+def elementary_step(values, i, j):
+    """Figure 2's elementary step ``a_i = a_j = AGGREGATE(a_i, a_j)`` on
+    a copy of ``values``, with the two indices folded into range and
+    made distinct. Returns (before, after)."""
+    before = np.asarray(values, dtype=np.float64)
+    i, j = i % len(before), j % len(before)
+    if i == j:
+        j = (j + 1) % len(before)
+    after = before.copy()
+    after[i] = after[j] = MeanAggregate().combine(before[i], before[j])
+    return before, after
+
+
+def avg_run(values, selector, cycles, seed):
+    """AVG over ``values`` on the complete overlay: the kernel result
+    and the final values."""
+    scenario = Scenario(
+        CompleteTopology(len(values)),
+        np.asarray(values, dtype=np.float64),
+        pair_protocol=PairProtocolSpec(selector),
+        cycles=cycles,
+        seed=seed,
+    )
+    with GossipEngine(scenario) as engine:
+        return engine.run(), engine.alive_column("avg")
+
+
 class TestElementaryStepProperties:
     @given(values=value_lists, i=st.integers(0, 1000), j=st.integers(0, 1000))
     def test_mass_conserved(self, values, i, j):
-        vec = ValueVector(values)
-        i, j = i % vec.n, j % vec.n
-        if i == j:
-            j = (j + 1) % vec.n
-        before = vec.total
-        vec.elementary_step(i, j)
-        assert math.isclose(vec.total, before, rel_tol=1e-12, abs_tol=1e-6)
+        before, after = elementary_step(values, i, j)
+        assert math.isclose(after.sum(), before.sum(), rel_tol=1e-12,
+                            abs_tol=1e-6)
 
     @given(values=value_lists, i=st.integers(0, 1000), j=st.integers(0, 1000))
     def test_variance_never_increases(self, values, i, j):
-        vec = ValueVector(values)
-        i, j = i % vec.n, j % vec.n
-        if i == j:
-            j = (j + 1) % vec.n
-        before = vec.variance
-        vec.elementary_step(i, j)
+        before, after = elementary_step(values, i, j)
+        variance = empirical_variance(before)
         # tiny float-noise allowance scaled to the data magnitude
-        scale = max(abs(before), 1.0)
-        assert vec.variance <= before + 1e-9 * scale
+        scale = max(abs(variance), 1.0)
+        assert empirical_variance(after) <= variance + 1e-9 * scale
 
     @given(values=value_lists, i=st.integers(0, 1000), j=st.integers(0, 1000))
     def test_envelope_contracts(self, values, i, j):
-        vec = ValueVector(values)
-        i, j = i % vec.n, j % vec.n
-        if i == j:
-            j = (j + 1) % vec.n
-        low, high = vec.values.min(), vec.values.max()
-        vec.elementary_step(i, j)
-        assert vec.values.min() >= low - 1e-9 * max(abs(low), 1.0)
-        assert vec.values.max() <= high + 1e-9 * max(abs(high), 1.0)
+        before, after = elementary_step(values, i, j)
+        low, high = before.min(), before.max()
+        assert after.min() >= low - 1e-9 * max(abs(low), 1.0)
+        assert after.max() <= high + 1e-9 * max(abs(high), 1.0)
 
 
 class TestFullRunProperties:
@@ -80,11 +100,10 @@ class TestFullRunProperties:
         seed=st.integers(0, 2**31),
     )
     def test_run_conserves_mean_seq(self, values, cycles, seed):
-        vec = ValueVector(values)
-        initial_mean = vec.mean
-        run_avg(vec, GetPairSeq(CompleteTopology(vec.n)), cycles, seed=seed)
+        _, final = avg_run(values, "seq", cycles, seed)
         assert math.isclose(
-            vec.mean, initial_mean, rel_tol=1e-9, abs_tol=1e-6
+            empirical_mean(final), empirical_mean(values),
+            rel_tol=1e-9, abs_tol=1e-6,
         )
 
     @settings(max_examples=25, deadline=None)
@@ -94,11 +113,8 @@ class TestFullRunProperties:
         seed=st.integers(0, 2**31),
     )
     def test_run_variance_monotone_rand(self, values, cycles, seed):
-        vec = ValueVector(values)
-        result = run_avg(
-            vec, GetPairRand(CompleteTopology(vec.n)), cycles, seed=seed
-        )
-        variances = result.variances
+        result, _ = avg_run(values, "rand", cycles, seed)
+        variances = result.variance_array("avg")
         scale = max(variances[0], 1.0)
         assert np.all(np.diff(variances) <= 1e-9 * scale)
 
@@ -108,12 +124,11 @@ class TestFullRunProperties:
         seed=st.integers(0, 2**31),
     )
     def test_envelope_holds_across_run(self, values, seed):
-        vec = ValueVector(values)
-        low, high = vec.values.min(), vec.values.max()
-        run_avg(vec, GetPairSeq(CompleteTopology(vec.n)), 4, seed=seed)
+        low, high = min(values), max(values)
+        _, final = avg_run(values, "seq", 4, seed)
         margin = 1e-9 * max(abs(low), abs(high), 1.0)
-        assert vec.values.min() >= low - margin
-        assert vec.values.max() <= high + margin
+        assert final.min() >= low - margin
+        assert final.max() <= high + margin
 
 
 class TestAggregateProperties:

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.avg import GetPairPerfectMatching, GetPairSeq
+from repro.kernel.pairs import pairs_pm, pairs_seq
 from repro.rng import choice_excluding, make_rng
 from repro.topology import CompleteTopology, RingTopology
 
@@ -37,9 +37,8 @@ class TestPairSelectorProperties:
     @given(half_n=st.integers(2, 40), seed=st.integers(0, 2**31))
     def test_pm_always_two_disjoint_matchings(self, half_n, seed):
         n = 2 * half_n
-        selector = GetPairPerfectMatching(CompleteTopology(n))
-        pairs = selector.cycle_pairs(make_rng(seed))
-        phi = selector.phi_counts(pairs)
+        pairs = pairs_pm(CompleteTopology(n), make_rng(seed))
+        phi = np.bincount(pairs.ravel(), minlength=n)
         assert np.all(phi == 2)
         edges = {frozenset(p) for p in pairs.tolist()}
         assert len(edges) == n  # all N pairs distinct
@@ -47,7 +46,6 @@ class TestPairSelectorProperties:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 60), seed=st.integers(0, 2**31))
     def test_seq_initiator_order(self, n, seed):
-        selector = GetPairSeq(CompleteTopology(n))
-        pairs = selector.cycle_pairs(make_rng(seed))
+        pairs = pairs_seq(CompleteTopology(n), make_rng(seed))
         assert pairs[:, 0].tolist() == list(range(n))
         assert np.all(pairs[:, 0] != pairs[:, 1])

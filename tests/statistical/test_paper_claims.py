@@ -13,13 +13,15 @@ import pytest
 
 from repro.analysis import replicate, replicate_scenario
 from repro.avg import (
-    GetPairPerfectMatching, GetPairRand, GetPairSeq, RATE_RAND, RATE_SEQ,
-    ValueVector, convergence_rate, cycles_to_reduce, cycles_until_threshold,
-    fit_geometric_rate, rate_seq_with_loss, run_avg,
+    RATE_RAND, RATE_SEQ, convergence_rate, cycles_to_reduce,
+    cycles_until_threshold, empirical_reduction_rates, fit_geometric_rate,
+    geometric_mean_reduction, rate_seq_with_loss,
 )
 from repro.core import SizeEstimationConfig, SizeEstimationExperiment
 from repro.failures import CrashPlan
-from repro.kernel import ChurnTrace, MessageFaultSpec, Scenario, run_scenario
+from repro.kernel import (
+    ChurnTrace, MessageFaultSpec, PairProtocolSpec, Scenario, run_scenario,
+)
 from repro.rng import make_rng, spawn_streams
 from repro.topology import (
     CompleteTopology, RandomRegularTopology, RingTopology, StarTopology,
@@ -30,8 +32,13 @@ pytestmark = pytest.mark.slow_statistical
 
 
 def gaussian_avg(topology, selector, cycles, rng):
-    return run_avg(ValueVector.gaussian(topology.n, seed=rng),
-                   selector(topology), cycles, seed=rng)
+    """The variance trajectory of AVG over N(0, 1) values, drawn from
+    ``rng`` before the run itself draws from it."""
+    scenario = Scenario(
+        topology, make_rng(rng).normal(0.0, 1.0, size=topology.n),
+        pair_protocol=PairProtocolSpec(selector), cycles=cycles, seed=rng,
+    )
+    return run_scenario(scenario).variance_array("avg")
 
 
 def mean_over_runs(metric, runs, seed):
@@ -48,11 +55,11 @@ def test_figure3a_one_shot_reduction_is_flat_in_n():
                       ("regular", RandomRegularTopology(n, 20, seed=n)))
         offset = 1
         for overlay, topology in topologies:
-            for name, selector, rate in (("rand", GetPairRand, RATE_RAND),
-                                         ("seq", GetPairSeq, RATE_SEQ)):
+            for name, rate in (("rand", RATE_RAND), ("seq", RATE_SEQ)):
                 reduction = mean_over_runs(
-                    lambda rng: gaussian_avg(topology, selector, 1, rng)
-                    .cycles[0].reduction, runs=10, seed=n + offset)
+                    lambda rng: empirical_reduction_rates(
+                        gaussian_avg(topology, name, 1, rng))[0],
+                    runs=10, seed=n + offset)
                 offset += 1
                 assert abs(reduction - rate) / rate < 0.12, (n, name, overlay)
                 series.setdefault((name, overlay), []).append(reduction)
@@ -85,11 +92,10 @@ def test_efficiency_claim_999_percent_in_about_seven_cycles():
     every selector meets its predicted cycle count within one."""
     topology = CompleteTopology(2000)
     measured = {}
-    for name, selector in (("pm", GetPairPerfectMatching),
-                           ("seq", GetPairSeq), ("rand", GetPairRand)):
+    for name in ("pm", "seq", "rand"):
         measured[name] = mean_over_runs(
             lambda rng: cycles_until_threshold(
-                gaussian_avg(topology, selector, 14, rng).variances, 1e-3),
+                gaussian_avg(topology, name, 14, rng), 1e-3),
             runs=5, seed=len(name))
         predicted = cycles_to_reduce(1e-3, convergence_rate(name))
         assert abs(measured[name] - predicted) <= 1.0, name
@@ -101,16 +107,17 @@ def test_no_performance_peaks_except_on_the_star():
     """§5: φ is location-independent, so per-node load over 30 cycles
     is flat on the paper's overlays; the star's hub is the peak."""
     n, cycles = 1000, 30
-    cases = (GetPairSeq(CompleteTopology(n)), GetPairRand(CompleteTopology(n)),
-             GetPairSeq(RandomRegularTopology(n, 20, seed=2)),
-             GetPairRand(RandomRegularTopology(n, 20, seed=3)),
-             GetPairSeq(StarTopology(n)))
+    cases = (("seq", CompleteTopology(n)), ("rand", CompleteTopology(n)),
+             ("seq", RandomRegularTopology(n, 20, seed=2)),
+             ("rand", RandomRegularTopology(n, 20, seed=3)),
+             ("seq", StarTopology(n)))
     loads = []
-    for seed, selector in enumerate(cases, start=700):
+    for seed, (name, topology) in enumerate(cases, start=700):
+        draw = PairProtocolSpec(name).bind(topology)
         rng = make_rng(seed)
         totals = np.zeros(n, dtype=np.int64)
         for _ in range(cycles):
-            totals += selector.phi_counts(selector.cycle_pairs(rng))
+            totals += np.bincount(draw(rng).ravel(), minlength=n)
         loads.append(totals)
     *flat, star = loads
     for totals in flat:
@@ -135,8 +142,8 @@ def test_topology_ablation():
         "star": (1012, StarTopology(n)),
     }
     rate = {name: mean_over_runs(
-        lambda rng: gaussian_avg(topology, GetPairSeq, 15, rng)
-        .geometric_mean_reduction(), runs=4, seed=seed)
+        lambda rng: geometric_mean_reduction(
+            gaussian_avg(topology, "seq", 15, rng)), runs=4, seed=seed)
         for name, (seed, topology) in overlays.items()}
     for name in ("complete", "20-regular", "50-regular"):
         assert abs(rate[name] - RATE_SEQ) / RATE_SEQ < 0.1, name

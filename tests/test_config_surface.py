@@ -87,18 +87,17 @@ PUBLIC_NAMES = [
     "BarabasiAlbertTopology", "ChurnTrace", "CompleteTopology",
     "ConfigurationError", "CrashPlan", "EpochSpec", "ErdosRenyiTopology",
     "EstimationError", "ExecutionBackend", "GeometricMeanAggregate",
-    "GetPairPMRand", "GetPairPerfectMatching", "GetPairRand", "GetPairSeq",
     "GossipEngine", "KernelRunResult", "MaxAggregate", "MeanAggregate",
-    "MinAggregate", "NewscastSpec", "PairProtocolSpec", "PairSelectionError",
-    "PairSelector", "RATE_PM", "RATE_RAND", "RATE_SEQ",
+    "MinAggregate", "NewscastSpec", "PairProtocolSpec",
+    "PairSelectionError", "RATE_PM", "RATE_RAND", "RATE_SEQ",
     "RandomRegularTopology", "ReferenceBackend", "ReproError",
-    "RingTopology", "RunResult", "Scenario", "SimulationError",
-    "SizeEstimationConfig", "SizeEstimationExperiment", "StarTopology",
-    "Topology", "TopologyError", "ValueVector", "VectorizedBackend",
-    "WattsStrogatzTopology", "__version__", "convergence_rate",
-    "derive_seed", "estimate_network_size", "estimate_sum",
+    "RingTopology", "Scenario", "SimulationError", "SizeEstimationConfig",
+    "SizeEstimationExperiment", "StarTopology", "Topology",
+    "TopologyError", "VectorizedBackend", "WattsStrogatzTopology",
+    "__version__", "convergence_rate", "derive_seed",
+    "estimate_network_size", "estimate_sum",
     "estimate_variance_from_moments", "make_rng", "random_crash_plan",
-    "run_avg", "run_scenario", "spawn_streams",
+    "run_scenario", "spawn_streams",
 ]
 
 

@@ -1,29 +1,41 @@
-"""Check that relative links in the repo's markdown docs resolve.
+"""Check that relative links and documented names in the repo's
+markdown docs resolve.
 
 Scans every ``*.md`` at the repository root and under ``docs/`` for
 inline markdown links/images ``[text](target)`` and verifies that each
 relative target exists on disk (anchors are stripped; external
 ``http(s)``/``mailto`` targets and bare in-page anchors are ignored).
-CI runs this as the docs link-check step; run it locally with::
+``README.md`` and ``docs/**/*.md`` are also scanned for backticked
+dotted names under the package (`` `repro.kernel.Scenario` ``): each
+must import, as a module or as an attribute chain of one.
+``CHANGES.md`` and ``ROADMAP.md`` record deleted modules on purpose and
+are not name-checked. The script puts ``src/`` on ``sys.path`` itself
+(importing the package needs numpy). CI runs this as the docs
+link-check step; run it locally with::
 
     python tools/check_links.py
 
-Exit code 0 when every link resolves, 1 otherwise (broken links are
-listed).
+Exit code 0 when every link and name resolves, 1 otherwise (broken
+ones are listed).
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
 #: inline markdown link or image: [text](target) / ![alt](target)
 LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
+
+#: a backticked dotted name under the package: `repro.kernel.Scenario`
+NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
 
 
 def markdown_files():
@@ -32,6 +44,39 @@ def markdown_files():
     if docs.is_dir():
         files.extend(sorted(docs.rglob("*.md")))
     return files
+
+
+def name_files():
+    """The files whose documented names must import: the README and
+    the docs tree (the history files name deleted modules)."""
+    return [REPO_ROOT / "README.md"] + sorted(
+        (REPO_ROOT / "docs").rglob("*.md")
+    )
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute chain of the
+    longest importable module prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def check_names(path: Path):
+    """Yield (name, reason) for every documented name in ``path`` that
+    does not import."""
+    for name in sorted(set(NAME.findall(path.read_text(encoding="utf-8")))):
+        if not resolves(name):
+            yield name, "name does not import"
 
 
 def check_file(path: Path):
@@ -56,14 +101,18 @@ def main() -> int:
     for path in files:
         for target, reason in check_file(path):
             broken.append((path.relative_to(REPO_ROOT), target, reason))
+    for path in name_files():
+        for name, reason in check_names(path):
+            broken.append((path.relative_to(REPO_ROOT), name, reason))
     if broken:
         for origin, target, reason in broken:
-            print(f"{origin}: broken link '{target}' ({reason})",
+            print(f"{origin}: broken reference '{target}' ({reason})",
                   file=sys.stderr)
-        print(f"{len(broken)} broken link(s) in {len(files)} file(s)",
+        print(f"{len(broken)} broken reference(s) in {len(files)} file(s)",
               file=sys.stderr)
         return 1
-    print(f"all relative links resolve across {len(files)} markdown file(s)")
+    print(f"all relative links and documented names resolve across "
+          f"{len(files)} markdown file(s)")
     return 0
 
 
