@@ -20,8 +20,9 @@ from ..rng import SeedLike, make_rng
 def check_integer(value, name: str) -> int:
     """``value`` as an ``int``, or :class:`ConfigurationError` naming
     ``name`` when it is not an ``int`` or ``np.integer`` (bools and
-    floats included). Every integer count a spec takes — cycles, epoch
-    lengths, view sizes, retry budgets — goes through here."""
+    floats included). The specs' integer counts — cycles, crash cycles,
+    epoch lengths, checkpoint periods, view sizes, retry budgets and
+    timeouts — go through here."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigurationError(f"{name} {value!r} is not an integer")
     return int(value)
@@ -36,7 +37,7 @@ def check_node_id(node_id, n: Optional[int] = None) -> int:
     node_id = check_integer(node_id, "node id")
     if n is not None and not 0 <= node_id < n:
         raise ConfigurationError(f"node id {node_id} out of range [0, {n})")
-    return int(node_id)
+    return node_id
 
 
 @dataclass
@@ -47,6 +48,7 @@ class CrashPlan:
 
     def add(self, cycle: int, node_ids: Sequence[int]) -> None:
         """Schedule ``node_ids`` to crash before ``cycle`` runs."""
+        cycle = check_integer(cycle, "crash cycle")
         if cycle < 0:
             raise ConfigurationError(f"cycle must be non-negative, got {cycle}")
         ids = [check_node_id(node_id) for node_id in node_ids]

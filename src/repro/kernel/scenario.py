@@ -213,7 +213,8 @@ class Scenario:
                 f"{type(self.epochs).__name__}"
             )
         if self.crash_plan is not None:
-            for victims in self.crash_plan.crashes.values():
+            for cycle, victims in self.crash_plan.crashes.items():
+                check_integer(cycle, "crash cycle")
                 for node_id in victims:
                     check_node_id(node_id, self.topology.n)
         if self.is_dynamic:

@@ -42,7 +42,7 @@ class TestCrashPlan:
         assert plan.total_crashes == 3
 
     @pytest.mark.parametrize("cycle, node_ids", [
-        (-1, [0]), (0, [1.7]), (0, [True]),
+        (-1, [0]), (0, [1.7]), (0, [True]), (1.5, [0]), (True, [0]),
     ])
     def test_bad_entry_rejected(self, cycle, node_ids):
         plan = CrashPlan()

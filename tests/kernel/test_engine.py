@@ -103,7 +103,8 @@ class TestFailureMachinery:
             engine.crash([topo.n])
         # a plan's victims are checked when the scenario is built, not
         # at the cycle that names them
-        for plan in (CrashPlan({5: [topo.n]}), CrashPlan({5: [True]})):
+        for plan in (CrashPlan({5: [topo.n]}), CrashPlan({5: [True]}),
+                     CrashPlan({1.5: [0]})):
             with pytest.raises(ConfigurationError):
                 Scenario(topo, values, crash_plan=plan)
 
