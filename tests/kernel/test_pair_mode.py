@@ -139,14 +139,9 @@ GOLDEN_TOPOLOGIES = {
     "regular20": RandomRegularTopology(400, 20, seed=43),
 }
 
-GOLDEN_CASES = [
-    ("complete", selector, track_s)
-    for selector in PAIR_SELECTOR_NAMES for track_s in (False, True)
-] + [("regular20", "seq", True), ("regular20", "rand", True)]
-
 
 @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-@pytest.mark.parametrize("overlay, selector, track_s", GOLDEN_CASES)
+@pytest.mark.parametrize("overlay, selector, track_s", list(GOLDEN))
 def test_golden(overlay, selector, track_s, backend):
     assert _avg_digest(
         GOLDEN_TOPOLOGIES[overlay], selector, track_s=track_s,
