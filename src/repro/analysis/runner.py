@@ -21,7 +21,7 @@ from typing import (
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..fields import check_count
 from ..kernel.engine import run_scenario
 from ..kernel.scenario import Scenario
 from ..rng import SeedLike, spawn_streams
@@ -49,8 +49,7 @@ def replicate(
     ``experiment`` receives a dedicated generator; its return values are
     collected in order.
     """
-    if runs < 1:
-        raise ConfigurationError(f"runs must be >= 1, got {runs}")
+    check_count(runs, "replicate.runs", low=1)
     result = ReplicateResult()
     for rng in spawn_streams(seed, runs):
         result.outputs.append(experiment(rng))
@@ -70,8 +69,7 @@ def replicate_scenario(
     and the whole replication is reproducible from one integer. Outputs
     are :class:`~repro.kernel.KernelRunResult` objects.
     """
-    if runs < 1:
-        raise ConfigurationError(f"runs must be >= 1, got {runs}")
+    check_count(runs, "replicate_scenario.runs", low=1)
     master = scenario.seed if seed is None else seed
     result = ReplicateResult()
     for rng in spawn_streams(master, runs):

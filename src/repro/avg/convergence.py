@@ -12,6 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..fields import check_real
 
 
 def empirical_reduction_rates(variances: Sequence[float]) -> np.ndarray:
@@ -75,10 +76,7 @@ def cycles_until_threshold(
     Used to check the §5 claim (99.9 % reduction in ≈ 7 cycles for
     GETPAIR_RAND).
     """
-    if not 0 < threshold_ratio < 1:
-        raise ConfigurationError(
-            f"threshold_ratio must be in (0, 1), got {threshold_ratio}"
-        )
+    check_real(threshold_ratio, "threshold_ratio", above=0, below=1)
     variances = np.asarray(variances, dtype=np.float64)
     if len(variances) == 0 or variances[0] <= 0:
         raise ConfigurationError("need a trajectory with positive initial variance")

@@ -22,6 +22,7 @@ from typing import Dict, Mapping
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..fields import check_real
 
 #: Eq. (8): optimal rate of GETPAIR_PM, E(2^{-φ}) with φ ≡ 2.
 RATE_PM: float = 0.25
@@ -123,10 +124,8 @@ def cycles_to_reduce(factor: float, rate: float) -> int:
     Implements the §5 claim: with GETPAIR_RAND (rate 1/e) a 99.9 %
     reduction (factor 10⁻³) needs ``ln 1000 ≈ 7`` cycles.
     """
-    if not 0 < factor < 1:
-        raise ConfigurationError(f"factor must be in (0, 1), got {factor}")
-    if not 0 < rate < 1:
-        raise ConfigurationError(f"rate must be in (0, 1), got {rate}")
+    check_real(factor, "factor", above=0, below=1)
+    check_real(rate, "rate", above=0, below=1)
     return math.ceil(math.log(factor) / math.log(rate))
 
 
@@ -144,10 +143,7 @@ def rate_seq_with_loss(p: float) -> float:
     at p = 1. This extends the paper's Theorem 1 machinery to the
     lossy-channel setting discussed in §1.4.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ConfigurationError(
-            f"loss probability must be in [0, 1], got {p}"
-        )
+    check_real(p, "loss probability", low=0, high=1)
     survive = 1.0 - p
     return (p + survive / 2.0) * math.exp(-survive / 2.0)
 

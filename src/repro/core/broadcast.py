@@ -25,7 +25,7 @@ from typing import List
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..failures.crash import check_node_id
+from ..fields import check_node_id
 from ..kernel.engine import GossipEngine
 from ..kernel.scenario import Scenario
 from ..rng import SeedLike

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..fields import check_count
 from ..kernel.engine import GossipEngine
 from ..kernel.scenario import Scenario
 from ..rng import spawn_streams
@@ -68,8 +68,7 @@ def median_of_instances(scenario: Scenario, instances: int) -> RobustRunResult:
     engine would share partner draws. ``instances=1`` is the plain
     protocol.
     """
-    if instances < 1:
-        raise ConfigurationError(f"instances must be >= 1, got {instances}")
+    check_count(instances, "median_of_instances.instances", low=1)
     columns = []
     for stream in spawn_streams(scenario.seed, instances):
         with GossipEngine(scenario.replace(seed=stream)) as engine:

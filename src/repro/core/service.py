@@ -27,8 +27,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError
-from ..failures.crash import check_node_id
+from ..fields import check_count, check_node_id
 from ..kernel.engine import GossipEngine
 from ..kernel.lifecycle import EpochSpec
 from ..kernel.scenario import Scenario
@@ -144,8 +143,7 @@ def service_scenario(
     ``seed`` is split in two streams: the protocol's and the counting
     instance's leader draw (one random leader holds 1).
     """
-    if cycles < 1:
-        raise ConfigurationError(f"cycles must be >= 1, got {cycles}")
+    check_count(cycles, "service_scenario.cycles", low=1)
     protocol_stream, leader_stream = spawn_streams(seed, 2)
     scenario = Scenario(
         topology, values, aggregates=_suite_functions(), cycles=cycles,
@@ -193,12 +191,9 @@ def service_epochs_scenario(
     ``topology`` must be a
     :class:`~repro.topology.complete.CompleteTopology`.
     """
-    if epochs < 1:
-        raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
-    if cycles_per_epoch < 1:
-        raise ConfigurationError(
-            f"cycles_per_epoch must be >= 1, got {cycles_per_epoch}"
-        )
+    check_count(epochs, "service_epochs_scenario.epochs", low=1)
+    check_count(cycles_per_epoch, "service_epochs_scenario.cycles_per_epoch",
+                low=1)
     probe_node = check_node_id(probe_node, topology.n)
     layout = _suite_layout(np.asarray(values, dtype=np.float64))
 

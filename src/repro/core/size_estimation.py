@@ -35,7 +35,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..failures.crash import check_integer
+from ..fields import declare, validate_fields
 from ..kernel.checkpoint import CheckpointSpec
 from ..kernel.engine import GossipEngine
 from ..kernel.lifecycle import (
@@ -58,31 +58,15 @@ class SizeEstimationConfig:
     ``initial_size=100_000`` with the matching churn model.
     """
 
-    cycles: int = 300
-    cycles_per_epoch: int = 30
-    expected_leaders: float = 1.0
-    force_leader: bool = True
-    adaptive_leaders: bool = False
-    initial_size: int = 1000
-    seed: SeedLike = None
+    cycles: int = declare("count", 300, low=1)
+    cycles_per_epoch: int = declare("count", 30, low=1)
+    expected_leaders: float = declare("real", 1.0, above=0)
+    force_leader: bool = declare("flag", True)
+    adaptive_leaders: bool = declare("flag", False)
+    initial_size: int = declare("count", 1000, low=2)
+    seed: SeedLike = declare("seed", None)
 
-    def __post_init__(self) -> None:
-        for name in ("cycles", "cycles_per_epoch", "initial_size"):
-            check_integer(getattr(self, name), name)
-        if self.cycles < 1:
-            raise ConfigurationError(f"cycles must be >= 1, got {self.cycles}")
-        if self.cycles_per_epoch < 1:
-            raise ConfigurationError(
-                f"cycles_per_epoch must be >= 1, got {self.cycles_per_epoch}"
-            )
-        if self.expected_leaders <= 0:
-            raise ConfigurationError(
-                f"expected_leaders must be positive, got {self.expected_leaders}"
-            )
-        if self.initial_size < 2:
-            raise ConfigurationError(
-                f"initial_size must be >= 2, got {self.initial_size}"
-            )
+    __post_init__ = validate_fields
 
 
 @dataclass(frozen=True)

@@ -9,35 +9,10 @@ contribution to the average is lost).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-import numpy as np
-
-from ..errors import ConfigurationError
+from ..fields import check_count, check_node_id, check_real
 from ..rng import SeedLike, make_rng
-
-
-def check_integer(value, name: str) -> int:
-    """``value`` as an ``int``, or :class:`ConfigurationError` naming
-    ``name`` when it is not an ``int`` or ``np.integer`` (bools and
-    floats included). The specs' integer counts — cycles, crash cycles,
-    epoch lengths, checkpoint periods, view sizes, retry budgets and
-    timeouts — go through here."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} {value!r} is not an integer")
-    return int(value)
-
-
-def check_node_id(node_id, n: Optional[int] = None) -> int:
-    """``node_id`` as an ``int``, or :class:`ConfigurationError` when it
-    is not an integer (bools and floats included) or, given ``n``, lies
-    outside ``[0, n)``. Every node id a caller hands the library —
-    crash victims, broadcast origins, probe nodes, leaders, adversary
-    nodes — goes through here."""
-    node_id = check_integer(node_id, "node id")
-    if n is not None and not 0 <= node_id < n:
-        raise ConfigurationError(f"node id {node_id} out of range [0, {n})")
-    return node_id
 
 
 @dataclass
@@ -48,9 +23,7 @@ class CrashPlan:
 
     def add(self, cycle: int, node_ids: Sequence[int]) -> None:
         """Schedule ``node_ids`` to crash before ``cycle`` runs."""
-        cycle = check_integer(cycle, "crash cycle")
-        if cycle < 0:
-            raise ConfigurationError(f"cycle must be non-negative, got {cycle}")
+        cycle = check_count(cycle, "crash cycle", low=0)
         ids = [check_node_id(node_id) for node_id in node_ids]
         self.crashes.setdefault(cycle, []).extend(ids)
 
@@ -75,8 +48,7 @@ def random_crash_plan(
 
     The classic "kill X% of the network mid-run" robustness experiment.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigurationError(f"fraction must be in [0, 1], got {fraction}")
+    check_real(fraction, "fraction", low=0, high=1)
     rng = make_rng(seed)
     count = int(round(n * fraction))
     victims = rng.choice(n, size=count, replace=False).tolist() if count else []

@@ -51,12 +51,12 @@ Four adversary kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..failures.crash import check_node_id
+from ..fields import declare, validate_fields
 from ..topology.base import AdjacencyTopology, Topology
 from ..topology.complete import CompleteTopology
 
@@ -98,42 +98,22 @@ class AdversarySpec:
     always honest.
     """
 
-    kind: str
-    fraction: float = 0.0
-    value: float = 0.0
-    nodes: Optional[Tuple[int, ...]] = None
-    start: int = 0
-    end: Optional[int] = None
+    kind: str = declare("choice", choices=ADVERSARY_KINDS)
+    fraction: float = declare("real", 0.0, low=0, high=1)
+    value: float = declare("real", 0.0)
+    nodes: Optional[Tuple[int, ...]] = declare("node_ids", None)
+    start: int = declare("count", 0, low=0)
+    end: Optional[int] = declare("count", None, low=1)
 
     def __post_init__(self) -> None:
-        if self.kind not in ADVERSARY_KINDS:
-            raise ConfigurationError(
-                f"unknown adversary kind {self.kind!r}; expected one of "
-                f"{ADVERSARY_KINDS}"
-            )
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ConfigurationError(
-                f"adversary fraction must be in [0, 1], got {self.fraction}"
-            )
-        if not np.isfinite(self.value):
-            raise ConfigurationError(
-                f"adversary value must be finite, got {self.value}"
-            )
+        validate_fields(self)
         if self.nodes is not None:
-            ids = tuple(sorted(check_node_id(node) for node in self.nodes))
+            ids = tuple(sorted(int(node) for node in self.nodes))
             if len(set(ids)) != len(ids):
                 raise ConfigurationError(
                     f"adversary nodes contain duplicates: {self.nodes}"
                 )
-            if ids and ids[0] < 0:
-                raise ConfigurationError(
-                    f"adversary node ids must be non-negative, got {ids[0]}"
-                )
             object.__setattr__(self, "nodes", ids)
-        if self.start < 0:
-            raise ConfigurationError(
-                f"adversary start cycle must be >= 0, got {self.start}"
-            )
         if self.end is not None and self.end <= self.start:
             raise ConfigurationError(
                 f"adversary window [{self.start}, {self.end}) is empty"
@@ -150,19 +130,14 @@ class AdversarySpec:
     ) -> np.ndarray:
         """The adversarial slot ids for an initial network of ``n``.
 
-        Explicit ``nodes`` are validated against ``n`` and returned
-        as-is; otherwise ``round(fraction * n)`` ids are drawn
-        uniformly without replacement. Sorted either way, and the RNG
-        is consumed only when a strict subset is actually drawn.
+        Explicit ``nodes`` (which :class:`~repro.kernel.scenario.Scenario`
+        checks against its topology) are returned as-is; otherwise
+        ``round(fraction * n)`` ids are drawn uniformly without
+        replacement. Sorted either way, and the RNG is consumed only
+        when a strict subset is actually drawn.
         """
         if self.nodes is not None:
-            ids = np.asarray(self.nodes, dtype=np.int64)
-            if len(ids) and ids[-1] >= n:
-                raise ConfigurationError(
-                    f"adversary node id {int(ids[-1])} out of range for "
-                    f"{n} nodes"
-                )
-            return ids
+            return np.asarray(self.nodes, dtype=np.int64)
         count = int(round(self.fraction * n))
         if count <= 0:
             return np.empty(0, dtype=np.int64)

@@ -71,8 +71,8 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..errors import CheckpointError, ConfigurationError
-from ..failures.crash import check_integer
+from ..errors import CheckpointError
+from ..fields import declare, validate_fields
 
 #: manifest ``format`` field — rejects foreign json files outright
 CHECKPOINT_FORMAT = "repro-checkpoint"
@@ -106,22 +106,11 @@ class CheckpointSpec:
         after each write; ``None`` keeps everything.
     """
 
-    directory: Union[str, Path]
-    every_cycles: int = 1
-    keep: Optional[int] = None
+    directory: Union[str, Path] = declare("spec", type=(str, os.PathLike))
+    every_cycles: int = declare("count", 1, low=1)
+    keep: Optional[int] = declare("count", None, low=1)
 
-    def __post_init__(self) -> None:
-        check_integer(self.every_cycles, "every_cycles")
-        if self.keep is not None:
-            check_integer(self.keep, "keep")
-        if self.every_cycles < 1:
-            raise ConfigurationError(
-                f"every_cycles must be >= 1, got {self.every_cycles}"
-            )
-        if self.keep is not None and self.keep < 1:
-            raise ConfigurationError(
-                f"keep must be >= 1 (or None), got {self.keep}"
-            )
+    __post_init__ = validate_fields
 
     @property
     def path(self) -> Path:

@@ -88,7 +88,7 @@ from ..errors import (
     InvariantViolation,
     SimulationError,
 )
-from ..failures.crash import check_node_id
+from ..fields import check_count, check_node_id
 from ..rng import make_rng
 from .backends import (
     ExecutionBackend,
@@ -1641,10 +1641,7 @@ class GossipEngine:
         """
         if cycles is None:
             cycles = self.scenario.cycles
-        if cycles < 0:
-            raise ConfigurationError(
-                f"cycles must be non-negative, got {cycles}"
-            )
+        check_count(cycles, "run.cycles", low=0)
         if record not in ("cycle", "end"):
             raise ConfigurationError(
                 f"record must be 'cycle' or 'end', got {record!r}"

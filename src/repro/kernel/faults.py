@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from ..errors import ConfigurationError, SimulationError
+from ..fields import declare, validate_fields
 from .checkpoint import latest_checkpoint
 
 #: every fault kind the harness knows how to provoke
@@ -65,28 +66,13 @@ class FaultSpec:
         Sleep seconds for ``delay_ack``.
     """
 
-    kind: str
-    worker: int = 0
-    at_call: int = 0
-    delay: float = 0.0
+    kind: str = declare("choice", choices=FAULT_KINDS)
+    worker: int = declare("count", 0, low=0)
+    at_call: int = declare("count", 0, low=0)
+    delay: float = declare("real", 0.0, low=0)
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ConfigurationError(
-                f"fault kind must be one of {FAULT_KINDS}, got {self.kind!r}"
-            )
-        if self.worker < 0:
-            raise ConfigurationError(
-                f"fault worker index must be non-negative, got {self.worker}"
-            )
-        if self.at_call < 0:
-            raise ConfigurationError(
-                f"fault at_call must be non-negative, got {self.at_call}"
-            )
-        if self.delay < 0:
-            raise ConfigurationError(
-                f"fault delay must be non-negative, got {self.delay}"
-            )
+        validate_fields(self)
         if self.kind == "delay_ack" and self.delay == 0:
             raise ConfigurationError(
                 "delay_ack needs a positive delay to have any effect"

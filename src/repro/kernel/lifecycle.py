@@ -32,14 +32,14 @@ declared here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
 from ..core.aggregates import AggregateFunction, MeanAggregate
 from ..errors import ConfigurationError
-from ..failures.crash import check_integer
+from ..fields import check_count, check_real, declare, validate_fields
 from ..rng import SeedLike, make_rng
 
 @dataclass(frozen=True)
@@ -133,8 +133,7 @@ class ChurnTrace:
     def constant(cls, cycles: int, joins: int, leaves: int) -> "ChurnTrace":
         """Steady-state turnover: ``joins`` nodes enter and ``leaves``
         depart in each of the first ``cycles`` cycles."""
-        if cycles < 0:
-            raise ConfigurationError(f"cycles must be >= 0, got {cycles}")
+        check_count(cycles, "cycles", low=0)
         return cls([joins] * cycles, [leaves] * cycles)
 
     @classmethod
@@ -189,12 +188,9 @@ class ChurnTrace:
         ``mean_session`` — the classic heavy-turnover P2P model. The
         sampling happens *here*, once; the resulting trace replays
         deterministically regardless of scenario seed or backend."""
-        if cycles < 1:
-            raise ConfigurationError(f"cycles must be >= 1, got {cycles}")
-        if arrivals_per_cycle < 0 or mean_session <= 0:
-            raise ConfigurationError(
-                "arrivals_per_cycle must be >= 0 and mean_session > 0"
-            )
+        check_count(cycles, "cycles", low=1)
+        check_real(arrivals_per_cycle, "arrivals_per_cycle", low=0)
+        check_real(mean_session, "mean_session", above=0)
         rng = make_rng(seed)
         counts = rng.poisson(arrivals_per_cycle, size=cycles)
         arrivals = np.repeat(np.arange(cycles, dtype=np.float64), counts)
@@ -215,10 +211,8 @@ class ChurnTrace:
             raise ConfigurationError(
                 f"flash-crowd cycle {at} outside trace of {cycles} cycles"
             )
-        if size < 0 or mean_stay <= 0:
-            raise ConfigurationError(
-                "flash-crowd size must be >= 0 and mean_stay > 0"
-            )
+        check_count(size, "size", low=0)
+        check_real(mean_stay, "mean_stay", above=0)
         rng = make_rng(seed)
         arrivals = np.full(size, float(at))
         durations = rng.geometric(
@@ -237,12 +231,10 @@ class ChurnTrace:
         4's scenario. ``seed`` is accepted for signature parity with the
         sampled generators; the wave draws nothing.
         """
-        if cycles < 1 or period < 1:
-            raise ConfigurationError("cycles and period must be >= 1")
-        if amplitude < 0 or fluctuation < 0:
-            raise ConfigurationError(
-                "amplitude and fluctuation must be >= 0"
-            )
+        check_count(cycles, "cycles", low=1)
+        check_count(period, "period", low=1)
+        check_count(amplitude, "amplitude", low=0)
+        check_count(fluctuation, "fluctuation", low=0)
         if amplitude >= n:
             raise ConfigurationError(
                 f"amplitude {amplitude} would drive the size below zero"
@@ -353,19 +345,15 @@ class EpochSpec:
         changes the instance count. Defaults to AGGREGATE_AVG.
     """
 
-    cycles_per_epoch: int
-    reseed: Optional[Callable[[EpochRestart], np.ndarray]] = None
-    finalize: Optional[Callable[[EpochView], Any]] = None
-    function: AggregateFunction = field(default_factory=MeanAggregate)
+    cycles_per_epoch: int = declare("count", low=1)
+    reseed: Optional[Callable[[EpochRestart], np.ndarray]] = declare(
+        "callable", None
+    )
+    finalize: Optional[Callable[[EpochView], Any]] = declare(
+        "callable", None
+    )
+    function: AggregateFunction = declare(
+        "spec", default_factory=MeanAggregate, type=AggregateFunction
+    )
 
-    def __post_init__(self) -> None:
-        check_integer(self.cycles_per_epoch, "cycles_per_epoch")
-        if self.cycles_per_epoch < 1:
-            raise ConfigurationError(
-                f"cycles_per_epoch must be >= 1, got {self.cycles_per_epoch}"
-            )
-        if not isinstance(self.function, AggregateFunction):
-            raise ConfigurationError(
-                f"EpochSpec.function must be an AggregateFunction, got "
-                f"{type(self.function).__name__}"
-            )
+    __post_init__ = validate_fields

@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..failures.crash import check_integer
+from ..fields import check_count, declare, validate_fields
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import GossipEngine
@@ -75,14 +75,9 @@ class NewscastSpec:
     Views refresh once every aggregation cycle, as in the paper.
     """
 
-    view_size: int = DEFAULT_VIEW_SIZE
+    view_size: int = declare("count", DEFAULT_VIEW_SIZE, low=1)
 
-    def __post_init__(self) -> None:
-        check_integer(self.view_size, "view_size")
-        if self.view_size < 1:
-            raise ConfigurationError(
-                f"view_size must be >= 1, got {self.view_size}"
-            )
+    __post_init__ = validate_fields
 
 
 def resolve_membership(membership) -> Optional[NewscastSpec]:
@@ -122,14 +117,8 @@ class NewscastViews:
     def __init__(
         self, capacity: int, view_size: int, rng: np.random.Generator
     ):
-        if capacity < 2:
-            raise ConfigurationError(
-                "newscast views need at least two nodes"
-            )
-        if view_size < 1:
-            raise ConfigurationError(
-                f"view_size must be >= 1, got {view_size}"
-            )
+        check_count(capacity, "newscast views capacity", low=2)
+        check_count(view_size, "view_size", low=1)
         self.view_size = min(int(view_size), capacity - 1)
         # bootstrap: each node knows `view_size` random other nodes
         # (self-collisions shift to the next slot, keeping the no-self

@@ -53,7 +53,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..failures.crash import check_integer
+from ..fields import check_real, declare, validate_fields
 
 #: a schedule maps a cycle number to that cycle's loss probability
 LossSchedule = Callable[[int], float]
@@ -72,10 +72,7 @@ RETRY_NEVER = 2 ** 62
 
 def constant_loss(p: float) -> LossSchedule:
     """A schedule that always returns ``p``."""
-    if not 0.0 <= p <= 1.0:
-        raise ConfigurationError(
-            f"loss probability must be in [0, 1], got {p}"
-        )
+    check_real(p, "loss probability", low=0, high=1)
 
     def schedule(cycle: int) -> float:
         return p
@@ -87,12 +84,8 @@ def burst_loss(p_background: float, p_burst: float, burst_start: int,
                burst_end: int) -> LossSchedule:
     """Background loss with a heavier burst during
     ``[burst_start, burst_end)``."""
-    for name, value in (("p_background", p_background),
-                        ("p_burst", p_burst)):
-        if not 0.0 <= value <= 1.0:
-            raise ConfigurationError(
-                f"{name} must be in [0, 1], got {value}"
-            )
+    check_real(p_background, "p_background", low=0, high=1)
+    check_real(p_burst, "p_burst", low=0, high=1)
     if burst_start > burst_end:
         raise ConfigurationError("burst_start must not exceed burst_end")
 
@@ -109,13 +102,6 @@ def exchange_loss(p: float) -> Optional[MessageFaultSpec]:
     A recipe's scenario takes it through
     ``scenario.replace(message_faults=exchange_loss(p))``."""
     return MessageFaultSpec(request_loss=p) if p else None
-
-
-def _validate_probability(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ConfigurationError(
-            f"{name} must be in [0, 1], got {value}"
-        )
 
 
 def _schedule_value(name: str, schedule: LossSchedule, cycle: int) -> float:
@@ -163,31 +149,16 @@ class MessageFaultSpec:
     trajectory bitwise-identical to the same scenario without one.
     """
 
-    request_loss: float = 0.0
-    reply_loss: float = 0.0
-    duplication: float = 0.0
-    request_schedule: Optional[LossSchedule] = None
-    reply_schedule: Optional[LossSchedule] = None
-    start: int = 0
-    end: Optional[int] = None
+    request_loss: float = declare("real", 0.0, low=0, high=1)
+    reply_loss: float = declare("real", 0.0, low=0, high=1)
+    duplication: float = declare("real", 0.0, low=0, high=1)
+    request_schedule: Optional[LossSchedule] = declare("callable", None)
+    reply_schedule: Optional[LossSchedule] = declare("callable", None)
+    start: int = declare("count", 0, low=0)
+    end: Optional[int] = declare("count", None, low=1)
 
     def __post_init__(self) -> None:
-        _validate_probability("request_loss", self.request_loss)
-        _validate_probability("reply_loss", self.reply_loss)
-        _validate_probability("duplication", self.duplication)
-        for name, schedule in (
-            ("request_schedule", self.request_schedule),
-            ("reply_schedule", self.reply_schedule),
-        ):
-            if schedule is not None and not callable(schedule):
-                raise ConfigurationError(
-                    f"{name} must be callable (cycle -> probability), "
-                    f"got {type(schedule).__name__}"
-                )
-        if self.start < 0:
-            raise ConfigurationError(
-                f"message-fault start cycle must be >= 0, got {self.start}"
-            )
+        validate_fields(self)
         if self.end is not None and self.end <= self.start:
             raise ConfigurationError(
                 f"message-fault window [{self.start}, {self.end}) is empty"
@@ -257,37 +228,13 @@ class RetrySpec:
         partial exchange it initiated.
     """
 
-    timeout: int = 1
-    budget: int = 3
-    backoff: float = 2.0
-    mode: str = "retransmit"
-    fallback: str = "accept"
+    timeout: int = declare("count", 1, low=1)
+    budget: int = declare("count", 3, low=0)
+    backoff: float = declare("real", 2.0, low=1)
+    mode: str = declare("choice", "retransmit", choices=RETRY_MODES)
+    fallback: str = declare("choice", "accept", choices=RETRY_FALLBACKS)
 
-    def __post_init__(self) -> None:
-        check_integer(self.timeout, "retry timeout")
-        check_integer(self.budget, "retry budget")
-        if self.timeout < 1:
-            raise ConfigurationError(
-                f"retry timeout must be >= 1 cycle, got {self.timeout}"
-            )
-        if self.budget < 0:
-            raise ConfigurationError(
-                f"retry budget must be >= 0, got {self.budget}"
-            )
-        if not self.backoff >= 1.0:
-            raise ConfigurationError(
-                f"retry backoff must be >= 1, got {self.backoff}"
-            )
-        if self.mode not in RETRY_MODES:
-            raise ConfigurationError(
-                f"unknown retry mode {self.mode!r}; expected one of "
-                f"{RETRY_MODES}"
-            )
-        if self.fallback not in RETRY_FALLBACKS:
-            raise ConfigurationError(
-                f"unknown retry fallback {self.fallback!r}; expected one "
-                f"of {RETRY_FALLBACKS}"
-            )
+    __post_init__ = validate_fields
 
     def delay(self, attempt: int) -> int:
         """Cycles until the next retry after ``attempt`` failures

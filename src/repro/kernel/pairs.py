@@ -28,6 +28,7 @@ import numpy as np
 
 from ..core.aggregates import AggregateFunction
 from ..errors import ConfigurationError, PairSelectionError
+from ..fields import declare, validate_fields
 from ..topology.base import AdjacencyTopology, Topology
 from ..topology.complete import CompleteTopology
 
@@ -201,16 +202,11 @@ class PairProtocolSpec:
         (instance id ``"s"``, seeded with the squared initial values).
     """
 
-    selector: str
-    track_phi: bool = True
-    track_s: bool = False
+    selector: str = declare("choice", choices=PAIR_SELECTOR_NAMES)
+    track_phi: bool = declare("flag", True)
+    track_s: bool = declare("flag", False)
 
-    def __post_init__(self):
-        if self.selector not in PAIR_SELECTOR_NAMES:
-            raise ConfigurationError(
-                f"unknown pair selector {self.selector!r}; expected one "
-                f"of {PAIR_SELECTOR_NAMES}"
-            )
+    __post_init__ = validate_fields
 
     def validate_topology(self, topology: Topology) -> None:
         """Raise if ``topology`` cannot host this selector."""

@@ -31,7 +31,7 @@ turns reports into one estimate, and builds the matching
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, Mapping, Optional
 
 import numpy as np
@@ -43,10 +43,13 @@ from ..core.aggregates import (
     MinAggregate,
 )
 from ..errors import ConfigurationError
-from ..failures.crash import check_node_id
+from ..fields import (
+    check_choice, check_count, check_node_id, check_real, declare,
+    validate_fields,
+)
 from ..rng import SeedLike, make_rng
 from ..topology.base import Topology
-from .scenario import Scenario
+from .scenario import Scenario, check_layout
 
 #: accepted reduction names for :func:`robust_reduce`
 ROBUST_REDUCTIONS = ("mean", "median", "trimmed")
@@ -68,10 +71,7 @@ def trimmed_mean(reports, trim: float = DEFAULT_TRIM) -> float:
     discarded (symmetric trimming; ``trim=0`` degenerates to the plain
     mean). Robust to up to ``trim`` one-sided contamination."""
     arr = _as_reports(reports)
-    if not 0.0 <= trim < 0.5:
-        raise ConfigurationError(
-            f"trim fraction must be in [0, 0.5), got {trim}"
-        )
+    check_real(trim, "trim", low=0, below=0.5)
     cut = int(trim * arr.size)
     if 2 * cut >= arr.size:
         return float(np.median(arr))
@@ -133,8 +133,7 @@ def min_size_estimate(minima, *, cap: Optional[float] = None) -> float:
             f"min/max size estimation needs >= 2 instances, got {arr.size}"
         )
     if cap is not None:
-        if cap <= 0:
-            raise ConfigurationError(f"cap must be positive, got {cap}")
+        check_real(cap, "cap", above=0)
         arr = np.clip(arr, 1.0 / cap, None)
     total = float(arr.sum())
     if total <= 0.0:
@@ -166,37 +165,19 @@ class MultiAggregateSpec:
     reduce a finished engine's reports.
     """
 
-    values: np.ndarray
-    aggregates: Mapping[Hashable, AggregateFunction] = field(
-        default_factory=lambda: {"mean": MeanAggregate()}
+    values: np.ndarray = declare("custom")
+    aggregates: Mapping[Hashable, AggregateFunction] = declare(
+        "custom", default_factory=lambda: {"mean": MeanAggregate()}
     )
-    initial: Optional[Mapping[Hashable, np.ndarray]] = None
-    reduction: str = "median"
-    trim: float = DEFAULT_TRIM
+    initial: Optional[Mapping[Hashable, np.ndarray]] = declare("custom", None)
+    reduction: str = declare("choice", "median", choices=ROBUST_REDUCTIONS)
+    trim: float = declare("real", DEFAULT_TRIM, low=0, below=0.5)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ConfigurationError(
-                f"values must be one-dimensional, got shape {values.shape}"
-            )
-        object.__setattr__(self, "values", values)
-        if not self.aggregates:
-            raise ConfigurationError("spec needs at least one aggregate")
-        for instance_id, function in self.aggregates.items():
-            if not isinstance(function, AggregateFunction):
-                raise ConfigurationError(
-                    f"aggregate {instance_id!r} is not an AggregateFunction"
-                )
-        if self.reduction not in ROBUST_REDUCTIONS:
-            raise ConfigurationError(
-                f"unknown reduction {self.reduction!r}; expected one of "
-                f"{ROBUST_REDUCTIONS}"
-            )
-        if not 0.0 <= self.trim < 0.5:
-            raise ConfigurationError(
-                f"trim fraction must be in [0, 0.5), got {self.trim}"
-            )
+        validate_fields(self)
+        object.__setattr__(self, "values", check_layout(
+            "MultiAggregateSpec", self.values, self.aggregates
+        ))
 
     @property
     def n(self) -> int:
@@ -266,15 +247,8 @@ class MultiAggregateSpec:
         columns independently seeded U(0,1); feed the per-instance
         reduced reports to :func:`min_size_estimate` /
         :func:`max_size_estimate`."""
-        if instances < 2:
-            raise ConfigurationError(
-                f"extreme-value estimation needs >= 2 instances, "
-                f"got {instances}"
-            )
-        if kind not in ("min", "max"):
-            raise ConfigurationError(
-                f"kind must be 'min' or 'max', got {kind!r}"
-            )
+        check_count(instances, "extrema.instances", low=2)
+        check_choice(kind, "extrema.kind", choices=("min", "max"))
         rng = make_rng(seed)
         function_type = MinAggregate if kind == "min" else MaxAggregate
         names = tuple(f"{kind}{index}" for index in range(instances))

@@ -14,14 +14,15 @@ which execution backend should run it. The recipes of
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.aggregates import AggregateFunction, MeanAggregate
 from ..errors import ConfigurationError
-from ..failures.crash import CrashPlan, check_integer, check_node_id
+from ..failures.crash import CrashPlan
+from ..fields import check_count, check_node_id, declare, validate_fields
 from ..rng import SeedLike
 from ..topology.base import Topology
 from ..topology.complete import CompleteTopology
@@ -47,6 +48,30 @@ AUTO_VECTORIZE_THRESHOLD = 1024
 
 def _default_aggregates() -> Mapping[Hashable, AggregateFunction]:
     return {"mean": MeanAggregate()}
+
+
+def check_layout(
+    owner: str, values, aggregates: Mapping[Hashable, AggregateFunction]
+) -> np.ndarray:
+    """``values`` as a 1-D float64 array, after checking that
+    ``aggregates`` maps at least one instance id to an
+    :class:`AggregateFunction` — the ``custom`` fields ``owner``
+    (a spec name) shares with every multi-instance layout."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ConfigurationError(
+            f"{owner}.values must be one-dimensional, got shape "
+            f"{values.shape}"
+        )
+    if not aggregates:
+        raise ConfigurationError(f"{owner} needs at least one aggregate")
+    for instance_id, function in aggregates.items():
+        if not isinstance(function, AggregateFunction):
+            raise ConfigurationError(
+                f"{owner}.aggregates {instance_id!r} is not an "
+                f"AggregateFunction"
+            )
+    return values
 
 
 @dataclass(frozen=True)
@@ -152,69 +177,53 @@ class Scenario:
         opt-in).
     """
 
-    topology: Topology
-    values: np.ndarray
-    aggregates: Mapping[Hashable, AggregateFunction] = field(
-        default_factory=_default_aggregates
+    topology: Topology = declare("spec", type=Topology)
+    values: np.ndarray = declare("custom")
+    aggregates: Mapping[Hashable, AggregateFunction] = declare(
+        "custom", default_factory=_default_aggregates
     )
-    initial: Optional[Mapping[Hashable, Sequence[float]]] = None
-    crash_plan: Optional[CrashPlan] = None
-    churn: Optional[ChurnTrace] = None
-    epochs: Optional[EpochSpec] = None
-    pair_protocol: Optional[PairProtocolSpec] = None
-    adversary: Optional[AdversarySpec] = None
-    membership: Optional[object] = None
-    message_faults: Optional[MessageFaultSpec] = None
-    retry: Optional[RetrySpec] = None
-    cycles: int = 30
-    seed: SeedLike = None
-    backend: str = "auto"
+    initial: Optional[Mapping[Hashable, Sequence[float]]] = declare(
+        "custom", None
+    )
+    crash_plan: Optional[CrashPlan] = declare("spec", None, type=CrashPlan)
+    churn: Optional[ChurnTrace] = declare("spec", None, type=ChurnTrace)
+    epochs: Optional[EpochSpec] = declare("spec", None, type=EpochSpec)
+    pair_protocol: Optional[PairProtocolSpec] = declare(
+        "spec", None, type=PairProtocolSpec
+    )
+    adversary: Optional[AdversarySpec] = declare(
+        "spec", None, type=AdversarySpec
+    )
+    membership: Optional[object] = declare("custom", None)
+    message_faults: Optional[MessageFaultSpec] = declare(
+        "spec", None, type=MessageFaultSpec
+    )
+    retry: Optional[RetrySpec] = declare("spec", None, type=RetrySpec)
+    cycles: int = declare("count", 30, low=0)
+    seed: SeedLike = declare("seed", None)
+    backend: str = declare("custom", "auto")
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ConfigurationError(
-                f"values must be one-dimensional, got shape {values.shape}"
-            )
+        validate_fields(self)
+        values = check_layout("Scenario", self.values, self.aggregates)
         if len(values) != self.topology.n:
             raise ConfigurationError(
                 f"got {len(values)} values for a topology of "
                 f"{self.topology.n} nodes"
             )
         object.__setattr__(self, "values", values)
-        if not self.aggregates:
-            raise ConfigurationError("scenario needs at least one aggregate")
-        for instance_id, function in self.aggregates.items():
-            if not isinstance(function, AggregateFunction):
-                raise ConfigurationError(
-                    f"aggregate {instance_id!r} is not an AggregateFunction"
-                )
         if self.initial is not None:
             unknown = set(self.initial) - set(self.aggregates)
             if unknown:
                 raise ConfigurationError(
                     f"initial vectors for unknown instances: {sorted(map(str, unknown))}"
                 )
-        check_integer(self.cycles, "cycles")
-        if self.cycles < 0:
-            raise ConfigurationError(
-                f"cycles must be non-negative, got {self.cycles}"
-            )
         # raises BackendSpecError (a ConfigurationError) on unknown
         # names and malformed "sharded:<workers>" specs
         parse_backend_spec(self.backend, allow_auto=True)
-        if self.churn is not None and not isinstance(self.churn, ChurnTrace):
-            raise ConfigurationError(
-                f"churn must be a ChurnTrace, got {type(self.churn).__name__}"
-            )
-        if self.epochs is not None and not isinstance(self.epochs, EpochSpec):
-            raise ConfigurationError(
-                f"epochs must be an EpochSpec, got "
-                f"{type(self.epochs).__name__}"
-            )
         if self.crash_plan is not None:
             for cycle, victims in self.crash_plan.crashes.items():
-                check_integer(cycle, "crash cycle")
+                check_count(cycle, "crash cycle", low=0)
                 for node_id in victims:
                     check_node_id(node_id, self.topology.n)
         if self.is_dynamic:
@@ -248,11 +257,6 @@ class Scenario:
                     "newscast membership needs at least two nodes"
                 )
         if self.adversary is not None:
-            if not isinstance(self.adversary, AdversarySpec):
-                raise ConfigurationError(
-                    f"adversary must be an AdversarySpec, got "
-                    f"{type(self.adversary).__name__}"
-                )
             if self.adversary.kind == "eclipse" and self.is_dynamic:
                 raise ConfigurationError(
                     "eclipse capture precomputes a static neighbor "
@@ -276,25 +280,12 @@ class Scenario:
                     f"adversary nodes {self.adversary.nodes} exceed the "
                     f"topology size {self.topology.n}"
                 )
-        if self.message_faults is not None and not isinstance(
-            self.message_faults, MessageFaultSpec
-        ):
+        if self.retry is not None and self.message_faults is None:
             raise ConfigurationError(
-                f"message_faults must be a MessageFaultSpec, got "
-                f"{type(self.message_faults).__name__}"
+                "retry needs message_faults: the retry protocol "
+                "recovers from the request/reply losses the "
+                "message-level fault model produces"
             )
-        if self.retry is not None:
-            if not isinstance(self.retry, RetrySpec):
-                raise ConfigurationError(
-                    f"retry must be a RetrySpec, got "
-                    f"{type(self.retry).__name__}"
-                )
-            if self.message_faults is None:
-                raise ConfigurationError(
-                    "retry needs message_faults: the retry protocol "
-                    "recovers from the request/reply losses the "
-                    "message-level fault model produces"
-                )
         if self.pair_protocol is not None:
             self._init_pair_mode()
 
@@ -303,11 +294,6 @@ class Scenario:
         protocol defines its own instance layout, and Figure 2's AVG is
         the failure-free analysis setting."""
         spec = self.pair_protocol
-        if not isinstance(spec, PairProtocolSpec):
-            raise ConfigurationError(
-                f"pair_protocol must be a PairProtocolSpec, got "
-                f"{type(spec).__name__}"
-            )
         if (
             self.crash_plan is not None
             or self.adversary is not None

@@ -15,11 +15,12 @@ pattern.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Union
 
 import numpy as np
 
 from .errors import ConfigurationError
+from .fields import check_count, check_seed
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
 
@@ -31,13 +32,9 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     ``SeedSequence``, or an existing ``Generator`` (returned unchanged,
     which lets APIs accept either a seed or a ready-made stream).
     """
-    if isinstance(seed, np.random.Generator):
+    if isinstance(check_seed(seed), np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    if seed is None or isinstance(seed, (int, np.integer)):
-        return np.random.default_rng(seed)
-    raise ConfigurationError(f"unsupported seed type: {type(seed).__name__}")
+    return np.random.default_rng(seed)
 
 
 def spawn_streams(seed: SeedLike, count: int) -> List[np.random.Generator]:
@@ -46,8 +43,7 @@ def spawn_streams(seed: SeedLike, count: int) -> List[np.random.Generator]:
     Uses ``SeedSequence.spawn`` so the streams are independent even when
     ``seed`` is small or sequential.
     """
-    if count < 0:
-        raise ConfigurationError(f"count must be non-negative, got {count}")
+    check_count(count, "count", low=0)
     if isinstance(seed, np.random.Generator):
         # Derive a SeedSequence from the generator's own bit stream.
         children = np.random.SeedSequence(
@@ -56,7 +52,7 @@ def spawn_streams(seed: SeedLike, count: int) -> List[np.random.Generator]:
     elif isinstance(seed, np.random.SeedSequence):
         children = seed.spawn(count)
     else:
-        children = np.random.SeedSequence(seed).spawn(count)
+        children = np.random.SeedSequence(check_seed(seed)).spawn(count)
     return [np.random.default_rng(child) for child in children]
 
 
@@ -67,10 +63,9 @@ def derive_seed(seed: SeedLike, *path: int) -> np.random.SeedSequence:
     ``derive_seed(seed, run_index, node_id)``.
     """
     for component in path:
-        if component < 0:
-            raise ConfigurationError("seed path components must be non-negative")
+        check_count(component, "seed path component", low=0)
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(
-        seed if isinstance(seed, (int, np.integer)) else None
+        seed if isinstance(check_seed(seed), (int, np.integer)) else None
     )
     return np.random.SeedSequence(
         entropy=base.entropy, spawn_key=tuple(base.spawn_key) + tuple(path)
@@ -79,8 +74,7 @@ def derive_seed(seed: SeedLike, *path: int) -> np.random.SeedSequence:
 
 def random_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
     """A uniformly random permutation of ``range(n)`` as an int64 array."""
-    if n < 0:
-        raise ConfigurationError(f"n must be non-negative, got {n}")
+    check_count(n, "n", low=0)
     return rng.permutation(n)
 
 

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import TopologyError
+from ..fields import check_count
 from ..rng import choice_excluding
 
 
@@ -32,9 +33,10 @@ class Topology(ABC):
     """An undirected overlay graph over node ids ``0 .. n-1``."""
 
     def __init__(self, n: int):
+        n = check_count(n, f"{type(self).__name__}.n")
         if n < 1:
             raise TopologyError(f"topology needs at least one node, got n={n}")
-        self._n = int(n)
+        self._n = n
 
     @property
     def n(self) -> int:

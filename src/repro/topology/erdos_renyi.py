@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TopologyError
+from ..fields import check_real
 from ..rng import SeedLike, make_rng
 from .base import AdjacencyTopology, Topology
 
@@ -53,6 +54,7 @@ class ErdosRenyiTopology(AdjacencyTopology):
     """
 
     def __init__(self, n: int, p: float, *, seed: SeedLike = None):
+        check_real(p, "ErdosRenyiTopology.p")
         if not 0.0 <= p <= 1.0:
             raise TopologyError(f"edge probability must be in [0, 1], got {p}")
         Topology.__init__(self, n)

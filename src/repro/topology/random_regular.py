@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TopologyError
+from ..fields import check_count
 from ..rng import SeedLike, make_rng
 from .base import AdjacencyTopology
 from .analysis import is_connected
@@ -130,6 +131,8 @@ class RandomRegularTopology(AdjacencyTopology):
         require_connected: bool = True,
         max_attempts: int = 50,
     ):
+        n = check_count(n, "RandomRegularTopology.n")
+        k = check_count(k, "RandomRegularTopology.k")
         if k < 1:
             raise TopologyError(f"degree must be positive, got k={k}")
         if k >= n:

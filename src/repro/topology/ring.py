@@ -9,6 +9,7 @@ constant distance per cycle.
 from __future__ import annotations
 
 from ..errors import TopologyError
+from ..fields import check_count
 from .base import AdjacencyTopology
 
 
@@ -20,6 +21,8 @@ class RingTopology(AdjacencyTopology):
     """
 
     def __init__(self, n: int, k: int = 2):
+        n = check_count(n, "RingTopology.n")
+        k = check_count(k, "RingTopology.k")
         if k < 2 or k % 2 != 0:
             raise TopologyError(f"k must be a positive even integer, got {k}")
         if k >= n:

@@ -8,6 +8,7 @@ make an instructive counterpoint in the topology ablation.
 from __future__ import annotations
 
 from ..errors import TopologyError
+from ..fields import check_count
 from ..rng import SeedLike, make_rng
 from .base import AdjacencyTopology
 
@@ -22,6 +23,8 @@ class BarabasiAlbertTopology(AdjacencyTopology):
     """
 
     def __init__(self, n: int, m: int, *, seed: SeedLike = None):
+        n = check_count(n, "BarabasiAlbertTopology.n")
+        m = check_count(m, "BarabasiAlbertTopology.m")
         if m < 1:
             raise TopologyError(f"m must be positive, got {m}")
         if n <= m:

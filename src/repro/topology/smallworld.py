@@ -8,6 +8,7 @@ averaging protocol needs to recover near-paper convergence rates.
 from __future__ import annotations
 
 from ..errors import TopologyError
+from ..fields import check_count, check_real
 from ..rng import SeedLike, make_rng
 from .base import AdjacencyTopology
 
@@ -27,6 +28,9 @@ class WattsStrogatzTopology(AdjacencyTopology):
     """
 
     def __init__(self, n: int, k: int, beta: float, *, seed: SeedLike = None):
+        n = check_count(n, "WattsStrogatzTopology.n")
+        k = check_count(k, "WattsStrogatzTopology.k")
+        check_real(beta, "WattsStrogatzTopology.beta")
         if k < 2 or k % 2 != 0:
             raise TopologyError(f"k must be a positive even integer, got {k}")
         if k >= n:

@@ -68,9 +68,10 @@ class TestReplicate:
         result = replicate(lambda rng: 1.0, runs=4, seed=3)
         assert result.as_array().shape == (4,)
 
-    def test_zero_runs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            replicate(lambda rng: 1.0, runs=0)
+    @pytest.mark.parametrize("runs", [0, True, 2.5])
+    def test_zero_runs_rejected(self, runs):
+        with pytest.raises(ConfigurationError, match="runs"):
+            replicate(lambda rng: 1.0, runs=runs)
 
 
 class TestReporting:

@@ -4,22 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import SizeEstimationConfig, SizeEstimationExperiment
-from repro.errors import ConfigurationError
 from repro.kernel import ChurnTrace
-
-
-class TestConfig:
-    def test_validation(self):
-        for bad in (0, 6.5, True):
-            with pytest.raises(ConfigurationError):
-                SizeEstimationConfig(cycles=bad)
-            with pytest.raises(ConfigurationError):
-                SizeEstimationConfig(cycles_per_epoch=bad)
-        with pytest.raises(ConfigurationError):
-            SizeEstimationConfig(expected_leaders=0)
-        for bad in (1, 1000.0):
-            with pytest.raises(ConfigurationError):
-                SizeEstimationConfig(initial_size=bad)
 
 
 class TestStaticNetwork:

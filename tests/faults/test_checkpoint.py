@@ -414,14 +414,6 @@ class TestFormat:
         with pytest.raises(CheckpointError):
             GossipEngine.restore(_scenario(n=80), manifest)
 
-    def test_spec_validation(self, tmp_path):
-        for bad in (0, 1.5, True):
-            with pytest.raises(ConfigurationError):
-                CheckpointSpec(directory=tmp_path, every_cycles=bad)
-        for bad in (0, 2.0, True):
-            with pytest.raises(ConfigurationError):
-                CheckpointSpec(directory=tmp_path, every_cycles=5, keep=bad)
-
 
 def _members():
     """One of every member kind the engine writes, plus the layouts a

@@ -66,38 +66,13 @@ def assert_snapshots_equal(ref, other):
 
 
 class TestSpecValidation:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown adversary kind"):
-            AdversarySpec(kind="bribery")
-
-    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
-    def test_fraction_out_of_range(self, fraction):
-        with pytest.raises(ConfigurationError, match="fraction"):
-            AdversarySpec(kind="lying", fraction=fraction)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_value_rejected(self, value):
-        with pytest.raises(ConfigurationError, match="finite"):
-            AdversarySpec(kind="inject", value=value)
-
     def test_empty_window_rejected(self):
         with pytest.raises(ConfigurationError, match="empty"):
             AdversarySpec(kind="lying", fraction=0.1, start=5, end=5)
 
-    def test_negative_start_rejected(self):
-        with pytest.raises(ConfigurationError, match="start"):
-            AdversarySpec(kind="lying", fraction=0.1, start=-1)
-
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(ConfigurationError, match="duplicates"):
             AdversarySpec(kind="lying", nodes=(3, 3, 5))
-
-    def test_negative_node_rejected(self):
-        with pytest.raises(ConfigurationError, match="non-negative"):
-            AdversarySpec(kind="lying", nodes=(-2, 5))
-        for bad in ([True, 2], [1.5]):
-            with pytest.raises(ConfigurationError, match="not an integer"):
-                AdversarySpec(kind="lying", nodes=bad)
 
     @pytest.mark.parametrize("leader", [5, -1, True, 1.5])
     def test_counting_leader_must_be_a_node_id(self, leader):
@@ -114,10 +89,6 @@ class TestSpecValidation:
         spec = AdversarySpec(kind="lying", nodes=(N + 7,))
         with pytest.raises(ConfigurationError, match="exceed"):
             make_scenario(spec)
-
-    def test_scenario_rejects_non_spec_adversary(self):
-        with pytest.raises(ConfigurationError, match="AdversarySpec"):
-            make_scenario({"kind": "lying"})
 
     def test_eclipse_rejected_with_churn(self):
         spec = AdversarySpec(kind="eclipse", fraction=0.1)

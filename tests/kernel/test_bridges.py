@@ -74,9 +74,10 @@ class TestScenarioRunners:
         again = replicate_scenario(scenario, runs=3)
         assert finals == [out.variance_array()[-1] for out in again.outputs]
 
-    def test_replicate_scenario_validates_runs(self, topo, values):
-        with pytest.raises(ConfigurationError):
-            replicate_scenario(Scenario(topo, values), runs=0)
+    @pytest.mark.parametrize("runs", [0, True, 2.5])
+    def test_replicate_scenario_validates_runs(self, topo, values, runs):
+        with pytest.raises(ConfigurationError, match="runs"):
+            replicate_scenario(Scenario(topo, values), runs=runs)
 
 
 def _service_report(topo, values, **fields):

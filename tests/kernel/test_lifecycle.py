@@ -42,15 +42,6 @@ def scenario_with(n=64, seed=5, **kwargs):
 
 
 class TestSpecValidation:
-    def test_epoch_spec_requires_positive_length(self):
-        for bad in (0, 2.5, True):
-            with pytest.raises(ConfigurationError):
-                EpochSpec(cycles_per_epoch=bad)
-
-    def test_epoch_spec_function_type(self):
-        with pytest.raises(ConfigurationError):
-            EpochSpec(cycles_per_epoch=10, function="avg")
-
     @pytest.mark.parametrize("joins, leaves", [
         ([-1], [0]),
         ([1, 2], [0]),
@@ -101,12 +92,6 @@ class TestSpecValidation:
         scenario = scenario_with(churn=trace)
         assert scenario.churn is trace
         assert scenario.is_dynamic
-
-    def test_scenario_requires_a_churn_trace(self):
-        with pytest.raises(ConfigurationError):
-            scenario_with(churn="not a trace")
-        with pytest.raises(ConfigurationError):
-            scenario_with(churn=(np.array([1]), np.array([0])))
 
     def test_scenario_rejects_crash_plan_with_churn(self):
         from repro.failures import CrashPlan

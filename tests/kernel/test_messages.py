@@ -98,25 +98,9 @@ def run_with_monitor(cycles=CYCLES, n=N, seed=SEED, **kwargs):
 
 
 class TestSpecValidation:
-    @pytest.mark.parametrize(
-        "field", ["request_loss", "reply_loss", "duplication"]
-    )
-    @pytest.mark.parametrize("value", [-0.1, 1.5])
-    def test_probability_out_of_range(self, field, value):
-        with pytest.raises(ConfigurationError, match="must be in"):
-            MessageFaultSpec(**{field: value})
-
-    def test_non_callable_schedule_rejected(self):
-        with pytest.raises(ConfigurationError, match="callable"):
-            MessageFaultSpec(request_schedule=0.5)
-
     def test_empty_window_rejected(self):
         with pytest.raises(ConfigurationError, match="empty"):
             MessageFaultSpec(reply_loss=0.1, start=5, end=5)
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ConfigurationError, match="start"):
-            MessageFaultSpec(reply_loss=0.1, start=-1)
 
     def test_schedule_wins_over_rate(self):
         spec = MessageFaultSpec(
@@ -139,28 +123,6 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="schedule returned"):
             spec.rates_at(0)
 
-    def test_retry_timeout_below_one_rejected(self):
-        for bad in (0, 1.5, True):
-            with pytest.raises(ConfigurationError, match="timeout"):
-                RetrySpec(timeout=bad)
-
-    def test_retry_negative_budget_rejected(self):
-        for bad in (-1, 1.5, True):
-            with pytest.raises(ConfigurationError, match="budget"):
-                RetrySpec(budget=bad)
-
-    def test_retry_backoff_below_one_rejected(self):
-        with pytest.raises(ConfigurationError, match="backoff"):
-            RetrySpec(backoff=0.5)
-
-    def test_retry_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown retry mode"):
-            RetrySpec(mode="carrier-pigeon")
-
-    def test_retry_unknown_fallback_rejected(self):
-        with pytest.raises(ConfigurationError, match="fallback"):
-            RetrySpec(fallback="panic")
-
     def test_retry_delay_backs_off_exponentially(self):
         spec = RetrySpec(timeout=2, backoff=2.0)
         assert [spec.delay(a) for a in range(3)] == [2, 4, 8]
@@ -180,10 +142,6 @@ class TestSpecValidation:
         table = RetrySpec(budget=1100).delay_table()
         assert table[61] == 2 ** 61
         assert np.all(table[62:] == 2 ** 62)
-
-    def test_scenario_rejects_non_spec_faults(self):
-        with pytest.raises(ConfigurationError, match="MessageFaultSpec"):
-            make_scenario(message_faults={"reply_loss": 0.1})
 
     def test_scenario_rejects_retry_without_faults(self):
         with pytest.raises(ConfigurationError, match="retry needs"):

@@ -293,10 +293,6 @@ class TestScenarioValidation:
     def values(self, n=100):
         return np.random.default_rng(7).normal(0, 1, n)
 
-    def test_unknown_selector_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PairProtocolSpec(selector="bogus")
-
     def test_pm_odd_n_rejected(self):
         with pytest.raises(PairSelectionError):
             Scenario(CompleteTopology(101), self.values(101),

@@ -44,11 +44,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             Scenario(topo, values, backend="gpu")
 
-    def test_negative_cycles_rejected(self, topo, values):
-        for bad in (-1, 2.5, True):
-            with pytest.raises(ConfigurationError):
-                Scenario(topo, values, cycles=bad)
-
 
 class TestDerivedViews:
     def test_default_single_mean_instance(self, topo, values):

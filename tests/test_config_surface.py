@@ -10,14 +10,20 @@ the table in ``docs/architecture.md`` — in the same diff.
 """
 
 import dataclasses
+import importlib
 import inspect
+import math
+import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
+from repro import CompleteTopology, ConfigurationError
 from repro.core import (
+    SizeEstimationConfig,
     broadcast_scenario,
     median_of_instances,
     service_epochs_scenario,
@@ -30,6 +36,7 @@ from repro.kernel import (
     CheckpointSpec,
     EpochSpec,
     ExecutionBackend,
+    FaultSpec,
     MessageFaultSpec,
     NewscastSpec,
     PairProtocolSpec,
@@ -39,7 +46,9 @@ from repro.kernel import (
     ShardedBackend,
     VectorizedBackend,
 )
+from repro.fields import BOUNDS, KINDS, interval
 from repro.kernel.backends import POOL_FAILURE_MODES
+from repro.kernel.robust import MultiAggregateSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV_NAMES = {
@@ -67,6 +76,33 @@ SPEC_FIELDS = {
     EpochSpec: ["cycles_per_epoch", "reseed", "finalize", "function"],
     CheckpointSpec: ["directory", "every_cycles", "keep"],
     PairProtocolSpec: ["selector", "track_phi", "track_s"],
+    SizeEstimationConfig: [
+        "cycles", "cycles_per_epoch", "expected_leaders", "force_leader",
+        "adaptive_leaders", "initial_size", "seed",
+    ],
+    FaultSpec: ["kind", "worker", "at_call", "delay"],
+    MultiAggregateSpec: [
+        "values", "aggregates", "initial", "reduction", "trim",
+    ],
+}
+#: the fields whose rule lives in their spec's own ``__post_init__``
+CUSTOM_FIELDS = {
+    Scenario: ["values", "aggregates", "initial", "membership", "backend"],
+    MultiAggregateSpec: ["values", "aggregates", "initial"],
+}
+#: the smallest valid construction of every spec
+BASES = {
+    Scenario: lambda: {"topology": CompleteTopology(4), "values": np.zeros(4)},
+    MessageFaultSpec: dict,
+    RetrySpec: dict,
+    NewscastSpec: dict,
+    AdversarySpec: lambda: {"kind": "lying"},
+    EpochSpec: lambda: {"cycles_per_epoch": 3},
+    CheckpointSpec: lambda: {"directory": "checkpoints"},
+    PairProtocolSpec: lambda: {"selector": "pm"},
+    SizeEstimationConfig: dict,
+    FaultSpec: lambda: {"kind": "kill_worker"},
+    MultiAggregateSpec: lambda: {"values": np.zeros(4)},
 }
 
 #: every parameter of a scenario recipe or its reducer, in order
@@ -131,6 +167,95 @@ def test_spec_fields(spec):
     assert names == SPEC_FIELDS[spec]
 
 
+def kind_options(spec_field):
+    """``(kind, options)`` of a declared spec field."""
+    options = dict(spec_field.metadata)
+    return options.pop("kind"), options
+
+
+def bad_values(spec_field):
+    """``{label: value}``: every value the field's kind must reject."""
+    kind, options = kind_options(spec_field)
+    common = {"True": True, "1.5": 1.5, "'1'": "1", "nan": math.nan,
+              "inf": math.inf, "object": object()}
+    bad = {
+        "count": common,
+        "real": {key: common[key] for key in ("True", "'1'", "nan", "inf")},
+        "flag": {"1": 1, **{key: value for key, value in common.items()
+                            if key != "True"}},
+        "choice": {"unknown": "unknown", "True": True, "1.5": 1.5},
+        "node_ids": {"True": True, "1.5": 1.5, "(True,)": (True,),
+                     "(1.5,)": (1.5,), "('1',)": ("1",), "(-1,)": (-1,)},
+        "spec": {key: value for key, value in common.items()
+                 if not isinstance(value, options.get("type", ()))},
+        "callable": {key: common[key] for key in ("True", "1.5", "'1'")},
+        "seed": {key: common[key] for key in ("True", "1.5", "'1'", "nan")},
+    }[kind]
+    if options.get("low") is not None:
+        bad["low-1"] = options["low"] - 1
+    if options.get("high") is not None:
+        bad["high+1"] = options["high"] + 1
+    for bound in ("above", "below"):
+        if options.get(bound) is not None:
+            bad[bound] = options[bound]
+    if spec_field.default is not None:
+        bad["None"] = None
+    return bad
+
+
+BAD_INPUTS = [
+    pytest.param(spec, spec_field.name, value,
+                 id=f"{spec.__name__}.{spec_field.name}={label}")
+    for spec in SPEC_FIELDS
+    for spec_field in dataclasses.fields(spec)
+    if kind_options(spec_field)[0] != "custom"
+    for label, value in bad_values(spec_field).items()
+]
+
+
+@pytest.mark.parametrize("spec, name, value", BAD_INPUTS)
+def test_bad_input_rejected(spec, name, value):
+    """Every value outside a field's kind fails at construction, and
+    the error names the field."""
+    arguments = {**BASES[spec](), name: value}
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{spec.__name__}.{name}")):
+        spec(**arguments)
+
+
+@pytest.mark.parametrize("spec", list(SPEC_FIELDS), ids=lambda s: s.__name__)
+def test_base_is_valid(spec):
+    spec(**BASES[spec]())
+
+
+def test_kinded_fields_are_the_spec_surface():
+    """The fields that declare a kind, across the whole package, are
+    exactly ``SPEC_FIELDS``: a field without a kind fails here."""
+    found = {}
+    for module_info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if module_info.name == "repro.__main__":
+            continue
+        module = importlib.import_module(module_info.name)
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                kinds = {f.name: f.metadata.get("kind")
+                         for f in dataclasses.fields(obj)}
+                if any(kinds.values()):
+                    assert set(kinds.values()) <= set(KINDS), obj
+                    found[obj] = [name for name, kind in kinds.items()
+                                  if kind is not None]
+    assert found == SPEC_FIELDS
+    custom = {
+        spec: [f.name for f in dataclasses.fields(spec)
+               if kind_options(f)[0] == "custom"]
+        for spec in SPEC_FIELDS
+    }
+    assert {spec: names for spec, names in custom.items() if names} == (
+        CUSTOM_FIELDS
+    )
+
+
 @pytest.mark.parametrize("recipe", list(RECIPE_PARAMETERS),
                          ids=lambda f: f.__name__)
 def test_recipe_parameters(recipe):
@@ -148,3 +273,24 @@ def test_architecture_table_lists_the_same_surface():
     section = section.split("\n#", 1)[0]
     rows = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
     assert sorted(rows) == sorted(SHARDED_ARGUMENTS + list(ENV_NAMES))
+
+
+def kind_label(spec_field):
+    """The ``kind`` column of a spec's field table: the kind, then its
+    bounds in interval notation."""
+    kind, options = kind_options(spec_field)
+    bounds = {key: value for key, value in options.items()
+              if key in BOUNDS}
+    return f"`{kind}` {interval(**bounds)}" if bounds else f"`{kind}`"
+
+
+@pytest.mark.parametrize("spec", list(SPEC_FIELDS), ids=lambda s: s.__name__)
+def test_scenarios_doc_tables_list_the_kinds(spec):
+    """``docs/scenarios.md`` has one ``field | kind | meaning`` table
+    per spec, in declaration order, with the declared kinds."""
+    text = (ROOT / "docs" / "scenarios.md").read_text()
+    section = text.split(f"### `{spec.__name__}` fields", 1)[1]
+    section = section.split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", section,
+                      flags=re.MULTILINE)
+    assert rows == [(f.name, kind_label(f)) for f in dataclasses.fields(spec)]

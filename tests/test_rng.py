@@ -36,9 +36,14 @@ class TestMakeRng:
         rng = make_rng(seq)
         assert isinstance(rng, np.random.Generator)
 
-    def test_rejects_bad_type(self):
-        with pytest.raises(ConfigurationError):
-            make_rng("not a seed")
+    @pytest.mark.parametrize("seed", ["not a seed", 1.5, True])
+    @pytest.mark.parametrize("use", [
+        make_rng, lambda seed: spawn_streams(seed, 2),
+        lambda seed: derive_seed(seed, 1),
+    ], ids=["make_rng", "spawn_streams", "derive_seed"])
+    def test_rejects_bad_type(self, use, seed):
+        with pytest.raises(ConfigurationError, match="unsupported seed"):
+            use(seed)
 
 
 class TestSpawnStreams:

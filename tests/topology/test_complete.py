@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import TopologyError
+from repro.errors import ConfigurationError, TopologyError
 from repro.topology import CompleteTopology
 
 
@@ -25,9 +25,15 @@ class TestBasics:
         assert topo.has_edge(0, 3)
         assert not topo.has_edge(2, 2)
 
-    def test_too_small_rejected(self):
-        with pytest.raises(TopologyError):
-            CompleteTopology(1)
+    @pytest.mark.parametrize("n, error", [
+        (1, TopologyError),
+        (5.5, ConfigurationError),
+        (True, ConfigurationError),
+        ("5", ConfigurationError),
+    ])
+    def test_too_small_rejected(self, n, error):
+        with pytest.raises(error):
+            CompleteTopology(n)
 
     def test_node_range_checked(self):
         with pytest.raises(TopologyError):

@@ -4,7 +4,7 @@ topologies."""
 import numpy as np
 import pytest
 
-from repro.errors import TopologyError
+from repro.errors import ConfigurationError, TopologyError
 from repro.topology import (
     BarabasiAlbertTopology,
     ErdosRenyiTopology,
@@ -26,9 +26,17 @@ class TestErdosRenyi:
         topo = ErdosRenyiTopology(10, 1.0, seed=1)
         assert topo.edge_count() == 45
 
-    def test_invalid_p(self):
-        with pytest.raises(TopologyError):
-            ErdosRenyiTopology(10, 1.5)
+    @pytest.mark.parametrize("n, p, error", [
+        (10, 1.5, TopologyError),
+        (10, -0.1, TopologyError),
+        (10, True, ConfigurationError),
+        (10, float("nan"), ConfigurationError),
+        (10, "0.5", ConfigurationError),
+        (10.5, 0.5, ConfigurationError),
+    ])
+    def test_invalid_p(self, n, p, error):
+        with pytest.raises(error):
+            ErdosRenyiTopology(n, p)
 
     def test_edge_count_near_expectation(self):
         n, p = 100, 0.1
@@ -63,9 +71,15 @@ class TestRing:
         topo = RingTopology(10, 4)
         assert sorted(topo.neighbors(0).tolist()) == [1, 2, 8, 9]
 
-    def test_odd_k_rejected(self):
-        with pytest.raises(TopologyError):
-            RingTopology(10, 3)
+    @pytest.mark.parametrize("n, k, error", [
+        (10, 3, TopologyError),
+        (10, 2.0, ConfigurationError),
+        (10, True, ConfigurationError),
+        (10.0, 2, ConfigurationError),
+    ])
+    def test_odd_k_rejected(self, n, k, error):
+        with pytest.raises(error):
+            RingTopology(n, k)
 
     def test_k_too_large_rejected(self):
         with pytest.raises(TopologyError):
@@ -94,9 +108,16 @@ class TestWattsStrogatz:
         ws = WattsStrogatzTopology(40, 4, 0.3, seed=3)
         assert ws.edge_count() == 80
 
-    def test_invalid_beta(self):
-        with pytest.raises(TopologyError):
-            WattsStrogatzTopology(10, 2, -0.1)
+    @pytest.mark.parametrize("n, k, beta, error", [
+        (10, 2, -0.1, TopologyError),
+        (10, 2, True, ConfigurationError),
+        (10, 2, float("inf"), ConfigurationError),
+        (10, 2.0, 0.5, ConfigurationError),
+        (10.5, 2, 0.5, ConfigurationError),
+    ])
+    def test_invalid_beta(self, n, k, beta, error):
+        with pytest.raises(error):
+            WattsStrogatzTopology(n, k, beta)
 
     def test_mean_degree_preserved(self):
         ws = WattsStrogatzTopology(60, 6, 0.5, seed=4)
@@ -127,11 +148,16 @@ class TestBarabasiAlbert:
     def test_connected(self):
         assert is_connected(BarabasiAlbertTopology(100, 2, seed=4))
 
-    def test_invalid_params(self):
-        with pytest.raises(TopologyError):
-            BarabasiAlbertTopology(5, 0)
-        with pytest.raises(TopologyError):
-            BarabasiAlbertTopology(3, 3)
+    @pytest.mark.parametrize("n, m, error", [
+        (5, 0, TopologyError),
+        (3, 3, TopologyError),
+        (5, 1.0, ConfigurationError),
+        (5, True, ConfigurationError),
+        (5.5, 2, ConfigurationError),
+    ])
+    def test_invalid_params(self, n, m, error):
+        with pytest.raises(error):
+            BarabasiAlbertTopology(n, m)
 
 
 class TestSparseRandomNeighborDraws:
@@ -189,9 +215,14 @@ class TestStar:
     def test_hub_property(self):
         assert StarTopology(4).hub == 0
 
-    def test_minimum_size(self):
-        with pytest.raises(TopologyError):
-            StarTopology(1)
+    @pytest.mark.parametrize("n, error", [
+        (1, TopologyError),
+        (4.0, ConfigurationError),
+        (True, ConfigurationError),
+    ])
+    def test_minimum_size(self, n, error):
+        with pytest.raises(error):
+            StarTopology(n)
 
     def test_connected(self):
         assert is_connected(StarTopology(20))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import TopologyError
+from repro.errors import ConfigurationError, TopologyError
 from repro.topology import RandomRegularTopology, degree_statistics, is_connected
 
 
@@ -16,9 +16,15 @@ class TestValidation:
         with pytest.raises(TopologyError):
             RandomRegularTopology(4, 4)
 
-    def test_nonpositive_k_rejected(self):
-        with pytest.raises(TopologyError):
-            RandomRegularTopology(4, 0)
+    @pytest.mark.parametrize("n, k, error", [
+        (4, 0, TopologyError),
+        (40, 4.0, ConfigurationError),
+        (40, True, ConfigurationError),
+        (40.0, 4, ConfigurationError),
+    ])
+    def test_nonpositive_k_rejected(self, n, k, error):
+        with pytest.raises(error):
+            RandomRegularTopology(n, k)
 
 
 class TestStructure:

@@ -9,14 +9,16 @@ relative target exists on disk (anchors are stripped; external
 dotted names under the package (`` `repro.kernel.Scenario` ``): each
 must import, as a module or as an attribute chain of one.
 ``CHANGES.md`` and ``ROADMAP.md`` record deleted modules on purpose and
-are not name-checked. The script puts ``src/`` on ``sys.path`` itself
+are not name-checked. The newest ``- PR`` entry of ``CHANGES.md`` (the
+last one in the file) must be at most 12 lines of at most 80 columns;
+older entries are exempt. The script puts ``src/`` on ``sys.path`` itself
 (importing the package needs numpy). CI runs this as the docs
 link-check step; run it locally with::
 
     python tools/check_links.py
 
-Exit code 0 when every link and name resolves, 1 otherwise (broken
-ones are listed).
+Exit code 0 when every link and name resolves and the newest entry
+fits, 1 otherwise (the failures are listed).
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
 
 #: a backticked dotted name under the package: `repro.kernel.Scenario`
 NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
+
+#: the size limit of the newest CHANGES.md entry
+ENTRY_LINES, ENTRY_COLUMNS = 12, 80
 
 
 def markdown_files():
@@ -95,7 +100,32 @@ def check_file(path: Path):
             yield target, f"missing file {shown}"
 
 
+def check_changes(path: Path):
+    """Yield (where, reason) when the newest ``- PR`` entry of the
+    changelog at ``path`` — its first line plus the indented lines
+    under it — is over :data:`ENTRY_LINES` lines or has a line over
+    :data:`ENTRY_COLUMNS` columns."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    starts = [i for i, line in enumerate(lines) if line.startswith("- PR")]
+    if not starts:
+        return
+    end = starts[-1] + 1
+    while end < len(lines) and lines[end].startswith("  "):
+        end += 1
+    if end - starts[-1] > ENTRY_LINES:
+        yield (f"line {starts[-1] + 1}",
+               f"newest entry is {end - starts[-1]} lines, limit "
+               f"{ENTRY_LINES}")
+    for number in range(starts[-1], end):
+        if len(lines[number]) > ENTRY_COLUMNS:
+            yield (f"line {number + 1}",
+                   f"{len(lines[number])} columns, limit {ENTRY_COLUMNS}")
+
+
 def main() -> int:
+    too_long = list(check_changes(REPO_ROOT / "CHANGES.md"))
+    for where, reason in too_long:
+        print(f"CHANGES.md {where}: {reason}", file=sys.stderr)
     broken = []
     files = markdown_files()
     for path in files:
@@ -110,6 +140,7 @@ def main() -> int:
                   file=sys.stderr)
         print(f"{len(broken)} broken reference(s) in {len(files)} file(s)",
               file=sys.stderr)
+    if broken or too_long:
         return 1
     print(f"all relative links and documented names resolve across "
           f"{len(files)} markdown file(s)")
