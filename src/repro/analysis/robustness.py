@@ -18,6 +18,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..fields import check_count, check_real
 from ..kernel.adversary import ADVERSARY_KINDS, AdversarySpec
 from ..kernel.engine import GossipEngine
 from ..kernel.invariants import MassConservationMonitor
@@ -61,9 +62,11 @@ class _Sweep:
                             f"expected a subset of {sorted(known)}")
         return cls(**dict(mapping))
 
-    def _check_shape(self, *sequences: str) -> None:
-        _check(self.n >= 2, f"n must be >= 2, got {self.n}")
-        _check(self.runs >= 1, f"runs must be >= 1, got {self.runs}")
+    def _check_shape(self, min_cycles: int, *sequences: str) -> None:
+        where = type(self).__name__
+        check_count(self.n, f"{where}.n", low=2)
+        check_count(self.runs, f"{where}.runs", low=1)
+        check_count(self.cycles, f"{where}.cycles", low=min_cycles)
         for name in sequences:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
@@ -104,18 +107,17 @@ class RobustnessSweep(_Sweep):
     trim: float = DEFAULT_TRIM
 
     def __post_init__(self) -> None:
-        self._check_shape("kinds", "fractions", "churn_rates", "topologies")
-        _check(self.cycles >= 1 and self.cycles_per_epoch >= 1,
-               "cycles and cycles_per_epoch must be >= 1")
+        self._check_shape(1, "kinds", "fractions", "churn_rates",
+                          "topologies")
+        check_count(self.cycles_per_epoch, "RobustnessSweep.cycles_per_epoch",
+                    low=1)
         for kind in self.kinds:
             _check(kind in ADVERSARY_KINDS, f"unknown adversary kind "
                    f"{kind!r}; expected one of {ADVERSARY_KINDS}")
         for fraction in self.fractions:
-            _check(0.0 <= fraction <= 1.0, f"adversary fractions must be "
-                   f"in [0, 1], got {fraction}")
+            check_real(fraction, "RobustnessSweep.fractions", low=0, high=1)
         for rate in self.churn_rates:
-            _check(0.0 <= rate < 1.0,
-                   f"churn rates must be in [0, 1), got {rate}")
+            check_real(rate, "RobustnessSweep.churn_rates", low=0, below=1)
         for name in self.topologies:
             _parse_topology_name(name)  # validate eagerly, build lazily
 
@@ -328,20 +330,18 @@ class MessageFaultSweep(_Sweep):
     seed: SeedLike = 2004
 
     def __post_init__(self) -> None:
-        self._check_shape("loss_rates", "directions", "policies")
-        _check(self.cycles >= 2, f"cycles must be >= 2 for a convergence "
-               f"factor, got {self.cycles}")
+        # a convergence factor needs two cycles
+        self._check_shape(2, "loss_rates", "directions", "policies")
         for rate in self.loss_rates:
-            _check(0.0 <= rate < 1.0,
-                   f"loss rates must be in [0, 1), got {rate}")
+            check_real(rate, "MessageFaultSweep.loss_rates", low=0, below=1)
         for direction in self.directions:
             _check(direction in MESSAGE_FAULT_DIRECTIONS, f"unknown loss "
                    f"direction {direction!r}; expected one of "
                    f"{MESSAGE_FAULT_DIRECTIONS}")
         for policy in self.policies:
             retry_for_policy(policy)  # validate eagerly
-        _check(0.0 <= self.duplication < 1.0,
-               f"duplication must be in [0, 1), got {self.duplication}")
+        check_real(self.duplication, "MessageFaultSweep.duplication", low=0,
+                   below=1)
 
     def grid(self) -> ScenarioGrid:
         values = make_rng(fold_seed(("message-values", self.seed))).normal(

@@ -120,6 +120,9 @@ class ScenarioGrid:
     seed_tag: Tuple[Any, ...] = ()
     skip: Optional[Callable[[Mapping[str, Any]], bool]] = None
 
+    def __post_init__(self) -> None:
+        check_count(self.runs, "ScenarioGrid.runs", low=1)
+
     def cells(self) -> List[Dict[str, Any]]:
         """The cell matrix, in execution order."""
         matrix = []

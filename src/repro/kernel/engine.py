@@ -10,9 +10,9 @@ stochastic and everything stateful:
 * node state as a ``(capacity, k)`` structure-of-arrays value matrix
   — one column per aggregation instance, one row per node slot — plus
   whatever else a slot holds (*alive* and *participant* masks, epoch
-  attributes, the adversary mask, the retry protocol's tables), listed
-  once in :data:`_SLOT_STATE`: capacity growth, checkpoint and restore
-  are loops over that table,
+  attributes, the adversary mask, the message channel's retry rows),
+  listed once in :data:`_SLOT_STATE`: capacity growth, checkpoint and
+  restore are loops over that table,
 * node lifecycle: a :class:`~repro.kernel.lifecycle.ChurnTrace` is
   applied as alive-mask growth/shrink with value-matrix row recycling
   (departed slots are reused by joiners, which start from zero; the
@@ -33,8 +33,8 @@ stochastic and everything stateful:
   :class:`~repro.kernel.membership.NewscastProvider` draws from
   gossip-maintained partial views refreshed through the backend's
   node-disjoint batch primitives — no global membership oracle, and
-* the remaining failure machinery (crash plan, message faults and
-  their retry protocol), and
+* the crash plan, and message faults with their retry protocol
+  (through one :class:`~repro.kernel.messages.ExchangeChannel`), and
 * the declarative adversary
   (:class:`~repro.kernel.adversary.AdversarySpec`): the adversary set
   is drawn once at construction, ``inject`` corruption is written into
@@ -81,7 +81,6 @@ from typing import (
 
 import numpy as np
 
-from ..core.aggregates import MeanAggregate
 from ..errors import (
     CheckpointError,
     ConfigurationError,
@@ -92,10 +91,8 @@ from ..fields import check_count, check_node_id
 from ..rng import make_rng
 from .backends import (
     ExecutionBackend,
-    GreedyScratch,
     Moments,
     MomentScratch,
-    apply_one_sided,
     column_moments,
     make_backend,
 )
@@ -111,6 +108,12 @@ from .checkpoint import (
 from .invariants import InvariantFinding, InvariantMonitor, InvariantReport
 from .lifecycle import EpochRestart, EpochView
 from .membership import PartnerProvider, build_provider
+from .messages import (
+    CHANNEL_SLOTS,
+    MESSAGE_COUNTERS,
+    ExchangeChannel,
+    fresh_slots,
+)
 from .pairs import PairDraw, conflict_free_plan
 from .scenario import Scenario
 
@@ -121,15 +124,17 @@ from .scenario import Scenario
 RecordPoint = Union[List[Moments], Callable[[], List[Moments]]]
 
 #: What a node slot holds beside its row of the value matrix, said
-#: once. Capacity growth, the retry tables' (re-)allocation, checkpoint
-#: and restore are loops over these rows and the structure monitor
-#: audits their lengths, so a new per-slot array is one more row here
-#: plus the place that clears it when a slot changes hands — and
-#: ``tests/faults/test_checkpoint.py`` fails on an array that has a
-#: slot per node and no row. Columns: attribute; checkpoint key (the
-#: on-disk name: never renamed); dtype; what fresh capacity holds; one
-#: column per aggregation instance, or a vector; the scenario field
-#: that brings the array into being (``None``: always there).
+#: once. Capacity growth, checkpoint and restore are loops over these
+#: rows and the structure monitor audits their lengths, so a new
+#: per-slot array is one more row here plus the place that clears it
+#: when a slot changes hands — and ``tests/faults/test_checkpoint.py``
+#: fails on an array that has a slot per node and no row. Columns:
+#: attribute; checkpoint key (the on-disk name: never renamed); dtype;
+#: what fresh capacity holds; one column per aggregation instance, or a
+#: vector; the scenario field that brings the array into being
+#: (``None``: always there). The ``retry`` rows are the message
+#: channel's (:data:`~repro.kernel.messages.CHANNEL_SLOTS`): it holds,
+#: allocates and clears them.
 _SLOT_STATE = (
     ("_alive", "alive", bool, False, False, None),
     # the nodes gossiping in the current epoch: diverges from alive
@@ -142,20 +147,7 @@ _SLOT_STATE = (
     # fresh capacity is always honest; a recycled slot keeps the
     # departed node's flag (the attacker holds the position)
     ("_adv_mask", "adv_mask", bool, False, False, "adversary"),
-    # the retry protocol's pending exchange, per initiator: partner
-    # (-1: none outstanding), phase (1 = awaiting any contact, 2 = the
-    # partner holds a cached combined value), attempts burned, cycle
-    # of the next retry, the cached reply row and the request row it
-    # answered (a delivered retransmission repairs mass from these
-    # two), and the permanent push-only fallback flag
-    ("_mf_partner", "mf_partner", np.int64, -1, False, "retry"),
-    ("_mf_kind", "mf_kind", np.int8, 0, False, "retry"),
-    ("_mf_attempt", "mf_attempt", np.int64, 0, False, "retry"),
-    ("_mf_due", "mf_due", np.int64, 0, False, "retry"),
-    ("_mf_cache", "mf_cache", np.float64, 0.0, True, "retry"),
-    ("_mf_sent", "mf_sent", np.float64, 0.0, True, "retry"),
-    ("_mf_push_only", "mf_push_only", bool, False, False, "retry"),
-)
+) + CHANNEL_SLOTS
 
 #: the scalar counters of a run, as (attribute, manifest field)
 _COUNTERS = (
@@ -205,14 +197,6 @@ def _check_restorable(scenario: Scenario, manifest: Dict[str, Any],
             f"checkpoint payload holds no {', '.join(map(repr, missing))} "
             f"member; every checkpoint has one"
         )
-
-
-def _fresh_slots(shape, dtype, fill) -> np.ndarray:
-    """What fresh capacity holds for one row of :data:`_SLOT_STATE`
-    (zeros stay ``np.zeros``: pages nobody wrote cost nothing)."""
-    if fill:
-        return np.full(shape, fill, dtype=dtype)
-    return np.zeros(shape, dtype=dtype)
 
 
 @dataclass
@@ -343,9 +327,10 @@ class GossipEngine:
         self._functions: Tuple = scenario.functions
         self._matrix = matrix
         # per-slot state: a row of _SLOT_STATE this scenario does not
-        # need stays None
-        for attr, *_ in _SLOT_STATE:
-            setattr(self, attr, None)
+        # need stays None (the channel sets its own rows)
+        for attr, *_, needs in _SLOT_STATE:
+            if needs != "retry":
+                setattr(self, attr, None)
         self._alive = np.ones(scenario.n, dtype=bool)
         self._rng = make_rng(scenario.seed)
         # reusable per-cycle scratch; bump _mask_version on every
@@ -401,25 +386,17 @@ class GossipEngine:
             isolated = scenario.topology.isolated_mask()
             if isolated is not None and isolated.any():
                 self._isolated = isolated
-        # -- message-fault state (MessageFaultSpec / RetrySpec) ---------
-        # like the adversary, message faults are applied entirely by
-        # the engine: fault coins come from the engine RNG, partial
-        # exchanges / duplicate deliveries / retransmission repairs are
-        # engine-side matrix writes after the backend batch — backends
-        # never see the spec, so bitwise equivalence is preserved
-        self._faults = scenario.message_faults
-        self._retry = scenario.retry
-        # backoff delays by attempt number (attempts never pass budget)
-        self._mf_delays: Optional[np.ndarray] = None
-        if self._retry is not None:
-            self._alloc_retry_state(scenario.n, len(self._names))
-            self._mf_delays = self._retry.delay_table()
-        # segmentation scratch of the engine-side one-sided writes
-        self._mf_scratch = GreedyScratch()
-        self._mf_stats: Dict[str, int] = {
-            "partials": 0, "duplicates": 0, "repairs": 0,
-            "retries": 0, "giveups": 0,
-        }
+        # -- the message layer (MessageFaultSpec / RetrySpec) ----------
+        # like the adversary, message faults never reach the backends:
+        # the channel draws their coins from the engine RNG and writes
+        # their effects engine-side, so bitwise equivalence holds
+        self._channel: Optional[ExchangeChannel] = None
+        if scenario.message_faults is not None:
+            self._channel = ExchangeChannel(
+                scenario.message_faults, scenario.retry, scenario.n,
+                len(self._names),
+            )
+            self._channel.bind(self)
         # the partner-draw layer: bound after the adversary draw so the
         # oracle provider (which consumes no RNG here) reproduces the
         # historical construction-time RNG stream exactly, and any
@@ -443,15 +420,6 @@ class GossipEngine:
         # unchanged, the sharded backend moves it into shared memory so
         # all later in-place engine mutations are visible to its workers
         self._matrix = self._backend.adopt_matrix(self._matrix)
-        # the fused alive/partition mask pass only exists to serve
-        # failure specs; without any, and as long as no mask mutation
-        # has ever happened (_mask_version still 0), a static cycle's
-        # exchanges are exactly (initiators, partners) — no mask
-        # allocation, no compaction scan
-        self._no_failure_filters = (
-            not self._adversary_partition
-            and scenario.message_faults is None
-        )
         # -- invariant monitors -----------------------------------------
         # observed at the end of every cycle; the per-cycle mass ledger
         # records every deliberate mass-moving engine event with its
@@ -472,13 +440,14 @@ class GossipEngine:
         self._moment_scratch = MomentScratch()
         self.cycle = 0
 
-    def _alloc_retry_state(self, capacity: int, k: int) -> None:
-        """(Re-)allocate the retry protocol's rows of
-        :data:`_SLOT_STATE`: nothing outstanding anywhere."""
-        for attr, _, dtype, fill, per_column, needs in _SLOT_STATE:
-            if needs == "retry":
-                shape = (capacity, k) if per_column else (capacity,)
-                setattr(self, attr, _fresh_slots(shape, dtype, fill))
+    def _slot_rows(self):
+        """``(holder, row)`` for every live row of :data:`_SLOT_STATE`:
+        the channel holds the ``retry`` rows, the engine the others."""
+        for row in _SLOT_STATE:
+            attr, *_, needs = row
+            holder = self._channel if needs == "retry" else self
+            if holder is not None and getattr(holder, attr) is not None:
+                yield holder, row
 
     # -- lifecycle -------------------------------------------------------
 
@@ -493,6 +462,8 @@ class GossipEngine:
         self._matrix = self._backend.release_matrix(self._matrix)
         self._backend.close()
         self._provider.unbind()
+        if self._channel is not None:
+            self._channel.unbind()
 
     def __enter__(self) -> "GossipEngine":
         return self
@@ -671,10 +642,8 @@ class GossipEngine:
         ``slot_lengths`` is how many slots the matrix and every live
         row of :data:`_SLOT_STATE` hold, by checkpoint key."""
         lengths = {"matrix": len(self._matrix)}
-        for attr, key, *_ in _SLOT_STATE:
-            held = getattr(self, attr)
-            if held is not None:
-                lengths[key] = len(held)
+        for holder, (attr, key, *_) in self._slot_rows():
+            lengths[key] = len(getattr(holder, attr))
         return {
             "alive": self._alive,
             "participant": self._participant,
@@ -690,14 +659,16 @@ class GossipEngine:
         """Cumulative message-fault event counts: partial exchanges
         executed, duplicate deliveries, exact retransmission repairs,
         retry attempts, and budget-exhausted give-ups (copy)."""
-        return dict(self._mf_stats)
+        if self._channel is None:
+            return dict.fromkeys(MESSAGE_COUNTERS, 0)
+        return dict(self._channel.stats)
 
     @property
     def pending_retry_count(self) -> int:
         """Nodes currently blocked on an outstanding exchange."""
-        if self._mf_partner is None:
+        if self._channel is None:
             return 0
-        return int(np.count_nonzero(self._mf_partner >= 0))
+        return self._channel.pending_count
 
     # -- invariant monitors ----------------------------------------------
 
@@ -786,12 +757,8 @@ class GossipEngine:
                 self._mask_version += 1
                 if self._dynamic:
                     self._free_slots.append(int(node_id))
-        if self._retry is not None and len(node_ids):
-            # a crashed node's outstanding exchange dies with it; a
-            # recycled slot must not inherit pending/push-only state
-            self._clear_pending(
-                np.asarray(node_ids, dtype=np.int64), recycled=True
-            )
+        if self._channel is not None:
+            self._channel.forget(node_ids)
         if self._mask_version != version:
             self._provider.on_mask_change(self._mask_version)
 
@@ -840,8 +807,8 @@ class GossipEngine:
                     self._ledger_add(
                         "leave", -self._matrix[departing].sum(axis=0)
                     )
-            if self._retry is not None:
-                self._clear_pending(leavers, recycled=True)
+            if self._channel is not None:
+                self._channel.forget(leavers)
             self._alive[leavers] = False
             self._participant[leavers] = False
             self._mask_version += 1
@@ -862,11 +829,10 @@ class GossipEngine:
         # copies the old rows straight into it; geometric growth keeps
         # remaps O(log n)
         self._matrix = self._backend.grow_matrix(self._matrix, new_capacity)
-        for attr, _, dtype, fill, _, _ in _SLOT_STATE:
-            held = getattr(self, attr)
-            if held is not None:
-                tail = _fresh_slots((grow,) + held.shape[1:], dtype, fill)
-                setattr(self, attr, np.concatenate([held, tail]))
+        for holder, (attr, _, dtype, fill, _, _) in self._slot_rows():
+            held = getattr(holder, attr)
+            tail = fresh_slots((grow,) + held.shape[1:], dtype, fill)
+            setattr(holder, attr, np.concatenate([held, tail]))
         # provider-held per-node state (newscast view rows) grows with
         # the same geometric schedule
         self._provider.grow(new_capacity)
@@ -901,10 +867,6 @@ class GossipEngine:
         self._matrix[slots] = 0.0
         if self._attributes is not None:
             self._attributes[slots] = 0.0
-        if self._retry is not None and len(slots):
-            # a joiner starts with a clean protocol state even when it
-            # recycles the slot of a node that left mid-exchange
-            self._clear_pending(slots, recycled=True)
         if self._monitor_entries and self._epochs is None and len(slots):
             # under plain churn joiners participate immediately: their
             # zero rows enter the participant mass
@@ -928,10 +890,10 @@ class GossipEngine:
             # a restart deliberately replaces the participant mass; the
             # mass monitor re-anchors instead of attributing deltas
             self._ledger_rebase = True
-        if self._retry is not None:
+        if self._channel is not None:
             # a restart is a full protocol restart: outstanding
             # exchanges and push-only fallbacks are forgotten
-            self._alloc_retry_state(self.capacity, self._matrix.shape[1])
+            self._channel.reset(self.capacity, self._matrix.shape[1])
         self.epoch += 1
         np.copyto(self._participant, self._alive)
         self._mask_version += 1
@@ -973,9 +935,9 @@ class GossipEngine:
             self._matrix = self._backend.allocate_matrix(
                 self.capacity, k_new
             )
-            if self._retry is not None:
+            if self._channel is not None:
                 # cached combined rows are per-column; track the new k
-                self._alloc_retry_state(self.capacity, k_new)
+                self._channel.reset(self.capacity, k_new)
         self._matrix[participants] = rows
 
     def _finalize_epoch(self, end_cycle: int) -> None:
@@ -1039,19 +1001,17 @@ class GossipEngine:
             "rng_state": pickle_payload(self._rng.bit_generator.state),
             "epoch_results": pickle_payload(self._epoch_results),
         }
-        for attr, key, *_ in _SLOT_STATE:
-            held = getattr(self, attr)
-            if held is not None:
-                arrays[key] = held
+        for holder, (attr, key, *_) in self._slot_rows():
+            arrays[key] = getattr(holder, attr)
         views = self._provider.view_matrix
         if views is not None:
             arrays["views"] = views
         if self._phi_log:
             arrays["phi_log"] = np.stack(self._phi_log)
-        if self._faults is not None:
+        if self._channel is not None:
             # the counts are state as soon as faults are declared,
             # whether or not a retry policy rides along
-            arrays["mf_stats"] = pickle_payload(self._mf_stats)
+            arrays["mf_stats"] = pickle_payload(self._channel.stats)
         manifest = {
             "n": int(self.scenario.n),
             "capacity": int(self.capacity),
@@ -1084,22 +1044,20 @@ class GossipEngine:
             self._functions = (self._epochs.function,) * k
             self._names = tuple(range(k))
         self._moments = None
-        for attr, key, dtype, *_ in _SLOT_STATE:
-            if getattr(self, attr) is None:
-                continue
+        for holder, (attr, key, dtype, *_) in self._slot_rows():
             if key not in arrays:
                 raise CheckpointError(
                     f"checkpoint holds no {key!r} array, which this "
                     f"scenario's engine keeps per slot"
                 )
             setattr(
-                self, attr, np.ascontiguousarray(arrays[key], dtype=dtype)
+                holder, attr, np.ascontiguousarray(arrays[key], dtype=dtype)
             )
         self._provider.load_state(arrays.get("views"))
-        if self._faults is not None and "mf_stats" in arrays:
+        if self._channel is not None and "mf_stats" in arrays:
             # a checkpoint an older build wrote without a retry policy
             # has none: the counts then restart from zero
-            self._mf_stats = dict(unpickle_payload(arrays["mf_stats"]))
+            self._channel.stats = dict(unpickle_payload(arrays["mf_stats"]))
         self._free_slots = [int(slot) for slot in arrays["free_slots"]]
         self._phi_log = [row.copy() for row in arrays.get("phi_log", ())]
         self._epoch_results = list(unpickle_payload(arrays["epoch_results"]))
@@ -1182,18 +1140,6 @@ class GossipEngine:
             self._observe_invariants(executed)
         return count
 
-    def _loss_coins(self, count: int, p: float) -> np.ndarray:
-        """The one loss-coin idiom every stochastic drop shares: a
-        boolean survival mask (``True`` = delivered) from one batched
-        uniform draw. ``p == 0`` consumes no RNG and returns all-True,
-        so inactive fault processes leave the stream untouched; every
-        caller draws ``rng.random(count)`` against the same threshold
-        rule, so coins can never diverge between the fault path and
-        the retry path."""
-        if p <= 0.0:
-            return np.ones(count, dtype=bool)
-        return self._rng.random(count) >= p
-
     def _run_cycle_inner(self) -> int:
         """The cycle body (see :meth:`run_cycle`)."""
         if self._closed:
@@ -1220,15 +1166,6 @@ class GossipEngine:
             self._apply_churn()
         if self._adversary is not None:
             self._apply_adversary_state()
-        mf_blocked = None
-        if self._retry is not None:
-            # snapshot BEFORE retry processing: a node whose exchange
-            # resolves this cycle (repair or give-up) sits the cycle
-            # out — its retry already was its protocol action
-            blocked = (self._mf_partner >= 0) | self._mf_push_only
-            if blocked.any():
-                mf_blocked = blocked
-            self._process_retries()
         rng = self._rng
         plan = self._plan
         plan.ensure(self.capacity)
@@ -1241,8 +1178,10 @@ class GossipEngine:
         initiators = plan.initiators(
             self._participant, self._mask_version, exclude=self._isolated
         )
-        if mf_blocked is not None:
-            initiators = initiators.compress(~mf_blocked.take(initiators))
+        if self._channel is not None:
+            # due retries fire, and who waits on an outstanding
+            # exchange sits the cycle out
+            initiators = self._channel.begin_cycle(initiators)
         count = len(initiators)
         if self._dynamic and count < 2:
             # dynamic overlays draw among the current participants:
@@ -1262,7 +1201,8 @@ class GossipEngine:
             captured = redirect >= 0
             if captured.any():
                 partners[captured] = redirect[captured]
-        if self._no_failure_filters and self._mask_version == 0:
+        if (self._mask_version == 0 and self._channel is None
+                and not self._adversary_partition):
             # fast path: every node alive and participating (nothing
             # has ever bumped the mask version) and nothing can fail
             # an exchange, so the survivors ARE (initiators, partners)
@@ -1291,310 +1231,16 @@ class GossipEngine:
             # honest/adversarial boundary fail
             adv = self._adv_mask
             ok &= ~(adv.take(initiators) ^ adv.take(partners))
-        if self._faults is not None:
-            return self._finish_cycle_with_faults(initiators, partners, ok)
-        exch_i, exch_j = plan.compact(initiators, partners, ok)
-        self._backend.apply_exchanges(
-            self._matrix, self._functions, exch_i, exch_j
-        )
-        self.cycle += 1
-        return len(exch_i)
-
-    # -- message faults ---------------------------------------------------
-
-    def _finish_cycle_with_faults(
-        self,
-        initiators: np.ndarray,
-        partners: np.ndarray,
-        ok: np.ndarray,
-    ) -> int:
-        """Split this cycle's surviving exchanges by the message-fault
-        coins and finish the cycle.
-
-        ``ok`` is the survival mask (dead partner, partitions) — the
-        fault coins layer on top of it, in fixed RNG order *request,
-        reply, duplication* so trajectories are reproducible across
-        backends and retry configurations. A process at probability 0
-        draws no coins, and its masks are skipped too:
-
-        * a lost request cancels the exchange at both ends — the
-          paper's failed exchange,
-        * ``delivered``: the request arrived at a partner willing to
-          serve it — the partner applies AGGREGATE and sends the reply,
-        * ``full = delivered & reply_ok``: the atomic exchange — goes
-          through the execution backend's batch like any other,
-        * ``partial = delivered & ~reply_ok``: the paper's one-sided
-          exchange — partner adopts the combined value, initiator keeps
-          its old one; applied engine-side after the batch,
-        * a *busy* partner (one with its own outstanding exchange — its
-          value is frozen) refuses with a NACK reply: the exchange
-          fails cleanly unless the NACK itself is lost (same reply
-          coin), in which case the initiator cannot tell it from a
-          lost request;
-        * with a :class:`~repro.kernel.messages.RetrySpec` every
-          initiator that heard *nothing* becomes pending — a partial's
-          initiator too, since a lost reply and a lost request look
-          identical from its side.
-
-        Returns full + partial exchange count (a partial did change
-        system state; a silently cancelled exchange did not).
-        """
-        faults = self._faults
-        retry = self._retry
-        cycle = self.cycle
-        count = len(initiators)
-        p_request, p_reply, p_dup = faults.rates_at(cycle)
-        delivered = ok & self._loss_coins(count, p_request)
-        rep_ok = self._loss_coins(count, p_reply) if p_reply > 0.0 else None
-        dup = ~self._loss_coins(count, p_dup) if p_dup > 0.0 else None
-        nacked = None
-        if retry is not None:
-            busy = (self._mf_partner >= 0).take(partners)
-            refused = delivered & busy
-            delivered &= ~busy
-            # a surviving NACK tells the initiator the exchange did not
-            # happen — a clean failure, not a timeout
-            nacked = refused if rep_ok is None else refused & rep_ok
-        # masks decide, index lists move: each exchange class becomes a
-        # list of positions once, and every gather below is a take
-        full = delivered
-        partial_at = dup_at = np.empty(0, dtype=np.intp)
-        if rep_ok is not None:
-            full = delivered & rep_ok
-            partial_at = np.flatnonzero(delivered & ~rep_ok)
-        if dup is not None:
-            dup_at = np.flatnonzero(dup & delivered)
-        partial_count = len(partial_at)
-        if len(dup_at) or partial_count:
-            # engine-side matrix writes ahead: drain in-flight work so
-            # reads see this cycle's true pre-state
-            self._backend.sync()
-        if len(dup_at):
-            # the duplicate carries the payload the initiator *sent* —
-            # its row before any of this cycle's exchanges applied
-            dup_i = initiators.take(dup_at)
-            payload = self._matrix.take(dup_i, axis=0)
-        exch_i, exch_j = self._plan.compact(initiators, partners, full)
-        full_count = len(exch_i)
-        self._backend.apply_exchanges(
-            self._matrix, self._functions, exch_i, exch_j
-        )
-        combined = sent = None
-        if partial_count:
-            self._backend.sync()
-            partial_i = initiators.take(partial_at)
-            combined, sent = self._apply_one_sided(
-                "partial", partial_i, partners.take(partial_at)
-            )
-        if len(dup_at):
-            self._backend.sync()
-            self._apply_one_sided(
-                "duplicate", dup_i, partners.take(dup_at), payload=payload
-            )
-        if retry is not None:
-            unanswered_at = np.flatnonzero(ok & ~full & ~nacked)
-            if len(unanswered_at):
-                slots = initiators.take(unanswered_at)
-                self._mf_partner[slots] = partners.take(unanswered_at)
-                self._mf_kind[slots] = 1
-                self._mf_attempt[slots] = 0
-                self._mf_due[slots] = cycle + self._mf_delays[0]
-                if partial_count:
-                    # the partner serviced these and holds (for the
-                    # engine: we cache) the combined reply plus the
-                    # request it answered — a retransmission is
-                    # answered from the cache
-                    self._mf_kind[partial_i] = 2
-                    self._mf_cache[partial_i] = combined
-                    self._mf_sent[partial_i] = sent
-        self.cycle += 1
-        return full_count + partial_count
-
-    def _apply_one_sided(
-        self,
-        kind: str,
-        fi: np.ndarray,
-        fj: np.ndarray,
-        adopt_i: Optional[np.ndarray] = None,
-        payload: Optional[np.ndarray] = None,
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """The one-sided exchange kernel: the partner ``fj`` always
-        adopts ``AGGREGATE(sent, x_j)`` (it serviced the request); the
-        initiator adopts it only where the reply survived (``adopt_i``)
-        — nowhere (``None``) for a cycle's reply-lost exchanges, on
-        some rows for the fresh exchanges of retrying initiators.
-        ``sent`` is the initiator's row, or the stale ``payload`` row a
-        duplicated request carried (serviced after the cycle's regular
-        exchanges: the network redelivered the datagram late). Applied
-        in list order, an exchange seeing every earlier write, through
-        the backends' own execution plan
-        (:func:`~repro.kernel.backends.base.apply_one_sided`).
-
-        ``kind`` (``"partial"`` or ``"duplicate"``) names the ledger
-        entry that takes the mass the non-adopting steps moved — the
-        atomic subset conserves it — and the counter that takes their
-        number. Returns ``(combined, sent)``: the combined rows and the
-        initiator rows they answered, which the retry protocol caches
-        as the partner's pending reply (``None`` when nothing will)."""
-        delta, combined, sent = apply_one_sided(
-            self._matrix, self._functions, fi, fj, self._mf_scratch,
-            adopt_i=adopt_i, payload=payload,
-            collect=self._retry is not None and payload is None,
-        )
-        if self._monitor_entries:
-            self._ledger_add(kind, delta)
-        stranded = len(fi)
-        if adopt_i is not None:
-            stranded -= int(np.count_nonzero(adopt_i))
-        self._mf_stats[kind + "s"] += stranded
-        return combined, sent
-
-    def _apply_repairs(self, slots: np.ndarray) -> None:
-        """Deliver a retransmitted cached reply to each initiator in
-        ``slots``: the initiator finally completes the exchange it
-        requested with value ``sent`` and got reply ``cache`` for.
-
-        For mean columns it applies the exchange as the *increment*
-        ``x += cache - sent`` — together with the partner's recorded
-        partial this sums to exactly zero mass, even if the initiator's
-        value moved in between (it can have served as a partner in the
-        very cycle its own exchange went partial — concurrent messages
-        were already in flight). When the initiator's value is still
-        frozen at ``sent`` (the common case) this reduces to adopting
-        ``cache`` outright. Non-mean columns merge the late reply
-        through AGGREGATE, which is the protocol-natural move for the
-        idempotent combiners (max/min)."""
-        cache = self._mf_cache[slots]
-        sent = self._mf_sent[slots]
-        old = self._matrix[slots]
-        repaired = np.empty_like(cache)
-        for column, function in enumerate(self._functions):
-            if isinstance(function, MeanAggregate):
-                repaired[:, column] = old[:, column] + (
-                    cache[:, column] - sent[:, column]
-                )
-            else:
-                repaired[:, column] = function.combine_array(
-                    cache[:, column], old[:, column]
-                )
-        self._matrix[slots] = repaired
-        if self._monitor_entries:
-            self._ledger_add("repair", (repaired - old).sum(axis=0))
-        self._mf_stats["repairs"] += len(slots)
-
-    def _clear_pending(
-        self, slots: np.ndarray, recycled: bool = False
-    ) -> None:
-        """Resolve the outstanding episodes of ``slots``. The cached
-        rows need no clearing (``mf_kind`` gates every read of them);
-        ``push_only`` is permanent for a node and goes only with it,
-        when its slot is ``recycled`` (departed or freshly admitted)."""
-        self._mf_partner[slots] = -1
-        self._mf_kind[slots] = 0
-        self._mf_attempt[slots] = 0
-        self._mf_due[slots] = 0
-        if recycled:
-            self._mf_push_only[slots] = False
-
-    def _process_retries(self) -> int:
-        """Fire every pending exchange whose backoff timer is due.
-
-        Runs at the top of the cycle, before this cycle's partner
-        draws. Per due initiator, in slot order:
-
-        1. Budget check — an initiator that already burned its retry
-           budget gives up *now* via the spec's fallback (``accept``:
-           rejoin and keep the drift; ``push_only``: permanently stop
-           initiating). No coins are drawn for it.
-        2. Target — ``retransmit`` resends to the recorded partner,
-           ``redraw`` draws a fresh one through the partner provider.
-        3. Coins — request then reply, from the shared loss-coin
-           helper; a dead target is unreachable, and a target that is
-           itself pending refuses *fresh* exchanges (its value is
-           frozen) but still answers retransmissions from its cache.
-        4. Outcome — a contacted partner that already serviced the
-           original request (kind 2, retransmit mode) answers from its
-           cached combined value: the initiator adopting it repairs the
-           partial's mass drift *exactly*. Otherwise a fresh exchange
-           runs (:meth:`_apply_one_sided`). Unresolved episodes
-           back off exponentially and burn one attempt.
-        """
-        retry = self._retry
-        pending = self._mf_partner >= 0
-        if not pending.any():
-            return 0
-        due = np.flatnonzero(pending & (self._mf_due <= self.cycle))
-        if len(due) == 0:
-            return 0
-        self._backend.sync()
-        faults = self._faults
-        cycle = self.cycle
-        exhausted = self._mf_attempt.take(due) >= retry.budget
-        if exhausted.any():
-            spent = due[exhausted]
-            if retry.fallback == "push_only":
-                self._mf_push_only[spent] = True
-            self._clear_pending(spent)
-            self._mf_stats["giveups"] += len(spent)
-            due = due[~exhausted]
-        n = len(due)
-        if n == 0:
-            return 0
-        self._mf_stats["retries"] += n
-        if retry.mode == "redraw":
-            targets = self._provider.redraw(
-                due.astype(np.int32), self._rng,
-                np.empty(n, dtype=np.int32),
-            ).astype(np.int64)
+        if self._channel is not None:
+            count = self._channel.finish(initiators, partners, ok)
         else:
-            targets = self._mf_partner.take(due)
-        p_request, p_reply, _ = faults.rates_at(cycle)
-        req_ok = self._loss_coins(n, p_request)
-        rep_ok = self._loss_coins(n, p_reply)
-        reachable = req_ok & self._participant.take(targets)
-        # a fresh exchange needs a partner that is free to combine; a
-        # kind-2 retransmission only needs the partner's *cache*, which
-        # it serves without touching its own (possibly frozen) state —
-        # otherwise a saturated loss burst deadlocks the whole network
-        # into mutually-refusing pending nodes
-        available = reachable & ~pending.take(targets)
-        resolved = np.zeros(n, dtype=bool)
-        if retry.mode == "retransmit":
-            cached = reachable & (self._mf_kind.take(due) == 2)
-            repaired = cached & rep_ok
-            if repaired.any():
-                self._apply_repairs(due[repaired])
-                resolved |= repaired
-            fresh = available & (self._mf_kind.take(due) == 1)
-        else:
-            # a redraw abandons the old episode: any cached reply at
-            # the original partner is stale and never collected
-            fresh = available
-        if fresh.any():
-            fi = due[fresh]
-            fj = targets[fresh]
-            adopt = rep_ok[fresh]
-            combined, sent = self._apply_one_sided("partial", fi, fj, adopt)
-            resolved |= fresh & rep_ok
-            stranded = fresh & ~rep_ok
-            if stranded.any():
-                # the partner serviced this retry but the reply was
-                # lost: the episode is now a cached partial against the
-                # *new* target
-                slots = due[stranded]
-                self._mf_partner[slots] = targets[stranded]
-                self._mf_kind[slots] = 2
-                self._mf_cache[slots] = combined[~adopt]
-                self._mf_sent[slots] = sent[~adopt]
-        if resolved.any():
-            self._clear_pending(due[resolved])
-        unresolved = ~resolved
-        if unresolved.any():
-            slots = due[unresolved]
-            attempts = self._mf_attempt.take(slots) + 1
-            self._mf_attempt[slots] = attempts
-            self._mf_due[slots] = cycle + self._mf_delays[attempts]
-        return n
+            exch_i, exch_j = plan.compact(initiators, partners, ok)
+            self._backend.apply_exchanges(
+                self._matrix, self._functions, exch_i, exch_j
+            )
+            count = len(exch_i)
+        self.cycle += 1
+        return count
 
     def _record_point(self) -> RecordPoint:
         """Every instance's ``(variance, mean)`` at the current state,

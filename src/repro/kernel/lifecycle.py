@@ -143,8 +143,8 @@ class ChurnTrace:
         in cycles (fractions are floored). Events at or past ``cycles``
         (default: just past the last event) are dropped — a session
         that outlives the trace simply never leaves."""
-        if cycles is not None and cycles < 0:
-            raise ConfigurationError(f"cycles must be >= 0, got {cycles}")
+        if cycles is not None:
+            check_count(cycles, "cycles", low=0)
         join_cycles = np.floor(np.asarray(join_cycles, dtype=np.float64))
         leave_cycles = np.floor(np.asarray(leave_cycles, dtype=np.float64))
         if cycles is None:

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
+    MessageFaultSweep,
+    RobustnessSweep,
+    ScenarioGrid,
     Table,
     confidence_interval,
     format_series,
@@ -13,6 +16,8 @@ from repro.analysis import (
     summarize,
 )
 from repro.errors import ConfigurationError
+from repro.kernel import Scenario
+from repro.topology import CompleteTopology
 
 
 class TestSummarize:
@@ -72,6 +77,38 @@ class TestReplicate:
     def test_zero_runs_rejected(self, runs):
         with pytest.raises(ConfigurationError, match="runs"):
             replicate(lambda rng: 1.0, runs=runs)
+
+
+class TestSweepValidation:
+    """The sweep configs and the grid under them take integer counts
+    only: bools and floats fail at construction, naming the field."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 1), ("n", True), ("n", 2.5),
+        ("runs", 0), ("runs", 2.5), ("runs", True),
+        ("cycles", 2.5), ("cycles", True),
+    ])
+    @pytest.mark.parametrize("sweep", [RobustnessSweep, MessageFaultSweep])
+    def test_sweep_counts_validated(self, sweep, field, value):
+        with pytest.raises(ConfigurationError, match=f"{sweep.__name__}."
+                                                     f"{field}"):
+            sweep(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, 2.5, True])
+    def test_sweep_epoch_length_validated(self, value):
+        with pytest.raises(ConfigurationError, match="cycles_per_epoch"):
+            RobustnessSweep(cycles_per_epoch=value)
+
+    def test_message_sweep_needs_two_cycles(self):
+        with pytest.raises(ConfigurationError, match="cycles"):
+            MessageFaultSweep(cycles=1)
+        assert MessageFaultSweep(cycles=2).cycles == 2
+
+    @pytest.mark.parametrize("runs", [0, 2.5, True])
+    def test_grid_runs_validated(self, runs):
+        base = Scenario(CompleteTopology(4), np.arange(4.0))
+        with pytest.raises(ConfigurationError, match="ScenarioGrid.runs"):
+            ScenarioGrid(base, (), metric=len, reduce=dict, runs=runs)
 
 
 class TestReporting:

@@ -538,10 +538,14 @@ class TestSlotTable:
                   else self._static_engine())
         try:
             # at construction, before growth can tell a forgotten
-            # array from the others by its length
+            # array from the others by its length; the message channel
+            # holds its own rows, so its attributes are scanned too
             rows = {attr for attr, *_ in _SLOT_STATE}
+            holders = ([engine] if engine._channel is None
+                       else [engine, engine._channel])
             per_slot = {
-                name for name, value in vars(engine).items()
+                name for holder in holders
+                for name, value in vars(holder).items()
                 if isinstance(value, np.ndarray)
                 and len(value) == engine.capacity
             }
@@ -563,8 +567,9 @@ class TestSlotTable:
             engine._ensure_capacity(old + 1)
             assert engine.capacity > old
             assert len(engine._matrix) == engine.capacity
-            for attr, key, dtype, fill, per_column, _ in _SLOT_STATE:
-                held = getattr(engine, attr)
+            for attr, key, dtype, fill, per_column, needs in _SLOT_STATE:
+                holder = engine._channel if needs == "retry" else engine
+                held = getattr(holder, attr)
                 assert held.dtype == dtype, key
                 assert held.shape == (
                     (engine.capacity, len(engine.instance_names))
@@ -585,7 +590,8 @@ class TestSlotTable:
         try:
             engine.run(1)
             assert not engine.invariant_report().violations
-            engine._mf_due = engine._mf_due[:-1]
+            channel = engine._channel
+            channel._mf_due = channel._mf_due[:-1]
             findings = monitor.observe(engine, engine.cycle, {}, False)
             assert [f.message for f in findings if f.is_violation] == [
                 f"per-slot array 'mf_due' holds {engine.capacity - 1} "

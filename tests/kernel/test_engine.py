@@ -125,7 +125,7 @@ class TestFailureMachinery:
         engine = GossipEngine(scenario)
         engine.run(2)
         pending = engine.pending_retry_count
-        victim = int(np.flatnonzero(engine._mf_partner >= 0)[0])
+        victim = int(np.flatnonzero(engine._channel._mf_partner >= 0)[0])
         mask_changes = []
         engine.partner_provider.on_mask_change = mask_changes.append
         for bad in ([victim, 10**9], [victim, 1.5], [victim, True]):
@@ -245,7 +245,8 @@ class TestStaticFastPath:
                 request_schedule=lambda cycle: 0.0
             ),
         ))
-        assert fast._no_failure_filters and not slow._no_failure_filters
+        # only the message channel arms the filtered path here
+        assert fast._channel is None and slow._channel is not None
         fast_result = fast.run(6)
         slow_result = slow.run(6)
         assert np.array_equal(fast.matrix, slow.matrix)

@@ -57,13 +57,17 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("build", [
         lambda: ChurnTrace.from_events([0], [1], cycles=-1),
+        lambda: ChurnTrace.from_events([1], [2], cycles=2.5),
+        lambda: ChurnTrace.from_events([1], [2], cycles=True),
+        lambda: ChurnTrace.from_sessions([1], [1], cycles=2.5),
         lambda: ChurnTrace.constant(-1, 1, 1),
         lambda: ChurnTrace.constant(3, -1, 0),
         lambda: ChurnTrace.diurnal(100, 10, period=5, amplitude=100),
         lambda: ChurnTrace.diurnal(100, 10, period=5, amplitude=10,
                                    fluctuation=-1),
         lambda: ChurnTrace.diurnal(100, 0, period=5, amplitude=10),
-    ], ids=["events-cycles", "constant-cycles", "constant-rate",
+    ], ids=["events-cycles", "events-float-cycles", "events-bool-cycles",
+            "sessions-float-cycles", "constant-cycles", "constant-rate",
             "amplitude", "fluctuation", "diurnal-cycles"])
     def test_churn_trace_generators_validated(self, build):
         with pytest.raises(ConfigurationError):

@@ -20,6 +20,7 @@ from repro.analysis import retry_for_policy
 from repro.core import MaxAggregate, MeanAggregate, MinAggregate
 from repro.errors import ConfigurationError
 from repro.kernel import (
+    ChurnTrace,
     GossipEngine,
     MassConservationMonitor,
     MessageFaultSpec,
@@ -216,9 +217,11 @@ class TestCollidingOneSidedLists:
         )
 
     def snapshot(self, engine):
-        """``(counters, arrays)``: the matrix plus every retry table."""
+        """``(counters, arrays)``: the matrix plus every retry table
+        (the engine's message channel holds them)."""
         return dict(engine.message_fault_stats), [engine.matrix.copy()] + [
-            getattr(engine, name).copy() for name in self.RETRY_STATE
+            getattr(engine._channel, name).copy()
+            for name in self.RETRY_STATE
         ]
 
     def run(self, backend, cycles=12):
@@ -401,6 +404,66 @@ class TestRetry:
             engine.close()
         assert stats["giveups"] > 0
         assert result.exchange_counts[-1] < result.exchange_counts[0]
+
+    def test_departed_nodes_leave_no_episode_behind(self):
+        """Every request of cycle 0 is lost, so every node ends it
+        pending. A crashed and two churned-out pending nodes drop out of
+        the count, and the two joiners that recycle the churned-out
+        slots start clean: they are the only nodes not waiting on a
+        reply, and they exchange with each other at once."""
+        n = 40
+        engine = GossipEngine(make_scenario(
+            n=n,
+            message_faults=MessageFaultSpec(request_loss=1.0, end=1),
+            retry=RetrySpec(timeout=10),
+            churn=ChurnTrace([0, 2], [0, 2]),
+        ))
+        try:
+            assert engine.run(1).exchange_counts == [0]
+            assert engine.pending_retry_count == n
+            engine.crash([0])
+            assert engine.pending_retry_count == n - 1
+            result = engine.run(1)
+            assert engine.pending_retry_count == n - 3
+            assert engine.alive_count == n - 1
+            assert engine.capacity == n  # the joiners recycled slots
+            assert result.exchange_counts == [2]
+        finally:
+            engine.close()
+
+    @staticmethod
+    def _partner_leaves(joins):
+        """Two nodes, every reply of cycle 0 lost: each holds a cached
+        partial against the other. At cycle 1 one of them leaves
+        (``joins``: and a joiner takes its slot), and the survivor
+        retransmits to the departed node's slot. Returns the counts."""
+        engine = GossipEngine(make_scenario(
+            n=2,
+            message_faults=MessageFaultSpec(reply_loss=1.0, end=1),
+            retry=RetrySpec(timeout=1),
+            churn=ChurnTrace([0, joins], [0, 1]),
+        ))
+        try:
+            engine.run(2)
+            return engine.message_fault_stats
+        finally:
+            engine.close()
+
+    def test_departed_partner_is_unreachable(self):
+        stats = self._partner_leaves(joins=0)
+        assert (stats["partials"], stats["retries"], stats["repairs"]) == (
+            2, 1, 0
+        )
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the kind-2 reply cache lives at the initiator, so a joiner in "
+        "the departed partner's slot answers the retransmission for it"
+    ))
+    def test_recycled_partner_slot_does_not_answer_for_the_departed(self):
+        stats = self._partner_leaves(joins=1)
+        assert (stats["partials"], stats["retries"], stats["repairs"]) == (
+            2, 1, 0
+        )
 
     def test_redraw_resolves_through_provider(self):
         stats, _, _, report = run_with_monitor(
