@@ -10,9 +10,10 @@ stochastic and everything stateful:
 * node state as a ``(capacity, k)`` structure-of-arrays value matrix
   — one column per aggregation instance, one row per node slot — plus
   whatever else a slot holds (*alive* and *participant* masks, epoch
-  attributes, the adversary mask, the message channel's retry rows),
-  listed once in :data:`_SLOT_STATE`: capacity growth, checkpoint and
-  restore are loops over that table,
+  attributes, the adversary mask, the message channel's retry rows,
+  the Newscast views), listed once in :data:`_SLOT_STATE`, the one
+  home of per-slot state: capacity growth, checkpoint, restore and
+  the structure audit are loops over that table,
 * node lifecycle: a :class:`~repro.kernel.lifecycle.ChurnTrace` is
   applied as alive-mask growth/shrink with value-matrix row recycling
   (departed slots are reused by joiners, which start from zero; the
@@ -81,6 +82,7 @@ from typing import (
 
 import numpy as np
 
+from ..core.aggregates import MeanAggregate
 from ..errors import (
     CheckpointError,
     ConfigurationError,
@@ -130,11 +132,14 @@ RecordPoint = Union[List[Moments], Callable[[], List[Moments]]]
 #: when a slot changes hands — and ``tests/faults/test_checkpoint.py``
 #: fails on an array that has a slot per node and no row. Columns:
 #: attribute; checkpoint key (the on-disk name: never renamed); dtype;
-#: what fresh capacity holds; one column per aggregation instance, or a
-#: vector; the scenario field that brings the array into being
-#: (``None``: always there). The ``retry`` rows are the message
-#: channel's (:data:`~repro.kernel.messages.CHANNEL_SLOTS`): it holds,
-#: allocates and clears them.
+#: what fresh capacity holds (-1: a row of slot ids); one column per
+#: aggregation instance, or not (a vector, or its holder's width); the
+#: scenario field that brings the array into being (``None``: always
+#: there), which :meth:`GossipEngine._slot_rows` maps to the row's
+#: holder: the message channel for ``retry``
+#: (:data:`~repro.kernel.messages.CHANNEL_SLOTS`; it allocates and
+#: clears them), the provider's views for ``membership``, else the
+#: engine.
 _SLOT_STATE = (
     ("_alive", "alive", bool, False, False, None),
     # the nodes gossiping in the current epoch: diverges from alive
@@ -147,7 +152,11 @@ _SLOT_STATE = (
     # fresh capacity is always honest; a recycled slot keeps the
     # departed node's flag (the attacker holds the position)
     ("_adv_mask", "adv_mask", bool, False, False, "adversary"),
-) + CHANNEL_SLOTS
+) + CHANNEL_SLOTS + (
+    # the Newscast partial views: view_size slot ids per slot; a fresh
+    # row is seeded (on_join) before its slot can initiate
+    ("views", "views", np.int32, -1, False, "membership"),
+)
 
 #: the scalar counters of a run, as (attribute, manifest field)
 _COUNTERS = (
@@ -327,9 +336,9 @@ class GossipEngine:
         self._functions: Tuple = scenario.functions
         self._matrix = matrix
         # per-slot state: a row of _SLOT_STATE this scenario does not
-        # need stays None (the channel sets its own rows)
+        # need stays None (the channel and the views set their own rows)
         for attr, *_, needs in _SLOT_STATE:
-            if needs != "retry":
+            if needs not in ("retry", "membership"):
                 setattr(self, attr, None)
         self._alive = np.ones(scenario.n, dtype=bool)
         self._rng = make_rng(scenario.seed)
@@ -442,10 +451,13 @@ class GossipEngine:
 
     def _slot_rows(self):
         """``(holder, row)`` for every live row of :data:`_SLOT_STATE`:
-        the channel holds the ``retry`` rows, the engine the others."""
+        the channel holds the ``retry`` rows, the provider's views the
+        ``membership`` row, the engine the others. A ``None`` holder
+        (no channel, the oracle) has no rows."""
+        held = {"retry": self._channel, "membership": self._provider.views}
         for row in _SLOT_STATE:
             attr, *_, needs = row
-            holder = self._channel if needs == "retry" else self
+            holder = held.get(needs, self)
             if holder is not None and getattr(holder, attr) is not None:
                 yield holder, row
 
@@ -499,7 +511,8 @@ class GossipEngine:
         """The provider's partial-view matrix (copy), or ``None`` for
         the oracle. Safe to read mid-run: view state never aliases
         backend-owned storage, so no sync is needed."""
-        return self._provider.view_matrix
+        holder = self._provider.views
+        return None if holder is None else holder.views.copy()
 
     @property
     def matrix(self) -> np.ndarray:
@@ -745,7 +758,6 @@ class GossipEngine:
             )
         capacity = self.capacity
         node_ids = [check_node_id(node_id, capacity) for node_id in node_ids]
-        version = self._mask_version
         self._moments = None
         for node_id in node_ids:
             if self._alive[node_id]:
@@ -759,8 +771,6 @@ class GossipEngine:
                     self._free_slots.append(int(node_id))
         if self._channel is not None:
             self._channel.forget(node_ids)
-        if self._mask_version != version:
-            self._provider.on_mask_change(self._mask_version)
 
     # -- adversary -------------------------------------------------------
 
@@ -813,7 +823,6 @@ class GossipEngine:
             self._participant[leavers] = False
             self._mask_version += 1
             self._free_slots.extend(leavers.tolist())
-            self._provider.on_mask_change(self._mask_version)
         if step.joins > 0:
             self._admit(int(step.joins))
 
@@ -833,9 +842,6 @@ class GossipEngine:
             held = getattr(holder, attr)
             tail = fresh_slots((grow,) + held.shape[1:], dtype, fill)
             setattr(holder, attr, np.concatenate([held, tail]))
-        # provider-held per-node state (newscast view rows) grows with
-        # the same geometric schedule
-        self._provider.grow(new_capacity)
 
     def _admit(self, count: int) -> np.ndarray:
         """Admit ``count`` joiners: recycle departed slots (LIFO), then
@@ -871,11 +877,10 @@ class GossipEngine:
             # under plain churn joiners participate immediately: their
             # zero rows enter the participant mass
             self._ledger_add("join", self._matrix[slots].sum(axis=0))
-        # membership hooks last, after the joiners' values landed: the
-        # provider may draw bootstrap randomness (newscast contact
+        # the membership hook last, after the joiners' values landed:
+        # the provider may draw bootstrap randomness (newscast contact
         # lists) — a fixed point in the stream either way, and a no-op
         # for the oracle
-        self._provider.on_mask_change(self._mask_version)
         self._provider.on_join(slots, self._rng)
         return slots
 
@@ -897,7 +902,6 @@ class GossipEngine:
         self.epoch += 1
         np.copyto(self._participant, self._alive)
         self._mask_version += 1
-        self._provider.on_mask_change(self._mask_version)
         participants = np.nonzero(self._participant)[0]
         self._epoch_start_cycle = cycle
         self._size_at_epoch_start = len(participants)
@@ -926,8 +930,8 @@ class GossipEngine:
                 raise SimulationError("reseed must return at least one column")
             # the instance count changed (e.g. a fresh leader set):
             # rebuild the matrix with positional instance ids, every
-            # column running the epoch spec's AGGREGATE
-            self._functions = (spec.function,) * k_new
+            # column running AGGREGATE_AVG
+            self._functions = (MeanAggregate(),) * k_new
             self._names = tuple(range(k_new))
             # a fresh zero matrix straight from the backend: the
             # sharded backend maps a new zero-filled segment, so no
@@ -981,8 +985,8 @@ class GossipEngine:
 
         The snapshot captures everything the next cycle reads — value
         matrix, every live row of :data:`_SLOT_STATE`, RNG state, the
-        :data:`_COUNTERS`, slot-recycling bookkeeping, membership
-        views, pair-φ log, message-fault counts — so :meth:`restore`
+        :data:`_COUNTERS`, slot-recycling bookkeeping, pair-φ log,
+        message-fault counts — so :meth:`restore`
         resumes bitwise-identically on any backend. The write is
         observation-grade: it drains in-flight work like any matrix
         read but consumes no randomness and mutates nothing, so a
@@ -1003,9 +1007,6 @@ class GossipEngine:
         }
         for holder, (attr, key, *_) in self._slot_rows():
             arrays[key] = getattr(holder, attr)
-        views = self._provider.view_matrix
-        if views is not None:
-            arrays["views"] = views
         if self._phi_log:
             arrays["phi_log"] = np.stack(self._phi_log)
         if self._channel is not None:
@@ -1037,23 +1038,37 @@ class GossipEngine:
         engine did; the restored RNG state then discards it, so the
         resumed stream continues exactly where the checkpointed run
         left off."""
+        rows, k = self._matrix.shape
         if manifest.get("instances_rebuilt"):
-            # positional instance ids, every column running the epoch
-            # spec's AGGREGATE — exactly what _start_epoch rebuilds
-            k = self._matrix.shape[1]
-            self._functions = (self._epochs.function,) * k
+            # positional instance ids, every column running
+            # AGGREGATE_AVG — exactly what _start_epoch rebuilds
+            self._functions = (MeanAggregate(),) * k
             self._names = tuple(range(k))
         self._moments = None
-        for holder, (attr, key, dtype, *_) in self._slot_rows():
-            if key not in arrays:
-                raise CheckpointError(
-                    f"checkpoint holds no {key!r} array, which this "
-                    f"scenario's engine keeps per slot"
-                )
-            setattr(
-                holder, attr, np.ascontiguousarray(arrays[key], dtype=dtype)
+        for holder, (attr, key, dtype, fill, per_column, _) in (
+            self._slot_rows()
+        ):
+            # a slot per matrix row at the width the engine built, and
+            # slot ids (fill -1: none) that index the matrix — the view
+            # merge packs them into sort keys
+            loaded = arrays.get(key)
+            shape = (rows,) + (
+                (k,) if per_column else getattr(holder, attr).shape[1:]
             )
-        self._provider.load_state(arrays.get("views"))
+            if loaded is None or loaded.shape != shape:
+                raise CheckpointError(
+                    f"checkpoint {key!r} array has shape "
+                    f"{None if loaded is None else loaded.shape}, this "
+                    f"scenario's engine keeps {shape}"
+                )
+            if fill == -1 and loaded.size and not (
+                loaded.min() >= -1 and loaded.max() < rows
+            ):
+                raise CheckpointError(
+                    f"checkpoint {key!r} array holds slot ids outside "
+                    f"[-1, {rows})"
+                )
+            setattr(holder, attr, np.ascontiguousarray(loaded, dtype=dtype))
         if self._channel is not None and "mf_stats" in arrays:
             # a checkpoint an older build wrote without a retry policy
             # has none: the counts then restart from zero

@@ -37,7 +37,6 @@ from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
-from ..core.aggregates import AggregateFunction, MeanAggregate
 from ..errors import ConfigurationError
 from ..fields import check_count, check_real, declare, validate_fields
 from ..rng import SeedLike, make_rng
@@ -331,7 +330,7 @@ class EpochSpec:
         returns the participants' restarted values as ``(m,)`` or
         ``(m, k_new)``. ``k_new`` may differ from the current instance
         count (Figure 4 elects a fresh leader set per epoch); when it
-        does, every new column runs ``function``. ``None`` restarts
+        does, every new column runs AGGREGATE_AVG. ``None`` restarts
         each participant from its base attribute value — the plain §4
         "restart from the current local values" protocol.
     finalize:
@@ -340,9 +339,6 @@ class EpochSpec:
         ``KernelRunResult.epoch_results``. Only *completed* epochs
         finalize — the paper publishes converged estimates at epoch
         ends, never mid-epoch state.
-    function:
-        The AGGREGATE applied to every column after a reseed that
-        changes the instance count. Defaults to AGGREGATE_AVG.
     """
 
     cycles_per_epoch: int = declare("count", low=1)
@@ -351,9 +347,6 @@ class EpochSpec:
     )
     finalize: Optional[Callable[[EpochView], Any]] = declare(
         "callable", None
-    )
-    function: AggregateFunction = declare(
-        "spec", default_factory=MeanAggregate, type=AggregateFunction
     )
 
     __post_init__ = validate_fields

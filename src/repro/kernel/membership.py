@@ -34,9 +34,10 @@ Two providers exist:
 Every piece of randomness — bootstrap views, per-cycle exchange picks,
 joiner contact lists, partner draws — comes from the engine's RNG in a
 fixed order, which is what keeps the cross-backend equivalence
-contract intact: the view matrix is engine-hosted state exactly like
-the alive mask, and backends only ever execute deterministic plans
-over it. The view matrix is also ``sync()``-safe by construction: it
+contract intact: the view matrix is one row of the engine's slot table
+(``_SLOT_STATE``, the one home of per-slot state) exactly like the
+alive mask, and backends only ever execute deterministic plans over
+it. The view matrix is also ``sync()``-safe by construction: it
 shares no storage with the backend's value matrix, so view merges may
 overlap a pipelined sharded cycle still in flight.
 """
@@ -44,7 +45,7 @@ overlap a pipelined sharded cycle still in flight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -112,6 +113,14 @@ class NewscastViews:
     invariant holds inductively: bootstrap excludes self, merges
     rewrite self to the partner). All randomness is drawn from the RNG
     the caller passes in.
+
+    The matrix is the ``views`` row of the engine's slot table
+    (``repro.kernel.engine._SLOT_STATE``), held here the way the
+    message channel holds its retry rows: the engine's table loops grow
+    it (fresh rows hold -1, never read — a slot's row is seeded by
+    :meth:`seed_rows` before the slot can initiate or be picked alive,
+    which the merge kernel relies on), checkpoint it, restore it (entries
+    outside ``[-1, capacity)`` are refused) and audit its length.
     """
 
     def __init__(
@@ -131,26 +140,14 @@ class NewscastViews:
         clash = views == np.arange(capacity, dtype=np.int32)[:, None]
         views[clash] = (views[clash] + 1) % capacity
         self.views = views
-        # reusable per-cycle scratch (peer picks and their liveness)
-        self._peers = np.empty(capacity, dtype=np.int32)
-        self._ok = np.empty(capacity, dtype=bool)
+        # per-cycle scratch (peer picks and their liveness), sized by
+        # the largest exchange count so far: not a slot row
+        self._peers = np.empty(0, dtype=np.int32)
+        self._ok = np.empty(0, dtype=bool)
 
     @property
     def capacity(self) -> int:
         return self.views.shape[0]
-
-    def grow(self, capacity: int) -> None:
-        """Extend the matrix to ``capacity`` rows. Fresh rows hold -1
-        (never read: a slot's row is seeded by :meth:`seed_rows`
-        before the slot can ever initiate — the merge kernel relies on
-        it, ``test_alive_rows_hold_only_slot_ids`` asserts it)."""
-        if capacity <= self.capacity:
-            return
-        grown = np.full((capacity, self.view_size), -1, dtype=np.int32)
-        grown[: self.capacity] = self.views
-        self.views = grown
-        self._peers = np.empty(capacity, dtype=np.int32)
-        self._ok = np.empty(capacity, dtype=bool)
 
     def seed_rows(
         self, slots: np.ndarray, alive: np.ndarray, rng: np.random.Generator
@@ -206,6 +203,9 @@ class NewscastViews:
         count = len(initiators)
         if count == 0:
             return 0
+        if len(self._peers) < count:
+            self._peers = np.empty(count, dtype=np.int32)
+            self._ok = np.empty(count, dtype=bool)
         peers = self._peers[:count]
         self.draw_partners(initiators, rng, out=peers)
         ok = self._ok[:count]
@@ -217,28 +217,6 @@ class NewscastViews:
             exch_j = peers[ok]
         backend.apply_view_exchanges(self.views, exch_i, exch_j)
         return len(exch_i)
-
-    def load(self, views: np.ndarray) -> None:
-        """Replace the view matrix with a checkpointed one (capacity
-        may differ from the bootstrap capacity after churn growth);
-        per-cycle scratch is resized to match."""
-        views = np.ascontiguousarray(views, dtype=np.int32)
-        if views.ndim != 2 or views.shape[1] != self.view_size:
-            raise ConfigurationError(
-                f"checkpointed view matrix has shape {views.shape}, "
-                f"expected (capacity, {self.view_size})"
-            )
-        capacity = views.shape[0]
-        # the merge kernel packs ids into sort keys: -1 marks a never
-        # seeded row (see grow), anything else must be a slot number
-        if views.size and (views.min() < -1 or views.max() >= capacity):
-            raise ConfigurationError(
-                f"checkpointed view matrix holds entries outside "
-                f"[-1, {capacity})"
-            )
-        self.views = views.copy()
-        self._peers = np.empty(capacity, dtype=np.int32)
-        self._ok = np.empty(capacity, dtype=bool)
 
     def in_degree_distribution(self) -> np.ndarray:
         """How many view entries point at each node (duplicate entries
@@ -256,13 +234,16 @@ class PartnerProvider:
     cycle's partners come to be: :meth:`begin_cycle` runs the
     membership protocol's own gossip (a no-op for the oracle),
     :meth:`draw` fills the engine's preallocated partner buffer, and
-    the lifecycle hooks (:meth:`on_join`, :meth:`on_mask_change`,
-    :meth:`grow`) keep provider state consistent with churn, crashes
-    and epoch restarts. All provider randomness must come from the RNG
-    arguments (the engine's stream) so backend swaps never perturb
-    trajectories; provider state must never alias backend-owned
-    storage, which is what makes it safe to touch while a pipelined
-    sharded cycle is still in flight (the ``sync()``-safe surface).
+    :meth:`on_join` seeds the per-node state of churn's joiners. That
+    state, if any, is :attr:`views`: rows of the engine's slot table,
+    which the engine grows, checkpoints and restores like every other
+    row, so a provider has no growth or restore hook of its own.
+
+    All provider randomness must come from the RNG arguments (the
+    engine's stream) so backend swaps never perturb trajectories;
+    provider state must never alias backend-owned storage, which is
+    what makes it safe to touch while a pipelined sharded cycle is
+    still in flight (the ``sync()``-safe surface).
     """
 
     #: identifier used by Scenario.membership and reports
@@ -272,6 +253,10 @@ class PartnerProvider:
     #: topology and view draws can land on crashed or departed nodes
     #: and need the engine's participant filter)
     draws_valid_participants: bool = False
+    #: the holder of the provider's slot-table rows (the ``membership``
+    #: rows of ``repro.kernel.engine._SLOT_STATE``), or ``None`` for a
+    #: provider that keeps no per-node state (the oracle)
+    views: Optional[NewscastViews] = None
 
     def bind(self, engine: "GossipEngine") -> None:
         """Attach to ``engine`` (called once, at engine construction;
@@ -317,34 +302,6 @@ class PartnerProvider:
 
     def on_join(self, slots: np.ndarray, rng: np.random.Generator) -> None:
         """Slots were (re)admitted by churn; seed any per-node state."""
-
-    def on_mask_change(self, version: int) -> None:
-        """The alive/participant masks changed (crash, churn, epoch
-        restart); ``version`` is the engine's new mask-version stamp."""
-
-    def grow(self, capacity: int) -> None:
-        """Engine capacity grew; extend per-node state to match."""
-
-    def state(self) -> Dict[str, object]:
-        """A snapshot of provider state for observers and tests."""
-        return {"name": self.name}
-
-    def load_state(self, views: Optional[np.ndarray]) -> None:
-        """Restore checkpointed per-node state. Stateless providers
-        (the oracle) accept only ``None``; providers holding views
-        replace their matrix wholesale."""
-        if views is not None:
-            raise ConfigurationError(
-                f"the {self.name!r} provider keeps no per-node views; "
-                f"the checkpoint was taken under a different membership "
-                f"layer"
-            )
-
-    @property
-    def view_matrix(self) -> Optional[np.ndarray]:
-        """The provider's view matrix (copy), or ``None`` when the
-        provider keeps no per-node views (the oracle)."""
-        return None
 
 
 class OracleProvider(PartnerProvider):
@@ -417,7 +374,8 @@ class OracleProvider(PartnerProvider):
 class NewscastProvider(PartnerProvider):
     """Partner draws from gossip-maintained partial views.
 
-    Holds a :class:`NewscastViews` matrix over engine slots. Each cycle
+    Holds a :class:`NewscastViews` matrix over engine slots (its
+    :attr:`~PartnerProvider.views`). Each cycle
     the participants run one view-exchange round through the backend's
     node-disjoint batch primitives, then aggregation partners are drawn
     from the refreshed views. Draws can land on departed nodes — the
@@ -429,11 +387,10 @@ class NewscastProvider(PartnerProvider):
 
     def __init__(self, spec: NewscastSpec):
         self.spec = spec
-        self._views: Optional[NewscastViews] = None
 
     def bind(self, engine: "GossipEngine") -> None:
         super().bind(engine)
-        self._views = NewscastViews(
+        self.views = NewscastViews(
             engine.capacity, self.spec.view_size, engine._rng
         )
 
@@ -443,7 +400,7 @@ class NewscastProvider(PartnerProvider):
         alive: np.ndarray,
         rng: np.random.Generator,
     ) -> None:
-        self._views.refresh(initiators, alive, rng, self._engine._backend)
+        self.views.refresh(initiators, alive, rng, self._engine._backend)
 
     def draw(
         self,
@@ -451,32 +408,10 @@ class NewscastProvider(PartnerProvider):
         rng: np.random.Generator,
         out: np.ndarray,
     ) -> np.ndarray:
-        return self._views.draw_partners(initiators, rng, out)
+        return self.views.draw_partners(initiators, rng, out)
 
     def on_join(self, slots: np.ndarray, rng: np.random.Generator) -> None:
-        self._views.seed_rows(slots, self._engine._alive, rng)
-
-    def grow(self, capacity: int) -> None:
-        self._views.grow(capacity)
-
-    def state(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "view_size": self._views.view_size,
-            "views": self._views.views.copy(),
-        }
-
-    def load_state(self, views: Optional[np.ndarray]) -> None:
-        if views is None:
-            raise ConfigurationError(
-                "the checkpoint holds no view matrix; it was taken "
-                "under a different membership layer than 'newscast'"
-            )
-        self._views.load(views)
-
-    @property
-    def view_matrix(self) -> Optional[np.ndarray]:
-        return self._views.views.copy()
+        self.views.seed_rows(slots, self._engine._alive, rng)
 
 
 def build_provider(spec: Optional[NewscastSpec]) -> PartnerProvider:

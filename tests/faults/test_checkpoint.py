@@ -95,6 +95,16 @@ def _armed(n=150, backend="vectorized", membership="newscast",
     )
 
 
+def _poke(value):
+    """A checkpoint edit that writes ``value(rows)`` into the first
+    entry of a slot row (``rows``: the row count)."""
+    def edit(row):
+        row = row.copy()
+        row.flat[0] = value(len(row))
+        return row
+    return edit
+
+
 def _state(engine):
     """Everything a resumed run has to reproduce."""
     views = engine.membership_views
@@ -538,11 +548,11 @@ class TestSlotTable:
                   else self._static_engine())
         try:
             # at construction, before growth can tell a forgotten
-            # array from the others by its length; the message channel
-            # holds its own rows, so its attributes are scanned too
+            # array from the others by its length; every holder of
+            # rows (engine, message channel, Newscast views) is scanned
             rows = {attr for attr, *_ in _SLOT_STATE}
-            holders = ([engine] if engine._channel is None
-                       else [engine, engine._channel])
+            holders = {id(holder): holder
+                       for holder, _ in engine._slot_rows()}.values()
             per_slot = {
                 name for holder in holders
                 for name, value in vars(holder).items()
@@ -567,13 +577,15 @@ class TestSlotTable:
             engine._ensure_capacity(old + 1)
             assert engine.capacity > old
             assert len(engine._matrix) == engine.capacity
-            for attr, key, dtype, fill, per_column, needs in _SLOT_STATE:
-                holder = engine._channel if needs == "retry" else engine
+            widths = {"views": (8,)}  # _armed's view_size
+            held_rows = list(engine._slot_rows())
+            assert len(held_rows) == len(_SLOT_STATE)
+            for holder, (attr, key, dtype, fill, per_column, _) in held_rows:
                 held = getattr(holder, attr)
                 assert held.dtype == dtype, key
-                assert held.shape == (
-                    (engine.capacity, len(engine.instance_names))
-                    if per_column else (engine.capacity,)
+                assert held.shape == (engine.capacity,) + (
+                    (len(engine.instance_names),) if per_column
+                    else widths.get(key, ())
                 ), key
                 assert (held[old:] == fill).all(), key
             # and the next cycles run on the grown state
@@ -582,23 +594,70 @@ class TestSlotTable:
         finally:
             engine.close()
 
-    def test_structure_monitor_flags_a_forgotten_growth(self):
-        """A per-slot array left at the old capacity is a violation on
-        the cycle it happens."""
+    @staticmethod
+    def _truncated_row_findings(holder_of, attr):
+        """What a structure monitor reports after one cycle of
+        ``_armed`` once ``holder_of(engine)``'s ``attr`` lost a slot."""
         engine = GossipEngine(_armed())
         monitor = engine.register_monitor(StructureMonitor())
         try:
             engine.run(1)
             assert not engine.invariant_report().violations
-            channel = engine._channel
-            channel._mf_due = channel._mf_due[:-1]
+            holder = holder_of(engine)
+            setattr(holder, attr, getattr(holder, attr)[:-1])
             findings = monitor.observe(engine, engine.cycle, {}, False)
-            assert [f.message for f in findings if f.is_violation] == [
-                f"per-slot array 'mf_due' holds {engine.capacity - 1} "
-                f"slots, capacity is {engine.capacity}"
+            return engine.capacity, [
+                f.message for f in findings if f.is_violation
             ]
         finally:
             engine.close()
+
+    def test_structure_monitor_flags_a_forgotten_growth(self):
+        """A per-slot array left at the old capacity is a violation on
+        the cycle it happens."""
+        capacity, messages = self._truncated_row_findings(
+            lambda engine: engine._channel, "_mf_due"
+        )
+        assert messages == [
+            f"per-slot array 'mf_due' holds {capacity - 1} slots, "
+            f"capacity is {capacity}"
+        ]
+
+    def test_structure_monitor_flags_a_truncated_views_row(self):
+        """The Newscast views are a row like the others: the audit
+        covers them."""
+        capacity, messages = self._truncated_row_findings(
+            lambda engine: engine.partner_provider.views, "views"
+        )
+        assert messages == [
+            f"per-slot array 'views' holds {capacity - 1} slots, "
+            f"capacity is {capacity}"
+        ]
+
+    @pytest.mark.parametrize("key, edit, match", [
+        pytest.param("views", _poke(lambda rows: rows), "outside",
+                     id="views-past-capacity"),
+        pytest.param("views", _poke(lambda rows: -2), "outside",
+                     id="views-below-none"),
+        pytest.param("mf_partner", _poke(lambda rows: rows), "outside",
+                     id="mf_partner-past-capacity"),
+        pytest.param("mf_cache", lambda row: np.hstack([row, row]),
+                     "shape", id="mf_cache-wrong-width"),
+        pytest.param("views", lambda row: row[:, 1:], "shape",
+                     id="views-wrong-width"),
+        pytest.param("adv_mask", lambda row: row[:-1], "shape",
+                     id="adv_mask-short"),
+    ])
+    def test_restore_checks_every_row(self, key, edit, match, tmp_path):
+        """Every loaded row holds a slot per matrix row at the width the
+        engine built, and a row of slot ids stays in ``[-1, rows)``."""
+        with GossipEngine(_armed()) as engine:
+            engine.run(3)
+            manifest, arrays = read_checkpoint(engine.checkpoint(tmp_path))
+        arrays[key] = edit(arrays[key])
+        written = write_checkpoint(tmp_path / "edited", arrays, manifest)
+        with pytest.raises(CheckpointError, match=match):
+            GossipEngine.restore(_armed(), written)
 
 
 class TestComposedRoundTrip:

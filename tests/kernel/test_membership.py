@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import SizeEstimationConfig, SizeEstimationExperiment
-from repro.errors import ConfigurationError, TopologyError
+from repro.errors import CheckpointError, ConfigurationError, TopologyError
 from repro.kernel import (
     ChurnTrace,
     GossipEngine,
@@ -28,6 +28,7 @@ from repro.kernel import (
     NewscastViews,
     OracleProvider,
     Scenario,
+    read_checkpoint,
 )
 from repro.kernel.adversary import AdversarySpec
 from repro.kernel.backends import (
@@ -44,6 +45,7 @@ from repro.kernel.backends.base import (
     merge_views_batch,
     merge_views_sequential,
 )
+from repro.kernel.checkpoint import write_checkpoint
 from repro.kernel.membership import build_provider, resolve_membership
 from repro.kernel.pairs import PairProtocolSpec
 from repro.rng import make_rng
@@ -133,9 +135,7 @@ class TestProviderProtocol:
             assert views.shape == (300, 8)
             assert views.dtype == np.int32
             assert not engine.partner_provider.draws_valid_participants
-            state = engine.partner_provider.state()
-            assert state["name"] == "newscast"
-            assert state["view_size"] == 8
+            assert engine.partner_provider.views.view_size == 8
 
     @pytest.mark.parametrize("membership", [None, "newscast"])
     def test_closed_engine_is_freed_without_the_collector(self, membership):
@@ -216,12 +216,16 @@ class TestNewscastViews:
             NewscastViews(10, 0, make_rng(0))
 
     def test_grow_preserves_rows(self):
-        views = NewscastViews(50, 6, make_rng(4))
-        before = views.views.copy()
-        views.grow(80)
-        assert views.capacity == 80
-        assert np.array_equal(views.views[:50], before)
-        assert np.all(views.views[50:] == -1)
+        """Engine growth extends the views like every slot-table row:
+        old rows kept, fresh rows -1 until a joiner's row is seeded."""
+        scenario = scenario_with(n=50, membership=NewscastSpec(view_size=6))
+        with GossipEngine(scenario) as engine:
+            before = engine.membership_views
+            engine._ensure_capacity(80)
+            views = engine.membership_views
+            assert views.shape == (80, 6)
+            assert np.array_equal(views[:50], before)
+            assert np.all(views[50:] == -1)
 
     def test_seed_rows_alive_no_self(self):
         views = NewscastViews(60, 8, make_rng(5))
@@ -242,16 +246,24 @@ class TestNewscastViews:
             for node in range(40):
                 assert out[node] in views.views[node]
 
-    def test_load_checks_entry_range(self):
-        views = NewscastViews(30, 4, make_rng(8))
-        grown = np.full((45, 4), -1, dtype=np.int32)
-        grown[:30] = views.views
-        views.load(grown)  # -1 rows of never-seeded slots are legal
-        assert views.capacity == 45
+    def test_load_checks_entry_range(self, tmp_path):
+        """Restore takes the -1 rows of never-seeded slots and refuses
+        an entry outside ``[-1, capacity)``."""
+        scenario = scenario_with(
+            n=30, membership=NewscastSpec(view_size=4),
+            churn=ChurnTrace.constant(4, 0, 0),
+        )
+        with GossipEngine(scenario) as engine:
+            engine._ensure_capacity(45)
+            manifest, arrays = read_checkpoint(engine.checkpoint(tmp_path))
+        with GossipEngine.restore(scenario, tmp_path) as restored:
+            assert restored.capacity == 45
+            assert np.all(restored.membership_views[30:] == -1)
         for bad in (-2, 45):
-            grown[3, 1] = bad
-            with pytest.raises(ConfigurationError, match="outside"):
-                views.load(grown)
+            arrays["views"][3, 1] = bad
+            written = write_checkpoint(tmp_path / str(bad), arrays, manifest)
+            with pytest.raises(CheckpointError, match="outside"):
+                GossipEngine.restore(scenario, written)
 
 
 class TestMergePrimitives:

@@ -73,7 +73,7 @@ SPEC_FIELDS = {
     RetrySpec: ["timeout", "budget", "backoff", "mode", "fallback"],
     NewscastSpec: ["view_size"],
     AdversarySpec: ["kind", "fraction", "value", "nodes", "start", "end"],
-    EpochSpec: ["cycles_per_epoch", "reseed", "finalize", "function"],
+    EpochSpec: ["cycles_per_epoch", "reseed", "finalize"],
     CheckpointSpec: ["directory", "every_cycles", "keep"],
     PairProtocolSpec: ["selector", "track_phi", "track_s"],
     SizeEstimationConfig: [
