@@ -273,7 +273,8 @@ class RetrySpec:
 #: (``repro.kernel.engine._SLOT_STATE``, same columns), held by the
 #: channel: the retry protocol's pending exchange, per initiator —
 #: partner (-1: none outstanding), phase (1 = awaiting any contact, 2 =
-#: the partner holds a cached combined value), attempts burned, cycle
+#: the partner holds a cached combined value, 3 = the partner left: no
+#: retransmission can reach it), attempts burned, cycle
 #: of the next retry, the cached reply row and the request row it
 #: answered (a delivered retransmission repairs mass from these two),
 #: and the permanent push-only fallback flag
@@ -344,10 +345,14 @@ class ExchangeChannel:
     def forget(self, slots) -> None:
         """``slots``' nodes left (crash or churn): their outstanding
         exchanges die with them, and so does push-only, so whoever
-        recycles a slot starts with a clean protocol state."""
+        recycles a slot starts with a clean protocol state. Episodes
+        aimed *at* them become kind 3: a joiner recycling the slot is a
+        new node and must not answer for the one that left, so those
+        retries stay unanswered until the budget gives up."""
         if self._retry is not None:
             self._clear_pending(slots)
             self._mf_push_only[slots] = False
+            self._mf_kind[np.isin(self._mf_partner, slots)] = 3
 
     def begin_cycle(self, initiators: np.ndarray) -> np.ndarray:
         """Fire every due retry and return ``initiators`` minus the
@@ -573,9 +578,11 @@ class ExchangeChannel:
         4. Outcome — a contacted partner that already serviced the
            original request (kind 2, retransmit mode) answers from its
            cached combined value: the initiator adopting it repairs the
-           partial's mass drift *exactly*. Otherwise a fresh exchange
-           runs (:meth:`_apply_one_sided`). Unresolved episodes
-           back off exponentially and burn one attempt.
+           partial's mass drift *exactly*. A kind-1 retransmission runs
+           a fresh exchange (:meth:`_apply_one_sided`), as does every
+           redraw; a kind-3 one (the partner left) reaches nobody.
+           Unresolved episodes back off exponentially and burn one
+           attempt.
         """
         retry = self._retry
         pending = self._mf_partner >= 0

@@ -455,11 +455,10 @@ class TestRetry:
             2, 1, 0
         )
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "the kind-2 reply cache lives at the initiator, so a joiner in "
-        "the departed partner's slot answers the retransmission for it"
-    ))
     def test_recycled_partner_slot_does_not_answer_for_the_departed(self):
+        """The kind-2 reply cache lives at the initiator: the departure
+        marks the survivor's episode kind 3, so the joiner in the
+        departed partner's slot does not answer for it."""
         stats = self._partner_leaves(joins=1)
         assert (stats["partials"], stats["retries"], stats["repairs"]) == (
             2, 1, 0
