@@ -95,14 +95,11 @@ def _armed(n=150, backend="vectorized", membership="newscast",
     )
 
 
-def _poke(value):
-    """A checkpoint edit that writes ``value(rows)`` into the first
-    entry of a slot row (``rows``: the row count)."""
-    def edit(row):
-        row = row.copy()
-        row.flat[0] = value(len(row))
-        return row
-    return edit
+def _past_capacity(row):
+    """A slot-id row whose first entry names a slot past the last."""
+    row = row.copy()
+    row[0] = len(row)
+    return row
 
 
 def _state(engine):
@@ -594,10 +591,14 @@ class TestSlotTable:
         finally:
             engine.close()
 
-    @staticmethod
-    def _truncated_row_findings(holder_of, attr):
-        """What a structure monitor reports after one cycle of
-        ``_armed`` once ``holder_of(engine)``'s ``attr`` lost a slot."""
+    @pytest.mark.parametrize("key, holder_of, attr", [
+        ("mf_due", lambda engine: engine._channel, "_mf_due"),
+        ("views", lambda engine: engine.partner_provider.views, "views"),
+    ])
+    def test_structure_monitor_flags_a_forgotten_growth(self, key,
+                                                        holder_of, attr):
+        """A per-slot array left at the old capacity is a violation on
+        the cycle it happens, whoever holds the row."""
         engine = GossipEngine(_armed())
         monitor = engine.register_monitor(StructureMonitor())
         try:
@@ -606,43 +607,22 @@ class TestSlotTable:
             holder = holder_of(engine)
             setattr(holder, attr, getattr(holder, attr)[:-1])
             findings = monitor.observe(engine, engine.cycle, {}, False)
-            return engine.capacity, [
-                f.message for f in findings if f.is_violation
+            assert [f.message for f in findings if f.is_violation] == [
+                f"per-slot array {key!r} holds {engine.capacity - 1} "
+                f"slots, capacity is {engine.capacity}"
             ]
         finally:
             engine.close()
 
-    def test_structure_monitor_flags_a_forgotten_growth(self):
-        """A per-slot array left at the old capacity is a violation on
-        the cycle it happens."""
-        capacity, messages = self._truncated_row_findings(
-            lambda engine: engine._channel, "_mf_due"
-        )
-        assert messages == [
-            f"per-slot array 'mf_due' holds {capacity - 1} slots, "
-            f"capacity is {capacity}"
-        ]
-
-    def test_structure_monitor_flags_a_truncated_views_row(self):
-        """The Newscast views are a row like the others: the audit
-        covers them."""
-        capacity, messages = self._truncated_row_findings(
-            lambda engine: engine.partner_provider.views, "views"
-        )
-        assert messages == [
-            f"per-slot array 'views' holds {capacity - 1} slots, "
-            f"capacity is {capacity}"
-        ]
-
     @pytest.mark.parametrize("key, edit, match", [
-        pytest.param("views", _poke(lambda rows: rows), "outside",
-                     id="views-past-capacity"),
-        pytest.param("views", _poke(lambda rows: -2), "outside",
-                     id="views-below-none"),
-        pytest.param("mf_partner", _poke(lambda rows: rows), "outside",
+        pytest.param("mf_partner", _past_capacity, "outside",
                      id="mf_partner-past-capacity"),
+        pytest.param("mf_partner", lambda row: row - 1, "outside",
+                     id="mf_partner-below-none"),
         pytest.param("mf_cache", lambda row: np.hstack([row, row]),
                      "shape", id="mf_cache-wrong-width"),
+        pytest.param("mf_sent", lambda row: row[:, :0], "shape",
+                     id="mf_sent-wrong-width"),
         pytest.param("views", lambda row: row[:, 1:], "shape",
                      id="views-wrong-width"),
         pytest.param("adv_mask", lambda row: row[:-1], "shape",
