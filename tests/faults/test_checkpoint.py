@@ -592,8 +592,10 @@ class TestSlotTable:
             engine.close()
 
     @pytest.mark.parametrize("key, holder_of, attr", [
-        ("mf_due", lambda engine: engine._channel, "_mf_due"),
-        ("views", lambda engine: engine.partner_provider.views, "views"),
+        pytest.param("mf_due", lambda engine: engine._channel, "_mf_due",
+                     id="mf_due"),
+        pytest.param("views", lambda engine: engine.partner_provider.views,
+                     "views", id="views"),
     ])
     def test_structure_monitor_flags_a_forgotten_growth(self, key,
                                                         holder_of, attr):
