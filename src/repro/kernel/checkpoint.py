@@ -44,9 +44,10 @@ Reading verifies the checksum before anything is decoded and loads each
 member into an array of its own. A manifest that is not a JSON object,
 a payload that cannot be read and a checksum mismatch all end in
 :class:`~repro.errors.CheckpointError`. :meth:`GossipEngine.restore
-<repro.kernel.engine.GossipEngine.restore>` then builds the engine
-around the loaded matrix: the backend adopts it like any initial
-matrix, so the scenario's own initial matrix is never built.
+<repro.kernel.engine.GossipEngine.restore>` then checks it against the
+scenario (:func:`check_restorable`), allocates the engine around the
+loaded matrix — the backend adopts it like any initial matrix — and
+loads and audits the rest: no initial state is built, nothing drawn.
 
 :class:`CheckpointSpec` drives periodic auto-checkpointing from
 :meth:`GossipEngine.run(..., checkpoint=...)
@@ -73,6 +74,7 @@ import numpy as np
 
 from ..errors import CheckpointError
 from ..fields import declare, validate_fields
+from ..rng import make_rng
 
 #: manifest ``format`` field — rejects foreign json files outright
 CHECKPOINT_FORMAT = "repro-checkpoint"
@@ -269,30 +271,58 @@ def read_manifest(manifest_path: Union[str, Path]) -> Dict[str, object]:
     return manifest
 
 
-def check_manifest(
-    manifest: Dict[str, object], scenario, *, bit_generator=None, path=None
-) -> None:
-    """Raise :class:`CheckpointError` unless ``manifest`` was recorded
-    under a configuration ``scenario`` can resume: same size,
-    membership layer, pair mode and dynamic-overlay flag — and, where
-    the caller has an engine to ask, the same ``bit_generator``.
-    ``path`` names the checkpoint in the message."""
+#: the payload members every checkpoint holds, whatever the scenario
+_REQUIRED_MEMBERS = ("matrix", "free_slots", "rng_state", "epoch_results")
+
+
+def check_restorable(scenario, manifest: Dict[str, object],
+                     arrays: Dict[str, np.ndarray]) -> None:
+    """Raise :class:`CheckpointError` unless ``scenario`` can resume
+    the checkpoint ``(manifest, arrays)``: the configuration it was
+    taken under (size, membership layer, pair mode, dynamic-overlay
+    flag, bit generator), its instance layout, the members every
+    checkpoint holds and a float64 ``(slots, instances)`` matrix. Needs
+    no engine, so nothing is built for a checkpoint that fails it."""
     expected = {
         "n": scenario.n,
         "membership": "oracle" if scenario.membership is None else "newscast",
         "pair_mode": scenario.pair_protocol is not None,
         "dynamic": scenario.is_dynamic,
+        "bit_generator": type(make_rng(scenario.seed).bit_generator).__name__,
     }
-    if bit_generator is not None:
-        expected["bit_generator"] = bit_generator
-    where = "" if path is None else f" at {path}"
     for key, value in expected.items():
         if manifest.get(key) != value:
             raise CheckpointError(
-                f"checkpoint{where} was taken under "
-                f"{key}={manifest.get(key)!r}; this scenario has "
-                f"{key}={value!r}"
+                f"checkpoint was taken under {key}={manifest.get(key)!r}; "
+                f"this scenario has {key}={value!r}"
             )
+    names = [str(name) for name in scenario.instance_names]
+    rebuilt = manifest.get("instances_rebuilt")
+    if rebuilt and scenario.epochs is None:
+        raise CheckpointError(
+            "checkpoint holds an epoch-rebuilt instance layout but this "
+            "scenario declares no epochs"
+        )
+    if not rebuilt and names != list(manifest.get("instances", ())):
+        raise CheckpointError(
+            f"checkpoint instances {manifest.get('instances')} do not "
+            f"match the scenario's {names}"
+        )
+    missing = [key for key in _REQUIRED_MEMBERS if key not in arrays]
+    if missing:
+        raise CheckpointError(
+            f"checkpoint payload holds no {', '.join(map(repr, missing))} "
+            f"member; every checkpoint has one"
+        )
+    # an epoch restart may have rebuilt the instances to any number
+    matrix = arrays["matrix"]
+    if matrix.dtype != np.float64 or matrix.ndim != 2 or not (
+        rebuilt or matrix.shape[1] == len(names)
+    ):
+        raise CheckpointError(
+            f"checkpoint matrix is {matrix.dtype} {matrix.shape}, not "
+            f"float64 with a column per instance"
+        )
 
 
 def resolve_checkpoint(path: Union[str, Path]) -> Path:

@@ -100,14 +100,19 @@ from .backends import (
 )
 from .checkpoint import (
     CheckpointSpec,
-    check_manifest,
+    check_restorable,
     pickle_payload,
     prune_checkpoints,
     read_checkpoint,
     unpickle_payload,
     write_checkpoint,
 )
-from .invariants import InvariantFinding, InvariantMonitor, InvariantReport
+from .invariants import (
+    InvariantFinding,
+    InvariantMonitor,
+    InvariantReport,
+    audit_structure,
+)
 from .lifecycle import EpochRestart, EpochView
 from .membership import PartnerProvider, build_provider
 from .messages import (
@@ -133,13 +138,13 @@ RecordPoint = Union[List[Moments], Callable[[], List[Moments]]]
 #: fails on an array that has a slot per node and no row. Columns:
 #: attribute; checkpoint key (the on-disk name: never renamed); dtype;
 #: what fresh capacity holds (-1: a row of slot ids); one column per
-#: aggregation instance, or not (a vector, or its holder's width); the
+#: aggregation instance, or not (a vector, or the views' width); the
 #: scenario field that brings the array into being (``None``: always
-#: there), which :meth:`GossipEngine._slot_rows` maps to the row's
-#: holder: the message channel for ``retry``
-#: (:data:`~repro.kernel.messages.CHANNEL_SLOTS`; it allocates and
-#: clears them), the provider's views for ``membership``, else the
-#: engine.
+#: there; ``eclipse``: an adversary of that kind), which
+#: :meth:`GossipEngine._slot_rows` maps to the row's holder: the message
+#: channel for ``retry`` (:data:`~repro.kernel.messages.CHANNEL_SLOTS`;
+#: it allocates and clears them), the provider's views for
+#: ``membership``, else the engine.
 _SLOT_STATE = (
     ("_alive", "alive", bool, False, False, None),
     # the nodes gossiping in the current epoch: diverges from alive
@@ -152,60 +157,27 @@ _SLOT_STATE = (
     # fresh capacity is always honest; a recycled slot keeps the
     # departed node's flag (the attacker holds the position)
     ("_adv_mask", "adv_mask", bool, False, False, "adversary"),
+    # the eclipse captors: the adversarial slot each honest victim's
+    # draws land on (-1: not captured); static-only, so never grown
+    ("_eclipse", "eclipse", np.int32, -1, False, "eclipse"),
 ) + CHANNEL_SLOTS + (
     # the Newscast partial views: view_size slot ids per slot; a fresh
     # row is seeded (on_join) before its slot can initiate
     ("views", "views", np.int32, -1, False, "membership"),
 )
 
-#: the scalar counters of a run, as (attribute, manifest field)
+#: the scalar counters of a run, as (attribute, manifest field, the
+#: value a new run starts from and the least a checkpoint may hold)
 _COUNTERS = (
-    ("cycle", "cycle"),
-    ("epoch", "epoch"),
-    ("_epoch_start_cycle", "epoch_start_cycle"),
-    ("_size_at_epoch_start", "size_at_epoch_start"),
-    ("_last_finalized_epoch", "last_finalized_epoch"),
-    # next never-used slot (== capacity until the matrix grows)
-    ("_top", "top"),
-    ("_mask_version", "mask_version"),
+    ("cycle", "cycle", 0),
+    ("epoch", "epoch", -1),
+    ("_epoch_start_cycle", "epoch_start_cycle", 0),
+    ("_size_at_epoch_start", "size_at_epoch_start", 0),
+    ("_last_finalized_epoch", "last_finalized_epoch", -1),
+    # next never-used slot: n in a new run, capacity until it grows
+    ("_top", "top", 0),
+    ("_mask_version", "mask_version", 0),
 )
-
-
-#: the payload members every checkpoint holds, whatever the scenario
-_REQUIRED_MEMBERS = ("matrix", "free_slots", "rng_state", "epoch_results")
-
-
-def _check_restorable(scenario: Scenario, manifest: Dict[str, Any],
-                      arrays: Dict[str, np.ndarray]) -> None:
-    """Raise :class:`CheckpointError` unless ``scenario`` can resume
-    the checkpoint ``(manifest, arrays)``: the configuration it was
-    taken under, its instance layout and the members every checkpoint
-    holds. Needs no engine, so nothing is built for a checkpoint that
-    fails it."""
-    check_manifest(
-        manifest, scenario,
-        bit_generator=type(make_rng(scenario.seed).bit_generator).__name__,
-    )
-    if manifest.get("instances_rebuilt"):
-        if scenario.epochs is None:
-            raise CheckpointError(
-                "checkpoint holds an epoch-rebuilt instance layout "
-                "but this scenario declares no epochs"
-            )
-    elif [str(name) for name in scenario.instance_names] != list(
-        manifest.get("instances", ())
-    ):
-        raise CheckpointError(
-            f"checkpoint instances {manifest.get('instances')} do "
-            f"not match the scenario's "
-            f"{[str(n) for n in scenario.instance_names]}"
-        )
-    missing = [key for key in _REQUIRED_MEMBERS if key not in arrays]
-    if missing:
-        raise CheckpointError(
-            f"checkpoint payload holds no {', '.join(map(repr, missing))} "
-            f"member; every checkpoint has one"
-        )
 
 
 @dataclass
@@ -326,66 +298,44 @@ class GossipEngine:
     """
 
     def __init__(self, scenario: Scenario):
-        self._build(scenario, scenario.initial_matrix())
+        self._allocate(scenario, scenario.initial_matrix())
+        self._bootstrap()
 
-    def _build(self, scenario: Scenario, matrix: np.ndarray) -> None:
-        """Construct the engine around ``matrix``: the scenario's
-        initial matrix, or a checkpoint's (:meth:`restore`)."""
+    def _allocate(self, scenario: Scenario, matrix: np.ndarray) -> None:
+        """Everything of a run that no checkpoint holds, around
+        ``matrix`` (the scenario's initial one, or a checkpoint's): the
+        scenario's fields, the backend, the monitors, the provider and
+        channel objects. The state — slot rows, free list, counters,
+        RNG — is left to :meth:`_bootstrap` or :meth:`_load_state`."""
         self.scenario = scenario
         self._names: Tuple[Hashable, ...] = scenario.instance_names
         self._functions: Tuple = scenario.functions
-        self._matrix = matrix
-        # per-slot state: a row of _SLOT_STATE this scenario does not
-        # need stays None (the channel and the views set their own rows)
-        for attr, *_, needs in _SLOT_STATE:
-            if needs not in ("retry", "membership"):
-                setattr(self, attr, None)
-        self._alive = np.ones(scenario.n, dtype=bool)
         self._rng = make_rng(scenario.seed)
         # reusable per-cycle scratch; bump _mask_version on every
         # alive/participant mutation so its initiator cache invalidates
         self._plan = CyclePlan()
-        self._mask_version = 0
         # -- lifecycle state --------------------------------------------
         self._churn = scenario.churn
         self._epochs = scenario.epochs
         self._dynamic = scenario.is_dynamic
         # -- pair mode (algorithm AVG, Figure 2) ------------------------
-        self._pair = scenario.pair_protocol
+        self._pair = pair = scenario.pair_protocol
         self._pair_draw: Optional[PairDraw] = (
-            self._pair.bind(scenario.topology)
-            if self._pair is not None
-            else None
+            None if pair is None else pair.bind(scenario.topology)
         )
         self._pair_plan = (
-            conflict_free_plan(self._pair.selector, scenario.n)
-            if self._pair is not None
-            else None
+            None if pair is None
+            else conflict_free_plan(pair.selector, scenario.n)
         )
-        self._phi_log: List[np.ndarray] = []
         # -- adversary state (AdversarySpec) ----------------------------
-        # the adversary set is drawn from the engine RNG at construction
-        # (before any cycle randomness), corruption is applied as
-        # engine-side matrix writes and exchange filtering — backends
-        # never see the spec, so bitwise equivalence is preserved
+        # corruption is applied as engine-side matrix writes and
+        # exchange filtering — backends never see the spec, so bitwise
+        # equivalence is preserved
         adversary = scenario.adversary
         self._adversary = adversary
         self._adversary_partition = (
             adversary is not None and adversary.kind == "partition"
         )
-        self._eclipse: Optional[np.ndarray] = None
-        if adversary is not None:
-            mask = np.zeros(scenario.n, dtype=bool)
-            mask[adversary.resolve_nodes(scenario.n, self._rng)] = True
-            self._adv_mask = mask
-            if adversary.kind == "eclipse":
-                self._eclipse = adversary.eclipse_redirects(
-                    scenario.topology, mask, self._rng
-                )
-        self._participant = self._alive.copy()
-        # slots of departed nodes, recycled LIFO for joiners
-        self._free_slots: List[int] = []
-        self._top = scenario.n
         # nodes with a zero-degree overlay row (possible in hand-built
         # or very sparse random adjacency overlays) stay alive — their
         # value still counts toward the true aggregate — but are
@@ -402,25 +352,27 @@ class GossipEngine:
         self._channel: Optional[ExchangeChannel] = None
         if scenario.message_faults is not None:
             self._channel = ExchangeChannel(
-                scenario.message_faults, scenario.retry, scenario.n,
-                len(self._names),
+                scenario.message_faults, scenario.retry
             )
             self._channel.bind(self)
-        # the partner-draw layer: bound after the adversary draw so the
-        # oracle provider (which consumes no RNG here) reproduces the
-        # historical construction-time RNG stream exactly, and any
-        # provider bootstrap randomness (newscast views) lands at a
-        # fixed, backend-independent point in the stream
         self._provider: PartnerProvider = build_provider(scenario.membership)
         self._provider.bind(self)
-        if self._epochs is not None and self._epochs.reseed is None:
-            self._attributes = self._matrix.copy()
-        self.epoch = -1
-        self._epoch_start_cycle = 0
-        self._size_at_epoch_start = 0
-        self._last_finalized_epoch = -1
-        self._epoch_results: List[Any] = []
-
+        # whether this scenario has the rows of _SLOT_STATE, by what
+        # brings them into being: the one place that decides which rows
+        # are live (bootstrap, restore and every loop over the table
+        # read it)
+        epochs = self._epochs
+        self._live = {
+            None: True,
+            "epochs": epochs is not None and epochs.reseed is None,
+            "adversary": adversary is not None,
+            "eclipse": adversary is not None and adversary.kind == "eclipse",
+            "retry": scenario.retry is not None,
+            "membership": self._provider.views is not None,
+        }
+        for attr, *_, needs in _SLOT_STATE:
+            if needs not in ("retry", "membership"):
+                setattr(self, attr, None)
         self._closed = False
         self._backend: ExecutionBackend = make_backend(
             scenario.resolve_backend()
@@ -428,7 +380,7 @@ class GossipEngine:
         # hand the matrix to the backend: in-process backends return it
         # unchanged, the sharded backend moves it into shared memory so
         # all later in-place engine mutations are visible to its workers
-        self._matrix = self._backend.adopt_matrix(self._matrix)
+        self._matrix = self._backend.adopt_matrix(matrix)
         # -- invariant monitors -----------------------------------------
         # observed at the end of every cycle; the per-cycle mass ledger
         # records every deliberate mass-moving engine event with its
@@ -443,23 +395,57 @@ class GossipEngine:
             self.arm_standard_monitors(strict=True)
         # every column's (variance, mean) over the participants at the
         # current state, or None: filled by one column_moments call,
-        # dropped by the only three things that write the matrix or the
-        # participant mask — run_cycle(), crash(), _load_state()
+        # dropped by the only two things that write the matrix or the
+        # participant mask — run_cycle() and crash()
         self._moments: Optional[List[Moments]] = None
         self._moment_scratch = MomentScratch()
-        self.cycle = 0
+
+    def _bootstrap(self) -> None:
+        """A new run's state: every node alive and participating, the
+        counters at their start, the live rows of :data:`_SLOT_STATE`
+        seeded. Its RNG draws come before any cycle's, in a fixed
+        order: the adversary set, the eclipse captors, the views."""
+        n, k = self._matrix.shape
+        rng, live = self._rng, self._live
+        self._alive = np.ones(n, dtype=bool)
+        self._participant = self._alive.copy()
+        # slots of departed nodes, recycled LIFO for joiners
+        self._free_slots: List[int] = []
+        self._phi_log: List[np.ndarray] = []
+        self._epoch_results: List[Any] = []
+        for attr, _, start in _COUNTERS:
+            setattr(self, attr, start)
+        self._top = n
+        adversary = self._adversary
+        if live["adversary"]:
+            self._adv_mask = np.zeros(n, dtype=bool)
+            self._adv_mask[adversary.resolve_nodes(n, rng)] = True
+        if live["eclipse"]:
+            self._eclipse = adversary.eclipse_redirects(
+                self.scenario.topology, self._adv_mask, rng
+            )
+        if live["retry"]:
+            self._channel.reset(n, k)
+        if live["membership"]:
+            self._provider.views.bootstrap(rng)
+        if live["epochs"]:
+            self._attributes = self._matrix.copy()
 
     def _slot_rows(self):
-        """``(holder, row)`` for every live row of :data:`_SLOT_STATE`:
-        the channel holds the ``retry`` rows, the provider's views the
-        ``membership`` row, the engine the others. A ``None`` holder
-        (no channel, the oracle) has no rows."""
+        """``(holder, row, shape)`` for every live row of
+        :data:`_SLOT_STATE`: the channel holds the ``retry`` rows, the
+        provider's views the ``membership`` row, the engine the others;
+        a row has a slot per matrix row, by a column per instance, the
+        views' width, or nothing."""
+        rows, k = self._matrix.shape
         held = {"retry": self._channel, "membership": self._provider.views}
         for row in _SLOT_STATE:
-            attr, *_, needs = row
-            holder = held.get(needs, self)
-            if holder is not None and getattr(holder, attr) is not None:
-                yield holder, row
+            if self._live[row[-1]]:
+                holder = held.get(row[-1], self)
+                width = (k,) if row[4] else (
+                    (holder.view_size,) if row[-1] == "membership" else ()
+                )
+                yield holder, row, (rows,) + width
 
     # -- lifecycle -------------------------------------------------------
 
@@ -655,7 +641,7 @@ class GossipEngine:
         ``slot_lengths`` is how many slots the matrix and every live
         row of :data:`_SLOT_STATE` hold, by checkpoint key."""
         lengths = {"matrix": len(self._matrix)}
-        for holder, (attr, key, *_) in self._slot_rows():
+        for holder, (attr, key, *_), _ in self._slot_rows():
             lengths[key] = len(getattr(holder, attr))
         return {
             "alive": self._alive,
@@ -838,9 +824,9 @@ class GossipEngine:
         # copies the old rows straight into it; geometric growth keeps
         # remaps O(log n)
         self._matrix = self._backend.grow_matrix(self._matrix, new_capacity)
-        for holder, (attr, _, dtype, fill, _, _) in self._slot_rows():
+        for holder, (attr, _, dtype, fill, *_), shape in self._slot_rows():
             held = getattr(holder, attr)
-            tail = fresh_slots((grow,) + held.shape[1:], dtype, fill)
+            tail = fresh_slots((grow,) + shape[1:], dtype, fill)
             setattr(holder, attr, np.concatenate([held, tail]))
 
     def _admit(self, count: int) -> np.ndarray:
@@ -1005,7 +991,7 @@ class GossipEngine:
             "rng_state": pickle_payload(self._rng.bit_generator.state),
             "epoch_results": pickle_payload(self._epoch_results),
         }
-        for holder, (attr, key, *_) in self._slot_rows():
+        for holder, (attr, key, *_), _ in self._slot_rows():
             arrays[key] = getattr(holder, attr)
         if self._phi_log:
             arrays["phi_log"] = np.stack(self._phi_log)
@@ -1025,63 +1011,76 @@ class GossipEngine:
             "dynamic": bool(self._dynamic),
             "backend": self.backend_name,
         }
-        for attr, key in _COUNTERS:
+        for attr, key, _ in _COUNTERS:
             manifest[key] = int(getattr(self, attr))
         return write_checkpoint(directory, arrays, manifest)
 
     def _load_state(self, manifest: Dict[str, Any],
                     arrays: Dict[str, np.ndarray]) -> None:
-        """Overwrite this engine's mutable state, built around the
-        checkpoint's matrix, with the rest of the checkpoint's.
-        Construction already consumed the same construction-time
-        randomness (adversary draw, provider bootstrap) the checkpointed
-        engine did; the restored RNG state then discards it, so the
-        resumed stream continues exactly where the checkpointed run
-        left off."""
+        """Give an engine :meth:`_allocate` made around a checkpoint's
+        matrix the rest of the checkpoint's state — every live row of
+        :data:`_SLOT_STATE`, the free list, the counters, the RNG state
+        — and audit it: anything this engine could not run is a
+        :class:`CheckpointError` here, not a failure cycles later."""
         rows, k = self._matrix.shape
         if manifest.get("instances_rebuilt"):
             # positional instance ids, every column running
             # AGGREGATE_AVG — exactly what _start_epoch rebuilds
             self._functions = (MeanAggregate(),) * k
             self._names = tuple(range(k))
-        self._moments = None
-        for holder, (attr, key, dtype, fill, per_column, _) in (
-            self._slot_rows()
-        ):
-            # a slot per matrix row at the width the engine built, and
-            # slot ids (fill -1: none) that index the matrix — the view
-            # merge packs them into sort keys
+        for holder, (attr, key, dtype, fill, *_), shape in self._slot_rows():
             loaded = arrays.get(key)
-            shape = (rows,) + (
-                (k,) if per_column else getattr(holder, attr).shape[1:]
-            )
-            if loaded is None or loaded.shape != shape:
+            found = None if loaded is None else (loaded.shape, loaded.dtype)
+            if found != (shape, dtype):
                 raise CheckpointError(
-                    f"checkpoint {key!r} array has shape "
-                    f"{None if loaded is None else loaded.shape}, this "
-                    f"scenario's engine keeps {shape}"
+                    f"checkpoint {key!r} array has (shape, dtype) {found}, "
+                    f"this scenario's engine keeps {shape, np.dtype(dtype)}"
                 )
-            if fill == -1 and loaded.size and not (
-                loaded.min() >= -1 and loaded.max() < rows
+            # integer rows hold slot ids that index the matrix (fill -1:
+            # none; the view merge packs them into sort keys) or counts
+            if loaded.dtype.kind == "i" and loaded.size and not (
+                loaded.min() >= fill and (fill != -1 or loaded.max() < rows)
             ):
                 raise CheckpointError(
-                    f"checkpoint {key!r} array holds slot ids outside "
-                    f"[-1, {rows})"
+                    f"checkpoint {key!r} array holds entries outside "
+                    f"[{fill}, {rows if fill == -1 else 'inf'})"
                 )
-            setattr(holder, attr, np.ascontiguousarray(loaded, dtype=dtype))
+            setattr(holder, attr, np.ascontiguousarray(loaded))
+        # the view merge reads an alive slot's row: it must be seeded
+        views = self._provider.views
+        if views is not None and (views.views[self._alive] == -1).any():
+            raise CheckpointError("checkpoint 'views' leaves an alive "
+                                  "slot's view unseeded (-1)")
+        free = arrays["free_slots"]
+        if free.ndim != 1 or free.dtype != np.int64:
+            raise CheckpointError(f"checkpoint 'free_slots' is {free.dtype} "
+                                  f"{free.shape}, not a list of slot ids")
+        self._free_slots = free.tolist()
         if self._channel is not None and "mf_stats" in arrays:
             # a checkpoint an older build wrote without a retry policy
             # has none: the counts then restart from zero
             self._channel.stats = dict(unpickle_payload(arrays["mf_stats"]))
-        self._free_slots = [int(slot) for slot in arrays["free_slots"]]
         self._phi_log = [row.copy() for row in arrays.get("phi_log", ())]
         self._epoch_results = list(unpickle_payload(arrays["epoch_results"]))
         self._rng.bit_generator.state = unpickle_payload(arrays["rng_state"])
-        for attr, key in _COUNTERS:
-            setattr(self, attr, int(manifest[key]))
-        # fresh per-cycle scratch: buffers resize on first use and the
-        # initiator cache re-keys on the restored mask version
-        self._plan = CyclePlan()
+        for attr, key, start in _COUNTERS:
+            value = manifest.get(key)
+            if type(value) is not int or value < start:
+                raise CheckpointError(
+                    f"checkpoint counter {key!r} is {value!r}, not an "
+                    f"int >= {start}"
+                )
+            setattr(self, attr, value)
+        if self._epoch_start_cycle > self.cycle:
+            raise CheckpointError(
+                f"checkpoint counter 'epoch_start_cycle' is "
+                f"{self._epoch_start_cycle}, past 'cycle' {self.cycle}"
+            )
+        findings = audit_structure(self.structure_snapshot())
+        if findings:
+            raise CheckpointError(
+                f"checkpoint slot structure is broken: {findings[0][0]}"
+            )
 
     @classmethod
     def restore(
@@ -1100,17 +1099,16 @@ class GossipEngine:
         be a manifest, a payload file, or a checkpoint directory (the
         newest valid checkpoint wins).
 
-        The checkpoint is validated before anything is built, and the
-        engine is then built around the checkpoint's matrix: the
-        backend adopts it as it would an initial matrix, and the
-        scenario's initial matrix is never built.
+        The checkpoint is validated before anything is built. The
+        engine is then allocated around the checkpoint's matrix (the
+        backend adopts it as it would an initial matrix) and loaded
+        with the rest of its state: the scenario's initial state is
+        never built and no randomness is drawn.
         """
         manifest, arrays = read_checkpoint(path)
-        _check_restorable(scenario, manifest, arrays)
+        check_restorable(scenario, manifest, arrays)
         engine = cls.__new__(cls)
-        engine._build(scenario, np.ascontiguousarray(
-            arrays["matrix"], dtype=np.float64
-        ))
+        engine._allocate(scenario, np.ascontiguousarray(arrays["matrix"]))
         try:
             engine._load_state(manifest, arrays)
         except BaseException:

@@ -258,14 +258,69 @@ class VarianceMonotonicityMonitor(InvariantMonitor):
         }
 
 
+def audit_structure(snapshot) -> List[Tuple[str, float]]:
+    """The structure checks over a
+    :meth:`~repro.kernel.engine.GossipEngine.structure_snapshot`, as
+    ``(message, value)`` findings (none: consistent). Raises nothing,
+    whatever the snapshot holds: :class:`StructureMonitor` runs it every
+    cycle and a restore once, before the checkpoint's first cycle.
+
+    Every per-slot array holds ``capacity`` slots (else nothing more is
+    checked: the checks below index them); participants are alive; the
+    free list holds slots in ``[0, top)``, no slot twice and no alive
+    one; ``top <= capacity``, and a static run frees nothing and uses
+    every slot; under churn / epochs, allocated slots are exactly
+    alive + recyclable + never used."""
+    capacity, top = snapshot["capacity"], snapshot["top"]
+    findings = [
+        (f"per-slot array {key!r} holds {length} slots, capacity is "
+         f"{capacity}", float(length - capacity))
+        for key, length in snapshot["slot_lengths"].items()
+        if length != capacity
+    ]
+    if findings:
+        return findings
+    alive, free_slots = snapshot["alive"], snapshot["free_slots"]
+    ghosts = int(np.count_nonzero(snapshot["participant"] & ~alive))
+    if ghosts:
+        findings.append((f"{ghosts} participant slot(s) are not alive",
+                         float(ghosts)))
+    free = np.asarray(free_slots, dtype=np.int64)
+    allocated = (free >= 0) & (free < min(top, capacity))
+    if not allocated.all():
+        findings.append((f"a free-listed slot is outside [0, top {top})",
+                         float(len(free) - np.count_nonzero(allocated))))
+    if len(set(free_slots)) != len(free_slots):
+        findings.append(("the recycled-slot free list holds duplicate "
+                         "slots", float(len(free_slots))))
+    resurrected = int(np.count_nonzero(alive[free[allocated]]))
+    if resurrected:
+        findings.append((f"{resurrected} free-listed slot(s) are still "
+                         f"alive", float(resurrected)))
+    if top > capacity:
+        findings.append((f"top {top} is past capacity {capacity}",
+                         float(top - capacity)))
+    unused = capacity - top
+    if not snapshot["dynamic"]:
+        if free_slots or unused:
+            findings.append((f"a static run lists {len(free_slots)} free "
+                             f"slot(s) and {unused} unused", float(unused)))
+        return findings
+    live = int(alive.sum())
+    if live + len(free_slots) + unused != capacity:
+        findings.append((
+            f"slot accounting broke: {live} alive + {len(free_slots)} "
+            f"free + {unused} unused != capacity {capacity}",
+            float(live + len(free_slots) + unused - capacity),
+        ))
+    return findings
+
+
 class StructureMonitor(InvariantMonitor):
-    """Lifecycle bookkeeping consistency: participants are a subset of
-    alive nodes, the recycled-slot free list holds unique dead slots,
-    (under churn/epochs) allocated slots are exactly partitioned into
-    alive + recyclable + never-used, and every per-slot array holds
-    exactly ``capacity`` slots — a growth that forgot one is a
-    violation on the cycle it happens, not an ``IndexError`` whenever
-    a fresh slot is first touched."""
+    """Lifecycle bookkeeping consistency, every cycle: the checks of
+    :func:`audit_structure` as violations — a growth that forgot a
+    per-slot array is a violation on the cycle it happens, not an
+    ``IndexError`` whenever a fresh slot is first touched."""
 
     name = "structure"
 
@@ -273,63 +328,13 @@ class StructureMonitor(InvariantMonitor):
         self.cycles_checked = 0
 
     def observe(self, engine, cycle, ledger, rebase):
-        snapshot = engine.structure_snapshot()
-        alive = snapshot["alive"]
-        participant = snapshot["participant"]
-        free_slots = snapshot["free_slots"]
-        capacity = snapshot["capacity"]
-        top = snapshot["top"]
-        findings = []
-        for key, length in snapshot["slot_lengths"].items():
-            if length != capacity:
-                findings.append(self._finding(
-                    cycle, "violation",
-                    f"per-slot array {key!r} holds {length} slots, "
-                    f"capacity is {capacity}",
-                    value=float(length - capacity),
-                ))
-        ghosts = int(np.count_nonzero(participant & ~alive))
-        if ghosts:
-            findings.append(self._finding(
-                cycle, "violation",
-                f"{ghosts} participant slot(s) are not alive",
-                value=float(ghosts),
-            ))
-        if len(set(free_slots)) != len(free_slots):
-            findings.append(self._finding(
-                cycle, "violation",
-                "the recycled-slot free list holds duplicate slots",
-                value=float(len(free_slots)),
-            ))
-        free_array = np.asarray(free_slots, dtype=np.int64)
-        if len(free_array):
-            if int(free_array.max()) >= top:
-                findings.append(self._finding(
-                    cycle, "violation",
-                    "a free-listed slot was never allocated "
-                    f"(>= top {top})",
-                ))
-            resurrected = int(np.count_nonzero(alive[free_array]))
-            if resurrected:
-                findings.append(self._finding(
-                    cycle, "violation",
-                    f"{resurrected} free-listed slot(s) are still alive",
-                    value=float(resurrected),
-                ))
-        if snapshot["dynamic"]:
-            accounted = (
-                int(alive.sum()) + len(free_slots) + (capacity - top)
-            )
-            if accounted != capacity:
-                findings.append(self._finding(
-                    cycle, "violation",
-                    f"slot accounting broke: {int(alive.sum())} alive + "
-                    f"{len(free_slots)} free + {capacity - top} unused "
-                    f"!= capacity {capacity}",
-                    value=float(accounted - capacity),
-                ))
         self.cycles_checked += 1
-        return findings
+        return [
+            self._finding(cycle, "violation", message, value=value)
+            for message, value in audit_structure(
+                engine.structure_snapshot()
+            )
+        ]
 
     def summary(self) -> dict:
         return {"cycles_checked": self.cycles_checked}

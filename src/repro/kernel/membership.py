@@ -123,27 +123,31 @@ class NewscastViews:
     outside ``[-1, capacity)`` are refused) and audit its length.
     """
 
-    def __init__(
-        self, capacity: int, view_size: int, rng: np.random.Generator
-    ):
-        check_count(capacity, "newscast views capacity", low=2)
+    def __init__(self, n: int, view_size: int):
+        check_count(n, "newscast views capacity", low=2)
         check_count(view_size, "view_size", low=1)
-        self.view_size = min(int(view_size), capacity - 1)
-        # bootstrap: each node knows `view_size` random other nodes
-        # (self-collisions shift to the next slot, keeping the no-self
-        # invariant with a single vectorized draw; only the clashing
-        # entries are rewritten — two matrix-sized temporaries here
-        # were most of the page faults of a small run's set-up)
-        views = rng.integers(
-            0, capacity, size=(capacity, self.view_size), dtype=np.int32
-        )
-        clash = views == np.arange(capacity, dtype=np.int32)[:, None]
-        views[clash] = (views[clash] + 1) % capacity
-        self.views = views
+        # the row width, fixed by the initial network of n nodes
+        self.view_size = min(int(view_size), n - 1)
+        self._n = n
+        # the views row: drawn by bootstrap(), or a checkpoint's
+        self.views: Optional[np.ndarray] = None
         # per-cycle scratch (peer picks and their liveness), sized by
         # the largest exchange count so far: not a slot row
         self._peers = np.empty(0, dtype=np.int32)
         self._ok = np.empty(0, dtype=bool)
+
+    def bootstrap(self, rng: np.random.Generator) -> "NewscastViews":
+        """Each of the ``n`` initial nodes knows ``view_size`` random
+        other nodes (self-collisions shift to the next slot, keeping
+        the no-self invariant with a single vectorized draw; only the
+        clashing entries are rewritten — two matrix-sized temporaries
+        here were most of the page faults of a small run's set-up)."""
+        n = self._n
+        views = rng.integers(0, n, size=(n, self.view_size), dtype=np.int32)
+        clash = views == np.arange(n, dtype=np.int32)[:, None]
+        views[clash] = (views[clash] + 1) % n
+        self.views = views
+        return self
 
     @property
     def capacity(self) -> int:
@@ -259,8 +263,9 @@ class PartnerProvider:
     views: Optional[NewscastViews] = None
 
     def bind(self, engine: "GossipEngine") -> None:
-        """Attach to ``engine`` (called once, at engine construction;
-        may consume engine RNG — e.g. the Newscast bootstrap)."""
+        """Attach to ``engine`` (called once, at engine construction,
+        before any slot state exists; draws nothing — the engine seeds
+        :attr:`views` itself, or loads a checkpoint's)."""
         self._engine = engine
 
     def unbind(self) -> None:
@@ -390,9 +395,7 @@ class NewscastProvider(PartnerProvider):
 
     def bind(self, engine: "GossipEngine") -> None:
         super().bind(engine)
-        self.views = NewscastViews(
-            engine.capacity, self.spec.view_size, engine._rng
-        )
+        self.views = NewscastViews(engine.scenario.n, self.spec.view_size)
 
     def begin_cycle(
         self,

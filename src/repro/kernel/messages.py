@@ -308,7 +308,7 @@ class ExchangeChannel:
     """
 
     def __init__(self, faults: MessageFaultSpec,
-                 retry: Optional[RetrySpec], capacity: int, k: int):
+                 retry: Optional[RetrySpec]):
         self._faults = faults
         self._retry = retry
         # backoff delays by attempt number (attempts never pass budget)
@@ -316,7 +316,9 @@ class ExchangeChannel:
         # segmentation scratch of the one-sided writes
         self._scratch = GreedyScratch()
         self.stats: Dict[str, int] = dict.fromkeys(MESSAGE_COUNTERS, 0)
-        self.reset(capacity, k)
+        # the slot rows: reset() allocates them, or a restore loads them
+        for attr, *_ in CHANNEL_SLOTS:
+            setattr(self, attr, None)
 
     def bind(self, engine) -> None:
         """Attach to the engine whose matrix the channel writes."""

@@ -10,14 +10,17 @@ payload-then-manifest commits, torn-checkpoint skipping, checksum
 verification, and retention pruning. :class:`TestWriter` pins the
 payload to the bytes ``np.savez`` writes and checks that a failed write
 leaves the previous checkpoint as the newest; :class:`TestRestorePath`
-checks that restore builds the engine around the saved matrix.
+checks that restore allocates the engine around the saved matrix and
+loads the rest, building no initial state and drawing nothing.
 
 What a slot holds is one table in the engine (``_SLOT_STATE``), and
 growth, recycling, checkpoint and restore are loops over it.
 :class:`TestSlotTable` audits the table against the engine's
 attributes, :class:`TestComposedRoundTrip` resumes every composition of
-the features that add rows to it, and :class:`TestOlderBuild` restores
-a checkpoint written before the table existed.
+the features that add rows to it (and an eclipse run, whose captors
+are a static-only row), :class:`TestEditedCheckpoint` fuzzes a real
+checkpoint one member or counter at a time, and :class:`TestOlderBuild`
+restores a checkpoint written before the table existed.
 """
 
 import hashlib
@@ -56,8 +59,8 @@ from repro.kernel import (
 )
 from repro.kernel import checkpoint as checkpoint_module
 from repro.kernel.checkpoint import pickle_payload, write_checkpoint
-from repro.kernel.engine import _SLOT_STATE
-from repro.topology import AdjacencyTopology, CompleteTopology
+from repro.kernel.engine import _COUNTERS, _SLOT_STATE
+from repro.topology import AdjacencyTopology, CompleteTopology, RingTopology
 
 pytestmark = pytest.mark.faults
 
@@ -93,6 +96,14 @@ def _armed(n=150, backend="vectorized", membership="newscast",
         ),
         retry=RETRIES[retry],
     )
+
+
+def _row(key, edit):
+    """A checkpoint edit: member ``key`` becomes ``edit(member)``."""
+    def apply(manifest, arrays):
+        arrays[key] = edit(arrays[key])
+
+    return apply
 
 
 def _past_capacity(row):
@@ -399,7 +410,11 @@ class TestFormat:
         def build(*args):
             raise AssertionError("restore built an engine")
 
-        return lambda: monkeypatch.setattr(GossipEngine, "_build", build)
+        def refuse():
+            for step in ("_allocate", "_bootstrap"):
+                monkeypatch.setattr(GossipEngine, step, build)
+
+        return refuse
 
     @pytest.mark.parametrize(
         "member", ["matrix", "free_slots", "rng_state", "epoch_results"]
@@ -525,13 +540,14 @@ class TestSlotTable:
 
     #: per-slot arrays that are not rows, with the reason: static-only
     #: (Scenario rejects them under churn / epochs, so they never grow)
-    #: and re-derived at construction from scenario and seed (so a
+    #: and derived from the scenario alone, no randomness drawn (so a
     #: checkpoint need not carry them)
-    REDERIVED = {"_eclipse", "_isolated"}
+    REDERIVED = {"_isolated"}
 
     def _static_engine(self):
         """A static overlay with a zero-degree row and an eclipse
-        adversary: the two whitelisted arrays exist."""
+        adversary: the whitelisted array and the static-only eclipse
+        row exist."""
         n = 40
         edges = [(i, i + 1) for i in range(n - 2)]
         return GossipEngine(Scenario(
@@ -549,7 +565,7 @@ class TestSlotTable:
             # rows (engine, message channel, Newscast views) is scanned
             rows = {attr for attr, *_ in _SLOT_STATE}
             holders = {id(holder): holder
-                       for holder, _ in engine._slot_rows()}.values()
+                       for holder, *_ in engine._slot_rows()}.values()
             per_slot = {
                 name for holder in holders
                 for name, value in vars(holder).items()
@@ -558,11 +574,12 @@ class TestSlotTable:
             }
             assert per_slot - rows - {"_matrix"} <= self.REDERIVED
             if build == "armed":
-                # fully armed: no row is left out of the audit
-                assert rows <= per_slot
+                # fully armed: no row but the static-only eclipse
+                # captors is left out of the audit
+                assert rows - {"_eclipse"} <= per_slot
                 assert not per_slot & self.REDERIVED
             else:
-                assert self.REDERIVED <= per_slot
+                assert self.REDERIVED | {"_eclipse"} <= per_slot
         finally:
             engine.close()
 
@@ -576,8 +593,11 @@ class TestSlotTable:
             assert len(engine._matrix) == engine.capacity
             widths = {"views": (8,)}  # _armed's view_size
             held_rows = list(engine._slot_rows())
-            assert len(held_rows) == len(_SLOT_STATE)
-            for holder, (attr, key, dtype, fill, per_column, _) in held_rows:
+            # every row but the static-only eclipse captors
+            assert len(held_rows) == len(_SLOT_STATE) - 1
+            for holder, (attr, key, dtype, fill, per_column, _), _ in (
+                held_rows
+            ):
                 held = getattr(holder, attr)
                 assert held.dtype == dtype, key
                 assert held.shape == (engine.capacity,) + (
@@ -616,30 +636,132 @@ class TestSlotTable:
         finally:
             engine.close()
 
-    @pytest.mark.parametrize("key, edit, match", [
-        pytest.param("mf_partner", _past_capacity, "outside",
+    @pytest.mark.parametrize("edit, match", [
+        pytest.param(_row("mf_partner", _past_capacity), "outside",
                      id="mf_partner-past-capacity"),
-        pytest.param("mf_partner", lambda row: row - 1, "outside",
+        pytest.param(_row("mf_partner", lambda row: row - 1), "outside",
                      id="mf_partner-below-none"),
-        pytest.param("mf_cache", lambda row: np.hstack([row, row]),
+        pytest.param(_row("mf_cache", lambda row: np.hstack([row, row])),
                      "shape", id="mf_cache-wrong-width"),
-        pytest.param("mf_sent", lambda row: row[:, :0], "shape",
+        pytest.param(_row("mf_sent", lambda row: row[:, :0]), "shape",
                      id="mf_sent-wrong-width"),
-        pytest.param("views", lambda row: row[:, 1:], "shape",
+        pytest.param(_row("views", lambda row: row[:, 1:]), "shape",
                      id="views-wrong-width"),
-        pytest.param("adv_mask", lambda row: row[:-1], "shape",
+        pytest.param(_row("adv_mask", lambda row: row[:-1]), "shape",
                      id="adv_mask-short"),
+        pytest.param(_row("views", lambda row: np.full_like(row, -1)),
+                     "unseeded", id="views-unseeded"),
+        pytest.param(_row("free_slots", lambda row: np.append(row, 10**6)),
+                     r"outside \[0, top", id="free-slot-past-top"),
+        pytest.param(_row("free_slots", lambda row: np.append(row, -5)),
+                     r"outside \[0, top", id="free-slot-negative"),
+        pytest.param(_row("free_slots", lambda row: np.append(row, [0, 0])),
+                     "duplicate", id="free-slot-duplicate"),
+        pytest.param(_row("free_slots", lambda row: np.append(row, 0)),
+                     "still alive", id="free-slot-alive"),
+        pytest.param(lambda manifest, arrays: manifest.update(
+                         top=manifest["capacity"] + 1),
+                     "past capacity", id="top-past-capacity"),
+        pytest.param(lambda manifest, arrays: manifest.pop("top"),
+                     "'top' is None", id="counter-missing"),
+        pytest.param(lambda manifest, arrays: manifest.update(epoch=True),
+                     "'epoch' is True", id="counter-bool"),
+        pytest.param(lambda manifest, arrays: manifest.update(cycle=2.5),
+                     "'cycle' is 2.5", id="counter-float"),
     ])
-    def test_restore_checks_every_row(self, key, edit, match, tmp_path):
-        """Every loaded row holds a slot per matrix row at the width the
-        engine built, and a row of slot ids stays in ``[-1, rows)``."""
+    def test_restore_checks_every_row(self, edit, match, tmp_path):
+        """Every loaded row holds a slot per matrix row at the width and
+        dtype the engine keeps, a row of slot ids stays in ``[-1,
+        rows)``, the free list and ``top`` pass the structure audit and
+        every counter is an int in range."""
         with GossipEngine(_armed()) as engine:
             engine.run(3)
             manifest, arrays = read_checkpoint(engine.checkpoint(tmp_path))
-        arrays[key] = edit(arrays[key])
+        edit(manifest, arrays)
         written = write_checkpoint(tmp_path / "edited", arrays, manifest)
         with pytest.raises(CheckpointError, match=match):
             GossipEngine.restore(_armed(), written)
+
+
+#: the fuzzed members: every plain array an armed checkpoint holds (the
+#: pickled ones — RNG state, epoch results, message counts — are
+#: trusted by design) and every counter of its manifest
+FUZZ_MEMBERS = ("matrix", "free_slots") + tuple(
+    key for _, key, *_ in _SLOT_STATE if key != "eclipse"
+)
+FUZZ_COUNTERS = tuple(key for _, key, _ in _COUNTERS)
+FUZZ_EDITS = ("dtype", "shape", "out-of-range", "duplicate", "negative")
+
+
+def _fuzz_edit(value, edit, at, others):
+    """``value`` — an array member or a counter — with one ``edit``;
+    ``at`` picks the entry, or the counter (of ``others``) to copy."""
+    if not isinstance(value, np.ndarray):
+        return {"dtype": value + 0.5, "shape": [value], "out-of-range": 10**6,
+                "duplicate": others[at % len(others)], "negative": -5}[edit]
+    if edit == "dtype":
+        return value.astype(np.float32)
+    if edit == "shape":
+        return value[:-1]
+    value = value.copy()
+    flat = value.reshape(-1)
+    at %= flat.size
+    entry = {"out-of-range": len(value), "duplicate": flat[at - 1],
+             "negative": -5}[edit]
+    # cast as numpy casts (wrapping an int8, -5 -> True in a bool row)
+    flat[at] = np.array(entry).astype(value.dtype)
+    return value
+
+
+class TestEditedCheckpoint:
+    """Fuzz: a real armed checkpoint (Newscast, churn, retry, epochs,
+    a free list from a crash wave) with one plain array or counter
+    edited is refused with :class:`CheckpointError`, or it restores and
+    runs under strict monitors — no other exception escapes."""
+
+    _source = {}
+
+    def _checkpoint(self, tmp_path_factory):
+        if not self._source:
+            directory = tmp_path_factory.mktemp("fuzz")
+            with GossipEngine(_armed()) as engine:
+                engine.run(11)
+                engine.crash(range(0, engine.capacity, 11))
+                manifest, arrays = read_checkpoint(
+                    engine.checkpoint(directory / "source")
+                )
+            pickled = {"rng_state", "epoch_results", "mf_stats"}
+            assert set(arrays) - pickled == set(FUZZ_MEMBERS)
+            assert len(arrays["free_slots"]) > 0
+            self._source.update(manifest=manifest, arrays=arrays,
+                                directory=directory)
+        return self._source
+
+    @settings(max_examples=70, deadline=None, derandomize=True)
+    @given(target=st.sampled_from(FUZZ_MEMBERS + FUZZ_COUNTERS),
+           edit=st.sampled_from(FUZZ_EDITS),
+           at=st.integers(min_value=0, max_value=2**16))
+    def test_refused_or_runs(self, target, edit, at, tmp_path_factory):
+        source = self._checkpoint(tmp_path_factory)
+        manifest, arrays = source["manifest"], dict(source["arrays"])
+        if target in arrays:
+            arrays[target] = _fuzz_edit(arrays[target], edit, at, None)
+        written = write_checkpoint(source["directory"], arrays, manifest)
+        if target not in arrays:
+            # the manifest is no part of the checksum: edit it in place
+            record = json.loads(written.read_text())
+            record[target] = _fuzz_edit(
+                record[target], edit, at,
+                [record[key] for key in FUZZ_COUNTERS],
+            )
+            written.write_text(json.dumps(record))
+        try:
+            engine = GossipEngine.restore(_armed(), written)
+        except CheckpointError:
+            return
+        with engine:
+            engine.arm_standard_monitors(strict=True)
+            engine.run(5)
 
 
 class TestComposedRoundTrip:
@@ -670,21 +792,56 @@ class TestComposedRoundTrip:
             resumed.close()
 
 
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("overlay", ["complete", "ring"])
+    def test_eclipse_resume_is_bitwise(self, overlay, backend, tmp_path):
+        """The eclipse captors are a slot row: drawn from the RNG on the
+        complete overlay, structural on an adjacency one, and either
+        way restored from the checkpoint, not re-derived."""
+        n = 120
+        topology = (CompleteTopology(n) if overlay == "complete"
+                    else RingTopology(n, 4))
+        values = np.random.default_rng(5).normal(12.0, 3.0, n)
+
+        def scenario():
+            return Scenario(
+                topology, values, seed=31, backend=backend,
+                adversary=AdversarySpec(kind="eclipse", fraction=0.1,
+                                        start=3),
+            )
+
+        full, resumed = _round_trip(scenario, total=14, split=6,
+                                    tmp_path=tmp_path)
+        try:
+            assert (full._eclipse >= 0).any()
+            assert np.array_equal(resumed._eclipse, full._eclipse)
+            assert _digest(resumed) == _digest(full)
+        finally:
+            full.close()
+            resumed.close()
+
+
 class TestRestorePath:
-    """Restore builds the engine around the checkpoint's matrix."""
+    """Restore allocates the engine around the checkpoint's matrix and
+    loads the rest: it builds no initial state and draws nothing."""
 
     def test_restore_never_builds_the_initial_matrix(self, tmp_path,
                                                      monkeypatch):
+        """Neither the scenario's initial matrix nor the bootstrap —
+        adversary draw, channel rows, Newscast views, attribute copy —
+        runs on restore, and the resumed run still ends bitwise where
+        the uninterrupted one does."""
         with GossipEngine(_armed()) as full:
             full.run(20)
         with GossipEngine(_armed()) as part:
             part.run(11)
             part.checkpoint(tmp_path)
 
-        def initial_matrix(self):
-            raise AssertionError("restore built the initial matrix")
+        def refuse(self):
+            raise AssertionError("restore built the initial state")
 
-        monkeypatch.setattr(Scenario, "initial_matrix", initial_matrix)
+        monkeypatch.setattr(Scenario, "initial_matrix", refuse)
+        monkeypatch.setattr(GossipEngine, "_bootstrap", refuse)
         with GossipEngine.restore(_armed(), tmp_path) as resumed:
             resumed.run(9)
             assert _digest(resumed) == _digest(full)

@@ -264,6 +264,24 @@ class TestStructure:
             engine.close()
         assert monitor.cycles_checked == 10
 
+    @pytest.mark.parametrize("slot", [10**6, -5])
+    def test_out_of_range_free_slot_is_a_finding(self, slot):
+        """A free list naming a slot outside ``[0, top)`` is a violation
+        finding, first in line — the audit indexes nothing with it."""
+        engine = GossipEngine(make_scenario(
+            churn=ChurnTrace.constant(10, 8, 2)
+        ))
+        try:
+            engine.run(3)
+            engine._free_slots.append(slot)
+            findings = StructureMonitor().observe(engine, 3, {}, False)
+        finally:
+            engine.close()
+        assert all(finding.is_violation for finding in findings)
+        assert findings[0].message == (
+            f"a free-listed slot is outside [0, top {engine._top})"
+        )
+
     def test_standard_set_is_fresh_instances(self):
         first, second = standard_monitors(), standard_monitors()
         assert {m.name for m in first} == {"mass", "variance", "structure"}

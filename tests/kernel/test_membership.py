@@ -199,21 +199,21 @@ class TestOracleRngIdentity:
 
 class TestNewscastViews:
     def test_bootstrap_invariants(self):
-        views = NewscastViews(100, 12, make_rng(3))
+        views = NewscastViews(100, 12).bootstrap(make_rng(3))
         rows = np.arange(100)[:, None]
         assert views.views.shape == (100, 12)
         assert not np.any(views.views == rows)
         assert views.views.min() >= 0 and views.views.max() < 100
 
     def test_view_size_capped(self):
-        views = NewscastViews(4, 20, make_rng(3))
+        views = NewscastViews(4, 20).bootstrap(make_rng(3))
         assert views.view_size == 3
 
     def test_rejects_tiny_inputs(self):
         with pytest.raises(ConfigurationError):
-            NewscastViews(1, 5, make_rng(0))
+            NewscastViews(1, 5)
         with pytest.raises(ConfigurationError):
-            NewscastViews(10, 0, make_rng(0))
+            NewscastViews(10, 0)
 
     def test_grow_preserves_rows(self):
         """Engine growth extends the views like every slot-table row:
@@ -228,7 +228,7 @@ class TestNewscastViews:
             assert np.all(views[50:] == -1)
 
     def test_seed_rows_alive_no_self(self):
-        views = NewscastViews(60, 8, make_rng(5))
+        views = NewscastViews(60, 8).bootstrap(make_rng(5))
         alive = np.ones(60, dtype=bool)
         alive[40:] = False
         slots = np.array([41, 47, 59], dtype=np.int64)
@@ -238,7 +238,7 @@ class TestNewscastViews:
         assert not np.any(seeded == slots[:, None])
 
     def test_draw_partners_from_own_row(self):
-        views = NewscastViews(40, 5, make_rng(7))
+        views = NewscastViews(40, 5).bootstrap(make_rng(7))
         initiators = np.arange(40, dtype=np.int64)
         out = np.empty(40, dtype=np.int32)
         for trial in range(10):
@@ -693,7 +693,7 @@ class TestMembershipAcceptance:
         random overlay' property the aggregation analysis needs."""
         n, v = 5000, 20
         rng = make_rng(17)
-        views = NewscastViews(n, v, rng)
+        views = NewscastViews(n, v).bootstrap(rng)
         backend = VectorizedBackend()
         everyone = np.arange(n, dtype=np.int64)
         alive = np.ones(n, dtype=bool)
