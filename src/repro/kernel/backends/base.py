@@ -21,10 +21,10 @@ batched backend builds on:
   whole rows, a cache-sized tile and an aggregate group at a time,
 * :func:`apply_sequential` — a short run of (possibly conflicting)
   steps applied in step order through the scalar ``combine`` path,
-* :func:`apply_one_sided` — the same scan for the engine's *one-sided*
-  exchanges (message faults: the partner adopts the combined value,
-  the initiator only where its reply survived), built from
-  :func:`apply_one_sided_batch` / :func:`apply_one_sided_sequential`,
+* :func:`apply_one_sided` — that plan, list positions carried, run for
+  the engine's *one-sided* exchanges (message faults: the partner
+  adopts the combined value, the initiator only where its reply
+  survived) by :func:`apply_one_sided_batch` / ``_sequential``,
 * :func:`column_moments` — the one reduction behind every reported
   variance and mean, run by whichever process has the rows mapped.
 
@@ -173,7 +173,7 @@ class GreedyScratch:
         self.first: Optional[np.ndarray] = None
         self.ready: Optional[np.ndarray] = None
 
-    def fit(self, rows: int, window: int = PAIR_CHUNK) -> None:
+    def fit(self, rows: int, window: int) -> None:
         """Size the buffers for a matrix of ``rows`` rows and scans of
         at most ``window`` steps."""
         if self.flat is None or len(self.flat) < 2 * window:
@@ -193,19 +193,21 @@ def iter_greedy_segments(
     rows: int,
     window: int,
     tail: int,
+    *carried: np.ndarray,
 ):
     """The order-preserving greedy segmentation as a pure plan.
 
-    Yields ``(kind, chunk_i, chunk_j)`` in execution order, where
-    ``kind`` is :data:`SEGMENT_BATCH` (the steps are node-disjoint and
-    may be applied through ``combine_array`` in any partition) or
-    :data:`SEGMENT_SEQUENTIAL` (conflicted steps that must run one at a
-    time, in order). Executing the yielded segments in order through
-    :func:`apply_disjoint_batch` / :func:`apply_sequential` is
-    bitwise-identical to the sequential reference execution —
-    segmentation depends only on indices, never on values, which is
-    what lets the sharded backend *plan* a call completely before (or
-    while) the workers apply it.
+    Yields ``(kind, chunk_i, chunk_j)`` in execution order, then one
+    chunk per ``carried`` integer array (say, the steps' positions),
+    cut exactly as the endpoints are. ``kind`` is :data:`SEGMENT_BATCH`
+    (the steps are node-disjoint and may be applied through
+    ``combine_array`` in any partition) or :data:`SEGMENT_SEQUENTIAL`
+    (conflicted steps that must run one at a time, in order). Executing
+    the yielded segments in order through :func:`apply_disjoint_batch` /
+    :func:`apply_sequential` is bitwise-identical to the sequential
+    reference execution — segmentation depends only on indices, never
+    on values, which is what lets the sharded backend *plan* a call
+    completely before (or while) the workers apply it.
 
     The plan slides a pending set over the step stream: every round
     tops the set up, in order, to at most ``window`` steps, scans it
@@ -222,48 +224,44 @@ def iter_greedy_segments(
     A round counts its ready steps and lists the batch and the carry
     only when some but not all are ready; a round with nothing carried
     takes its steps straight from the input. The chunks are ``intp``
-    arrays whatever the integer dtype of ``pending_i`` / ``pending_j``,
-    cast one window at a time — an ``intp`` input's chunks may be views
-    of it, never of ``scratch``, so a consumer may keep a segment for
-    as long as it leaves the input alone. ``scratch`` serves a matrix
-    of ``rows`` rows.
+    arrays whatever the integer dtype of the input, cast one window at
+    a time — an ``intp`` input's chunks may be views of it, never of
+    ``scratch``, so a consumer may keep a segment for as long as it
+    leaves the input alone. ``scratch`` serves a matrix of ``rows``
+    rows.
     """
     total = len(pending_i)
     scratch.fit(rows, window)
     scalar = max(tail, 1)
-    carry_i = carry_j = _NO_STEPS
+    streams = (pending_i, pending_j) + carried
+    carry = [_NO_STEPS] * len(streams)
     cursor = 0
     while True:
-        stop = min(cursor + window - len(carry_i), total)
-        if len(carry_i):
-            chunk_i = np.concatenate(
-                (carry_i, pending_i[cursor:stop]), dtype=np.intp
-            )
-            chunk_j = np.concatenate(
-                (carry_j, pending_j[cursor:stop]), dtype=np.intp
-            )
-        else:
-            chunk_i = pending_i[cursor:stop].astype(np.intp, copy=False)
-            chunk_j = pending_j[cursor:stop].astype(np.intp, copy=False)
+        stop = min(cursor + window - len(carry[0]), total)
+        chunks = [
+            np.concatenate((held, stream[cursor:stop]), dtype=np.intp)
+            if len(held) else stream[cursor:stop].astype(np.intp, copy=False)
+            for held, stream in zip(carry, streams)
+        ]
         cursor = stop
-        size = len(chunk_i)
+        size = len(chunks[0])
         if cursor == total and size <= tail:
             if size:
-                yield SEGMENT_SEQUENTIAL, chunk_i, chunk_j
+                yield (SEGMENT_SEQUENTIAL, *chunks)
             return
-        ready = first_occurrence_ready(chunk_i, chunk_j, scratch)
+        ready = first_occurrence_ready(chunks[0], chunks[1], scratch)
         count = np.count_nonzero(ready)
         if count == size:
-            yield SEGMENT_BATCH, chunk_i, chunk_j
-            carry_i = carry_j = _NO_STEPS
+            yield (SEGMENT_BATCH, *chunks)
+            carry = [_NO_STEPS] * len(streams)
         elif count < scalar:
-            yield SEGMENT_SEQUENTIAL, chunk_i[:scalar], chunk_j[:scalar]
-            carry_i, carry_j = chunk_i[scalar:], chunk_j[scalar:]
+            yield (SEGMENT_SEQUENTIAL, *(c[:scalar] for c in chunks))
+            carry = [c[scalar:] for c in chunks]
         else:
             peeled = np.flatnonzero(ready)
             kept = np.flatnonzero(~ready)
-            carry_i, carry_j = chunk_i.take(kept), chunk_j.take(kept)
-            yield SEGMENT_BATCH, chunk_i.take(peeled), chunk_j.take(peeled)
+            carry = [c.take(kept) for c in chunks]
+            yield (SEGMENT_BATCH, *(c.take(peeled) for c in chunks))
 
 
 @lru_cache(maxsize=32)
@@ -455,54 +453,36 @@ def apply_one_sided(
 ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """Apply a list of one-sided exchanges in list order.
 
-    The execution plan peels one window at a time, each pending step's
-    list position carried along: :data:`PAIR_CHUNK`-step windows run to
-    completion in order, node-disjoint first-occurrence batches through
-    :func:`apply_one_sided_batch`, each window's last
-    :data:`GREEDY_TAIL` conflicted steps through
+    One pass over the two-sided plan (:func:`iter_greedy_segments`),
+    each step's list position carried along: its batches run through
+    :func:`apply_one_sided_batch`, its sequential runs through
     :func:`apply_one_sided_sequential` — bitwise-identical to applying
-    the whole list one step at a time. It shares the scan of
-    :func:`iter_greedy_segments` but not its sliding pending set: the
-    ledger delta is summed per segment and so depends, in its last
-    digits, on where the segments are cut. A ``payload`` step conflicts
-    on its initiator as well, although it never touches it: that only
-    cuts a batch earlier than strictly needed.
+    the list one step at a time. A ``payload`` step conflicts on its
+    initiator too, though it never touches it: a batch cut early.
 
     Returns ``(delta, combined, sent)``. ``delta`` adds the segments'
-    deltas up in execution order. With ``collect`` the other two are
-    the ``(len(steps_i), k)`` per-step rows in list order, else
-    ``None`` and never built.
+    deltas up in execution order (its last digits depend on the cuts).
+    With ``collect`` the other two are the ``(len(steps_i), k)``
+    per-step rows in list order, else ``None`` and never built.
     """
     m, k = len(steps_i), matrix.shape[1]
     delta = np.zeros(k, dtype=np.float64)
-    combined = sent = None
-    if collect:
-        combined = np.empty((m, k), dtype=np.float64)
-        sent = np.empty((m, k), dtype=np.float64)
-    scratch.fit(matrix.shape[0])
-
-    def apply(applier, chunk_i, chunk_j, at):
+    combined, sent = np.empty((2, m, k)) if collect else (None, None)
+    for kind, chunk_i, chunk_j, at in iter_greedy_segments(
+        steps_i, steps_j, scratch, matrix.shape[0], PAIR_CHUNK,
+        GREEDY_TAIL, np.arange(m),
+    ):
+        applier = (apply_one_sided_sequential if kind == SEGMENT_SEQUENTIAL
+                   else apply_one_sided_batch)
         rows, asked, moved = applier(
             matrix, functions, chunk_i, chunk_j,
-            None if adopt_i is None else adopt_i[at],
-            None if payload is None else payload[at],
+            None if adopt_i is None else adopt_i.take(at),
+            None if payload is None else payload.take(at, axis=0),
         )
-        delta[:] += moved
+        delta += moved
         if collect:
             combined[at] = rows
             sent[at] = asked
-
-    for lo in range(0, m, PAIR_CHUNK):
-        chunk_i = steps_i[lo:lo + PAIR_CHUNK]
-        chunk_j = steps_j[lo:lo + PAIR_CHUNK]
-        at = np.arange(lo, lo + len(chunk_i))
-        while len(at) > GREEDY_TAIL:
-            ready = first_occurrence_ready(chunk_i, chunk_j, scratch)
-            apply(apply_one_sided_batch,
-                  chunk_i[ready], chunk_j[ready], at[ready])
-            keep = ~ready
-            chunk_i, chunk_j, at = chunk_i[keep], chunk_j[keep], at[keep]
-        apply(apply_one_sided_sequential, chunk_i, chunk_j, at)
     return delta, combined, sent
 
 

@@ -241,16 +241,9 @@ class ChurnTrace:
         targets = n + amplitude * np.sin(
             2.0 * np.pi * np.arange(1, cycles + 1) / period
         )
-        targets = np.rint(targets).astype(np.int64)
-        joins = np.zeros(cycles, dtype=np.int64)
-        leaves = np.zeros(cycles, dtype=np.int64)
-        size = n
-        for cycle in range(cycles):
-            delta = int(targets[cycle]) - size
-            joins[cycle] = fluctuation + max(delta, 0)
-            leaves[cycle] = fluctuation + max(-delta, 0)
-            size = targets[cycle]
-        return cls(joins, leaves)
+        delta = np.diff(np.rint(targets).astype(np.int64), prepend=n)
+        return cls(fluctuation + np.maximum(delta, 0),
+                   fluctuation + np.maximum(-delta, 0))
 
     def overlay(self, other: "ChurnTrace") -> "ChurnTrace":
         """Superimpose another trace (e.g. a flash crowd on a diurnal

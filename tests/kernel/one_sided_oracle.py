@@ -3,10 +3,21 @@
 order — the semantics :func:`repro.kernel.backends.apply_one_sided`
 must reproduce bitwise however it segments the list."""
 
+from unittest import mock
+
 import numpy as np
 
 from repro.core import MaxAggregate, MeanAggregate, MinAggregate
-from repro.kernel.backends import GreedyScratch, apply_one_sided
+from repro.kernel.backends import (
+    GREEDY_TAIL,
+    PAIR_CHUNK,
+    SEGMENT_BATCH,
+    SEGMENT_SEQUENTIAL,
+    GreedyScratch,
+    apply_one_sided,
+    base,
+    iter_greedy_segments,
+)
 
 #: the five-column mix the one-sided tests run besides k = 1
 MIXED_FUNCTIONS = (
@@ -47,15 +58,44 @@ def check_against_oracle(functions, nodes, steps_i, steps_j,
     """Run ``apply_one_sided`` and the oracle on copies of one random
     ``(nodes, k)`` matrix: matrix and collected rows must agree
     bitwise, the delta to 1e-12 of the mass moved (it is summed per
-    segment, the oracle's per step)."""
+    segment, the oracle's per step). The segments handed to the two
+    appliers must be the two-sided plan's, kind for kind and step for
+    step: one plan for every ordered write."""
     actual = np.random.default_rng(seed).normal(
         10.0, 4.0, (nodes, len(functions))
     )
     expected = actual.copy()
-    delta, combined, sent = apply_one_sided(
-        actual, functions, steps_i, steps_j, GreedyScratch(),
-        adopt_i=adopt_i, payload=payload, collect=collect,
-    )
+    applied = []
+
+    def recording(kind, applier):
+        def record(matrix, functions, chunk_i, chunk_j, *rest):
+            applied.append((kind, chunk_i.copy(), chunk_j.copy()))
+            return applier(matrix, functions, chunk_i, chunk_j, *rest)
+        return record
+
+    with mock.patch.multiple(
+        base,
+        apply_one_sided_batch=recording(
+            SEGMENT_BATCH, base.apply_one_sided_batch
+        ),
+        apply_one_sided_sequential=recording(
+            SEGMENT_SEQUENTIAL, base.apply_one_sided_sequential
+        ),
+    ):
+        delta, combined, sent = apply_one_sided(
+            actual, functions, steps_i, steps_j, GreedyScratch(),
+            adopt_i=adopt_i, payload=payload, collect=collect,
+        )
+    planned = list(iter_greedy_segments(
+        steps_i, steps_j, GreedyScratch(), nodes, PAIR_CHUNK, GREEDY_TAIL
+    ))
+    assert len(applied) == len(planned)
+    for (kind, chunk_i, chunk_j), (want, want_i, want_j) in zip(
+        applied, planned
+    ):
+        assert kind == want
+        assert np.array_equal(chunk_i, want_i)
+        assert np.array_equal(chunk_j, want_j)
     moved, expected_combined, expected_sent = scalar_one_sided(
         expected, functions, steps_i, steps_j, adopt_i, payload
     )

@@ -2,7 +2,7 @@
 
 ``apply_one_sided`` executes the engine's message-fault writes (partial
 exchanges, duplicate deliveries, retried exchanges) with the two-sided
-plan — node-disjoint batches plus short sequential tails — and must
+plan — node-disjoint batches plus short sequential runs — and must
 equal one scalar step per exchange bitwise on the matrix and on the
 ``combined`` / ``sent`` rows; the ledger delta may differ in the last
 bits only (it is summed per segment). The lists here are hand-built:
@@ -38,8 +38,10 @@ def initiator_was_partner(fi, fj):
 
 
 def long_chain(fi, fj):
-    # each step's initiator is the previous step's partner: one step
-    # peels per scan until the window's tail takes the rest
+    # each step's initiator is the previous step's partner: a scan finds
+    # only the chain's head ready, so the chain rides in the pending set
+    # until a scan finds fewer than GREEDY_TAIL steps ready, then goes
+    # sequential GREEDY_TAIL steps at a time
     for s in range(2 * GREEDY_TAIL + 20):
         fi[100 + s] = SPARE + s
         fj[100 + s] = SPARE + s + 1
@@ -114,8 +116,10 @@ class TestAgainstScalarOracle:
 
 def test_scalar_steps_bounded_by_tail_per_window(monkeypatch):
     """The cliff guard, as a count: however many collisions a long
-    one-sided list holds, at most ``GREEDY_TAIL`` steps per window run
-    through the scalar applier — never the whole list."""
+    one-sided list holds, the sliding plan hands the scalar applier
+    runs of at most ``GREEDY_TAIL`` steps, and no more such steps than
+    one ``GREEDY_TAIL`` per window of the list — never the whole
+    list."""
     steps, nodes = 20_000, 50_000
     rng = np.random.default_rng(2004)
     fi = rng.integers(0, nodes, steps)

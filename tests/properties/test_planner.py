@@ -104,9 +104,9 @@ def test_plan_preserves_order_and_equals_scalar(
 
 
 @settings(max_examples=60, deadline=None)
-@given(**PLANNER_CASES)
+@given(**PLANNER_CASES, carry_positions=st.booleans())
 def test_plan_is_the_oracles_and_owns_no_scratch(
-    nodes, steps, hub_share, window, tail, dtype, seed
+    nodes, steps, hub_share, window, tail, dtype, seed, carry_positions
 ):
     fi, fj = random_steps(
         nodes, steps, hub_share, dtype, np.random.default_rng(seed)
@@ -114,19 +114,33 @@ def test_plan_is_the_oracles_and_owns_no_scratch(
     expected = list(greedy_oracle.iter_greedy_segments(
         fi, fj, greedy_oracle.OracleGreedyScratch(), nodes, window, tail
     ))
+    # the list positions ride along as the one-sided writes carry them,
+    # and must not move a single cut
+    carried = (np.arange(steps),) if carry_positions else ()
     scratch = GreedyScratch()
-    kept = []
-    for kind, chunk_i, chunk_j in iter_greedy_segments(
-        fi, fj, scratch, nodes, window, tail
+    kept, positions = [], []
+    for kind, chunk_i, chunk_j, *rest in iter_greedy_segments(
+        fi, fj, scratch, nodes, window, tail, *carried
     ):
-        for chunk in (chunk_i, chunk_j):
+        assert len(rest) == len(carried)
+        for chunk in (chunk_i, chunk_j, *rest):
             assert chunk.dtype == np.intp
             for buffer in (scratch.position, scratch.flat, scratch.slots,
                            scratch.gathered, scratch.first, scratch.ready):
                 assert not np.shares_memory(chunk, buffer)
+        if rest:
+            at, = rest
+            assert np.array_equal(fi[at], chunk_i)
+            assert np.array_equal(fj[at], chunk_j)
+            positions.append(at)
         # a consumer that holds on to every segment, as the sharded
         # bank copy and the journal do
         kept.append((kind, chunk_i, chunk_j))
+    if carry_positions:
+        assert np.array_equal(
+            np.sort(np.concatenate([np.arange(0), *positions])),
+            np.arange(steps),
+        )
     assert len(kept) == len(expected)
     for (kind, chunk_i, chunk_j), (want, want_i, want_j) in zip(
         kept, expected
