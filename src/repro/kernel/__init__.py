@@ -105,7 +105,6 @@ from .backends import (
     VectorizedBackend,
     make_backend,
     parse_backend_spec,
-    resolve_chunk,
 )
 from .engine import CyclePlan, GossipEngine, KernelRunResult, run_scenario
 
@@ -173,7 +172,6 @@ __all__ = [
     "VectorizedBackend",
     "make_backend",
     "parse_backend_spec",
-    "resolve_chunk",
     "CyclePlan",
     "GossipEngine",
     "KernelRunResult",

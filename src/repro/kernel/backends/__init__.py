@@ -33,7 +33,6 @@ from .base import (
     column_moments,
     first_occurrence_ready,
     iter_greedy_segments,
-    resolve_chunk,
 )
 from .reference import ReferenceBackend
 from .registry import (
@@ -82,5 +81,4 @@ __all__ = [
     "iter_greedy_segments",
     "make_backend",
     "parse_backend_spec",
-    "resolve_chunk",
 ]

@@ -44,15 +44,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ...core.aggregates import AggregateFunction
-from ...errors import ConfigurationError
 
-#: default bound on the planner's pending set in the vectorized
+#: the bound on the planner's pending set in the vectorized
 #: backend — the most steps one first-occurrence scan ever sees, and
 #: so the size of its scratch. Within a few thousand steps node
 #: collisions are rare (≈ 85 % of a full pending set is ready at once),
-#: so the scans stay cache-resident and the batches fat. Tunable per
-#: backend (``chunk=``, e.g. ``Scenario(backend=VectorizedBackend(
-#: chunk=…))``); it never changes results, only batch shapes.
+#: so the scans stay cache-resident and the batches fat. A constant,
+#: not an option: it never changes results, only batch shapes.
 PAIR_CHUNK = 4096
 
 #: the most steps :func:`apply_disjoint_batch` gathers, combines and
@@ -89,29 +87,6 @@ VIEW_TAIL = 8
 VIEW_SORT_WIDTH = 32
 
 _NO_STEPS = np.empty(0, dtype=np.intp)
-
-
-def resolve_chunk(
-    chunk: Optional[int] = None, *, default: int = PAIR_CHUNK
-) -> int:
-    """The effective greedy-segmentation window size: an explicit
-    ``chunk`` (a backend constructor argument), else ``default`` —
-    the sharded backend passes its own, larger
-    :data:`~.sharded.SHARD_CHUNK`.
-    Raises :class:`ConfigurationError` on non-positive or non-integer
-    values.
-    """
-    if chunk is None:
-        return default
-    if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)):
-        raise ConfigurationError(
-            f"pair chunk must be a positive integer, got {chunk!r}"
-        )
-    if chunk < 1:
-        raise ConfigurationError(
-            f"pair chunk must be a positive integer, got {chunk}"
-        )
-    return int(chunk)
 
 
 def first_occurrence_ready(

@@ -100,7 +100,7 @@ garbage collection, and workers are daemonic as a last resort).
   segment the way first use does — or, the budget spent, runs
   *in-process for good*.
 
-Configuration is the four constructor arguments plus the two
+Configuration is the three constructor arguments plus the two
 environment variables whose setters sit outside the code that builds
 the backend: ``REPRO_SHARD_TIMEOUT`` (fault harnesses) and
 ``REPRO_SHARD_ON_FAILURE`` (the CLI's ``--on-pool-failure``).
@@ -134,6 +134,7 @@ import numpy as np
 
 from ...core.aggregates import AggregateFunction
 from ...errors import ConfigurationError, ShardPoolError, SimulationError
+from ...fields import check_count, check_real
 from ..faults import BACKEND_FAULT_KINDS, FaultSpec
 from .base import (
     PAIR_CHUNK,
@@ -146,7 +147,6 @@ from .base import (
     apply_sequential,
     column_moments,
     iter_greedy_segments,
-    resolve_chunk,
 )
 from .vectorized import VectorizedBackend
 
@@ -157,9 +157,9 @@ from .vectorized import VectorizedBackend
 #: adopted rows (its first scan 83 % ready at any N), kept between
 #: :data:`~.base.PAIR_CHUNK` and this cap — which it reaches from
 #: 524 288 rows on. The batch kernel tiles what it is handed, so the
-#: window is no cache question. ``chunk=`` replaces the rule, and also
-#: sets the window of the backend's in-process work (inline,
-#: degraded, views).
+#: window is no cache question. The backend's in-process work (inline,
+#: degraded, views) crosses no barrier and keeps the vectorized
+#: backend's :data:`~.base.PAIR_CHUNK`.
 SHARD_CHUNK = 65536
 
 #: sequential-tail threshold for the sharded planner — larger than the
@@ -203,11 +203,7 @@ def _barrier_timeout() -> float:
         raise ConfigurationError(
             f"REPRO_SHARD_TIMEOUT must be a number of seconds, got {env!r}"
         ) from None
-    if value <= 0:
-        raise ConfigurationError(
-            f"REPRO_SHARD_TIMEOUT must be positive, got {value}"
-        )
-    return value
+    return check_real(value, "REPRO_SHARD_TIMEOUT", above=0)
 
 
 class _PoolFailure(Exception):
@@ -502,7 +498,6 @@ class ShardedBackend(ExecutionBackend):
         self,
         workers: Optional[Union[int, str]] = None,
         *,
-        chunk: Optional[int] = None,
         on_failure: Optional[str] = None,
         max_respawns: Optional[int] = None,
     ):
@@ -519,11 +514,6 @@ class ShardedBackend(ExecutionBackend):
                 f"'auto', got {workers!r}"
             )
         self.workers = int(workers)
-        self._chunk = resolve_chunk(chunk, default=SHARD_CHUNK)
-        # the pool's window (_map) amortises barriers the in-process
-        # backend never crosses: it plans with its own default unless
-        # the caller chose a window
-        self._inline_chunk = chunk
         self._timeout = _barrier_timeout()
         if on_failure is None:
             env = os.environ.get("REPRO_SHARD_ON_FAILURE", "")
@@ -536,11 +526,7 @@ class ShardedBackend(ExecutionBackend):
         self._on_failure = on_failure
         if max_respawns is None:
             max_respawns = _DEFAULT_MAX_RESPAWNS
-        if max_respawns < 0:
-            raise ConfigurationError(
-                f"max_respawns must be non-negative, got {max_respawns}"
-            )
-        self._max_respawns = int(max_respawns)
+        self._max_respawns = check_count(max_respawns, "max_respawns", low=0)
         # where a lost pool went: respawn credits spent (the pool is
         # down until the next schedule forks another), degraded to
         # in-process execution, or failed with the error every later
@@ -1132,10 +1118,7 @@ class ShardedBackend(ExecutionBackend):
         self._view, self._banks = view, banks
         self._steps_cap = steps_cap
         # the planner's window follows the rows (SHARD_CHUNK says why)
-        self._window = (
-            self._chunk if self._inline_chunk is not None
-            else min(SHARD_CHUNK, max(PAIR_CHUNK, rows // 8))
-        )
+        self._window = min(SHARD_CHUNK, max(PAIR_CHUNK, rows // 8))
         # park the previous generation *before* the remap round-trip so
         # a failure mid-remap leaves it reachable for close()/_shutdown
         # (its name is still linked at this point; _unlink is tolerant)
@@ -1226,7 +1209,7 @@ class ShardedBackend(ExecutionBackend):
         """The in-process backend behind ``auto`` below
         :data:`SHARD_INLINE`, a degraded pool and every view merge."""
         if self._vector is None:
-            self._vector = VectorizedBackend(chunk=self._inline_chunk)
+            self._vector = VectorizedBackend()
         return self._vector
 
     def apply_view_exchanges(
@@ -1246,8 +1229,7 @@ class ShardedBackend(ExecutionBackend):
         greedy-segmented vectorized path keeps the matrix
         bitwise-identical across backends and worker counts; it plans
         with the vectorized backend's window and
-        :data:`~.base.VIEW_TAIL`, never the pool's (an explicit
-        ``chunk=`` still reaches it)."""
+        :data:`~.base.VIEW_TAIL`, never the pool's."""
         self._ensure_vector().apply_view_exchanges(views, exch_i, exch_j)
 
     # -- the backend contract ---------------------------------------------

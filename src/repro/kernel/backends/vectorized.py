@@ -10,6 +10,7 @@ from ...core.aggregates import AggregateFunction
 from ...errors import SimulationError
 from .base import (
     GREEDY_TAIL,
+    PAIR_CHUNK,
     SEGMENT_SEQUENTIAL,
     VIEW_TAIL,
     ExecutionBackend,
@@ -19,7 +20,6 @@ from .base import (
     iter_greedy_segments,
     merge_views_batch,
     merge_views_sequential,
-    resolve_chunk,
 )
 
 
@@ -36,9 +36,8 @@ class VectorizedBackend(ExecutionBackend):
 
     name = "vectorized"
 
-    def __init__(self, *, chunk: Optional[int] = None):
+    def __init__(self):
         self._scratch = GreedyScratch()
-        self._chunk = resolve_chunk(chunk)
 
     def apply_exchanges(
         self,
@@ -107,7 +106,7 @@ class VectorizedBackend(ExecutionBackend):
         exchanges is worth another scan and another batch."""
         for kind, chunk_i, chunk_j in iter_greedy_segments(
             np.asarray(exch_i), np.asarray(exch_j), self._scratch,
-            views.shape[0], self._chunk, VIEW_TAIL,
+            views.shape[0], PAIR_CHUNK, VIEW_TAIL,
         ):
             if kind == SEGMENT_SEQUENTIAL:
                 merge_views_sequential(views, chunk_i, chunk_j)
@@ -123,16 +122,16 @@ class VectorizedBackend(ExecutionBackend):
         backend's parent also consumes (writing segments out instead
         of applying them). Here each segment is applied the moment it
         is planned, which keeps the scans cache-resident: one
-        first-occurrence scan and one fat batch per ``chunk`` steps of
-        input, the steps that were not ready carried into the next
-        scan, and the last few conflicted steps
-        (:data:`GREEDY_TAIL`) run sequentially — batch sizes decay
-        geometrically, so the tail would otherwise burn one full scan
-        per handful of steps.
+        first-occurrence scan and one fat batch per
+        :data:`~.base.PAIR_CHUNK` steps of input, the steps that were
+        not ready carried into the next scan, and the last few
+        conflicted steps (:data:`GREEDY_TAIL`) run sequentially —
+        batch sizes decay geometrically, so the tail would otherwise
+        burn one full scan per handful of steps.
         """
         for kind, chunk_i, chunk_j in iter_greedy_segments(
             pending_i, pending_j, self._scratch, matrix.shape[0],
-            self._chunk, GREEDY_TAIL,
+            PAIR_CHUNK, GREEDY_TAIL,
         ):
             if kind == SEGMENT_SEQUENTIAL:
                 apply_sequential(matrix, functions, chunk_i, chunk_j)

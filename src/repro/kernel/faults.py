@@ -40,6 +40,10 @@ FAULT_KINDS = ("kill_worker", "delay_ack", "corrupt_bank", "parent_kill")
 #: kinds a ShardedBackend can fire itself (``parent_kill`` is external)
 BACKEND_FAULT_KINDS = ("kill_worker", "delay_ack", "corrupt_bank")
 
+#: seconds :func:`spawn_and_kill` sleeps between checkpoint polls —
+#: about how long the run goes on past its first commit before the kill
+KILL_POLL = 0.05
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -84,7 +88,6 @@ def spawn_and_kill(
     checkpoint_dir: Union[str, Path],
     *,
     timeout: float = 120.0,
-    poll: float = 0.05,
     env: Optional[dict] = None,
 ) -> Path:
     """Launch ``argv``, SIGKILL it as soon as a checkpoint commits,
@@ -135,7 +138,7 @@ def spawn_and_kill(
                     f"spawn_and_kill: no checkpoint appeared in "
                     f"{checkpoint_dir} within {timeout:g}s"
                 )
-            time.sleep(poll)
+            time.sleep(KILL_POLL)
     finally:
         if proc.poll() is None:
             proc.kill()

@@ -42,6 +42,16 @@ from ..core.aggregates import MeanAggregate
 #: churn, crash, inject — is lifecycle-attributed)
 FAULT_LEDGER_KEYS = ("partial", "duplicate", "repair")
 
+#: the mass monitor's slack on one cycle's residual: absolute, plus
+#: relative to the column's expected sum and the participant count —
+#: the rounding a float64 sum over that many estimates can carry
+MASS_ATOL = 1e-7
+MASS_RTOL = 1e-12
+
+#: the variance monitor's slack on a rise, relative to the previous
+#: cycle's variance
+VARIANCE_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class InvariantFinding:
@@ -115,9 +125,7 @@ class MassConservationMonitor(InvariantMonitor):
 
     name = "mass"
 
-    def __init__(self, atol: float = 1e-7, rtol: float = 1e-12):
-        self.atol = atol
-        self.rtol = rtol
+    def __init__(self):
         self._expected: Optional[np.ndarray] = None
         self.attributed: Dict[str, float] = {}
         self.max_residual = 0.0
@@ -162,7 +170,7 @@ class MassConservationMonitor(InvariantMonitor):
         scale = float(max(1.0, engine.participant_count))
         for column in columns:
             residual = float(sums[column] - expected[column])
-            tolerance = self.atol + self.rtol * (
+            tolerance = MASS_ATOL + MASS_RTOL * (
                 abs(float(expected[column])) + scale
             )
             self.max_residual = max(self.max_residual, abs(residual))
@@ -205,8 +213,7 @@ class VarianceMonotonicityMonitor(InvariantMonitor):
 
     name = "variance"
 
-    def __init__(self, rtol: float = 1e-9):
-        self.rtol = rtol
+    def __init__(self):
         self._applicable: Optional[bool] = None
         self._last: Dict[int, float] = {}
         self._initial: Dict[int, float] = {}
@@ -234,7 +241,7 @@ class VarianceMonotonicityMonitor(InvariantMonitor):
             variance = engine.variance(name)
             if column in self._last:
                 previous = self._last[column]
-                tolerance = self.rtol * previous + 1e-15 * (
+                tolerance = VARIANCE_RTOL * previous + 1e-15 * (
                     self._initial.get(column, 1.0) + 1.0
                 )
                 if variance > previous + tolerance:

@@ -20,6 +20,10 @@ from ..rng import SeedLike, make_rng
 from .base import AdjacencyTopology
 from .analysis import is_connected
 
+#: bound on full redraws (a failed edge-swap repair, or a disconnected
+#: draw) before the generator gives up
+MAX_ATTEMPTS = 50
+
 
 def _edge_key(i: int, j: int, n: int) -> int:
     return (i * n + j) if i < j else (j * n + i)
@@ -113,24 +117,14 @@ class RandomRegularTopology(AdjacencyTopology):
         View size (degree). The paper uses ``k = 20``.
     seed:
         Seed or generator for reproducibility.
-    require_connected:
-        When true (default), regenerate until the graph is connected,
-        matching the paper's assumption of a *connected* random overlay.
-        (For k >= 3 a random regular graph is connected w.h.p., so
-        retries are rare.)
-    max_attempts:
-        Safety bound on full redraws.
+
+    The graph is redrawn until it is connected, the paper's assumption
+    of a *connected* random overlay (for k >= 3 a random regular graph
+    is connected w.h.p., so redraws are rare), at most
+    :data:`MAX_ATTEMPTS` times.
     """
 
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        *,
-        seed: SeedLike = None,
-        require_connected: bool = True,
-        max_attempts: int = 50,
-    ):
+    def __init__(self, n: int, k: int, *, seed: SeedLike = None):
         n = check_count(n, "RandomRegularTopology.n")
         k = check_count(k, "RandomRegularTopology.k")
         if k < 1:
@@ -140,7 +134,7 @@ class RandomRegularTopology(AdjacencyTopology):
         if (n * k) % 2 != 0:
             raise TopologyError(f"n*k must be even, got n={n}, k={k}")
         rng = make_rng(seed)
-        adjacency = self._generate(n, k, rng, max_attempts, require_connected)
+        adjacency = self._generate(n, k, rng)
         super().__init__(adjacency, validate=False)
         self._k = k
 
@@ -150,8 +144,8 @@ class RandomRegularTopology(AdjacencyTopology):
         return self._k
 
     @staticmethod
-    def _generate(n, k, rng, max_attempts, require_connected):
-        for _ in range(max_attempts):
+    def _generate(n, k, rng):
+        for _ in range(MAX_ATTEMPTS):
             pairs = _pairing_with_repair(n, k, rng)
             if pairs is None:
                 continue
@@ -159,12 +153,9 @@ class RandomRegularTopology(AdjacencyTopology):
             for i, j in pairs:
                 adjacency[i].append(j)
                 adjacency[j].append(i)
-            if require_connected:
-                topo = AdjacencyTopology(adjacency, validate=False)
-                if not is_connected(topo):
-                    continue
-            return adjacency
+            if is_connected(AdjacencyTopology(adjacency, validate=False)):
+                return adjacency
         raise TopologyError(
             f"failed to generate a random {k}-regular graph on {n} nodes "
-            f"after {max_attempts} attempts"
+            f"after {MAX_ATTEMPTS} attempts"
         )

@@ -346,10 +346,11 @@ class TestScenarioValidation:
 
 
 class TestChunkTunable:
-    """The greedy-segmentation window is a pure performance knob: any
-    positive value must reproduce the reference trajectory bitwise."""
+    """The greedy-segmentation window is a pure performance constant:
+    any positive value must reproduce the reference trajectory
+    bitwise."""
 
-    def run_vectorized(self, chunk, n=300, cycles=6):
+    def run_vectorized(self, n=300, cycles=6):
         from repro.kernel import VectorizedBackend
 
         values = np.random.default_rng(17).normal(0.0, 1.0, n)
@@ -358,32 +359,16 @@ class TestChunkTunable:
             values,
             pair_protocol=PairProtocolSpec(selector="rand"),
             seed=71,
-            backend=VectorizedBackend(chunk=chunk),
+            backend=VectorizedBackend(),
         )
         engine = GossipEngine(scenario)
         engine.run(cycles)
         return engine.matrix
 
-    def test_chunk_never_changes_results(self):
-        reference = self.run_vectorized(None)
+    def test_chunk_never_changes_results(self, monkeypatch):
+        from repro.kernel.backends import vectorized
+
+        reference = self.run_vectorized()
         for chunk in (1, 7, 64, 100_000):
-            assert np.array_equal(self.run_vectorized(chunk), reference)
-
-    def test_backend_argument_overrides_default(self):
-        from repro.kernel import PAIR_CHUNK, VectorizedBackend, resolve_chunk
-
-        assert VectorizedBackend(chunk=512)._chunk == 512
-        assert VectorizedBackend()._chunk == PAIR_CHUNK
-        assert resolve_chunk() == PAIR_CHUNK
-
-    def test_explicit_chunk_beats_default(self):
-        from repro.kernel import resolve_chunk
-
-        assert resolve_chunk(64, default=512) == 64
-
-    @pytest.mark.parametrize("chunk", [0, -3, "many"])
-    def test_invalid_backend_chunk_rejected(self, chunk):
-        from repro.kernel import VectorizedBackend
-
-        with pytest.raises(ConfigurationError):
-            VectorizedBackend(chunk=chunk)
+            monkeypatch.setattr(vectorized, "PAIR_CHUNK", chunk)
+            assert np.array_equal(self.run_vectorized(), reference)

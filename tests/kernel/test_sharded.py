@@ -56,6 +56,15 @@ from repro.topology import (
 WORKER_COUNTS = (1, 2, 4)
 
 
+@pytest.fixture
+def tiny_window(monkeypatch):
+    """A pathological 7-step pool planning window at any row count."""
+    from repro.kernel.backends import sharded
+
+    monkeypatch.setattr(sharded, "SHARD_CHUNK", 7)
+    monkeypatch.setattr(sharded, "PAIR_CHUNK", 7)
+
+
 def run_engine(backend, scenario_kwargs, cycles=10):
     """One full engine run; returns (final matrix, result)."""
     with GossipEngine(Scenario(backend=backend, **scenario_kwargs)) as engine:
@@ -263,7 +272,7 @@ class TestShardedBackendDirect:
         )
         assert np.array_equal(matrix_ref, matrix_sh)
 
-    def test_tiny_chunk_stresses_segment_boundaries(self):
+    def test_tiny_chunk_stresses_segment_boundaries(self, tiny_window):
         """A pathological 7-step window exercises many batch/tail
         segments per call; results must not change."""
         rng = np.random.default_rng(10)
@@ -273,7 +282,7 @@ class TestShardedBackendDirect:
         exch_j = (exch_i + 1 + rng.integers(0, n - 1, m)) % n
         functions = (MeanAggregate(),)
         matrix_sh = apply_like_an_engine(
-            ShardedBackend(workers=3, chunk=7), matrix_ref.copy(),
+            ShardedBackend(workers=3), matrix_ref.copy(),
             functions, exch_i, exch_j,
         )
         ReferenceBackend().apply_exchanges(
@@ -418,37 +427,24 @@ class TestShardedLifecycle:
     def test_shard_chunk_argument(self):
         """The pool plans with an eighth of the adopted rows, kept
         between ``PAIR_CHUNK`` and ``SHARD_CHUNK`` and derived again at
-        every mapping; an explicit ``chunk=`` wins at any size."""
-        from repro.kernel.backends.sharded import SHARD_CHUNK
-
-        default = ShardedBackend(workers=1)
+        every mapping."""
+        backend = ShardedBackend(workers=1)
         try:
-            assert default._chunk == SHARD_CHUNK
             for rows, window in ((1_000, 4_096), (40_000, 5_000),
                                  (100_000, 12_500), (600_000, 65_536)):
-                default.adopt_matrix(np.zeros((rows, 1)))
-                assert default._window == window
-        finally:
-            default.close()
-        backend = ShardedBackend(workers=1, chunk=123)
-        try:
-            assert backend._chunk == 123
-            backend.adopt_matrix(np.zeros((100_000, 1)))
-            assert backend._window == 123
+                backend.adopt_matrix(np.zeros((rows, 1)))
+                assert backend._window == window
         finally:
             backend.close()
-        for bad in (0, -4, "nope", 2.5, True):
-            with pytest.raises(ConfigurationError):
-                ShardedBackend(workers=1, chunk=bad)
 
     def test_in_process_work_plans_with_the_vectorized_window(
         self, scan_sizes
     ):
         """``SHARD_CHUNK`` is sized for barriers; the in-process
         backend behind ``auto``, a degraded pool and every view merge
-        crosses none and keeps ``VectorizedBackend()``'s window —
-        unless the caller chose one. Counted where it shows: the
-        longest first-occurrence scan of one view-merge call."""
+        crosses none and keeps ``VectorizedBackend()``'s window.
+        Counted where it shows: the longest first-occurrence scan of
+        one view-merge call."""
         from repro.kernel.backends import PAIR_CHUNK
 
         n = 3 * PAIR_CHUNK
@@ -458,14 +454,12 @@ class TestShardedLifecycle:
         exch_j = (exch_i + rng.integers(1, n, size=n, dtype=np.int32)) % n
         expected = views.copy()
         ReferenceBackend().apply_view_exchanges(expected, exch_i, exch_j)
-        for chunk, window in ((None, PAIR_CHUNK), (123, 123), (2 * n, n)):
-            backend = ShardedBackend(workers=1, chunk=chunk)
-            del scan_sizes[:]
-            merged = views.copy()
-            backend.apply_view_exchanges(merged, exch_i, exch_j)
-            backend.close()
-            assert max(scan_sizes) == window
-            assert np.array_equal(merged, expected)
+        backend = ShardedBackend(workers=1)
+        merged = views.copy()
+        backend.apply_view_exchanges(merged, exch_i, exch_j)
+        backend.close()
+        assert max(scan_sizes) == PAIR_CHUNK
+        assert np.array_equal(merged, expected)
 
     def test_parked_segments_stay_bounded_across_epoch_rebuilds(self):
         """Epoch restarts that change the instance count re-adopt the
@@ -494,12 +488,12 @@ class TestShardedLifecycle:
             engine.close()
         assert engine._backend._parked == []
 
-    def test_timeout_env_validated_at_construction(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "not-seconds")
-        with pytest.raises(ConfigurationError):
-            ShardedBackend(workers=1)
-        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "-1")
-        with pytest.raises(ConfigurationError):
+    @pytest.mark.parametrize(
+        "value", ["not-seconds", "-1", "0", "nan", "inf"]
+    )
+    def test_timeout_env_validated_at_construction(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", value)
+        with pytest.raises(ConfigurationError, match="REPRO_SHARD_TIMEOUT"):
             ShardedBackend(workers=1)
 
     def test_spawn_start_method_works(self, monkeypatch):
@@ -576,7 +570,7 @@ class TestPipelineModes:
 
 
 class TestPipelineMechanics:
-    def test_tiny_chunk_forces_bank_wraparound(self):
+    def test_tiny_chunk_forces_bank_wraparound(self, tiny_window):
         """A pathological 7-step window makes every cycle publish many
         segments, and 16 cycles alternate the two step-buffer banks
         through many reuse generations; the handoff must never
@@ -590,7 +584,7 @@ class TestPipelineMechanics:
                 "reference", kwargs, cycles=16
             )
             sh_matrix, _, sh_result = run_engine(
-                ShardedBackend(2, chunk=7), kwargs, cycles=16
+                ShardedBackend(2), kwargs, cycles=16
             )
             assert np.array_equal(ref_matrix, sh_matrix)
             assert ref_result.exchange_counts == sh_result.exchange_counts
@@ -750,8 +744,9 @@ class TestAutoWorkers:
             backend.close()
 
     def test_count_arguments_validated(self):
-        with pytest.raises(ConfigurationError):
-            ShardedBackend(workers=2, max_respawns=-1)
+        for bad in (-1, 1.5, True, "2"):
+            with pytest.raises(ConfigurationError, match="max_respawns"):
+                ShardedBackend(workers=2, max_respawns=bad)
 
 
 class TestSingleCopyGrowth:

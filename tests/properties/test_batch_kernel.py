@@ -104,7 +104,7 @@ def test_groups_are_by_class_and_state():
     assert base.column_groups((half,) * 4) == (half, 0, ())
 
 
-def test_groups_are_worked_out_once_per_functions_tuple():
+def test_groups_are_worked_out_once_per_functions_tuple(monkeypatch):
     n = 20_000
     functions = (MeanAggregate(), MeanAggregate(), MaxAggregate(),
                  MinAggregate(), MeanAggregate())
@@ -114,9 +114,10 @@ def test_groups_are_worked_out_once_per_functions_tuple():
     exch_i = np.arange(n)
     exch_j = (exch_i + rng.integers(1, n, n)) % n
     kernel = mock.Mock(side_effect=apply_disjoint_batch)
+    monkeypatch.setattr(vectorized, "PAIR_CHUNK", 64)
     before = base.column_groups.cache_info()
     with mock.patch.object(vectorized, "apply_disjoint_batch", kernel):
-        VectorizedBackend(chunk=64).apply_exchanges(
+        VectorizedBackend().apply_exchanges(
             actual, functions, exch_i, exch_j
         )
     after = base.column_groups.cache_info()

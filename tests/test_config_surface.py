@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import CompleteTopology, ConfigurationError
+from repro import CompleteTopology, ConfigurationError, RandomRegularTopology
 from repro.core import (
     SizeEstimationConfig,
     broadcast_scenario,
@@ -37,6 +37,7 @@ from repro.kernel import (
     EpochSpec,
     ExecutionBackend,
     FaultSpec,
+    MassConservationMonitor,
     MessageFaultSpec,
     NewscastSpec,
     PairProtocolSpec,
@@ -44,7 +45,10 @@ from repro.kernel import (
     RetrySpec,
     Scenario,
     ShardedBackend,
+    StructureMonitor,
+    VarianceMonotonicityMonitor,
     VectorizedBackend,
+    spawn_and_kill,
 )
 from repro.fields import BOUNDS, KINDS, interval
 from repro.kernel.backends import POOL_FAILURE_MODES
@@ -56,7 +60,17 @@ ENV_NAMES = {
     "REPRO_SHARD_ON_FAILURE",
     "REPRO_STRICT_INVARIANTS",
 }
-SHARDED_ARGUMENTS = ["workers", "chunk", "on_failure", "max_respawns"]
+SHARDED_ARGUMENTS = ["workers", "on_failure", "max_respawns"]
+#: callables whose tuning values (windows, tolerances, retry bounds,
+#: poll intervals) are module constants: no caller sets them
+FIXED_PARAMETERS = {
+    VectorizedBackend: [],
+    MassConservationMonitor: [],
+    VarianceMonotonicityMonitor: [],
+    StructureMonitor: [],
+    RandomRegularTopology: ["n", "k", "seed"],
+    spawn_and_kill: ["argv", "checkpoint_dir", "timeout", "env"],
+}
 APPLY_EXCHANGES = ["matrix", "functions", "exch_i", "exch_j"]
 APPLY_PAIRS = ["matrix", "functions", "pairs_i", "pairs_j", "plan"]
 #: every settable field of the scenario surface, in declaration order
@@ -148,6 +162,14 @@ def test_sharded_backend_arguments():
     parameters = inspect.signature(ShardedBackend.__init__).parameters
     assert list(parameters)[1:] == SHARDED_ARGUMENTS
     assert POOL_FAILURE_MODES == ("raise", "respawn")
+
+
+def test_tuning_values_are_constants():
+    found = {
+        target: list(inspect.signature(target).parameters)
+        for target in FIXED_PARAMETERS
+    }
+    assert found == FIXED_PARAMETERS
 
 
 @pytest.mark.parametrize("backend", [

@@ -81,5 +81,5 @@ class TestRandomness:
 
     def test_k2_is_union_of_cycles(self):
         topo = RandomRegularTopology(30, 2, seed=12)
-        assert is_connected(topo)  # require_connected makes it one cycle
+        assert is_connected(topo)  # redrawn until connected: one cycle
         assert topo.edge_count() == 30
