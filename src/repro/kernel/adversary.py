@@ -5,13 +5,11 @@ related work: self-stabilization under malicious actions,
 byzantine-tolerant consensus) asks what happens to epidemic aggregation
 when some nodes are not merely *failing* but *hostile*. An
 :class:`AdversarySpec` attaches to a
-:class:`~repro.kernel.scenario.Scenario` and is applied entirely by
-:class:`~repro.kernel.engine.GossipEngine` — the adversary set is drawn
-from the engine RNG, state corruption happens as engine-side matrix
-writes before the exchange batch, and exchange filtering joins the
-fused ok-mask pass. Execution backends never see the spec, so the
-bitwise backend-equivalence contract (reference == vectorized ==
-sharded) holds under any adversary configuration.
+:class:`~repro.kernel.scenario.Scenario`, and the :class:`Adversary`
+bound to its engine applies it: the adversary set is drawn from the
+engine RNG, corruption is an engine-side matrix write, filtering joins
+the fused ok-mask pass. Execution backends never see the spec, so
+every backend stays bitwise-equal under any adversary.
 
 Four adversary kinds:
 
@@ -36,7 +34,7 @@ Four adversary kinds:
     set and the rest of the overlay fails while the spec is active —
     the split-brain scenario with ``nodes`` as one side. Each side
     converges to its own average; after ``end`` the network re-converges
-    to the global one. The kernel's only partition model.
+    to the global one.
 
 ``"eclipse"``
     Neighbor capture on a fixed overlay: every honest node adjacent to
@@ -128,14 +126,10 @@ class AdversarySpec:
     def resolve_nodes(
         self, n: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """The adversarial slot ids for an initial network of ``n``.
-
-        Explicit ``nodes`` (which :class:`~repro.kernel.scenario.Scenario`
-        checks against its topology) are returned as-is; otherwise
-        ``round(fraction * n)`` ids are drawn uniformly without
-        replacement. Sorted either way, and the RNG is consumed only
-        when a strict subset is actually drawn.
-        """
+        """The sorted adversarial slot ids for an initial network of
+        ``n``: explicit ``nodes`` as they are, else ``round(fraction *
+        n)`` ids drawn without replacement (the RNG is consumed only
+        when a strict subset is drawn)."""
         if self.nodes is not None:
             return np.asarray(self.nodes, dtype=np.int64)
         count = int(round(self.fraction * n))
@@ -153,15 +147,10 @@ class AdversarySpec:
     ) -> np.ndarray:
         """The eclipse capture table: ``redirect[i]`` is the adversarial
         neighbor that captures honest node ``i``'s partner draws, or
-        ``-1`` for uncaptured nodes (no adversarial neighbor, or ``i``
-        itself adversarial).
-
-        On CSR overlays capture is structural and deterministic (the
-        smallest-id adversarial neighbor); on the complete overlay every
-        honest node is adjacent to every adversary, so each victim's
-        captor is drawn uniformly from the adversary set — one batched
-        draw from the engine RNG at engine construction.
-        """
+        ``-1`` (no adversarial neighbor, or ``i`` adversarial). On CSR
+        overlays it is the smallest-id adversarial neighbor; on the
+        complete overlay each victim's captor is drawn uniformly from
+        the adversary set, in one batched draw at bootstrap."""
         n = topology.n
         redirect = np.full(n, -1, dtype=np.int32)
         adversaries = np.flatnonzero(adversary_mask)
@@ -193,3 +182,95 @@ class AdversarySpec:
             if len(captors):
                 redirect[node] = int(captors[0])
         return redirect
+
+
+class Adversary:
+    """The adversary layer of one engine: the spec, the adversarial
+    slots (row ``_adv_mask``) and, for ``eclipse``, the capture table
+    (the static-only row ``_eclipse``). The kinds are told apart here
+    and nowhere else: the engine calls every hook, and a hook of
+    another kind, or outside the spec's window, does nothing. Bound to
+    its engine like :class:`~repro.kernel.messages.ExchangeChannel`."""
+
+    def __init__(self, spec: AdversarySpec):
+        self._spec = spec
+        #: whether :meth:`filter` may fail an exchange (the engine's
+        #: loss-free fast path asks)
+        self.partitions = spec.kind == "partition"
+        # the rows kept: bootstrap() draws them, or a restore loads them
+        self._adv_mask: Optional[np.ndarray] = None
+        if spec.kind == "eclipse":
+            self._eclipse: Optional[np.ndarray] = None
+
+    def bind(self, engine) -> None:
+        self._engine = engine
+
+    def unbind(self) -> None:
+        self._engine = None
+
+    def _acting(self, kind: str, cycle: int) -> bool:
+        return self._spec.kind == kind and self._spec.active_at(cycle)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The adversarial slots (the row itself)."""
+        return self._adv_mask
+
+    def bootstrap(self, n: int, rng: np.random.Generator) -> None:
+        """A new run's first draws: the adversary set, then the eclipse
+        captors."""
+        self._adv_mask = np.zeros(n, dtype=bool)
+        self._adv_mask[self._spec.resolve_nodes(n, rng)] = True
+        if self._spec.kind == "eclipse":
+            self._eclipse = self._spec.eclipse_redirects(
+                self._engine.scenario.topology, self._adv_mask, rng
+            )
+
+    def inject(self) -> None:
+        """``inject``, before the cycle's exchanges: every adversarial
+        participant's row becomes the spec value."""
+        engine = self._engine
+        if not self._acting("inject", engine.cycle):
+            return
+        rows = np.flatnonzero(self._adv_mask & engine._participant)
+        if len(rows) == 0:
+            return
+        # in-place matrix write — the pipelined sharded backend must
+        # drain any in-flight cycle first
+        engine._backend.sync()
+        if engine._monitor_entries:
+            injected = np.full(engine._matrix.shape[1],
+                               self._spec.value * len(rows))
+            engine._ledger_add(
+                "inject", injected - engine._matrix[rows].sum(axis=0)
+            )
+        engine._matrix[rows] = self._spec.value
+
+    def redirect(self, initiators: np.ndarray,
+                 partners: np.ndarray) -> None:
+        """``eclipse``, after the partner draw (its RNG use unchanged):
+        a captured victim's partner becomes its captor, in place."""
+        if self._acting("eclipse", self._engine.cycle):
+            redirect = self._eclipse.take(initiators)
+            captured = redirect >= 0
+            if captured.any():
+                partners[captured] = redirect[captured]
+
+    def filter(self, initiators: np.ndarray, partners: np.ndarray,
+               ok: np.ndarray) -> None:
+        """``partition``: exchanges crossing the honest/adversarial
+        boundary fail (``ok`` cleared in place)."""
+        if self._acting("partition", self._engine.cycle):
+            adv = self._adv_mask
+            ok &= ~(adv.take(initiators) ^ adv.take(partners))
+
+    def report(self, reports: np.ndarray, participant: np.ndarray,
+               cycle: int) -> None:
+        """``lying``, at read time (a closed engine's too): each
+        adversarial participant's entry of ``reports`` (one per
+        ``participant`` slot) becomes the spec value."""
+        if self._acting("lying", cycle):
+            adversarial = self._adv_mask
+            if not participant.all():
+                adversarial = adversarial[participant]
+            reports[adversarial] = self._spec.value

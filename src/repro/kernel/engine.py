@@ -4,69 +4,50 @@
 under the synchronous cycle model of §3: every participating node, in
 slot order, contacts a random partner and both endpoints adopt
 ``AGGREGATE(x_i, x_j)`` for *every* aggregation instance at once
-(GETPAIR_SEQ with §4 piggybacking). The engine owns everything
-stochastic and everything stateful:
+(GETPAIR_SEQ with §4 piggybacking). The engine keeps the ``(capacity,
+k)`` value matrix (a column per instance, a row per node slot), the
+*alive* and *participant* masks, the RNG every draw comes from in a
+fixed order, the cycle plan, the backend, the invariant monitors and
+their mass ledger, checkpoint / restore and the cycle loop. Every
+other per-slot array is a row of :data:`_SLOT_STATE`, the one home of
+per-slot state: growth, checkpoint, restore and the structure audit
+are loops over it.
 
-* node state as a ``(capacity, k)`` structure-of-arrays value matrix
-  — one column per aggregation instance, one row per node slot — plus
-  whatever else a slot holds (*alive* and *participant* masks, epoch
-  attributes, the adversary mask, the message channel's retry rows,
-  the Newscast views), listed once in :data:`_SLOT_STATE`, the one
-  home of per-slot state: capacity growth, checkpoint, restore and
-  the structure audit are loops over that table,
-* node lifecycle: a :class:`~repro.kernel.lifecycle.ChurnTrace` is
-  applied as alive-mask growth/shrink with value-matrix row recycling
-  (departed slots are reused by joiners, which start from zero; the
-  matrix grows geometrically when the network outgrows its capacity —
-  no node objects are ever rebuilt),
-* the §4 epoch/restart machinery: an
-  :class:`~repro.kernel.lifecycle.EpochSpec` restarts the protocol at
-  every epoch boundary by re-seeding the participants' rows in place
-  (mid-epoch joiners stay alive but wait for the next restart before
-  they participate),
-* the cycle's randomness as batched draws (partner picks, fault coins,
-  churn departures, restart re-seeding), identical no matter which
-  backend executes,
-* the partner draws themselves, delegated to a pluggable
-  :class:`~repro.kernel.membership.PartnerProvider`: the default
-  :class:`~repro.kernel.membership.OracleProvider` reproduces the
-  historical topology/uniform draws bit for bit, while
-  :class:`~repro.kernel.membership.NewscastProvider` draws from
-  gossip-maintained partial views refreshed through the backend's
-  node-disjoint batch primitives — no global membership oracle, and
-* the crash plan, and message faults with their retry protocol
-  (through one :class:`~repro.kernel.messages.ExchangeChannel`), and
-* the declarative adversary
-  (:class:`~repro.kernel.adversary.AdversarySpec`): the adversary set
-  is drawn once at construction, ``inject`` corruption is written into
-  the matrix before each cycle's exchanges, ``partition`` joins the
-  fused ok-mask pass, ``eclipse`` overrides partner draws, and
-  ``lying`` rewrites reports at observation time
-  (:meth:`GossipEngine.reported_column`) without touching state.
+Partner draws go to a pluggable
+:class:`~repro.kernel.membership.PartnerProvider` (the oracle's
+topology/uniform draws, or Newscast's gossip-maintained partial
+views). Three more layers are bound to the engine the same way, keep
+their own rows of the slot table, and are called by the cycle body at
+named hooks:
 
-What remains — applying the cycle's successful exchanges to the matrix
-— is delegated to a pluggable
-:class:`~repro.kernel.backends.ExecutionBackend`. Because backends see
-identical inputs and the vectorized backend preserves per-node exchange
-order, a scenario produces the same trajectory on every backend, churn
-and epoch restarts included. Static and dynamic overlays run the same
-cycle body (:meth:`GossipEngine.run_cycle`): what tells them apart is
-the provider's draw and which of the filters are armed.
+* the **channel** (:class:`~repro.kernel.messages.ExchangeChannel`,
+  when the scenario declares message faults): fault coins, partial
+  exchanges and the retry protocol,
+* the **adversary** (:class:`~repro.kernel.adversary.Adversary`, when
+  it declares an :class:`~repro.kernel.adversary.AdversarySpec`): the
+  bootstrap draw, ``inject`` before the exchanges, the eclipse
+  redirect, the partition filter and the lying report
+  (:meth:`GossipEngine.reported_column`),
+* the **lifecycle** (:class:`~repro.kernel.lifecycle.NodeLifecycle`, on
+  every engine): churn with slot recycling (joiners start from zero),
+  capacity growth, the free list and §4's epoch restarts.
 
-A scenario may instead declare a
-:class:`~repro.kernel.pairs.PairProtocolSpec`, switching the engine to
-*pair mode*: each cycle becomes ``N`` elementary midpoint steps from a
-pre-materialized GETPAIR sequence (PM / RAND / SEQ / PMRAND — algorithm
-AVG of Figure 2) rather than the push-pull exchange batches. The pair
-draw is engine-owned like every other piece of randomness, so the
-backend equivalence contract carries over unchanged; per-cycle φ counts
-land in :attr:`KernelRunResult.phi_counts`.
+Applying the cycle's exchanges to the matrix is left to a pluggable
+:class:`~repro.kernel.backends.ExecutionBackend`. Backends see
+identical inputs and the vectorized one preserves per-node exchange
+order, so a scenario's trajectory is the same on every backend.
+
+A :class:`~repro.kernel.pairs.PairProtocolSpec` switches to *pair
+mode*: ``N`` midpoint steps per cycle from a pre-materialized GETPAIR
+sequence (algorithm AVG of Figure 2), φ counts in
+:attr:`KernelRunResult.phi_counts`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import (
     Any,
@@ -82,7 +63,6 @@ from typing import (
 
 import numpy as np
 
-from ..core.aggregates import MeanAggregate
 from ..errors import (
     CheckpointError,
     ConfigurationError,
@@ -107,20 +87,16 @@ from .checkpoint import (
     unpickle_payload,
     write_checkpoint,
 )
+from .adversary import Adversary
 from .invariants import (
     InvariantFinding,
     InvariantMonitor,
     InvariantReport,
     audit_structure,
 )
-from .lifecycle import EpochRestart, EpochView
+from .lifecycle import NodeLifecycle
 from .membership import PartnerProvider, build_provider
-from .messages import (
-    CHANNEL_SLOTS,
-    MESSAGE_COUNTERS,
-    ExchangeChannel,
-    fresh_slots,
-)
+from .messages import CHANNEL_SLOTS, MESSAGE_COUNTERS, ExchangeChannel
 from .pairs import PairDraw, conflict_free_plan
 from .scenario import Scenario
 
@@ -131,51 +107,44 @@ from .scenario import Scenario
 RecordPoint = Union[List[Moments], Callable[[], List[Moments]]]
 
 #: What a node slot holds beside its row of the value matrix, said
-#: once. Capacity growth, checkpoint and restore are loops over these
-#: rows and the structure monitor audits their lengths, so a new
-#: per-slot array is one more row here plus the place that clears it
-#: when a slot changes hands — and ``tests/faults/test_checkpoint.py``
-#: fails on an array that has a slot per node and no row. Columns:
-#: attribute; checkpoint key (the on-disk name: never renamed); dtype;
-#: what fresh capacity holds (-1: a row of slot ids); one column per
-#: aggregation instance, or not (a vector, or the views' width); the
-#: scenario field that brings the array into being (``None``: always
-#: there; ``eclipse``: an adversary of that kind), which
-#: :meth:`GossipEngine._slot_rows` maps to the row's holder: the message
-#: channel for ``retry`` (:data:`~repro.kernel.messages.CHANNEL_SLOTS`;
-#: it allocates and clears them), the provider's views for
-#: ``membership``, else the engine.
+#: once: a new per-slot array is one more row here plus the place that
+#: clears it when a slot changes hands (``tests/faults/test_checkpoint.py``
+#: fails on a per-slot array with no row). Columns: attribute;
+#: checkpoint key (on-disk: never renamed); dtype; what fresh capacity
+#: holds (-1: a row of slot ids); a column per instance, or not (a
+#: vector, or the views' width); the holder, as an attribute path from
+#: the engine (``None``: the engine). A row is live when its holder is
+#: bound and keeps it — a layer sets the attributes of the rows it
+#: keeps, and no others, when it is built.
 _SLOT_STATE = (
     ("_alive", "alive", bool, False, False, None),
     # the nodes gossiping in the current epoch: diverges from alive
     # only under epochs, where joiners wait for the next restart (§4)
     ("_participant", "participant", bool, False, False, None),
-    # base attribute values, the reseed source of the default "restart
-    # from current local values" epoch protocol (a custom reseed may
-    # change the instance count, so only the default keeps them)
-    ("_attributes", "attributes", np.float64, 0.0, True, "epochs"),
-    # fresh capacity is always honest; a recycled slot keeps the
-    # departed node's flag (the attacker holds the position)
-    ("_adv_mask", "adv_mask", bool, False, False, "adversary"),
+    # the default epoch reseed's base attribute values
+    ("_attributes", "attributes", np.float64, 0.0, True, "_lifecycle"),
+    # fresh capacity is honest, a recycled slot keeps its flag
+    ("_adv_mask", "adv_mask", bool, False, False, "_adversary"),
     # the eclipse captors: the adversarial slot each honest victim's
     # draws land on (-1: not captured); static-only, so never grown
-    ("_eclipse", "eclipse", np.int32, -1, False, "eclipse"),
+    ("_eclipse", "eclipse", np.int32, -1, False, "_adversary"),
 ) + CHANNEL_SLOTS + (
     # the Newscast partial views: view_size slot ids per slot; a fresh
     # row is seeded (on_join) before its slot can initiate
-    ("views", "views", np.int32, -1, False, "membership"),
+    ("views", "views", np.int32, -1, False, "_provider.views"),
 )
 
-#: the scalar counters of a run, as (attribute, manifest field, the
-#: value a new run starts from and the least a checkpoint may hold)
+#: the scalar counters of a run, as (attribute path from the engine,
+#: manifest field, the value a new run starts from and the least a
+#: checkpoint may hold)
 _COUNTERS = (
     ("cycle", "cycle", 0),
-    ("epoch", "epoch", -1),
-    ("_epoch_start_cycle", "epoch_start_cycle", 0),
-    ("_size_at_epoch_start", "size_at_epoch_start", 0),
-    ("_last_finalized_epoch", "last_finalized_epoch", -1),
+    ("_lifecycle.epoch", "epoch", -1),
+    ("_lifecycle.epoch_start_cycle", "epoch_start_cycle", 0),
+    ("_lifecycle.size_at_epoch_start", "size_at_epoch_start", 0),
+    ("_lifecycle.last_finalized_epoch", "last_finalized_epoch", -1),
     # next never-used slot: n in a new run, capacity until it grows
-    ("_top", "top", 0),
+    ("_lifecycle.top", "top", 0),
     ("_mask_version", "mask_version", 0),
 )
 
@@ -183,13 +152,9 @@ _COUNTERS = (
 @dataclass
 class KernelRunResult:
     """Per-cycle trajectories of one engine run, per instance.
-
-    Epoch-restarted runs whose instance count varies between epochs
-    (Figure 4's per-epoch leader election) do not record per-instance
-    variance/mean trajectories — their observable outputs are
-    ``epoch_results`` (one finalize value per completed epoch) and
-    ``alive_counts`` (the network-size trace).
-    """
+    Epoch-restarted runs record no per-instance trajectories (the
+    instance count may change every epoch): their outputs are
+    ``epoch_results`` and ``alive_counts``."""
 
     instance_names: Tuple[Hashable, ...]
     variances: Dict[Hashable, List[float]] = field(default_factory=dict)
@@ -216,16 +181,12 @@ class KernelRunResult:
 
 
 class CyclePlan:
-    """Reusable per-cycle scratch for :meth:`GossipEngine.run_cycle`.
-
-    A ``CyclePlan`` owns int32 buffers (half the bytes of numpy's
-    native ``intp``; the backends' planner casts one window at a time
-    at the point of fancy indexing) for the partners, the survival mask
-    and the compacted exchanges, reallocated only when engine capacity
-    grows, plus a cached compacted initiator set keyed on a mask
-    *version stamp* — any alive/participant mutation (crash, churn,
-    epoch restart) bumps the stamp and invalidates it.
-    """
+    """Reusable per-cycle scratch for :meth:`GossipEngine.run_cycle`:
+    int32 buffers (half of ``intp``'s bytes; the planner casts a window
+    at a time) for the partners, the survival mask and the compacted
+    exchanges, reallocated only when capacity grows, plus the compacted
+    initiator set cached under a mask *version stamp* that every
+    alive/participant mutation bumps."""
 
     __slots__ = (
         "capacity", "partners", "ok", "out_i", "out_j",
@@ -304,9 +265,9 @@ class GossipEngine:
     def _allocate(self, scenario: Scenario, matrix: np.ndarray) -> None:
         """Everything of a run that no checkpoint holds, around
         ``matrix`` (the scenario's initial one, or a checkpoint's): the
-        scenario's fields, the backend, the monitors, the provider and
-        channel objects. The state — slot rows, free list, counters,
-        RNG — is left to :meth:`_bootstrap` or :meth:`_load_state`."""
+        scenario's fields, the backend, the monitors and the bound
+        layers. The state — slot rows, free list, counters, RNG — is
+        left to :meth:`_bootstrap` or :meth:`_load_state`."""
         self.scenario = scenario
         self._names: Tuple[Hashable, ...] = scenario.instance_names
         self._functions: Tuple = scenario.functions
@@ -314,10 +275,6 @@ class GossipEngine:
         # reusable per-cycle scratch; bump _mask_version on every
         # alive/participant mutation so its initiator cache invalidates
         self._plan = CyclePlan()
-        # -- lifecycle state --------------------------------------------
-        self._churn = scenario.churn
-        self._epochs = scenario.epochs
-        self._dynamic = scenario.is_dynamic
         # -- pair mode (algorithm AVG, Figure 2) ------------------------
         self._pair = pair = scenario.pair_protocol
         self._pair_draw: Optional[PairDraw] = (
@@ -327,52 +284,27 @@ class GossipEngine:
             None if pair is None
             else conflict_free_plan(pair.selector, scenario.n)
         )
-        # -- adversary state (AdversarySpec) ----------------------------
-        # corruption is applied as engine-side matrix writes and
-        # exchange filtering — backends never see the spec, so bitwise
-        # equivalence is preserved
-        adversary = scenario.adversary
-        self._adversary = adversary
-        self._adversary_partition = (
-            adversary is not None and adversary.kind == "partition"
-        )
         # nodes with a zero-degree overlay row (possible in hand-built
         # or very sparse random adjacency overlays) stay alive — their
         # value still counts toward the true aggregate — but are
         # excluded from initiating: they have no neighbor to draw
         self._isolated: Optional[np.ndarray] = None
-        if not self._dynamic:
+        if not scenario.is_dynamic:
             isolated = scenario.topology.isolated_mask()
             if isolated is not None and isolated.any():
                 self._isolated = isolated
-        # -- the message layer (MessageFaultSpec / RetrySpec) ----------
-        # like the adversary, message faults never reach the backends:
-        # the channel draws their coins from the engine RNG and writes
-        # their effects engine-side, so bitwise equivalence holds
-        self._channel: Optional[ExchangeChannel] = None
-        if scenario.message_faults is not None:
-            self._channel = ExchangeChannel(
-                scenario.message_faults, scenario.retry
-            )
-            self._channel.bind(self)
+        # -- the bound layers: none reaches a backend (draws from the
+        # engine RNG, engine-side writes), so bitwise equivalence holds
+        self._lifecycle = NodeLifecycle(scenario.churn, scenario.epochs)
+        adversary, faults = scenario.adversary, scenario.message_faults
+        self._adversary = None if adversary is None else Adversary(adversary)
+        self._channel = (None if faults is None
+                         else ExchangeChannel(faults, scenario.retry))
         self._provider: PartnerProvider = build_provider(scenario.membership)
-        self._provider.bind(self)
-        # whether this scenario has the rows of _SLOT_STATE, by what
-        # brings them into being: the one place that decides which rows
-        # are live (bootstrap, restore and every loop over the table
-        # read it)
-        epochs = self._epochs
-        self._live = {
-            None: True,
-            "epochs": epochs is not None and epochs.reseed is None,
-            "adversary": adversary is not None,
-            "eclipse": adversary is not None and adversary.kind == "eclipse",
-            "retry": scenario.retry is not None,
-            "membership": self._provider.views is not None,
-        }
-        for attr, *_, needs in _SLOT_STATE:
-            if needs not in ("retry", "membership"):
-                setattr(self, attr, None)
+        for layer in self._layers():
+            layer.bind(self)
+        # the engine's own slot rows: _bootstrap or a restore fills them
+        self._alive = self._participant = None
         self._closed = False
         self._backend: ExecutionBackend = make_backend(
             scenario.resolve_backend()
@@ -381,12 +313,10 @@ class GossipEngine:
         # unchanged, the sharded backend moves it into shared memory so
         # all later in-place engine mutations are visible to its workers
         self._matrix = self._backend.adopt_matrix(matrix)
-        # -- invariant monitors -----------------------------------------
-        # observed at the end of every cycle; the per-cycle mass ledger
-        # records every deliberate mass-moving engine event with its
-        # exact per-column delta so the mass monitor can attribute
-        # drift. REPRO_STRICT_INVARIANTS=1 arms the standard set in
-        # strict mode on every engine (the CI certification hook).
+        # -- invariant monitors, observed at the end of every cycle; the
+        # mass ledger records every deliberate mass-moving event's exact
+        # per-column delta. REPRO_STRICT_INVARIANTS=1 arms the standard
+        # set strictly on every engine (the CI certification hook).
         self._monitor_entries: List[Tuple[InvariantMonitor, bool]] = []
         self._ledger: Dict[str, np.ndarray] = {}
         self._ledger_rebase = False
@@ -400,54 +330,49 @@ class GossipEngine:
         self._moments: Optional[List[Moments]] = None
         self._moment_scratch = MomentScratch()
 
+    def _layers(self) -> list:
+        """The bound layers: lifecycle, adversary, channel, provider."""
+        layers = (self._lifecycle, self._adversary, self._channel,
+                  self._provider)
+        return [layer for layer in layers if layer is not None]
+
+    def _set_counter(self, attr: str, value: int) -> None:
+        """Set the :data:`_COUNTERS` attribute path ``attr``."""
+        owner, _, name = attr.rpartition(".")
+        setattr(attrgetter(owner)(self) if owner else self, name, value)
+
     def _bootstrap(self) -> None:
         """A new run's state: every node alive and participating, the
-        counters at their start, the live rows of :data:`_SLOT_STATE`
-        seeded. Its RNG draws come before any cycle's, in a fixed
-        order: the adversary set, the eclipse captors, the views."""
+        counters at their start, every layer's rows seeded. Its RNG
+        draws come before any cycle's, in a fixed order: the adversary
+        set, the eclipse captors, the views."""
         n, k = self._matrix.shape
-        rng, live = self._rng, self._live
         self._alive = np.ones(n, dtype=bool)
         self._participant = self._alive.copy()
-        # slots of departed nodes, recycled LIFO for joiners
-        self._free_slots: List[int] = []
         self._phi_log: List[np.ndarray] = []
-        self._epoch_results: List[Any] = []
         for attr, _, start in _COUNTERS:
-            setattr(self, attr, start)
-        self._top = n
-        adversary = self._adversary
-        if live["adversary"]:
-            self._adv_mask = np.zeros(n, dtype=bool)
-            self._adv_mask[adversary.resolve_nodes(n, rng)] = True
-        if live["eclipse"]:
-            self._eclipse = adversary.eclipse_redirects(
-                self.scenario.topology, self._adv_mask, rng
-            )
-        if live["retry"]:
+            self._set_counter(attr, start)
+        self._lifecycle.bootstrap(self._matrix)
+        if self._adversary is not None:
+            self._adversary.bootstrap(n, self._rng)
+        if self._channel is not None:
             self._channel.reset(n, k)
-        if live["membership"]:
-            self._provider.views.bootstrap(rng)
-        if live["epochs"]:
-            self._attributes = self._matrix.copy()
+        if self._provider.views is not None:
+            self._provider.views.bootstrap(self._rng)
 
     def _slot_rows(self):
-        """``(holder, row, shape)`` for every live row of
-        :data:`_SLOT_STATE`: the channel holds the ``retry`` rows, the
-        provider's views the ``membership`` row, the engine the others;
-        a row has a slot per matrix row, by a column per instance, the
-        views' width, or nothing."""
+        """``(holder, row, shape)`` per live row of :data:`_SLOT_STATE`:
+        a slot per matrix row, by k, by the views' width, or alone."""
         rows, k = self._matrix.shape
-        held = {"retry": self._channel, "membership": self._provider.views}
         for row in _SLOT_STATE:
-            if self._live[row[-1]]:
-                holder = held.get(row[-1], self)
+            holder = attrgetter(row[-1])(self) if row[-1] else self
+            if hasattr(holder, row[0]):
                 width = (k,) if row[4] else (
-                    (holder.view_size,) if row[-1] == "membership" else ()
+                    (holder.view_size,) if row[1] == "views" else ()
                 )
                 yield holder, row, (rows,) + width
 
-    # -- lifecycle -------------------------------------------------------
+    # -- teardown --------------------------------------------------------
 
     def close(self) -> None:
         """Release backend-owned resources (the sharded backend's worker
@@ -459,9 +384,8 @@ class GossipEngine:
         self._closed = True
         self._matrix = self._backend.release_matrix(self._matrix)
         self._backend.close()
-        self._provider.unbind()
-        if self._channel is not None:
-            self._channel.unbind()
+        for layer in self._layers():
+            layer.unbind()
 
     def __enter__(self) -> "GossipEngine":
         return self
@@ -557,38 +481,28 @@ class GossipEngine:
     def adversary_mask(self) -> np.ndarray:
         """Boolean adversary mask over all slots (copy; all-``False``
         when the scenario declares no adversary)."""
-        if self._adv_mask is None:
+        if self._adversary is None:
             return np.zeros(self.capacity, dtype=bool)
-        return self._adv_mask.copy()
+        return self._adversary.mask.copy()
 
     @property
     def honest_mask(self) -> np.ndarray:
         """Participants that are not adversarial (copy)."""
-        if self._adv_mask is None:
+        if self._adversary is None:
             return self._participant.copy()
-        return self._participant & ~self._adv_mask
+        return self._participant & ~self._adversary.mask
 
     def reported_column(self, name: Optional[Hashable] = None) -> np.ndarray:
         """What the network *reports*: one instance's approximations
         over participating nodes, with byzantine responders' lies
-        applied. Under an active ``kind="lying"`` adversary each
-        adversarial node's report is replaced by the spec value at read
-        time — the gossip state itself is untouched. For every other
-        kind this equals :meth:`alive_column`. Robust reductions
+        applied by the adversary layer at read time (the gossip state
+        itself is untouched); without lies this equals
+        :meth:`alive_column`. Robust reductions
         (:func:`~repro.kernel.robust.robust_reduce`) consume this view.
         """
         reports = self.alive_column(name)
-        spec = self._adversary
-        if (
-            spec is not None
-            and spec.kind == "lying"
-            and spec.active_at(self.cycle)
-        ):
-            if self._participant.all():
-                adversarial = self._adv_mask
-            else:
-                adversarial = self._adv_mask[self._participant]
-            reports[adversarial] = spec.value
+        if self._adversary is not None:
+            self._adversary.report(reports, self._participant, self.cycle)
         return reports
 
     def honest_column(self, name: Optional[Hashable] = None) -> np.ndarray:
@@ -643,13 +557,14 @@ class GossipEngine:
         lengths = {"matrix": len(self._matrix)}
         for holder, (attr, key, *_), _ in self._slot_rows():
             lengths[key] = len(getattr(holder, attr))
+        lifecycle = self._lifecycle
         return {
             "alive": self._alive,
             "participant": self._participant,
-            "free_slots": tuple(self._free_slots),
-            "top": self._top,
+            "free_slots": tuple(lifecycle.free_slots),
+            "top": lifecycle.top,
             "capacity": self.capacity,
-            "dynamic": bool(self._dynamic),
+            "dynamic": lifecycle.dynamic,
             "slot_lengths": lengths,
         }
 
@@ -753,243 +668,45 @@ class GossipEngine:
                 self._alive[node_id] = False
                 self._participant[node_id] = False
                 self._mask_version += 1
-                if self._dynamic:
-                    self._free_slots.append(int(node_id))
+                if self._lifecycle.dynamic:
+                    self._lifecycle.free_slots.append(int(node_id))
         if self._channel is not None:
             self._channel.forget(node_ids)
 
-    # -- adversary -------------------------------------------------------
-
-    def _apply_adversary_state(self) -> None:
-        """The pre-exchange adversary hook: under an active
-        ``kind="inject"`` spec every adversarial participant resets its
-        whole row to the injected value before this cycle's exchanges
-        (the stubborn-node attack — the corruption then spreads through
-        ordinary gossip). The other kinds touch no state here: lying is
-        applied at observation time, partition/eclipse act on the
-        exchange plan."""
-        spec = self._adversary
-        if spec.kind != "inject" or not spec.active_at(self.cycle):
-            return
-        rows = np.flatnonzero(self._adv_mask & self._participant)
-        if len(rows) == 0:
-            return
-        # in-place matrix write — the pipelined sharded backend must
-        # drain any in-flight cycle first
-        self._backend.sync()
-        if self._monitor_entries:
-            k = self._matrix.shape[1]
-            injected = np.full(k, spec.value * len(rows))
-            self._ledger_add("inject", injected - self._matrix[rows].sum(axis=0))
-        self._matrix[rows] = spec.value
-
-    # -- churn -----------------------------------------------------------
-
-    def _apply_churn(self) -> None:
-        """One cycle's declarative churn: departures leave (taking their
-        approximation mass), joiners are admitted into recycled or
-        fresh slots."""
-        alive_count = self.alive_count
-        step = self._churn.step(self.cycle, alive_count)
-        leaves = min(int(step.leaves), max(alive_count - 1, 0))
-        if leaves > 0:
-            alive_ids = np.flatnonzero(self._alive)
-            picks = self._rng.choice(len(alive_ids), size=leaves, replace=False)
-            leavers = alive_ids.take(picks)
-            if self._monitor_entries:
-                departing = leavers.compress(self._participant.take(leavers))
-                if len(departing):
-                    self._backend.sync()
-                    self._ledger_add(
-                        "leave", -self._matrix[departing].sum(axis=0)
-                    )
-            if self._channel is not None:
-                self._channel.forget(leavers)
-            self._alive[leavers] = False
-            self._participant[leavers] = False
-            self._mask_version += 1
-            self._free_slots.extend(leavers.tolist())
-        if step.joins > 0:
-            self._admit(int(step.joins))
-
-    def _ensure_capacity(self, needed: int) -> None:
-        capacity = self.capacity
-        if needed <= capacity:
-            return
-        # geometric growth amortizes repeated joins to O(1) per node
-        new_capacity = max(needed, capacity + (capacity >> 1))
-        grow = new_capacity - capacity
-        # the backend owns the growth so it costs exactly one matrix
-        # copy: the sharded backend maps a larger shared segment and
-        # copies the old rows straight into it; geometric growth keeps
-        # remaps O(log n)
-        self._matrix = self._backend.grow_matrix(self._matrix, new_capacity)
-        for holder, (attr, _, dtype, fill, *_), shape in self._slot_rows():
-            held = getattr(holder, attr)
-            tail = fresh_slots((grow,) + shape[1:], dtype, fill)
-            setattr(holder, attr, np.concatenate([held, tail]))
-
-    def _admit(self, count: int) -> np.ndarray:
-        """Admit ``count`` joiners: recycle departed slots (LIFO), then
-        extend the matrix. Returns the assigned slot ids."""
-        # joiner rows are written below — the pipelined sharded backend
-        # must finish any in-flight cycle before the matrix mutates
-        self._backend.sync()
-        # the newest free slots, newest first (LIFO)
-        keep = max(len(self._free_slots) - count, 0)
-        recycled = self._free_slots[keep:][::-1]
-        del self._free_slots[keep:]
-        fresh = count - len(recycled)
-        if fresh > 0:
-            self._ensure_capacity(self._top + fresh)
-            fresh_slots = np.arange(self._top, self._top + fresh, dtype=np.int64)
-            self._top += fresh
-        else:
-            fresh_slots = np.empty(0, dtype=np.int64)
-        slots = np.concatenate(
-            [np.asarray(recycled, dtype=np.int64), fresh_slots]
-        )
-        self._alive[slots] = True
-        # under epochs a joiner waits for the next restart (§4); under
-        # plain churn it participates immediately
-        self._participant[slots] = self._epochs is None
-        self._mask_version += 1
-        # §4: a joiner behaves as if it had 0 as initial value, in a
-        # recycled slot as in a fresh one
-        self._matrix[slots] = 0.0
-        if self._attributes is not None:
-            self._attributes[slots] = 0.0
-        if self._monitor_entries and self._epochs is None and len(slots):
-            # under plain churn joiners participate immediately: their
-            # zero rows enter the participant mass
-            self._ledger_add("join", self._matrix[slots].sum(axis=0))
-        # the membership hook last, after the joiners' values landed:
-        # the provider may draw bootstrap randomness (newscast contact
-        # lists) — a fixed point in the stream either way, and a no-op
-        # for the oracle
-        self._provider.on_join(slots, self._rng)
-        return slots
-
     # -- epochs ----------------------------------------------------------
 
-    def _start_epoch(self, cycle: int) -> None:
-        """Restart the protocol (§4): every alive node becomes a
-        participant and its row is re-seeded in place."""
-        # rows are re-seeded in place — drain in-flight cycles first
-        self._backend.sync()
-        if self._monitor_entries:
-            # a restart deliberately replaces the participant mass; the
-            # mass monitor re-anchors instead of attributing deltas
-            self._ledger_rebase = True
-        if self._channel is not None:
-            # a restart is a full protocol restart: outstanding
-            # exchanges and push-only fallbacks are forgotten
-            self._channel.reset(self.capacity, self._matrix.shape[1])
-        self.epoch += 1
-        np.copyto(self._participant, self._alive)
-        self._mask_version += 1
-        participants = np.nonzero(self._participant)[0]
-        self._epoch_start_cycle = cycle
-        self._size_at_epoch_start = len(participants)
-        spec = self._epochs
-        if spec.reseed is None:
-            self._matrix[participants] = self._attributes[participants]
-            return
-        context = EpochRestart(
-            epoch=self.epoch,
-            cycle=cycle,
-            participants=participants.copy(),
-            rng=self._rng,
-            previous=tuple(self._epoch_results),
-        )
-        rows = np.asarray(spec.reseed(context), dtype=np.float64)
-        if rows.ndim == 1:
-            rows = rows[:, np.newaxis]
-        if rows.ndim != 2 or rows.shape[0] != len(participants):
-            raise SimulationError(
-                f"reseed returned shape {rows.shape} for "
-                f"{len(participants)} participants"
-            )
-        k_new = rows.shape[1]
-        if k_new != self._matrix.shape[1]:
-            if k_new < 1:
-                raise SimulationError("reseed must return at least one column")
-            # the instance count changed (e.g. a fresh leader set):
-            # rebuild the matrix with positional instance ids, every
-            # column running AGGREGATE_AVG
-            self._functions = (MeanAggregate(),) * k_new
-            self._names = tuple(range(k_new))
-            # a fresh zero matrix straight from the backend: the
-            # sharded backend maps a new zero-filled segment, so no
-            # byte is written twice
-            self._matrix = self._backend.allocate_matrix(
-                self.capacity, k_new
-            )
-            if self._channel is not None:
-                # cached combined rows are per-column; track the new k
-                self._channel.reset(self.capacity, k_new)
-        self._matrix[participants] = rows
-
-    def _finalize_epoch(self, end_cycle: int) -> None:
-        if self.epoch < 0 or self.epoch <= self._last_finalized_epoch:
-            return
-        self._last_finalized_epoch = self.epoch
-        spec = self._epochs
-        if spec.finalize is None:
-            return
-        self._backend.sync()
-        participants = np.nonzero(self._participant)[0]
-        view = EpochView(
-            epoch=self.epoch,
-            start_cycle=self._epoch_start_cycle,
-            end_cycle=end_cycle,
-            size_at_start=self._size_at_epoch_start,
-            size_at_end=self.alive_count,
-            participants=participants,
-            matrix=self._matrix[participants].copy(),
-        )
-        output = spec.finalize(view)
-        if output is not None:
-            self._epoch_results.append(output)
+    @property
+    def epoch(self) -> int:
+        """The current epoch (-1: none started, or no epochs)."""
+        return self._lifecycle.epoch
 
     @property
     def epoch_results(self) -> List[Any]:
         """Finalize outputs of every completed epoch so far (copy)."""
-        return list(self._epoch_results)
+        return list(self._lifecycle.epoch_results)
 
     # -- checkpoint / resume ---------------------------------------------
 
-    @property
-    def _instances_rebuilt(self) -> bool:
-        """Whether an epoch restart replaced the scenario's instance
-        layout with positional ids (the Figure 4 leader-count case)."""
-        return self._names != self.scenario.instance_names
-
     def checkpoint(self, directory: Union[str, Path]) -> Path:
         """Serialize the full run state to ``directory`` and return the
-        new checkpoint's manifest path.
-
-        The snapshot captures everything the next cycle reads — value
-        matrix, every live row of :data:`_SLOT_STATE`, RNG state, the
-        :data:`_COUNTERS`, slot-recycling bookkeeping, pair-φ log,
-        message-fault counts — so :meth:`restore`
-        resumes bitwise-identically on any backend. The write is
-        observation-grade: it drains in-flight work like any matrix
-        read but consumes no randomness and mutates nothing, so a
-        checkpointed run's trajectory equals an uncheckpointed one's.
-        Files land atomically (payload, then the manifest as the commit
-        record); see :mod:`repro.kernel.checkpoint` for the format.
-        """
+        new checkpoint's manifest path: everything the next cycle reads
+        (matrix, every live row of :data:`_SLOT_STATE`, RNG state, the
+        :data:`_COUNTERS`, free list, epoch results, pair-φ log,
+        message-fault counts), so :meth:`restore` resumes
+        bitwise-identically on any backend. It draws nothing and
+        mutates nothing; files land atomically (payload, then the
+        manifest; see :mod:`repro.kernel.checkpoint`)."""
         if self._closed:
             raise SimulationError(
                 "this engine is closed; nothing left to checkpoint"
             )
         self._backend.sync()
+        lifecycle = self._lifecycle
         arrays: Dict[str, np.ndarray] = {
             "matrix": self._matrix,
-            "free_slots": np.asarray(self._free_slots, dtype=np.int64),
+            "free_slots": np.asarray(lifecycle.free_slots, dtype=np.int64),
             "rng_state": pickle_payload(self._rng.bit_generator.state),
-            "epoch_results": pickle_payload(self._epoch_results),
+            "epoch_results": pickle_payload(lifecycle.epoch_results),
         }
         for holder, (attr, key, *_), _ in self._slot_rows():
             arrays[key] = getattr(holder, attr)
@@ -1004,30 +721,28 @@ class GossipEngine:
             "capacity": int(self.capacity),
             "k": int(self._matrix.shape[1]),
             "instances": [str(name) for name in self._names],
-            "instances_rebuilt": self._instances_rebuilt,
+            # an epoch restart replaced the instance layout with
+            # positional ids (the Figure 4 leader-count case)
+            "instances_rebuilt": self._names != self.scenario.instance_names,
             "membership": self._provider.name,
             "bit_generator": type(self._rng.bit_generator).__name__,
             "pair_mode": self._pair is not None,
-            "dynamic": bool(self._dynamic),
+            "dynamic": lifecycle.dynamic,
             "backend": self.backend_name,
         }
         for attr, key, _ in _COUNTERS:
-            manifest[key] = int(getattr(self, attr))
+            manifest[key] = int(attrgetter(attr)(self))
         return write_checkpoint(directory, arrays, manifest)
 
     def _load_state(self, manifest: Dict[str, Any],
                     arrays: Dict[str, np.ndarray]) -> None:
         """Give an engine :meth:`_allocate` made around a checkpoint's
         matrix the rest of the checkpoint's state — every live row of
-        :data:`_SLOT_STATE`, the free list, the counters, the RNG state
-        — and audit it: anything this engine could not run is a
-        :class:`CheckpointError` here, not a failure cycles later."""
-        rows, k = self._matrix.shape
-        if manifest.get("instances_rebuilt"):
-            # positional instance ids, every column running
-            # AGGREGATE_AVG — exactly what _start_epoch rebuilds
-            self._functions = (MeanAggregate(),) * k
-            self._names = tuple(range(k))
+        :data:`_SLOT_STATE`, the counters, the RNG state, the
+        lifecycle's share — and audit it: anything this engine could not
+        run is a :class:`CheckpointError` here, not a failure cycles
+        later."""
+        rows = len(self._matrix)
         for holder, (attr, key, dtype, fill, *_), shape in self._slot_rows():
             loaded = arrays.get(key)
             found = None if loaded is None else (loaded.shape, loaded.dtype)
@@ -1051,17 +766,11 @@ class GossipEngine:
         if views is not None and (views.views[self._alive] == -1).any():
             raise CheckpointError("checkpoint 'views' leaves an alive "
                                   "slot's view unseeded (-1)")
-        free = arrays["free_slots"]
-        if free.ndim != 1 or free.dtype != np.int64:
-            raise CheckpointError(f"checkpoint 'free_slots' is {free.dtype} "
-                                  f"{free.shape}, not a list of slot ids")
-        self._free_slots = free.tolist()
         if self._channel is not None and "mf_stats" in arrays:
             # a checkpoint an older build wrote without a retry policy
             # has none: the counts then restart from zero
             self._channel.stats = dict(unpickle_payload(arrays["mf_stats"]))
         self._phi_log = [row.copy() for row in arrays.get("phi_log", ())]
-        self._epoch_results = list(unpickle_payload(arrays["epoch_results"]))
         self._rng.bit_generator.state = unpickle_payload(arrays["rng_state"])
         for attr, key, start in _COUNTERS:
             value = manifest.get(key)
@@ -1070,11 +779,16 @@ class GossipEngine:
                     f"checkpoint counter {key!r} is {value!r}, not an "
                     f"int >= {start}"
                 )
-            setattr(self, attr, value)
-        if self._epoch_start_cycle > self.cycle:
+            self._set_counter(attr, value)
+        self._lifecycle.load(manifest, arrays)
+        used = slice(self._lifecycle.top)
+        if self._mask_version == 0 and not (
+            self._alive[used].all() and self._participant[used].all()
+        ):
             raise CheckpointError(
-                f"checkpoint counter 'epoch_start_cycle' is "
-                f"{self._epoch_start_cycle}, past 'cycle' {self.cycle}"
+                "checkpoint counter 'mask_version' is 0, which says every "
+                "used slot is alive and participating (the loss-free fast "
+                "path's premise); some slot is not"
             )
         findings = audit_structure(self.structure_snapshot())
         if findings:
@@ -1091,19 +805,14 @@ class GossipEngine:
         """An engine resumed from a checkpoint, bitwise-identical to
         the engine that wrote it.
 
-        ``scenario`` must be the checkpointed run's scenario (it holds
-        the callables — aggregates, churn models, epoch hooks — that a
-        checkpoint deliberately does not serialize); the ``backend``
-        field may differ, which is how a run checkpointed under the
-        sharded pool resumes in-process and vice versa. ``path`` may
-        be a manifest, a payload file, or a checkpoint directory (the
-        newest valid checkpoint wins).
-
-        The checkpoint is validated before anything is built. The
-        engine is then allocated around the checkpoint's matrix (the
-        backend adopts it as it would an initial matrix) and loaded
-        with the rest of its state: the scenario's initial state is
-        never built and no randomness is drawn.
+        ``scenario`` must be the checkpointed run's (it holds the
+        callables a checkpoint does not serialize); its ``backend`` may
+        differ, so a pool run resumes in-process and vice versa.
+        ``path`` is a manifest, a payload, or a directory (the newest
+        valid checkpoint wins). The checkpoint is validated before
+        anything is built; the engine is then allocated around its
+        matrix and loaded with the rest — no initial state is built and
+        nothing is drawn.
         """
         manifest, arrays = read_checkpoint(path)
         check_restorable(scenario, manifest, arrays)
@@ -1163,31 +872,21 @@ class GossipEngine:
                                   "GossipEngine to run again")
         if self._pair is not None:
             return self._run_pair_cycle()
-        scenario = self.scenario
-        if (
-            self._epochs is not None
-            and self.cycle % self._epochs.cycles_per_epoch == 0
-        ):
-            if self.cycle > 0:
-                self._finalize_epoch(self.cycle - 1)
-            self._start_epoch(self.cycle)
-        if scenario.crash_plan is not None:
-            victims = scenario.crash_plan.crashing_at(self.cycle)
+        self._lifecycle.before_cycle()
+        # after the restart (Scenario refuses a crash plan under churn)
+        crash_plan = self.scenario.crash_plan
+        if crash_plan is not None:
+            victims = crash_plan.crashing_at(self.cycle)
             if victims:
                 self.crash(victims)
-        if self._churn is not None:
-            self._apply_churn()
-        if self._adversary is not None:
-            self._apply_adversary_state()
-        rng = self._rng
-        plan = self._plan
+        adversary = self._adversary
+        if adversary is not None:
+            adversary.inject()
+        rng, plan, provider = self._rng, self._plan, self._provider
         plan.ensure(self.capacity)
-        provider = self._provider
-        # one body for static and dynamic overlays. On a static overlay
-        # the participant mask *is* the alive mask (only crash() writes
-        # either, and it writes both); isolated rows and eclipse
-        # capture are static-only by Scenario validation, so under
-        # churn / epochs those steps are inert.
+        # one body for static and dynamic overlays: on a static one the
+        # participant mask *is* the alive mask, and isolated rows and
+        # eclipse capture are static-only (Scenario validation)
         initiators = plan.initiators(
             self._participant, self._mask_version, exclude=self._isolated
         )
@@ -1196,26 +895,17 @@ class GossipEngine:
             # exchange sits the cycle out
             initiators = self._channel.begin_cycle(initiators)
         count = len(initiators)
-        if self._dynamic and count < 2:
+        if self._lifecycle.dynamic and count < 2:
             # dynamic overlays draw among the current participants:
             # one alone has nobody to draw
             self.cycle += 1
             return 0
         provider.begin_cycle(initiators, self._alive, rng)
         partners = provider.draw(initiators, rng, plan.partners[:count])
-        if self._eclipse is not None and self._adversary.active_at(
-            self.cycle
-        ):
-            # eclipse capture: a victim's draw lands on its captor no
-            # matter which neighbor it picked. The draw itself still
-            # happens (same RNG consumption as without the adversary),
-            # only the result is overridden.
-            redirect = self._eclipse.take(initiators)
-            captured = redirect >= 0
-            if captured.any():
-                partners[captured] = redirect[captured]
+        if adversary is not None:
+            adversary.redirect(initiators, partners)
         if (self._mask_version == 0 and self._channel is None
-                and not self._adversary_partition):
+                and (adversary is None or not adversary.partitions)):
             # fast path: every node alive and participating (nothing
             # has ever bumped the mask version) and nothing can fail
             # an exchange, so the survivors ARE (initiators, partners)
@@ -1237,13 +927,8 @@ class GossipEngine:
             # not-yet-restarted nodes — contacting one fails the
             # exchange
             np.take(self._participant, partners, out=ok)
-        if self._adversary_partition and self._adversary.active_at(
-            self.cycle
-        ):
-            # targeted partition: exchanges crossing the
-            # honest/adversarial boundary fail
-            adv = self._adv_mask
-            ok &= ~(adv.take(initiators) ^ adv.take(partners))
+        if adversary is not None:
+            adversary.filter(initiators, partners, ok)
         if self._channel is not None:
             count = self._channel.finish(initiators, partners, ok)
         else:
@@ -1279,24 +964,20 @@ class GossipEngine:
         """Run ``cycles`` cycles (default: the scenario's budget).
 
         ``record="cycle"`` captures per-instance variance and mean after
-        every cycle (the figures' trajectories); ``record="end"``
-        captures only the initial and final snapshot, keeping scale runs
-        free of per-cycle reduction passes. Where the backend can take
-        a reading behind the cycle it is still applying
+        every cycle (the figures' trajectories), ``record="end"`` only
+        the initial and final snapshot. Where the backend can take a
+        reading behind the cycle it is still applying
         (:meth:`~repro.kernel.backends.ExecutionBackend.defer_moments`)
-        the records are collected once, before returning, instead of
-        draining the pipeline at every cycle. Epoch-restarted runs skip
-        the per-instance records (the instance count may change every
-        epoch) but always record the per-cycle ``alive_counts`` size
-        trace and collect ``epoch_results``; an epoch that ends exactly
-        at the cycle budget is finalized before returning.
+        the records are collected once, before returning. Epoch runs
+        record no per-instance trajectories (the instance count may
+        change every epoch) but the ``alive_counts`` size trace and
+        ``epoch_results``; an epoch ending exactly at the budget is
+        finalized before returning.
 
-        ``checkpoint`` enables periodic auto-checkpointing: after every
-        ``spec.every_cycles`` completed cycles the engine writes a
-        checkpoint to ``spec.directory`` (atomically — a crash mid-write
-        never corrupts the last good one) and prunes to the ``spec.keep``
-        newest. Checkpointing consumes no randomness, so the recorded
-        trajectory is identical with or without it.
+        ``checkpoint`` writes a checkpoint to ``spec.directory`` after
+        every ``spec.every_cycles`` cycles (atomically) and prunes to
+        the ``spec.keep`` newest; it draws nothing, so the trajectory is
+        identical with or without it.
         """
         if cycles is None:
             cycles = self.scenario.cycles
@@ -1312,27 +993,30 @@ class GossipEngine:
                 f"checkpoint must be a CheckpointSpec, got "
                 f"{type(checkpoint).__name__}"
             )
-        epoch_mode = self._epochs is not None
+        epoch_mode = self.scenario.epochs is not None
+        lifecycle = self._lifecycle
         # like exchange_counts/alive_counts, epoch_results are per-run:
         # only epochs completed during *this* call are reported (the
         # engine-level epoch_results property stays cumulative)
-        epochs_already_reported = len(self._epoch_results)
+        epochs_already_reported = len(lifecycle.epoch_results)
         phi_already_reported = len(self._phi_log)
         result = KernelRunResult(instance_names=self._names)
         # one entry per record point: the moments, or the backend's
         # ticket for them — collected only once the run is over, so
         # the pipeline is not drained at every point
         points: List[RecordPoint] = []
-        if not epoch_mode:
-            points.append(self._record_point())
-        result.alive_counts.append(self.alive_count)
+
+        def record_point() -> None:
+            if not epoch_mode:
+                points.append(self._record_point())
+            result.alive_counts.append(self.alive_count)
+
+        record_point()
         per_cycle = record == "cycle"
         for _ in range(cycles):
             exchanges = self.run_cycle()
             if per_cycle:
-                if not epoch_mode:
-                    points.append(self._record_point())
-                result.alive_counts.append(self.alive_count)
+                record_point()
             result.exchange_counts.append(exchanges)
             if (
                 checkpoint is not None
@@ -1342,17 +1026,8 @@ class GossipEngine:
                 if checkpoint.keep is not None:
                     prune_checkpoints(checkpoint.directory, checkpoint.keep)
         if not per_cycle and cycles > 0:
-            if not epoch_mode:
-                points.append(self._record_point())
-            result.alive_counts.append(self.alive_count)
-        if (
-            epoch_mode
-            and self.cycle > 0
-            and self.cycle % self._epochs.cycles_per_epoch == 0
-        ):
-            # a run ending exactly on an epoch boundary publishes that
-            # epoch's converged estimates
-            self._finalize_epoch(self.cycle - 1)
+            record_point()
+        lifecycle.finish_run()
         if not epoch_mode:
             for name in self._names:
                 result.variances[name] = []
@@ -1362,7 +1037,7 @@ class GossipEngine:
                 for name, (variance, mean) in zip(self._names, moments):
                     result.variances[name].append(variance)
                     result.means[name].append(mean)
-        result.epoch_results = self._epoch_results[epochs_already_reported:]
+        result.epoch_results = lifecycle.epoch_results[epochs_already_reported:]
         result.phi_counts = self._phi_log[phi_already_reported:]
         return result
 

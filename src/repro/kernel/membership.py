@@ -257,9 +257,9 @@ class PartnerProvider:
     #: topology and view draws can land on crashed or departed nodes
     #: and need the engine's participant filter)
     draws_valid_participants: bool = False
-    #: the holder of the provider's slot-table rows (the ``membership``
-    #: rows of ``repro.kernel.engine._SLOT_STATE``), or ``None`` for a
-    #: provider that keeps no per-node state (the oracle)
+    #: the holder of the provider's slot-table row (``views`` in
+    #: ``repro.kernel.engine._SLOT_STATE``), or ``None`` for a provider
+    #: that keeps no per-node state (the oracle)
     views: Optional[NewscastViews] = None
 
     def bind(self, engine: "GossipEngine") -> None:

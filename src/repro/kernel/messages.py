@@ -279,13 +279,13 @@ class RetrySpec:
 #: answered (a delivered retransmission repairs mass from these two),
 #: and the permanent push-only fallback flag
 CHANNEL_SLOTS = (
-    ("_mf_partner", "mf_partner", np.int64, -1, False, "retry"),
-    ("_mf_kind", "mf_kind", np.int8, 0, False, "retry"),
-    ("_mf_attempt", "mf_attempt", np.int64, 0, False, "retry"),
-    ("_mf_due", "mf_due", np.int64, 0, False, "retry"),
-    ("_mf_cache", "mf_cache", np.float64, 0.0, True, "retry"),
-    ("_mf_sent", "mf_sent", np.float64, 0.0, True, "retry"),
-    ("_mf_push_only", "mf_push_only", bool, False, False, "retry"),
+    ("_mf_partner", "mf_partner", np.int64, -1, False, "_channel"),
+    ("_mf_kind", "mf_kind", np.int8, 0, False, "_channel"),
+    ("_mf_attempt", "mf_attempt", np.int64, 0, False, "_channel"),
+    ("_mf_due", "mf_due", np.int64, 0, False, "_channel"),
+    ("_mf_cache", "mf_cache", np.float64, 0.0, True, "_channel"),
+    ("_mf_sent", "mf_sent", np.float64, 0.0, True, "_channel"),
+    ("_mf_push_only", "mf_push_only", bool, False, False, "_channel"),
 )
 
 
@@ -316,33 +316,34 @@ class ExchangeChannel:
         # segmentation scratch of the one-sided writes
         self._scratch = GreedyScratch()
         self.stats: Dict[str, int] = dict.fromkeys(MESSAGE_COUNTERS, 0)
-        # the slot rows: reset() allocates them, or a restore loads them
-        for attr, *_ in CHANNEL_SLOTS:
-            setattr(self, attr, None)
+        # the slot rows, kept with a retry policy only: reset()
+        # allocates them, or a restore loads them
+        if retry is not None:
+            for attr, *_ in CHANNEL_SLOTS:
+                setattr(self, attr, None)
 
     def bind(self, engine) -> None:
-        """Attach to the engine whose matrix the channel writes."""
         self._engine = engine
 
     def unbind(self) -> None:
-        """Drop the back-reference (the engine's ``close``)."""
         self._engine = None
 
     @property
     def pending_count(self) -> int:
         """Nodes currently blocked on an outstanding exchange."""
-        if self._mf_partner is None:
+        if self._retry is None:
             return 0
         return int(np.count_nonzero(self._mf_partner >= 0))
 
     def reset(self, capacity: int, k: int) -> None:
         """(Re-)allocate the slot rows for ``capacity`` slots and ``k``
-        columns: nothing outstanding anywhere (without a retry policy
-        they stay ``None``)."""
+        columns: nothing outstanding anywhere (a no-op without a retry
+        policy, which keeps no rows)."""
+        if self._retry is None:
+            return
         for attr, _, dtype, fill, per_column, _ in CHANNEL_SLOTS:
             shape = (capacity, k) if per_column else (capacity,)
-            setattr(self, attr, None if self._retry is None
-                    else fresh_slots(shape, dtype, fill))
+            setattr(self, attr, fresh_slots(shape, dtype, fill))
 
     def forget(self, slots) -> None:
         """``slots``' nodes left (crash or churn): their outstanding

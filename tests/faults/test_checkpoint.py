@@ -40,6 +40,7 @@ from repro.core.size_estimation import (
     SizeEstimationExperiment,
 )
 from repro.errors import CheckpointError, ConfigurationError
+from repro.failures.crash import CrashPlan
 from repro.kernel import (
     AdversarySpec,
     CheckpointSpec,
@@ -588,7 +589,7 @@ class TestSlotTable:
         try:
             engine.run(2)
             old = engine.capacity
-            engine._ensure_capacity(old + 1)
+            engine._lifecycle.ensure_capacity(old + 1)
             assert engine.capacity > old
             assert len(engine._matrix) == engine.capacity
             widths = {"views": (8,)}  # _armed's view_size
@@ -683,6 +684,78 @@ class TestSlotTable:
             GossipEngine.restore(_armed(), written)
 
 
+class TestCounterRules:
+    """The counters a restore takes follow from the rules that wrote
+    them. Epochs restart whenever ``cycle % cycles_per_epoch == 0``, so
+    ``cycle`` fixes ``epoch``, its start cycle and which epochs are
+    finalized; a zero ``mask_version`` promises that no slot ever left
+    (the loss-free fast path's premise)."""
+
+    E = 4
+
+    def _epoch_scenario(self):
+        n = 200
+        return Scenario(
+            CompleteTopology(n), np.arange(float(n)), seed=17,
+            churn=ChurnTrace.constant(20, 3, 3),
+            epochs=EpochSpec(
+                cycles_per_epoch=self.E,
+                finalize=lambda view: (view.epoch, view.size_at_start),
+            ),
+        )
+
+    @pytest.mark.parametrize("key, value", [
+        pytest.param(None, None, id="unedited"),
+        pytest.param("last_finalized_epoch", lambda m: 9,
+                     id="last_finalized-ahead"),
+        pytest.param("last_finalized_epoch", lambda m: -1,
+                     id="last_finalized-behind"),
+        pytest.param("epoch", lambda m: 7, id="epoch-ahead"),
+        pytest.param("epoch", lambda m: 0, id="epoch-behind"),
+        pytest.param("epoch_start_cycle", lambda m: 0,
+                     id="epoch_start-earlier"),
+        pytest.param("size_at_epoch_start", lambda m: m["top"] + 1,
+                     id="size_at_start-past-top"),
+    ])
+    def test_restore_refuses_counters_the_epoch_rule_cannot_reach(
+            self, key, value, tmp_path):
+        with GossipEngine(self._epoch_scenario()) as engine:
+            engine.run(20)
+            straight = engine.epoch_results
+        with GossipEngine(self._epoch_scenario()) as engine:
+            engine.run(6)
+            manifest, arrays = read_checkpoint(engine.checkpoint(tmp_path))
+        assert (manifest["epoch"], manifest["epoch_start_cycle"],
+                manifest["last_finalized_epoch"]) == (1, 4, 0)
+        if key is not None:
+            manifest[key] = value(manifest)
+        written = write_checkpoint(tmp_path / "edited", arrays, manifest)
+        if key is not None:
+            with pytest.raises(CheckpointError, match=repr(key)):
+                GossipEngine.restore(self._epoch_scenario(), written)
+            return
+        with GossipEngine.restore(self._epoch_scenario(), written) as engine:
+            engine.arm_standard_monitors(strict=True)
+            assert len(engine.run(14).epoch_results) == 4
+            assert engine.epoch_results == straight
+
+    def test_restore_refuses_a_zero_mask_version_over_a_dead_slot(
+            self, tmp_path):
+        n = 200
+        scenario = Scenario(
+            CompleteTopology(n), np.arange(float(n)), seed=17,
+            crash_plan=CrashPlan({3: list(range(0, n, 4))}),
+        )
+        with GossipEngine(scenario) as engine:
+            engine.run(5)
+            manifest, arrays = read_checkpoint(engine.checkpoint(tmp_path))
+        assert manifest["mask_version"] == 50
+        manifest["mask_version"] = 0
+        written = write_checkpoint(tmp_path / "edited", arrays, manifest)
+        with pytest.raises(CheckpointError, match="'mask_version'"):
+            GossipEngine.restore(scenario, written)
+
+
 #: the fuzzed members: every plain array an armed checkpoint holds (the
 #: pickled ones — RNG state, epoch results, message counts — are
 #: trusted by design) and every counter of its manifest
@@ -690,7 +763,8 @@ FUZZ_MEMBERS = ("matrix", "free_slots") + tuple(
     key for _, key, *_ in _SLOT_STATE if key != "eclipse"
 )
 FUZZ_COUNTERS = tuple(key for _, key, _ in _COUNTERS)
-FUZZ_EDITS = ("dtype", "shape", "out-of-range", "duplicate", "negative")
+FUZZ_EDITS = ("dtype", "shape", "out-of-range", "duplicate", "negative",
+              "zero")
 
 
 def _fuzz_edit(value, edit, at, others):
@@ -698,7 +772,8 @@ def _fuzz_edit(value, edit, at, others):
     ``at`` picks the entry, or the counter (of ``others``) to copy."""
     if not isinstance(value, np.ndarray):
         return {"dtype": value + 0.5, "shape": [value], "out-of-range": 10**6,
-                "duplicate": others[at % len(others)], "negative": -5}[edit]
+                "duplicate": others[at % len(others)], "negative": -5,
+                "zero": 0}[edit]
     if edit == "dtype":
         return value.astype(np.float32)
     if edit == "shape":
@@ -707,7 +782,7 @@ def _fuzz_edit(value, edit, at, others):
     flat = value.reshape(-1)
     at %= flat.size
     entry = {"out-of-range": len(value), "duplicate": flat[at - 1],
-             "negative": -5}[edit]
+             "negative": -5, "zero": 0}[edit]
     # cast as numpy casts (wrapping an int8, -5 -> True in a bool row)
     flat[at] = np.array(entry).astype(value.dtype)
     return value
@@ -813,8 +888,9 @@ class TestComposedRoundTrip:
         full, resumed = _round_trip(scenario, total=14, split=6,
                                     tmp_path=tmp_path)
         try:
-            assert (full._eclipse >= 0).any()
-            assert np.array_equal(resumed._eclipse, full._eclipse)
+            assert (full._adversary._eclipse >= 0).any()
+            assert np.array_equal(resumed._adversary._eclipse,
+                                  full._adversary._eclipse)
             assert _digest(resumed) == _digest(full)
         finally:
             full.close()
@@ -881,7 +957,13 @@ class TestOlderBuild:
     equivalence suite compares the backends with *each other*, and the
     fault, retry and churn passes are engine code all of them run — a
     write reordered there moves every backend together and only an
-    absolute digest sees it."""
+    absolute digest sees it.
+
+    ``STATIC`` pins two static runs the same way, from a ``git archive``
+    of f88819e: the 20-cycle digest and the manifest of the cycle-5
+    checkpoint, ``sha256`` left out — every ``GOLDEN`` key is a churn
+    run, and a static checkpoint writes its free list and epoch
+    counters at their start values."""
 
     DATA = Path(__file__).parent / "data"
     REACHED = (
@@ -946,3 +1028,68 @@ class TestOlderBuild:
                 range(0, 231, 11)
             )
             assert _digest(engine) == self.GOLDEN[provider, retry, epochs]
+
+    #: static kind -> (``_digest`` after 20 cycles, the cycle-5
+    #: checkpoint's members, its manifest minus ``sha256`` and backend)
+    STATIC = {
+        "eclipse": (
+            "93aad29503bce9f54e34f2e2a3e9e69cc1c5f9bf108842974016c6819ac235f2",
+            {"matrix", "free_slots", "rng_state", "epoch_results", "alive",
+             "participant", "adv_mask", "eclipse"},
+            {"bit_generator": "PCG64", "capacity": 60, "cycle": 5,
+             "dynamic": False, "epoch": -1, "epoch_start_cycle": 0,
+             "format": "repro-checkpoint", "instances": ["mean"],
+             "instances_rebuilt": False, "k": 1,
+             "last_finalized_epoch": -1, "mask_version": 0,
+             "membership": "oracle", "n": 60, "pair_mode": False,
+             "payload": "ck-0000000005.npz", "size_at_epoch_start": 0,
+             "top": 60, "version": 1},
+        ),
+        "inject": (
+            "982c6215dec4a2261e93d4401f665da08a34e16279cb086ade5b3872da6cdedf",
+            {"matrix", "free_slots", "rng_state", "epoch_results", "alive",
+             "participant", "adv_mask"},
+            {"bit_generator": "PCG64", "capacity": 60, "cycle": 5,
+             "dynamic": False, "epoch": -1, "epoch_start_cycle": 0,
+             "format": "repro-checkpoint", "instances": ["mean"],
+             "instances_rebuilt": False, "k": 1,
+             "last_finalized_epoch": -1, "mask_version": 15,
+             "membership": "oracle", "n": 60, "pair_mode": False,
+             "payload": "ck-0000000005.npz", "size_at_epoch_start": 0,
+             "top": 60, "version": 1},
+        ),
+    }
+
+    @staticmethod
+    def _static(kind, backend):
+        """``eclipse`` on a ring from cycle 3, or ``inject`` on the
+        complete overlay with every 4th node crashed at cycle 3."""
+        n = 60
+        values = np.random.default_rng(5).normal(12.0, 3.0, n)
+        if kind == "eclipse":
+            return Scenario(
+                RingTopology(n), values, seed=31, backend=backend,
+                adversary=AdversarySpec(kind="eclipse", fraction=0.1,
+                                        start=3),
+            )
+        return Scenario(
+            CompleteTopology(n), values, seed=29, backend=backend,
+            adversary=AdversarySpec(kind="inject", fraction=0.1,
+                                    value=40.0),
+            crash_plan=CrashPlan({3: list(range(0, n, 4))}),
+        )
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("kind", sorted(STATIC))
+    def test_static_runs_reach_the_pinned_states(self, kind, backend,
+                                                 tmp_path):
+        digest, members, fields = self.STATIC[kind]
+        with GossipEngine(self._static(kind, backend)) as engine:
+            engine.run(20)
+            assert _digest(engine) == digest
+        with GossipEngine(self._static(kind, backend)) as engine:
+            engine.run(5)
+            manifest, arrays = read_checkpoint(engine.checkpoint(tmp_path))
+        manifest.pop("sha256")
+        assert manifest == {**fields, "backend": backend}
+        assert set(arrays) == members

@@ -273,13 +273,13 @@ class TestStructure:
         ))
         try:
             engine.run(3)
-            engine._free_slots.append(slot)
+            engine._lifecycle.free_slots.append(slot)
             findings = StructureMonitor().observe(engine, 3, {}, False)
         finally:
             engine.close()
         assert all(finding.is_violation for finding in findings)
         assert findings[0].message == (
-            f"a free-listed slot is outside [0, top {engine._top})"
+            f"a free-listed slot is outside [0, top {engine._lifecycle.top})"
         )
 
     def test_standard_set_is_fresh_instances(self):

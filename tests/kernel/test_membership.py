@@ -221,7 +221,7 @@ class TestNewscastViews:
         scenario = scenario_with(n=50, membership=NewscastSpec(view_size=6))
         with GossipEngine(scenario) as engine:
             before = engine.membership_views
-            engine._ensure_capacity(80)
+            engine._lifecycle.ensure_capacity(80)
             views = engine.membership_views
             assert views.shape == (80, 6)
             assert np.array_equal(views[:50], before)
@@ -254,7 +254,7 @@ class TestNewscastViews:
             churn=ChurnTrace.constant(4, 0, 0),
         )
         with GossipEngine(scenario) as engine:
-            engine._ensure_capacity(45)
+            engine._lifecycle.ensure_capacity(45)
             manifest, arrays = read_checkpoint(engine.checkpoint(tmp_path))
         with GossipEngine.restore(scenario, tmp_path) as restored:
             assert restored.capacity == 45

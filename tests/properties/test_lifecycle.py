@@ -54,15 +54,15 @@ def test_admit_hands_out_what_a_pop_loop_would(steps, epochs, seed):
     ))
     engine.register_monitor(StructureMonitor(), strict=True)
     admitted = []
-    admit = engine._admit
+    admit = engine._lifecycle.admit
 
     def spy(count):
-        entry = (list(engine._free_slots), engine._top)
+        entry = (list(engine._lifecycle.free_slots), engine._lifecycle.top)
         slots = admit(count)
         admitted.append((*entry, slots.tolist()))
         return slots
 
-    engine._admit = spy
+    engine._lifecycle.admit = spy
     free, top = [], N
     with engine:
         for leaves, joins, crashed in steps:
@@ -73,7 +73,7 @@ def test_admit_hands_out_what_a_pop_loop_would(steps, epochs, seed):
                     alive[node] = False
                     free.append(node)
             engine.crash(crashed)
-            assert engine._free_slots == free
+            assert engine._lifecycle.free_slots == free
             leaves = min(leaves, max(int(alive.sum()) - 1, 0))
             engine.run_cycle()
             if joins:
@@ -81,7 +81,7 @@ def test_admit_hands_out_what_a_pop_loop_would(steps, epochs, seed):
                 admitted.clear()
             else:
                 free_at_entry, top_at_entry, slots = (
-                    engine._free_slots, engine._top, []
+                    engine._lifecycle.free_slots, engine._lifecycle.top, []
                 )
             # the departures: distinct nodes that were alive, appended
             left = free_at_entry[len(free):]
@@ -91,9 +91,9 @@ def test_admit_hands_out_what_a_pop_loop_would(steps, epochs, seed):
             assert top_at_entry == top
             expected, free, top = pop_model(free_at_entry, top, joins)
             assert slots == expected
-            assert engine._free_slots == free
+            assert engine._lifecycle.free_slots == free
             assert engine.structure_snapshot()["free_slots"] == tuple(free)
-            assert engine._top == top
+            assert engine._lifecycle.top == top
             assert not engine.alive_mask[free].any()
             assert engine.alive_count == (
                 int(alive.sum()) - leaves + joins
